@@ -22,6 +22,7 @@ from .modes import (
     dispersion,
     dreibein,
     form_factors,
+    grid_rotations,
 )
 from .fock import FockBasis, annihilator, creation, dgamma, enumerate_basis, field_sum
 from .hamiltonian import (
@@ -41,12 +42,14 @@ from .hamiltonian import (
 )
 from .spectral import (
     EnergyCache,
+    FiberSolve,
     SpectrumReport,
     cluster_degeneracy,
     convergence_study,
     delta_gap,
     ground_data,
     low_spectrum,
+    solve_fiber,
 )
 from .bounds import (
     BoundConstants,

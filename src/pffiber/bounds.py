@@ -31,7 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import FiberModel, _as_model, build_H, op_sqrt_eig
-from .spectral import EnergyCache, delta_gap, ground_data
+# ground_data is unused here but stays bound: the tests of
+# perfbench/tracer.py check that tracing patches this module's copy
+from .spectral import (  # noqa: F401
+    EnergyCache,
+    FiberSolve,
+    delta_gap,
+    ground_data,
+    solve_fiber,
+)
 
 SANDWICH_TOL = 1e-9
 U_DIRECTION = np.array([1.0, 0.0, 0.0])
@@ -154,22 +162,31 @@ def count_below(h, threshold: float) -> int:
     return int(np.searchsorted(vals, threshold, side="left"))
 
 
-def sandwich_margins(P, params_or_model, consts: BoundConstants | None = None):
+def sandwich_margins(
+    P,
+    params_or_model,
+    consts: BoundConstants | None = None,
+    h: np.ndarray | None = None,
+    h_norm: float | None = None,
+):
     """min eig(H(|P|u) - L_-) and min eig(L_+ - H(|P|u)), with the scale.
 
     The Hamiltonian is evaluated at |P| u as in the comparison statements;
-    rotation covariance of E(P) is probed separately.
+    rotation covariance of E(P) is probed separately.  A caller holding
+    ``h`` = H(P) passes it (and its 2-norm ``h_norm``, if known); it is
+    reused when P == |P| u exactly and ignored otherwise.
     """
     model = _as_model(params_or_model)
     if consts is None:
         consts = bound_constants(model)
     absp = float(np.linalg.norm(P))
-    h = build_H(absp * U_DIRECTION, model)
+    if h is None or not np.array_equal(P, absp * U_DIRECTION):
+        h, h_norm = build_H(absp * U_DIRECTION, model), None
     lm = np.kron(np.ones(2), build_L_minus(P, model, consts))
     lp = np.kron(np.ones(2), build_L_plus(P, model, consts))
     lower = float(np.linalg.eigvalsh(h - np.diag(lm))[0])
     upper = float(np.linalg.eigvalsh(np.diag(lp) - h)[0])
-    scale = float(np.linalg.norm(h, ord=2))
+    scale = float(np.linalg.norm(h, ord=2)) if h_norm is None else h_norm
     return lower, upper, scale
 
 
@@ -206,21 +223,28 @@ def theorem_gap_report(
     params_or_model,
     consts: BoundConstants | None = None,
     cache: EnergyCache | None = None,
+    solve: FiberSolve | None = None,
 ) -> GapReport:
-    """Evaluate the gap inequalities with measured constants at one P."""
+    """Evaluate the gap inequalities with measured constants at one P.
+
+    E, E1 and the count below Sigma_-(P) are read from ``solve``, the
+    :func:`pffiber.spectral.solve_fiber` record of H(P); one is made when
+    none is passed.
+    """
     model = _as_model(params_or_model)
     p = model.params
     if consts is None:
         consts = bound_constants(model)
     P = np.asarray(P, dtype=float)
-    e0, e1, _ = ground_data(P, model, cache=cache)
+    if solve is None:
+        solve = solve_fiber(P, model, cache=cache)
+    e0, e1 = solve.E, solve.E1
     delta = delta_gap(P, model, cache=cache)
     sigma = consts.sigma_minus(P)
     upper = consts.upper_envelope(P)
     lower = consts.lower_envelope(P)
     free = p.gamma * math.sqrt(float(P @ P) + p.M**2)
-    h = build_H(P, model)
-    cnt = count_below(h, sigma)
+    cnt = count_below(solve.eigenvalues, sigma)
     gap = math.inf if e1 is None else e1 - e0
     return GapReport(
         P=tuple(P),

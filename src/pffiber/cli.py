@@ -30,17 +30,18 @@ import numpy as np
 
 from . import bounds as bnd
 from .config import ConfigError, RunConfig, default_config, dump_config, load_config
-from .fock import hermiticity_defect
-from .hamiltonian import build_H, build_model
-from .kramers import check_theta_commutes, kramers_certificate
-from .spectral import (
+# build_H and ground_data are unused here but stay bound: the tests of
+# perfbench/tracer.py check that tracing patches this module's copies
+from .hamiltonian import build_H, build_model  # noqa: F401
+from .kramers import kramers_certificate
+from .spectral import (  # noqa: F401
     EnergyCache,
     EigensolverError,
     SpectrumReport,
     convergence_study,
     delta_gap,
     ground_data,
-    low_spectrum,
+    solve_fiber,
 )
 from .verify import run_verify
 
@@ -61,30 +62,28 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def compute_report(P, model, consts, cache, cluster_tol) -> SpectrumReport:
-    """Assemble the per-momentum spectral summary."""
-    e0, e1, mult = ground_data(P, model, cluster_tol=cluster_tol, cache=cache)
-    delta = delta_gap(P, model, cache=cache)
-    h = build_H(P, model)
+def compute_report(P, model, consts, cache, cluster_tol, sandwich=False):
+    """Assemble the per-momentum spectral summary from one solve of H(P).
+
+    Returns (report, solve); ``sandwich`` also takes the sandwich margins
+    from that solve.
+    """
+    solve = solve_fiber(
+        P, model, cluster_tol=cluster_tol, cache=cache,
+        sandwich_consts=consts if sandwich else None,
+    )
     sigma = consts.sigma_minus(P)
-    vals, vecs = low_spectrum(h, min(h.shape[0], 4))
-    eig_res = float(
-        np.max(np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0))
-    )
-    return SpectrumReport(
-        P=tuple(float(x) for x in P),
-        E=e0,
-        E1=e1,
-        ground_multiplicity=mult,
-        delta=delta,
+    report = SpectrumReport(
+        P=solve.P,
+        E=solve.E,
+        E1=solve.E1,
+        ground_multiplicity=solve.mult,
+        delta=delta_gap(P, model, cache=cache),
         sigma_minus=sigma,
-        eigencount_below_sigma=bnd.count_below(h, sigma),
-        residuals={
-            "eigenpair": eig_res,
-            "hermiticity": hermiticity_defect(h),
-            "theta_commutation": check_theta_commutes(h),
-        },
+        eigencount_below_sigma=bnd.count_below(solve.eigenvalues, sigma),
+        residuals=dict(solve.residuals),
     )
+    return report, solve
 
 
 def _pool(cfg: RunConfig):
@@ -100,7 +99,9 @@ def run_spectrum(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
 
     def work(P):
         try:
-            return compute_report(P, model, consts, cache, cfg.tolerances.cluster_rel)
+            return compute_report(
+                P, model, consts, cache, cfg.tolerances.cluster_rel
+            )[0]
         except EigensolverError as exc:
             return (tuple(float(x) for x in P), str(exc))
 
@@ -138,18 +139,20 @@ def run_sweep(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
 
     def work(P):
         try:
-            rep = compute_report(P, model, consts, cache, cfg.tolerances.cluster_rel)
-            lower, upper, scale = bnd.sandwich_margins(P, model, consts)
-            gap = bnd.theorem_gap_report(P, model, consts, cache=cache)
+            rep, solve = compute_report(
+                P, model, consts, cache, cfg.tolerances.cluster_rel, sandwich=True
+            )
+            lower, upper, scale = solve.sandwich
+            gap = bnd.theorem_gap_report(P, model, consts, cache=cache, solve=solve)
             return rep, (lower / scale, upper / scale), gap
         except EigensolverError as exc:
-            return (tuple(float(x) for x in P), str(exc))
+            return {"P": [float(x) for x in P], "error": str(exc)}
 
     with _pool(cfg) as pool:
         rows = list(pool.map(work, momenta))
 
-    failures = [r for r in rows if len(r) == 2]
-    rows = [r for r in rows if len(r) == 3]
+    failures = [r for r in rows if isinstance(r, dict)]
+    rows = [r for r in rows if not isinstance(r, dict)]
     csv_path = os.path.join(out_dir, "sweep.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "," + SWEEP_EXTRA + "\n")
@@ -166,16 +169,17 @@ def run_sweep(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
     summary = {
         "constants": asdict(consts),
         "min_E1_minus_E": min(
-            (g.E1 - g.E) for g in gaps if g.E1 is not None
+            (g.E1 - g.E for g in gaps if g.E1 is not None), default=None
         ),
-        "min_delta": min(g.delta for g in gaps),
-        "min_sandwich_lower": min(r[1][0] for r in rows),
-        "min_sandwich_upper": min(r[1][1] for r in rows),
-        "min_delta_margin": min(g.delta_margin for g in gaps),
-        "min_chain_margin": min(g.chain_margin for g in gaps),
-        "min_direct_margin": min(g.direct_margin for g in gaps),
+        "min_delta": min((g.delta for g in gaps), default=None),
+        "min_sandwich_lower": min((r[1][0] for r in rows), default=None),
+        "min_sandwich_upper": min((r[1][1] for r in rows), default=None),
+        "min_delta_margin": min((g.delta_margin for g in gaps), default=None),
+        "min_chain_margin": min((g.chain_margin for g in gaps), default=None),
+        "min_direct_margin": min((g.direct_margin for g in gaps), default=None),
         "all_envelope_ok": all(g.envelope_ok for g in gaps),
         "all_count_two": all(g.count_below_sigma == 2 for g in gaps),
+        "failures": failures,
     }
     with open(
         os.path.join(out_dir, "sweep_summary.json"), "w", encoding="utf-8"
@@ -199,8 +203,11 @@ def run_bounds(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
             "sandwich_lower,sandwich_upper,count_below\n"
         )
         for P in cfg.momenta():
-            lower, upper, scale = bnd.sandwich_margins(P, model, consts)
-            h = build_H(P, model)
+            solve = solve_fiber(
+                P, model, cluster_tol=cfg.tolerances.cluster_rel, cache=cache,
+                sandwich_consts=consts,
+            )
+            lower, upper, scale = solve.sandwich
             vals = (
                 *P,
                 consts.sigma_minus(P),
@@ -208,7 +215,7 @@ def run_bounds(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
                 consts.upper_envelope(P),
                 lower / scale,
                 upper / scale,
-                bnd.count_below(h, consts.sigma_minus(P)),
+                bnd.count_below(solve.eigenvalues, consts.sigma_minus(P)),
             )
             fh.write(",".join(_fmt(v) for v in vals) + "\n")
     return 0

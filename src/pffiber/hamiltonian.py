@@ -47,6 +47,7 @@ from .modes import (
     build_mode_set,
     coupling_norms,
     form_factors,
+    grid_rotations,
 )
 
 SIGMA = np.array(
@@ -92,6 +93,7 @@ class FiberModel:
     B: tuple  # three Hermitian Fock matrices with purely imaginary entries
     pf: np.ndarray  # (dim, 3) field-momentum diagonals
     hf: np.ndarray  # (dim,) field-energy diagonal
+    rotations: np.ndarray  # (|G|, 3, 3) rotation group of the mode grid
 
     @property
     def dim(self) -> int:
@@ -122,6 +124,7 @@ def build_model(params: ModelParams) -> FiberModel:
         B=tuple(B),
         pf=pf,
         hf=hf,
+        rotations=grid_rotations(table),
     )
 
 

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundConstants, bound_constants, count_below, sandwich_margins
-from .hamiltonian import SIGMA, FiberModel, _as_model, build_H, hf_spinor
-from .spectral import EnergyCache, cluster_degeneracy, low_spectrum
+from .bounds import BoundConstants, bound_constants, count_below
+from .hamiltonian import SIGMA, _as_model, hf_spinor
+from .spectral import EnergyCache, solve_fiber
 
 PAIRING_TOL = 1e-8
 THETA_COMM_TOL = 1e-12
@@ -139,18 +139,17 @@ def kramers_certificate(
         return KramersCertificate(P=tuple(P), hypotheses_met=False)
     if consts is None:
         consts = bound_constants(model)
-    h = build_H(P, model)
-    comm = check_theta_commutes(h)
-    vals, vecs = low_spectrum(h, min(h.shape[0], 4))
-    clusters = cluster_degeneracy(np.linalg.eigvalsh(h), cluster_tol)
-    mult = clusters[0][1]
-    pair = theta_pairing_residuals(h, vals[:1], vecs[:, :1])
-    lower, _, scale = sandwich_margins(P, model, consts)
+    solve = solve_fiber(
+        P, model, cluster_tol=cluster_tol, cache=cache, sandwich_consts=consts
+    )
+    mult = solve.mult
+    pairing, overlap = solve.ground_pairing
+    lower, _, scale = solve.sandwich
     sandwich_ok = lower >= -1e-9 * scale
-    cnt = count_below(h, consts.sigma_minus(P))
+    cnt = count_below(solve.eigenvalues, consts.sigma_minus(P))
     if not sandwich_ok:
         conclusion = "inconclusive (sandwich failed)"
-    elif mult == 2 and cnt <= 2 and pair[0][0] <= PAIRING_TOL:
+    elif mult == 2 and cnt <= 2 and pairing <= PAIRING_TOL:
         conclusion = "exactly two-fold"
     elif mult >= 2:
         conclusion = "at least two-fold"
@@ -159,10 +158,10 @@ def kramers_certificate(
     return KramersCertificate(
         P=tuple(P),
         hypotheses_met=True,
-        theta_comm_residual=comm,
+        theta_comm_residual=solve.residuals["theta_commutation"],
         ground_multiplicity=mult,
-        pairing_residual=pair[0][0],
-        ground_overlap=pair[0][1],
+        pairing_residual=pairing,
+        ground_overlap=overlap,
         count_below_sigma=cnt,
         sandwich_ok=sandwich_ok,
         conclusion=conclusion,

@@ -21,6 +21,7 @@ CONVENTIONS:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -307,6 +308,63 @@ def form_factors(modes: ModeSet, params: ModelParams) -> FormFactorTable:
     g = g * _envelope(r, params)
     f = g[:, None] * modes.eps
     return FormFactorTable(f=f, g=g, omega=omega, k=modes.k.copy(), weight=modes.weight.copy())
+
+
+def _proper_signed_permutations() -> np.ndarray:
+    """The 24 rotation matrices with one entry +-1 per row and column."""
+    out = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            r = np.zeros((3, 3))
+            r[range(3), perm] = signs
+            if np.linalg.det(r) > 0:
+                out.append(r)
+    return np.array(out)
+
+
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def grid_rotations(table: FormFactorTable) -> np.ndarray:
+    """Rotation group G of the mode grid, as an (|G|, 3, 3) array.
+
+    G holds the proper signed permutations R that map the rows (k, g) of the
+    form-factor table onto themselves.  A signed permutation moves floats
+    without rounding, so membership is tested by exact equality.  For R in G,
+    H(R P) is unitarily equivalent to H(P): modes are permuted, each
+    polarization pair turns by an SO(2) element and the spin turns through
+    SU(2).  |G| is 8, 24, 24 and 12 for 2, 6, 8 and 12 directions.
+    """
+    ref = _sorted_rows(np.column_stack([table.k, table.g]))
+    keep = [
+        r
+        for r in _proper_signed_permutations()
+        if np.array_equal(
+            _sorted_rows(np.column_stack([table.k @ r.T, table.g])), ref
+        )
+    ]
+    out = np.array(keep)
+    out.setflags(write=False)
+    return out
+
+
+def orbit_representatives(vectors, rotations) -> list:
+    """One member of each orbit of ``vectors`` under ``rotations``.
+
+    ``rotations`` must be a group of signed permutations; two vectors share
+    an orbit when one is exactly a rotation of the other.  The first member
+    of each orbit, in input order, is kept.
+    """
+    seen = set()
+    out = []
+    for v in vectors:
+        v = np.asarray(v, dtype=float)
+        label = min(tuple(r @ v) for r in rotations)
+        if label not in seen:
+            seen.add(label)
+            out.append(v)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,33 +9,48 @@ gap function is
 approximated on a finite trial set that always contains k = 0 (so
 Delta(P) <= omega(0) = m_ph exactly) and the grid wavevectors.
 
-Eigensolves are dense up to ``dense_dim_limit``; above that a Krylov solver
-is used for the lowest part of the spectrum, with the dense path as the
-reference on overlapping sizes.
+Two dense solves exist.  :func:`solve_fiber` is the one solve per momentum
+that every per-P consumer reads (the CLI reports, the gap-bound report, the
+Kramers certificate): it builds H(P) once, runs one ``eigh`` and keeps a
+small :class:`FiberSolve` record -- all eigenvalues, the four lowest
+eigenvectors, ||H||_2 as max |lambda| and the residuals taken from H -- then
+drops H.  :func:`ground_data` is the eigenvalues-only path (``eigvalsh``)
+used for the trial momenta of Delta(P) and the convergence ladder.
+
+For R in the grid's rotation group G, H(R q) is unitarily equivalent to
+H(q).  If R also fixes P, the trials k and R k give the same value of
+E(P - k) + omega(k), so :func:`delta_gap` solves one trial per orbit of the
+stabilizer of P.  The reduction is exact: the skipped trials differ from the
+kept one only by rounding.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import sys
+import tempfile
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
+from .fock import hermiticity_defect
 from .hamiltonian import FiberModel, _as_model, build_H
-from .modes import ModelParams, dispersion
+from .modes import ModelParams, dispersion, orbit_representatives
 
-DENSE_DIM_LIMIT = 6000
 DEFAULT_CLUSTER_TOL = 1e-8
 P_QUANTUM = 1e-12
+N_LOW_VECTORS = 4
+RESIDUAL_TOL = 1e-9
+CACHE_FORMAT = 2
 
 
 class EigensolverError(RuntimeError):
     """Raised when an eigensolve fails or violates its residual contract."""
 
 
-def low_spectrum(h: np.ndarray, m: int, residual_tol: float = 1e-9):
+def low_spectrum(h: np.ndarray, m: int, residual_tol: float = RESIDUAL_TOL):
     """m smallest eigenvalues with orthonormal eigenvectors.
 
     Residuals ||H v - lambda v|| are checked against
@@ -55,15 +70,6 @@ def low_spectrum(h: np.ndarray, m: int, residual_tol: float = 1e-9):
             f"eigenpair residual {res.max():.3e} exceeds {residual_tol:.1e} * ||H||"
         )
     return vals, vecs
-
-
-def low_spectrum_iterative(h: np.ndarray, m: int):
-    """Krylov path for dimensions beyond the dense limit."""
-    if m >= h.shape[0]:  # eigsh needs k < dim; tiny blocks solve densely
-        return low_spectrum(h, min(m, h.shape[0]))
-    vals, vecs = scipy.sparse.linalg.eigsh(h, k=m, which="SA")
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
 
 
 def cluster_degeneracy(eigenvalues, scale_tol: float = DEFAULT_CLUSTER_TOL):
@@ -93,21 +99,24 @@ def _quantize_P(P) -> tuple:
 
 def params_fingerprint(params: ModelParams) -> str:
     """Stable, lossless string key for a parameter set (17 significant digits)."""
-    from dataclasses import asdict as _asdict
-
-    items = sorted(_asdict(params).items())
+    items = sorted(asdict(params).items())
     return ";".join(
         f"{k}={v:.17g}" if isinstance(v, float) else f"{k}={v}" for k, v in items
     )
 
 
 class EnergyCache:
-    """Map (params fingerprint, quantized P) -> (E, E1, multiplicity).
+    """Map (params fingerprint, cluster_tol, quantized P) -> (E, E1, mult).
 
-    Values are deterministic functions of the key, so last-writer-wins races
-    between sweep workers are benign.  Optionally persisted to a JSON file;
-    floats round-trip losslessly (repr serialization), so a cache hit equals
-    recomputation bit for bit at a fixed build.
+    E1 and the multiplicity depend on the clustering tolerance, so it is part
+    of the key.  Entries come from :func:`solve_fiber` (``eigh``) or
+    :func:`ground_data` (``eigvalsh``); the two agree to rounding, and a
+    solve_fiber entry replaces an existing one so that every consumer of
+    that momentum reads the E of its report.  Optionally persisted to a JSON
+    file tagged with ``CACHE_FORMAT``; floats round-trip losslessly (repr
+    serialization), so a cache hit equals recomputation bit for bit at a
+    fixed build.  The file is replaced atomically on save; a corrupt file or
+    one of another format is reported on stderr and ignored.
     """
 
     def __init__(self, path=None):
@@ -116,18 +125,32 @@ class EnergyCache:
         self.hits = 0
         self.misses = 0
         if path is not None:
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    raw = json.load(fh)
-                self._data = {
-                    tuple(json.loads(k)): tuple(v) for k, v in raw.items()
-                }
-            except (FileNotFoundError, json.JSONDecodeError):
-                self._data = {}
+            self._data = self._load(path)
 
     @staticmethod
-    def key(params: ModelParams, P) -> tuple:
-        return (params_fingerprint(params),) + _quantize_P(P)
+    def _load(path) -> dict:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+            if raw.get("format") != CACHE_FORMAT:
+                raise ValueError(
+                    f"format {raw.get('format')!r}, expected {CACHE_FORMAT}"
+                )
+            return {
+                tuple(json.loads(k)): tuple(v) for k, v in raw["entries"].items()
+            }
+        except FileNotFoundError:
+            return {}
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            print(f"warning: ignoring cache {path}: {exc}", file=sys.stderr)
+            return {}
+
+    @staticmethod
+    def key(params: ModelParams, P, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> tuple:
+        return (
+            params_fingerprint(params),
+            f"{float(cluster_tol):.17g}",
+        ) + _quantize_P(P)
 
     def get(self, key):
         got = self._data.get(key)
@@ -140,11 +163,31 @@ class EnergyCache:
         self._data[key] = value
 
     def save(self):
+        """Write the cache atomically: a temp file beside it, then a rename."""
         if self.path is None:
             return
-        raw = {json.dumps(list(k)): list(v) for k, v in self._data.items()}
-        with open(self.path, "w", encoding="utf-8") as fh:
-            json.dump(raw, fh)
+        raw = {
+            "format": CACHE_FORMAT,
+            "entries": {json.dumps(list(k)): list(v) for k, v in self._data.items()},
+        }
+        folder = os.path.dirname(os.path.abspath(self.path))
+        fd, tmp = tempfile.mkstemp(
+            dir=folder, prefix=os.path.basename(self.path) + ".", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(raw, fh)
+            os.replace(tmp, self.path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+
+
+def _ground_triple(vals, cluster_tol: float) -> tuple:
+    """(E, E1, ground multiplicity) from ascending eigenvalues."""
+    mult = cluster_degeneracy(vals, cluster_tol)[0][1]
+    e1 = float(vals[mult]) if len(vals) > mult else None
+    return float(vals[0]), e1, mult
 
 
 def ground_data(
@@ -152,45 +195,112 @@ def ground_data(
     params_or_model,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
     cache: EnergyCache | None = None,
-    dense_dim_limit: int = DENSE_DIM_LIMIT,
 ):
     """(E, E1, ground multiplicity) of the fiber Hamiltonian at momentum P.
 
     E is the smallest eigenvalue; the multiplicity comes from greedy
     clustering at ``cluster_tol``; E1 is the smallest eigenvalue strictly
     above the ground cluster (None if the truncation holds no second level).
+    Eigenvalues only: no eigenvectors are formed.
     """
     model = _as_model(params_or_model)
     key = None
     if cache is not None:
-        key = EnergyCache.key(model.params, P)
+        key = EnergyCache.key(model.params, P, cluster_tol)
         hit = cache.get(key)
         if hit is not None:
             return hit
-    h = build_H(P, model)
-    dim = h.shape[0]
-    if dim <= dense_dim_limit:
-        vals = scipy.linalg.eigvalsh(h)
-    else:
-        m = min(dim, 16)
-        while True:
-            vals, _ = low_spectrum_iterative(h, m)
-            done = cluster_degeneracy(vals, cluster_tol)
-            if len(done) > 1 or m == dim:
-                break
-            m = min(dim, 2 * m)
-            if m > 256:
-                raise EigensolverError(
-                    "no distinct level found within the eigencount cap"
-                )
-    clusters = cluster_degeneracy(vals, cluster_tol)
-    e0 = float(vals[0])
-    mult = clusters[0][1]
-    e1 = float(vals[mult]) if len(vals) > mult else None
-    out = (e0, e1, mult)
+    out = _ground_triple(scipy.linalg.eigvalsh(build_H(P, model)), cluster_tol)
     if cache is not None:
         cache.put(key, out)
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class FiberSolve:
+    """One dense eigendecomposition of H(P) and what the consumers read from it.
+
+    Holds no dim x dim array: H and the full eigenvector matrix are dropped
+    once the residuals are taken.  ``residuals`` has the worst eigenpair
+    residual of the low vectors, the Hermiticity defect of H and the relative
+    theta-commutation residual.  ``ground_pairing`` is the
+    (theta-partner residual, |<v, theta v>|) of the ground vector.
+    ``sandwich`` is (lower, upper, scale) of
+    :func:`pffiber.bounds.sandwich_margins`, when it was asked for.
+    """
+
+    P: tuple
+    eigenvalues: np.ndarray
+    low_vectors: np.ndarray
+    E: float
+    E1: float | None
+    mult: int
+    h_norm: float
+    residuals: dict
+    ground_pairing: tuple
+    sandwich: tuple | None = None
+
+
+def solve_fiber(
+    P,
+    params_or_model,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+    cache: EnergyCache | None = None,
+    sandwich_consts=None,
+) -> FiberSolve:
+    """Build H(P) once, diagonalize it once, and keep a small record.
+
+    Seeds ``cache`` with (E, E1, mult).  With ``sandwich_consts`` (a
+    :class:`pffiber.bounds.BoundConstants`) the sandwich margins are taken
+    too, reusing H when P == |P| u.  Raises ``EigensolverError`` when an
+    eigenpair residual exceeds ``RESIDUAL_TOL * ||H||``.
+    """
+    from . import bounds, kramers  # both modules import this one
+
+    model = _as_model(params_or_model)
+    P = np.asarray(P, dtype=float)
+    h = build_H(P, model)
+    try:
+        vals, vecs = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
+    low_vals = vals[:N_LOW_VECTORS]
+    low = vecs[:, :N_LOW_VECTORS].copy()
+    del vecs
+    h_norm = float(max(abs(vals[0]), abs(vals[-1])))
+    eig_res = float(
+        np.max(np.linalg.norm(h @ low - low * low_vals[None, :], axis=0))
+    )
+    if eig_res > RESIDUAL_TOL * max(h_norm, 1e-300):
+        raise EigensolverError(
+            f"eigenpair residual {eig_res:.3e} exceeds {RESIDUAL_TOL:.1e} * ||H||"
+        )
+    triple = _ground_triple(vals, cluster_tol)
+    if cache is not None:
+        cache.put(EnergyCache.key(model.params, P, cluster_tol), triple)
+    sandwich = None
+    if sandwich_consts is not None:
+        sandwich = bounds.sandwich_margins(
+            P, model, sandwich_consts, h=h, h_norm=h_norm
+        )
+    return FiberSolve(
+        P=tuple(float(x) for x in P),
+        eigenvalues=vals,
+        low_vectors=low,
+        E=triple[0],
+        E1=triple[1],
+        mult=triple[2],
+        h_norm=h_norm,
+        residuals={
+            "eigenpair": eig_res,
+            "hermiticity": hermiticity_defect(h),
+            "theta_commutation": kramers.check_theta_commutes(h),
+        },
+        ground_pairing=kramers.theta_pairing_residuals(
+            h, low_vals[:1], low[:, :1], h_norm
+        )[0],
+        sandwich=sandwich,
+    )
 
 
 def default_trial_set(model: FiberModel):
@@ -205,6 +315,12 @@ def default_trial_set(model: FiberModel):
     return ks
 
 
+def stabilizer(rotations, P) -> np.ndarray:
+    """The rotations R with R P == P exactly."""
+    P = np.asarray(P, dtype=float)
+    return np.array([r for r in rotations if np.array_equal(r @ P, P)])
+
+
 def delta_gap(
     P,
     params_or_model,
@@ -213,17 +329,19 @@ def delta_gap(
 ) -> float:
     """min over trial k of E(P-k) + omega(k) - E(P).
 
-    Monotone under trial-set enlargement; the k = 0 member makes
-    Delta(P) <= m_ph exact.
+    One trial is solved per orbit of the trial set under the stabilizer of P
+    in the grid's rotation group, the first in trial order; the other
+    members of an orbit give the same value up to rounding.  Monotone under trial-set enlargement; the k = 0
+    member makes Delta(P) <= m_ph exact.
     """
     model = _as_model(params_or_model)
     P = np.asarray(P, dtype=float)
     if trial_k_set is None:
         trial_k_set = default_trial_set(model)
+    trials = orbit_representatives(trial_k_set, stabilizer(model.rotations, P))
     e_p, _, _ = ground_data(P, model, cache=cache)
     best = np.inf
-    for k in trial_k_set:
-        k = np.asarray(k, dtype=float)
+    for k in trials:
         e_shift, _, _ = ground_data(P - k, model, cache=cache)
         best = min(best, e_shift + float(dispersion(k, model.params.m_ph)) - e_p)
     return float(best)

@@ -1,8 +1,11 @@
 import json
 import math
+import sys
 
+import numpy as np
 import pytest
 
+from pffiber import cli, hamiltonian
 from pffiber.cli import main
 from pffiber.config import (
     ConfigError,
@@ -11,6 +14,7 @@ from pffiber.config import (
     dump_config,
     load_config,
 )
+from pffiber.spectral import EigensolverError
 
 FAST_VERIFY = {
     "verify": {
@@ -174,3 +178,77 @@ def test_dump_load_roundtrip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(dump_config(cfg))
     assert load_config(str(path)) == cfg
+
+
+def test_sweep_without_second_level(tmp_path):
+    # N_max = 0 leaves one Fock state: no momentum has an E1
+    cfg = write_cfg(tmp_path, {"params": {"N_max": 0}, "n_P": 2})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert len((out / "sweep.csv").read_text().splitlines()) == 3
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert summary["min_E1_minus_E"] is None
+    assert summary["failures"] == []
+
+
+def _fail_at(monkeypatch, px_values):
+    real = cli.solve_fiber
+
+    def solve(P, *args, **kwargs):
+        if P[0] in px_values:
+            raise EigensolverError(f"injected at {P[0]}")
+        return real(P, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_fiber", solve)
+
+
+def test_sweep_records_failed_momenta(tmp_path, monkeypatch):
+    _fail_at(monkeypatch, {0.4})
+    cfg = write_cfg(tmp_path, {"P_max": 0.8, "n_P": 3, "threads": 1})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    header, *rows = (out / "sweep.csv").read_text().splitlines()
+    assert header == cli.CSV_HEADER + "," + cli.SWEEP_EXTRA
+    assert [float(r.split(",")[0]) for r in rows] == [0.0, 0.8]
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert summary["failures"] == [{"P": [0.4, 0.0, 0.0], "error": "injected at 0.4"}]
+
+
+def test_sweep_all_momenta_failed(tmp_path, monkeypatch):
+    _fail_at(monkeypatch, {0.0, 0.8})
+    cfg = write_cfg(tmp_path, {"P_max": 0.8, "n_P": 2})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert len(summary["failures"]) == 2
+    assert summary["min_delta"] is None and summary["min_sandwich_lower"] is None
+
+
+def test_sweep_builds_each_orbit_momentum_once(tmp_path, monkeypatch):
+    real = hamiltonian.build_H
+    built = []
+
+    def counted(P, model):
+        built.append(tuple(np.asarray(P, dtype=float)))
+        return real(P, model)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("pffiber") and getattr(mod, "build_H", None) is real:
+            monkeypatch.setattr(mod, "build_H", counted)
+    cfg = write_cfg(tmp_path, {"P_max": 2.0, "n_P": 2, "threads": 1})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    # P = 0: k = 0 and one orbit per radial shell; P = 2 x: k = 0 and three
+    # orbits per shell (+x, -x, transverse) under the stabilizer of x
+    assert len(built) == 3 + 7
+    assert len(set(built)) == len(built)
+
+
+def test_corrupt_cache_warns_and_run_completes(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"n_P": 2})
+    cache = tmp_path / "cache.json"
+    cache.write_text("{truncated")
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfg, "--out", str(out),
+                 "--cache", str(cache)]) == 0
+    assert "warning: ignoring cache" in capsys.readouterr().err
+    assert json.loads(cache.read_text())["entries"]

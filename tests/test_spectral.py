@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pffiber.bounds import bound_constants, count_below, sandwich_margins
+from pffiber.fock import hermiticity_defect
 from pffiber.hamiltonian import build_H, build_model
+from pffiber.kramers import check_theta_commutes, theta_pairing_residuals
 from pffiber.spectral import (
+    CACHE_FORMAT,
     EnergyCache,
     SpectrumReport,
     cluster_degeneracy,
@@ -16,8 +20,8 @@ from pffiber.spectral import (
     free_delta_gap,
     ground_data,
     low_spectrum,
-    low_spectrum_iterative,
     params_fingerprint,
+    solve_fiber,
 )
 
 
@@ -47,24 +51,6 @@ def test_low_spectrum_matches_free_oracle(default_params):
     )
     closed = np.sort(np.concatenate([fock, fock]))[:6]
     assert np.max(np.abs(vals - closed)) <= 1e-10
-
-
-def test_iterative_agrees_with_dense(small_params):
-    model = build_model(small_params.replace(N_max=3))
-    h = build_H(np.array([0.5, 0.0, 0.0]), model)
-    dense, _ = low_spectrum(h, 5)
-    krylov, _ = low_spectrum_iterative(h, 5)
-    assert_allclose(krylov, dense, atol=1e-8)
-
-
-def test_ground_data_iterative_fallback(small_params):
-    model = build_model(small_params.replace(N_max=3))
-    P = np.array([0.5, 0.0, 0.0])
-    dense = ground_data(P, model)
-    krylov = ground_data(P, model, dense_dim_limit=10)
-    assert krylov[0] == pytest.approx(dense[0], abs=1e-8)
-    assert krylov[1] == pytest.approx(dense[1], abs=1e-8)
-    assert krylov[2] == dense[2]
 
 
 def test_cluster_examples():
@@ -153,6 +139,72 @@ def test_cache_roundtrip(tmp_path, default_model):
     cache.save()
     reloaded = EnergyCache(path=str(path))
     assert reloaded.get(EnergyCache.key(default_model.params, P)) == value
+
+
+def test_cache_key_includes_cluster_tol(default_model):
+    P = np.array([0.3, 0.0, 0.0])
+    cache = EnergyCache()
+    tight = ground_data(P, default_model, cluster_tol=1e-8, cache=cache)
+    assert tight[2] == 2 and tight[1] is not None
+    loose = ground_data(P, default_model, cluster_tol=0.6, cache=cache)
+    fresh = ground_data(P, default_model, cluster_tol=0.6)
+    assert loose == fresh
+    assert loose[1] is None and loose[2] == 50
+
+
+def test_cache_save_is_atomic(tmp_path, default_model):
+    path = tmp_path / "cache.json"
+    cache = EnergyCache(path=str(path))
+    ground_data(np.array([0.5, 0.0, 0.0]), default_model, cache=cache)
+    cache.save()
+    cache.save()
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+    assert json.loads(path.read_text())["format"] == CACHE_FORMAT
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["{not json", "[1, 2]", json.dumps({"format": CACHE_FORMAT - 1, "entries": {}})],
+)
+def test_cache_unusable_file_warns(tmp_path, capsys, default_model, content):
+    path = tmp_path / "cache.json"
+    path.write_text(content)
+    cache = EnergyCache(path=str(path))
+    err = capsys.readouterr().err
+    assert err.startswith("warning: ignoring cache") and err.count("\n") == 1
+    ground_data(np.zeros(3), default_model, cache=cache)
+    assert cache.hits == 0 and cache.misses == 1
+
+
+@pytest.mark.parametrize("P", [[0.9, 0.0, 0.0], [0.4, -0.3, 0.2]])
+def test_fiber_solve_matches_separate_computations(default_model, P):
+    P = np.array(P)
+    consts = bound_constants(default_model)
+    cache = EnergyCache()
+    solve = solve_fiber(P, default_model, cache=cache, sandwich_consts=consts)
+    h = build_H(P, default_model)
+    e0, e1, mult = ground_data(P, default_model)
+    assert abs(solve.E - e0) <= 1e-12 and abs(solve.E1 - e1) <= 1e-12
+    assert solve.mult == mult
+    assert cache.get(EnergyCache.key(default_model.params, P)) == (
+        solve.E, solve.E1, solve.mult
+    )
+    sigma = consts.sigma_minus(P)
+    assert count_below(solve.eigenvalues, sigma) == count_below(h, sigma)
+    assert_allclose(solve.sandwich, sandwich_margins(P, default_model, consts),
+                    rtol=0, atol=1e-12)
+    assert abs(solve.h_norm - np.linalg.norm(h, 2)) <= 1e-12
+    vals, vecs = low_spectrum(h, 4)
+    assert_allclose(solve.eigenvalues[:4], vals, rtol=0, atol=1e-12)
+    eig_res = np.max(np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0))
+    assert abs(solve.residuals["eigenpair"] - eig_res) <= 1e-12
+    assert solve.residuals["hermiticity"] == hermiticity_defect(h)
+    assert solve.residuals["theta_commutation"] == check_theta_commutes(h)
+    pairing = theta_pairing_residuals(h, vals[:1], vecs[:, :1])[0]
+    assert_allclose(solve.ground_pairing, pairing, rtol=0, atol=1e-12)
+    # no dim x dim array survives the solve
+    assert solve.low_vectors.shape == (h.shape[0], 4)
+    assert all(np.ndim(v) < 2 or np.shape(v)[1] <= 4 for v in vars(solve).values())
 
 
 def test_fingerprint_distinguishes_params(default_params):
