@@ -24,7 +24,7 @@ from .modes import (
     form_factors,
     grid_rotations,
 )
-from .fock import FockBasis, annihilator, creation, dgamma, enumerate_basis, field_sum
+from .fock import FockBasis, annihilator, dgamma, enumerate_basis, field_sum
 from .hamiltonian import (
     FiberModel,
     build_A0,
@@ -32,6 +32,7 @@ from .hamiltonian import (
     build_D,
     build_H,
     build_H0,
+    build_H_blocks,
     build_H_SL,
     build_T,
     build_model,

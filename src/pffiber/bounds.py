@@ -224,12 +224,13 @@ def theorem_gap_report(
     consts: BoundConstants | None = None,
     cache: EnergyCache | None = None,
     solve: FiberSolve | None = None,
+    delta: float | None = None,
 ) -> GapReport:
     """Evaluate the gap inequalities with measured constants at one P.
 
     E, E1 and the count below Sigma_-(P) are read from ``solve``, the
-    :func:`pffiber.spectral.solve_fiber` record of H(P); one is made when
-    none is passed.
+    :func:`pffiber.spectral.solve_fiber` record of H(P), and Delta(P) is
+    ``delta``; each is computed here when not passed.
     """
     model = _as_model(params_or_model)
     p = model.params
@@ -239,7 +240,8 @@ def theorem_gap_report(
     if solve is None:
         solve = solve_fiber(P, model, cache=cache)
     e0, e1 = solve.E, solve.E1
-    delta = delta_gap(P, model, cache=cache)
+    if delta is None:
+        delta = delta_gap(P, model, cache=cache)
     sigma = consts.sigma_minus(P)
     upper = consts.upper_envelope(P)
     lower = consts.lower_envelope(P)

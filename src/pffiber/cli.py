@@ -143,7 +143,9 @@ def run_sweep(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
                 P, model, consts, cache, cfg.tolerances.cluster_rel, sandwich=True
             )
             lower, upper, scale = solve.sandwich
-            gap = bnd.theorem_gap_report(P, model, consts, cache=cache, solve=solve)
+            gap = bnd.theorem_gap_report(
+                P, model, consts, cache=cache, solve=solve, delta=rep.delta
+            )
             return rep, (lower / scale, upper / scale), gap
         except EigensolverError as exc:
             return {"P": [float(x) for x in P], "error": str(exc)}

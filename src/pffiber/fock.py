@@ -55,13 +55,6 @@ class FockBasis:
         """Total photon number per basis state."""
         return self.states.sum(axis=1)
 
-    def sector_slice(self, total: int) -> slice:
-        """Contiguous index range of the fixed-total-number sector."""
-        totals = self.totals()
-        lo = int(np.searchsorted(totals, total, side="left"))
-        hi = int(np.searchsorted(totals, total, side="right"))
-        return slice(lo, hi)
-
 
 def enumerate_basis(n_modes: int, n_max: int, max_dim: int = 2_000_000) -> FockBasis:
     """Build the truncated occupation basis.
@@ -100,11 +93,6 @@ def annihilator(basis: FockBasis, m: int) -> np.ndarray:
         i = basis.index[tuple(target)]
         a[i, j] = math.sqrt(n_m)
     return a
-
-
-def creation(basis: FockBasis, m: int) -> np.ndarray:
-    """Dense matrix of a_m^dagger (compressed at the top sector)."""
-    return annihilator(basis, m).T.copy()
 
 
 def dgamma_diag(basis: FockBasis, c) -> np.ndarray:
@@ -147,22 +135,6 @@ def field_sum(basis: FockBasis, coeffs) -> np.ndarray:
             continue
         a = annihilator(basis, m)
         out += np.conj(c) * a + c * a.T
-    return out
-
-
-def annihilation_sum(basis: FockBasis, f) -> np.ndarray:
-    """a(f) = sum_m conj(f_m) a_m (antilinear in the test vector f)."""
-    f = np.asarray(f)
-    if f.shape != (basis.n_modes,):
-        raise ValueError(
-            f"expected one coefficient per mode ({basis.n_modes}), got shape {f.shape}"
-        )
-    real = np.isrealobj(f)
-    out = np.zeros((basis.dim, basis.dim), dtype=float if real else complex)
-    for m in range(basis.n_modes):
-        if f[m] == 0:
-            continue
-        out += np.conj(f[m]) * annihilator(basis, m)
     return out
 
 

@@ -12,6 +12,13 @@ Central objects, all dense matrices:
 Kronecker convention: spin index slow, Fock index fast, i.e.
 ``np.kron(spin_matrix, fock_matrix)``.
 
+``build_H_blocks`` gives the same spectrum as ``build_H`` from smaller
+matrices. A grid rotation R that fixes P and has a mode action commutes
+with H(P) through U(R) = D(R) x Gamma(R): D(R) turns the spin, and Gamma(R)
+is the signed permutation of occupation states. H(P) is assembled on each
+eigenspace of U, which is built per call from Fourier sums over the
+Gamma-orbits. ``build_H`` stays the dense reference.
+
 The matrix square root has two independent implementations: the spectral
 reference ``op_sqrt_eig`` and the resolvent-integral quadrature
 ``op_sqrt_quad`` evaluating (1/pi) int_0^inf dt t^{-1/2} a^2 / (t + a^2)
@@ -48,6 +55,8 @@ from .modes import (
     coupling_norms,
     form_factors,
     grid_rotations,
+    mode_action,
+    stabilizer,
 )
 
 SIGMA = np.array(
@@ -98,10 +107,6 @@ class FiberModel:
     @property
     def dim(self) -> int:
         return self.basis.dim
-
-    def nf(self) -> np.ndarray:
-        """Total-number diagonal."""
-        return self.basis.totals().astype(float)
 
 
 @functools.lru_cache(maxsize=64)
@@ -288,6 +293,150 @@ def build_H(P, params_or_model) -> np.ndarray:
     t = build_T(P, model, mode="direct")
     root = op_sqrt_eig(t + p.M**2 * np.eye(2 * model.dim))
     return hermitize(p.gamma * root + hf_spinor(model))
+
+
+def _rotation_order(r: np.ndarray) -> int:
+    n, power = 1, r
+    while not np.array_equal(power, np.eye(3)):
+        n, power = n + 1, power @ r
+    return n
+
+
+def block_generator(P, params_or_model):
+    """The rotation that block-diagonalizes H(P), with its mode action.
+
+    R is an element of maximal order among the grid rotations that fix P
+    and have a :func:`pffiber.modes.mode_action`; ties go to the first in
+    ``model.rotations``.  The stabilizer of P != 0 is cyclic, so R generates
+    it when R has a mode action; at P = 0 R generates a cyclic subgroup of G.
+    Returns (R, perm, signs), or None when only the identity qualifies.
+    """
+    model = _as_model(params_or_model)
+    best, best_order = None, 1
+    for r in stabilizer(model.rotations, P):
+        order = _rotation_order(r)
+        if order > best_order:
+            action = mode_action(r, model.modes)
+            if action is not None:
+                best, best_order = (r, *action), order
+    return best
+
+
+def _spin_eigenvectors(r: np.ndarray, n: int):
+    """Eigenvectors (chi_+, chi_-) of u.sigma for the unit axis u about which
+    R turns by 2 pi / n, so D(R) chi_+- = exp(-+ i pi / n) chi_+-."""
+    if n == 2:
+        outer = r + np.eye(3)  # 2 n n^T for a half turn
+        axis = outer[:, np.argmax(np.sum(outer * outer, axis=0))]
+    else:
+        axis = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    x, y, z = axis / math.sqrt(float(axis @ axis))
+    if z == -1.0:
+        return np.array([0.0, 1.0]), np.array([1.0, 0.0])
+    norm = math.sqrt(2.0 + 2.0 * z)
+    return (
+        np.array([1.0 + z, x + 1.0j * y]) / norm,
+        np.array([-(x - 1.0j * y), 1.0 + z]) / norm,
+    )
+
+
+def _fock_fourier_basis(basis: FockBasis, perm, signs, n: int):
+    """Eigenbasis of the signed state permutation Gamma(R), Gamma^n = 1.
+
+    Returns, per eigenvalue exp(2 pi i a / n), a = 0..n-1, the pair
+    (pos, coef) of (n, cols) arrays: column c is
+    sum_t coef[t, c] e_{pos[t, c]}, the Fourier sum over the Gamma-orbit of
+    its smallest state pos[0, c].  Built by iterating the state permutation
+    n times.
+    """
+    states = basis.states
+    image = np.empty_like(states)
+    image[:, perm] = states
+    # states are in graded-lexicographic order, so sorting the image rows
+    # the same way lists them in basis order
+    order = np.lexsort(np.column_stack([image.sum(axis=1), image]).T[::-1])
+    if not np.array_equal(image[order], states):
+        raise RuntimeError("mode permutation does not map the basis onto itself")
+    step = np.empty(basis.dim, dtype=np.int64)
+    step[order] = np.arange(basis.dim)
+    flip = np.where(states[:, signs < 0].sum(axis=1) % 2, -1.0, 1.0)
+    # Gamma^t e_i = sign[t, i] e_{pos[t, i]}
+    pos = np.empty((n + 1, basis.dim), dtype=np.int64)
+    sign = np.empty((n + 1, basis.dim))
+    pos[0], sign[0] = np.arange(basis.dim), 1.0
+    for t in range(n):
+        pos[t + 1] = step[pos[t]]
+        sign[t + 1] = sign[t] * flip[pos[t]]
+    rep = np.flatnonzero(pos[:n].min(axis=0) == np.arange(basis.dim))
+    back = pos[1:, rep] == rep[None, :]
+    length = np.argmax(back, axis=0) + 1
+    closing = sign[length, rep]  # Gamma^L e_i = closing * e_i
+    t = np.arange(n)[:, None]
+    out = []
+    for a in range(n):
+        phase = (a * length) % n
+        keep = np.where(closing > 0, phase == 0, 2 * phase == n)
+        cols, ell = rep[keep], length[keep]
+        coef = (
+            np.exp(-2.0j * math.pi * a * t / n) * sign[:n, cols] * np.sqrt(ell) / n
+        )
+        out.append((pos[:n, cols], coef))
+    return out
+
+
+def build_H_blocks(P, params_or_model) -> list:
+    """Hermitian diagonal blocks of H(P) under its grid stabilizer.
+
+    With R = :func:`block_generator` of order n, U(R) = D(R) x Gamma(R)
+    commutes with H(P): D(R) = cos(pi/n) - i sin(pi/n) n.sigma turns the
+    spin, Gamma(R) is the signed permutation of occupation states induced
+    by the mode action.  U^n = -1, and block j is H(P) on the eigenspace
+    exp(i pi (2j + 1) / n) of U, spanned by chi_+ x (Gamma eigenvectors
+    a = j + 1) and chi_- x (Gamma eigenvectors a = j).  Each block is
+    gamma sqrt(s_j^2 + M^2) + H_f with s_j = sigma.v projected on the block:
+    s commutes with U, so (s^2)_j = s_j^2, and H_f is diagonal there because
+    omega(R k) = omega(k).  Empty eigenspaces give no block; without such an
+    R the one block is build_H.
+    """
+    model = _as_model(params_or_model)
+    sym = block_generator(P, model)
+    if sym is None:
+        return [build_H(P, model)]
+    r, perm, signs = sym
+    n = _rotation_order(r)
+    p = model.params
+    plus, minus = _spin_eigenvectors(r, n)
+    v = build_v(P, model)
+    # s = sum_k sigma_k x v_k in the (chi_+, chi_-) spin frame: n.v on the
+    # diagonal (with sign -1 for chi_-) and a spin-flip part off it
+    axial = sum(np.real(np.vdot(plus, SIGMA[k] @ plus)) * v[k] for k in range(3))
+    flip = sum(np.vdot(plus, SIGMA[k] @ minus) * v[k] for k in range(3))
+    del v
+    fourier = _fock_fourier_basis(model.basis, perm, signs, n)
+
+    def project(x, rows, cols):
+        """W_rows^dagger x W_cols by gathers over the n Fourier terms."""
+        (pr, cr), (pc, cc) = rows, cols
+        xw = sum(x[:, pc[t]] * cc[t][None, :] for t in range(n))
+        return sum(np.conj(cr[t])[:, None] * xw[pr[t], :] for t in range(n))
+
+    blocks = []
+    for j in range(n):
+        up, down = fourier[(j + 1) % n], fourier[j]
+        if up[0].shape[1] + down[0].shape[1] == 0:  # an empty eigenspace
+            continue
+        corner = project(flip, up, down)
+        s = np.block(
+            [
+                [project(axial, up, up), corner],
+                [corner.conj().T, -project(axial, down, down)],
+            ]
+        )
+        # H_f is constant on a Gamma-orbit: read it at the smallest state
+        hf = np.concatenate([model.hf[up[0][0]], model.hf[down[0][0]]])
+        root = op_sqrt_eig(s @ s + p.M**2 * np.eye(s.shape[0]))
+        blocks.append(hermitize(p.gamma * root + np.diag(hf)))
+    return blocks
 
 
 def build_H_SL(P, params_or_model) -> np.ndarray:

@@ -154,20 +154,6 @@ class ModeSet:
         """Sum of quadrature weights over unique k-points (lambda = 1 rows)."""
         return float(self.weight[self.lam == 1].sum())
 
-    def to_csv(self, path) -> None:
-        """Dump the mode list for inspection (one row per mode)."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("k_x,k_y,k_z,lambda,eps_x,eps_y,eps_z,weight\n")
-            for m in self.modes:
-                row = (*m.k, m.lam, *m.eps, m.weight)
-                fh.write(
-                    ",".join(
-                        f"{v:.17g}" if isinstance(v, float) else str(v)
-                        for v in row
-                    )
-                    + "\n"
-                )
-
 
 def dispersion(k, m_ph: float):
     """omega(k) = sqrt(|k|^2 + m_ph^2); accepts a 3-vector or (n, 3) array."""
@@ -349,6 +335,35 @@ def grid_rotations(table: FormFactorTable) -> np.ndarray:
     return out
 
 
+def mode_action(rotation, modes: ModeSet):
+    """The signed permutation by which a grid rotation moves the modes.
+
+    Returns (perm, signs) with R k_m = k_perm[m] and
+    R eps_m = signs[m] eps_perm[m], or None when some mode has no such
+    image.  R is a signed permutation, so the images are exact and
+    membership is tested by exact equality, as in :func:`grid_rotations`.
+    On the 2- and 6-direction grids every eps is an axis vector, so every
+    rotation of G has a mode action.
+    """
+    k_img = modes.k @ rotation.T
+    eps_img = modes.eps @ rotation.T
+    same_k = np.all(k_img[:, None, :] == modes.k[None, :, :], axis=2)
+    plus = same_k & np.all(eps_img[:, None, :] == modes.eps[None, :, :], axis=2)
+    minus = same_k & np.all(eps_img[:, None, :] == -modes.eps[None, :, :], axis=2)
+    hit = plus | minus
+    if not np.all(hit.sum(axis=1) == 1):
+        return None
+    perm = np.argmax(hit, axis=1)
+    signs = np.where(plus[np.arange(len(perm)), perm], 1.0, -1.0)
+    return perm, signs
+
+
+def stabilizer(rotations, P) -> np.ndarray:
+    """The rotations R with R P == P exactly."""
+    P = np.asarray(P, dtype=float)
+    return np.array([r for r in rotations if np.array_equal(r @ P, P)])
+
+
 def orbit_representatives(vectors, rotations) -> list:
     """One member of each orbit of ``vectors`` under ``rotations``.
 
@@ -410,15 +425,3 @@ def coupling_norms(table: FormFactorTable) -> CouplingNorms:
 def ball_volume(Lambda: float, k_min: float = 0.0) -> float:
     """Volume of the radial shell [k_min, Lambda] (quadrature reference)."""
     return 4.0 / 3.0 * math.pi * (Lambda**3 - k_min**3)
-
-
-def n_half_closed_form(e: float, Lambda: float, m_ph: float) -> float:
-    """Continuum value of n_half^2: radial integral of 1/omega^2 over the ball.
-
-    For m_ph = 0 the integrand is 1/k^2 and the integral is just Lambda.
-    """
-    if m_ph == 0.0:
-        radial = Lambda
-    else:
-        radial = Lambda - m_ph * math.atan(Lambda / m_ph)
-    return e**2 / TWO_PI_CUBED * 4.0 * math.pi * radial

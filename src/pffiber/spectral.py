@@ -15,7 +15,11 @@ Kramers certificate): it builds H(P) once, runs one ``eigh`` and keeps a
 small :class:`FiberSolve` record -- all eigenvalues, the four lowest
 eigenvectors, ||H||_2 as max |lambda| and the residuals taken from H -- then
 drops H.  :func:`ground_data` is the eigenvalues-only path (``eigvalsh``)
-used for the trial momenta of Delta(P) and the convergence ladder.
+used for the trial momenta of Delta(P), the convergence ladder and the
+verify checks that need E(P) only.  It solves H(P) block by block
+(:func:`pffiber.hamiltonian.build_H_blocks`): when a grid rotation fixes P,
+H(P) splits into the eigenspaces of that rotation, and a momentum with a
+C4 stabilizer costs four solves of a quarter of the size.
 
 For R in the grid's rotation group G, H(R q) is unitarily equivalent to
 H(q).  If R also fixes P, the trials k and R k give the same value of
@@ -36,14 +40,14 @@ import numpy as np
 import scipy.linalg
 
 from .fock import hermiticity_defect
-from .hamiltonian import FiberModel, _as_model, build_H
-from .modes import ModelParams, dispersion, orbit_representatives
+from .hamiltonian import FiberModel, _as_model, build_H, build_H_blocks
+from .modes import ModelParams, dispersion, orbit_representatives, stabilizer
 
 DEFAULT_CLUSTER_TOL = 1e-8
 P_QUANTUM = 1e-12
 N_LOW_VECTORS = 4
 RESIDUAL_TOL = 1e-9
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 
 class EigensolverError(RuntimeError):
@@ -201,7 +205,8 @@ def ground_data(
     E is the smallest eigenvalue; the multiplicity comes from greedy
     clustering at ``cluster_tol``; E1 is the smallest eigenvalue strictly
     above the ground cluster (None if the truncation holds no second level).
-    Eigenvalues only: no eigenvectors are formed.
+    Eigenvalues only, of each block of :func:`build_H_blocks`; every block
+    is solved, so the Kramers partners come from separate solves.
     """
     model = _as_model(params_or_model)
     key = None
@@ -210,7 +215,10 @@ def ground_data(
         hit = cache.get(key)
         if hit is not None:
             return hit
-    out = _ground_triple(scipy.linalg.eigvalsh(build_H(P, model)), cluster_tol)
+    vals = np.concatenate(
+        [scipy.linalg.eigvalsh(block) for block in build_H_blocks(P, model)]
+    )
+    out = _ground_triple(np.sort(vals), cluster_tol)
     if cache is not None:
         cache.put(key, out)
     return out
@@ -313,12 +321,6 @@ def default_trial_set(model: FiberModel):
             seen.add(key)
             ks.append(np.array(row))
     return ks
-
-
-def stabilizer(rotations, P) -> np.ndarray:
-    """The rotations R with R P == P exactly."""
-    P = np.asarray(P, dtype=float)
-    return np.array([r for r in rotations if np.array_equal(r @ P, P)])
 
 
 def delta_gap(

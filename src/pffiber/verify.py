@@ -47,6 +47,7 @@ from .spectral import (
     delta_gap,
     free_delta_gap,
     ground_data,
+    solve_fiber,
 )
 
 
@@ -283,10 +284,10 @@ def check_counting(ctx: VerifyContext) -> CheckResult:
         model = build_model(ctx.params_at(e))
         consts = bnd.bound_constants(model)
         for P in ctx.momenta():
-            h = build_H(P, model)
+            solve = solve_fiber(P, model, cache=ctx.cache)
             sigma = consts.sigma_minus(P)
-            cnt = bnd.count_below(h, sigma)
-            e0, e1, _ = ground_data(P, model, cache=ctx.cache)
+            cnt = bnd.count_below(solve.eigenvalues, sigma)
+            e0, e1 = solve.E, solve.E1
             ordered = e0 < sigma and (e1 is None or sigma <= e1)
             worst_margin = min(worst_margin, sigma - e0, (e1 or math.inf) - sigma)
             if cnt != 2 or not ordered:

@@ -225,22 +225,49 @@ def test_sweep_all_momenta_failed(tmp_path, monkeypatch):
 
 
 def test_sweep_builds_each_orbit_momentum_once(tmp_path, monkeypatch):
-    real = hamiltonian.build_H
     built = []
 
-    def counted(P, model):
-        built.append(tuple(np.asarray(P, dtype=float)))
-        return real(P, model)
+    def counted(real):
+        def build(P, model):
+            built.append(tuple(np.asarray(P, dtype=float)))
+            return real(P, model)
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("pffiber") and getattr(mod, "build_H", None) is real:
-            monkeypatch.setattr(mod, "build_H", counted)
+        return build
+
+    # H(P) is built dense (build_H) or in blocks (build_H_blocks); the
+    # fallback inside build_H_blocks to build_H is not a second build
+    for fn in ("build_H", "build_H_blocks"):
+        real = getattr(hamiltonian, fn)
+        for name, mod in list(sys.modules.items()):
+            if (
+                name.startswith("pffiber")
+                and name != "pffiber.hamiltonian"
+                and getattr(mod, fn, None) is real
+            ):
+                monkeypatch.setattr(mod, fn, counted(real))
     cfg = write_cfg(tmp_path, {"P_max": 2.0, "n_P": 2, "threads": 1})
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     # P = 0: k = 0 and one orbit per radial shell; P = 2 x: k = 0 and three
     # orbits per shell (+x, -x, transverse) under the stabilizer of x
     assert len(built) == 3 + 7
     assert len(set(built)) == len(built)
+
+
+def test_sweep_computes_delta_once_per_momentum(tmp_path, monkeypatch):
+    from pffiber import bounds
+
+    real = cli.delta_gap
+    calls = []
+
+    def counted(P, *args, **kwargs):
+        calls.append(tuple(P))
+        return real(P, *args, **kwargs)
+
+    for mod in (cli, bounds):
+        monkeypatch.setattr(mod, "delta_gap", counted)
+    cfg = write_cfg(tmp_path, {"P_max": 2.0, "n_P": 2, "threads": 1})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert calls == [(0.0, 0.0, 0.0), (2.0, 0.0, 0.0)]
 
 
 def test_corrupt_cache_warns_and_run_completes(tmp_path, capsys):

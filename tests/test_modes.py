@@ -203,12 +203,3 @@ def test_smooth_envelope_tapers_cutoff(default_params):
     outer = r > (1 - 0.4) * p.Lambda
     assert np.all(smooth.g[outer] < sharp.g[outer])
     assert_allclose(smooth.g[~outer], sharp.g[~outer])
-
-
-def test_mode_csv_dump(tmp_path, small_params):
-    modes = build_mode_set(small_params)
-    path = tmp_path / "modes.csv"
-    modes.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k_x,k_y,k_z,lambda,eps_x,eps_y,eps_z,weight"
-    assert len(lines) == 1 + modes.n_modes

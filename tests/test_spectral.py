@@ -176,6 +176,20 @@ def test_cache_unusable_file_warns(tmp_path, capsys, default_model, content):
     assert cache.hits == 0 and cache.misses == 1
 
 
+def test_cache_of_format_2_is_recomputed(tmp_path, capsys, default_model):
+    """Format 2 held dense values; blocked solves differ in the last bits."""
+    P = np.array([0.5, 0.0, 0.0])
+    key = EnergyCache.key(default_model.params, P)
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps(
+        {"format": 2, "entries": {json.dumps(list(key)): [9.0, 10.0, 2]}}
+    ))
+    cache = EnergyCache(path=str(path))
+    assert "warning: ignoring cache" in capsys.readouterr().err
+    assert ground_data(P, default_model, cache=cache) == ground_data(P, default_model)
+    assert cache.hits == 0 and cache.misses == 1
+
+
 @pytest.mark.parametrize("P", [[0.9, 0.0, 0.0], [0.4, -0.3, 0.2]])
 def test_fiber_solve_matches_separate_computations(default_model, P):
     P = np.array(P)

@@ -1,16 +1,33 @@
-"""Rotation group of the mode grid and the orbit reduction of Delta(P)."""
+"""Rotation group of the mode grid, the orbit reduction of Delta(P) and the
+block diagonalization of H(P) under its stabilizer."""
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.spatial.transform import Rotation
 
+from pffiber.hamiltonian import (
+    SIGMA,
+    block_generator,
+    build_H,
+    build_H_blocks,
+    build_model,
+)
 from pffiber.modes import (
     build_mode_set,
     dispersion,
     form_factors,
     grid_rotations,
+    mode_action,
     orbit_representatives,
 )
-from pffiber.spectral import default_trial_set, delta_gap, ground_data, stabilizer
+from pffiber.spectral import (
+    _ground_triple,
+    default_trial_set,
+    delta_gap,
+    ground_data,
+    stabilizer,
+)
 
 P_ALONG_X = np.array([0.9345368022869702, 0.0, 0.0])
 P_GENERIC = np.array([0.31, -0.47, 0.62])
@@ -71,3 +88,96 @@ def _delta_all_trials(P, model):
 @pytest.mark.parametrize("P", [P_ALONG_X, P_GENERIC])
 def test_orbit_reduced_delta_equals_full_trial_set(default_model, P):
     assert abs(delta_gap(P, default_model) - _delta_all_trials(P, default_model)) <= 1e-12
+
+
+# ----------------------------------------------------------------------
+# block diagonalization of H(P) under its grid stabilizer
+# ----------------------------------------------------------------------
+
+def _spin_rotation(r):
+    """D(R) = cos(phi/2) - i sin(phi/2) n.sigma from the rotation vector."""
+    rotvec = Rotation.from_matrix(r).as_rotvec()
+    phi = np.linalg.norm(rotvec)
+    n_sigma = np.einsum("k,kab->ab", rotvec / phi, SIGMA)
+    return np.cos(phi / 2) * np.eye(2) - 1j * np.sin(phi / 2) * n_sigma
+
+
+def _state_rotation(basis, perm, signs):
+    """Gamma(R) from the mode action, one occupation state at a time."""
+    gamma = np.zeros((basis.dim, basis.dim))
+    for i, occ in enumerate(basis.states):
+        image = np.zeros_like(occ)
+        image[perm] = occ
+        gamma[basis.index[tuple(image)], i] = np.prod(signs**occ)
+    return gamma
+
+
+@pytest.mark.parametrize("n_dirs", [2, 6, 12])
+@pytest.mark.parametrize("P", [np.zeros(3), np.array([0.0, 0.0, 0.7]), P_ALONG_X])
+def test_symmetry_commutes_with_H(default_params, n_dirs, P):
+    model = build_model(default_params.replace(n_dirs=n_dirs))
+    r, perm, signs = block_generator(P, model)
+    h = build_H(P, model)
+    assert np.array_equal(r @ P, P) and not np.array_equal(r, np.eye(3))
+    u = np.kron(_spin_rotation(r), _state_rotation(model.basis, perm, signs))
+    assert np.allclose(u.conj().T @ u, np.eye(len(u)), rtol=0, atol=1e-14)
+    comm = np.linalg.norm(u @ h - h @ u, 2)
+    assert comm <= 1e-12 * np.linalg.norm(h, 2)
+
+
+def test_generators_on_the_octahedral_grid(default_model):
+    def order(P):
+        r = block_generator(P, default_model)[0]
+        return next(n for n in range(1, 7) if np.allclose(
+            np.linalg.matrix_power(r, n), np.eye(3)))
+
+    assert order(np.zeros(3)) == 4
+    assert order(P_ALONG_X) == 4
+    assert order(np.array([0.4, 0.4, 0.4])) == 3
+    assert order(np.array([0.3, 0.3, 0.0])) == 2
+    assert block_generator(P_GENERIC, default_model) is None
+
+
+@pytest.mark.parametrize(
+    "P",
+    [np.zeros(3), P_ALONG_X, np.array([0.4, 0.4, 0.4]), np.array([0.3, 0.3, 0.0]),
+     P_GENERIC],
+)
+def test_block_spectra_equal_the_dense_spectrum(default_model, P):
+    h = build_H(P, default_model)
+    blocks = build_H_blocks(P, default_model)
+    assert sum(b.shape[0] for b in blocks) == 2 * default_model.dim
+    got = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+    assert np.max(np.abs(got - np.linalg.eigvalsh(h))) <= 1e-12 * np.linalg.norm(h, 2)
+
+
+def test_generic_momentum_is_one_dense_block(default_model):
+    blocks = build_H_blocks(P_GENERIC, default_model)
+    assert len(blocks) == 1
+    assert np.array_equal(blocks[0], build_H(P_GENERIC, default_model))
+    dense = _ground_triple(scipy.linalg.eigvalsh(build_H(P_GENERIC, default_model)), 1e-8)
+    assert ground_data(P_GENERIC, default_model) == dense
+
+
+def test_mid_model_ground_level_along_x(default_params):
+    model = build_model(default_params.replace(N_max=2))
+    h = build_H(P_ALONG_X, model)
+    e0, e1, mult = _ground_triple(scipy.linalg.eigvalsh(h), 1e-8)
+    got = ground_data(P_ALONG_X, model)
+    assert len(build_H_blocks(P_ALONG_X, model)) == 4
+    assert got[2] == mult == 2
+    scale = 1e-12 * np.linalg.norm(h, 2)
+    assert abs(got[0] - e0) <= scale and abs(got[1] - e1) <= scale
+
+
+def test_rotation_without_mode_action_gives_one_block(default_params):
+    # on the cube-diagonal grid a turn about (1,1,1) moves eps off the frame
+    model = build_model(default_params.replace(n_dirs=8))
+    P = np.array([0.4, 0.4, 0.4])
+    stab = stabilizer(model.rotations, P)
+    assert len(stab) == 3
+    assert all(mode_action(r, model.modes) is None
+               for r in stab if not np.array_equal(r, np.eye(3)))
+    assert block_generator(P, model) is None
+    blocks = build_H_blocks(P, model)
+    assert len(blocks) == 1 and np.array_equal(blocks[0], build_H(P, model))
