@@ -62,16 +62,9 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def compute_report(P, model, consts, cache, cluster_tol, sandwich=False):
-    """Assemble the per-momentum spectral summary from one solve of H(P).
-
-    Returns (report, solve); ``sandwich`` also takes the sandwich margins
-    from that solve.
-    """
-    solve = solve_fiber(
-        P, model, cluster_tol=cluster_tol, cache=cache,
-        sandwich_consts=consts if sandwich else None,
-    )
+def compute_report(P, model, consts, cache, cluster_tol):
+    """(report, solve): the per-momentum summary from one solve of H(P)."""
+    solve = solve_fiber(P, model, cluster_tol, cache)
     sigma = consts.sigma_minus(P)
     report = SpectrumReport(
         P=solve.P,
@@ -84,6 +77,12 @@ def compute_report(P, model, consts, cache, cluster_tol, sandwich=False):
         residuals=dict(solve.residuals),
     )
     return report, solve
+
+
+def _scaled_sandwich(solve) -> tuple:
+    """(lower, upper) sandwich margins over their scale; None at gamma >= 1."""
+    lower, upper, scale = solve.sandwich or (None, None, None)
+    return (None, None) if scale is None else (lower / scale, upper / scale)
 
 
 def _pool(cfg: RunConfig):
@@ -140,13 +139,12 @@ def run_sweep(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
     def work(P):
         try:
             rep, solve = compute_report(
-                P, model, consts, cache, cfg.tolerances.cluster_rel, sandwich=True
+                P, model, consts, cache, cfg.tolerances.cluster_rel
             )
-            lower, upper, scale = solve.sandwich
             gap = bnd.theorem_gap_report(
                 P, model, consts, cache=cache, solve=solve, delta=rep.delta
             )
-            return rep, (lower / scale, upper / scale), gap
+            return rep, _scaled_sandwich(solve), gap
         except EigensolverError as exc:
             return {"P": [float(x) for x in P], "error": str(exc)}
 
@@ -168,14 +166,15 @@ def run_sweep(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
             fh.write(",".join(_fmt(v) for v in vals) + "\n")
 
     gaps = [r[2] for r in rows]
+    margins = [r[1] for r in rows if r[1][0] is not None]
     summary = {
         "constants": asdict(consts),
         "min_E1_minus_E": min(
             (g.E1 - g.E for g in gaps if g.E1 is not None), default=None
         ),
         "min_delta": min((g.delta for g in gaps), default=None),
-        "min_sandwich_lower": min((r[1][0] for r in rows), default=None),
-        "min_sandwich_upper": min((r[1][1] for r in rows), default=None),
+        "min_sandwich_lower": min((m[0] for m in margins), default=None),
+        "min_sandwich_upper": min((m[1] for m in margins), default=None),
         "min_delta_margin": min((g.delta_margin for g in gaps), default=None),
         "min_chain_margin": min((g.chain_margin for g in gaps), default=None),
         "min_direct_margin": min((g.direct_margin for g in gaps), default=None),
@@ -205,18 +204,13 @@ def run_bounds(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
             "sandwich_lower,sandwich_upper,count_below\n"
         )
         for P in cfg.momenta():
-            solve = solve_fiber(
-                P, model, cluster_tol=cfg.tolerances.cluster_rel, cache=cache,
-                sandwich_consts=consts,
-            )
-            lower, upper, scale = solve.sandwich
+            solve = solve_fiber(P, model, cfg.tolerances.cluster_rel, cache)
             vals = (
                 *P,
                 consts.sigma_minus(P),
                 consts.lower_envelope(P),
                 consts.upper_envelope(P),
-                lower / scale,
-                upper / scale,
+                *_scaled_sandwich(solve),
                 bnd.count_below(solve.eigenvalues, consts.sigma_minus(P)),
             )
             fh.write(",".join(_fmt(v) for v in vals) + "\n")
@@ -251,10 +245,10 @@ def run_verify_cmd(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
         "kramers_certificates": [],
     }
     model = build_model(cfg.params)
-    consts = bnd.bound_constants(model)
     for P in cfg.momenta():
         cert = kramers_certificate(
-            P, model, consts, e_star=cfg.verify.e_star, cache=cache
+            P, model, e_star=cfg.verify.e_star,
+            cluster_tol=cfg.tolerances.cluster_rel, cache=cache,
         )
         report["kramers_certificates"].append(asdict(cert))
     with open(

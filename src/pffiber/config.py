@@ -54,7 +54,6 @@ class VerifySettings:
     e_star: float = 0.3
     e_max_random: float = 0.3
     seed: int = 2026
-    break_symmetry: bool = False
 
 
 @dataclass(frozen=True)

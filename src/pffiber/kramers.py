@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundConstants, bound_constants, count_below
+from .bounds import bound_constants, count_below
 from .hamiltonian import SIGMA, _as_model, hf_spinor
-from .spectral import EnergyCache, solve_fiber
+from .spectral import DEFAULT_CLUSTER_TOL, EnergyCache, solve_fiber
 
 PAIRING_TOL = 1e-8
 THETA_COMM_TOL = 1e-12
@@ -118,9 +118,8 @@ class KramersCertificate:
 def kramers_certificate(
     P,
     params_or_model,
-    consts: BoundConstants | None = None,
     e_star: float = 0.3,
-    cluster_tol: float = 1e-8,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
     cache: EnergyCache | None = None,
 ) -> KramersCertificate:
     """Certify that the ground level of H(P) is exactly two-fold degenerate.
@@ -131,17 +130,15 @@ def kramers_certificate(
     the verified lower sandwich.  (a) + (b) + (c) give exactly two.  The
     result is marked inconclusive if the sandwich check fails; the guard
     hypotheses (gamma < 1, m_ph > 0, e <= e_star) are reported, not enforced.
+    Sigma_-(P) and the sandwich both use the model's own bound constants.
     """
     model = _as_model(params_or_model)
     p = model.params
     P = np.asarray(P, dtype=float)
     if not (p.gap_hypotheses_met() and p.e <= e_star):
         return KramersCertificate(P=tuple(P), hypotheses_met=False)
-    if consts is None:
-        consts = bound_constants(model)
-    solve = solve_fiber(
-        P, model, cluster_tol=cluster_tol, cache=cache, sandwich_consts=consts
-    )
+    consts = bound_constants(model)
+    solve = solve_fiber(P, model, cluster_tol, cache)
     mult = solve.mult
     pairing, overlap = solve.ground_pairing
     lower, _, scale = solve.sandwich

@@ -11,12 +11,13 @@ Delta(P) <= omega(0) = m_ph exactly) and the grid wavevectors.
 
 Two dense solves exist.  :func:`solve_fiber` is the one solve per momentum
 that every per-P consumer reads (the CLI reports, the gap-bound report, the
-Kramers certificate): it builds H(P) once, runs one ``eigh`` and keeps a
-small :class:`FiberSolve` record -- all eigenvalues, the four lowest
-eigenvectors, ||H||_2 as max |lambda| and the residuals taken from H -- then
-drops H.  :func:`ground_data` is the eigenvalues-only path (``eigvalsh``)
-used for the trial momenta of Delta(P), the convergence ladder and the
-verify checks that need E(P) only.  It solves H(P) block by block
+Kramers certificate, the verify checks): it builds H(P) once, runs one
+``eigh`` and keeps a small :class:`FiberSolve` record -- eigenvalues, low
+eigenvectors, residuals, sandwich margins -- then drops H.  The record is
+kept in the :class:`EnergyCache` under its key, so one run solves each key
+once.  :func:`ground_data` is the eigenvalues-only path (``eigvalsh``) used
+for the trial momenta of Delta(P), the convergence ladder and the verify
+checks that need E(P) only.  It solves H(P) block by block
 (:func:`pffiber.hamiltonian.build_H_blocks`): when a grid rotation fixes P,
 H(P) splits into the eigenspaces of that rotation, and a momentum with a
 C4 stabilizer costs four solves of a quarter of the size.
@@ -116,15 +117,18 @@ class EnergyCache:
     of the key.  Entries come from :func:`solve_fiber` (``eigh``) or
     :func:`ground_data` (``eigvalsh``); the two agree to rounding, and a
     solve_fiber entry replaces an existing one so that every consumer of
-    that momentum reads the E of its report.  Optionally persisted to a JSON
-    file tagged with ``CACHE_FORMAT``; floats round-trip losslessly (repr
-    serialization), so a cache hit equals recomputation bit for bit at a
-    fixed build.  The file is replaced atomically on save; a corrupt file or
-    one of another format is reported on stderr and ignored.
+    that momentum reads the E of its report.  ``solves`` holds the
+    FiberSolve records under the same keys, in memory only; ``hits`` and
+    ``misses`` count lookups of both.  The triples are optionally persisted
+    to a JSON file tagged with ``CACHE_FORMAT``; floats round-trip losslessly
+    (repr serialization), so a cache hit equals recomputation bit for bit at
+    a fixed build.  The file is replaced atomically on save; a corrupt file
+    or one of another format is reported on stderr and ignored.
     """
 
     def __init__(self, path=None):
         self._data = {}
+        self.solves = {}
         self.path = path
         self.hits = 0
         self.misses = 0
@@ -156,15 +160,20 @@ class EnergyCache:
             f"{float(cluster_tol):.17g}",
         ) + _quantize_P(P)
 
-    def get(self, key):
-        got = self._data.get(key)
-        if got is not None:
-            self.hits += 1
+    def _lookup(self, store: dict, key):
+        got = store.get(key)
+        self.hits += got is not None
+        self.misses += got is None
         return got
 
+    def get(self, key):
+        return self._lookup(self._data, key)
+
     def put(self, key, value):
-        self.misses += 1
         self._data[key] = value
+
+    def get_solve(self, key):
+        return self._lookup(self.solves, key)
 
     def save(self):
         """Write the cache atomically: a temp file beside it, then a rename."""
@@ -209,12 +218,9 @@ def ground_data(
     is solved, so the Kramers partners come from separate solves.
     """
     model = _as_model(params_or_model)
-    key = None
-    if cache is not None:
-        key = EnergyCache.key(model.params, P, cluster_tol)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
+    key = EnergyCache.key(model.params, P, cluster_tol)
+    if cache is not None and (hit := cache.get(key)) is not None:
+        return hit
     vals = np.concatenate(
         [scipy.linalg.eigvalsh(block) for block in build_H_blocks(P, model)]
     )
@@ -234,7 +240,7 @@ class FiberSolve:
     theta-commutation residual.  ``ground_pairing`` is the
     (theta-partner residual, |<v, theta v>|) of the ground vector.
     ``sandwich`` is (lower, upper, scale) of
-    :func:`pffiber.bounds.sandwich_margins`, when it was asked for.
+    :func:`pffiber.bounds.sandwich_margins`, or None at gamma >= 1.
     """
 
     P: tuple
@@ -246,7 +252,7 @@ class FiberSolve:
     h_norm: float
     residuals: dict
     ground_pairing: tuple
-    sandwich: tuple | None = None
+    sandwich: tuple | None
 
 
 def solve_fiber(
@@ -254,19 +260,22 @@ def solve_fiber(
     params_or_model,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
     cache: EnergyCache | None = None,
-    sandwich_consts=None,
 ) -> FiberSolve:
     """Build H(P) once, diagonalize it once, and keep a small record.
 
-    Seeds ``cache`` with (E, E1, mult).  With ``sandwich_consts`` (a
-    :class:`pffiber.bounds.BoundConstants`) the sandwich margins are taken
-    too, reusing H when P == |P| u.  Raises ``EigensolverError`` when an
-    eigenpair residual exceeds ``RESIDUAL_TOL * ||H||``.
+    A record in ``cache`` under the key of (P, cluster_tol) is returned as
+    it is; a new one is stored there with its (E, E1, mult).  The sandwich
+    margins are taken when gamma < 1, reusing H when P == |P| u.  Raises
+    ``EigensolverError`` when an eigenpair residual exceeds
+    ``RESIDUAL_TOL * ||H||``.
     """
     from . import bounds, kramers  # both modules import this one
 
     model = _as_model(params_or_model)
     P = np.asarray(P, dtype=float)
+    key = EnergyCache.key(model.params, P, cluster_tol)
+    if cache is not None and (hit := cache.get_solve(key)) is not None:
+        return hit
     h = build_H(P, model)
     try:
         vals, vecs = np.linalg.eigh(h)
@@ -284,14 +293,10 @@ def solve_fiber(
             f"eigenpair residual {eig_res:.3e} exceeds {RESIDUAL_TOL:.1e} * ||H||"
         )
     triple = _ground_triple(vals, cluster_tol)
-    if cache is not None:
-        cache.put(EnergyCache.key(model.params, P, cluster_tol), triple)
     sandwich = None
-    if sandwich_consts is not None:
-        sandwich = bounds.sandwich_margins(
-            P, model, sandwich_consts, h=h, h_norm=h_norm
-        )
-    return FiberSolve(
+    if model.params.gamma < 1.0:
+        sandwich = bounds.sandwich_margins(P, model, h=h, h_norm=h_norm)
+    solve = FiberSolve(
         P=tuple(float(x) for x in P),
         eigenvalues=vals,
         low_vectors=low,
@@ -309,6 +314,10 @@ def solve_fiber(
         )[0],
         sandwich=sandwich,
     )
+    if cache is not None:
+        cache.put(key, triple)
+        cache.solves[key] = solve
+    return solve
 
 
 def default_trial_set(model: FiberModel):

@@ -82,6 +82,10 @@ class VerifyContext:
     def params_at(self, e: float):
         return self.cfg.params.replace(e=e)
 
+    def solve(self, P, model):
+        """The run's one solve of H(P), clustered at the configured tolerance."""
+        return solve_fiber(P, model, self.cfg.tolerances.cluster_rel, self.cache)
+
 
 def _random_P(rng, p_max: float = 2.0):
     return rng.uniform(-p_max / 2, p_max / 2, size=3)
@@ -108,8 +112,7 @@ def check_free_oracle(ctx: VerifyContext) -> CheckResult:
     model = build_model(ctx.params_at(0.0))
     worst = 0.0
     for P in ctx.momenta():
-        h = build_H(P, model)
-        ev = np.linalg.eigvalsh(h)
+        ev = ctx.solve(P, model).eigenvalues
         rel = P[None, :] - model.pf
         fock_levels = (
             model.params.gamma
@@ -215,19 +218,17 @@ def check_kramers(ctx: VerifyContext) -> CheckResult:
     mult_bad = None
     for e in [v for v in ctx.coupling_ladder() if v > 0.0]:
         model = build_model(ctx.params_at(e))
-        consts = bnd.bound_constants(model) if certify else None
         for P in ctx.momenta():
-            h = build_H(P, model)
-            if ctx.cfg.verify.break_symmetry:
-                h = h + np.kron(np.diag([1.0, -1.0]), np.eye(model.dim))
-            worst_comm = max(worst_comm, kra.check_theta_commutes(h))
-            clusters = cluster_degeneracy(np.linalg.eigvalsh(h), cluster_tol)
+            solve = ctx.solve(P, model)
+            worst_comm = max(worst_comm, solve.residuals["theta_commutation"])
+            clusters = cluster_degeneracy(solve.eigenvalues, cluster_tol)
             if any(c[1] % 2 for c in clusters):
                 odd_found = (e, tuple(P))
             if not certify:
                 continue
             cert = kra.kramers_certificate(
-                P, model, consts, e_star=ctx.cfg.verify.e_star, cache=ctx.cache
+                P, model, e_star=ctx.cfg.verify.e_star,
+                cluster_tol=cluster_tol, cache=ctx.cache,
             )
             if cert.conclusion != "exactly two-fold":
                 mult_bad = (e, tuple(P), cert.conclusion)
@@ -264,9 +265,8 @@ def check_sandwich(ctx: VerifyContext) -> CheckResult:
     worst = math.inf
     for e in ctx.coupling_ladder():
         model = build_model(ctx.params_at(e))
-        consts = bnd.bound_constants(model)
         for P in ctx.momenta():
-            lower, upper, scale = bnd.sandwich_margins(P, model, consts)
+            lower, upper, scale = ctx.solve(P, model).sandwich
             worst = min(worst, lower / scale, upper / scale)
     return CheckResult(
         "operator sandwich",
@@ -284,7 +284,7 @@ def check_counting(ctx: VerifyContext) -> CheckResult:
         model = build_model(ctx.params_at(e))
         consts = bnd.bound_constants(model)
         for P in ctx.momenta():
-            solve = solve_fiber(P, model, cache=ctx.cache)
+            solve = ctx.solve(P, model)
             sigma = consts.sigma_minus(P)
             cnt = bnd.count_below(solve.eigenvalues, sigma)
             e0, e1 = solve.E, solve.E1
@@ -320,8 +320,8 @@ def check_gap_uniformity(ctx: VerifyContext) -> CheckResult:
         gaps = []
         chain = []
         for P in ctx.momenta():
-            e0, e1, _ = ground_data(P, model, cache=ctx.cache)
-            gaps.append(math.inf if e1 is None else e1 - e0)
+            solve = ctx.solve(P, model)
+            gaps.append(math.inf if solve.E1 is None else solve.E1 - solve.E)
             chain.append(consts.sigma_minus(P) - consts.upper_envelope(P))
         min_gap = min(gaps)
         if min_gap < bound - tol:
@@ -391,7 +391,7 @@ def check_envelope(ctx: VerifyContext) -> CheckResult:
         consts = bnd.bound_constants(model)
         for P in ctx.momenta():
             lower, upper = bnd.corollary_energy_bounds(P, model, consts)
-            e0, _, _ = ground_data(P, model, cache=ctx.cache)
+            e0 = ctx.solve(P, model).E
             if not (lower - tol <= e0 <= upper + tol):
                 fails.append((e, float(np.linalg.norm(P)), e0, lower, upper))
     # width of the envelope is O(e): exact zero at e = 0, stable slope after

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from pffiber import cli, hamiltonian
+from pffiber import cli, hamiltonian, spectral
 from pffiber.cli import main
 from pffiber.config import (
     ConfigError,
@@ -167,10 +167,60 @@ def test_verify_luminal_guard_path(tmp_path):
     )
 
 
-def test_verify_break_symmetry_fails(tmp_path):
-    cfg = write_cfg(tmp_path, {"verify": {"break_symmetry": True}})
+def test_verify_failed_check_exits_1(tmp_path):
+    # no |E(P) - E(-P)| is below a negative tolerance: check 11a fails
+    cfg = write_cfg(tmp_path, {"tolerances": {"parity": -1.0}})
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    report = json.loads((out / "verify_report.json").read_text())
+    assert report["exit_code"] == 1
+    failed = [c["name"] for c in report["checks"] if c["hard"] and not c["passed"]]
+    assert failed == ["11a parity symmetry E(P) = E(-P)"]
+    # the removed symmetry-breaking setting is now an unknown config key
+    old = write_cfg(tmp_path, {"verify": {"break_symmetry": True}}, name="old.json")
+    assert main(["verify", "--config", old, "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("cluster_rel", [1e-8, 1e-6])
+def test_verify_solves_each_coupling_momentum_once(tmp_path, monkeypatch, cluster_rel):
+    built = []
+    real = spectral.build_H
+
+    def counted(P, model):
+        built.append((model.params.e, tuple(np.asarray(P, dtype=float))))
+        return real(P, model)
+
+    # within spectral only solve_fiber builds the dense H(P)
+    monkeypatch.setattr(spectral, "build_H", counted)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerances": {"cluster_rel": cluster_rel}}))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out),
+                 "--threads", "1"]) == 0
+    # 3 couplings x 11 momenta, each solved once for checks 1, 4, 5, 6 and
+    # the certificates
+    assert len(built) == 33
+    assert len(set(built)) == 33
+
+
+@pytest.mark.parametrize("command,table", [("sweep", "sweep.csv"),
+                                           ("bounds", "bounds.csv")])
+def test_luminal_gamma_writes_nan_sandwich(tmp_path, command, table):
+    # gamma = 1 has no lower comparison operator, hence no sandwich margins
+    cfg = write_cfg(tmp_path, {"params": {"gamma": 1.0}, "n_P": 2})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    header, *rows = (out / table).read_text().splitlines()
+    cols = header.split(",")
+    assert len(rows) == 2
+    for row in rows:
+        vals = dict(zip(cols, row.split(",")))
+        assert vals["sandwich_lower"] == vals["sandwich_upper"] == "nan"
+    if command == "sweep":
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["min_sandwich_lower"] is None
+        assert summary["min_sandwich_upper"] is None
+        assert summary["failures"] == []
 
 
 def test_dump_load_roundtrip(tmp_path):

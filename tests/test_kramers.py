@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pffiber.bounds import bound_constants
 from pffiber.hamiltonian import build_H, build_model
 from pffiber.kramers import (
     apply_theta,
@@ -93,9 +92,8 @@ def test_certificate_free_theory(default_params):
 
 
 def test_certificate_with_coupling(default_model):
-    consts = bound_constants(default_model)
     for px in (0.0, 1.0, 2.0):
-        cert = kramers_certificate(np.array([px, 0, 0]), default_model, consts)
+        cert = kramers_certificate(np.array([px, 0, 0]), default_model)
         assert cert.hypotheses_met
         assert cert.conclusion == "exactly two-fold"
         assert cert.count_below_sigma == 2

@@ -191,11 +191,11 @@ def test_cache_of_format_2_is_recomputed(tmp_path, capsys, default_model):
 
 
 @pytest.mark.parametrize("P", [[0.9, 0.0, 0.0], [0.4, -0.3, 0.2]])
-def test_fiber_solve_matches_separate_computations(default_model, P):
+def test_fiber_solve_matches_separate_computations(default_params, default_model, P):
     P = np.array(P)
     consts = bound_constants(default_model)
     cache = EnergyCache()
-    solve = solve_fiber(P, default_model, cache=cache, sandwich_consts=consts)
+    solve = solve_fiber(P, default_model, cache=cache)
     h = build_H(P, default_model)
     e0, e1, mult = ground_data(P, default_model)
     assert abs(solve.E - e0) <= 1e-12 and abs(solve.E1 - e1) <= 1e-12
@@ -219,6 +219,32 @@ def test_fiber_solve_matches_separate_computations(default_model, P):
     # no dim x dim array survives the solve
     assert solve.low_vectors.shape == (h.shape[0], 4)
     assert all(np.ndim(v) < 2 or np.shape(v)[1] <= 4 for v in vars(solve).values())
+    # no lower comparison operator at gamma = 1, so no sandwich margins
+    assert solve_fiber(P, default_params.replace(gamma=1.0)).sandwich is None
+
+
+def test_solve_fiber_record_is_stored(default_model):
+    P = np.array([0.7, 0.0, 0.0])
+    cache = EnergyCache()
+    solve = solve_fiber(P, default_model, cache=cache)
+    assert solve_fiber(P, default_model, cache=cache) is solve
+    assert solve_fiber(P.copy(), default_model, 1e-8, cache) is solve
+    loose = solve_fiber(P, default_model, 1e-6, cache)
+    assert loose is not solve
+    assert solve_fiber(P, default_model, 1e-6, cache) is loose
+    assert_allclose(loose.eigenvalues, solve.eigenvalues, rtol=0, atol=0)
+
+
+def test_cache_counts_lookups_not_stores(default_model):
+    P = np.array([0.9, 0.0, 0.0])
+    cache = EnergyCache()
+    solve = solve_fiber(P, default_model, cache=cache)
+    assert (cache.hits, cache.misses) == (0, 1)
+    assert ground_data(P, default_model, cache=cache) == (
+        solve.E, solve.E1, solve.mult
+    )
+    assert solve_fiber(P, default_model, cache=cache) is solve
+    assert cache.misses == 1 and cache.hits == 2
 
 
 def test_fingerprint_distinguishes_params(default_params):
