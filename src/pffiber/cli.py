@@ -71,7 +71,7 @@ def compute_report(P, model, consts, cache, cluster_tol):
         E=solve.E,
         E1=solve.E1,
         ground_multiplicity=solve.mult,
-        delta=delta_gap(P, model, cache=cache),
+        delta=delta_gap(P, model, cache=cache, cluster_tol=cluster_tol),
         sigma_minus=sigma,
         eigencount_below_sigma=bnd.count_below(solve.eigenvalues, sigma),
         residuals=dict(solve.residuals),
@@ -282,6 +282,11 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else default_config()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    if args.command in ("convergence", "verify") and not cfg.momenta():
+        # spectrum, sweep and bounds write empty tables for an empty ladder
+        print(f"config error: {args.command} needs at least one momentum",
+              file=sys.stderr)
         return 2
     if args.threads is not None:
         cfg = replace(cfg, threads=args.threads)

@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .modes import ModelParams
+from .fock import MAX_BASIS_DIM, truncated_dim
+from .modes import DIRECTION_COUNTS, ModelParams
 
 
 class ConfigError(ValueError):
@@ -102,6 +103,32 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return out
 
 
+def _check_model(params: ModelParams, what: str) -> None:
+    """Reject a grid or a truncation that building the model would refuse."""
+    if params.n_dirs not in DIRECTION_COUNTS:
+        raise ConfigError(
+            f"{what}: unsupported n_dirs {params.n_dirs}; "
+            f"choose one of {DIRECTION_COUNTS}"
+        )
+    # two polarization modes per (shell, direction) k-point
+    dim = truncated_dim(2 * params.n_shells * params.n_dirs, params.N_max)
+    if dim > MAX_BASIS_DIM:
+        raise ConfigError(
+            f"{what}: truncated Fock dimension {dim} exceeds the limit "
+            f"{MAX_BASIS_DIM}"
+        )
+
+
+def _parse_momentum(p) -> tuple:
+    try:
+        P = tuple(float(x) for x in p)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"P_list: invalid momentum {p!r}") from exc
+    if len(P) != 3 or not all(np.isfinite(P)):
+        raise ConfigError(f"P_list: a momentum has 3 finite components, got {p!r}")
+    return P
+
+
 def config_from_dict(data: dict) -> RunConfig:
     base = config_to_dict(default_config())
     unknown = set(data) - set(base)
@@ -119,8 +146,16 @@ def config_from_dict(data: dict) -> RunConfig:
     try:
         params = ModelParams(**merged["params"])
         small = ModelParams(**merged["small_params"])
+        rungs = []
+        for n_max, n_shells in merged["convergence_ladder"]:
+            rung = small.replace(N_max=n_max, n_shells=n_shells)
+            rungs.append(((n_max, n_shells), rung))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
+    _check_model(params, "params")
+    _check_model(small, "small_params")
+    for spec, rung in rungs:
+        _check_model(rung, f"convergence_ladder rung {list(spec)}")
     return RunConfig(
         params=params,
         small_params=small,
@@ -128,7 +163,7 @@ def config_from_dict(data: dict) -> RunConfig:
         n_P=int(merged["n_P"]),
         P_list=None
         if merged["P_list"] is None
-        else tuple(tuple(float(x) for x in p) for p in merged["P_list"]),
+        else tuple(_parse_momentum(p) for p in merged["P_list"]),
         tasks=tuple(merged["tasks"]),
         tolerances=Tolerances(**merged["tolerances"]),
         verify=VerifySettings(
@@ -137,7 +172,7 @@ def config_from_dict(data: dict) -> RunConfig:
                 "e_values": tuple(merged["verify"]["e_values"]),
             }
         ),
-        convergence_ladder=tuple(tuple(r) for r in merged["convergence_ladder"]),
+        convergence_ladder=tuple(spec for spec, _ in rungs),
         cache_path=merged["cache_path"],
         out_dir=merged["out_dir"],
         threads=int(merged["threads"]),

@@ -9,6 +9,14 @@ Truncation convention: creation out of the top sector is compressed to zero
 (P a^dagger P).  Annihilation never leaves the truncation, so a_m is exact and
 the canonical commutator [a_m, a_m^dagger] = 1 holds on the sub-block of
 states with total number <= N_max - 1, and only there.
+
+The ladder structure is computed once per basis, in ``FockBasis.ladder``:
+for every state j and mode m with n_m(j) > 0 it holds the index i of the
+state with one photon fewer in mode m and the amplitude sqrt(n_m(j)), so
+a_m e_j = sqrt(n_m(j)) e_i.  The lowered states are located all at once by
+a binary search over the basis rows.  Every field operator is one scatter
+from this table: ``field_sum`` writes its (i, j) and (j, i) entries directly,
+with no per-mode matrix, and ``annihilator`` is the scatter of one mode.
 """
 
 from __future__ import annotations
@@ -17,6 +25,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+MAX_BASIS_DIM = 2_000_000
 
 
 class BasisTooLargeError(ValueError):
@@ -45,7 +56,8 @@ class FockBasis:
     n_modes: int
     n_max: int
     states: np.ndarray = field(repr=False, compare=False)
-    index: dict = field(repr=False, compare=False)
+    # (rows, cols, modes, amps): a_m e_j = amp e_i for each entry (i, j, m, amp)
+    ladder: tuple = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -56,7 +68,36 @@ class FockBasis:
         return self.states.sum(axis=1)
 
 
-def enumerate_basis(n_modes: int, n_max: int, max_dim: int = 2_000_000) -> FockBasis:
+def _row_keys(states: np.ndarray) -> np.ndarray:
+    """One sortable scalar per state: (total, n_1, ..., n_modes) as raw bytes.
+
+    Big-endian unsigned integers compare bytewise in numeric order, so the
+    keys sort in the graded-lexicographic order of the basis.
+    """
+    rows = np.column_stack([states.sum(axis=1), states]).astype(">u8", order="C")
+    return rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel()
+
+
+def _ladder_table(states: np.ndarray) -> tuple:
+    """(rows, cols, modes, amps) of every nonzero entry of the annihilators."""
+    cols, modes = np.nonzero(states)
+    lowered = states[cols]
+    lowered[np.arange(cols.size), modes] -= 1
+    rows = np.searchsorted(_row_keys(states), _row_keys(lowered))
+    # a key past the last row must fail the check below, not the indexing
+    rows = np.minimum(rows, states.shape[0] - 1)
+    if not np.array_equal(states[rows], lowered):
+        raise RuntimeError("a lowered state is missing from the basis")
+    amps = np.sqrt(states[cols, modes].astype(float))
+    table = (rows, cols, modes, amps)
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+def enumerate_basis(
+    n_modes: int, n_max: int, max_dim: int = MAX_BASIS_DIM
+) -> FockBasis:
     """Build the truncated occupation basis.
 
     Raises ``BasisTooLargeError`` if the dimension would exceed ``max_dim``.
@@ -75,23 +116,19 @@ def enumerate_basis(n_modes: int, n_max: int, max_dim: int = 2_000_000) -> FockB
         states.extend(_sector_states(n_modes, total))
     arr = np.array(states, dtype=np.int64)
     arr.setflags(write=False)
-    index = {s: i for i, s in enumerate(states)}
-    return FockBasis(n_modes=n_modes, n_max=n_max, states=arr, index=index)
+    return FockBasis(
+        n_modes=n_modes, n_max=n_max, states=arr, ladder=_ladder_table(arr)
+    )
 
 
 def annihilator(basis: FockBasis, m: int) -> np.ndarray:
     """Dense matrix of a_m: lowers n_m by one with amplitude sqrt(n_m)."""
     if not 0 <= m < basis.n_modes:
         raise IndexError(f"mode index {m} out of range for {basis.n_modes} modes")
+    rows, cols, modes, amps = basis.ladder
+    sel = modes == m
     a = np.zeros((basis.dim, basis.dim))
-    for j, occ in enumerate(basis.states):
-        n_m = occ[m]
-        if n_m == 0:
-            continue
-        target = list(occ)
-        target[m] -= 1
-        i = basis.index[tuple(target)]
-        a[i, j] = math.sqrt(n_m)
+    a[rows[sel], cols[sel]] = amps[sel]
     return a
 
 
@@ -117,7 +154,9 @@ def dgamma(basis: FockBasis, c) -> np.ndarray:
 def field_sum(basis: FockBasis, coeffs) -> np.ndarray:
     """sum_m conj(c_m) a_m + c_m a_m^dagger; Hermitian by construction.
 
-    Returns a real matrix when all coefficients are real.
+    Returns a real matrix when all coefficients are real.  One scatter from
+    ``basis.ladder``: an (i, j) pair belongs to one mode only, and i has one
+    photon fewer than j, so no entry is written twice.
     """
     coeffs = np.asarray(coeffs)
     if coeffs.shape != (basis.n_modes,):
@@ -129,12 +168,10 @@ def field_sum(basis: FockBasis, coeffs) -> np.ndarray:
     out = np.zeros((basis.dim, basis.dim), dtype=dtype)
     if real:
         coeffs = coeffs.real
-    for m in range(basis.n_modes):
-        c = coeffs[m]
-        if c == 0:
-            continue
-        a = annihilator(basis, m)
-        out += np.conj(c) * a + c * a.T
+    rows, cols, modes, amps = basis.ladder
+    # adding into zeros turns a -0.0 product into 0.0, as a sum over modes does
+    out[rows, cols] += np.conj(coeffs[modes]) * amps
+    out[cols, rows] += coeffs[modes] * amps
     return out
 
 

@@ -32,6 +32,9 @@ TWO_PI_CUBED = (2.0 * math.pi) ** 3
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
+DIRECTION_COUNTS = (2, 6, 8, 12)
+
+
 class GridSpecError(ValueError):
     """Raised for empty or unsupported mode-grid specifications."""
 
@@ -218,7 +221,7 @@ def direction_set(n_dirs: int):
                 dirs.append((s1 * _GOLDEN * r, 0.0, s2 * r))
     else:
         raise GridSpecError(
-            f"unsupported direction count {n_dirs}; choose one of 2, 6, 8, 12"
+            f"unsupported direction count {n_dirs}; choose one of {DIRECTION_COUNTS}"
         )
     weights = np.full(len(dirs), 4.0 * math.pi / len(dirs))
     return np.array(dirs), weights

@@ -337,23 +337,26 @@ def delta_gap(
     params_or_model,
     trial_k_set=None,
     cache: EnergyCache | None = None,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> float:
     """min over trial k of E(P-k) + omega(k) - E(P).
 
     One trial is solved per orbit of the trial set under the stabilizer of P
     in the grid's rotation group, the first in trial order; the other
-    members of an orbit give the same value up to rounding.  Monotone under trial-set enlargement; the k = 0
-    member makes Delta(P) <= m_ph exact.
+    members of an orbit give the same value up to rounding.  Monotone under
+    trial-set enlargement; the k = 0 member makes Delta(P) <= m_ph exact.
+    E does not depend on ``cluster_tol``; it selects the cache entries, so a
+    run that solves at its own tolerance reads the energies it already has.
     """
     model = _as_model(params_or_model)
     P = np.asarray(P, dtype=float)
     if trial_k_set is None:
         trial_k_set = default_trial_set(model)
     trials = orbit_representatives(trial_k_set, stabilizer(model.rotations, P))
-    e_p, _, _ = ground_data(P, model, cache=cache)
+    e_p, _, _ = ground_data(P, model, cluster_tol, cache)
     best = np.inf
     for k in trials:
-        e_shift, _, _ = ground_data(P - k, model, cache=cache)
+        e_shift, _, _ = ground_data(P - k, model, cluster_tol, cache)
         best = min(best, e_shift + float(dispersion(k, model.params.m_ph)) - e_p)
     return float(best)
 

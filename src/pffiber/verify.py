@@ -24,7 +24,7 @@ import numpy as np
 from . import bounds as bnd
 from . import kramers as kra
 from .config import RunConfig
-from .fock import annihilator, dgamma_diag, enumerate_basis
+from .fock import dgamma_diag, enumerate_basis
 from .hamiltonian import (
     build_D,
     build_H,
@@ -85,6 +85,15 @@ class VerifyContext:
     def solve(self, P, model):
         """The run's one solve of H(P), clustered at the configured tolerance."""
         return solve_fiber(P, model, self.cfg.tolerances.cluster_rel, self.cache)
+
+    def energy(self, P, model) -> float:
+        """E(P) through the run's cache, keyed at the configured tolerance."""
+        return ground_data(P, model, self.cfg.tolerances.cluster_rel, self.cache)[0]
+
+    def delta(self, P, model, trial_k_set=None) -> float:
+        """Delta(P) through the run's cache, keyed at the configured tolerance."""
+        tol = self.cfg.tolerances.cluster_rel
+        return delta_gap(P, model, trial_k_set, self.cache, tol)
 
 
 def _random_P(rng, p_max: float = 2.0):
@@ -354,7 +363,7 @@ def check_delta_bounds(ctx: VerifyContext) -> CheckResult:
         consts = bnd.bound_constants(model)
         trial = default_trial_set(model)
         for P in ctx.momenta():
-            d = delta_gap(P, model, cache=ctx.cache)
+            d = ctx.delta(P, model)
             if d > params.m_ph + 1e-12:
                 fails.append((e, "ceiling", d))
             if e == 0.0:
@@ -437,7 +446,9 @@ def check_coupling_estimates(ctx: VerifyContext) -> CheckResult:
     rng = ctx.rng
     dim = basis.dim
     n_modes = basis.n_modes
-    a_stack = np.stack([annihilator(basis, m) for m in range(n_modes)])
+    rows, cols, modes, amps = basis.ladder
+    a_stack = np.zeros((n_modes, dim, dim))
+    a_stack[modes, rows, cols] = amps
     hf = dgamma_diag(basis, table.omega)
     om = table.omega
     safe = basis.totals() <= basis.n_max - 2
@@ -537,9 +548,7 @@ def check_parity(ctx: VerifyContext) -> CheckResult:
     for e in ctx.coupling_ladder():
         model = build_model(ctx.params_at(e))
         for P in ctx.momenta()[1:]:
-            ep, _, _ = ground_data(P, model, cache=ctx.cache)
-            em, _, _ = ground_data(-P, model, cache=ctx.cache)
-            worst = max(worst, abs(ep - em))
+            worst = max(worst, abs(ctx.energy(P, model) - ctx.energy(-P, model)))
     return CheckResult(
         "parity symmetry E(P) = E(-P)",
         worst <= tol,
@@ -645,8 +654,8 @@ def check_delta_monotone(ctx: VerifyContext) -> CheckResult:
     P = ctx.momenta()[-1]
     full = default_trial_set(model)
     sub = full[: max(2, len(full) // 3)]
-    d_full = delta_gap(P, model, trial_k_set=full, cache=ctx.cache)
-    d_sub = delta_gap(P, model, trial_k_set=sub, cache=ctx.cache)
+    d_full = ctx.delta(P, model, full)
+    d_sub = ctx.delta(P, model, sub)
     ok = d_full <= d_sub + 1e-12
     return CheckResult(
         "gap trial-set monotonicity",
@@ -682,9 +691,7 @@ def report_radial_deviation(ctx: VerifyContext) -> CheckResult:
         np.array([1.0, 1.0, 0.0]) / math.sqrt(2),
         np.array([1.0, 1.0, 1.0]) / math.sqrt(3),
     ]
-    es = [
-        ground_data(absp * u, model, cache=ctx.cache)[0] for u in dirs
-    ]
+    es = [ctx.energy(absp * u, model) for u in dirs]
     dev = max(es) - min(es)
     return CheckResult(
         "radial deviation (rotation covariance probe)",
@@ -711,7 +718,7 @@ def report_convergence_trend(ctx: VerifyContext) -> CheckResult:
 
 def report_cache_identity(ctx: VerifyContext) -> CheckResult:
     model = build_model(ctx.cfg.params)
-    P = ctx.momenta()[1]
+    P = ctx.momenta()[min(1, len(ctx.momenta()) - 1)]
     cache = EnergyCache()
     first = ground_data(P, model, cache=cache)
     second = ground_data(P, model, cache=cache)

@@ -203,6 +203,29 @@ def test_verify_solves_each_coupling_momentum_once(tmp_path, monkeypatch, cluste
     assert len(set(built)) == 33
 
 
+def test_verify_energy_misses_do_not_depend_on_cluster_rel(tmp_path, monkeypatch):
+    # E(P) does not depend on the clustering tolerance: checks that read only
+    # energies use the run's cluster_rel, so they find the run's own entries
+    real = spectral.EnergyCache.get
+    misses = {}
+    for cluster_rel in (1e-8, 1e-6):
+        count = [0]
+
+        def get(self, key, count=count):
+            got = real(self, key)
+            count[0] += got is None
+            return got
+
+        monkeypatch.setattr(spectral.EnergyCache, "get", get)
+        cfg = tmp_path / f"cfg{cluster_rel}.json"
+        cfg.write_text(json.dumps({"tolerances": {"cluster_rel": cluster_rel}}))
+        out = tmp_path / f"out{cluster_rel}"
+        assert main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--threads", "1"]) == 0
+        misses[cluster_rel] = count[0]
+    assert misses[1e-6] == misses[1e-8]
+
+
 @pytest.mark.parametrize("command,table", [("sweep", "sweep.csv"),
                                            ("bounds", "bounds.csv")])
 def test_luminal_gamma_writes_nan_sandwich(tmp_path, command, table):

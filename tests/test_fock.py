@@ -16,6 +16,12 @@ from pffiber.fock import (
     require_hermitian,
     truncated_dim,
 )
+from pffiber.hamiltonian import build_model
+
+
+def _index(basis):
+    """State -> basis position, built here as an oracle independent of fock."""
+    return {tuple(s): i for i, s in enumerate(basis.states)}
 
 
 def test_single_mode_enumeration():
@@ -42,8 +48,9 @@ def test_graded_ordering_and_index():
     basis = enumerate_basis(3, 3)
     totals = basis.totals()
     assert np.all(np.diff(totals) >= 0)
+    index = _index(basis)
     for i, s in enumerate(basis.states):
-        assert basis.index[tuple(s)] == i
+        assert index[tuple(s)] == i
 
 
 def test_dimension_guard():
@@ -54,9 +61,10 @@ def test_dimension_guard():
 def test_ladder_amplitude():
     basis = enumerate_basis(1, 2)
     a = annihilator(basis, 0)
-    assert a[basis.index[(1,)], basis.index[(2,)]] == pytest.approx(math.sqrt(2))
+    index = _index(basis)
+    assert a[index[(1,)], index[(2,)]] == pytest.approx(math.sqrt(2))
     # vacuum is annihilated
-    assert np.all(a[:, basis.index[(0,)]] == 0.0)
+    assert np.all(a[:, index[(0,)]] == 0.0)
 
 
 def test_ccr_on_safe_block_only():
@@ -73,7 +81,8 @@ def test_ccr_on_safe_block_only():
 def test_dgamma_number_operator():
     basis = enumerate_basis(2, 3)
     n_op = dgamma(basis, np.ones(2))
-    assert n_op[basis.index[(2, 1)], basis.index[(2, 1)]] == pytest.approx(3.0)
+    index = _index(basis)
+    assert n_op[index[(2, 1)], index[(2, 1)]] == pytest.approx(3.0)
     assert n_op[0, 0] == 0.0  # vacuum
 
 
@@ -127,3 +136,100 @@ def test_hermiticity_helpers(rng):
     require_hermitian(hermitize(m))
     with pytest.raises(ValueError):
         require_hermitian(m + np.diag([10.0, 0, 0, 0]) @ np.ones((4, 4)))
+
+
+# ----------------------------------------------------------------------
+# the ladder table against the per-mode, per-state construction
+# ----------------------------------------------------------------------
+
+LADDER_BASES = [(1, 4), (5, 0), (3, 3), (4, 2)]
+
+
+def _naive_annihilator(basis, m):
+    """a_m built state by state through a tuple lookup."""
+    index = _index(basis)
+    a = np.zeros((basis.dim, basis.dim))
+    for j, occ in enumerate(basis.states):
+        if occ[m] == 0:
+            continue
+        target = list(occ)
+        target[m] -= 1
+        a[index[tuple(target)], j] = math.sqrt(occ[m])
+    return a
+
+
+def _naive_field_sum(basis, coeffs):
+    """sum_m conj(c_m) a_m + c_m a_m^dagger, one dense a_m at a time."""
+    coeffs = np.asarray(coeffs)
+    real = np.isrealobj(coeffs) or np.allclose(coeffs.imag, 0.0)
+    out = np.zeros((basis.dim, basis.dim), dtype=float if real else complex)
+    if real:
+        coeffs = coeffs.real
+    for m in range(basis.n_modes):
+        c = coeffs[m]
+        if c == 0:
+            continue
+        a = _naive_annihilator(basis, m)
+        out += np.conj(c) * a + c * a.T
+    return out
+
+
+def _assert_bitwise(x, y):
+    assert x.dtype == y.dtype
+    assert np.array_equal(x, y)
+    assert x.tobytes() == y.tobytes()  # signed zeros included
+
+
+def _coefficients(kind, n, rng):
+    c = rng.standard_normal(n)
+    if kind == "complex":
+        return c + 1j * rng.standard_normal(n)
+    if kind == "imaginary":
+        return -1.0j * c
+    if kind == "partly zero":
+        c[::2] = 0.0
+        c[1::4] = -0.0
+        return c
+    return c
+
+
+@pytest.mark.parametrize("n_modes,n_max", LADDER_BASES)
+@pytest.mark.parametrize("kind", ["real", "complex", "imaginary", "partly zero"])
+def test_field_sum_matches_modewise_reference(n_modes, n_max, kind, rng):
+    basis = enumerate_basis(n_modes, n_max)
+    c = _coefficients(kind, n_modes, rng)
+    _assert_bitwise(field_sum(basis, c), _naive_field_sum(basis, c))
+
+
+@pytest.mark.parametrize("n_dirs", [6, 12])
+def test_model_field_operators_match_reference(default_params, n_dirs):
+    model = build_model(default_params.replace(n_dirs=n_dirs))
+    basis, table = model.basis, model.table
+    curl = np.cross(table.k, table.f)
+    for j in range(3):
+        _assert_bitwise(model.A[j], _naive_field_sum(basis, table.f[:, j]))
+        _assert_bitwise(model.B[j], _naive_field_sum(basis, -1.0j * curl[:, j]))
+
+
+@pytest.mark.parametrize("n_modes,n_max", LADDER_BASES)
+def test_ladder_rows_match_tuple_dict(n_modes, n_max):
+    basis = enumerate_basis(n_modes, n_max)
+    index = _index(basis)
+    rows, cols, modes, amps = basis.ladder
+    states = basis.states
+    # one entry per occupied (state, mode) pair
+    assert sorted(zip(cols.tolist(), modes.tolist())) == sorted(
+        zip(*np.nonzero(states))
+    )
+    for i, j, m, amp in zip(rows, cols, modes, amps):
+        lowered = list(states[j])
+        lowered[m] -= 1
+        assert index[tuple(lowered)] == i
+        assert amp == math.sqrt(states[j][m])
+
+
+@pytest.mark.parametrize("n_modes,n_max", LADDER_BASES)
+def test_annihilator_matches_reference(n_modes, n_max):
+    basis = enumerate_basis(n_modes, n_max)
+    for m in range(n_modes):
+        _assert_bitwise(annihilator(basis, m), _naive_annihilator(basis, m))

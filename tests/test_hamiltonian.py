@@ -291,8 +291,9 @@ def test_H0_diagonal_values(default_model):
     h0 = build_H0(P, model)
     assert h0[0, 0] == pytest.approx(p.gamma * math.sqrt(0.64 + p.M**2))
     # one-photon entries: gamma sqrt((P-k_m)^2+M^2) + omega_m
+    index = {tuple(s): i for i, s in enumerate(model.basis.states)}
     for m in range(model.basis.n_modes):
-        idx = model.basis.index[
+        idx = index[
             tuple(1 if j == m else 0 for j in range(model.basis.n_modes))
         ]
         k = model.table.k[m]

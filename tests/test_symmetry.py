@@ -104,11 +104,12 @@ def _spin_rotation(r):
 
 def _state_rotation(basis, perm, signs):
     """Gamma(R) from the mode action, one occupation state at a time."""
+    index = {tuple(s): i for i, s in enumerate(basis.states)}
     gamma = np.zeros((basis.dim, basis.dim))
     for i, occ in enumerate(basis.states):
         image = np.zeros_like(occ)
         image[perm] = occ
-        gamma[basis.index[tuple(image)], i] = np.prod(signs**occ)
+        gamma[index[tuple(image)], i] = np.prod(signs**occ)
     return gamma
 
 
