@@ -35,6 +35,7 @@ from .hamiltonian import (
     build_H_blocks,
     build_H_SL,
     build_T,
+    build_T_expanded,
     build_model,
     build_v,
     interaction_norm,

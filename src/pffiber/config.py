@@ -10,6 +10,7 @@ used by the heavier property suites.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -20,6 +21,24 @@ from .modes import DIRECTION_COUNTS, ModelParams
 
 class ConfigError(ValueError):
     """Raised for unreadable or inconsistent run configurations."""
+
+
+# Peak resident memory of a run over the bytes of one dense complex H(P),
+# 16 (2 dim)^2, rounded up.  Measured at Fock dim 1225 (n = 2450, 96 MB per
+# H, 2-core x86-64 host): 263 MB for the benchmark's blocked convergence
+# rung, 728 MB for the same rung at a momentum no symmetry fixes and 750 MB
+# for spectrum, the last two building H(P) densely.
+DENSE_COPIES = 8
+
+
+def dense_storage_bytes(dim: int) -> int:
+    """Estimated peak storage of a run at truncated Fock dimension ``dim``."""
+    return DENSE_COPIES * 16 * (2 * dim) ** 2
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory of this host."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass(frozen=True)
@@ -104,7 +123,8 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def _check_model(params: ModelParams, what: str) -> None:
-    """Reject a grid or a truncation that building the model would refuse."""
+    """Reject a grid, or a truncation that building the model would refuse
+    or whose dense storage cannot fit in memory."""
     if params.n_dirs not in DIRECTION_COUNTS:
         raise ConfigError(
             f"{what}: unsupported n_dirs {params.n_dirs}; "
@@ -116,6 +136,13 @@ def _check_model(params: ModelParams, what: str) -> None:
         raise ConfigError(
             f"{what}: truncated Fock dimension {dim} exceeds the limit "
             f"{MAX_BASIS_DIM}"
+        )
+    need, have = dense_storage_bytes(dim), physical_memory()
+    if need > have:
+        raise ConfigError(
+            f"{what}: truncated Fock dimension {dim} needs about "
+            f"{need / 2**30:.1f} GiB of dense storage, more than the "
+            f"{have / 2**30:.1f} GiB of physical memory"
         )
 
 

@@ -13,10 +13,13 @@ Kronecker convention: spin index slow, Fock index fast, i.e.
 ``np.kron(spin_matrix, fock_matrix)``.
 
 ``build_H_blocks`` gives the same spectrum as ``build_H`` from smaller
-matrices. A grid rotation R that fixes P and has a mode action commutes
-with H(P) through U(R) = D(R) x Gamma(R): D(R) turns the spin, and Gamma(R)
-is the signed permutation of occupation states. H(P) is assembled on each
-eigenspace of U, which is built per call from Fourier sums over the
+matrices. An element R of the grid's point group that fixes P and has a
+mode action commutes with H(P) through U(R) = D(det(R) R) x Gamma(R):
+D turns the spin by the proper part of R (the spin is a pseudovector), and
+Gamma(R) is the signed permutation of occupation states. A rotation
+commutes with sigma.v; a mirror anticommutes with it, which H tolerates
+because it depends on sigma.v only through (sigma.v)^2. H(P) is assembled
+on each eigenspace of U, which is built per call from Fourier sums over the
 Gamma-orbits. ``build_H`` stays the dense reference.
 
 The matrix square root has two independent implementations: the spectral
@@ -37,6 +40,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .fock import (
     FockBasis,
@@ -102,7 +106,7 @@ class FiberModel:
     B: tuple  # three Hermitian Fock matrices with purely imaginary entries
     pf: np.ndarray  # (dim, 3) field-momentum diagonals
     hf: np.ndarray  # (dim,) field-energy diagonal
-    rotations: np.ndarray  # (|G|, 3, 3) rotation group of the mode grid
+    rotations: np.ndarray  # (|G|, 3, 3) point group of the mode grid
 
     @property
     def dim(self) -> int:
@@ -169,24 +173,26 @@ def spin_curl(v):
     return out
 
 
-def build_T(P, model: FiberModel, mode: str = "direct") -> np.ndarray:
-    """(sigma . v)^2 on C^2 tensor Fock.
+def build_T(P, model: FiberModel) -> np.ndarray:
+    """(sigma . v)^2 on C^2 tensor Fock, the square of the assembled spinor
+    operator."""
+    v = build_v(P, model)
+    s = sum(np.kron(SIGMA[j], v[j]) for j in range(3))
+    return s @ s
 
-    ``direct`` squares the assembled spinor operator; ``expanded`` uses the
-    Pauli identity (sigma.v)^2 = v.v + i sigma.(v ^ v) with the commutators
-    evaluated as matrix products.  The two agree to rounding error; the
-    physical identification i (v ^ v) = e B(0) holds exactly only below the
-    truncation edge (see :func:`spin_curl_mismatch`).
+
+def build_T_expanded(P, model: FiberModel) -> np.ndarray:
+    """(sigma . v)^2 from the Pauli identity v.v + i sigma.(v ^ v).
+
+    The commutators are evaluated as matrix products, so this agrees with
+    :func:`build_T` to rounding error; the physical identification
+    i (v ^ v) = e B(0) holds exactly only below the truncation edge (see
+    :func:`spin_curl_mismatch`).
     """
     v = build_v(P, model)
-    if mode == "direct":
-        s = sum(np.kron(SIGMA[j], v[j]) for j in range(3))
-        return s @ s
-    if mode == "expanded":
-        v2 = sum(vj @ vj for vj in v)
-        w = spin_curl(v)
-        return np.kron(ID2, v2) + sum(np.kron(SIGMA[j], w[j]) for j in range(3))
-    raise ValueError(f"unknown T mode {mode!r}; use 'direct' or 'expanded'")
+    v2 = sum(vj @ vj for vj in v)
+    w = spin_curl(v)
+    return np.kron(ID2, v2) + sum(np.kron(SIGMA[j], w[j]) for j in range(3))
 
 
 def spin_curl_mismatch(P, model: FiberModel):
@@ -290,7 +296,7 @@ def build_H(P, params_or_model) -> np.ndarray:
     """Fiber Hamiltonian gamma sqrt(T(P) + M^2) + H_f on C^2 tensor Fock."""
     model = _as_model(params_or_model)
     p = model.params
-    t = build_T(P, model, mode="direct")
+    t = build_T(P, model)
     root = op_sqrt_eig(t + p.M**2 * np.eye(2 * model.dim))
     return hermitize(p.gamma * root + hf_spinor(model))
 
@@ -302,24 +308,41 @@ def _rotation_order(r: np.ndarray) -> int:
     return n
 
 
-def block_generator(P, params_or_model):
-    """The rotation that block-diagonalizes H(P), with its mode action.
+def _is_mirror(r: np.ndarray) -> bool:
+    """Whether the signed permutation r is a reflection: det -1, trace 1."""
+    return bool(np.trace(r) == 1.0 and np.linalg.det(r) < 0)
 
-    R is an element of maximal order among the grid rotations that fix P
-    and have a :func:`pffiber.modes.mode_action`; ties go to the first in
-    ``model.rotations``.  The stabilizer of P != 0 is cyclic, so R generates
-    it when R has a mode action; at P = 0 R generates a cyclic subgroup of G.
-    Returns (R, perm, signs), or None when only the identity qualifies.
+
+def block_generator(P, params_or_model):
+    """The element of G that block-diagonalizes H(P), with its mode action.
+
+    R is an element of maximal order among the det +1 elements of
+    ``model.rotations`` that fix P and have a
+    :func:`pffiber.modes.mode_action`; ties go to the first.  The rotations
+    that fix P != 0 form a cyclic group, so R generates it when R has a mode
+    action; at P = 0 R generates a cyclic subgroup of G.  Improper elements
+    do not compete by order (at P = 0 an S4 or S6 would win): only when no
+    rotation qualifies is R the first mirror that fixes P and has a mode
+    action.  Returns (R, perm, signs), or None when only the identity
+    qualifies.
     """
     model = _as_model(params_or_model)
+    stab = stabilizer(model.rotations, P)
     best, best_order = None, 1
-    for r in stabilizer(model.rotations, P):
+    for r in stab:
+        if np.linalg.det(r) < 0:
+            continue
         order = _rotation_order(r)
         if order > best_order:
             action = mode_action(r, model.modes)
             if action is not None:
                 best, best_order = (r, *action), order
-    return best
+    if best is not None:
+        return best
+    for r in stab:
+        if _is_mirror(r) and (action := mode_action(r, model.modes)) is not None:
+            return (r, *action)
+    return None
 
 
 def _spin_eigenvectors(r: np.ndarray, n: int):
@@ -384,59 +407,114 @@ def _fock_fourier_basis(basis: FockBasis, perm, signs, n: int):
     return out
 
 
+def _spin_frame(P, model: FiberModel, plus, minus):
+    """sigma.v(P) in the spin frame (chi_+, chi_-) of u.sigma.
+
+    Returns (axial, flip): axial = u.v = <chi_+|sigma.v|chi_+>
+    = -<chi_-|sigma.v|chi_->, flip = <chi_+|sigma.v|chi_->, and
+    <chi_-|sigma.v|chi_+> = conj(flip) because every v_k is real.
+    """
+    v = build_v(P, model)
+    axial = sum(np.real(np.vdot(plus, SIGMA[k] @ plus)) * v[k] for k in range(3))
+    flip = sum(np.vdot(plus, SIGMA[k] @ minus) * v[k] for k in range(3))
+    return axial, flip
+
+
+def _project(x, rows, cols):
+    """W_rows^dagger x W_cols by gathers over the Fourier terms of
+    :func:`_fock_fourier_basis`."""
+    (pr, cr), (pc, cc) = rows, cols
+    xw = sum(x[:, pc[t]] * cc[t][None, :] for t in range(len(pc)))
+    return sum(np.conj(cr[t])[:, None] * xw[pr[t], :] for t in range(len(pr)))
+
+
 def build_H_blocks(P, params_or_model) -> list:
     """Hermitian diagonal blocks of H(P) under its grid stabilizer.
 
-    With R = :func:`block_generator` of order n, U(R) = D(R) x Gamma(R)
-    commutes with H(P): D(R) = cos(pi/n) - i sin(pi/n) n.sigma turns the
-    spin, Gamma(R) is the signed permutation of occupation states induced
-    by the mode action.  U^n = -1, and block j is H(P) on the eigenspace
-    exp(i pi (2j + 1) / n) of U, spanned by chi_+ x (Gamma eigenvectors
-    a = j + 1) and chi_- x (Gamma eigenvectors a = j).  Each block is
-    gamma sqrt(s_j^2 + M^2) + H_f with s_j = sigma.v projected on the block:
-    s commutes with U, so (s^2)_j = s_j^2, and H_f is diagonal there because
-    omega(R k) = omega(k).  Empty eigenspaces give no block; without such an
-    R the one block is build_H.
+    R = :func:`block_generator`, and Gamma(R) is the signed permutation of
+    occupation states induced by its mode action.  H_f is diagonal on every
+    block because omega(R k) = omega(k); it is read at the smallest state of
+    each Gamma-orbit.  Without such an R the one block is build_H.
+
+    A rotation R of order n: U(R) = D(R) x Gamma(R) commutes with H(P),
+    where D(R) = cos(pi/n) - i sin(pi/n) n.sigma turns the spin.  U^n = -1,
+    and block j is H(P) on the eigenspace exp(i pi (2j + 1) / n) of U,
+    spanned by chi_+ x (Gamma eigenvectors a = j + 1) and chi_- x (Gamma
+    eigenvectors a = j).  Each block is gamma sqrt(s_j^2 + M^2) + H_f with
+    s_j = sigma.v projected on the block: s commutes with U, so
+    (s^2)_j = s_j^2.  Empty eigenspaces give no block.
+
+    A mirror M: see :func:`_mirror_blocks`; the two blocks have dimension
+    dim each.
     """
     model = _as_model(params_or_model)
     sym = block_generator(P, model)
     if sym is None:
         return [build_H(P, model)]
     r, perm, signs = sym
+    if np.linalg.det(r) < 0:
+        return _mirror_blocks(P, model, r, perm, signs)
     n = _rotation_order(r)
     p = model.params
     plus, minus = _spin_eigenvectors(r, n)
-    v = build_v(P, model)
-    # s = sum_k sigma_k x v_k in the (chi_+, chi_-) spin frame: n.v on the
-    # diagonal (with sign -1 for chi_-) and a spin-flip part off it
-    axial = sum(np.real(np.vdot(plus, SIGMA[k] @ plus)) * v[k] for k in range(3))
-    flip = sum(np.vdot(plus, SIGMA[k] @ minus) * v[k] for k in range(3))
-    del v
+    axial, flip = _spin_frame(P, model, plus, minus)
     fourier = _fock_fourier_basis(model.basis, perm, signs, n)
-
-    def project(x, rows, cols):
-        """W_rows^dagger x W_cols by gathers over the n Fourier terms."""
-        (pr, cr), (pc, cc) = rows, cols
-        xw = sum(x[:, pc[t]] * cc[t][None, :] for t in range(n))
-        return sum(np.conj(cr[t])[:, None] * xw[pr[t], :] for t in range(n))
-
     blocks = []
     for j in range(n):
         up, down = fourier[(j + 1) % n], fourier[j]
         if up[0].shape[1] + down[0].shape[1] == 0:  # an empty eigenspace
             continue
-        corner = project(flip, up, down)
+        corner = _project(flip, up, down)
         s = np.block(
             [
-                [project(axial, up, up), corner],
-                [corner.conj().T, -project(axial, down, down)],
+                [_project(axial, up, up), corner],
+                [corner.conj().T, -_project(axial, down, down)],
             ]
         )
-        # H_f is constant on a Gamma-orbit: read it at the smallest state
         hf = np.concatenate([model.hf[up[0][0]], model.hf[down[0][0]]])
         root = op_sqrt_eig(s @ s + p.M**2 * np.eye(s.shape[0]))
         blocks.append(hermitize(p.gamma * root + np.diag(hf)))
     return blocks
+
+
+def _mirror_blocks(P, model: FiberModel, mirror, perm, signs) -> list:
+    """The two blocks of H(P) under a mirror M of the grid that fixes P.
+
+    -M is the half turn about the mirror normal u, so D(-M) chi_+- =
+    -+ i chi_+- and Gamma(M)^2 = 1: U = D(-M) x Gamma(M) has eigenvalues
+    -i, on chi_+ x (Gamma = +1) and chi_- x (Gamma = -1), and +i, on
+    chi_+ x (Gamma = -1) and chi_- x (Gamma = +1), each of dimension dim.
+    U commutes with H(P) but anticommutes with s = sigma.v, so s has no
+    diagonal part on these eigenspaces (projecting it there gives zero):
+    it maps the -i space onto the +i space by S and back by S^dagger.
+    With the SVD S = W Sigma V^dagger, sqrt(s^2 + M^2) is
+    V sqrt(Sigma^2 + M^2) V^dagger on the -i space and
+    W sqrt(Sigma^2 + M^2) W^dagger on the +i space.
+    """
+    p = model.params
+    plus, minus = _spin_eigenvectors(-mirror, 2)
+    axial, flip = _spin_frame(P, model, plus, minus)
+    even, odd = _fock_fourier_basis(model.basis, perm, signs, 2)
+    s = np.block(
+        [
+            [_project(axial, odd, even), _project(flip, odd, odd)],
+            [_project(flip.conj(), even, even), -_project(axial, even, odd)],
+        ]
+    )
+    del axial, flip
+    w, sigma, vh = scipy.linalg.svd(s)
+    root = np.sqrt(sigma * sigma + p.M**2)
+    hf_even, hf_odd = model.hf[even[0][0]], model.hf[odd[0][0]]
+    return [
+        hermitize(
+            p.gamma * ((vh.conj().T * root) @ vh)
+            + np.diag(np.concatenate([hf_even, hf_odd]))
+        ),
+        hermitize(
+            p.gamma * ((w * root) @ w.conj().T)
+            + np.diag(np.concatenate([hf_odd, hf_even]))
+        ),
+    ]
 
 
 def build_H_SL(P, params_or_model) -> np.ndarray:
@@ -472,7 +550,7 @@ def interaction_norm(P, params_or_model) -> float:
     model = _as_model(params_or_model)
     p = model.params
     P = np.asarray(P, dtype=float)
-    t = build_T(P, model, mode="direct")
+    t = build_T(P, model)
     absd = op_sqrt_eig(t + p.M**2 * np.eye(2 * model.dim))
     rel = P[None, :] - model.pf
     absd0 = np.sqrt(np.sum(rel * rel, axis=1) + p.M**2)

@@ -299,15 +299,14 @@ def form_factors(modes: ModeSet, params: ModelParams) -> FormFactorTable:
     return FormFactorTable(f=f, g=g, omega=omega, k=modes.k.copy(), weight=modes.weight.copy())
 
 
-def _proper_signed_permutations() -> np.ndarray:
-    """The 24 rotation matrices with one entry +-1 per row and column."""
+def _signed_permutations() -> np.ndarray:
+    """The 48 orthogonal matrices with one entry +-1 per row and column."""
     out = []
     for perm in itertools.permutations(range(3)):
         for signs in itertools.product((1.0, -1.0), repeat=3):
             r = np.zeros((3, 3))
             r[range(3), perm] = signs
-            if np.linalg.det(r) > 0:
-                out.append(r)
+            out.append(r)
     return np.array(out)
 
 
@@ -316,19 +315,22 @@ def _sorted_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def grid_rotations(table: FormFactorTable) -> np.ndarray:
-    """Rotation group G of the mode grid, as an (|G|, 3, 3) array.
+    """Point group G of the mode grid, as an (|G|, 3, 3) array.
 
-    G holds the proper signed permutations R that map the rows (k, g) of the
-    form-factor table onto themselves.  A signed permutation moves floats
-    without rounding, so membership is tested by exact equality.  For R in G,
-    H(R P) is unitarily equivalent to H(P): modes are permuted, each
-    polarization pair turns by an SO(2) element and the spin turns through
-    SU(2).  |G| is 8, 24, 24 and 12 for 2, 6, 8 and 12 directions.
+    G holds the signed permutations R of either determinant that map the
+    rows (k, g) of the form-factor table onto themselves.  A signed
+    permutation moves floats without rounding, so membership is tested by
+    exact equality.  For R in G, H(R P) is unitarily equivalent to H(P):
+    modes are permuted, each polarization pair turns by an O(2) element and
+    the spin turns through SU(2) by the proper rotation det(R) R, because
+    the spin is a pseudovector and H depends on sigma.v only through
+    (sigma.v)^2.  |G| is 16, 48, 48 and 24 for 2, 6, 8 and 12 directions,
+    twice the order 8, 24, 24 and 12 of its det +1 subgroup.
     """
     ref = _sorted_rows(np.column_stack([table.k, table.g]))
     keep = [
         r
-        for r in _proper_signed_permutations()
+        for r in _signed_permutations()
         if np.array_equal(
             _sorted_rows(np.column_stack([table.k @ r.T, table.g])), ref
         )
@@ -339,14 +341,14 @@ def grid_rotations(table: FormFactorTable) -> np.ndarray:
 
 
 def mode_action(rotation, modes: ModeSet):
-    """The signed permutation by which a grid rotation moves the modes.
+    """The signed permutation by which an element of G moves the modes.
 
     Returns (perm, signs) with R k_m = k_perm[m] and
     R eps_m = signs[m] eps_perm[m], or None when some mode has no such
     image.  R is a signed permutation, so the images are exact and
     membership is tested by exact equality, as in :func:`grid_rotations`.
     On the 2- and 6-direction grids every eps is an axis vector, so every
-    rotation of G has a mode action.
+    element of G has a mode action.
     """
     k_img = modes.k @ rotation.T
     eps_img = modes.eps @ rotation.T
@@ -362,7 +364,7 @@ def mode_action(rotation, modes: ModeSet):
 
 
 def stabilizer(rotations, P) -> np.ndarray:
-    """The rotations R with R P == P exactly."""
+    """The elements R of ``rotations`` with R P == P exactly."""
     P = np.asarray(P, dtype=float)
     return np.array([r for r in rotations if np.array_equal(r @ P, P)])
 
@@ -371,8 +373,8 @@ def orbit_representatives(vectors, rotations) -> list:
     """One member of each orbit of ``vectors`` under ``rotations``.
 
     ``rotations`` must be a group of signed permutations; two vectors share
-    an orbit when one is exactly a rotation of the other.  The first member
-    of each orbit, in input order, is kept.
+    an orbit when one is exactly the image of the other under the group.
+    The first member of each orbit, in input order, is kept.
     """
     seen = set()
     out = []

@@ -18,15 +18,17 @@ kept in the :class:`EnergyCache` under its key, so one run solves each key
 once.  :func:`ground_data` is the eigenvalues-only path (``eigvalsh``) used
 for the trial momenta of Delta(P), the convergence ladder and the verify
 checks that need E(P) only.  It solves H(P) block by block
-(:func:`pffiber.hamiltonian.build_H_blocks`): when a grid rotation fixes P,
-H(P) splits into the eigenspaces of that rotation, and a momentum with a
-C4 stabilizer costs four solves of a quarter of the size.
+(:func:`pffiber.hamiltonian.build_H_blocks`): when an element of the grid's
+point group fixes P, H(P) splits into the eigenspaces of that element.  A
+momentum with a C4 stabilizer costs four solves of a quarter of the size;
+one that only a mirror fixes, such as a Delta trial P - k with P along an
+axis and k transverse to it, costs two of half the size.
 
-For R in the grid's rotation group G, H(R q) is unitarily equivalent to
-H(q).  If R also fixes P, the trials k and R k give the same value of
-E(P - k) + omega(k), so :func:`delta_gap` solves one trial per orbit of the
-stabilizer of P.  The reduction is exact: the skipped trials differ from the
-kept one only by rounding.
+For R in the grid's point group G, rotations and improper elements alike,
+H(R q) is unitarily equivalent to H(q).  If R also fixes P, the trials k
+and R k give the same value of E(P - k) + omega(k), so :func:`delta_gap`
+solves one trial per orbit of the stabilizer of P.  The reduction is exact:
+the skipped trials differ from the kept one only by rounding.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ DEFAULT_CLUSTER_TOL = 1e-8
 P_QUANTUM = 1e-12
 N_LOW_VECTORS = 4
 RESIDUAL_TOL = 1e-9
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 
 
 class EigensolverError(RuntimeError):
@@ -342,7 +344,7 @@ def delta_gap(
     """min over trial k of E(P-k) + omega(k) - E(P).
 
     One trial is solved per orbit of the trial set under the stabilizer of P
-    in the grid's rotation group, the first in trial order; the other
+    in the grid's point group, the first in trial order; the other
     members of an orbit give the same value up to rounding.  Monotone under
     trial-set enlargement; the k = 0 member makes Delta(P) <= m_ph exact.
     E does not depend on ``cluster_tol``; it selects the cache entries, so a

@@ -31,6 +31,7 @@ from .hamiltonian import (
     build_H_SL,
     build_model,
     build_T,
+    build_T_expanded,
     hf_spinor,
     interaction_norm,
     lipschitz_ratio,
@@ -150,7 +151,7 @@ def check_clifford_square(ctx: VerifyContext) -> CheckResult:
         P = _random_P(ctx.rng)
         model = build_model(ctx.params_at(e))
         d = build_D(P, model)
-        t = build_T(P, model, mode="direct")
+        t = build_T(P, model)
         block = np.kron(
             np.eye(2), t + model.params.M**2 * np.eye(t.shape[0])
         )
@@ -174,8 +175,8 @@ def check_pauli_identity(ctx: VerifyContext) -> CheckResult:
         e = ctx.rng.uniform(0.0, ctx.cfg.verify.e_max_random)
         P = _random_P(ctx.rng)
         model = build_model(ctx.params_at(e))
-        td = build_T(P, model, mode="direct")
-        te = build_T(P, model, mode="expanded")
+        td = build_T(P, model)
+        te = build_T_expanded(P, model)
         worst = max(
             worst, float(np.linalg.norm(td - te) / np.linalg.norm(td))
         )

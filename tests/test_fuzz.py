@@ -1,10 +1,12 @@
 """Seeded config fuzzing of the CLI, plus the config errors that must exit 2.
 
 Each drawn config is a small grid (one radial shell, Fock dimension at most
-160) with two momenta.  ``sweep`` and ``bounds`` run in-process and must
-exit 0 and satisfy the model's exact statements: an even ground
-multiplicity at e > 0, the free ground energy gamma sqrt(P^2 + M^2) at
-e = 0, and Delta(P) <= m_ph.
+160) with two momenta.  ``sweep``, ``bounds``, ``spectrum`` and
+``convergence`` run in-process and must exit 0 and satisfy the model's
+exact statements: an even ground multiplicity at e > 0, the free ground
+energy gamma sqrt(P^2 + M^2) at e = 0 and at N_max = 0, and
+Delta(P) <= m_ph.  Per grid, one drawn momentum in a mirror plane is solved
+by mirror blocks and checked against the dense spectrum.
 """
 
 import json
@@ -12,10 +14,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from pffiber import config
 from pffiber.cli import main
 from pffiber.config import ConfigError, load_config
 from pffiber.fock import truncated_dim
+from pffiber.hamiltonian import _is_mirror, block_generator, build_H, build_model
+from pffiber.spectral import _ground_triple, ground_data
 
 SEED = 20261018
 N_CONFIGS = 12
@@ -63,25 +69,76 @@ def _config_id(data):
     return "dirs{n_dirs}-N{N_max}-e{e}-gamma{gamma}-mph{m_ph}".format(**p)
 
 
-@pytest.mark.parametrize("data", _draw_configs(), ids=_config_id)
-def test_fuzzed_config_runs_and_keeps_the_exact_statements(tmp_path, capsys, data):
+def _free_energy(p, P):
+    return p["gamma"] * math.sqrt(float(np.dot(P, P)) + 1.0)  # M = 1
+
+
+def _assert_exact_statements(data, rows):
     p = data["params"]
-    code, out = _run(tmp_path, "sweep", data)
-    assert code == 0
-    rows = _table(out / "sweep.csv")
-    assert len(rows) == 2
-    assert json.loads((out / "sweep_summary.json").read_text())["failures"] == []
+    assert len(rows) == len(data["P_list"])
     for P, row in zip(data["P_list"], rows):
         if p["e"] > 0:
             assert row["mult"] % 2 == 0
         else:
-            free = p["gamma"] * math.sqrt(float(np.dot(P, P)) + 1.0)  # M = 1
-            assert abs(row["E"] - free) <= 1e-10
+            assert abs(row["E"] - _free_energy(p, P)) <= 1e-10
         assert row["delta"] <= p["m_ph"] + 1e-12
+
+
+@pytest.mark.parametrize("data", _draw_configs(), ids=_config_id)
+def test_fuzzed_config_runs_and_keeps_the_exact_statements(tmp_path, capsys, data):
+    code, out = _run(tmp_path, "sweep", data)
+    assert code == 0
+    _assert_exact_statements(data, _table(out / "sweep.csv"))
+    assert json.loads((out / "sweep_summary.json").read_text())["failures"] == []
     code, out = _run(tmp_path, "bounds", data)
     assert code == 0
     assert len(_table(out / "bounds.csv")) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", _draw_configs(), ids=_config_id)
+def test_fuzzed_config_spectrum_and_convergence(tmp_path, capsys, data):
+    p = data["params"]
+    code, out = _run(tmp_path, "spectrum", data)
+    assert code == 0
+    _assert_exact_statements(data, _table(out / "spectrum.csv"))
+    # the ladder refines the drawn grid itself, from the vacuum truncation
+    ladder = [[0, 1]] + ([[p["N_max"], 1]] if p["N_max"] > 0 else [])
+    code, out = _run(tmp_path, "convergence",
+                     {**data, "small_params": p, "convergence_ladder": ladder})
+    assert code == 0
+    rows = _table(out / "convergence.csv")
+    assert [(r["N_max"], r["n_shells"]) for r in rows] == [tuple(r) for r in ladder]
+    P = data["P_list"][1]  # convergence reads the middle momentum
+    assert abs(rows[0]["E"] - _free_energy(p, P)) <= 1e-10
+    if p["e"] == 0:
+        assert all(abs(r["E"] - _free_energy(p, P)) <= 1e-10 for r in rows)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _mirror_plane_case(n_dirs):
+    """The coupled config drawn for the grid and a momentum drawn in one of
+    the coordinate planes, which are mirrors of every grid."""
+    data = next(d for d in _draw_configs()
+                if d["params"]["n_dirs"] == n_dirs and d["params"]["e"] > 0)
+    rng = np.random.default_rng(SEED + n_dirs)
+    P = rng.uniform(-1.0, 1.0, 3)
+    P[rng.integers(3)] = 0.0
+    return data["params"], P
+
+
+@pytest.mark.parametrize("n_dirs", [2, 6, 8, 12])
+def test_mirror_plane_momentum_matches_the_dense_oracle(n_dirs):
+    params, P = _mirror_plane_case(n_dirs)
+    model = build_model(config.config_from_dict({"params": params}).params)
+    assert _is_mirror(block_generator(P, model)[0])
+    h = build_H(P, model)
+    e0, e1, mult = _ground_triple(scipy.linalg.eigvalsh(h), 1e-8)
+    got = ground_data(P, model)
+    tol = 1e-12 * np.linalg.norm(h, 2)
+    assert got[2] == mult and mult % 2 == 0
+    assert abs(got[0] - e0) <= tol
+    assert (got[1] is None and e1 is None) or abs(got[1] - e1) <= tol
 
 
 INVALID_CONFIGS = {
@@ -130,3 +187,40 @@ def test_verify_with_one_momentum_completes(tmp_path):
     code, out = _run(tmp_path, "verify", {"n_P": 1, "verify": fast})
     assert code == 0
     assert json.loads((out / "verify_report.json").read_text())["exit_code"] == 0
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_truncation_beyond_physical_memory_exits_2(tmp_path, capsys, monkeypatch,
+                                                  command):
+    # a host too small for the Fock-dim-45 rung only; the configs stay tiny,
+    # so a broken check runs small models instead of exhausting memory
+    monkeypatch.setattr(config, "physical_memory",
+                        lambda: config.dense_storage_bytes(45) - 1)
+    code, out = _run(tmp_path, command, {"convergence_ladder": [[0, 2], [2, 2]]})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: convergence_ladder rung [2, 2]: "
+                          "truncated Fock dimension 45")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+def test_rung_under_the_basis_limit_can_exceed_memory(tmp_path, monkeypatch):
+    # Fock dim 24,310 is under the basis limit, but one dense complex Fock
+    # matrix alone takes 8.8 GiB
+    monkeypatch.setattr(config, "physical_memory", lambda: 64 * 2**30)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"convergence_ladder": [[9, 2]]}))
+    with pytest.raises(ConfigError, match=r"rung \[9, 2\].* 24310 needs about"):
+        load_config(str(path))
+
+
+def test_memory_limit_follows_the_host_figure(tmp_path, monkeypatch):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"params": {"N_max": 2}}))  # Fock dim 325
+    need = config.dense_storage_bytes(325)
+    assert need == config.DENSE_COPIES * 16 * 650**2
+    monkeypatch.setattr(config, "physical_memory", lambda: need)
+    assert load_config(str(path)).params.N_max == 2
+    monkeypatch.setattr(config, "physical_memory", lambda: need - 1)
+    with pytest.raises(ConfigError, match="params: truncated Fock dimension 325"):
+        load_config(str(path))

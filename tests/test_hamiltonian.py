@@ -17,6 +17,7 @@ from pffiber.hamiltonian import (
     build_H0,
     build_H_SL,
     build_T,
+    build_T_expanded,
     build_model,
     build_v,
     h0_diag,
@@ -126,17 +127,12 @@ def test_T_direct_vs_expanded(default_params, rng):
         e = rng.uniform(0.0, 0.3)
         P = rng.uniform(-1.0, 1.0, 3)
         model = build_model(default_params.replace(e=float(e)))
-        td = build_T(P, model, "direct")
-        te = build_T(P, model, "expanded")
+        td = build_T(P, model)
+        te = build_T_expanded(P, model)
         rel = np.linalg.norm(td - te) / np.linalg.norm(td)
         assert rel <= 1e-12
         assert hermiticity_defect(td) <= 1e-12 * np.max(np.abs(td))
         assert np.linalg.eigvalsh(td)[0] >= -1e-10 * np.linalg.norm(td, 2)
-
-
-def test_T_mode_validation(default_model):
-    with pytest.raises(ValueError):
-        build_T(np.zeros(3), default_model, mode="bogus")
 
 
 def test_dirac_rest_spectrum():

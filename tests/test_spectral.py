@@ -164,7 +164,12 @@ def test_cache_save_is_atomic(tmp_path, default_model):
 
 @pytest.mark.parametrize(
     "content",
-    ["{not json", "[1, 2]", json.dumps({"format": CACHE_FORMAT - 1, "entries": {}})],
+    [
+        "{not json",
+        "[1, 2]",
+        json.dumps({"format": 2, "entries": {}}),
+        json.dumps({"format": CACHE_FORMAT - 1, "entries": {}}),
+    ],
 )
 def test_cache_unusable_file_warns(tmp_path, capsys, default_model, content):
     path = tmp_path / "cache.json"

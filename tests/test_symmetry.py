@@ -1,5 +1,6 @@
-"""Rotation group of the mode grid, the orbit reduction of Delta(P) and the
-block diagonalization of H(P) under its stabilizer."""
+"""Point group of the mode grid, the orbit reduction of Delta(P) and the
+block diagonalization of H(P) under its stabilizer, by a rotation or by a
+mirror."""
 
 import numpy as np
 import pytest
@@ -8,10 +9,13 @@ from scipy.spatial.transform import Rotation
 
 from pffiber.hamiltonian import (
     SIGMA,
+    _is_mirror,
+    _mirror_blocks,
     block_generator,
     build_H,
     build_H_blocks,
     build_model,
+    build_v,
 )
 from pffiber.modes import (
     build_mode_set,
@@ -31,26 +35,40 @@ from pffiber.spectral import (
 
 P_ALONG_X = np.array([0.9345368022869702, 0.0, 0.0])
 P_GENERIC = np.array([0.31, -0.47, 0.62])
+# a Delta trial P - k of mid-sweep: P along x, k transverse; only the mirror
+# z -> -z fixes it
+P_MIRROR_Z = np.array([0.9345368022869702, -0.8, 0.0])
+# in the plane x = y, which is a mirror of the 2-, 6- and 8-direction grids
+P_MIRROR_XY = np.array([0.4, 0.4, 0.25])
+DIRECTION_COUNTS = (2, 6, 8, 12)
 
 
 def _rotations(params):
     return grid_rotations(form_factors(build_mode_set(params), params))
 
 
+def _proper(group):
+    return [g for g in group if np.linalg.det(g) > 0]
+
+
 @pytest.mark.parametrize("n_dirs, order", [(2, 8), (6, 24), (8, 24), (12, 12)])
 def test_group_order_per_direction_set(default_params, n_dirs, order):
+    """``order`` is that of the det +1 subgroup; with the improper elements
+    the grid's point group is twice as large and holds the inversion."""
     group = _rotations(default_params.replace(n_dirs=n_dirs))
-    assert len(group) == order
+    assert len(group) == 2 * order
+    assert len(_proper(group)) == order
     keys = {g.tobytes() for g in group}
-    assert np.eye(3).tobytes() in keys
+    assert np.eye(3).tobytes() in keys and np.diag([-1.0] * 3).tobytes() in keys
     for a in group:
-        assert np.allclose(a @ a.T, np.eye(3)) and np.linalg.det(a) > 0
+        assert np.allclose(a @ a.T, np.eye(3)) and abs(np.linalg.det(a)) == 1.0
         for b in group:
             assert (a @ b).tobytes() in keys  # closed under composition
 
 
 def test_model_carries_the_group(default_model):
-    assert len(default_model.rotations) == 24
+    assert len(default_model.rotations) == 48
+    assert len(_proper(default_model.rotations)) == 24
 
 
 def test_ground_energy_invariant_under_the_group(default_model):
@@ -63,9 +81,23 @@ def test_ground_energy_invariant_under_the_group(default_model):
 
 
 def test_stabilizers(default_model):
-    assert len(stabilizer(default_model.rotations, np.zeros(3))) == 24
-    assert len(stabilizer(default_model.rotations, P_ALONG_X)) == 4
-    assert len(stabilizer(default_model.rotations, P_GENERIC)) == 1
+    # (P, |stabilizer|, |its det +1 part|); along x it is C4v
+    sizes = [(np.zeros(3), 48, 24), (P_ALONG_X, 8, 4), (P_MIRROR_Z, 2, 1),
+             (P_GENERIC, 1, 1)]
+    for P, full, proper in sizes:
+        stab = stabilizer(default_model.rotations, P)
+        assert len(stab) == full and len(_proper(stab)) == proper
+
+
+@pytest.mark.parametrize("n_dirs", DIRECTION_COUNTS)
+def test_ground_energy_invariant_under_improper_elements(default_params, n_dirs):
+    model = build_model(default_params.replace(n_dirs=n_dirs))
+    improper = [g for g in model.rotations if np.linalg.det(g) < 0]
+    assert len(improper) == len(model.rotations) // 2
+    P = np.random.default_rng(7).uniform(-1.0, 1.0, size=3)
+    e_p = ground_data(P, model)[0]
+    for m in improper:
+        assert abs(ground_data(m @ P, model)[0] - e_p) <= 1e-12
 
 
 def test_orbit_representatives_along_x(default_model):
@@ -90,12 +122,21 @@ def test_orbit_reduced_delta_equals_full_trial_set(default_model, P):
     assert abs(delta_gap(P, default_model) - _delta_all_trials(P, default_model)) <= 1e-12
 
 
+def test_mirror_reduces_the_delta_orbits(default_model):
+    # z -> -z merges the trials +z and -z of each radial shell
+    P = np.array([0.31, -0.47, 0.0])
+    stab = stabilizer(default_model.rotations, P)
+    assert len(orbit_representatives(default_trial_set(default_model), stab)) == 11
+    assert abs(delta_gap(P, default_model) - _delta_all_trials(P, default_model)) <= 1e-12
+
+
 # ----------------------------------------------------------------------
 # block diagonalization of H(P) under its grid stabilizer
 # ----------------------------------------------------------------------
 
 def _spin_rotation(r):
-    """D(R) = cos(phi/2) - i sin(phi/2) n.sigma from the rotation vector."""
+    """D(R) = cos(phi/2) - i sin(phi/2) n.sigma from the rotation vector of
+    a proper rotation R."""
     rotvec = Rotation.from_matrix(r).as_rotvec()
     phi = np.linalg.norm(rotvec)
     n_sigma = np.einsum("k,kab->ab", rotvec / phi, SIGMA)
@@ -137,6 +178,10 @@ def test_generators_on_the_octahedral_grid(default_model):
     assert order(np.array([0.4, 0.4, 0.4])) == 3
     assert order(np.array([0.3, 0.3, 0.0])) == 2
     assert block_generator(P_GENERIC, default_model) is None
+    # at P = 0 the rotations win, though S4 and S6 have larger order
+    assert np.linalg.det(block_generator(np.zeros(3), default_model)[0]) > 0
+    mirror = block_generator(P_MIRROR_Z, default_model)[0]
+    assert _is_mirror(mirror) and np.array_equal(mirror, np.diag([1.0, 1.0, -1.0]))
 
 
 @pytest.mark.parametrize(
@@ -152,12 +197,15 @@ def test_block_spectra_equal_the_dense_spectrum(default_model, P):
     assert np.max(np.abs(got - np.linalg.eigvalsh(h))) <= 1e-12 * np.linalg.norm(h, 2)
 
 
-def test_generic_momentum_is_one_dense_block(default_model):
-    blocks = build_H_blocks(P_GENERIC, default_model)
-    assert len(blocks) == 1
-    assert np.array_equal(blocks[0], build_H(P_GENERIC, default_model))
-    dense = _ground_triple(scipy.linalg.eigvalsh(build_H(P_GENERIC, default_model)), 1e-8)
-    assert ground_data(P_GENERIC, default_model) == dense
+def test_generic_momentum_is_one_dense_block(default_params):
+    for n_dirs in DIRECTION_COUNTS:
+        model = build_model(default_params.replace(n_dirs=n_dirs))
+        assert len(stabilizer(model.rotations, P_GENERIC)) == 1
+        blocks = build_H_blocks(P_GENERIC, model)
+        assert len(blocks) == 1
+        assert np.array_equal(blocks[0], build_H(P_GENERIC, model))
+        dense = _ground_triple(scipy.linalg.eigvalsh(build_H(P_GENERIC, model)), 1e-8)
+        assert ground_data(P_GENERIC, model) == dense
 
 
 def test_mid_model_ground_level_along_x(default_params):
@@ -172,13 +220,88 @@ def test_mid_model_ground_level_along_x(default_params):
 
 
 def test_rotation_without_mode_action_gives_one_block(default_params):
-    # on the cube-diagonal grid a turn about (1,1,1) moves eps off the frame
-    model = build_model(default_params.replace(n_dirs=8))
-    P = np.array([0.4, 0.4, 0.4])
-    stab = stabilizer(model.rotations, P)
-    assert len(stab) == 3
-    assert all(mode_action(r, model.modes) is None
-               for r in stab if not np.array_equal(r, np.eye(3)))
-    assert block_generator(P, model) is None
-    blocks = build_H_blocks(P, model)
-    assert len(blocks) == 1 and np.array_equal(blocks[0], build_H(P, model))
+    # a turn about (1,1,1) moves eps off the frame on the icosahedral grid,
+    # whose mirrors are the coordinate planes only; on the cube-diagonal
+    # grid the mirror y = z has no mode action either
+    for n_dirs, P, size in [(12, np.array([0.4, 0.4, 0.4]), 3),
+                            (8, np.array([0.4, 0.3, 0.3]), 2)]:
+        model = build_model(default_params.replace(n_dirs=n_dirs))
+        stab = stabilizer(model.rotations, P)
+        assert len(stab) == size
+        assert all(mode_action(r, model.modes) is None
+                   for r in stab if not np.array_equal(r, np.eye(3)))
+        assert block_generator(P, model) is None
+        blocks = build_H_blocks(P, model)
+        assert len(blocks) == 1 and np.array_equal(blocks[0], build_H(P, model))
+
+
+# ----------------------------------------------------------------------
+# the two blocks of H(P) under a mirror that fixes P
+# ----------------------------------------------------------------------
+
+def _mirrors_with_action(model, P):
+    out = []
+    for m in stabilizer(model.rotations, P):
+        if _is_mirror(m) and (action := mode_action(m, model.modes)) is not None:
+            out.append((m, *action))
+    return out
+
+
+def _mirror_plane_momenta(n_dirs):
+    # the coordinate planes are mirrors of every grid, x = y is not one of
+    # the icosahedral grid
+    return [P_MIRROR_Z] + ([] if n_dirs == 12 else [P_MIRROR_XY])
+
+
+@pytest.mark.parametrize("n_dirs", DIRECTION_COUNTS)
+def test_mirror_block_spectra_equal_the_dense_spectrum(default_params, n_dirs):
+    model = build_model(default_params.replace(n_dirs=n_dirs))
+    for P in _mirror_plane_momenta(n_dirs) + [np.zeros(3)]:
+        h = build_H(P, model)
+        dense = np.linalg.eigvalsh(h)
+        tol = 1e-12 * np.linalg.norm(h, 2)
+        mirrors = _mirrors_with_action(model, P)
+        assert mirrors
+        for m, perm, signs in mirrors:
+            blocks = _mirror_blocks(P, model, m, perm, signs)
+            assert [b.shape[0] for b in blocks] == [model.dim, model.dim]
+            got = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+            assert np.max(np.abs(got - dense)) <= tol
+        if P.any():  # no rotation with a mode action fixes these momenta
+            assert _is_mirror(block_generator(P, model)[0])
+            got = np.sort(np.concatenate(
+                [np.linalg.eigvalsh(b) for b in build_H_blocks(P, model)]))
+            assert np.max(np.abs(got - dense)) <= tol
+
+
+@pytest.mark.parametrize("n_dirs", DIRECTION_COUNTS)
+def test_mirror_commutes_with_H_and_anticommutes_with_sigma_v(default_params, n_dirs):
+    """U = D(-M) x Gamma(M), built one state at a time: U H U^dagger = H and
+    U (sigma.v) U^dagger = -sigma.v, so U^2 = -1."""
+    model = build_model(default_params.replace(n_dirs=n_dirs))
+    for P in _mirror_plane_momenta(n_dirs):
+        h = build_H(P, model)
+        v = build_v(P, model)
+        s = sum(np.kron(SIGMA[j], v[j]) for j in range(3))
+        for m, perm, signs in _mirrors_with_action(model, P):
+            u = np.kron(_spin_rotation(-m), _state_rotation(model.basis, perm, signs))
+            assert np.allclose(u.conj().T @ u, np.eye(len(u)), rtol=0, atol=1e-14)
+            assert np.allclose(u @ u, -np.eye(len(u)), rtol=0, atol=1e-14)
+            diff = u @ h @ u.conj().T - h
+            assert np.linalg.norm(diff, 2) <= 1e-12 * np.linalg.norm(h, 2)
+            anti = u @ s @ u.conj().T + s
+            assert np.linalg.norm(anti, 2) <= 1e-12 * np.linalg.norm(s, 2)
+
+
+def test_mid_model_mirror_trial(default_params):
+    # the Delta trials of mid-sweep that no rotation fixes: two blocks of
+    # n = 325 in place of one dense n = 650 solve
+    model = build_model(default_params.replace(N_max=2))
+    h = build_H(P_MIRROR_Z, model)
+    e0, e1, mult = _ground_triple(scipy.linalg.eigvalsh(h), 1e-8)
+    blocks = build_H_blocks(P_MIRROR_Z, model)
+    assert [b.shape[0] for b in blocks] == [325, 325]
+    got = ground_data(P_MIRROR_Z, model)
+    assert got[2] == mult == 2
+    scale = 1e-12 * np.linalg.norm(h, 2)
+    assert abs(got[0] - e0) <= scale and abs(got[1] - e1) <= scale
