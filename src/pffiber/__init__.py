@@ -24,7 +24,7 @@ from .modes import (
     form_factors,
     grid_rotations,
 )
-from .fock import FockBasis, annihilator, dgamma, enumerate_basis, field_sum
+from .fock import FockBasis, annihilator, enumerate_basis, field_sum
 from .hamiltonian import (
     FiberModel,
     build_A0,
@@ -39,8 +39,10 @@ from .hamiltonian import (
     build_model,
     build_v,
     interaction_norm,
+    kinetic_root,
     op_sqrt_eig,
     op_sqrt_quad,
+    sigma_dot_v,
 )
 from .spectral import (
     EnergyCache,
@@ -58,7 +60,6 @@ from .bounds import (
     bound_constants,
     build_L_minus,
     build_L_plus,
-    check_op_leq,
     corollary_energy_bounds,
     count_below,
     sqrt_monotone_test,

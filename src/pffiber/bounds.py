@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import FiberModel, _as_model, build_H, op_sqrt_eig
+from .hamiltonian import FiberModel, _as_model, build_H, kinetic_root, op_sqrt_eig
 # ground_data is unused here but stays bound: the tests of
 # perfbench/tracer.py check that tracing patches this module's copy
 from .spectral import (  # noqa: F401
@@ -138,21 +138,6 @@ def build_L_plus(P, params_or_model, consts: BoundConstants | None = None):
     if np.any(radicand < 0.0):  # impossible by construction
         raise ValueError("negative radicand in the upper comparison operator")
     return p.gamma * np.sqrt(radicand) + hf
-
-
-def check_op_leq(a: np.ndarray, b: np.ndarray, tol: float = SANDWICH_TOL):
-    """Whether A <= B as quadratic forms: (holds, min eig of B - A).
-
-    ``holds`` is true when the minimum eigenvalue of B - A stays above
-    ``-tol * max(||A||, ||B||)``.
-    """
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    min_eig = float(np.linalg.eigvalsh(b - a)[0])
-    scale = max(
-        float(np.linalg.norm(a, ord=2)), float(np.linalg.norm(b, ord=2)), 1e-300
-    )
-    return min_eig >= -tol * scale, min_eig
 
 
 def count_below(h, threshold: float) -> int:
@@ -277,7 +262,7 @@ def taylor_remainder_min_eig(P, params_or_model) -> float:
     arg = absp * np.eye(model.dim) - x
     val = math.sqrt(absp**2 + p.M**2)
     rest = (
-        op_sqrt_eig(arg @ arg + p.M**2 * np.eye(model.dim))
+        kinetic_root(arg, p.M)
         - val * np.eye(model.dim)
         - (absp / val) * (-x)
     )

@@ -259,6 +259,14 @@ def run_verify_cmd(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
     return code
 
 
+def _count(text: str) -> int:
+    """A command-line integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pffiber",
@@ -270,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", metavar="PATH", default=None)
         sp.add_argument("--out", metavar="DIR", default=None)
-        sp.add_argument("--threads", metavar="N", type=int, default=None)
-        sp.add_argument("--seed", metavar="N", type=int, default=None)
+        sp.add_argument("--threads", metavar="N", type=_count, default=None)
+        sp.add_argument("--seed", metavar="N", type=_count, default=None)
         sp.add_argument("--cache", metavar="PATH", default=None)
     return ap
 

@@ -10,6 +10,7 @@ used by the heavier property suites.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -49,15 +50,11 @@ class Tolerances:
     clifford: float = 1e-10
     pauli_identity_rel: float = 1e-12
     sqrt_crossval: float = 1e-8
-    hermiticity_rel: float = 1e-12
     theta_comm: float = 1e-12
     sandwich: float = 1e-9
-    eig_residual: float = 1e-9
     cluster_rel: float = 1e-8
     parity: float = 1e-10
-    psd_clamp: float = 1e-10
     property_suite: float = 1e-10
-    pairing: float = 1e-8
     delta_free: float = 1e-10
 
 
@@ -83,7 +80,6 @@ class RunConfig:
     P_max: float = 2.0
     n_P: int = 11
     P_list: tuple | None = None  # explicit momenta override the radial ladder
-    tasks: tuple = ("spectrum", "bounds", "kramers")
     tolerances: Tolerances = field(default_factory=Tolerances)
     verify: VerifySettings = field(default_factory=VerifySettings)
     convergence_ladder: tuple = ((0, 2), (1, 2), (2, 2))
@@ -116,7 +112,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
     out = asdict(cfg)
     if out["P_list"] is not None:
         out["P_list"] = [list(p) for p in out["P_list"]]
-    out["tasks"] = list(out["tasks"])
     out["convergence_ladder"] = [list(r) for r in out["convergence_ladder"]]
     out["verify"]["e_values"] = list(out["verify"]["e_values"])
     return out
@@ -156,6 +151,52 @@ def _parse_momentum(p) -> tuple:
     return P
 
 
+def _number(value, what: str, positive: bool = False) -> float:
+    """A finite real >= 0, or > 0 when ``positive``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or value < 0
+        or (positive and value == 0)
+    ):
+        bound = "> 0" if positive else ">= 0"
+        raise ConfigError(f"{what} must be a finite number {bound}, got {value!r}")
+    return float(value)
+
+
+def _integer(value, what: str, low: int, high: int | None = None) -> int:
+    """An integer in [low, high]."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < low
+        or (high is not None and value > high)
+    ):
+        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigError(f"{what} must be an integer {span}, got {value!r}")
+    return value
+
+
+def _verify_settings(raw: dict) -> VerifySettings:
+    e_values = raw["e_values"]
+    if not isinstance(e_values, list):
+        raise ConfigError(f"verify.e_values must be a list, got {e_values!r}")
+    counts = ("n_random_draws", "n_sqrt_draws", "n_property_vectors",
+              "n_monotone_trials")
+    return VerifySettings(
+        **{
+            **raw,
+            **{k: _integer(raw[k], f"verify.{k}", 1) for k in counts},
+            "e_values": tuple(_number(e, "verify.e_values entry") for e in e_values),
+            "monotone_dim": _integer(raw["monotone_dim"], "verify.monotone_dim", 1, 32),
+            "e_star": _number(raw["e_star"], "verify.e_star"),
+            "e_max_random": _number(raw["e_max_random"], "verify.e_max_random"),
+            "seed": _integer(raw["seed"], "verify.seed", 0),
+        }
+    )
+
+
 def config_from_dict(data: dict) -> RunConfig:
     base = config_to_dict(default_config())
     unknown = set(data) - set(base)
@@ -164,6 +205,8 @@ def config_from_dict(data: dict) -> RunConfig:
     merged = {**base, **data}
     for key in ("params", "small_params", "tolerances", "verify"):
         if key in data:
+            if not isinstance(data[key], dict):
+                raise ConfigError(f"'{key}' must be an object")
             sub = base[key].copy()
             bad = set(data[key]) - set(sub)
             if bad:
@@ -179,6 +222,12 @@ def config_from_dict(data: dict) -> RunConfig:
             rungs.append(((n_max, n_shells), rung))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
+    if not isinstance(merged["P_list"], (list, type(None))):
+        raise ConfigError(f"P_list must be a list or null, got {merged['P_list']!r}")
+    if not isinstance(merged["out_dir"], str) or not isinstance(
+        merged["cache_path"], (str, type(None))
+    ):
+        raise ConfigError("out_dir must be a path, cache_path a path or null")
     _check_model(params, "params")
     _check_model(small, "small_params")
     for spec, rung in rungs:
@@ -186,23 +235,22 @@ def config_from_dict(data: dict) -> RunConfig:
     return RunConfig(
         params=params,
         small_params=small,
-        P_max=float(merged["P_max"]),
-        n_P=int(merged["n_P"]),
+        P_max=_number(merged["P_max"], "P_max"),
+        n_P=_integer(merged["n_P"], "n_P", 0),
         P_list=None
         if merged["P_list"] is None
         else tuple(_parse_momentum(p) for p in merged["P_list"]),
-        tasks=tuple(merged["tasks"]),
-        tolerances=Tolerances(**merged["tolerances"]),
-        verify=VerifySettings(
+        tolerances=Tolerances(
             **{
-                **merged["verify"],
-                "e_values": tuple(merged["verify"]["e_values"]),
+                k: _number(v, f"tolerances.{k}", positive=True)
+                for k, v in merged["tolerances"].items()
             }
         ),
+        verify=_verify_settings(merged["verify"]),
         convergence_ladder=tuple(spec for spec, _ in rungs),
         cache_path=merged["cache_path"],
         out_dir=merged["out_dir"],
-        threads=int(merged["threads"]),
+        threads=_integer(merged["threads"], "threads", 0),
     )
 
 

@@ -142,15 +142,6 @@ def dgamma_diag(basis: FockBasis, c) -> np.ndarray:
     return basis.states @ c
 
 
-def dgamma(basis: FockBasis, c) -> np.ndarray:
-    """Second quantization dGamma(c) as a dense diagonal matrix.
-
-    Specializations: field energy (c = omega), field momentum components
-    (c = k_j), number operator (c = 1).
-    """
-    return np.diag(dgamma_diag(basis, c))
-
-
 def field_sum(basis: FockBasis, coeffs) -> np.ndarray:
     """sum_m conj(c_m) a_m + c_m a_m^dagger; Hermitian by construction.
 

@@ -3,9 +3,10 @@
 Central objects, all dense matrices:
 
 - v_j(P)   = P_j - dGamma(k_j) + A(0)_j            (Fock space, real symmetric)
-- T(P)     = (sigma . v)^2                          (C^2 tensor Fock)
+- s(P)     = sigma . v                              (C^2 tensor Fock)
+- T(P)     = s(P)^2                                 (C^2 tensor Fock)
 - D(P)     = alpha . v + M beta                     (C^4 tensor Fock)
-- H(P)     = gamma sqrt(T(P) + M^2) + H_f           (C^2 tensor Fock)
+- H(P)     = gamma f(s(P)) + H_f,  f(x) = sqrt(x^2 + M^2)   (C^2 tensor Fock)
 - H_SL(P)  = gamma sqrt(sum_j v_j^2 + M^2) + H_f    (spinless, Fock space)
 - H_0(P)   = gamma sqrt((P - P_f)^2 + M^2) + H_f    (free, diagonal)
 
@@ -18,16 +19,20 @@ mode action commutes with H(P) through U(R) = D(det(R) R) x Gamma(R):
 D turns the spin by the proper part of R (the spin is a pseudovector), and
 Gamma(R) is the signed permutation of occupation states. A rotation
 commutes with sigma.v; a mirror anticommutes with it, which H tolerates
-because it depends on sigma.v only through (sigma.v)^2. H(P) is assembled
-on each eigenspace of U, which is built per call from Fourier sums over the
-Gamma-orbits. ``build_H`` stays the dense reference.
+because f is even. H(P) is assembled on each eigenspace of U, which is
+built per call from Fourier sums over the Gamma-orbits. ``build_H`` stays
+the dense reference.
 
-The matrix square root has two independent implementations: the spectral
-reference ``op_sqrt_eig`` and the resolvent-integral quadrature
-``op_sqrt_quad`` evaluating (1/pi) int_0^inf dt t^{-1/2} a^2 / (t + a^2)
-via the substitution t = scale * s / (1 - s), s = sin^2(theta), which maps the
-integral onto a smooth integrand on [0, pi/2] handled by doubled
-Gauss-Legendre panels.
+Every H(P) applies the one kernel ``kinetic_root`` to s(P) or to its
+projection on a symmetry block: f of the eigenvalues of s, so T(P) is never
+formed on the way to H; the mirror blocks take the same f of the singular
+values of the same s.  Two square roots of a PSD matrix stay beside it:
+``op_sqrt_eig``, the generic spectral reference (spinless H_SL, interaction
+norm, monotonicity suite), and the independent cross-check
+``op_sqrt_quad``, the resolvent-integral quadrature evaluating
+(1/pi) int_0^inf dt t^{-1/2} a^2 / (t + a^2) via the substitution
+t = scale * s / (1 - s), s = sin^2(theta), which maps the integral onto a
+smooth integrand on [0, pi/2] handled by doubled Gauss-Legendre panels.
 
 All builders are pure; matrices are freshly allocated per call, so sharing
 across threads is safe.
@@ -173,11 +178,16 @@ def spin_curl(v):
     return out
 
 
+def sigma_dot_v(P, model: FiberModel) -> np.ndarray:
+    """s(P) = sigma . v on C^2 tensor Fock, Hermitian."""
+    v = build_v(P, model)
+    return sum(np.kron(SIGMA[j], v[j]) for j in range(3))
+
+
 def build_T(P, model: FiberModel) -> np.ndarray:
     """(sigma . v)^2 on C^2 tensor Fock, the square of the assembled spinor
     operator."""
-    v = build_v(P, model)
-    s = sum(np.kron(SIGMA[j], v[j]) for j in range(3))
+    s = sigma_dot_v(P, model)
     return s @ s
 
 
@@ -240,6 +250,17 @@ def op_sqrt_eig(h: np.ndarray, tol_psd: float = DEFAULT_PSD_TOL) -> np.ndarray:
     return hermitize(root)
 
 
+def kinetic_root(s: np.ndarray, M: float) -> np.ndarray:
+    """f(s) = sqrt(s^2 + M^2) of a Hermitian s, from the eigenpairs of s.
+
+    f(lambda) >= M > 0 on every eigenvalue, so no clamp is needed.
+    """
+    require_hermitian(s, what="kinetic_root input")
+    lam, u = np.linalg.eigh(s)
+    root = (u * np.sqrt(lam * lam + M * M)) @ u.conj().T
+    return hermitize(root)
+
+
 def _sqrt_quad_nodes(h: np.ndarray, scale: float, n: int) -> np.ndarray:
     x, wts = np.polynomial.legendre.leggauss(n)
     theta = 0.25 * math.pi * (x + 1.0)
@@ -293,11 +314,10 @@ def hf_spinor(model: FiberModel, spin_dim: int = 2) -> np.ndarray:
 
 
 def build_H(P, params_or_model) -> np.ndarray:
-    """Fiber Hamiltonian gamma sqrt(T(P) + M^2) + H_f on C^2 tensor Fock."""
+    """Fiber Hamiltonian gamma f(sigma.v) + H_f on C^2 tensor Fock."""
     model = _as_model(params_or_model)
     p = model.params
-    t = build_T(P, model)
-    root = op_sqrt_eig(t + p.M**2 * np.eye(2 * model.dim))
+    root = kinetic_root(sigma_dot_v(P, model), p.M)
     return hermitize(p.gamma * root + hf_spinor(model))
 
 
@@ -440,9 +460,9 @@ def build_H_blocks(P, params_or_model) -> list:
     where D(R) = cos(pi/n) - i sin(pi/n) n.sigma turns the spin.  U^n = -1,
     and block j is H(P) on the eigenspace exp(i pi (2j + 1) / n) of U,
     spanned by chi_+ x (Gamma eigenvectors a = j + 1) and chi_- x (Gamma
-    eigenvectors a = j).  Each block is gamma sqrt(s_j^2 + M^2) + H_f with
-    s_j = sigma.v projected on the block: s commutes with U, so
-    (s^2)_j = s_j^2.  Empty eigenspaces give no block.
+    eigenvectors a = j).  Each block is gamma f(s_j) + H_f with s_j =
+    sigma.v projected on the block: s commutes with U, so f(s)_j = f(s_j).
+    Empty eigenspaces give no block.
 
     A mirror M: see :func:`_mirror_blocks`; the two blocks have dimension
     dim each.
@@ -472,7 +492,7 @@ def build_H_blocks(P, params_or_model) -> list:
             ]
         )
         hf = np.concatenate([model.hf[up[0][0]], model.hf[down[0][0]]])
-        root = op_sqrt_eig(s @ s + p.M**2 * np.eye(s.shape[0]))
+        root = kinetic_root(s, p.M)
         blocks.append(hermitize(p.gamma * root + np.diag(hf)))
     return blocks
 
@@ -487,9 +507,10 @@ def _mirror_blocks(P, model: FiberModel, mirror, perm, signs) -> list:
     U commutes with H(P) but anticommutes with s = sigma.v, so s has no
     diagonal part on these eigenspaces (projecting it there gives zero):
     it maps the -i space onto the +i space by S and back by S^dagger.
-    With the SVD S = W Sigma V^dagger, sqrt(s^2 + M^2) is
-    V sqrt(Sigma^2 + M^2) V^dagger on the -i space and
-    W sqrt(Sigma^2 + M^2) W^dagger on the +i space.
+    With the SVD S = W Sigma V^dagger, the eigenvalues of s are +-Sigma, so
+    f(s) = sqrt(s^2 + M^2), the same function that :func:`kinetic_root`
+    applies to the eigenvalues of s, is V f(Sigma) V^dagger on the -i space
+    and W f(Sigma) W^dagger on the +i space.
     """
     p = model.params
     plus, minus = _spin_eigenvectors(-mirror, 2)
@@ -545,7 +566,8 @@ def interaction_norm(P, params_or_model) -> float:
     """Operator norm of (|D(P)| - |D_0(P)|) (H_0(P) + 1)^{-1}.
 
     Evaluated on the C^2 block (the C^4 Dirac operator is block-diagonal with
-    two copies of the same operator, so the norm agrees).
+    two copies of the same operator, so the norm agrees).  |D| is rooted
+    from T(P) + M^2, which is exactly diagonal at e = 0, so the norm is 0.0.
     """
     model = _as_model(params_or_model)
     p = model.params
@@ -565,11 +587,10 @@ def lipschitz_ratio(P, k, params_or_model) -> float:
     p = model.params
     P = np.asarray(P, dtype=float)
     k = np.asarray(k, dtype=float)
-    eye = np.eye(2 * model.dim)
-    root_at = lambda q: op_sqrt_eig(build_T(q, model) + p.M**2 * eye)
-    h = p.gamma * root_at(P) + hf_spinor(model)
-    diff = root_at(P - k) - root_at(P)
-    resolvent = np.linalg.inv(h + eye)
+    root = kinetic_root(sigma_dot_v(P, model), p.M)
+    h = p.gamma * root + hf_spinor(model)
+    diff = kinetic_root(sigma_dot_v(P - k, model), p.M) - root
+    resolvent = np.linalg.inv(h + np.eye(2 * model.dim))
     return float(np.linalg.norm(diff @ resolvent, ord=2)) / float(
         np.linalg.norm(k)
     )

@@ -28,7 +28,6 @@ from .hamiltonian import SIGMA, _as_model, hf_spinor
 from .spectral import DEFAULT_CLUSTER_TOL, EnergyCache, solve_fiber
 
 PAIRING_TOL = 1e-8
-THETA_COMM_TOL = 1e-12
 
 
 def apply_theta(psi: np.ndarray) -> np.ndarray:

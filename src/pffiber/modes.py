@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +84,10 @@ class ModelParams:
     envelope_width: float = 0.0
 
     def __post_init__(self):
+        for name in ("n_shells", "n_dirs", "N_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
         if self.e < 0.0:

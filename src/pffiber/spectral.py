@@ -12,12 +12,12 @@ Delta(P) <= omega(0) = m_ph exactly) and the grid wavevectors.
 Two dense solves exist.  :func:`solve_fiber` is the one solve per momentum
 that every per-P consumer reads (the CLI reports, the gap-bound report, the
 Kramers certificate, the verify checks): it builds H(P) once, runs one
-``eigh`` and keeps a small :class:`FiberSolve` record -- eigenvalues, low
-eigenvectors, residuals, sandwich margins -- then drops H.  The record is
-kept in the :class:`EnergyCache` under its key, so one run solves each key
-once.  :func:`ground_data` is the eigenvalues-only path (``eigvalsh``) used
-for the trial momenta of Delta(P), the convergence ladder and the verify
-checks that need E(P) only.  It solves H(P) block by block
+``eigh`` and keeps a small :class:`FiberSolve` record -- eigenvalues,
+residuals, sandwich margins -- then drops H and the eigenvectors.  The
+record is kept in the :class:`EnergyCache` under its key, so one run solves
+each key once.  :func:`ground_data` is the eigenvalues-only path
+(``eigvalsh``) used for the trial momenta of Delta(P), the convergence
+ladder and the verify checks that need E(P) only.  It solves H(P) block by block
 (:func:`pffiber.hamiltonian.build_H_blocks`): when an element of the grid's
 point group fixes P, H(P) splits into the eigenspaces of that element.  A
 momentum with a C4 stabilizer costs four solves of a quarter of the size;
@@ -50,7 +50,7 @@ DEFAULT_CLUSTER_TOL = 1e-8
 P_QUANTUM = 1e-12
 N_LOW_VECTORS = 4
 RESIDUAL_TOL = 1e-9
-CACHE_FORMAT = 4
+CACHE_FORMAT = 5
 
 
 class EigensolverError(RuntimeError):
@@ -236,10 +236,10 @@ def ground_data(
 class FiberSolve:
     """One dense eigendecomposition of H(P) and what the consumers read from it.
 
-    Holds no dim x dim array: H and the full eigenvector matrix are dropped
-    once the residuals are taken.  ``residuals`` has the worst eigenpair
-    residual of the low vectors, the Hermiticity defect of H and the relative
-    theta-commutation residual.  ``ground_pairing`` is the
+    Holds no eigenvector: H and the eigenvectors are dropped once the
+    residuals are taken.  ``residuals`` has the worst eigenpair residual of
+    the ``N_LOW_VECTORS`` lowest eigenvectors, the Hermiticity defect of H
+    and the relative theta-commutation residual.  ``ground_pairing`` is the
     (theta-partner residual, |<v, theta v>|) of the ground vector.
     ``sandwich`` is (lower, upper, scale) of
     :func:`pffiber.bounds.sandwich_margins`, or None at gamma >= 1.
@@ -247,7 +247,6 @@ class FiberSolve:
 
     P: tuple
     eigenvalues: np.ndarray
-    low_vectors: np.ndarray
     E: float
     E1: float | None
     mult: int
@@ -301,7 +300,6 @@ def solve_fiber(
     solve = FiberSolve(
         P=tuple(float(x) for x in P),
         eigenvalues=vals,
-        low_vectors=low,
         E=triple[0],
         E1=triple[1],
         mult=triple[2],

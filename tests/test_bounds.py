@@ -8,7 +8,6 @@ from pffiber.bounds import (
     bound_constants,
     build_L_minus,
     build_L_plus,
-    check_op_leq,
     corollary_energy_bounds,
     count_below,
     sandwich_margins,
@@ -80,20 +79,6 @@ def test_sandwich_holds(default_params, e, px):
     lower, upper, scale = sandwich_margins(np.array([px, 0.0, 0.0]), model)
     assert lower >= -1e-9 * scale
     assert upper >= -1e-9 * scale
-
-
-def test_check_op_leq_basics(rng):
-    holds, margin = check_op_leq(np.eye(2), np.eye(2))
-    assert holds and margin == pytest.approx(0.0, abs=1e-14)
-    holds, margin = check_op_leq(np.diag([1.0, 2.0]), np.diag([2.0, 2.0]))
-    assert holds and margin == pytest.approx(0.0, abs=1e-14)
-    a = rng.standard_normal((5, 5))
-    a = a + a.T
-    v = rng.standard_normal((5, 1))
-    holds, margin = check_op_leq(a, a + v @ v.T)
-    assert holds and margin >= -1e-12
-    with pytest.raises(ValueError):
-        check_op_leq(np.eye(2), np.eye(3))
 
 
 def test_count_below_examples():

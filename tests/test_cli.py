@@ -168,17 +168,61 @@ def test_verify_luminal_guard_path(tmp_path):
 
 
 def test_verify_failed_check_exits_1(tmp_path):
-    # no |E(P) - E(-P)| is below a negative tolerance: check 11a fails
-    cfg = write_cfg(tmp_path, {"tolerances": {"parity": -1.0}})
+    # e = 0.1 on the coupling ladder lies above e* = 0.05, so no Kramers
+    # certificate can be issued there: check 4 fails
+    cfg = write_cfg(tmp_path, {"verify": {"e_star": 0.05}})
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
     report = json.loads((out / "verify_report.json").read_text())
     assert report["exit_code"] == 1
     failed = [c["name"] for c in report["checks"] if c["hard"] and not c["passed"]]
-    assert failed == ["11a parity symmetry E(P) = E(-P)"]
+    assert failed == ["4 Kramers degeneracy"]
     # the removed symmetry-breaking setting is now an unknown config key
     old = write_cfg(tmp_path, {"verify": {"break_symmetry": True}}, name="old.json")
     assert main(["verify", "--config", old, "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n_P": -1},
+        {"n_P": 2.5},
+        {"P_max": "x"},
+        {"P_max": "nan", "n_P": 2},
+        {"threads": "x"},
+        {"verify": {"e_values": 5}},
+        {"verify": {"e_values": [0.0, -0.1]}},
+        {"verify": {"e_star": float("inf")}},
+        {"verify": {"n_random_draws": -1, "n_sqrt_draws": -1}},
+        {"verify": {"n_property_vectors": 0}},
+        {"verify": {"monotone_dim": 33}},
+        {"verify": {"seed": "x"}},
+        {"verify": 5},
+        {"tolerances": {"sandwich": "x"}},
+        {"tolerances": {"parity": 0.0}},
+        {"params": {"N_max": 1.5}},
+        {"convergence_ladder": [[1.5, 2]]},
+        {"P_list": 5},
+        {"cache_path": 5},
+        # removed settings
+        {"tasks": ["spectrum"]},
+        {"tolerances": {"pairing": 1e-8}},
+    ],
+)
+def test_malformed_config_exits_2(tmp_path, capsys, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--threads"])
+def test_negative_count_flag_is_a_usage_error(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", flag, "-1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "expected an integer >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cluster_rel", [1e-8, 1e-6])

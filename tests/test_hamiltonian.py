@@ -1,15 +1,18 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pffiber.fock import enumerate_basis, hermiticity_defect
+from pffiber import bounds, hamiltonian, spectral
+from pffiber.fock import enumerate_basis, hermiticity_defect, hermitize
 from pffiber.hamiltonian import (
     ALPHA,
     BETA,
     NotPositiveSemidefiniteError,
     QuadratureNotConverged,
+    block_generator,
     build_A0,
     build_B0,
     build_D,
@@ -23,6 +26,7 @@ from pffiber.hamiltonian import (
     h0_diag,
     hf_spinor,
     interaction_norm,
+    kinetic_root,
     lipschitz_ratio,
     op_sqrt_eig,
     op_sqrt_quad,
@@ -337,3 +341,56 @@ def test_h0_diag_matches_matrix(default_model):
         np.kron(np.ones(2), h0_diag(P, default_model)),
         np.diag(build_H0(P, default_model)),
     )
+
+
+@pytest.mark.parametrize("M", [1.0, 0.3])
+@pytest.mark.parametrize("n", [6, 12])
+def test_kinetic_root_matches_both_square_roots(rng, M, n):
+    # indefinite s with an exact zero eigenvalue: f(0) = M is the floor
+    lam = np.concatenate([[0.0], rng.uniform(-2.0, 2.0, n - 1)])
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    s = hermitize((q * lam) @ q.conj().T)
+    root = kinetic_root(s, M)
+    t = s @ s + M * M * np.eye(n)
+    scale = np.linalg.norm(root, 2)
+    assert np.max(np.abs(root - op_sqrt_eig(t))) <= 1e-12 * scale
+    assert np.max(np.abs(root - op_sqrt_quad(t, tol=1e-13, scale=M * M))) <= (
+        1e-12 * scale
+    )
+
+
+@pytest.mark.parametrize("n_dirs", [2, 6, 8, 12])
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_H_matches_the_T_form_oracle(default_params, n_dirs, n_max):
+    model = build_model(default_params.replace(n_shells=1, n_dirs=n_dirs, N_max=n_max))
+    p = model.params
+    P = np.array([0.31, -0.47, 0.62])
+    h = build_H(P, model)
+    t = build_T(P, model)
+    oracle = p.gamma * op_sqrt_eig(t + p.M**2 * np.eye(t.shape[0])) + hf_spinor(model)
+    assert np.max(np.abs(h - oracle)) <= 1e-12 * np.linalg.norm(h, 2)
+
+
+def test_no_H_builder_forms_T_or_the_psd_root(default_model, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("H(P) is built from kinetic_root(sigma_dot_v)")
+
+    for fn in ("build_T", "op_sqrt_eig"):
+        real = getattr(hamiltonian, fn)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("pffiber") and getattr(mod, fn, None) is real:
+                monkeypatch.setattr(mod, fn, refuse)
+    model = default_model
+    generic = np.array([0.31, -0.47, 0.62])
+    c4 = np.array([0.7, 0.0, 0.0])
+    mirror = np.array([0.7, -0.8, 0.0])
+    assert block_generator(generic, model) is None
+    assert np.linalg.det(block_generator(c4, model)[0]) > 0
+    assert np.linalg.det(block_generator(mirror, model)[0]) < 0
+    for P in (generic, c4, mirror):
+        assert spectral.solve_fiber(P, model).sandwich is not None
+        spectral.ground_data(P, model)
+    assert spectral.delta_gap(c4, model) <= model.params.m_ph + 1e-12
+    bounds.sandwich_margins(c4, model)
+    lipschitz_ratio(c4, 0.1 * np.array([0.6, 0.0, 0.8]), model)
+    bounds.taylor_remainder_min_eig(c4, model)
