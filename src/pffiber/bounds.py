@@ -30,9 +30,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import FiberModel, _as_model, build_H, kinetic_root, op_sqrt_eig
-# ground_data is unused here but stays bound: the tests of
-# perfbench/tracer.py check that tracing patches this module's copy
+# build_H and ground_data are unused here but stay bound: the tests of
+# perfbench/tracer.py check that tracing patches this module's copies
+from .hamiltonian import (  # noqa: F401
+    FiberModel,
+    _as_model,
+    build_H,
+    build_H_blocks,
+    kinetic_root,
+    op_sqrt_eig,
+)
 from .spectral import (  # noqa: F401
     EnergyCache,
     FiberSolve,
@@ -147,31 +154,38 @@ def count_below(h, threshold: float) -> int:
     return int(np.searchsorted(vals, threshold, side="left"))
 
 
-def sandwich_margins(
-    P,
-    params_or_model,
-    consts: BoundConstants | None = None,
-    h: np.ndarray | None = None,
-    h_norm: float | None = None,
-):
+def sandwich_margins(P, params_or_model, consts: BoundConstants | None = None):
     """min eig(H(|P|u) - L_-) and min eig(L_+ - H(|P|u)), with the scale.
 
     The Hamiltonian is evaluated at |P| u as in the comparison statements;
-    rotation covariance of E(P) is probed separately.  A caller holding
-    ``h`` = H(P) passes it (and its 2-norm ``h_norm``, if known); it is
-    reused when P == |P| u exactly and ignored otherwise.
+    rotation covariance of E(P) is probed separately.  The margins and the
+    scale ||H(|P|u)||_2 are taken block by block (:func:`block_margins`).
     """
     model = _as_model(params_or_model)
+    blocks = build_H_blocks(float(np.linalg.norm(P)) * U_DIRECTION, model)
+    scale = max(float(np.linalg.norm(b.h, ord=2)) for b in blocks)
+    return block_margins(P, model, blocks, scale, consts)
+
+
+def block_margins(P, model: FiberModel, blocks, scale: float, consts=None):
+    """:func:`sandwich_margins` from the blocks of H(|P|u) and its 2-norm.
+
+    L_-(P) and L_+(P) are spin-trivial, diagonal in the occupation basis and
+    functions of H_f, |P_f|^2 and u.P_f, so they are constant on the
+    Gamma-orbits of every element of the grid that fixes u: on a block of
+    :func:`pffiber.hamiltonian.build_H_blocks` at |P| u they are diagonal,
+    read at the orbit representatives ``block.rows``.
+    """
     if consts is None:
         consts = bound_constants(model)
-    absp = float(np.linalg.norm(P))
-    if h is None or not np.array_equal(P, absp * U_DIRECTION):
-        h, h_norm = build_H(absp * U_DIRECTION, model), None
-    lm = np.kron(np.ones(2), build_L_minus(P, model, consts))
-    lp = np.kron(np.ones(2), build_L_plus(P, model, consts))
-    lower = float(np.linalg.eigvalsh(h - np.diag(lm))[0])
-    upper = float(np.linalg.eigvalsh(np.diag(lp) - h)[0])
-    scale = float(np.linalg.norm(h, ord=2)) if h_norm is None else h_norm
+    lm = build_L_minus(P, model, consts)
+    lp = build_L_plus(P, model, consts)
+    lower = min(
+        float(np.linalg.eigvalsh(b.h - np.diag(lm[b.rows]))[0]) for b in blocks
+    )
+    upper = min(
+        float(np.linalg.eigvalsh(np.diag(lp[b.rows]) - b.h)[0]) for b in blocks
+    )
     return lower, upper, scale
 
 

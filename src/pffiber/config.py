@@ -31,6 +31,11 @@ class ConfigError(ValueError):
 # for spectrum, the last two building H(P) densely.
 DENSE_COPIES = 8
 
+# Largest momentum list a run accepts (n_P, or the length of P_list).  Every
+# momentum costs a solve of H(P) and its Delta(P) trials, so a longer list
+# is a slip of the keyboard rather than a run to start.
+MAX_MOMENTA = 10_000
+
 
 def dense_storage_bytes(dim: int) -> int:
     """Estimated peak storage of a run at truncated Fock dimension ``dim``."""
@@ -224,6 +229,11 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
     if not isinstance(merged["P_list"], (list, type(None))):
         raise ConfigError(f"P_list must be a list or null, got {merged['P_list']!r}")
+    if merged["P_list"] is not None and len(merged["P_list"]) > MAX_MOMENTA:
+        raise ConfigError(
+            f"P_list holds {len(merged['P_list'])} momenta, more than the "
+            f"limit {MAX_MOMENTA}"
+        )
     if not isinstance(merged["out_dir"], str) or not isinstance(
         merged["cache_path"], (str, type(None))
     ):
@@ -236,7 +246,7 @@ def config_from_dict(data: dict) -> RunConfig:
         params=params,
         small_params=small,
         P_max=_number(merged["P_max"], "P_max"),
-        n_P=_integer(merged["n_P"], "n_P", 0),
+        n_P=_integer(merged["n_P"], "n_P", 0, MAX_MOMENTA),
         P_list=None
         if merged["P_list"] is None
         else tuple(_parse_momentum(p) for p in merged["P_list"]),

@@ -20,8 +20,11 @@ D turns the spin by the proper part of R (the spin is a pseudovector), and
 Gamma(R) is the signed permutation of occupation states. A rotation
 commutes with sigma.v; a mirror anticommutes with it, which H tolerates
 because f is even. H(P) is assembled on each eigenspace of U, which is
-built per call from Fourier sums over the Gamma-orbits. ``build_H`` stays
-the dense reference.
+built per call from Fourier sums over the Gamma-orbits. Time reversal
+theta commutes with U (Gamma is real and D is in SU(2)), so it maps the
+eigenspace of lambda onto that of conj(lambda): the blocks come in
+theta-pairs with equal spectra, and each :class:`HBlock` names its partner.
+``build_H`` stays the dense reference.
 
 Every H(P) applies the one kernel ``kinetic_root`` to s(P) or to its
 projection on a symmetry block: f of the eigenvalues of s, so T(P) is never
@@ -448,13 +451,61 @@ def _project(x, rows, cols):
     return sum(np.conj(cr[t])[:, None] * xw[pr[t], :] for t in range(len(pr)))
 
 
-def build_H_blocks(P, params_or_model) -> list:
+@dataclass(frozen=True, eq=False)
+class HBlock:
+    """One diagonal block h = W^dagger H(P) W of H(P) under its stabilizer.
+
+    Every column of W is chi x f: a spin vector chi times the Fourier sum f
+    over one Gamma-orbit of occupation states.  ``parts`` holds one
+    (chi, pos, coef) per spin vector, (pos, coef) as in
+    :func:`_fock_fourier_basis`; it is empty when W = 1.  ``partner`` is the
+    index, in the full list of :func:`build_H_blocks`, of the block that
+    theta maps this one onto.
+    """
+
+    h: np.ndarray
+    partner: int
+    parts: tuple = ()
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The Fock index of each column's orbit representative.
+
+        A spin-trivial operator 1 x diag(d) with d constant on the
+        Gamma-orbits is diag(d[rows]) on the block.
+        """
+        if not self.parts:
+            fock = np.arange(self.h.shape[0] // 2)
+            return np.concatenate([fock, fock])
+        return np.concatenate([pos[0] for _, pos, _ in self.parts])
+
+    def basis(self, dim: int) -> np.ndarray | None:
+        """W as a dense (2 dim, len(h)) matrix; None when W = 1."""
+        if not self.parts:
+            return None
+        cols = []
+        for chi, pos, coef in self.parts:
+            f = np.zeros((dim, pos.shape[1]), dtype=complex)
+            np.add.at(f, (pos, np.arange(pos.shape[1])), coef)
+            cols.append(np.kron(chi[:, None], f))
+        return np.hstack(cols)
+
+
+def _block(model: FiberModel, root: np.ndarray, partner: int, parts) -> HBlock:
+    """The block gamma f(s) + H_f, from f(s) on its columns ``parts``."""
+    rows = np.concatenate([pos[0] for _, pos, _ in parts])
+    h = model.params.gamma * root + np.diag(model.hf[rows])
+    return HBlock(hermitize(h), partner, parts)
+
+
+def build_H_blocks(P, params_or_model, one_per_pair: bool = False) -> list:
     """Hermitian diagonal blocks of H(P) under its grid stabilizer.
 
     R = :func:`block_generator`, and Gamma(R) is the signed permutation of
     occupation states induced by its mode action.  H_f is diagonal on every
     block because omega(R k) = omega(k); it is read at the smallest state of
-    each Gamma-orbit.  Without such an R the one block is build_H.
+    each Gamma-orbit.  Without such an R the one block is build_H, W = 1,
+    and theta maps it onto itself.
 
     A rotation R of order n: U(R) = D(R) x Gamma(R) commutes with H(P),
     where D(R) = cos(pi/n) - i sin(pi/n) n.sigma turns the spin.  U^n = -1,
@@ -462,28 +513,32 @@ def build_H_blocks(P, params_or_model) -> list:
     spanned by chi_+ x (Gamma eigenvectors a = j + 1) and chi_- x (Gamma
     eigenvectors a = j).  Each block is gamma f(s_j) + H_f with s_j =
     sigma.v projected on the block: s commutes with U, so f(s)_j = f(s_j).
-    Empty eigenspaces give no block.
+    Empty eigenspaces give no block.  theta maps block j onto block
+    n - 1 - j, whose eigenvalue is the conjugate; both are empty or neither.
 
     A mirror M: see :func:`_mirror_blocks`; the two blocks have dimension
-    dim each.
+    dim each and are each other's partner.
+
+    With ``one_per_pair`` only the blocks up to their partner are built: a
+    prefix of the full list, whose ``partner`` indices still refer to it.
     """
     model = _as_model(params_or_model)
     sym = block_generator(P, model)
     if sym is None:
-        return [build_H(P, model)]
+        return [HBlock(build_H(P, model), partner=0)]
     r, perm, signs = sym
     if np.linalg.det(r) < 0:
-        return _mirror_blocks(P, model, r, perm, signs)
+        return _mirror_blocks(P, model, r, perm, signs, one_per_pair)
     n = _rotation_order(r)
-    p = model.params
     plus, minus = _spin_eigenvectors(r, n)
     axial, flip = _spin_frame(P, model, plus, minus)
     fourier = _fock_fourier_basis(model.basis, perm, signs, n)
+    kept = [j for j in range(n) if fourier[(j + 1) % n][0].size + fourier[j][0].size]
     blocks = []
-    for j in range(n):
+    for j in kept:
+        if one_per_pair and j > n - 1 - j:
+            break
         up, down = fourier[(j + 1) % n], fourier[j]
-        if up[0].shape[1] + down[0].shape[1] == 0:  # an empty eigenspace
-            continue
         corner = _project(flip, up, down)
         s = np.block(
             [
@@ -491,13 +546,15 @@ def build_H_blocks(P, params_or_model) -> list:
                 [corner.conj().T, -_project(axial, down, down)],
             ]
         )
-        hf = np.concatenate([model.hf[up[0][0]], model.hf[down[0][0]]])
-        root = kinetic_root(s, p.M)
-        blocks.append(hermitize(p.gamma * root + np.diag(hf)))
+        root = kinetic_root(s, model.params.M)
+        parts = ((plus, *up), (minus, *down))
+        blocks.append(_block(model, root, kept.index(n - 1 - j), parts))
     return blocks
 
 
-def _mirror_blocks(P, model: FiberModel, mirror, perm, signs) -> list:
+def _mirror_blocks(
+    P, model: FiberModel, mirror, perm, signs, one_per_pair: bool = False
+) -> list:
     """The two blocks of H(P) under a mirror M of the grid that fixes P.
 
     -M is the half turn about the mirror normal u, so D(-M) chi_+- =
@@ -510,9 +567,9 @@ def _mirror_blocks(P, model: FiberModel, mirror, perm, signs) -> list:
     With the SVD S = W Sigma V^dagger, the eigenvalues of s are +-Sigma, so
     f(s) = sqrt(s^2 + M^2), the same function that :func:`kinetic_root`
     applies to the eigenvalues of s, is V f(Sigma) V^dagger on the -i space
-    and W f(Sigma) W^dagger on the +i space.
+    and W f(Sigma) W^dagger on the +i space.  theta maps the -i space onto
+    the +i space; with ``one_per_pair`` only the -i block is built.
     """
-    p = model.params
     plus, minus = _spin_eigenvectors(-mirror, 2)
     axial, flip = _spin_frame(P, model, plus, minus)
     even, odd = _fock_fourier_basis(model.basis, perm, signs, 2)
@@ -524,18 +581,13 @@ def _mirror_blocks(P, model: FiberModel, mirror, perm, signs) -> list:
     )
     del axial, flip
     w, sigma, vh = scipy.linalg.svd(s)
-    root = np.sqrt(sigma * sigma + p.M**2)
-    hf_even, hf_odd = model.hf[even[0][0]], model.hf[odd[0][0]]
-    return [
-        hermitize(
-            p.gamma * ((vh.conj().T * root) @ vh)
-            + np.diag(np.concatenate([hf_even, hf_odd]))
-        ),
-        hermitize(
-            p.gamma * ((w * root) @ w.conj().T)
-            + np.diag(np.concatenate([hf_odd, hf_even]))
-        ),
-    ]
+    root = np.sqrt(sigma * sigma + model.params.M**2)
+    minus_i = ((plus, *even), (minus, *odd))
+    blocks = [_block(model, (vh.conj().T * root) @ vh, 1, minus_i)]
+    if not one_per_pair:
+        plus_i = ((plus, *odd), (minus, *even))
+        blocks.append(_block(model, (w * root) @ w.conj().T, 0, plus_i))
+    return blocks
 
 
 def build_H_SL(P, params_or_model) -> np.ndarray:

@@ -10,6 +10,9 @@ The time reversal operator is the antiunitary
 with theta^2 = -1.  Any Hamiltonian commuting with theta has purely even
 eigenvalue multiplicities (Kramers); combined with the min-max count of at
 most two eigenvalues below Sigma_-(P), the ground level is exactly two-fold.
+theta also commutes with the grid symmetries that block H(P), so it maps
+each block onto a partner block; :func:`block_theta_residuals` checks
+theta block by block, through the map K between the two block bases.
 
 The same argument applies to related models: the nonrelativistic fiber
 operator, and position-space models with an even external potential, where
@@ -30,17 +33,22 @@ from .spectral import DEFAULT_CLUSTER_TOL, EnergyCache, solve_fiber
 PAIRING_TOL = 1e-8
 
 
+def _theta(x: np.ndarray) -> np.ndarray:
+    """(sigma_2 tensor 1) conj(x), column by column."""
+    half = x.shape[0] // 2
+    out = np.empty(x.shape, dtype=complex)
+    conj = np.conj(x)
+    out[:half] = -1.0j * conj[half:]
+    out[half:] = 1.0j * conj[:half]
+    return out
+
+
 def apply_theta(psi: np.ndarray) -> np.ndarray:
     """theta psi = (sigma_2 tensor 1) conj(psi); antiunitary and isometric."""
     psi = np.asarray(psi)
     if psi.ndim != 1 or psi.shape[0] % 2:
         raise ValueError("state must be a vector on C^2 tensor Fock")
-    half = psi.shape[0] // 2
-    out = np.empty(psi.shape[0], dtype=complex)
-    conj = np.conj(psi)
-    out[:half] = -1.0j * conj[half:]
-    out[half:] = 1.0j * conj[:half]
-    return out
+    return _theta(psi)
 
 
 def theta_squared_sign(dim_fock: int) -> float:
@@ -69,6 +77,32 @@ def check_reality_relations(params_or_model) -> dict:
     return res
 
 
+def theta_map(w_src: np.ndarray | None, w_dst: np.ndarray | None):
+    """K = W_dst^dagger theta W_src: theta W_src x = W_dst K conj(x).
+
+    W_src and W_dst are the bases (:meth:`pffiber.hamiltonian.HBlock.basis`)
+    of a block and of the block theta maps it onto.  None when W = 1, where
+    K = sigma_2 tensor 1.
+    """
+    if w_src is None:
+        return None
+    return w_dst.conj().T @ _theta(w_src)
+
+
+def theta_defect(h_src: np.ndarray, h_dst: np.ndarray, k=None) -> float:
+    """||K conj(H_src) K^dagger - H_dst||_F, K of :func:`theta_map`.
+
+    The first term is the theta-image of block H_src; with K = None it is
+    (s2 x 1) conj(H) (s2 x 1) = theta H theta^{-1}.
+    """
+    if k is None:
+        s2 = np.kron(SIGMA[1], np.eye(h_src.shape[0] // 2))
+        twisted = s2 @ np.conj(h_src) @ s2
+    else:
+        twisted = k @ np.conj(h_src) @ k.conj().T
+    return float(np.linalg.norm(twisted - h_dst))
+
+
 def check_theta_commutes(h: np.ndarray) -> float:
     """Relative commutation residual of a C^2 tensor Fock Hamiltonian.
 
@@ -77,9 +111,33 @@ def check_theta_commutes(h: np.ndarray) -> float:
     """
     if h.shape[0] % 2:
         raise ValueError("spinor dimension must be even")
-    s2 = np.kron(SIGMA[1], np.eye(h.shape[0] // 2))
-    twisted = s2 @ np.conj(h) @ s2
-    return float(np.linalg.norm(twisted - h) / np.linalg.norm(h))
+    return theta_defect(h, h) / float(np.linalg.norm(h))
+
+
+def block_theta_residuals(blocks, dim: int, ground: int, lam: float, x, h_norm):
+    """The theta checks of H(P), read from its blocks.
+
+    ``blocks`` are those of :func:`pffiber.hamiltonian.build_H_blocks`, and
+    (lam, x) is an eigenpair of block ``ground``.  Returns the relative
+    commutation residual ||theta H theta^{-1} - H||_F / ||H||_F, with every
+    block compared against the theta-image of its partner, and the
+    (pairing residual, |<v, theta v>|) of v = W x, with theta v = W' K conj(x)
+    mapped through the same K.  With one block, W = 1, these are
+    :func:`check_theta_commutes` and :func:`theta_pairing_residuals`.
+    """
+    bases = [b.basis(dim) for b in blocks]
+    maps = [theta_map(w, bases[b.partner]) for b, w in zip(blocks, bases)]
+    defects = [
+        theta_defect(blocks[b.partner].h, b.h, maps[b.partner]) for b in blocks
+    ]
+    norms = [float(np.linalg.norm(b.h)) for b in blocks]
+    comm = math.hypot(*defects) / math.hypot(*norms)
+    j = blocks[ground].partner
+    k = maps[ground]
+    tx = apply_theta(x) if k is None else k @ np.conj(x)
+    res = float(np.linalg.norm(blocks[j].h @ tx - lam * tx)) / max(h_norm, 1e-300)
+    v, tv = (x, tx) if k is None else (bases[ground] @ x, bases[j] @ tx)
+    return comm, (res, abs(complex(np.vdot(v, tv))))
 
 
 def theta_pairing_residuals(h: np.ndarray, vals, vecs, h_norm=None):

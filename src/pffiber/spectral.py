@@ -9,20 +9,25 @@ gap function is
 approximated on a finite trial set that always contains k = 0 (so
 Delta(P) <= omega(0) = m_ph exactly) and the grid wavevectors.
 
-Two dense solves exist.  :func:`solve_fiber` is the one solve per momentum
-that every per-P consumer reads (the CLI reports, the gap-bound report, the
-Kramers certificate, the verify checks): it builds H(P) once, runs one
-``eigh`` and keeps a small :class:`FiberSolve` record -- eigenvalues,
-residuals, sandwich margins -- then drops H and the eigenvectors.  The
-record is kept in the :class:`EnergyCache` under its key, so one run solves
-each key once.  :func:`ground_data` is the eigenvalues-only path
-(``eigvalsh``) used for the trial momenta of Delta(P), the convergence
-ladder and the verify checks that need E(P) only.  It solves H(P) block by block
+Both solves work on the blocks of H(P) under its grid stabilizer
 (:func:`pffiber.hamiltonian.build_H_blocks`): when an element of the grid's
 point group fixes P, H(P) splits into the eigenspaces of that element.  A
-momentum with a C4 stabilizer costs four solves of a quarter of the size;
+momentum with a C4 stabilizer gives four blocks of a quarter of the size;
 one that only a mirror fixes, such as a Delta trial P - k with P along an
-axis and k transverse to it, costs two of half the size.
+axis and k transverse to it, gives two of half the size; a generic momentum
+gives one block, the dense H(P).  Time reversal theta maps each block onto
+a partner with the same spectrum.
+
+:func:`solve_fiber` is the one solve per momentum that every per-P consumer
+reads (the CLI reports, the gap-bound report, the Kramers certificate, the
+verify checks).  It runs ``eigh`` on every block, so the theta-pairs are
+compared rather than assumed, and keeps a small :class:`FiberSolve` record
+-- eigenvalues, residuals, sandwich margins -- then drops the blocks and the
+eigenvectors.  The record is kept in the :class:`EnergyCache` under its key,
+so one run solves each key once.  :func:`ground_data` is the
+eigenvalues-only path (``eigvalsh``) used for the trial momenta of
+Delta(P), the convergence ladder and the verify checks that need E(P) only:
+it solves one block per theta-pair and counts its eigenvalues twice.
 
 For R in the grid's point group G, rotations and improper elements alike,
 H(R q) is unitarily equivalent to H(q).  If R also fixes P, the trials k
@@ -43,14 +48,14 @@ import numpy as np
 import scipy.linalg
 
 from .fock import hermiticity_defect
-from .hamiltonian import FiberModel, _as_model, build_H, build_H_blocks
+from .hamiltonian import FiberModel, _as_model, build_H_blocks
 from .modes import ModelParams, dispersion, orbit_representatives, stabilizer
 
 DEFAULT_CLUSTER_TOL = 1e-8
 P_QUANTUM = 1e-12
 N_LOW_VECTORS = 4
 RESIDUAL_TOL = 1e-9
-CACHE_FORMAT = 5
+CACHE_FORMAT = 6
 
 
 class EigensolverError(RuntimeError):
@@ -199,8 +204,15 @@ class EnergyCache:
 
 
 def _ground_triple(vals, cluster_tol: float) -> tuple:
-    """(E, E1, ground multiplicity) from ascending eigenvalues."""
-    mult = cluster_degeneracy(vals, cluster_tol)[0][1]
+    """(E, E1, ground multiplicity) from ascending eigenvalues.
+
+    The multiplicity is that of the first cluster of
+    :func:`cluster_degeneracy`: the first step vals[i] - vals[i-1] above
+    ``cluster_tol * max(1, |vals[i]|)`` ends it.
+    """
+    vals = np.asarray(vals, dtype=float)
+    steps = np.diff(vals) > cluster_tol * np.maximum(1.0, np.abs(vals[1:]))
+    mult = int(np.argmax(steps)) + 1 if steps.any() else len(vals)
     e1 = float(vals[mult]) if len(vals) > mult else None
     return float(vals[0]), e1, mult
 
@@ -216,17 +228,20 @@ def ground_data(
     E is the smallest eigenvalue; the multiplicity comes from greedy
     clustering at ``cluster_tol``; E1 is the smallest eigenvalue strictly
     above the ground cluster (None if the truncation holds no second level).
-    Eigenvalues only, of each block of :func:`build_H_blocks`; every block
-    is solved, so the Kramers partners come from separate solves.
+    Eigenvalues only, of one block of :func:`build_H_blocks` per
+    theta-pair: the partner has the same spectrum, so the eigenvalues of a
+    block that theta maps onto another are counted twice, and those of a
+    block it maps onto itself once.
     """
     model = _as_model(params_or_model)
     key = EnergyCache.key(model.params, P, cluster_tol)
     if cache is not None and (hit := cache.get(key)) is not None:
         return hit
-    vals = np.concatenate(
-        [scipy.linalg.eigvalsh(block) for block in build_H_blocks(P, model)]
-    )
-    out = _ground_triple(np.sort(vals), cluster_tol)
+    spectra = []
+    for i, block in enumerate(build_H_blocks(P, model, one_per_pair=True)):
+        vals = scipy.linalg.eigvalsh(block.h)
+        spectra += [vals] if block.partner == i else [vals, vals]
+    out = _ground_triple(np.sort(np.concatenate(spectra)), cluster_tol)
     if cache is not None:
         cache.put(key, out)
     return out
@@ -234,12 +249,17 @@ def ground_data(
 
 @dataclass(frozen=True, eq=False)
 class FiberSolve:
-    """One dense eigendecomposition of H(P) and what the consumers read from it.
+    """The eigendecomposition of every block of H(P), and what the consumers
+    read from it.
 
-    Holds no eigenvector: H and the eigenvectors are dropped once the
-    residuals are taken.  ``residuals`` has the worst eigenpair residual of
-    the ``N_LOW_VECTORS`` lowest eigenvectors, the Hermiticity defect of H
-    and the relative theta-commutation residual.  ``ground_pairing`` is the
+    ``eigenvalues`` are those of all blocks, sorted, so E, E1, ``mult`` and
+    the counts below a threshold mean what they mean for the dense H(P);
+    ``h_norm`` is the largest |eigenvalue|.  Holds no eigenvector: the
+    blocks and the eigenvectors are dropped once the residuals are taken.
+    ``residuals`` has the worst eigenpair residual of the ``N_LOW_VECTORS``
+    lowest eigenvectors of each block, the largest Hermiticity defect of a
+    block and the relative theta-commutation residual, each block against
+    the theta-image of its partner.  ``ground_pairing`` is the
     (theta-partner residual, |<v, theta v>|) of the ground vector.
     ``sandwich`` is (lower, upper, scale) of
     :func:`pffiber.bounds.sandwich_margins`, or None at gamma >= 1.
@@ -262,12 +282,12 @@ def solve_fiber(
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
     cache: EnergyCache | None = None,
 ) -> FiberSolve:
-    """Build H(P) once, diagonalize it once, and keep a small record.
+    """Build the blocks of H(P) once, diagonalize each once, keep a record.
 
     A record in ``cache`` under the key of (P, cluster_tol) is returned as
     it is; a new one is stored there with its (E, E1, mult).  The sandwich
-    margins are taken when gamma < 1, reusing H when P == |P| u.  Raises
-    ``EigensolverError`` when an eigenpair residual exceeds
+    margins are taken when gamma < 1, from the same blocks when P == |P| u.
+    Raises ``EigensolverError`` when an eigenpair residual exceeds
     ``RESIDUAL_TOL * ||H||``.
     """
     from . import bounds, kramers  # both modules import this one
@@ -277,26 +297,37 @@ def solve_fiber(
     key = EnergyCache.key(model.params, P, cluster_tol)
     if cache is not None and (hit := cache.get_solve(key)) is not None:
         return hit
-    h = build_H(P, model)
-    try:
-        vals, vecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
-    low_vals = vals[:N_LOW_VECTORS]
-    low = vecs[:, :N_LOW_VECTORS].copy()
-    del vecs
+    blocks = build_H_blocks(P, model)
+    spectra, eig_res = [], 0.0
+    for block in blocks:
+        try:
+            vals, vecs = np.linalg.eigh(block.h)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+            raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
+        low_vals = vals[:N_LOW_VECTORS]
+        low = vecs[:, :N_LOW_VECTORS].copy()
+        del vecs
+        res = np.linalg.norm(block.h @ low - low * low_vals[None, :], axis=0)
+        eig_res = max(eig_res, float(np.max(res)))
+        spectra.append((vals, low))
+    vals = np.sort(np.concatenate([v for v, _ in spectra]))
     h_norm = float(max(abs(vals[0]), abs(vals[-1])))
-    eig_res = float(
-        np.max(np.linalg.norm(h @ low - low * low_vals[None, :], axis=0))
-    )
     if eig_res > RESIDUAL_TOL * max(h_norm, 1e-300):
         raise EigensolverError(
             f"eigenpair residual {eig_res:.3e} exceeds {RESIDUAL_TOL:.1e} * ||H||"
         )
     triple = _ground_triple(vals, cluster_tol)
+    ground = min(range(len(blocks)), key=lambda i: spectra[i][0][0])
+    ground_vals, ground_low = spectra[ground]
+    theta_res, pairing = kramers.block_theta_residuals(
+        blocks, model.dim, ground, ground_vals[0], ground_low[:, 0], h_norm
+    )
     sandwich = None
     if model.params.gamma < 1.0:
-        sandwich = bounds.sandwich_margins(P, model, h=h, h_norm=h_norm)
+        if np.array_equal(P, np.linalg.norm(P) * bounds.U_DIRECTION):
+            sandwich = bounds.block_margins(P, model, blocks, h_norm)
+        else:
+            sandwich = bounds.sandwich_margins(P, model)
     solve = FiberSolve(
         P=tuple(float(x) for x in P),
         eigenvalues=vals,
@@ -306,12 +337,10 @@ def solve_fiber(
         h_norm=h_norm,
         residuals={
             "eigenpair": eig_res,
-            "hermiticity": hermiticity_defect(h),
-            "theta_commutation": kramers.check_theta_commutes(h),
+            "hermiticity": max(hermiticity_defect(b.h) for b in blocks),
+            "theta_commutation": theta_res,
         },
-        ground_pairing=kramers.theta_pairing_residuals(
-            h, low_vals[:1], low[:, :1], h_norm
-        )[0],
+        ground_pairing=pairing,
         sandwich=sandwich,
     )
     if cache is not None:

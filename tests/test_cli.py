@@ -8,6 +8,7 @@ import pytest
 from pffiber import cli, hamiltonian, spectral
 from pffiber.cli import main
 from pffiber.config import (
+    MAX_MOMENTA,
     ConfigError,
     config_from_dict,
     default_config,
@@ -217,6 +218,26 @@ def test_malformed_config_exits_2(tmp_path, capsys, data):
     assert len(err) == 1 and err[0].startswith("config error:")
 
 
+def test_momentum_count_is_bounded(tmp_path, capsys, monkeypatch):
+    # at the limit the config loads; no run is started here
+    assert config_from_dict({"n_P": MAX_MOMENTA}).n_P == MAX_MOMENTA
+    at_limit = [[0.1 * (i % 7), 0.0, 0.0] for i in range(MAX_MOMENTA)]
+    assert len(config_from_dict({"P_list": at_limit}).momenta()) == MAX_MOMENTA
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an over-long momentum list must stop at the config")
+
+    monkeypatch.setattr(cli, "run_spectrum", refuse)
+    for data in ({"n_P": MAX_MOMENTA + 1}, {"n_P": 100_000_000},
+                 {"P_list": at_limit + [[0.0, 0.0, 0.0]]}):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert str(MAX_MOMENTA) in err[0]
+
+
 @pytest.mark.parametrize("flag", ["--seed", "--threads"])
 def test_negative_count_flag_is_a_usage_error(tmp_path, capsys, flag):
     with pytest.raises(SystemExit) as exc:
@@ -228,14 +249,15 @@ def test_negative_count_flag_is_a_usage_error(tmp_path, capsys, flag):
 @pytest.mark.parametrize("cluster_rel", [1e-8, 1e-6])
 def test_verify_solves_each_coupling_momentum_once(tmp_path, monkeypatch, cluster_rel):
     built = []
-    real = spectral.build_H
+    real = spectral.build_H_blocks
 
-    def counted(P, model):
-        built.append((model.params.e, tuple(np.asarray(P, dtype=float))))
-        return real(P, model)
+    def counted(P, model, one_per_pair=False):
+        if not one_per_pair:
+            built.append((model.params.e, tuple(np.asarray(P, dtype=float))))
+        return real(P, model, one_per_pair)
 
-    # within spectral only solve_fiber builds the dense H(P)
-    monkeypatch.setattr(spectral, "build_H", counted)
+    # within spectral only solve_fiber builds every block of H(P)
+    monkeypatch.setattr(spectral, "build_H_blocks", counted)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tolerances": {"cluster_rel": cluster_rel}}))
     out = tmp_path / "out"
@@ -345,9 +367,9 @@ def test_sweep_builds_each_orbit_momentum_once(tmp_path, monkeypatch):
     built = []
 
     def counted(real):
-        def build(P, model):
+        def build(P, model, **kwargs):
             built.append(tuple(np.asarray(P, dtype=float)))
-            return real(P, model)
+            return real(P, model, **kwargs)
 
         return build
 

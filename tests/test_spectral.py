@@ -7,10 +7,11 @@ from numpy.testing import assert_allclose
 
 from pffiber.bounds import bound_constants, count_below, sandwich_margins
 from pffiber.fock import hermiticity_defect
-from pffiber.hamiltonian import build_H, build_model
+from pffiber.hamiltonian import build_H, build_H_blocks, build_model
 from pffiber.kramers import check_theta_commutes, theta_pairing_residuals
 from pffiber.spectral import (
     CACHE_FORMAT,
+    _ground_triple,
     EnergyCache,
     SpectrumReport,
     cluster_degeneracy,
@@ -61,6 +62,18 @@ def test_cluster_examples():
     assert cluster_degeneracy([1.0, 2.0, 3.5], 1e-9) == [(1.0, 1), (2.0, 1), (3.5, 1)]
     with pytest.raises(ValueError):
         cluster_degeneracy([2.0, 1.0], 1e-9)
+
+
+def test_ground_triple_is_the_first_cluster():
+    rng = np.random.default_rng(5)
+    for tol in (1e-8, 0.6):
+        for _ in range(200):
+            levels = rng.uniform(-2.0, 3.0, size=rng.integers(1, 6))
+            vals = np.repeat(levels, rng.integers(1, 4, size=len(levels)))
+            vals = np.sort(vals + rng.normal(0.0, 1e-10, size=len(vals)))
+            mult = cluster_degeneracy(vals, tol)[0][1]
+            e1 = float(vals[mult]) if mult < len(vals) else None
+            assert _ground_triple(vals, tol) == (float(vals[0]), e1, mult)
 
 
 def test_free_spectrum_all_even_multiplicities(default_params):
@@ -217,10 +230,17 @@ def test_fiber_solve_matches_separate_computations(default_params, default_model
     assert_allclose(solve.eigenvalues[:4], vals, rtol=0, atol=1e-12)
     eig_res = np.max(np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0))
     assert abs(solve.residuals["eigenpair"] - eig_res) <= 1e-12
-    assert solve.residuals["hermiticity"] == hermiticity_defect(h)
-    assert solve.residuals["theta_commutation"] == check_theta_commutes(h)
     pairing = theta_pairing_residuals(h, vals[:1], vecs[:, :1])[0]
     assert_allclose(solve.ground_pairing, pairing, rtol=0, atol=1e-12)
+    if len(build_H_blocks(P, default_model)) == 1:  # the generic momentum
+        assert np.array_equal(solve.eigenvalues, np.linalg.eigh(h)[0])
+        assert solve.residuals["hermiticity"] == hermiticity_defect(h)
+        assert solve.residuals["theta_commutation"] == check_theta_commutes(h)
+    else:  # C4 along x: the residuals are taken block by block
+        assert solve.residuals["hermiticity"] <= 1e-12 * solve.h_norm
+        assert hermiticity_defect(h) <= 1e-12 * solve.h_norm
+        assert solve.residuals["theta_commutation"] <= 1e-12
+        assert check_theta_commutes(h) <= 1e-12
     # no eigenvector survives the solve
     assert all(np.ndim(v) < 2 for v in vars(solve).values())
     # no lower comparison operator at gamma = 1, so no sandwich margins

@@ -192,8 +192,8 @@ def test_generators_on_the_octahedral_grid(default_model):
 def test_block_spectra_equal_the_dense_spectrum(default_model, P):
     h = build_H(P, default_model)
     blocks = build_H_blocks(P, default_model)
-    assert sum(b.shape[0] for b in blocks) == 2 * default_model.dim
-    got = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+    assert sum(b.h.shape[0] for b in blocks) == 2 * default_model.dim
+    got = np.sort(np.concatenate([np.linalg.eigvalsh(b.h) for b in blocks]))
     assert np.max(np.abs(got - np.linalg.eigvalsh(h))) <= 1e-12 * np.linalg.norm(h, 2)
 
 
@@ -203,7 +203,7 @@ def test_generic_momentum_is_one_dense_block(default_params):
         assert len(stabilizer(model.rotations, P_GENERIC)) == 1
         blocks = build_H_blocks(P_GENERIC, model)
         assert len(blocks) == 1
-        assert np.array_equal(blocks[0], build_H(P_GENERIC, model))
+        assert np.array_equal(blocks[0].h, build_H(P_GENERIC, model))
         dense = _ground_triple(scipy.linalg.eigvalsh(build_H(P_GENERIC, model)), 1e-8)
         assert ground_data(P_GENERIC, model) == dense
 
@@ -232,7 +232,7 @@ def test_rotation_without_mode_action_gives_one_block(default_params):
                    for r in stab if not np.array_equal(r, np.eye(3)))
         assert block_generator(P, model) is None
         blocks = build_H_blocks(P, model)
-        assert len(blocks) == 1 and np.array_equal(blocks[0], build_H(P, model))
+        assert len(blocks) == 1 and np.array_equal(blocks[0].h, build_H(P, model))
 
 
 # ----------------------------------------------------------------------
@@ -264,13 +264,13 @@ def test_mirror_block_spectra_equal_the_dense_spectrum(default_params, n_dirs):
         assert mirrors
         for m, perm, signs in mirrors:
             blocks = _mirror_blocks(P, model, m, perm, signs)
-            assert [b.shape[0] for b in blocks] == [model.dim, model.dim]
-            got = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+            assert [b.h.shape[0] for b in blocks] == [model.dim, model.dim]
+            got = np.sort(np.concatenate([np.linalg.eigvalsh(b.h) for b in blocks]))
             assert np.max(np.abs(got - dense)) <= tol
         if P.any():  # no rotation with a mode action fixes these momenta
             assert _is_mirror(block_generator(P, model)[0])
             got = np.sort(np.concatenate(
-                [np.linalg.eigvalsh(b) for b in build_H_blocks(P, model)]))
+                [np.linalg.eigvalsh(b.h) for b in build_H_blocks(P, model)]))
             assert np.max(np.abs(got - dense)) <= tol
 
 
@@ -300,7 +300,7 @@ def test_mid_model_mirror_trial(default_params):
     h = build_H(P_MIRROR_Z, model)
     e0, e1, mult = _ground_triple(scipy.linalg.eigvalsh(h), 1e-8)
     blocks = build_H_blocks(P_MIRROR_Z, model)
-    assert [b.shape[0] for b in blocks] == [325, 325]
+    assert [b.h.shape[0] for b in blocks] == [325, 325]
     got = ground_data(P_MIRROR_Z, model)
     assert got[2] == mult == 2
     scale = 1e-12 * np.linalg.norm(h, 2)
