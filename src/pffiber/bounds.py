@@ -163,12 +163,14 @@ def sandwich_margins(P, params_or_model, consts: BoundConstants | None = None):
     """
     model = _as_model(params_or_model)
     blocks = build_H_blocks(float(np.linalg.norm(P)) * U_DIRECTION, model)
-    scale = max(float(np.linalg.norm(b.h, ord=2)) for b in blocks)
-    return block_margins(P, model, blocks, scale, consts)
+    return block_margins(P, model, blocks, consts=consts)
 
 
-def block_margins(P, model: FiberModel, blocks, scale: float, consts=None):
-    """:func:`sandwich_margins` from the blocks of H(|P|u) and its 2-norm.
+def block_margins(P, model: FiberModel, blocks, scale=None, consts=None):
+    """:func:`sandwich_margins` from the blocks of H(|P|u).
+
+    ``scale`` is ||H(|P|u)||_2 when the caller has it (the largest
+    |eigenvalue| of the blocks), else the largest block 2-norm.
 
     L_-(P) and L_+(P) are spin-trivial, diagonal in the occupation basis and
     functions of H_f, |P_f|^2 and u.P_f, so they are constant on the
@@ -176,6 +178,8 @@ def block_margins(P, model: FiberModel, blocks, scale: float, consts=None):
     :func:`pffiber.hamiltonian.build_H_blocks` at |P| u they are diagonal,
     read at the orbit representatives ``block.rows``.
     """
+    if scale is None:
+        scale = max(float(np.linalg.norm(b.h, ord=2)) for b in blocks)
     if consts is None:
         consts = bound_constants(model)
     lm = build_L_minus(P, model, consts)

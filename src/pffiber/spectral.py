@@ -204,15 +204,8 @@ class EnergyCache:
 
 
 def _ground_triple(vals, cluster_tol: float) -> tuple:
-    """(E, E1, ground multiplicity) from ascending eigenvalues.
-
-    The multiplicity is that of the first cluster of
-    :func:`cluster_degeneracy`: the first step vals[i] - vals[i-1] above
-    ``cluster_tol * max(1, |vals[i]|)`` ends it.
-    """
-    vals = np.asarray(vals, dtype=float)
-    steps = np.diff(vals) > cluster_tol * np.maximum(1.0, np.abs(vals[1:]))
-    mult = int(np.argmax(steps)) + 1 if steps.any() else len(vals)
+    """(E, E1, ground multiplicity) from ascending eigenvalues."""
+    mult = cluster_degeneracy(vals, cluster_tol)[0][1]
     e1 = float(vals[mult]) if len(vals) > mult else None
     return float(vals[0]), e1, mult
 
@@ -324,10 +317,11 @@ def solve_fiber(
     )
     sandwich = None
     if model.params.gamma < 1.0:
-        if np.array_equal(P, np.linalg.norm(P) * bounds.U_DIRECTION):
+        P_u = np.linalg.norm(P) * bounds.U_DIRECTION
+        if np.array_equal(P, P_u):
             sandwich = bounds.block_margins(P, model, blocks, h_norm)
         else:
-            sandwich = bounds.sandwich_margins(P, model)
+            sandwich = bounds.block_margins(P, model, build_H_blocks(P_u, model))
     solve = FiberSolve(
         P=tuple(float(x) for x in P),
         eigenvalues=vals,

@@ -11,7 +11,6 @@ from pffiber.hamiltonian import build_H, build_H_blocks, build_model
 from pffiber.kramers import check_theta_commutes, theta_pairing_residuals
 from pffiber.spectral import (
     CACHE_FORMAT,
-    _ground_triple,
     EnergyCache,
     SpectrumReport,
     cluster_degeneracy,
@@ -62,18 +61,6 @@ def test_cluster_examples():
     assert cluster_degeneracy([1.0, 2.0, 3.5], 1e-9) == [(1.0, 1), (2.0, 1), (3.5, 1)]
     with pytest.raises(ValueError):
         cluster_degeneracy([2.0, 1.0], 1e-9)
-
-
-def test_ground_triple_is_the_first_cluster():
-    rng = np.random.default_rng(5)
-    for tol in (1e-8, 0.6):
-        for _ in range(200):
-            levels = rng.uniform(-2.0, 3.0, size=rng.integers(1, 6))
-            vals = np.repeat(levels, rng.integers(1, 4, size=len(levels)))
-            vals = np.sort(vals + rng.normal(0.0, 1e-10, size=len(vals)))
-            mult = cluster_degeneracy(vals, tol)[0][1]
-            e1 = float(vals[mult]) if mult < len(vals) else None
-            assert _ground_triple(vals, tol) == (float(vals[0]), e1, mult)
 
 
 def test_free_spectrum_all_even_multiplicities(default_params):
