@@ -86,7 +86,8 @@ def _scaled_sandwich(solve) -> tuple:
 
 
 def _pool(cfg: RunConfig):
-    workers = cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
+    affinity = getattr(os, "sched_getaffinity", None)  # CPUs this process may use
+    workers = cfg.threads or (len(affinity(0)) if affinity else os.cpu_count() or 1)
     return ThreadPoolExecutor(max_workers=workers)
 
 

@@ -38,7 +38,7 @@ t = scale * s / (1 - s), s = sin^2(theta), which maps the integral onto a
 smooth integrand on [0, pi/2] handled by doubled Gauss-Legendre panels.
 
 All builders are pure; matrices are freshly allocated per call, so sharing
-across threads is safe.
+across threads is safe.  LAPACK is reached through ``numpy.linalg`` alone.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .fock import (
     FockBasis,
@@ -580,7 +579,7 @@ def _mirror_blocks(
         ]
     )
     del axial, flip
-    w, sigma, vh = scipy.linalg.svd(s)
+    w, sigma, vh = np.linalg.svd(s)
     root = np.sqrt(sigma * sigma + model.params.M**2)
     minus_i = ((plus, *even), (minus, *odd))
     blocks = [_block(model, (vh.conj().T * root) @ vh, 1, minus_i)]

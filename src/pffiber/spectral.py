@@ -27,7 +27,8 @@ eigenvectors.  The record is kept in the :class:`EnergyCache` under its key,
 so one run solves each key once.  :func:`ground_data` is the
 eigenvalues-only path (``eigvalsh``) used for the trial momenta of
 Delta(P), the convergence ladder and the verify checks that need E(P) only:
-it solves one block per theta-pair and counts its eigenvalues twice.
+it solves one block per theta-pair and counts its eigenvalues twice.  Both
+call LAPACK through ``numpy.linalg`` only, so one BLAS thread pool serves.
 
 For R in the grid's point group G, rotations and improper elements alike,
 H(R q) is unitarily equivalent to H(q).  If R also fixes P, the trials k
@@ -45,7 +46,6 @@ import tempfile
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-import scipy.linalg
 
 from .fock import hermiticity_defect
 from .hamiltonian import FiberModel, _as_model, build_H_blocks
@@ -55,7 +55,7 @@ DEFAULT_CLUSTER_TOL = 1e-8
 P_QUANTUM = 1e-12
 N_LOW_VECTORS = 4
 RESIDUAL_TOL = 1e-9
-CACHE_FORMAT = 6
+CACHE_FORMAT = 7
 
 
 class EigensolverError(RuntimeError):
@@ -68,16 +68,16 @@ def low_spectrum(h: np.ndarray, m: int, residual_tol: float = RESIDUAL_TOL):
     Residuals ||H v - lambda v|| are checked against
     ``residual_tol * ||H||``.
     """
-    dim = h.shape[0]
-    if not 1 <= m <= dim:
-        raise ValueError(f"requested {m} eigenpairs of a dimension-{dim} matrix")
+    if not 1 <= m <= len(h):
+        raise ValueError(f"requested {m} eigenpairs of a dimension-{len(h)} matrix")
     try:
-        vals, vecs = scipy.linalg.eigh(h, subset_by_index=[0, m - 1])
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        vals, vecs = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
-    scale = float(np.linalg.norm(h, ord=2)) if dim else 0.0
+    scale = max(abs(vals[0]), abs(vals[-1]), 1e-300)
+    vals, vecs = vals[:m], vecs[:, :m]
     res = np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0)
-    if np.any(res > residual_tol * max(scale, 1e-300)):
+    if np.any(res > residual_tol * scale):
         raise EigensolverError(
             f"eigenpair residual {res.max():.3e} exceeds {residual_tol:.1e} * ||H||"
         )
@@ -232,7 +232,7 @@ def ground_data(
         return hit
     spectra = []
     for i, block in enumerate(build_H_blocks(P, model, one_per_pair=True)):
-        vals = scipy.linalg.eigvalsh(block.h)
+        vals = np.linalg.eigvalsh(block.h)
         spectra += [vals] if block.partner == i else [vals, vals]
     out = _ground_triple(np.sort(np.concatenate(spectra)), cluster_tol)
     if cache is not None:

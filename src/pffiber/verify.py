@@ -531,7 +531,7 @@ def check_interaction_trend(ctx: VerifyContext) -> CheckResult:
     ]
     intercept = vals[0]
     ratios = [v / e for v, e in zip(vals[1:], ladder[1:])]
-    drift = (max(ratios) - min(ratios)) / max(ratios)
+    drift = (max(ratios) - min(ratios)) / max(ratios) if max(ratios) else 0.0
     below_star = interaction_norm(
         p_mid, ctx.params_at(ctx.cfg.verify.e_star)
     )

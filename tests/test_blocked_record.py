@@ -1,6 +1,8 @@
 """The spectral record of H(P) built from its symmetry blocks, checked
 against the dense oracle build_H + eigh, and the theta-pairing of the
-blocks that lets ground_data solve one block per pair."""
+blocks that lets ground_data solve one block per pair.  The program's
+solves go through numpy.linalg; one test also checks them against
+scipy.linalg, an independent LAPACK build and driver."""
 
 import math
 
@@ -142,7 +144,7 @@ def test_paired_ground_data_solves_one_block_per_pair(
     assert solved == math.ceil(n_blocks / 2)
     full = np.sort(np.concatenate([np.linalg.eigvalsh(b.h) for b in blocks]))
     e0, e1, mult = _ground_triple(full, spectral.DEFAULT_CLUSTER_TOL)
-    eig = _counting(monkeypatch, scipy.linalg, "eigvalsh")
+    eig = _counting(monkeypatch, np.linalg, "eigvalsh")
     roots = _counting(monkeypatch, hamiltonian, "kinetic_root")
     got = ground_data(P, model)
     assert len(eig) == solved
@@ -151,6 +153,29 @@ def test_paired_ground_data_solves_one_block_per_pair(
     assert len(roots) == (0 if mirror else solved)
     tol = 1e-12 * max(abs(full[0]), abs(full[-1]))
     assert got[2] == mult and abs(got[0] - e0) <= tol and abs(got[1] - e1) <= tol
+
+
+@pytest.mark.parametrize("name", ["x", "mirror", "generic"])
+def test_record_matches_the_scipy_oracle(default_params, name):
+    """solve_fiber and ground_data (numpy's zheevd) against scipy's zheevr on
+    the dense H(P) of the mid model, at a C4, a mirror-plane and a generic
+    momentum."""
+    model = build_model(default_params.replace(N_max=2))
+    P = MOMENTA[name]
+    dense = scipy.linalg.eigvalsh(build_H(P, model))
+    norm = max(abs(dense[0]), abs(dense[-1]))
+    tol = 1e-12 * norm
+    e0, e1, mult = _ground_triple(dense, spectral.DEFAULT_CLUSTER_TOL)
+    solve = solve_fiber(P, model)
+    got = ground_data(P, model)
+    assert solve.mult == got[2] == mult
+    assert abs(solve.E - e0) <= tol and abs(solve.E1 - e1) <= tol
+    assert abs(got[0] - e0) <= tol and abs(got[1] - e1) <= tol
+    assert abs(solve.h_norm - norm) <= tol
+    sigma = bounds.bound_constants(model).sigma_minus(P)
+    assert bounds.count_below(solve.eigenvalues, sigma) == bounds.count_below(
+        dense, sigma
+    )
 
 
 def test_symmetric_momenta_never_build_the_dense_H(default_model, monkeypatch):

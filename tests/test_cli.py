@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import pffiber
 from pffiber import cli, hamiltonian, spectral
 from pffiber.cli import main
 from pffiber.config import (
@@ -418,3 +422,61 @@ def test_corrupt_cache_warns_and_run_completes(tmp_path, capsys):
                  "--cache", str(cache)]) == 0
     assert "warning: ignoring cache" in capsys.readouterr().err
     assert json.loads(cache.read_text())["entries"]
+
+
+def test_pool_is_sized_by_the_cpus_the_process_may_use(monkeypatch):
+    cfg = default_config()
+    assert cfg.threads == 0
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    with cli._pool(cfg) as pool:
+        assert pool._max_workers == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    with cli._pool(cfg) as pool:
+        assert pool._max_workers == 8
+    with cli._pool(replace(cfg, threads=3)) as pool:
+        assert pool._max_workers == 3
+
+
+# Runs a sweep whose momenta are generic (one dense block, eigh), on a C4
+# axis and in a mirror plane (the SVD of the mirror blocks); the Delta(P)
+# trials take eigvalsh.  Prints the kernel call counts and the scipy modules
+# the run loaded.
+ONE_LAPACK_SCRIPT = """
+import json, sys
+import numpy as np
+import pffiber.cli
+
+calls = dict.fromkeys(["eigh", "eigvalsh", "svd"], 0)
+for name in calls:
+    def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+        calls[_name] += 1
+        return _real(*args, **kwargs)
+    setattr(np.linalg, name, counted)
+code = pffiber.cli.main(["sweep", "--config", sys.argv[1], "--out", sys.argv[2]])
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+print(json.dumps({"code": code, "calls": calls, "scipy": loaded}))
+"""
+
+
+def test_the_program_loads_numpy_linalg_only(tmp_path):
+    """numpy.linalg is the one LAPACK of the package: scipy's wheel bundles a
+    second OpenBLAS with a thread pool of its own, and two busy-waiting
+    pools on the same cores slow every dense solve down."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "params": {"n_shells": 1, "n_dirs": 6, "N_max": 1},
+        "P_list": [[0.31, -0.47, 0.62], [0.9, 0.0, 0.0], [0.6, -0.8, 0.0]],
+        "threads": 1,
+    }))
+    src = os.path.dirname(os.path.dirname(pffiber.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    run = subprocess.run(
+        [sys.executable, "-c", ONE_LAPACK_SCRIPT, str(cfg), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    assert all(n > 0 for n in result["calls"].values()), result["calls"]
+    assert result["scipy"] == []

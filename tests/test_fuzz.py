@@ -116,6 +116,59 @@ def test_fuzzed_config_spectrum_and_convergence(tmp_path, capsys, data):
     assert "Traceback" not in capsys.readouterr().err
 
 
+# the check names of `verify` on the default config
+DEFAULT_CHECK_NAMES = [
+    "1 free-theory oracle", "2a Clifford square identity",
+    "2b Pauli expansion identity", "3 square-root cross-validation",
+    "4 Kramers degeneracy", "5 operator sandwich", "6 min-max counting",
+    "7 gap uniformity", "8 gap function bounds", "9 corollary envelope",
+    "10a coupling estimate suite", "10b square-root operator monotonicity",
+    "10c interaction norm trend", "11a parity symmetry E(P) = E(-P)",
+    "11b negative controls flagged", "inv1 reality structure",
+    "inv2 spinless chain bounds", "inv3 mode quadrature weights",
+    "inv4 gap trial-set monotonicity", "inv5 momentum Lipschitz property",
+    "soft1 radial deviation (rotation covariance probe)",
+    "soft2 truncation convergence trend", "inv6 cache determinism",
+]
+MAX_VERIFY_DIM = 60
+FAST_VERIFY = {"e_values": [0.0, 0.1], "n_random_draws": 2, "n_sqrt_draws": 2,
+               "n_property_vectors": 10, "n_monotone_trials": 10}
+
+
+def _draw_verify_configs(count=2):
+    """Drawn configs with photons, at Fock dim <= MAX_VERIFY_DIM; the small
+    model of the property and convergence checks stays the default one."""
+    rng = np.random.default_rng(SEED + 1)
+    configs = []
+    for _ in range(count):
+        n_dirs = int(rng.choice([2, 6, 8, 12]))
+        n_max = int(rng.choice(
+            [n for n in (1, 2) if truncated_dim(2 * n_dirs, n) <= MAX_VERIFY_DIM]
+        ))
+        params = {
+            "n_dirs": n_dirs,
+            "n_shells": 1,
+            "N_max": n_max,
+            "e": round(float(rng.uniform(0.0, 0.3)), 2),
+            "gamma": float(rng.choice([0.5, 1.0])),
+            "m_ph": float(rng.choice([0.0, 0.5])),
+        }
+        momenta = rng.uniform(-1.0, 1.0, (2, 3)).tolist()
+        configs.append({"params": params, "P_list": momenta, "threads": 1,
+                        "verify": FAST_VERIFY})
+    return configs
+
+
+@pytest.mark.parametrize("data", _draw_verify_configs(), ids=_config_id)
+def test_fuzzed_config_verify_reports_every_check(tmp_path, capsys, data):
+    code, out = _run(tmp_path, "verify", data)
+    assert code in (0, 1)
+    report = json.loads((out / "verify_report.json").read_text())
+    assert report["exit_code"] == code
+    assert [c["name"] for c in report["checks"]] == DEFAULT_CHECK_NAMES
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def _mirror_plane_case(n_dirs):
     """The coupled config drawn for the grid and a momentum drawn in one of
     the coordinate planes, which are mirrors of every grid."""
@@ -187,6 +240,16 @@ def test_verify_with_one_momentum_completes(tmp_path):
     code, out = _run(tmp_path, "verify", {"n_P": 1, "verify": fast})
     assert code == 0
     assert json.loads((out / "verify_report.json").read_text())["exit_code"] == 0
+
+
+def test_verify_without_photons_completes(tmp_path, capsys):
+    # at N_max = 0 the interaction norm is 0 at every coupling
+    data = {"params": {"N_max": 0}, "n_P": 2, "verify": FAST_VERIFY}
+    code, out = _run(tmp_path, "verify", data)
+    report = json.loads((out / "verify_report.json").read_text())
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["10c interaction norm trend"]["passed"]
+    assert code == report["exit_code"] and "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
