@@ -8,7 +8,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import pffiber
 from pffiber import cli, hamiltonian, spectral
 from pffiber.cli import main
 from pffiber.config import (
@@ -469,9 +468,7 @@ def test_the_program_loads_numpy_linalg_only(tmp_path):
         "P_list": [[0.31, -0.47, 0.62], [0.9, 0.0, 0.0], [0.6, -0.8, 0.0]],
         "threads": 1,
     }))
-    src = os.path.dirname(os.path.dirname(pffiber.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     run = subprocess.run(
         [sys.executable, "-c", ONE_LAPACK_SCRIPT, str(cfg), str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=120, check=True,

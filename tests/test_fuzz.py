@@ -6,7 +6,9 @@ Each drawn config is a small grid (one radial shell, Fock dimension at most
 exact statements: an even ground multiplicity at e > 0, the free ground
 energy gamma sqrt(P^2 + M^2) at e = 0 and at N_max = 0, and
 Delta(P) <= m_ph.  Per grid, one drawn momentum in a mirror plane is solved
-by mirror blocks and checked against the dense spectrum.
+by mirror blocks and checked against the dense spectrum.  Two more drawn
+configs, at Fock dimension at most 60, run ``verify``, which must exit 0 or
+1 and report every check of the default run.
 """
 
 import json
