@@ -168,6 +168,7 @@ def test_cache_save_is_atomic(tmp_path, default_model):
         "{not json",
         "[1, 2]",
         json.dumps({"format": 2, "entries": {}}),
+        json.dumps({"format": 5, "entries": {}}),
         json.dumps({"format": CACHE_FORMAT - 1, "entries": {}}),
     ],
 )
