@@ -26,6 +26,16 @@ eigenspace of lambda onto that of conj(lambda): the blocks come in
 theta-pairs with equal spectra, and each :class:`HBlock` names its partner.
 ``build_H`` stays the dense reference.
 
+Time reversal has theta^2 = -1, so H(P) has no real form in general.  But
+when the stabilizer of P also holds a mirror sigma that inverts R about an
+axis in its plane, the antiunitary J = theta U(sigma) commutes with H(P)
+and with sigma.v, maps every eigenspace of U(R) onto itself, and squares
+to +1 (theta^2 = U(sigma)^2 = -1, and theta commutes with U).  On its fixed
+vectors each rotation block is real symmetric.  J moves the Fourier
+columns as a monomial matrix, so a J-fixed column combines at most two of
+them.  A mirror-only stabilizer has no real block (J swaps its two
+blocks), and a generic P none at all.
+
 Every H(P) applies the one kernel ``kinetic_root`` to s(P) or to its
 projection on a symmetry block: f of the eigenvalues of s, so T(P) is never
 formed on the way to H; the mirror blocks take the same f of the singular
@@ -330,9 +340,9 @@ def _rotation_order(r: np.ndarray) -> int:
     return n
 
 
-def _is_mirror(r: np.ndarray) -> bool:
-    """Whether the signed permutation r is a reflection: det -1, trace 1."""
-    return bool(np.trace(r) == 1.0 and np.linalg.det(r) < 0)
+def _is_mirror(r: np.ndarray):
+    """Whether each signed permutation in r is a reflection: det -1, trace 1."""
+    return (np.trace(r, axis1=-2, axis2=-1) == 1.0) & (np.linalg.det(r) < 0)
 
 
 def block_generator(P, params_or_model):
@@ -351,9 +361,7 @@ def block_generator(P, params_or_model):
     model = _as_model(params_or_model)
     stab = stabilizer(model.rotations, P)
     best, best_order = None, 1
-    for r in stab:
-        if np.linalg.det(r) < 0:
-            continue
+    for r in stab[np.linalg.det(stab) > 0]:
         order = _rotation_order(r)
         if order > best_order:
             action = mode_action(r, model.modes)
@@ -361,8 +369,8 @@ def block_generator(P, params_or_model):
                 best, best_order = (r, *action), order
     if best is not None:
         return best
-    for r in stab:
-        if _is_mirror(r) and (action := mode_action(r, model.modes)) is not None:
+    for r in stab[_is_mirror(stab)]:
+        if (action := mode_action(r, model.modes)) is not None:
             return (r, *action)
     return None
 
@@ -385,15 +393,9 @@ def _spin_eigenvectors(r: np.ndarray, n: int):
     )
 
 
-def _fock_fourier_basis(basis: FockBasis, perm, signs, n: int):
-    """Eigenbasis of the signed state permutation Gamma(R), Gamma^n = 1.
-
-    Returns, per eigenvalue exp(2 pi i a / n), a = 0..n-1, the pair
-    (pos, coef) of (n, cols) arrays: column c is
-    sum_t coef[t, c] e_{pos[t, c]}, the Fourier sum over the Gamma-orbit of
-    its smallest state pos[0, c].  Built by iterating the state permutation
-    n times.
-    """
+def _state_action(basis: FockBasis, perm, signs):
+    """(step, flip) of the signed state permutation Gamma that a mode action
+    induces: Gamma e_i = flip[i] e_{step[i]}."""
     states = basis.states
     image = np.empty_like(states)
     image[:, perm] = states
@@ -405,6 +407,19 @@ def _fock_fourier_basis(basis: FockBasis, perm, signs, n: int):
     step = np.empty(basis.dim, dtype=np.int64)
     step[order] = np.arange(basis.dim)
     flip = np.where(states[:, signs < 0].sum(axis=1) % 2, -1.0, 1.0)
+    return step, flip
+
+
+def _fock_fourier_basis(basis: FockBasis, perm, signs, n: int):
+    """Eigenbasis of the signed state permutation Gamma(R), Gamma^n = 1.
+
+    Returns, per eigenvalue exp(2 pi i a / n), a = 0..n-1, the pair
+    (pos, coef) of (n, cols) arrays: column c is
+    sum_t coef[t, c] e_{pos[t, c]}, the Fourier sum over the Gamma-orbit of
+    its smallest state pos[0, c].  Built by iterating the state permutation
+    n times.
+    """
+    step, flip = _state_action(basis, perm, signs)
     # Gamma^t e_i = sign[t, i] e_{pos[t, i]}
     pos = np.empty((n + 1, basis.dim), dtype=np.int64)
     sign = np.empty((n + 1, basis.dim))
@@ -427,6 +442,90 @@ def _fock_fourier_basis(basis: FockBasis, perm, signs, n: int):
         )
         out.append((pos[:n, cols], coef))
     return out
+
+
+def _real_structure(P, model: FiberModel, r: np.ndarray, spins):
+    """J = theta U(sigma) for the first mirror sigma of G that fixes P, has a
+    mode action and makes sigma R a mirror, or None.
+
+    sigma R is a mirror when sigma R sigma^T = R^T and the axis of R lies in
+    the plane of sigma (a half turn and the mirror normal to its axis give
+    sigma R = -1).  D(-sigma) = -i u.sigma for the mirror normal u, which is
+    orthogonal to that axis, so J maps each spin vector chi of ``spins``
+    onto phase * chi.  Returns (step, flip, phases), (step, flip) of
+    Gamma(sigma) as in :func:`_state_action`.
+    """
+    stab = stabilizer(model.rotations, P)
+    mirrors = stab[_is_mirror(stab)]
+    for m in mirrors[_is_mirror(mirrors @ r)]:
+        if (action := mode_action(m, model.modes)) is None:
+            continue
+        # 1 - sigma = 2 u u^T: its column at the first largest u_i^2 is
+        # 2 u_i u with u_i > 0, which fixes the sign of u
+        normal = np.eye(3) - m
+        u = normal[:, np.argmax(np.diag(normal))]
+        d = -1.0j * np.einsum("k,kab->ab", u / math.sqrt(float(u @ u)), SIGMA)
+        phases = [np.vdot(chi, SIGMA[1] @ np.conj(d @ chi)) for chi in spins]
+        return (*_state_action(model.basis, *action), phases)
+    return None
+
+
+def _j_pairs(pos, coef, step, flip, phase):
+    """(x, y, p): the fixed vectors of J on the columns chi x f_c of one
+    eigenvalue of :func:`_fock_fourier_basis` are x_c f_c + y_c f_{p[c]}.
+
+    Gamma(sigma) conj(f_c) is the Fourier column f_p of the orbit that
+    sigma maps orbit c onto, times flip[rep] conj(coef[s, p]) / coef[0, p]
+    when it sends the representative of c to position s of that orbit, so
+    J (chi x f_c) = alpha_c chi x f_p with alpha = phase * that factor.
+    J^2 = 1 makes p[p[c]] = c and alpha_p = alpha_c.  A column that J fixes
+    up to alpha becomes sqrt(alpha) f_c; a pair c < p becomes
+    (f_c + alpha f_p)/sqrt2 in slot c and i (f_c - alpha f_p)/sqrt2 in
+    slot p.
+    """
+    n, count = pos.shape
+    slot = np.empty(step.size, dtype=np.int64)
+    at = np.empty(step.size, dtype=np.int64)
+    slot[pos] = np.arange(count)
+    at[pos] = np.arange(n)[:, None]
+    image = step[pos[0]]
+    c, p, s = np.arange(count), slot[image], at[image]
+    alpha = phase * flip[pos[0]] * np.conj(coef[s, p]) / coef[0, p].real
+    x = np.where(c < p, 1.0, -1.0j * alpha) / math.sqrt(2.0)
+    y = np.where(c < p, alpha, 1.0j) / math.sqrt(2.0)
+    fixed = c == p
+    x[fixed], y[fixed] = np.sqrt(alpha[fixed]), 0.0
+    return x, y, p
+
+
+def _real_block(s, parts, step, flip, phases):
+    """s = W^dagger (sigma.v) W and W = ``parts`` (up, down) moved onto the
+    fixed vectors W Q of J, where s is real; raises when the imaginary part
+    left exceeds 1e-13 max|s|.  Q holds the x_c, y_c of :func:`_j_pairs` in
+    its column c, so Q^dagger s Q takes two gathers.  Each new column keeps
+    the (pos, coef) form with 2n terms, its own orbit first, so pos[0]
+    stays the representative of its orbit.
+    """
+    pairs = [
+        _j_pairs(pos, coef, step, flip, phase)
+        for (_, pos, coef), phase in zip(parts, phases)
+    ]
+    parts = tuple(
+        (chi, np.vstack([pos, pos[:, p]]), np.vstack([coef * x, coef[:, p] * y]))
+        for (chi, pos, coef), (x, y, p) in zip(parts, pairs)
+    )
+    (x_up, y_up, p_up), (x_down, y_down, p_down) = pairs
+    x, y = np.concatenate([x_up, x_down]), np.concatenate([y_up, y_down])
+    p = np.concatenate([p_up, p_down + p_up.size])
+    sq = s * x
+    sq += s[:, p] * y
+    h = np.conj(x)[:, None] * sq
+    h += np.conj(y)[:, None] * sq[p]
+    del sq
+    imag = float(np.max(np.abs(h.imag)))
+    if imag > 1e-13 * float(np.max(np.abs(h))):
+        raise RuntimeError(f"imaginary part {imag:.3e} left on J-fixed columns")
+    return np.ascontiguousarray(h.real), parts
 
 
 def _spin_frame(P, model: FiberModel, plus, minus):
@@ -455,7 +554,9 @@ class HBlock:
     """One diagonal block h = W^dagger H(P) W of H(P) under its stabilizer.
 
     Every column of W is chi x f: a spin vector chi times the Fourier sum f
-    over one Gamma-orbit of occupation states.  ``parts`` holds one
+    over one Gamma-orbit of occupation states or, on a real block (see
+    :func:`build_H_blocks`), a combination of the sums over two orbits that
+    sigma swaps, whose first orbit is the column's own.  ``parts`` holds one
     (chi, pos, coef) per spin vector, (pos, coef) as in
     :func:`_fock_fourier_basis`; it is empty when W = 1.  ``partner`` is the
     index, in the full list of :func:`build_H_blocks`, of the block that
@@ -515,6 +616,11 @@ def build_H_blocks(P, params_or_model, one_per_pair: bool = False) -> list:
     Empty eigenspaces give no block.  theta maps block j onto block
     n - 1 - j, whose eigenvalue is the conjugate; both are empty or neither.
 
+    Real blocks: when a mirror sigma that fixes P inverts R about an axis
+    in its plane (:func:`_real_structure`), each block is taken on the
+    fixed vectors of J = theta U(sigma) (:func:`_real_block`), where s_j,
+    f(s_j) and the block are real symmetric float64 matrices.
+
     A mirror M: see :func:`_mirror_blocks`; the two blocks have dimension
     dim each and are each other's partner.
 
@@ -532,6 +638,7 @@ def build_H_blocks(P, params_or_model, one_per_pair: bool = False) -> list:
     plus, minus = _spin_eigenvectors(r, n)
     axial, flip = _spin_frame(P, model, plus, minus)
     fourier = _fock_fourier_basis(model.basis, perm, signs, n)
+    real = _real_structure(P, model, r, (plus, minus))
     kept = [j for j in range(n) if fourier[(j + 1) % n][0].size + fourier[j][0].size]
     blocks = []
     for j in kept:
@@ -545,8 +652,10 @@ def build_H_blocks(P, params_or_model, one_per_pair: bool = False) -> list:
                 [corner.conj().T, -_project(axial, down, down)],
             ]
         )
-        root = kinetic_root(s, model.params.M)
         parts = ((plus, *up), (minus, *down))
+        if real is not None:
+            s, parts = _real_block(s, parts, *real)
+        root = kinetic_root(s, model.params.M)
         blocks.append(_block(model, root, kept.index(n - 1 - j), parts))
     return blocks
 

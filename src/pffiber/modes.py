@@ -370,8 +370,8 @@ def mode_action(rotation, modes: ModeSet):
 
 def stabilizer(rotations, P) -> np.ndarray:
     """The elements R of ``rotations`` with R P == P exactly."""
-    P = np.asarray(P, dtype=float)
-    return np.array([r for r in rotations if np.array_equal(r @ P, P)])
+    rotations = np.asarray(rotations)
+    return rotations[np.all(rotations @ np.asarray(P, dtype=float) == P, axis=1)]
 
 
 def orbit_representatives(vectors, rotations) -> list:

@@ -16,7 +16,9 @@ momentum with a C4 stabilizer gives four blocks of a quarter of the size;
 one that only a mirror fixes, such as a Delta trial P - k with P along an
 axis and k transverse to it, gives two of half the size; a generic momentum
 gives one block, the dense H(P).  Time reversal theta maps each block onto
-a partner with the same spectrum.
+a partner with the same spectrum.  Where a mirror of the grid also fixes P
+and inverts the rotation, the rotation blocks are real symmetric, so their
+solves run in real arithmetic.
 
 :func:`solve_fiber` is the one solve per momentum that every per-P consumer
 reads (the CLI reports, the gap-bound report, the Kramers certificate, the
@@ -55,7 +57,7 @@ DEFAULT_CLUSTER_TOL = 1e-8
 P_QUANTUM = 1e-12
 N_LOW_VECTORS = 4
 RESIDUAL_TOL = 1e-9
-CACHE_FORMAT = 7
+CACHE_FORMAT = 8
 
 
 class EigensolverError(RuntimeError):
@@ -91,18 +93,16 @@ def cluster_degeneracy(eigenvalues, scale_tol: float = DEFAULT_CLUSTER_TOL):
     returns a list of (cluster mean, multiplicity).
     """
     vals = np.asarray(eigenvalues, dtype=float)
-    if np.any(np.diff(vals) < 0):
+    gaps = np.diff(vals)
+    if np.any(gaps < 0):
         raise ValueError("eigenvalues must be ascending")
-    clusters = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > scale_tol * max(
-            1.0, abs(vals[i])
-        ):
-            chunk = vals[start:i]
-            clusters.append((float(chunk.mean()), len(chunk)))
-            start = i
-    return clusters
+    if not vals.size:
+        return []
+    tol = scale_tol * np.maximum(1.0, np.abs(vals[1:]))
+    starts = np.concatenate([[0], np.flatnonzero(gaps > tol) + 1])
+    sizes = np.diff(starts, append=len(vals))
+    means = np.add.reduceat(vals, starts) / sizes
+    return list(zip(means.tolist(), sizes.tolist()))
 
 
 def _quantize_P(P) -> tuple:

@@ -453,8 +453,6 @@ def check_coupling_estimates(ctx: VerifyContext) -> CheckResult:
     dim = basis.dim
     n_modes = basis.n_modes
     rows, cols, modes, amps = basis.ladder
-    a_stack = np.zeros((n_modes, dim, dim))
-    a_stack[modes, rows, cols] = amps
     hf = dgamma_diag(basis, table.omega)
     om = table.omega
     safe = basis.totals() <= basis.n_max - 2
@@ -465,24 +463,33 @@ def check_coupling_estimates(ctx: VerifyContext) -> CheckResult:
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         return v / np.linalg.norm(v)
 
+    def _apply(a, v):
+        # a real matrix on a complex vector, with no complex copy of a
+        return a @ v.real + 1j * (a @ v.imag)
+
     n_rounds = ctx.cfg.verify.n_property_vectors
+    # a(f) = sum_m f_m a_m: each entry of the ladder table belongs to one
+    # mode, so one scatter per draw overwrites every nonzero entry
+    af = np.zeros((dim, dim))
+    ag = np.zeros((dim, dim))
     for _ in range(n_rounds):
         f = rng.standard_normal(n_modes)
         g = rng.standard_normal(n_modes)
-        af = np.tensordot(f, a_stack, axes=1)
-        ag = np.tensordot(g, a_stack, axes=1)
+        af[rows, cols] = f[modes] * amps
+        ag[rows, cols] = g[modes] * amps
         cf_half = math.sqrt(float(np.sum(f * f / om)))
         cf_one = math.sqrt(float(np.sum((1 + om**-0.5) ** 2 * f * f)))
         cg_one = math.sqrt(float(np.sum((1 + om**-0.5) ** 2 * g * g)))
         phi = _vec()
         hf_half_norm = math.sqrt(float(np.sum(hf * np.abs(phi) ** 2)))
         hf1_norm = math.sqrt(float(np.sum((hf + 1) * np.abs(phi) ** 2)))
+        a_phi, at_phi = _apply(af, phi), _apply(af.T, phi)
         checks = [
-            np.linalg.norm(af @ phi) - cf_half * hf_half_norm,
-            np.linalg.norm(af.T @ phi) - cf_one * hf1_norm,
-            np.real(np.vdot(phi, (af + af.T) @ phi))
+            np.linalg.norm(a_phi) - cf_half * hf_half_norm,
+            np.linalg.norm(at_phi) - cf_one * hf1_norm,
+            np.real(np.vdot(phi, a_phi + at_phi))
             - (float(np.sum(hf * np.abs(phi) ** 2)) + cf_half**2),
-            np.linalg.norm((af + af.T) @ phi) - 2 * cf_one * hf1_norm,
+            np.linalg.norm(a_phi + at_phi) - 2 * cf_one * hf1_norm,
         ]
         # mixed second-order bound on the truncation-safe block
         psi = np.zeros(dim, dtype=complex)
@@ -494,7 +501,7 @@ def check_coupling_estimates(ctx: VerifyContext) -> CheckResult:
         for x in (af, af.T):
             for y in (ag, ag.T):
                 checks.append(
-                    abs(complex(np.vdot(psi, x @ (y @ psi))))
+                    abs(complex(np.vdot(psi, _apply(x, _apply(y, psi)))))
                     - cf_one * cg_one * hf1_psi
                 )
         for c in checks:

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from pffiber.modes import (
+    DIRECTION_COUNTS,
     GridSpecError,
     ModelParams,
     TWO_PI_CUBED,
@@ -15,6 +16,8 @@ from pffiber.modes import (
     dispersion,
     dreibein,
     form_factors,
+    grid_rotations,
+    stabilizer,
 )
 
 
@@ -203,3 +206,25 @@ def test_smooth_envelope_tapers_cutoff(default_params):
     outer = r > (1 - 0.4) * p.Lambda
     assert np.all(smooth.g[outer] < sharp.g[outer])
     assert_allclose(smooth.g[~outer], sharp.g[~outer])
+
+
+@pytest.mark.parametrize("n_dirs", DIRECTION_COUNTS)
+def test_stabilizer_matches_the_elementwise_test(default_params, n_dirs):
+    """Same elements in the same order as testing R P == P one R at a
+    time."""
+    params = default_params.replace(n_dirs=n_dirs)
+    rotations = grid_rotations(form_factors(build_mode_set(params), params))
+    momenta = [
+        np.zeros(3),
+        np.array([0.7, 0.0, 0.0]),
+        np.array([0.0, 0.0, -0.7]),
+        np.array([0.4, 0.4, 0.4]),
+        np.array([0.3, 0.3, 0.0]),
+        np.array([0.4, 0.4, 0.25]),
+        np.array([0.93, -0.8, 0.0]),
+        np.array([0.31, -0.47, 0.62]),
+    ]
+    for P in momenta:
+        want = np.array([r for r in rotations if np.array_equal(r @ P, P)])
+        got = stabilizer(rotations, P)
+        assert got.shape == want.shape and np.array_equal(got, want)

@@ -63,6 +63,42 @@ def test_cluster_examples():
         cluster_degeneracy([2.0, 1.0], 1e-9)
 
 
+def _cluster_loop(vals, scale_tol):
+    """The greedy rule one value at a time: a gap above
+    scale_tol * max(1, |value|) closes the cluster."""
+    clusters, start = [], 0
+    for i in range(1, len(vals) + 1):
+        if i == len(vals) or vals[i] - vals[i - 1] > scale_tol * max(
+            1.0, abs(vals[i])
+        ):
+            chunk = vals[start:i]
+            clusters.append((float(chunk.mean()), len(chunk)))
+            start = i
+    return clusters
+
+
+def test_cluster_matches_the_greedy_loop():
+    """Random spectra with planted clusters whose spreads straddle the
+    tolerance, at scales below and above 1."""
+    rng = np.random.default_rng(2026)
+    tol = 1e-8
+    for _ in range(3000):
+        scale = 10.0 ** rng.uniform(-3, 3)
+        centers = np.sort(rng.uniform(-scale, scale, size=rng.integers(1, 8)))
+        spread = tol * max(1.0, scale) * rng.uniform(0.0, 2.0, size=centers.size)
+        vals = np.sort(np.concatenate([
+            c + d * rng.uniform(-1.0, 1.0, size=rng.integers(1, 5))
+            for c, d in zip(centers, spread)
+        ]))
+        got = cluster_degeneracy(vals, tol)
+        want = _cluster_loop(vals, tol)
+        assert [m for _, m in got] == [m for _, m in want]
+        assert all(isinstance(m, int) for _, m in got)
+        for (a, _), (b, _) in zip(got, want):
+            assert abs(a - b) <= 1e-15 * max(1.0, abs(b))
+    assert cluster_degeneracy([], tol) == []
+
+
 def test_free_spectrum_all_even_multiplicities(default_params):
     model = build_model(default_params.replace(e=0.0))
     vals = np.linalg.eigvalsh(build_H(np.array([0.3, 0, 0]), model))
@@ -169,6 +205,7 @@ def test_cache_save_is_atomic(tmp_path, default_model):
         "[1, 2]",
         json.dumps({"format": 2, "entries": {}}),
         json.dumps({"format": 5, "entries": {}}),
+        json.dumps({"format": 6, "entries": {}}),
         json.dumps({"format": CACHE_FORMAT - 1, "entries": {}}),
     ],
 )

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 from scipy.spatial.transform import Rotation
 
+from pffiber import hamiltonian
 from pffiber.hamiltonian import (
     SIGMA,
     _is_mirror,
@@ -25,6 +26,7 @@ from pffiber.modes import (
     mode_action,
     orbit_representatives,
 )
+from pffiber.kramers import apply_theta
 from pffiber.spectral import (
     _ground_triple,
     default_trial_set,
@@ -305,3 +307,99 @@ def test_mid_model_mirror_trial(default_params):
     assert got[2] == mult == 2
     scale = 1e-12 * np.linalg.norm(h, 2)
     assert abs(got[0] - e0) <= scale and abs(got[1] - e1) <= scale
+
+
+# ----------------------------------------------------------------------
+# the real form of the rotation blocks: J = theta U(sigma)
+# ----------------------------------------------------------------------
+
+P_ALONG_DIAGONALS = [np.zeros(3), P_ALONG_X, np.array([0.4, 0.4, 0.4]),
+                     np.array([0.3, 0.3, 0.0])]
+
+
+def _half_turn(u):
+    """D = cos(pi/2) - i sin(pi/2) u.sigma about the unit vector u."""
+    return np.cos(np.pi / 2) * np.eye(2) - 1j * np.sin(np.pi / 2) * np.einsum(
+        "k,kab->ab", u, SIGMA)
+
+
+def _inverting_mirror(model, P, r):
+    """The first mirror of the stabilizer of P with a mode action that
+    inverts R (sigma R sigma^T = R^T) and holds its axis in its plane."""
+    w, vecs = np.linalg.eig(r)
+    axis = np.real(vecs[:, np.argmin(np.abs(w - 1.0))])
+    for m in model.rotations:
+        if not (np.array_equal(m @ P, P) and _is_mirror(m)):
+            continue
+        if np.array_equal(m @ r @ m.T, r.T) and np.allclose(m @ axis, axis):
+            if (action := mode_action(m, model.modes)) is not None:
+                return m, action
+    return None
+
+
+def _antiunitary_J(model, m, perm, signs):
+    """The matrix A of J psi = A conj(psi), J = theta U(sigma), with U(sigma)
+    = D(-sigma) x Gamma(sigma) built one state at a time and D the half turn
+    about the mirror normal whose first nonzero component is positive."""
+    w, vecs = np.linalg.eigh(m)
+    u = vecs[:, np.argmin(w)]
+    u = u * np.sign(u[np.flatnonzero(np.abs(u) > 1e-12)[0]])
+    big = np.kron(_half_turn(u), _state_rotation(model.basis, perm, signs))
+    return np.column_stack([apply_theta(col) for col in big.T])
+
+
+def _rotation_block_cases():
+    cases = [(n_dirs, 1, P) for n_dirs in DIRECTION_COUNTS for P in P_ALONG_DIAGONALS]
+    return cases + [(6, 2, P_ALONG_X)]
+
+
+@pytest.mark.parametrize("n_dirs, n_max, P", _rotation_block_cases())
+def test_rotation_blocks_are_real_on_J_fixed_columns(default_params, n_dirs, n_max, P):
+    model = build_model(default_params.replace(n_dirs=n_dirs, N_max=n_max))
+    blocks = build_H_blocks(P, model)
+    sym = block_generator(P, model)
+    found = None
+    if sym is not None and np.linalg.det(sym[0]) > 0:
+        found = _inverting_mirror(model, P, sym[0])
+    if found is None:
+        assert all(b.h.dtype == complex for b in blocks)
+        return
+    h = build_H(P, model)
+    a = _antiunitary_J(model, found[0], *found[1])
+    assert np.max(np.abs(a @ a.conj() - np.eye(len(a)))) <= 1e-13  # J^2 = +1
+    comm = a @ h.conj() @ a.conj() - h  # J H J^-1 - H
+    assert np.linalg.norm(comm, 2) <= 1e-12 * np.linalg.norm(h, 2)
+    for b in blocks:
+        assert b.h.dtype == np.float64
+        w = b.basis(model.dim)
+        assert np.max(np.abs(a @ w.conj() - w)) <= 1e-13  # J w = w
+        assert np.max(np.abs(w.conj().T @ h @ w - b.h)) <= 1e-12 * np.linalg.norm(h, 2)
+
+
+def test_the_real_form_covers_the_octahedral_diagonals(default_params):
+    model = build_model(default_params)
+    for P in P_ALONG_DIAGONALS:
+        assert all(b.h.dtype == np.float64 for b in build_H_blocks(P, model))
+
+
+@pytest.mark.parametrize("n_dirs", DIRECTION_COUNTS)
+def test_mirror_only_and_generic_momenta_stay_complex(default_params, n_dirs):
+    """J = theta U(sigma) swaps the two mirror blocks, so neither has a real
+    form; a generic momentum has no sigma at all."""
+    model = build_model(default_params.replace(n_dirs=n_dirs))
+    for P in _mirror_plane_momenta(n_dirs) + [P_GENERIC]:
+        assert all(b.h.dtype == complex for b in build_H_blocks(P, model))
+
+
+def test_columns_that_J_does_not_fix_are_refused(default_model, monkeypatch):
+    """With the spin phase of J on chi_+ turned by i, the chi_+ columns are
+    no longer J-fixed, and the imaginary part of s is not dropped."""
+    structure = hamiltonian._real_structure
+
+    def turned(*args):
+        step, flip, (up, down) = structure(*args)
+        return step, flip, (1j * up, down)
+
+    monkeypatch.setattr(hamiltonian, "_real_structure", turned)
+    with pytest.raises(RuntimeError, match="imaginary part"):
+        build_H_blocks(P_ALONG_X, default_model)
