@@ -14,7 +14,6 @@ degeneracy of the ground level.
 from .modes import (
     CouplingNorms,
     FormFactorTable,
-    Mode,
     ModeSet,
     ModelParams,
     build_mode_set,

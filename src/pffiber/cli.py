@@ -10,7 +10,7 @@ verify       full check suite; exit code 0 iff all hard checks pass
 print-config dump the effective configuration (defaults merged with --config)
 
 Common flags: --config PATH, --out DIR, --threads N, --seed N, --cache PATH.
-Exit codes: 0 pass, 1 assertion failure, 2 usage or config error.
+Exit codes: 0 pass, 1 assertion failure, 2 usage, config or path error.
 
 Outputs render floats with 17 significant digits so files round-trip
 losslessly; sweep workers run in parallel but rows are aggregated in ladder
@@ -92,7 +92,6 @@ def _pool(cfg: RunConfig):
 
 
 def run_spectrum(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     model = build_model(cfg.params)
     consts = bnd.bound_constants(model)
     momenta = cfg.momenta()
@@ -132,7 +131,6 @@ def run_spectrum(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
 
 
 def run_sweep(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     model = build_model(cfg.params)
     consts = bnd.bound_constants(model)
     momenta = cfg.momenta()
@@ -191,7 +189,6 @@ def run_sweep(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
 
 
 def run_bounds(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     model = build_model(cfg.params)
     consts = bnd.bound_constants(model)
     with open(
@@ -219,7 +216,6 @@ def run_bounds(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
 
 
 def run_convergence(cfg: RunConfig, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     momenta = cfg.momenta()
     P = momenta[len(momenta) // 2]
     rows = convergence_study(P, cfg.small_params, cfg.convergence_ladder)
@@ -238,7 +234,6 @@ def run_convergence(cfg: RunConfig, out_dir: str) -> int:
 
 
 def run_verify_cmd(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     code, results = run_verify(cfg, cache=cache, printer=print)
     report = {
         "exit_code": code,
@@ -303,11 +298,17 @@ def main(argv=None) -> int:
         cfg = replace(cfg, verify=replace(cfg.verify, seed=args.seed))
     out_dir = args.out or cfg.out_dir
     cache_path = args.cache or cfg.cache_path
-    cache = EnergyCache(path=cache_path)
-
     if args.command == "print-config":
         print(dump_config(cfg))
         return 0
+    try:  # a path that cannot be written stops the run before any solve
+        os.makedirs(out_dir, exist_ok=True)
+        if cache_path and not os.path.isdir(os.path.dirname(cache_path) or "."):
+            raise NotADirectoryError(f"no directory to hold cache {cache_path}")
+    except OSError as exc:
+        print(f"path error: {exc}", file=sys.stderr)
+        return 2
+    cache = EnergyCache(path=cache_path)
     try:
         if args.command == "spectrum":
             code = run_spectrum(cfg, out_dir, cache)
@@ -322,7 +323,11 @@ def main(argv=None) -> int:
         else:  # pragma: no cover - argparse guards
             return 2
     finally:
-        cache.save()
+        try:
+            cache.save()
+        except OSError as exc:
+            print(f"path error: cannot write cache: {exc}", file=sys.stderr)
+            code = 2
     return code
 
 

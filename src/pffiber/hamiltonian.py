@@ -20,7 +20,8 @@ D turns the spin by the proper part of R (the spin is a pseudovector), and
 Gamma(R) is the signed permutation of occupation states. A rotation
 commutes with sigma.v; a mirror anticommutes with it, which H tolerates
 because f is even. H(P) is assembled on each eigenspace of U, which is
-built per call from Fourier sums over the Gamma-orbits. Time reversal
+built once per (grid, stabilizer) from Fourier sums over the Gamma-orbits
+and kept in the grid's store (see :class:`FiberModel`). Time reversal
 theta commutes with U (Gamma is real and D is in SU(2)), so it maps the
 eigenspace of lambda onto that of conj(lambda): the blocks come in
 theta-pairs with equal spectra, and each :class:`HBlock` names its partner.
@@ -47,7 +48,8 @@ norm, monotonicity suite), and the independent cross-check
 t = scale * s / (1 - s), s = sin^2(theta), which maps the integral onto a
 smooth integrand on [0, pi/2] handled by doubled Gauss-Legendre panels.
 
-All builders are pure; matrices are freshly allocated per call, so sharing
+Every assembly function is pure; matrices are freshly allocated per call,
+and what the grid's store holds is a pure function of its key, so sharing
 across threads is safe.  LAPACK is reached through ``numpy.linalg`` alone.
 """
 
@@ -55,7 +57,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,7 +114,10 @@ class QuadratureNotConverged(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class FiberModel:
-    """Cached per-parameter assembly: mode set, couplings, field operators."""
+    """A mode grid and a coupling on it.  The grid is ``modes``, ``basis``,
+    ``pf``, ``hf``, ``rotations`` and ``setups``, the store of
+    :func:`build_H_blocks`: models that differ only in e, gamma or M share
+    these objects.  ``table``, ``norms``, ``A`` and ``B`` carry e."""
 
     params: ModelParams
     modes: ModeSet
@@ -124,6 +129,7 @@ class FiberModel:
     pf: np.ndarray  # (dim, 3) field-momentum diagonals
     hf: np.ndarray  # (dim,) field-energy diagonal
     rotations: np.ndarray  # (|G|, 3, 3) point group of the mode grid
+    setups: dict = field(repr=False)  # stabilizer -> _symmetry_setup
 
     @property
     def dim(self) -> int:
@@ -131,26 +137,35 @@ class FiberModel:
 
 
 @functools.lru_cache(maxsize=64)
+def _grid(key: ModelParams) -> dict:
+    """The fields of a model that no coupling changes, for ``key`` at e = 1:
+    g depends on |k| only, so G from this table is the G of every e."""
+    modes = build_mode_set(key)
+    table = form_factors(modes, key)
+    basis = enumerate_basis(modes.n_modes, key.N_max)
+    return dict(
+        modes=modes,
+        basis=basis,
+        pf=np.column_stack([dgamma_diag(basis, table.k[:, j]) for j in range(3)]),
+        hf=dgamma_diag(basis, table.omega),
+        rotations=grid_rotations(table),
+        setups={},
+    )
+
+
+@functools.lru_cache(maxsize=64)
 def build_model(params: ModelParams) -> FiberModel:
-    """Assemble and cache the parameter-dependent operator ingredients."""
-    modes = build_mode_set(params)
-    table = form_factors(modes, params)
-    basis = enumerate_basis(modes.n_modes, params.N_max)
-    A = build_A0(basis, table)
-    B = build_B0(basis, table)
-    pf = np.column_stack([dgamma_diag(basis, table.k[:, j]) for j in range(3)])
-    hf = dgamma_diag(basis, table.omega)
+    """The grid of ``params``, shared by every coupling on it, plus what e
+    changes: the form factors, their norms, A(0) and B(0)."""
+    grid = _grid(params.replace(e=1.0, gamma=1.0, M=1.0))
+    table = form_factors(grid["modes"], params)
     return FiberModel(
         params=params,
-        modes=modes,
         table=table,
         norms=coupling_norms(table),
-        basis=basis,
-        A=tuple(A),
-        B=tuple(B),
-        pf=pf,
-        hf=hf,
-        rotations=grid_rotations(table),
+        A=tuple(build_A0(grid["basis"], table)),
+        B=tuple(build_B0(grid["basis"], table)),
+        **grid,
     )
 
 
@@ -345,7 +360,7 @@ def _is_mirror(r: np.ndarray):
     return (np.trace(r, axis1=-2, axis2=-1) == 1.0) & (np.linalg.det(r) < 0)
 
 
-def block_generator(P, params_or_model):
+def block_generator(P, model: FiberModel):
     """The element of G that block-diagonalizes H(P), with its mode action.
 
     R is an element of maximal order among the det +1 elements of
@@ -358,7 +373,6 @@ def block_generator(P, params_or_model):
     action.  Returns (R, perm, signs), or None when only the identity
     qualifies.
     """
-    model = _as_model(params_or_model)
     stab = stabilizer(model.rotations, P)
     best, best_order = None, 1
     for r in stab[np.linalg.det(stab) > 0]:
@@ -498,25 +512,12 @@ def _j_pairs(pos, coef, step, flip, phase):
     return x, y, p
 
 
-def _real_block(s, parts, step, flip, phases):
-    """s = W^dagger (sigma.v) W and W = ``parts`` (up, down) moved onto the
-    fixed vectors W Q of J, where s is real; raises when the imaginary part
-    left exceeds 1e-13 max|s|.  Q holds the x_c, y_c of :func:`_j_pairs` in
-    its column c, so Q^dagger s Q takes two gathers.  Each new column keeps
-    the (pos, coef) form with 2n terms, its own orbit first, so pos[0]
-    stays the representative of its orbit.
+def _real_block(s, x, y, p):
+    """s = W^dagger (sigma.v) W moved onto the fixed vectors W Q of J, where
+    it is real; raises when the imaginary part left exceeds 1e-13 max|s|.
+    Q holds the x_c, y_c of :func:`_j_pairs` in its column c, so
+    Q^dagger s Q takes two gathers.
     """
-    pairs = [
-        _j_pairs(pos, coef, step, flip, phase)
-        for (_, pos, coef), phase in zip(parts, phases)
-    ]
-    parts = tuple(
-        (chi, np.vstack([pos, pos[:, p]]), np.vstack([coef * x, coef[:, p] * y]))
-        for (chi, pos, coef), (x, y, p) in zip(parts, pairs)
-    )
-    (x_up, y_up, p_up), (x_down, y_down, p_down) = pairs
-    x, y = np.concatenate([x_up, x_down]), np.concatenate([y_up, y_down])
-    p = np.concatenate([p_up, p_down + p_up.size])
     sq = s * x
     sq += s[:, p] * y
     h = np.conj(x)[:, None] * sq
@@ -525,20 +526,20 @@ def _real_block(s, parts, step, flip, phases):
     imag = float(np.max(np.abs(h.imag)))
     if imag > 1e-13 * float(np.max(np.abs(h))):
         raise RuntimeError(f"imaginary part {imag:.3e} left on J-fixed columns")
-    return np.ascontiguousarray(h.real), parts
+    return np.ascontiguousarray(h.real)
 
 
-def _spin_frame(P, model: FiberModel, plus, minus):
+def _spin_frame(P, model: FiberModel, coefs):
     """sigma.v(P) in the spin frame (chi_+, chi_-) of u.sigma.
 
     Returns (axial, flip): axial = u.v = <chi_+|sigma.v|chi_+>
     = -<chi_-|sigma.v|chi_->, flip = <chi_+|sigma.v|chi_->, and
-    <chi_-|sigma.v|chi_+> = conj(flip) because every v_k is real.
+    <chi_-|sigma.v|chi_+> = conj(flip) because every v_k is real.  ``coefs``
+    holds the coefficients of v_k in each; a v_k whose coefficient is 0 is
+    skipped.
     """
     v = build_v(P, model)
-    axial = sum(np.real(np.vdot(plus, SIGMA[k] @ plus)) * v[k] for k in range(3))
-    flip = sum(np.vdot(plus, SIGMA[k] @ minus) * v[k] for k in range(3))
-    return axial, flip
+    return tuple(sum(c * v[k] for k, c in enumerate(cs) if c != 0) for cs in coefs)
 
 
 def _project(x, rows, cols):
@@ -598,6 +599,45 @@ def _block(model: FiberModel, root: np.ndarray, partner: int, parts) -> HBlock:
     return HBlock(hermitize(h), partner, parts)
 
 
+def _symmetry_setup(P, model: FiberModel):
+    """What :func:`build_H_blocks` needs of P but s(P), a function of the
+    stabilizer of P: None without a :func:`block_generator`, else (mirror,
+    coefs, blocks).  ``coefs`` are the <chi_+|sigma_k|chi_+-> of
+    :func:`_spin_frame`; per nonempty block, ``blocks`` has the partner, the
+    (pos, coef) Fourier columns paired with chi_+ and chi_-, the
+    :class:`HBlock` parts and, on a real block, the (x, y, p) of
+    :func:`_j_pairs` over both halves.  No dense matrix is kept."""
+    sym = block_generator(P, model)
+    if sym is None:
+        return None
+    r, perm, signs = sym
+    mirror = bool(np.linalg.det(r) < 0)
+    n = 2 if mirror else _rotation_order(r)
+    plus, minus = _spin_eigenvectors(-r if mirror else r, n)
+    coefs = ([np.real(np.vdot(plus, s @ plus)) for s in SIGMA],
+             [np.vdot(plus, s @ minus) for s in SIGMA])
+    fourier = _fock_fourier_basis(model.basis, perm, signs, n)
+    real = None if mirror else _real_structure(P, model, r, (plus, minus))
+    kept = [j for j in range(n) if fourier[(j + 1) % n][0].size + fourier[j][0].size]
+    blocks = []
+    for j in kept:
+        up, down = fourier[(j + 1) % n], fourier[j]
+        parts, jcols = ((plus, *up), (minus, *down)), None
+        if real is not None:
+            step, flip, phases = real
+            pairs = [_j_pairs(*h, step, flip, ph) for h, ph in zip((up, down), phases)]
+            # each J-fixed column keeps the (pos, coef) form with 2n terms,
+            # its own orbit first, so pos[0] stays its representative
+            parts = tuple(
+                (chi, np.vstack([pos, pos[:, p]]), np.vstack([coef * x, coef[:, p] * y]))
+                for (chi, pos, coef), (x, y, p) in zip(parts, pairs)
+            )
+            jcols = [np.concatenate(arrays) for arrays in zip(*pairs)]
+            jcols[2][up[0].shape[1]:] += up[0].shape[1]  # p of the down half
+        blocks.append((kept.index(n - 1 - j), up, down, parts, jcols))
+    return mirror, coefs, blocks
+
+
 def build_H_blocks(P, params_or_model, one_per_pair: bool = False) -> list:
     """Hermitian diagonal blocks of H(P) under its grid stabilizer.
 
@@ -624,27 +664,27 @@ def build_H_blocks(P, params_or_model, one_per_pair: bool = False) -> list:
     A mirror M: see :func:`_mirror_blocks`; the two blocks have dimension
     dim each and are each other's partner.
 
+    All but s(P) is built once per (grid, stabilizer) by
+    :func:`_symmetry_setup` and kept in ``model.setups``.
+
     With ``one_per_pair`` only the blocks up to their partner are built: a
     prefix of the full list, whose ``partner`` indices still refer to it.
     """
     model = _as_model(params_or_model)
-    sym = block_generator(P, model)
-    if sym is None:
+    key = stabilizer(model.rotations, P).tobytes()
+    if key not in model.setups:  # a race between threads only repeats work
+        model.setups.setdefault(key, _symmetry_setup(P, model))
+    setup = model.setups[key]
+    if setup is None:
         return [HBlock(build_H(P, model), partner=0)]
-    r, perm, signs = sym
-    if np.linalg.det(r) < 0:
-        return _mirror_blocks(P, model, r, perm, signs, one_per_pair)
-    n = _rotation_order(r)
-    plus, minus = _spin_eigenvectors(r, n)
-    axial, flip = _spin_frame(P, model, plus, minus)
-    fourier = _fock_fourier_basis(model.basis, perm, signs, n)
-    real = _real_structure(P, model, r, (plus, minus))
-    kept = [j for j in range(n) if fourier[(j + 1) % n][0].size + fourier[j][0].size]
+    mirror, coefs, specs = setup
+    if mirror:
+        return _mirror_blocks(P, model, setup, one_per_pair)
+    axial, flip = _spin_frame(P, model, coefs)
     blocks = []
-    for j in kept:
-        if one_per_pair and j > n - 1 - j:
+    for i, (partner, up, down, parts, jcols) in enumerate(specs):
+        if one_per_pair and i > partner:
             break
-        up, down = fourier[(j + 1) % n], fourier[j]
         corner = _project(flip, up, down)
         s = np.block(
             [
@@ -652,18 +692,16 @@ def build_H_blocks(P, params_or_model, one_per_pair: bool = False) -> list:
                 [corner.conj().T, -_project(axial, down, down)],
             ]
         )
-        parts = ((plus, *up), (minus, *down))
-        if real is not None:
-            s, parts = _real_block(s, parts, *real)
+        if jcols is not None:
+            s = _real_block(s, *jcols)
         root = kinetic_root(s, model.params.M)
-        blocks.append(_block(model, root, kept.index(n - 1 - j), parts))
+        blocks.append(_block(model, root, partner, parts))
     return blocks
 
 
-def _mirror_blocks(
-    P, model: FiberModel, mirror, perm, signs, one_per_pair: bool = False
-) -> list:
-    """The two blocks of H(P) under a mirror M of the grid that fixes P.
+def _mirror_blocks(P, model: FiberModel, setup, one_per_pair: bool = False) -> list:
+    """The two blocks of H(P) under a mirror M of the grid that fixes P,
+    from the :func:`_symmetry_setup` of M.
 
     -M is the half turn about the mirror normal u, so D(-M) chi_+- =
     -+ i chi_+- and Gamma(M)^2 = 1: U = D(-M) x Gamma(M) has eigenvalues
@@ -678,9 +716,8 @@ def _mirror_blocks(
     and W f(Sigma) W^dagger on the +i space.  theta maps the -i space onto
     the +i space; with ``one_per_pair`` only the -i block is built.
     """
-    plus, minus = _spin_eigenvectors(-mirror, 2)
-    axial, flip = _spin_frame(P, model, plus, minus)
-    even, odd = _fock_fourier_basis(model.basis, perm, signs, 2)
+    _, coefs, ((_, odd, even, plus_i, _), (_, _, _, minus_i, _)) = setup
+    axial, flip = _spin_frame(P, model, coefs)
     s = np.block(
         [
             [_project(axial, odd, even), _project(flip, odd, odd)],
@@ -689,11 +726,10 @@ def _mirror_blocks(
     )
     del axial, flip
     w, sigma, vh = np.linalg.svd(s)
+    del s  # not needed after the SVD; freeing it lowers the peak below
     root = np.sqrt(sigma * sigma + model.params.M**2)
-    minus_i = ((plus, *even), (minus, *odd))
     blocks = [_block(model, (vh.conj().T * root) @ vh, 1, minus_i)]
     if not one_per_pair:
-        plus_i = ((plus, *odd), (minus, *even))
         blocks.append(_block(model, (w * root) @ w.conj().T, 0, plus_i))
     return blocks
 

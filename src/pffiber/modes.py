@@ -21,10 +21,11 @@ CONVENTIONS:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,49 +115,30 @@ class ModelParams:
         return self.gamma < 1.0 and self.m_ph > 0.0
 
     def replace(self, **changes) -> "ModelParams":
-        from dataclasses import replace
-
-        return replace(self, **changes)
+        return dataclasses.replace(self, **changes)
 
 
-@dataclass(frozen=True)
-class Mode:
-    """A single discrete photon mode (k-point plus polarization index)."""
-
-    k: tuple
-    lam: int
-    eps: tuple
-    weight: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeSet:
-    """Finite photon-mode list with array views of its columns.
-
-    ``weight[m]`` is the quadrature weight of the k-point carrying mode ``m``;
-    the two polarization modes at the same k share it, so the weights summed
-    over unique k-points (``kpoint_weight_sum``) approximate the ball volume.
+    """Finite photon-mode list: mode m has wavevector ``k[m]``, polarization
+    index ``lam[m]`` (1 or 2) and vector ``eps[m]``.  ``weight[m]`` is the
+    quadrature weight of its k-point; the two polarization modes at the same
+    k share it, so the weights summed over unique k-points
+    (``kpoint_weight_sum``) approximate the ball volume.
     """
 
-    modes: tuple
-    k: np.ndarray = field(repr=False, compare=False, default=None)
-    lam: np.ndarray = field(repr=False, compare=False, default=None)
-    eps: np.ndarray = field(repr=False, compare=False, default=None)
-    weight: np.ndarray = field(repr=False, compare=False, default=None)
+    k: np.ndarray
+    lam: np.ndarray
+    eps: np.ndarray
+    weight: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "k", np.array([m.k for m in self.modes]))
-        object.__setattr__(self, "lam", np.array([m.lam for m in self.modes]))
-        object.__setattr__(self, "eps", np.array([m.eps for m in self.modes]))
-        object.__setattr__(
-            self, "weight", np.array([m.weight for m in self.modes])
-        )
-        for arr in (self.k, self.eps, self.weight):
+        for arr in (self.k, self.lam, self.eps, self.weight):
             arr.setflags(write=False)
 
     @property
     def n_modes(self) -> int:
-        return len(self.modes)
+        return len(self.lam)
 
     def kpoint_weight_sum(self) -> float:
         """Sum of quadrature weights over unique k-points (lambda = 1 rows)."""
@@ -248,15 +230,14 @@ def build_mode_set(params: ModelParams) -> ModeSet:
     """
     radii, rad_w = radial_rule(params.n_shells, params.k_min, params.Lambda)
     dirs, dir_w = direction_set(params.n_dirs)
-    modes = []
+    k, eps, weight = [], [], []
     for r, wr in zip(radii, rad_w):
         for u, wd in zip(dirs, dir_w):
-            kvec = r * u
-            eps1, eps2 = dreibein(kvec)
-            w = wr * r * r * wd
-            modes.append(Mode(tuple(kvec), 1, tuple(eps1), w))
-            modes.append(Mode(tuple(kvec), 2, tuple(eps2), w))
-    return ModeSet(tuple(modes))
+            k += [r * u] * 2
+            eps += dreibein(r * u)
+            weight += [wr * r * r * wd] * 2
+    lam = np.tile([1, 2], len(k) // 2)
+    return ModeSet(np.array(k), lam, np.array(eps), np.array(weight))
 
 
 def _envelope(r: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -283,15 +264,10 @@ class FormFactorTable:
     g: np.ndarray
     omega: np.ndarray
     k: np.ndarray
-    weight: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.f, self.g, self.omega, self.k, self.weight):
+        for arr in (self.f, self.g, self.omega, self.k):
             arr.setflags(write=False)
-
-    @property
-    def n_modes(self) -> int:
-        return self.f.shape[0]
 
 
 def form_factors(modes: ModeSet, params: ModelParams) -> FormFactorTable:
@@ -301,7 +277,7 @@ def form_factors(modes: ModeSet, params: ModelParams) -> FormFactorTable:
     g = params.e * np.sqrt(modes.weight) / np.sqrt(2.0 * TWO_PI_CUBED * omega)
     g = g * _envelope(r, params)
     f = g[:, None] * modes.eps
-    return FormFactorTable(f=f, g=g, omega=omega, k=modes.k.copy(), weight=modes.weight.copy())
+    return FormFactorTable(f=f, g=g, omega=omega, k=modes.k.copy())
 
 
 def _signed_permutations() -> np.ndarray:

@@ -344,15 +344,9 @@ def solve_fiber(
 
 
 def default_trial_set(model: FiberModel):
-    """{0} united with the grid wavevectors (one entry per k-point)."""
-    ks = [np.zeros(3)]
-    seen = set()
-    for row in model.table.k:
-        key = tuple(row)
-        if key not in seen:
-            seen.add(key)
-            ks.append(np.array(row))
-    return ks
+    """{0} united with the grid wavevectors, one per k-point: the rows of
+    its first polarization."""
+    return [np.zeros(3), *model.modes.k[model.modes.lam == 1]]
 
 
 def delta_gap(

@@ -457,7 +457,7 @@ def check_coupling_estimates(ctx: VerifyContext) -> CheckResult:
     om = table.omega
     safe = basis.totals() <= basis.n_max - 2
     violations = 0
-    worst = 0.0
+    worst = -math.inf
 
     def _vec():
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pffiber import cli, hamiltonian, spectral
 from pffiber.cli import main
@@ -477,3 +478,93 @@ def test_the_program_loads_numpy_linalg_only(tmp_path):
     assert result["code"] == 0
     assert all(n > 0 for n in result["calls"].values()), result["calls"]
     assert result["scipy"] == []
+
+
+@pytest.mark.parametrize(
+    "case", ["out is a file", "cache folder missing", "cache folder is a file"]
+)
+def test_unusable_output_path_exits_2_before_any_solve(
+    tmp_path, capsys, monkeypatch, case
+):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out, cache = tmp_path / "out", None
+    if case == "out is a file":
+        out = blocker
+    elif case == "cache folder missing":
+        cache = tmp_path / "missing" / "c.json"
+    else:
+        cache = blocker / "c.json"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an unusable path must stop the run before a solve")
+
+    monkeypatch.setattr(cli, "run_bounds", refuse)
+    argv = ["bounds", "--config", write_cfg(tmp_path), "--out", str(out)]
+    assert main(argv + (["--cache", str(cache)] if cache else [])) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("path error:")
+
+
+def test_a_cache_that_cannot_be_saved_exits_2(tmp_path, capsys):
+    """A directory in place of the cache file: the run writes its outputs,
+    then the save fails and the exit code is 2."""
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {"n_P": 2})
+    argv = ["bounds", "--config", cfg, "--out", str(out), "--cache", str(cache)]
+    assert main(argv) == 2
+    assert len((out / "bounds.csv").read_text().splitlines()) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("path error: cannot write cache")
+    assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
+
+
+# the three paths of H(P) at N_max 3 on 8 modes (Fock dim 165): real
+# rotation blocks along the C4 axis z, the two mirror blocks in the plane
+# z = 0 and one dense block at a momentum no symmetry fixes
+N3_GRID = {"n_shells": 2, "n_dirs": 2, "N_max": 3}
+N3_MOMENTA = {
+    "real": [0.0, 0.0, 0.7],
+    "mirror": [0.7, 0.3, 0.0],
+    "dense": [0.31, -0.47, 0.62],
+}
+
+
+@pytest.mark.parametrize("path", list(N3_MOMENTA))
+def test_n_max_3_sweep_and_convergence_match_the_dense_oracle(tmp_path, path):
+    P = np.array(N3_MOMENTA[path])
+    cfg_path = write_cfg(tmp_path, {
+        "params": N3_GRID, "small_params": N3_GRID,
+        "convergence_ladder": [[3, 2]], "P_list": [list(P)],
+    })
+    cfg = load_config(cfg_path)
+    model = hamiltonian.build_model(cfg.params)
+    blocks = hamiltonian.build_H_blocks(P, model)
+    sym = hamiltonian.block_generator(P, model)
+    if path == "real":
+        assert len(blocks) == 4 and all(b.h.dtype == np.float64 for b in blocks)
+    elif path == "mirror":
+        assert np.linalg.det(sym[0]) < 0 and len(blocks) == 2
+    else:
+        assert sym is None and len(blocks) == 1
+    h = hamiltonian.build_H(P, model)
+    e0, e1, mult = spectral._ground_triple(
+        scipy.linalg.eigvalsh(h), cfg.tolerances.cluster_rel
+    )
+    tol = 1e-12 * np.linalg.norm(h, 2)
+    files = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
+        assert main(["convergence", "--config", cfg_path, "--out", str(out)]) == 0
+        names = ("sweep.csv", "sweep_summary.json", "convergence.csv")
+        files.append([(out / name).read_bytes() for name in names])
+    assert files[0] == files[1]
+    header, row = (tmp_path / "a" / "sweep.csv").read_text().splitlines()
+    got = dict(zip(header.split(","), row.split(",")))
+    assert abs(float(got["E"]) - e0) <= tol and abs(float(got["E1"]) - e1) <= tol
+    assert int(got["mult"]) == mult
+    header, row = (tmp_path / "a" / "convergence.csv").read_text().splitlines()
+    assert abs(float(dict(zip(header.split(","), row.split(",")))["E"]) - e0) <= tol

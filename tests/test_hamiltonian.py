@@ -85,7 +85,6 @@ def test_B0_single_mode_hand_value():
         g=np.array([g]),
         omega=np.array([1.0]),
         k=np.array([[0.0, 0.0, kappa]]),
-        weight=np.array([1.0]),
     )
     b = build_B0(basis, table)
     assert b[1][0, 1] == pytest.approx(1j * kappa * g)

@@ -73,24 +73,25 @@ def test_weight_sum_matches_shell_volume(default_params):
 def test_mode_set_deterministic(default_params):
     a = build_mode_set(default_params)
     b = build_mode_set(default_params)
-    assert a.modes == b.modes
+    for name in ("k", "lam", "eps", "weight"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_mode_set_geometry(default_params):
     modes = build_mode_set(default_params)
     kset = {tuple(np.round(k, 12)): w for k, w in zip(modes.k, modes.weight)}
-    for m in modes.modes:
-        k = np.array(m.k)
-        eps = np.array(m.eps)
+    for k, eps, weight in zip(modes.k, modes.eps, modes.weight):
         assert np.linalg.norm(k) <= default_params.Lambda + 1e-12
         assert abs(eps @ k) < 1e-12
         assert np.linalg.norm(eps) == pytest.approx(1.0)
         # closure under k -> -k with equal weight
-        assert kset[tuple(np.round(-k, 12))] == pytest.approx(m.weight)
+        assert kset[tuple(np.round(-k, 12))] == pytest.approx(weight)
     # the two polarizations at the same k are orthogonal
-    for m1, m2 in zip(modes.modes[::2], modes.modes[1::2]):
-        assert m1.k == m2.k
-        assert abs(np.array(m1.eps) @ np.array(m2.eps)) < 1e-12
+    for k1, k2, eps1, eps2 in zip(
+        modes.k[::2], modes.k[1::2], modes.eps[::2], modes.eps[1::2]
+    ):
+        assert np.array_equal(k1, k2)
+        assert abs(eps1 @ eps2) < 1e-12
 
 
 def test_mode_dispersion_bounds(default_model):

@@ -2,6 +2,8 @@
 block diagonalization of H(P) under its stabilizer, by a rotation or by a
 mirror."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,6 +14,7 @@ from pffiber.hamiltonian import (
     SIGMA,
     _is_mirror,
     _mirror_blocks,
+    _symmetry_setup,
     block_generator,
     build_H,
     build_H_blocks,
@@ -256,7 +259,9 @@ def _mirror_plane_momenta(n_dirs):
 
 
 @pytest.mark.parametrize("n_dirs", DIRECTION_COUNTS)
-def test_mirror_block_spectra_equal_the_dense_spectrum(default_params, n_dirs):
+def test_mirror_block_spectra_equal_the_dense_spectrum(
+    default_params, n_dirs, monkeypatch
+):
     model = build_model(default_params.replace(n_dirs=n_dirs))
     for P in _mirror_plane_momenta(n_dirs) + [np.zeros(3)]:
         h = build_H(P, model)
@@ -265,7 +270,11 @@ def test_mirror_block_spectra_equal_the_dense_spectrum(default_params, n_dirs):
         mirrors = _mirrors_with_action(model, P)
         assert mirrors
         for m, perm, signs in mirrors:
-            blocks = _mirror_blocks(P, model, m, perm, signs)
+            # the set-up of this mirror, built outside the grid's store, which
+            # keeps the one of the generator that build_H_blocks picks
+            with monkeypatch.context() as patch:
+                patch.setattr(hamiltonian, "block_generator", lambda *_: (m, perm, signs))
+                blocks = _mirror_blocks(P, model, _symmetry_setup(P, model))
             assert [b.h.shape[0] for b in blocks] == [model.dim, model.dim]
             got = np.sort(np.concatenate([np.linalg.eigvalsh(b.h) for b in blocks]))
             assert np.max(np.abs(got - dense)) <= tol
@@ -401,5 +410,6 @@ def test_columns_that_J_does_not_fix_are_refused(default_model, monkeypatch):
         return step, flip, (1j * up, down)
 
     monkeypatch.setattr(hamiltonian, "_real_structure", turned)
+    # a fresh store, so that no set-up stored before the patch is read
     with pytest.raises(RuntimeError, match="imaginary part"):
-        build_H_blocks(P_ALONG_X, default_model)
+        build_H_blocks(P_ALONG_X, dataclasses.replace(default_model, setups={}))

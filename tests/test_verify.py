@@ -12,7 +12,7 @@ def test_coupling_estimates_detail_at_the_default_config():
     assert result.passed
     assert result.detail == (
         "1000 draws x 8 inequalities, 0 violations beyond 1.0e-10 "
-        "(worst excess 0.000e+00)"
+        "(worst excess -1.813e-01)"
     )
 
 
