@@ -1,6 +1,6 @@
 """Assembly of the fiber Hamiltonians on (spin space) x (truncated Fock space).
 
-Central objects, all dense matrices:
+Central objects:
 
 - v_j(P)   = P_j - dGamma(k_j) + A(0)_j            (Fock space, real symmetric)
 - s(P)     = sigma . v                              (C^2 tensor Fock)
@@ -9,6 +9,10 @@ Central objects, all dense matrices:
 - H(P)     = gamma f(s(P)) + H_f,  f(x) = sqrt(x^2 + M^2)   (C^2 tensor Fock)
 - H_SL(P)  = gamma sqrt(sum_j v_j^2 + M^2) + H_f    (spinless, Fock space)
 - H_0(P)   = gamma sqrt((P - P_f)^2 + M^2) + H_f    (free, diagonal)
+
+The functions named after them build them as dense matrices.  These are the
+oracles, and the solve path of a momentum without a symmetry; the symmetry
+blocks below never form a dense Fock operator.
 
 Kronecker convention: spin index slow, Fock index fast, i.e.
 ``np.kron(spin_matrix, fock_matrix)``.
@@ -21,7 +25,11 @@ Gamma(R) is the signed permutation of occupation states. A rotation
 commutes with sigma.v; a mirror anticommutes with it, which H tolerates
 because f is even. H(P) is assembled on each eigenspace of U, which is
 built once per (grid, stabilizer) from Fourier sums over the Gamma-orbits
-and kept in the grid's store (see :class:`FiberModel`). Time reversal
+and kept in the grid's store (see :class:`FiberModel`) as a per-state
+table (:class:`Columns`).  Every v_k is a diagonal plus
+sum_m f_{m,k} (a_m + a_m^dagger), so sigma.v on a block is one scatter
+over the ladder table of the basis: O(dim + nnz) entries, each spread over
+the at most two columns its Fock state lies in. Time reversal
 theta commutes with U (Gamma is real and D is in SU(2)), so it maps the
 eigenspace of lambda onto that of conj(lambda): the blocks come in
 theta-pairs with equal spectra, and each :class:`HBlock` names its partner.
@@ -58,6 +66,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,15 +126,17 @@ class FiberModel:
     """A mode grid and a coupling on it.  The grid is ``modes``, ``basis``,
     ``pf``, ``hf``, ``rotations`` and ``setups``, the store of
     :func:`build_H_blocks`: models that differ only in e, gamma or M share
-    these objects.  ``table``, ``norms``, ``A`` and ``B`` carry e."""
+    these objects.  ``table``, ``norms``, ``A`` and ``B`` carry e.
+
+    The dense A(0) and B(0) are built on first access and then kept: only
+    the dense oracles read them (``build_H``, ``build_T``, the verify
+    checks), never the symmetry blocks."""
 
     params: ModelParams
     modes: ModeSet
     table: FormFactorTable
     norms: CouplingNorms
     basis: FockBasis
-    A: tuple  # three real symmetric Fock matrices
-    B: tuple  # three Hermitian Fock matrices with purely imaginary entries
     pf: np.ndarray  # (dim, 3) field-momentum diagonals
     hf: np.ndarray  # (dim,) field-energy diagonal
     rotations: np.ndarray  # (|G|, 3, 3) point group of the mode grid
@@ -134,6 +145,17 @@ class FiberModel:
     @property
     def dim(self) -> int:
         return self.basis.dim
+
+    @functools.cached_property
+    def A(self) -> tuple:
+        """Three real symmetric Fock matrices, :func:`build_A0`."""
+        return tuple(build_A0(self.basis, self.table))
+
+    @functools.cached_property
+    def B(self) -> tuple:
+        """Three Hermitian Fock matrices with purely imaginary entries,
+        :func:`build_B0`."""
+        return tuple(build_B0(self.basis, self.table))
 
 
 @functools.lru_cache(maxsize=64)
@@ -156,16 +178,11 @@ def _grid(key: ModelParams) -> dict:
 @functools.lru_cache(maxsize=64)
 def build_model(params: ModelParams) -> FiberModel:
     """The grid of ``params``, shared by every coupling on it, plus what e
-    changes: the form factors, their norms, A(0) and B(0)."""
+    changes: the form factors and their norms."""
     grid = _grid(params.replace(e=1.0, gamma=1.0, M=1.0))
     table = form_factors(grid["modes"], params)
     return FiberModel(
-        params=params,
-        table=table,
-        norms=coupling_norms(table),
-        A=tuple(build_A0(grid["basis"], table)),
-        B=tuple(build_B0(grid["basis"], table)),
-        **grid,
+        params=params, table=table, norms=coupling_norms(table), **grid
     )
 
 
@@ -512,42 +529,128 @@ def _j_pairs(pos, coef, step, flip, phase):
     return x, y, p
 
 
-def _real_block(s, x, y, p):
-    """s = W^dagger (sigma.v) W moved onto the fixed vectors W Q of J, where
-    it is real; raises when the imaginary part left exceeds 1e-13 max|s|.
-    Q holds the x_c, y_c of :func:`_j_pairs` in its column c, so
-    Q^dagger s Q takes two gathers.
-    """
-    sq = s * x
-    sq += s[:, p] * y
-    h = np.conj(x)[:, None] * sq
-    h += np.conj(y)[:, None] * sq[p]
-    del sq
-    imag = float(np.max(np.abs(h.imag)))
-    if imag > 1e-13 * float(np.max(np.abs(h))):
+def _real_block(s):
+    """s on the fixed vectors of J, where it is real: its real part; raises
+    when the imaginary part left exceeds 1e-13 max|s|."""
+    imag = float(np.max(np.abs(s.imag)))
+    if imag > 1e-13 * float(np.max(np.abs(s))):
         raise RuntimeError(f"imaginary part {imag:.3e} left on J-fixed columns")
-    return np.ascontiguousarray(h.real)
+    return np.ascontiguousarray(s.real)
+
+
+class Columns(NamedTuple):
+    """One family of block columns sum_t coef[t, c] e_{pos[t, c]}, as a
+    per-state table: Fock state i lies in column col[i, k] with weight
+    w[i, k], the coefficients of its terms there summed, for k < K.  The
+    Gamma-orbits are disjoint, so a state lies in at most one Fourier column
+    of :func:`_fock_fourier_basis` and in at most two J-fixed columns:
+    K <= 2, and unused slots hold column 0 with weight 0.  An empty family
+    has K = 0.  rep[c] is the smallest state of the orbit of column c,
+    pos[0, c]."""
+
+    rep: np.ndarray  # (cols,)
+    col: np.ndarray  # (dim, K)
+    w: np.ndarray  # (dim, K)
+
+
+def _columns(pos, coef, dim: int) -> Columns:
+    """The :class:`Columns` table of the (pos, coef) columns."""
+    count = pos.shape[1]
+    # one key per term, state-major; the stable sort keeps the terms of a
+    # (state, column) in t order, so their weights are summed in that order
+    key = (pos * count + np.arange(count)).ravel()
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    state, col = np.divmod(key[first], count)
+    w = np.add.reduceat(coef.ravel()[order], first)
+    slot = np.arange(state.size) - np.searchsorted(state, state)
+    width = slot.max(initial=-1) + 1
+    table_col = np.zeros((dim, width), np.int64)
+    table_w = np.zeros((dim, width), complex)
+    table_col[state, slot] = col
+    table_w[state, slot] = w
+    return Columns(pos[0], table_col, table_w)
+
+
+def _scatter(rows: Columns, cols: Columns, i, j, val) -> np.ndarray:
+    """W_rows^dagger X W_cols for the Fock operator X with entries
+    X[i, j] = val: each entry adds conj(W_rows[i, a]) val W_cols[j, b] to
+    entry (a, b), one bincount over O(entries K^2) terms."""
+    n_rows, n_cols = rows.rep.size, cols.rep.size
+    index = (rows.col[i][:, :, None] * n_cols + cols.col[j][:, None, :]).ravel()
+    weight = np.conj(rows.w[i])[:, :, None] * (
+        val[:, None, None] * cols.w[j][:, None, :]
+    )
+    out = np.empty(n_rows * n_cols, dtype=complex)
+    out.real = np.bincount(index, weight.real.ravel(), out.size)
+    out.imag = np.bincount(index, weight.imag.ravel(), out.size)
+    return out.reshape(n_rows, n_cols)
+
+
+def _conj_overlap(rows: Columns, cols: Columns) -> np.ndarray:
+    """F_rows^dagger conj(F_cols) of two column families, the Fock part of
+    the time-reversal map between two blocks (:func:`pffiber.kramers.theta_map`):
+    one scatter over the states."""
+    states = np.arange(rows.col.shape[0])
+    conj = cols._replace(w=np.conj(cols.w))
+    return _scatter(rows, conj, states, states, np.ones(states.size))
 
 
 def _spin_frame(P, model: FiberModel, coefs):
-    """sigma.v(P) in the spin frame (chi_+, chi_-) of u.sigma.
+    """sigma.v(P) in the spin frame (chi_+, chi_-) of u.sigma, as two sparse
+    Fock operators.
 
     Returns (axial, flip): axial = u.v = <chi_+|sigma.v|chi_+>
     = -<chi_-|sigma.v|chi_->, flip = <chi_+|sigma.v|chi_->, and
     <chi_-|sigma.v|chi_+> = conj(flip) because every v_k is real.  ``coefs``
-    holds the coefficients of v_k in each; a v_k whose coefficient is 0 is
-    skipped.
+    holds the coefficients c of v_k in each, and
+    c.v = diag((P - P_f).c) + sum_m (f c)_m (a_m + a_m^dagger) is returned
+    as its diagonal and its one coefficient per mode, (d, g).
     """
-    v = build_v(P, model)
-    return tuple(sum(c * v[k] for k, c in enumerate(cs) if c != 0) for cs in coefs)
+    rel = np.asarray(P, dtype=float)[None, :] - model.pf
+    return tuple((rel @ c, model.table.f @ c) for c in map(np.asarray, coefs))
 
 
-def _project(x, rows, cols):
-    """W_rows^dagger x W_cols by gathers over the Fourier terms of
-    :func:`_fock_fourier_basis`."""
-    (pr, cr), (pc, cc) = rows, cols
-    xw = sum(x[:, pc[t]] * cc[t][None, :] for t in range(len(pc)))
-    return sum(np.conj(cr[t])[:, None] * xw[pr[t], :] for t in range(len(pr)))
+def _project(ladder, x, rows: Columns, cols: Columns) -> np.ndarray:
+    """W_rows^dagger X W_cols for the sparse operator x = (d, g) of
+    :func:`_spin_frame`: one scatter of its diagonal and of its entries on
+    the ``ladder`` table of the basis and their transposes,
+    O(nnz K^2 + block size)."""
+    d, g = x
+    lowered, raised, modes, amps = ladder
+    off = g[modes] * amps
+    diag = np.arange(d.size)
+    return _scatter(
+        rows,
+        cols,
+        np.concatenate([diag, lowered, raised]),
+        np.concatenate([diag, raised, lowered]),
+        np.concatenate([d, off, off]),
+    )
+
+
+def _sigma_v(model: FiberModel, frame, rows, cols) -> np.ndarray:
+    """W_rows^dagger (sigma.v) W_cols for the :class:`HBlock` parts
+    ((chi_+, F), (chi_-, G)) of ``rows`` and of ``cols``, from the sparse
+    ``frame`` = (axial, flip) of :func:`_spin_frame`: the four products
+    F^dagger (chi^dagger sigma.v chi') G', each one :func:`_project`."""
+    axial, flip = frame
+    (_, row_up), (_, row_down) = rows
+    (_, col_up), (_, col_down) = cols
+    ladder = model.basis.ladder
+    return np.block(
+        [
+            [
+                _project(ladder, axial, row_up, col_up),
+                _project(ladder, flip, row_up, col_down),
+            ],
+            [
+                _project(ladder, tuple(map(np.conj, flip)), row_down, col_up),
+                -_project(ladder, axial, row_down, col_down),
+            ],
+        ]
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -558,10 +661,9 @@ class HBlock:
     over one Gamma-orbit of occupation states or, on a real block (see
     :func:`build_H_blocks`), a combination of the sums over two orbits that
     sigma swaps, whose first orbit is the column's own.  ``parts`` holds one
-    (chi, pos, coef) per spin vector, (pos, coef) as in
-    :func:`_fock_fourier_basis`; it is empty when W = 1.  ``partner`` is the
-    index, in the full list of :func:`build_H_blocks`, of the block that
-    theta maps this one onto.
+    (chi, :class:`Columns`) per spin vector; it is empty when W = 1.
+    ``partner`` is the index, in the full list of :func:`build_H_blocks`,
+    of the block that theta maps this one onto.
     """
 
     h: np.ndarray
@@ -578,23 +680,35 @@ class HBlock:
         if not self.parts:
             fock = np.arange(self.h.shape[0] // 2)
             return np.concatenate([fock, fock])
-        return np.concatenate([pos[0] for _, pos, _ in self.parts])
+        return np.concatenate([cols.rep for _, cols in self.parts])
+
+    def expand(self, x: np.ndarray) -> np.ndarray:
+        """W x on C^2 tensor Fock for a vector x on the block."""
+        if not self.parts:
+            return x
+        out, start = 0.0, 0
+        for chi, cols in self.parts:
+            part = x[start:start + cols.rep.size]
+            start += cols.rep.size
+            out = out + np.kron(chi, np.sum(cols.w * part[cols.col], axis=1))
+        return out
 
     def basis(self, dim: int) -> np.ndarray | None:
-        """W as a dense (2 dim, len(h)) matrix; None when W = 1."""
+        """W as a dense (2 dim, len(h)) matrix; None when W = 1.  For tests
+        and dense oracles."""
         if not self.parts:
             return None
-        cols = []
-        for chi, pos, coef in self.parts:
-            f = np.zeros((dim, pos.shape[1]), dtype=complex)
-            np.add.at(f, (pos, np.arange(pos.shape[1])), coef)
-            cols.append(np.kron(chi[:, None], f))
-        return np.hstack(cols)
+        out = []
+        for chi, cols in self.parts:
+            f = np.zeros((dim, cols.rep.size), dtype=complex)
+            np.add.at(f, (np.arange(dim)[:, None], cols.col), cols.w)
+            out.append(np.kron(chi[:, None], f))
+        return np.hstack(out)
 
 
 def _block(model: FiberModel, root: np.ndarray, partner: int, parts) -> HBlock:
     """The block gamma f(s) + H_f, from f(s) on its columns ``parts``."""
-    rows = np.concatenate([pos[0] for _, pos, _ in parts])
+    rows = np.concatenate([cols.rep for _, cols in parts])
     h = model.params.gamma * root + np.diag(model.hf[rows])
     return HBlock(hermitize(h), partner, parts)
 
@@ -602,11 +716,11 @@ def _block(model: FiberModel, root: np.ndarray, partner: int, parts) -> HBlock:
 def _symmetry_setup(P, model: FiberModel):
     """What :func:`build_H_blocks` needs of P but s(P), a function of the
     stabilizer of P: None without a :func:`block_generator`, else (mirror,
-    coefs, blocks).  ``coefs`` are the <chi_+|sigma_k|chi_+-> of
-    :func:`_spin_frame`; per nonempty block, ``blocks`` has the partner, the
-    (pos, coef) Fourier columns paired with chi_+ and chi_-, the
-    :class:`HBlock` parts and, on a real block, the (x, y, p) of
-    :func:`_j_pairs` over both halves.  No dense matrix is kept."""
+    real, coefs, blocks).  ``coefs`` are the <chi_+|sigma_k|chi_+-> of
+    :func:`_spin_frame`; per nonempty block, ``blocks`` has the partner and
+    the :class:`HBlock` parts, the :class:`Columns` paired with chi_+ and
+    chi_-.  ``real`` says that these are the J-fixed columns of
+    :func:`_j_pairs`.  No dense matrix is kept: the tables are O(dim)."""
     sym = block_generator(P, model)
     if sym is None:
         return None
@@ -621,21 +735,22 @@ def _symmetry_setup(P, model: FiberModel):
     kept = [j for j in range(n) if fourier[(j + 1) % n][0].size + fourier[j][0].size]
     blocks = []
     for j in kept:
-        up, down = fourier[(j + 1) % n], fourier[j]
-        parts, jcols = ((plus, *up), (minus, *down)), None
+        halves = (fourier[(j + 1) % n], fourier[j])
         if real is not None:
             step, flip, phases = real
-            pairs = [_j_pairs(*h, step, flip, ph) for h, ph in zip((up, down), phases)]
             # each J-fixed column keeps the (pos, coef) form with 2n terms,
             # its own orbit first, so pos[0] stays its representative
-            parts = tuple(
-                (chi, np.vstack([pos, pos[:, p]]), np.vstack([coef * x, coef[:, p] * y]))
-                for (chi, pos, coef), (x, y, p) in zip(parts, pairs)
-            )
-            jcols = [np.concatenate(arrays) for arrays in zip(*pairs)]
-            jcols[2][up[0].shape[1]:] += up[0].shape[1]  # p of the down half
-        blocks.append((kept.index(n - 1 - j), up, down, parts, jcols))
-    return mirror, coefs, blocks
+            halves = [
+                (np.vstack([pos, pos[:, p]]), np.vstack([coef * x, coef[:, p] * y]))
+                for (pos, coef), phase in zip(halves, phases)
+                for x, y, p in [_j_pairs(pos, coef, step, flip, phase)]
+            ]
+        parts = tuple(
+            (chi, _columns(pos, coef, model.dim))
+            for chi, (pos, coef) in zip((plus, minus), halves)
+        )
+        blocks.append((kept.index(n - 1 - j), parts))
+    return mirror, real is not None, coefs, blocks
 
 
 def build_H_blocks(P, params_or_model, one_per_pair: bool = False) -> list:
@@ -664,8 +779,10 @@ def build_H_blocks(P, params_or_model, one_per_pair: bool = False) -> list:
     A mirror M: see :func:`_mirror_blocks`; the two blocks have dimension
     dim each and are each other's partner.
 
-    All but s(P) is built once per (grid, stabilizer) by
-    :func:`_symmetry_setup` and kept in ``model.setups``.
+    Each s_j is projected from the sparse sigma.v of :func:`_spin_frame` by
+    :func:`_sigma_v`, with no dense Fock operator; all but s(P) is built
+    once per (grid, stabilizer) by :func:`_symmetry_setup` and kept in
+    ``model.setups``.
 
     With ``one_per_pair`` only the blocks up to their partner are built: a
     prefix of the full list, whose ``partner`` indices still refer to it.
@@ -677,23 +794,17 @@ def build_H_blocks(P, params_or_model, one_per_pair: bool = False) -> list:
     setup = model.setups[key]
     if setup is None:
         return [HBlock(build_H(P, model), partner=0)]
-    mirror, coefs, specs = setup
+    mirror, real, coefs, specs = setup
     if mirror:
         return _mirror_blocks(P, model, setup, one_per_pair)
-    axial, flip = _spin_frame(P, model, coefs)
+    frame = _spin_frame(P, model, coefs)
     blocks = []
-    for i, (partner, up, down, parts, jcols) in enumerate(specs):
+    for i, (partner, parts) in enumerate(specs):
         if one_per_pair and i > partner:
             break
-        corner = _project(flip, up, down)
-        s = np.block(
-            [
-                [_project(axial, up, up), corner],
-                [corner.conj().T, -_project(axial, down, down)],
-            ]
-        )
-        if jcols is not None:
-            s = _real_block(s, *jcols)
+        s = _sigma_v(model, frame, parts, parts)
+        if real:
+            s = _real_block(s)
         root = kinetic_root(s, model.params.M)
         blocks.append(_block(model, root, partner, parts))
     return blocks
@@ -716,15 +827,8 @@ def _mirror_blocks(P, model: FiberModel, setup, one_per_pair: bool = False) -> l
     and W f(Sigma) W^dagger on the +i space.  theta maps the -i space onto
     the +i space; with ``one_per_pair`` only the -i block is built.
     """
-    _, coefs, ((_, odd, even, plus_i, _), (_, _, _, minus_i, _)) = setup
-    axial, flip = _spin_frame(P, model, coefs)
-    s = np.block(
-        [
-            [_project(axial, odd, even), _project(flip, odd, odd)],
-            [_project(flip.conj(), even, even), -_project(axial, even, odd)],
-        ]
-    )
-    del axial, flip
+    _, _, coefs, ((_, plus_i), (_, minus_i)) = setup
+    s = _sigma_v(model, _spin_frame(P, model, coefs), plus_i, minus_i)
     w, sigma, vh = np.linalg.svd(s)
     del s  # not needed after the SVD; freeing it lowers the peak below
     root = np.sqrt(sigma * sigma + model.params.M**2)

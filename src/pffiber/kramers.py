@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import bound_constants, count_below
-from .hamiltonian import SIGMA, _as_model, hf_spinor
+from .hamiltonian import SIGMA, _as_model, _conj_overlap, hf_spinor
 from .spectral import DEFAULT_CLUSTER_TOL, EnergyCache, solve_fiber
 
 PAIRING_TOL = 1e-8
@@ -77,16 +77,28 @@ def check_reality_relations(params_or_model) -> dict:
     return res
 
 
-def theta_map(w_src: np.ndarray | None, w_dst: np.ndarray | None):
+def theta_map(src, dst):
     """K = W_dst^dagger theta W_src: theta W_src x = W_dst K conj(x).
 
-    W_src and W_dst are the bases (:meth:`pffiber.hamiltonian.HBlock.basis`)
-    of a block and of the block theta maps it onto.  None when W = 1, where
-    K = sigma_2 tensor 1.
+    ``src`` and ``dst`` are a block of
+    :func:`pffiber.hamiltonian.build_H_blocks` and the block theta maps it
+    onto.  theta (chi x f) = (sigma_2 conj(chi)) x conj(f), so K is, per
+    pair of their parts, the spin overlap times F_dst^dagger conj(F_src),
+    taken from the per-state tables of the two column families.  None when
+    W = 1, where K = sigma_2 tensor 1.
     """
-    if w_src is None:
+    if not src.parts:
         return None
-    return w_dst.conj().T @ _theta(w_src)
+    return np.block(
+        [
+            [
+                np.vdot(chi_dst, SIGMA[1] @ np.conj(chi_src))
+                * _conj_overlap(cols_dst, cols_src)
+                for chi_src, cols_src in src.parts
+            ]
+            for chi_dst, cols_dst in dst.parts
+        ]
+    )
 
 
 def theta_defect(h_src: np.ndarray, h_dst: np.ndarray, k=None) -> float:
@@ -114,7 +126,7 @@ def check_theta_commutes(h: np.ndarray) -> float:
     return theta_defect(h, h) / float(np.linalg.norm(h))
 
 
-def block_theta_residuals(blocks, dim: int, ground: int, lam: float, x, h_norm):
+def block_theta_residuals(blocks, ground: int, lam: float, x, h_norm):
     """The theta checks of H(P), read from its blocks.
 
     ``blocks`` are those of :func:`pffiber.hamiltonian.build_H_blocks`, and
@@ -122,11 +134,11 @@ def block_theta_residuals(blocks, dim: int, ground: int, lam: float, x, h_norm):
     commutation residual ||theta H theta^{-1} - H||_F / ||H||_F, with every
     block compared against the theta-image of its partner, and the
     (pairing residual, |<v, theta v>|) of v = W x, with theta v = W' K conj(x)
-    mapped through the same K.  With one block, W = 1, these are
-    :func:`check_theta_commutes` and :func:`theta_pairing_residuals`.
+    mapped through the same K of :func:`theta_map`.  With one block, W = 1,
+    these are :func:`check_theta_commutes` and
+    :func:`theta_pairing_residuals`.
     """
-    bases = [b.basis(dim) for b in blocks]
-    maps = [theta_map(w, bases[b.partner]) for b, w in zip(blocks, bases)]
+    maps = [theta_map(b, blocks[b.partner]) for b in blocks]
     defects = [
         theta_defect(blocks[b.partner].h, b.h, maps[b.partner]) for b in blocks
     ]
@@ -136,7 +148,7 @@ def block_theta_residuals(blocks, dim: int, ground: int, lam: float, x, h_norm):
     k = maps[ground]
     tx = apply_theta(x) if k is None else k @ np.conj(x)
     res = float(np.linalg.norm(blocks[j].h @ tx - lam * tx)) / max(h_norm, 1e-300)
-    v, tv = (x, tx) if k is None else (bases[ground] @ x, bases[j] @ tx)
+    v, tv = blocks[ground].expand(x), blocks[j].expand(tx)
     return comm, (res, abs(complex(np.vdot(v, tv))))
 
 

@@ -57,7 +57,7 @@ DEFAULT_CLUSTER_TOL = 1e-8
 P_QUANTUM = 1e-12
 N_LOW_VECTORS = 4
 RESIDUAL_TOL = 1e-9
-CACHE_FORMAT = 8
+CACHE_FORMAT = 9
 
 
 class EigensolverError(RuntimeError):
@@ -183,12 +183,16 @@ class EnergyCache:
         return self._lookup(self.solves, key)
 
     def save(self):
-        """Write the cache atomically: a temp file beside it, then a rename."""
+        """Write the cache atomically: a temp file beside it, then a rename.
+
+        Entries are written in sorted key order, so the file does not depend
+        on the order in which the momentum pool's threads filled them."""
         if self.path is None:
             return
+        entries = sorted(self._data.items())
         raw = {
             "format": CACHE_FORMAT,
-            "entries": {json.dumps(list(k)): list(v) for k, v in self._data.items()},
+            "entries": {json.dumps(list(k)): list(v) for k, v in entries},
         }
         folder = os.path.dirname(os.path.abspath(self.path))
         fd, tmp = tempfile.mkstemp(
@@ -313,7 +317,7 @@ def solve_fiber(
     ground = min(range(len(blocks)), key=lambda i: spectra[i][0][0])
     ground_vals, ground_low = spectra[ground]
     theta_res, pairing = kramers.block_theta_residuals(
-        blocks, model.dim, ground, ground_vals[0], ground_low[:, 0], h_norm
+        blocks, ground, ground_vals[0], ground_low[:, 0], h_norm
     )
     sandwich = None
     if model.params.gamma < 1.0:

@@ -12,7 +12,7 @@ import scipy.linalg
 
 from pffiber import bounds, hamiltonian, spectral
 from pffiber.hamiltonian import block_generator, build_H, build_H_blocks, build_model
-from pffiber.kramers import check_theta_commutes, theta_map
+from pffiber.kramers import _theta, check_theta_commutes, theta_map
 from pffiber.spectral import _ground_triple, ground_data, solve_fiber
 
 DIRECTION_COUNTS = (2, 6, 8, 12)
@@ -106,7 +106,9 @@ def test_block_bases_and_theta_partners(default_params, n_dirs):
         for i, (b, wb) in enumerate(zip(blocks, bases)):
             assert blocks[b.partner].partner == i
             assert np.max(np.abs(wb.conj().T @ h @ wb - b.h)) <= tol
-            k = theta_map(wb, bases[b.partner])
+            k = theta_map(b, blocks[b.partner])
+            dense = bases[b.partner].conj().T @ _theta(wb)
+            assert np.max(np.abs(k - dense)) <= 1e-14
             assert np.max(np.abs(k.conj().T @ k - np.eye(len(k)))) <= 1e-13
             image = k @ np.conj(b.h) @ k.conj().T
             assert np.max(np.abs(image - blocks[b.partner].h)) <= tol

@@ -103,6 +103,15 @@ def test_spectrum_rerun_with_cache_identical(tmp_path):
     assert (out1 / "spectrum.csv").read_text() == (out2 / "spectrum.csv").read_text()
 
 
+def test_threaded_spectrum_runs_write_identical_cache_files(tmp_path):
+    cfg = write_cfg(tmp_path, {"n_P": 8})
+    caches = [tmp_path / "c1.json", tmp_path / "c2.json"]
+    for i, cache in enumerate(caches):
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / f"o{i}"),
+                     "--threads", "2", "--cache", str(cache)]) == 0
+    assert caches[0].read_bytes() == caches[1].read_bytes()
+
+
 def test_sweep_outputs_and_prefix_stability(tmp_path):
     cfg_small = write_cfg(tmp_path, {"P_max": 0.8, "n_P": 3}, name="a.json")
     cfg_big = write_cfg(tmp_path, {"P_max": 1.6, "n_P": 5}, name="b.json")

@@ -8,7 +8,9 @@ energy gamma sqrt(P^2 + M^2) at e = 0 and at N_max = 0, and
 Delta(P) <= m_ph.  Per grid, one drawn momentum in a mirror plane is solved
 by mirror blocks and checked against the dense spectrum.  Two more drawn
 configs, at Fock dimension at most 60, run ``verify``, which must exit 0 or
-1 and report every check of the default run.
+1 and report every check of the default run.  One more, at N_max 3 on 12
+modes, runs ``sweep`` and ``convergence`` at momenta that take the real,
+mirror and dense paths, checked against the dense spectrum.
 """
 
 import json
@@ -194,6 +196,50 @@ def test_mirror_plane_momentum_matches_the_dense_oracle(n_dirs):
     assert got[2] == mult and mult % 2 == 0
     assert abs(got[0] - e0) <= tol
     assert (got[1] is None and e1 is None) or abs(got[1] - e1) <= tol
+
+
+def _n3_config():
+    """One seeded config at N_max 3 on the 12-mode grid (Fock dim 455) with
+    a momentum on an axis, one in a coordinate plane and a generic one: the
+    real, mirror and dense paths of build_H_blocks."""
+    rng = np.random.default_rng(SEED + 3)
+    axis = np.zeros(3)
+    plane, generic = rng.uniform(-1.0, 1.0, (2, 3))
+    axis[rng.integers(3)] = rng.uniform(-1.5, 1.5)
+    plane[rng.integers(3)] = 0.0
+    params = {"n_dirs": 6, "n_shells": 1, "N_max": 3, "e": 0.3, "gamma": 0.5,
+              "m_ph": float(rng.choice([0.0, 0.5]))}
+    momenta = [axis.tolist(), plane.tolist(), generic.tolist()]
+    return {"params": params, "P_list": momenta, "threads": 1}
+
+
+def test_fuzzed_n_max_3_config_matches_the_dense_oracle(tmp_path, capsys):
+    data = _n3_config()
+    p = data["params"]
+    model = build_model(config.config_from_dict(data).params)
+    assert truncated_dim(2 * p["n_dirs"], p["N_max"]) == model.dim == 455
+    kinds = []
+    for P in data["P_list"]:
+        sym = block_generator(np.array(P), model)
+        kinds.append("dense" if sym is None
+                     else "mirror" if _is_mirror(sym[0]) else "rotation")
+    assert kinds == ["rotation", "mirror", "dense"]
+    code, out = _run(tmp_path, "sweep", data)
+    assert code == 0
+    rows = _table(out / "sweep.csv")
+    _assert_exact_statements(data, rows)
+    for P, row in zip(data["P_list"], rows):
+        h = build_H(P, model)
+        e0, e1, mult = _ground_triple(scipy.linalg.eigvalsh(h), 1e-8)
+        tol = 1e-12 * np.linalg.norm(h, 2)
+        assert row["mult"] == mult and abs(row["E"] - e0) <= tol
+        assert abs(row["E1"] - e1) <= tol
+        # convergence reads the middle momentum of its list
+        code, conv = _run(tmp_path, "convergence", {
+            **data, "P_list": [P], "small_params": p, "convergence_ladder": [[3, 1]]})
+        assert code == 0
+        assert abs(_table(conv / "convergence.csv")[0]["E"] - e0) <= tol
+    assert "Traceback" not in capsys.readouterr().err
 
 
 INVALID_CONFIGS = {

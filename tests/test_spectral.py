@@ -198,6 +198,25 @@ def test_cache_save_is_atomic(tmp_path, default_model):
     assert json.loads(path.read_text())["format"] == CACHE_FORMAT
 
 
+def test_cache_file_does_not_depend_on_insertion_order(tmp_path, default_model):
+    """The momentum pool fills the cache in the order its threads finish;
+    the saved file must not show it."""
+    params = default_model.params
+    items = [
+        (EnergyCache.key(params, [x, -0.5 * x, 0.0], tol), (1.0 + x, 2.0 + x, 2))
+        for x in (0.3, -0.1, 1.2, 0.0, 0.7)
+        for tol in (1e-8, 1e-6)
+    ]
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, order in zip(paths, (items, items[::-1])):
+        cache = EnergyCache(path=str(path))
+        for key, value in order:
+            cache.put(key, value)
+        cache.save()
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert len(json.loads(paths[0].read_text())["entries"]) == len(items)
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -206,6 +225,7 @@ def test_cache_save_is_atomic(tmp_path, default_model):
         json.dumps({"format": 2, "entries": {}}),
         json.dumps({"format": 5, "entries": {}}),
         json.dumps({"format": 6, "entries": {}}),
+        json.dumps({"format": 7, "entries": {}}),
         json.dumps({"format": CACHE_FORMAT - 1, "entries": {}}),
     ],
 )
