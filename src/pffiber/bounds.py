@@ -49,6 +49,10 @@ from .spectral import (  # noqa: F401
 )
 
 SANDWICH_TOL = 1e-9
+# trials per stacked draw of sqrt_monotone_test.  The chunk sets the check's
+# peak memory: at dim 12, 0.5 MB of traced numpy memory at 16, 2.1 MB at 64
+# and 28 MB for 1000 trials at once, where verify's peak RSS is about 44 MB
+SQRT_MONOTONE_CHUNK = 16
 U_DIRECTION = np.array([1.0, 0.0, 0.0])
 
 
@@ -293,20 +297,30 @@ def sqrt_monotone_test(dim: int = 12, trials: int = 1000, rng_seed: int = 0):
     Draws Hermitian PSD S and T = S + W^dagger W and checks
     min eig(sqrt(T) - sqrt(S)) >= -1e-10 ||sqrt(T)||.  Returns
     (all_passed, worst_margin) with the margin normalized by ||sqrt(T)||.
+
+    The trials run in chunks of ``SQRT_MONOTONE_CHUNK``: one draw of the
+    chunk's G and W (the stream of drawing each trial's Re G, Im G, Re W,
+    Im W in turn), one stacked :func:`op_sqrt_eig` for T and one for S, one
+    stacked ``eigvalsh`` and one stacked 2-norm.  Each matrix goes through
+    the same LAPACK calls as on its own, so the margins are those of a
+    trial-by-trial loop, bit for bit.
     """
     if dim > 32:
         raise ValueError("property suite is desk-scale: dim <= 32")
     rng = np.random.default_rng(rng_seed)
     worst = math.inf
-    for _ in range(trials):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        s = g.conj().T @ g
-        w = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        t = s + w.conj().T @ w
+    for start in range(0, trials, SQRT_MONOTONE_CHUNK):
+        draw = rng.standard_normal(
+            (min(SQRT_MONOTONE_CHUNK, trials - start), 4, dim, dim)
+        )
+        g = draw[:, 0] + 1j * draw[:, 1]
+        w = draw[:, 2] + 1j * draw[:, 3]
+        s = g.conj().swapaxes(-1, -2) @ g
+        t = s + w.conj().swapaxes(-1, -2) @ w
         rt = op_sqrt_eig(t)
         diff = rt - op_sqrt_eig(s)
-        margin = float(np.linalg.eigvalsh(diff)[0]) / float(
-            np.linalg.norm(rt, ord=2)
+        margins = np.linalg.eigvalsh(diff)[:, 0] / np.linalg.norm(
+            rt, ord=2, axis=(-2, -1)
         )
-        worst = min(worst, margin)
+        worst = min(worst, float(np.min(margins)))
     return worst >= -1e-10, worst

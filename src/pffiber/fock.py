@@ -166,18 +166,24 @@ def field_sum(basis: FockBasis, coeffs) -> np.ndarray:
     return out
 
 
-def hermiticity_defect(mat: np.ndarray) -> float:
-    """max |M - M^dagger| (absolute)."""
-    return float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
+def hermiticity_defect(mat: np.ndarray):
+    """max |M - M^dagger| (absolute); for a (k, n, n) stack, one per matrix."""
+    defect = np.max(
+        np.abs(mat - mat.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0
+    )
+    return float(defect) if mat.ndim == 2 else defect
 
 
 def require_hermitian(mat: np.ndarray, rtol: float = 1e-12, what: str = "matrix") -> None:
-    """Assert Hermiticity up to rtol * max|M|."""
-    scale = float(np.max(np.abs(mat))) if mat.size else 0.0
-    if hermiticity_defect(mat) > rtol * max(scale, 1e-300):
+    """Assert Hermiticity up to rtol * max|M|.  On a (k, n, n) stack each
+    matrix is held to its own max|M|, so a large matrix cannot hide the skew
+    of a small one."""
+    scale = np.max(np.abs(mat), axis=(-2, -1), initial=0.0)
+    if np.any(hermiticity_defect(mat) > rtol * np.maximum(scale, 1e-300)):
         raise ValueError(f"{what} is not Hermitian within tolerance {rtol}")
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
-    """Symmetrize (M + M^dagger)/2 to remove floating-point skew."""
-    return 0.5 * (mat + mat.conj().T)
+    """Symmetrize (M + M^dagger)/2 to remove floating-point skew; matrix by
+    matrix on a (k, n, n) stack."""
+    return 0.5 * (mat + mat.conj().swapaxes(-1, -2))

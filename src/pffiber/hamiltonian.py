@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -158,10 +159,25 @@ class FiberModel:
         return tuple(build_B0(self.basis, self.table))
 
 
+GRID_FIELDS = ("modes", "basis", "pf", "hf", "rotations", "setups")
+
+# every live model of build_model, by (grid key, params).  It holds nothing
+# alive: it lets _grid find the grid of a model that outlived the grid's own
+# cache entry, so that no coupling on that grid builds a second one
+_live_models = weakref.WeakValueDictionary()
+
+
 @functools.lru_cache(maxsize=64)
 def _grid(key: ModelParams) -> dict:
     """The fields of a model that no coupling changes, for ``key`` at e = 1:
-    g depends on |k| only, so G from this table is the G of every e."""
+    g depends on |k| only, so G from this table is the G of every e.  While
+    a model on the grid is alive, these are its fields."""
+    # valuerefs() copies the references in one step, so a model registered
+    # by another thread meanwhile cannot break the scan
+    for ref in _live_models.valuerefs():
+        model = ref()
+        if model is not None and ref.key[0] == key:
+            return {name: getattr(model, name) for name in GRID_FIELDS}
     modes = build_mode_set(key)
     table = form_factors(modes, key)
     basis = enumerate_basis(modes.n_modes, key.N_max)
@@ -179,11 +195,14 @@ def _grid(key: ModelParams) -> dict:
 def build_model(params: ModelParams) -> FiberModel:
     """The grid of ``params``, shared by every coupling on it, plus what e
     changes: the form factors and their norms."""
-    grid = _grid(params.replace(e=1.0, gamma=1.0, M=1.0))
+    key = params.replace(e=1.0, gamma=1.0, M=1.0)
+    grid = _grid(key)
     table = form_factors(grid["modes"], params)
-    return FiberModel(
+    model = FiberModel(
         params=params, table=table, norms=coupling_norms(table), **grid
     )
+    _live_models[key, params] = model
+    return model
 
 
 def build_A0(basis: FockBasis, table: FormFactorTable):
@@ -281,17 +300,24 @@ def op_sqrt_eig(h: np.ndarray, tol_psd: float = DEFAULT_PSD_TOL) -> np.ndarray:
     """Hermitian PSD square root via spectral decomposition (reference path).
 
     Eigenvalues in [-tol_psd * scale, 0) are clamped to zero; anything below
-    raises ``NotPositiveSemidefiniteError``.
+    raises ``NotPositiveSemidefiniteError``.  ``h`` may be one matrix or a
+    (k, n, n) stack, rooted by one stacked ``eigh``; the Hermiticity guard
+    and the scale max|eigenvalue| of the clamp are then per matrix.
     """
     require_hermitian(h, what="op_sqrt_eig input")
     w, u = np.linalg.eigh(h)
-    scale = max(float(np.max(np.abs(w))), 1e-300)
-    if w[0] < -tol_psd * scale:
+    lowest = np.ravel(w[..., 0])
+    scale = np.ravel(np.maximum(np.max(np.abs(w), axis=-1), 1e-300))
+    bad = np.flatnonzero(lowest < -tol_psd * scale)
+    if bad.size:
+        i = bad[0]
+        where = f" in matrix {i} of the stack" if w.ndim > 1 else ""
         raise NotPositiveSemidefiniteError(
-            f"minimum eigenvalue {w[0]:.3e} below -{tol_psd:.1e} * {scale:.3e}"
+            f"minimum eigenvalue {lowest[i]:.3e} below "
+            f"-{tol_psd:.1e} * {scale[i]:.3e}{where}"
         )
-    root = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
-    return hermitize(root)
+    root = u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    return hermitize(root @ u.conj().swapaxes(-1, -2))
 
 
 def kinetic_root(s: np.ndarray, M: float) -> np.ndarray:
@@ -573,19 +599,32 @@ def _columns(pos, coef, dim: int) -> Columns:
     return Columns(pos[0], table_col, table_w)
 
 
-def _scatter(rows: Columns, cols: Columns, i, j, val) -> np.ndarray:
-    """W_rows^dagger X W_cols for the Fock operator X with entries
-    X[i, j] = val: each entry adds conj(W_rows[i, a]) val W_cols[j, b] to
-    entry (a, b), one bincount over O(entries K^2) terms."""
-    n_rows, n_cols = rows.rep.size, cols.rep.size
-    index = (rows.col[i][:, :, None] * n_cols + cols.col[j][:, None, :]).ravel()
-    weight = np.conj(rows.w[i])[:, :, None] * (
-        val[:, None, None] * cols.w[j][:, None, :]
-    )
-    out = np.empty(n_rows * n_cols, dtype=complex)
-    out.real = np.bincount(index, weight.real.ravel(), out.size)
-    out.imag = np.bincount(index, weight.imag.ravel(), out.size)
-    return out.reshape(n_rows, n_cols)
+def _scatter(parts, shape) -> np.ndarray:
+    """The sum of W_rows^dagger X W_cols over ``parts``, as a complex array
+    of ``shape``.  A part (rows, cols, i, j, val, offset) is the Fock
+    operator X with entries X[i, j] = val; each entry adds
+    conj(W_rows[i, a]) val W_cols[j, b] at the flat index
+    offset + a * shape[1] + b.  The terms of the parts, O(entries K^2) each,
+    are written in turn into one index and one weight array, so only one
+    part's temporaries live at a time, and one bincount adds them up in that
+    order: it reads the weights as (real, imaginary) pairs and writes the
+    result as such pairs, so neither is split into a real and an imaginary
+    copy."""
+    sizes = [i.size * r.col.shape[1] * c.col.shape[1] for r, c, i, *_ in parts]
+    index = np.empty((sum(sizes), 2), dtype=np.int64)
+    weight = np.empty(sum(sizes), dtype=complex)
+    start = 0
+    for (rows, cols, i, j, val, offset), size in zip(parts, sizes):
+        end = start + size
+        at = rows.col[i][:, :, None] * shape[1] + cols.col[j][:, None, :]
+        index[start:end] = 2 * (at + offset).reshape(-1, 1) + np.arange(2)
+        terms = np.conj(rows.w[i])[:, :, None] * (
+            val[:, None, None] * cols.w[j][:, None, :]
+        )
+        weight[start:end] = terms.ravel()
+        start = end
+    out = np.bincount(index.ravel(), weight.view(float), 2 * shape[0] * shape[1])
+    return out.view(complex).reshape(shape)
 
 
 def _conj_overlap(rows: Columns, cols: Columns) -> np.ndarray:
@@ -594,7 +633,8 @@ def _conj_overlap(rows: Columns, cols: Columns) -> np.ndarray:
     one scatter over the states."""
     states = np.arange(rows.col.shape[0])
     conj = cols._replace(w=np.conj(cols.w))
-    return _scatter(rows, conj, states, states, np.ones(states.size))
+    part = (rows, conj, states, states, np.ones(states.size), 0)
+    return _scatter([part], (rows.rep.size, cols.rep.size))
 
 
 def _spin_frame(P, model: FiberModel, coefs):
@@ -612,45 +652,39 @@ def _spin_frame(P, model: FiberModel, coefs):
     return tuple((rel @ c, model.table.f @ c) for c in map(np.asarray, coefs))
 
 
-def _project(ladder, x, rows: Columns, cols: Columns) -> np.ndarray:
-    """W_rows^dagger X W_cols for the sparse operator x = (d, g) of
-    :func:`_spin_frame`: one scatter of its diagonal and of its entries on
-    the ``ladder`` table of the basis and their transposes,
-    O(nnz K^2 + block size)."""
-    d, g = x
-    lowered, raised, modes, amps = ladder
-    off = g[modes] * amps
-    diag = np.arange(d.size)
-    return _scatter(
-        rows,
-        cols,
-        np.concatenate([diag, lowered, raised]),
-        np.concatenate([diag, raised, lowered]),
-        np.concatenate([d, off, off]),
-    )
-
-
 def _sigma_v(model: FiberModel, frame, rows, cols) -> np.ndarray:
     """W_rows^dagger (sigma.v) W_cols for the :class:`HBlock` parts
     ((chi_+, F), (chi_-, G)) of ``rows`` and of ``cols``, from the sparse
-    ``frame`` = (axial, flip) of :func:`_spin_frame`: the four products
-    F^dagger (chi^dagger sigma.v chi') G', each one :func:`_project`."""
-    axial, flip = frame
+    ``frame`` = (axial, flip) of :func:`_spin_frame`.
+
+    The four quadrants F^dagger (chi^dagger sigma.v chi') G' are one
+    bincount into the block: each sparse operator x = (d, g) contributes its
+    diagonal and its entries on the ``ladder`` table of the basis and their
+    transposes, O(nnz K^2 + block size) terms per quadrant.  Every entry of
+    the block lies in one quadrant, whose terms keep the order of a
+    quadrant-by-quadrant sum; the lower right one, -axial, is negated after
+    its sum."""
     (_, row_up), (_, row_down) = rows
     (_, col_up), (_, col_down) = cols
-    ladder = model.basis.ladder
-    return np.block(
+    lowered, raised, modes, amps = model.basis.ladder
+    diag = np.arange(model.dim)
+    i = np.concatenate([diag, lowered, raised])
+    j = np.concatenate([diag, raised, lowered])
+    axial, flip = (np.concatenate([d, np.tile(g[modes] * amps, 2)]) for d, g in frame)
+    up, left = row_up.rep.size, col_up.rep.size
+    width = left + col_down.rep.size
+    out = _scatter(
         [
-            [
-                _project(ladder, axial, row_up, col_up),
-                _project(ladder, flip, row_up, col_down),
-            ],
-            [
-                _project(ladder, tuple(map(np.conj, flip)), row_down, col_up),
-                -_project(ladder, axial, row_down, col_down),
-            ],
-        ]
+            (row_up, col_up, i, j, axial, 0),
+            (row_up, col_down, i, j, flip, left),
+            (row_down, col_up, i, j, np.conj(flip), up * width),
+            (row_down, col_down, i, j, axial, up * width + left),
+        ],
+        (up + row_down.rep.size, width),
     )
+    lower = out[up:, left:]
+    np.negative(lower, out=lower)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

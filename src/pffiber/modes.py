@@ -22,6 +22,7 @@ CONVENTIONS:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import numbers
@@ -109,6 +110,17 @@ class ModelParams:
             raise ValueError("k_min must lie strictly between 0 and Lambda")
         if not 0.0 <= self.envelope_width < 1.0:
             raise ValueError("envelope_width must lie in [0, 1)")
+
+    @functools.cached_property
+    def fingerprint(self) -> str:
+        """Stable, lossless string key of the parameters (17 significant
+        digits), built once per instance: the fields are frozen."""
+        items = sorted(
+            (f.name, getattr(self, f.name)) for f in dataclasses.fields(self)
+        )
+        return ";".join(
+            f"{k}={v:.17g}" if isinstance(v, float) else f"{k}={v}" for k, v in items
+        )
 
     def gap_hypotheses_met(self) -> bool:
         """Whether the hypotheses of the uniform-gap statements hold."""
@@ -355,13 +367,18 @@ def orbit_representatives(vectors, rotations) -> list:
 
     ``rotations`` must be a group of signed permutations; two vectors share
     an orbit when one is exactly the image of the other under the group.
-    The first member of each orbit, in input order, is kept.
+    The first member of each orbit, in input order, is kept.  The images of
+    every vector under the whole group are one ``einsum``; they are exact,
+    as each is a signed permutation of the vector's entries.
     """
+    vectors = [np.asarray(v, dtype=float) for v in vectors]
+    if not vectors:
+        return []
+    images = np.einsum("gij,vj->vgi", np.asarray(rotations, dtype=float), vectors)
     seen = set()
     out = []
-    for v in vectors:
-        v = np.asarray(v, dtype=float)
-        label = min(tuple(r @ v) for r in rotations)
+    for v, orbit in zip(vectors, images.tolist()):
+        label = min(map(tuple, orbit))
         if label not in seen:
             seen.add(label)
             out.append(v)

@@ -110,11 +110,9 @@ def _quantize_P(P) -> tuple:
 
 
 def params_fingerprint(params: ModelParams) -> str:
-    """Stable, lossless string key for a parameter set (17 significant digits)."""
-    items = sorted(asdict(params).items())
-    return ";".join(
-        f"{k}={v:.17g}" if isinstance(v, float) else f"{k}={v}" for k, v in items
-    )
+    """Stable, lossless string key for a parameter set (17 significant
+    digits): :attr:`ModelParams.fingerprint`, built once per instance."""
+    return params.fingerprint
 
 
 class EnergyCache:

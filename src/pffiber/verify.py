@@ -435,6 +435,12 @@ def check_envelope(ctx: VerifyContext) -> CheckResult:
 # criterion 10: property suites
 # ----------------------------------------------------------------------
 
+# check 10a runs as many rounds at a time as fill about this many bytes with
+# their eight complex vectors each (phi, psi and their six images under a(f),
+# a(g) and the transposes), 128 bytes per basis state and round
+COUPLING_CHUNK_BYTES = 64 * 1024
+
+
 def _property_basis(ctx: VerifyContext):
     params = ctx.cfg.small_params.replace(
         N_max=max(3, ctx.cfg.small_params.N_max)
@@ -445,69 +451,91 @@ def _property_basis(ctx: VerifyContext):
     return params, table, basis
 
 
+def _ladder_apply(ladder, coefs, vecs):
+    """a(c) x and a(c)^T x for the real a(c) = sum_m c_m a_m, with no dense
+    a(c): one scatter over the ``ladder`` table of the basis.
+
+    ``coefs`` is (r, n_modes) and ``vecs`` complex, (r, k, dim): the k
+    vectors of row i share the coefficients c_i.  Returns (r, k, 2, dim)
+    holding a(c_i) x and a(c_i)^T x for each vector x of row i."""
+    lowered, raised, modes, amps = ladder
+    r, k, dim = vecs.shape
+    source = np.stack([raised, lowered])
+    vals = (coefs[:, modes] * amps)[:, None, None, :] * vecs[..., source]
+    index = (np.arange(r * k * 2).reshape(r, k, 2, 1) * dim + source[::-1]).ravel()
+    out = np.empty((r, k, 2, dim), dtype=complex)
+    out.real = np.bincount(index, vals.real.ravel(), out.size).reshape(out.shape)
+    out.imag = np.bincount(index, vals.imag.ravel(), out.size).reshape(out.shape)
+    return out
+
+
+def _unit(v):
+    """Each row of v divided by its 2-norm."""
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def coupling_estimate_suite(basis, table, rng, n_rounds: int, tol: float):
+    """The draws and inequalities of check 10a: (violations, worst excess).
+
+    Each round draws f, g (one real coefficient per mode), a unit phi and a
+    unit psi on the truncation-safe states, in that order, and evaluates 8
+    inequalities; a violation is an excess above ``tol``.  The rounds run
+    in chunks sized by ``COUPLING_CHUNK_BYTES``: one draw of the chunk's
+    numbers, the stream of a round-by-round loop, and two
+    :func:`_ladder_apply` scatters, so no dim x dim array is formed.
+    """
+    dim, n_modes = basis.dim, basis.n_modes
+    hf = dgamma_diag(basis, table.omega)
+    om = table.omega
+    one = (1 + om**-0.5) ** 2
+    safe = np.flatnonzero(basis.totals() <= basis.n_max - 2)
+    # the columns of f, g, Re phi, Im phi, Re psi and Im psi in one round
+    cuts = np.cumsum([0, n_modes, n_modes, dim, dim, safe.size, safe.size])
+    fields = [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+    chunk = max(1, COUPLING_CHUNK_BYTES // (128 * dim))
+    violations = 0
+    worst = -math.inf
+    for start in range(0, n_rounds, chunk):
+        r = min(chunk, n_rounds - start)
+        draw = rng.standard_normal((r, cuts[-1]))
+        f, g, phi_re, phi_im, psi_re, psi_im = (draw[:, cols] for cols in fields)
+        cf_half = np.sqrt(np.sum(f * f / om, axis=1))
+        cf_one = np.sqrt(np.sum(one * f * f, axis=1))
+        cg_one = np.sqrt(np.sum(one * g * g, axis=1))
+        phi = _unit(phi_re + 1j * phi_im)
+        psi = np.zeros((r, dim), dtype=complex)
+        psi[:, safe] = _unit(psi_re + 1j * psi_im)
+        hf_phi = np.sum(hf * np.abs(phi) ** 2, axis=1)
+        hf1_phi = np.sqrt(np.sum((hf + 1) * np.abs(phi) ** 2, axis=1))
+        hf1_psi = np.sum((hf + 1) * np.abs(psi) ** 2, axis=1)
+        # a(f), a(f)^T on phi and a(g), a(g)^T on psi; then a(f), a(f)^T on
+        # a(g) psi and on a(g)^T psi for the mixed second-order bound on the
+        # truncation-safe block
+        first = _ladder_apply(
+            basis.ladder, np.concatenate([f, g]), np.concatenate([phi, psi])[:, None]
+        )
+        a_phi, at_phi = first[:r, 0, 0], first[:r, 0, 1]
+        second = _ladder_apply(basis.ladder, f, first[r:, 0])
+        mixed = np.abs(np.einsum("rd,ryxd->rxy", psi.conj(), second)).reshape(r, 4)
+        both = a_phi + at_phi
+        checks = np.column_stack([
+            np.linalg.norm(a_phi, axis=1) - cf_half * np.sqrt(hf_phi),
+            np.linalg.norm(at_phi, axis=1) - cf_one * hf1_phi,
+            np.real(np.sum(phi.conj() * both, axis=1)) - (hf_phi + cf_half**2),
+            np.linalg.norm(both, axis=1) - 2 * cf_one * hf1_phi,
+            mixed - (cf_one * cg_one * hf1_psi)[:, None],
+        ])
+        worst = max(worst, float(np.max(checks)))
+        violations += int(np.count_nonzero(checks > tol))
+    return violations, worst
+
+
 def check_coupling_estimates(ctx: VerifyContext) -> CheckResult:
     """Lemma-style annihilation/creation bounds as matrix inequalities."""
     tol = ctx.cfg.tolerances.property_suite
     _, table, basis = _property_basis(ctx)
-    rng = ctx.rng
-    dim = basis.dim
-    n_modes = basis.n_modes
-    rows, cols, modes, amps = basis.ladder
-    hf = dgamma_diag(basis, table.omega)
-    om = table.omega
-    safe = basis.totals() <= basis.n_max - 2
-    violations = 0
-    worst = -math.inf
-
-    def _vec():
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        return v / np.linalg.norm(v)
-
-    def _apply(a, v):
-        # a real matrix on a complex vector, with no complex copy of a
-        return a @ v.real + 1j * (a @ v.imag)
-
     n_rounds = ctx.cfg.verify.n_property_vectors
-    # a(f) = sum_m f_m a_m: each entry of the ladder table belongs to one
-    # mode, so one scatter per draw overwrites every nonzero entry
-    af = np.zeros((dim, dim))
-    ag = np.zeros((dim, dim))
-    for _ in range(n_rounds):
-        f = rng.standard_normal(n_modes)
-        g = rng.standard_normal(n_modes)
-        af[rows, cols] = f[modes] * amps
-        ag[rows, cols] = g[modes] * amps
-        cf_half = math.sqrt(float(np.sum(f * f / om)))
-        cf_one = math.sqrt(float(np.sum((1 + om**-0.5) ** 2 * f * f)))
-        cg_one = math.sqrt(float(np.sum((1 + om**-0.5) ** 2 * g * g)))
-        phi = _vec()
-        hf_half_norm = math.sqrt(float(np.sum(hf * np.abs(phi) ** 2)))
-        hf1_norm = math.sqrt(float(np.sum((hf + 1) * np.abs(phi) ** 2)))
-        a_phi, at_phi = _apply(af, phi), _apply(af.T, phi)
-        checks = [
-            np.linalg.norm(a_phi) - cf_half * hf_half_norm,
-            np.linalg.norm(at_phi) - cf_one * hf1_norm,
-            np.real(np.vdot(phi, a_phi + at_phi))
-            - (float(np.sum(hf * np.abs(phi) ** 2)) + cf_half**2),
-            np.linalg.norm(a_phi + at_phi) - 2 * cf_one * hf1_norm,
-        ]
-        # mixed second-order bound on the truncation-safe block
-        psi = np.zeros(dim, dtype=complex)
-        psi[safe] = rng.standard_normal(safe.sum()) + 1j * rng.standard_normal(
-            safe.sum()
-        )
-        psi /= np.linalg.norm(psi)
-        hf1_psi = float(np.sum((hf + 1) * np.abs(psi) ** 2))
-        for x in (af, af.T):
-            for y in (ag, ag.T):
-                checks.append(
-                    abs(complex(np.vdot(psi, _apply(x, _apply(y, psi)))))
-                    - cf_one * cg_one * hf1_psi
-                )
-        for c in checks:
-            worst = max(worst, float(c))
-            if c > tol:
-                violations += 1
+    violations, worst = coupling_estimate_suite(basis, table, ctx.rng, n_rounds, tol)
     return CheckResult(
         "coupling estimate suite",
         violations == 0,

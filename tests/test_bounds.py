@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pffiber.bounds import (
+    SQRT_MONOTONE_CHUNK,
     bound_constants,
     build_L_minus,
     build_L_plus,
@@ -15,7 +16,7 @@ from pffiber.bounds import (
     taylor_remainder_min_eig,
     theorem_gap_report,
 )
-from pffiber.hamiltonian import build_H, build_model
+from pffiber.hamiltonian import build_H, build_model, op_sqrt_eig
 from pffiber.spectral import EnergyCache, ground_data
 
 
@@ -166,10 +167,39 @@ def test_monotone_suite_small():
     assert worst >= -1e-10
 
 
+def _sqrt_monotone_per_trial(dim, trials, rng_seed):
+    """The trial-by-trial loop that :func:`sqrt_monotone_test` batches."""
+    rng = np.random.default_rng(rng_seed)
+    worst = math.inf
+    for _ in range(trials):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        s = g.conj().T @ g
+        w = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        t = s + w.conj().T @ w
+        rt = op_sqrt_eig(t)
+        diff = rt - op_sqrt_eig(s)
+        margin = float(np.linalg.eigvalsh(diff)[0]) / float(
+            np.linalg.norm(rt, ord=2)
+        )
+        worst = min(worst, margin)
+    return worst >= -1e-10, worst
+
+
+@pytest.mark.parametrize("dim", [1, 32])
+@pytest.mark.parametrize(
+    "trials",
+    [1, SQRT_MONOTONE_CHUNK - 1, SQRT_MONOTONE_CHUNK, SQRT_MONOTONE_CHUNK + 1, 1000],
+)
+def test_monotone_suite_equals_the_per_trial_loop(dim, trials):
+    """Each matrix of a chunk goes through the LAPACK calls of a lone
+    trial, so the worst margin is the loop's bit for bit."""
+    assert sqrt_monotone_test(dim, trials, rng_seed=trials) == (
+        _sqrt_monotone_per_trial(dim, trials, rng_seed=trials)
+    )
+
+
 def test_monotone_commuting_diagonals():
     # S = diag(1,4), T = diag(4,9): sqrt(T) - sqrt(S) = diag(1,1) >= 0
-    from pffiber.hamiltonian import op_sqrt_eig
-
     s, t = np.diag([1.0, 4.0]), np.diag([4.0, 9.0])
     diff = op_sqrt_eig(t) - op_sqrt_eig(s)
     assert_allclose(diff, np.eye(2))

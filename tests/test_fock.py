@@ -137,6 +137,33 @@ def test_hermiticity_helpers(rng):
         require_hermitian(m + np.diag([10.0, 0, 0, 0]) @ np.ones((4, 4)))
 
 
+def test_hermiticity_helpers_on_a_stack_equal_the_per_matrix_calls(rng):
+    stack = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+    sym = hermitize(stack)
+    defects = hermiticity_defect(stack)
+    assert defects.shape == (5,)
+    for k, m in enumerate(stack):
+        assert np.array_equal(sym[k], hermitize(m))
+        assert defects[k] == hermiticity_defect(m)
+    assert np.array_equal(hermiticity_defect(sym), np.zeros(5))
+    require_hermitian(sym)
+    assert hermiticity_defect(np.zeros((3, 0, 0))).shape == (3,)
+
+
+def test_require_hermitian_holds_each_matrix_of_a_stack_to_its_own_scale(rng):
+    g = rng.standard_normal((4, 4))
+    small = g + g.T
+    skewed = small.copy()
+    skewed[0, 1] += 1e-9 * np.max(np.abs(small))
+    large = 1e6 * (small + 10 * np.eye(4))
+    require_hermitian(np.stack([small, large]))
+    # the skew is 1e-9 of its own matrix, but 1e-16 of the stack's max|M|
+    assert hermiticity_defect(skewed) <= 1e-12 * np.max(np.abs(large))
+    for stack in (np.stack([skewed, large]), np.stack([large, skewed])):
+        with pytest.raises(ValueError):
+            require_hermitian(stack)
+
+
 # ----------------------------------------------------------------------
 # the ladder table against the per-mode, per-state construction
 # ----------------------------------------------------------------------

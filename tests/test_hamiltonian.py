@@ -197,6 +197,31 @@ def test_sqrt_eig_clamps_and_rejects():
         op_sqrt_eig(np.diag([1.0, -1e-3]))
 
 
+def test_sqrt_eig_on_a_stack_equals_the_per_matrix_roots(rng):
+    g = rng.standard_normal((7, 9, 9)) + 1j * rng.standard_normal((7, 9, 9))
+    h = g.conj().swapaxes(-1, -2) @ g
+    h[3] = np.diag([2.0, 1.0, 0.5, 0.0, 0.0, 3.0, 1.0, 1.0, -1e-14])  # clamped
+    roots = op_sqrt_eig(h)
+    assert roots.shape == h.shape
+    for k in range(h.shape[0]):
+        assert np.array_equal(roots[k], op_sqrt_eig(h[k]))
+
+
+def test_sqrt_eig_guards_each_matrix_of_a_stack():
+    """-1e-6 is far below the clamp of its own matrix (scale 1) but only
+    1e-12 of the stack's largest eigenvalue: a stack-wide scale would clamp
+    it."""
+    bad = np.diag([1.0, -1e-6])
+    large = np.diag([1e6, 1.0])
+    op_sqrt_eig(np.stack([np.diag([1.0, -1e-14]), large]))
+    for stack in (np.stack([bad, large]), np.stack([large, bad])):
+        with pytest.raises(NotPositiveSemidefiniteError, match="of the stack"):
+            op_sqrt_eig(stack)
+    skewed = np.array([[1.0, 1e-9], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        op_sqrt_eig(np.stack([skewed, 1e6 * np.eye(2)]))
+
+
 def test_sqrt_quad_scalar_and_diagonal():
     assert op_sqrt_quad(np.array([[16.0]]), scale=16.0)[0, 0] == pytest.approx(4.0, abs=1e-10)
     assert_allclose(

@@ -27,6 +27,21 @@ def test_couplings_on_one_truncation_share_the_grid(small_params):
             assert getattr(other, name) is getattr(base, name)
 
 
+def test_a_cached_model_keeps_its_grid_past_the_grid_cache(small_params):
+    """64 other grids evict the model's entry from the grid cache; a sibling
+    coupling built after that still finds the grid of the live model."""
+    hamiltonian.build_model.cache_clear()
+    hamiltonian._grid.cache_clear()
+    base = build_model(small_params)
+    size = hamiltonian._grid.cache_info().maxsize
+    unit = small_params.replace(e=1.0, gamma=1.0, M=1.0, N_max=0)
+    for n in range(size):
+        hamiltonian._grid(unit.replace(Lambda=1.0 + (n + 1) / size))
+    assert hamiltonian._grid.cache_info().currsize == size
+    other = build_model(small_params.replace(e=0.3))
+    assert other.basis is base.basis and other.setups is base.setups
+
+
 @pytest.mark.parametrize(
     "name, value",
     [("n_shells", 2), ("n_dirs", 6), ("N_max", 1), ("Lambda", 1.5),
@@ -77,7 +92,6 @@ def _arrays(value):
 
 @pytest.mark.parametrize("P", [P_ALONG_X, P_MIRROR_Z], ids=["real", "mirror"])
 def test_a_second_call_at_a_stabilizer_reuses_its_setup(default_params, monkeypatch, P):
-    # a model cached earlier can outlive the grid cache entry of its grid
     hamiltonian.build_model.cache_clear()
     hamiltonian._grid.cache_clear()
     model = build_model(default_params)
@@ -103,6 +117,7 @@ def test_verify_builds_four_grids_and_eight_setups(tmp_path, monkeypatch):
     build_H_blocks 256 times on 8 stabilizers."""
     hamiltonian.build_model.cache_clear()
     hamiltonian._grid.cache_clear()
+    hamiltonian._live_models.clear()  # models held elsewhere keep their grids
     counts = collections.Counter()
     for name in ("enumerate_basis", "_symmetry_setup"):
         _counting(monkeypatch, counts, hamiltonian, name)

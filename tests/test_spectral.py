@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -320,6 +321,20 @@ def test_fingerprint_distinguishes_params(default_params):
     a = params_fingerprint(default_params)
     b = params_fingerprint(default_params.replace(e=default_params.e + 1e-12))
     assert a != b
+
+
+def test_fingerprint_is_built_once_per_params(default_params):
+    params = default_params.replace(e=0.123456789012345678, N_max=2)
+    assert "fingerprint" not in vars(params)
+    key = params_fingerprint(params)
+    assert vars(params)["fingerprint"] is key
+    assert params_fingerprint(params) is key
+    assert key == ";".join(
+        f"{k}={v:.17g}" if isinstance(v, float) else f"{k}={v}"
+        for k, v in sorted(dataclasses.asdict(params).items())
+    )
+    assert params.replace(e=params.e) == params
+    assert "fingerprint" not in vars(params.replace(e=0.5))
 
 
 def test_convergence_free_theory_exact(small_params):

@@ -114,6 +114,36 @@ def test_orbit_representatives_along_x(default_model):
     assert np.array_equal(reps[0], np.zeros(3))
 
 
+def _orbit_representatives_per_element(vectors, rotations):
+    """One matvec per group element and vector: the loop that
+    :func:`orbit_representatives` replaces by one einsum."""
+    seen = set()
+    out = []
+    for v in vectors:
+        v = np.asarray(v, dtype=float)
+        label = min(tuple(r @ v) for r in rotations)
+        if label not in seen:
+            seen.add(label)
+            out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("n_dirs", DIRECTION_COUNTS)
+@pytest.mark.parametrize("P", [np.zeros(3), P_ALONG_X], ids=["zero", "along-x"])
+def test_orbit_representatives_equal_the_per_element_loop(default_params, n_dirs, P):
+    model = build_model(default_params.replace(n_dirs=n_dirs, N_max=0))
+    stab = stabilizer(model.rotations, P)
+    if not P.any():
+        assert len(stab) == len(model.rotations) and len(stab) in (16, 48, 24)
+    trials = default_trial_set(model)
+    # the trials twice and mirrored: orbits met again later in the input
+    vectors = trials + [-k for k in trials] + trials[::-1]
+    got = orbit_representatives(vectors, stab)
+    want = _orbit_representatives_per_element(vectors, stab)
+    assert len(got) == len(want) < len(vectors)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def _delta_all_trials(P, model):
     e_p = ground_data(P, model)[0]
     return min(
