@@ -3,7 +3,9 @@
 States are occupation vectors (n_1, ..., n_modes) with total number
 sum(n) <= N_max, ordered graded-lexicographically: sectors of fixed total
 number come first (so the vacuum is index 0 and sectors are contiguous) and
-states within a sector are in ascending lexicographic order.
+states within a sector are in ascending lexicographic order.  A sector is
+enumerated as the multisets of its mode indices, each counted into its
+occupation row, then sorted.
 
 Truncation convention: creation out of the top sector is compressed to zero
 (P a^dagger P).  Annihilation never leaves the truncation, so a_m is exact and
@@ -21,6 +23,7 @@ with no per-mode matrix, and ``annihilator`` is the scatter of one mode.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -39,14 +42,24 @@ def truncated_dim(n_modes: int, n_max: int) -> int:
     return sum(math.comb(n_modes + n - 1, n) for n in range(n_max + 1))
 
 
-def _sector_states(n_modes: int, total: int):
-    """Occupation vectors with sum = total, ascending lexicographic order."""
-    if n_modes == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _sector_states(n_modes - 1, total - first):
-            yield (first,) + rest
+def _sector_states(n_modes: int, total: int) -> np.ndarray:
+    """Occupation vectors with sum = total, ascending lexicographic order.
+
+    Each multiset of ``total`` mode indices from
+    ``itertools.combinations_with_replacement`` is one state; its row is
+    counted by one bincount, and a lexsort puts the rows in order.
+    """
+    count = math.comb(n_modes + total - 1, total)
+    combos = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(range(n_modes), total)
+        ),
+        dtype=np.int64,
+        count=count * total,
+    ).reshape(count, total)
+    flat = (np.arange(count)[:, None] * n_modes + combos).ravel()
+    rows = np.bincount(flat, minlength=count * n_modes).reshape(count, n_modes)
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 @dataclass(frozen=True)
@@ -111,10 +124,9 @@ def enumerate_basis(
         raise BasisTooLargeError(
             f"truncated dimension {dim} exceeds the configured limit {max_dim}"
         )
-    states = []
-    for total in range(n_max + 1):
-        states.extend(_sector_states(n_modes, total))
-    arr = np.array(states, dtype=np.int64)
+    arr = np.concatenate(
+        [_sector_states(n_modes, total) for total in range(n_max + 1)]
+    )
     arr.setflags(write=False)
     return FockBasis(
         n_modes=n_modes, n_max=n_max, states=arr, ladder=_ladder_table(arr)

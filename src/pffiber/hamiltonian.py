@@ -33,7 +33,10 @@ the at most two columns its Fock state lies in. Time reversal
 theta commutes with U (Gamma is real and D is in SU(2)), so it maps the
 eigenspace of lambda onto that of conj(lambda): the blocks come in
 theta-pairs with equal spectra, and each :class:`HBlock` names its partner.
-``build_H`` stays the dense reference.
+``build_H`` stays the dense reference.  Momenta that share a stabilizer
+differ only in the diagonal of sigma.v, so ``block_stacks`` builds each of
+their blocks as one stack, bounded by ``STACK_BYTES``; ``build_H_blocks``
+hands out the blocks of each momentum from those stacks.
 
 Time reversal has theta^2 = -1, so H(P) has no real form in general.  But
 when the stabilizer of P also holds a mirror sigma that inverts R about an
@@ -323,12 +326,19 @@ def op_sqrt_eig(h: np.ndarray, tol_psd: float = DEFAULT_PSD_TOL) -> np.ndarray:
 def kinetic_root(s: np.ndarray, M: float) -> np.ndarray:
     """f(s) = sqrt(s^2 + M^2) of a Hermitian s, from the eigenpairs of s.
 
-    f(lambda) >= M > 0 on every eigenvalue, so no clamp is needed.
+    f(lambda) >= M > 0 on every eigenvalue, so no clamp is needed.  ``s``
+    may be one matrix or a (k, n, n) stack, rooted by one stacked ``eigh``
+    with the Hermiticity guard per matrix.
     """
     require_hermitian(s, what="kinetic_root input")
     lam, u = np.linalg.eigh(s)
-    root = (u * np.sqrt(lam * lam + M * M)) @ u.conj().T
+    root = (u * np.sqrt(lam * lam + M * M)[..., None, :]) @ _dagger(u)
     return hermitize(root)
+
+
+def _dagger(u: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a matrix, or of each in a stack."""
+    return u.conj().swapaxes(-1, -2)
 
 
 def _sqrt_quad_nodes(h: np.ndarray, scale: float, n: int) -> np.ndarray:
@@ -555,12 +565,17 @@ def _j_pairs(pos, coef, step, flip, phase):
     return x, y, p
 
 
-def _real_block(s):
-    """s on the fixed vectors of J, where it is real: its real part; raises
-    when the imaginary part left exceeds 1e-13 max|s|."""
-    imag = float(np.max(np.abs(s.imag)))
-    if imag > 1e-13 * float(np.max(np.abs(s))):
-        raise RuntimeError(f"imaginary part {imag:.3e} left on J-fixed columns")
+def _real_block(s, P):
+    """The (g, n, n) stack s on the fixed vectors of J, where it is real:
+    its real part.  Raises, naming its momentum in the (g, 3) P, when the
+    imaginary part left on a matrix exceeds 1e-13 of its own max|s|."""
+    imag = np.max(np.abs(s.imag), axis=(-2, -1))
+    bad = np.flatnonzero(imag > 1e-13 * np.max(np.abs(s), axis=(-2, -1)))
+    if bad.size:
+        i = bad[0]
+        raise RuntimeError(
+            f"imaginary part {imag[i]:.3e} left on J-fixed columns at P = {P[i]}"
+        )
     return np.ascontiguousarray(s.real)
 
 
@@ -600,31 +615,37 @@ def _columns(pos, coef, dim: int) -> Columns:
 
 
 def _scatter(parts, shape) -> np.ndarray:
-    """The sum of W_rows^dagger X W_cols over ``parts``, as a complex array
-    of ``shape``.  A part (rows, cols, i, j, val, offset) is the Fock
-    operator X with entries X[i, j] = val; each entry adds
+    """The sum of W_rows^dagger X W_cols over ``parts`` for g operators X at
+    once, as a complex (g, *shape) array.  A part (rows, cols, i, j, val,
+    offset) holds g Fock operators with entries X[i, j] = val, one row of
+    the (g, entries) ``val`` each; each entry adds
     conj(W_rows[i, a]) val W_cols[j, b] at the flat index
-    offset + a * shape[1] + b.  The terms of the parts, O(entries K^2) each,
-    are written in turn into one index and one weight array, so only one
-    part's temporaries live at a time, and one bincount adds them up in that
-    order: it reads the weights as (real, imaginary) pairs and writes the
-    result as such pairs, so neither is split into a real and an imaginary
-    copy."""
+    offset + a * shape[1] + b of its own matrix.  The terms of the parts,
+    O(g entries K^2) each, are written in turn into one index and one weight
+    array, so only one part's temporaries live at a time, and one bincount
+    adds them up in that order: every bin holds the terms of one matrix, in
+    the order of a scatter of that matrix alone, so each matrix equals its
+    own scatter bit for bit.  The bincount reads the weights as (real,
+    imaginary) pairs and writes the result as such pairs, so neither is
+    split into a real and an imaginary copy."""
+    g, size = len(parts[0][4]), shape[0] * shape[1]
     sizes = [i.size * r.col.shape[1] * c.col.shape[1] for r, c, i, *_ in parts]
-    index = np.empty((sum(sizes), 2), dtype=np.int64)
-    weight = np.empty(sum(sizes), dtype=complex)
+    index = np.empty((g, sum(sizes), 2), dtype=np.int64)
+    weight = np.empty((g, sum(sizes)), dtype=complex)
+    matrix = size * np.arange(g)[:, None]
     start = 0
-    for (rows, cols, i, j, val, offset), size in zip(parts, sizes):
-        end = start + size
+    for (rows, cols, i, j, val, offset), count in zip(parts, sizes):
+        end = start + count
         at = rows.col[i][:, :, None] * shape[1] + cols.col[j][:, None, :]
-        index[start:end] = 2 * (at + offset).reshape(-1, 1) + np.arange(2)
+        flat = at.reshape(1, -1) + offset + matrix
+        index[:, start:end] = 2 * flat[..., None] + np.arange(2)
         terms = np.conj(rows.w[i])[:, :, None] * (
-            val[:, None, None] * cols.w[j][:, None, :]
+            val[:, :, None, None] * cols.w[j][:, None, :]
         )
-        weight[start:end] = terms.ravel()
+        weight[:, start:end] = terms.reshape(g, -1)
         start = end
-    out = np.bincount(index.ravel(), weight.view(float), 2 * shape[0] * shape[1])
-    return out.view(complex).reshape(shape)
+    out = np.bincount(index.ravel(), weight.view(float).ravel(), 2 * g * size)
+    return out.view(complex).reshape(g, *shape)
 
 
 def _conj_overlap(rows: Columns, cols: Columns) -> np.ndarray:
@@ -633,44 +654,52 @@ def _conj_overlap(rows: Columns, cols: Columns) -> np.ndarray:
     one scatter over the states."""
     states = np.arange(rows.col.shape[0])
     conj = cols._replace(w=np.conj(cols.w))
-    part = (rows, conj, states, states, np.ones(states.size), 0)
-    return _scatter([part], (rows.rep.size, cols.rep.size))
+    part = (rows, conj, states, states, np.ones((1, states.size)), 0)
+    return _scatter([part], (rows.rep.size, cols.rep.size))[0]
 
 
 def _spin_frame(P, model: FiberModel, coefs):
     """sigma.v(P) in the spin frame (chi_+, chi_-) of u.sigma, as two sparse
-    Fock operators.
+    Fock operators, for each momentum of the (g, 3) stack P.
 
     Returns (axial, flip): axial = u.v = <chi_+|sigma.v|chi_+>
     = -<chi_-|sigma.v|chi_->, flip = <chi_+|sigma.v|chi_->, and
     <chi_-|sigma.v|chi_+> = conj(flip) because every v_k is real.  ``coefs``
     holds the coefficients c of v_k in each, and
     c.v = diag((P - P_f).c) + sum_m (f c)_m (a_m + a_m^dagger) is returned
-    as its diagonal and its one coefficient per mode, (d, g).
+    as its diagonals, one row per momentum, and its one coefficient per
+    mode, which does not depend on P: (d, g).
     """
-    rel = np.asarray(P, dtype=float)[None, :] - model.pf
+    rel = P[:, None, :] - model.pf
     return tuple((rel @ c, model.table.f @ c) for c in map(np.asarray, coefs))
 
 
 def _sigma_v(model: FiberModel, frame, rows, cols) -> np.ndarray:
     """W_rows^dagger (sigma.v) W_cols for the :class:`HBlock` parts
     ((chi_+, F), (chi_-, G)) of ``rows`` and of ``cols``, from the sparse
-    ``frame`` = (axial, flip) of :func:`_spin_frame`.
+    ``frame`` = (axial, flip) of :func:`_spin_frame`: a (g, rows, cols)
+    stack, one block per momentum of the frame.
 
     The four quadrants F^dagger (chi^dagger sigma.v chi') G' are one
-    bincount into the block: each sparse operator x = (d, g) contributes its
+    bincount into the stack: each sparse operator x = (d, g) contributes its
     diagonal and its entries on the ``ladder`` table of the basis and their
-    transposes, O(nnz K^2 + block size) terms per quadrant.  Every entry of
-    the block lies in one quadrant, whose terms keep the order of a
-    quadrant-by-quadrant sum; the lower right one, -axial, is negated after
-    its sum."""
+    transposes, O(nnz K^2 + block size) terms per quadrant and momentum.
+    Every entry of a block lies in one quadrant, whose terms keep the order
+    of a quadrant-by-quadrant sum; the lower right one, -axial, is negated
+    after its sum."""
     (_, row_up), (_, row_down) = rows
     (_, col_up), (_, col_down) = cols
     lowered, raised, modes, amps = model.basis.ladder
     diag = np.arange(model.dim)
     i = np.concatenate([diag, lowered, raised])
     j = np.concatenate([diag, raised, lowered])
-    axial, flip = (np.concatenate([d, np.tile(g[modes] * amps, 2)]) for d, g in frame)
+    axial, flip = (
+        np.concatenate(
+            [d, np.broadcast_to(np.tile(g[modes] * amps, 2), (len(d), 2 * modes.size))],
+            axis=1,
+        )
+        for d, g in frame
+    )
     up, left = row_up.rep.size, col_up.rep.size
     width = left + col_down.rep.size
     out = _scatter(
@@ -682,7 +711,7 @@ def _sigma_v(model: FiberModel, frame, rows, cols) -> np.ndarray:
         ],
         (up + row_down.rep.size, width),
     )
-    lower = out[up:, left:]
+    lower = out[:, up:, left:]
     np.negative(lower, out=lower)
     return out
 
@@ -697,7 +726,9 @@ class HBlock:
     sigma swaps, whose first orbit is the column's own.  ``parts`` holds one
     (chi, :class:`Columns`) per spin vector; it is empty when W = 1.
     ``partner`` is the index, in the full list of :func:`build_H_blocks`,
-    of the block that theta maps this one onto.
+    of the block that theta maps this one onto.  In a block of
+    :func:`block_stacks`, ``h`` is a (g, n, n) stack: this block of g
+    momenta that share the stabilizer, and so ``partner`` and ``parts``.
     """
 
     h: np.ndarray
@@ -712,7 +743,7 @@ class HBlock:
         Gamma-orbits is diag(d[rows]) on the block.
         """
         if not self.parts:
-            fock = np.arange(self.h.shape[0] // 2)
+            fock = np.arange(self.h.shape[-1] // 2)
             return np.concatenate([fock, fock])
         return np.concatenate([cols.rep for _, cols in self.parts])
 
@@ -741,7 +772,8 @@ class HBlock:
 
 
 def _block(model: FiberModel, root: np.ndarray, partner: int, parts) -> HBlock:
-    """The block gamma f(s) + H_f, from f(s) on its columns ``parts``."""
+    """The block gamma f(s) + H_f, from f(s) on its columns ``parts``, of
+    each momentum of a (g, n, n) stack."""
     rows = np.concatenate([cols.rep for _, cols in parts])
     h = model.params.gamma * root + np.diag(model.hf[rows])
     return HBlock(hermitize(h), partner, parts)
@@ -787,6 +819,14 @@ def _symmetry_setup(P, model: FiberModel):
     return mirror, real is not None, coefs, blocks
 
 
+# a stack of momenta holds at most this many bytes of block matrices, and of
+# the terms that scatter them, and at least one momentum.  The stacked
+# temporaries (SVD factors, roots, hermitized copies) come to several times
+# this, so it is kept small: at 1 MiB the desk verify peaked 0.6 MB higher.
+# At mid scale a 325 x 325 complex mirror block (1.7 MB) is solved alone
+STACK_BYTES = 128 * 1024
+
+
 def build_H_blocks(P, params_or_model, one_per_pair: bool = False) -> list:
     """Hermitian diagonal blocks of H(P) under its grid stabilizer.
 
@@ -820,14 +860,70 @@ def build_H_blocks(P, params_or_model, one_per_pair: bool = False) -> list:
 
     With ``one_per_pair`` only the blocks up to their partner are built: a
     prefix of the full list, whose ``partner`` indices still refer to it.
+
+    P is one momentum, or a (g, 3) stack: then the result is one list of
+    blocks per momentum, built in the stacks of :func:`block_stacks`, and
+    each list equals that of its momentum alone bit for bit.
+    """
+    P = np.asarray(P, dtype=float)
+    out = [None] * len(P.reshape(-1, 3))
+    for index, blocks in block_stacks(P, params_or_model, one_per_pair):
+        for at, i in enumerate(index):
+            out[i] = [HBlock(b.h[at], b.partner, b.parts) for b in blocks]
+    return out[0] if P.ndim == 1 else out
+
+
+def block_stacks(P, params_or_model, one_per_pair: bool = False):
+    """Build the blocks of H(P) for many momenta at once, a stack per block.
+
+    Yields (index, blocks) over the momenta of the (g, 3) stack P: ``index``
+    holds the positions in P of momenta that share a stabilizer, and so the
+    set-up of :func:`build_H_blocks`, and ``blocks`` their :class:`HBlock` list,
+    each ``h`` a stack along ``index``.  Such momenta differ only in the
+    diagonal of sigma.v, so one :func:`_sigma_v` scatter, one stacked
+    :func:`kinetic_root` (or one stacked SVD under a mirror) and one stacked
+    :func:`_block` serve them all.  A stack holds as many momenta as
+    ``STACK_BYTES`` allows (:func:`_momentum_bytes`), at least one.  A
+    generic momentum is :func:`build_H`, one at a time, so its dense matrix
+    is not copied.  Groups come in the order of their first momentum.
     """
     model = _as_model(params_or_model)
-    key = stabilizer(model.rotations, P).tobytes()
-    if key not in model.setups:  # a race between threads only repeats work
-        model.setups.setdefault(key, _symmetry_setup(P, model))
-    setup = model.setups[key]
+    P = np.asarray(P, dtype=float).reshape(-1, 3)
+    groups = {}
+    for i, p in enumerate(P):
+        groups.setdefault(stabilizer(model.rotations, p).tobytes(), []).append(i)
+    for key, members in groups.items():
+        if key not in model.setups:  # a race between threads only repeats work
+            model.setups.setdefault(key, _symmetry_setup(P[members[0]], model))
+        setup = model.setups[key]
+        size = 1
+        if setup is not None:
+            size = max(1, STACK_BYTES // _momentum_bytes(model, setup))
+        for start in range(0, len(members), size):
+            index = members[start:start + size]
+            yield index, _stacked_blocks(P[index], model, setup, one_per_pair)
+
+
+def _momentum_bytes(model: FiberModel, setup) -> int:
+    """What one momentum under ``setup`` adds to a stack: the bytes of its
+    largest block matrix, or of the index and weight of the terms of its
+    largest :func:`_sigma_v` scatter (32 bytes a term), whichever is more.
+    At desk scale the terms outweigh the matrices."""
+    _, real, _, specs = setup
+    entries = model.dim + 2 * model.basis.ladder[0].size
+    most = 0
+    for _, parts in specs:
+        n = sum(cols.rep.size for _, cols in parts)
+        width = sum(cols.col.shape[1] for _, cols in parts)
+        most = max(most, (8 if real else 16) * n * n, 32 * entries * width**2)
+    return most
+
+
+def _stacked_blocks(P, model: FiberModel, setup, one_per_pair: bool) -> list:
+    """The blocks of H(P) for the (g, 3) stack P under one ``setup``."""
     if setup is None:
-        return [HBlock(build_H(P, model), partner=0)]
+        (p,) = P
+        return [HBlock(build_H(p, model)[None], partner=0)]
     mirror, real, coefs, specs = setup
     if mirror:
         return _mirror_blocks(P, model, setup, one_per_pair)
@@ -838,7 +934,7 @@ def build_H_blocks(P, params_or_model, one_per_pair: bool = False) -> list:
             break
         s = _sigma_v(model, frame, parts, parts)
         if real:
-            s = _real_block(s)
+            s = _real_block(s, P)
         root = kinetic_root(s, model.params.M)
         blocks.append(_block(model, root, partner, parts))
     return blocks
@@ -846,7 +942,7 @@ def build_H_blocks(P, params_or_model, one_per_pair: bool = False) -> list:
 
 def _mirror_blocks(P, model: FiberModel, setup, one_per_pair: bool = False) -> list:
     """The two blocks of H(P) under a mirror M of the grid that fixes P,
-    from the :func:`_symmetry_setup` of M.
+    from the :func:`_symmetry_setup` of M, for a (g, 3) stack P.
 
     -M is the half turn about the mirror normal u, so D(-M) chi_+- =
     -+ i chi_+- and Gamma(M)^2 = 1: U = D(-M) x Gamma(M) has eigenvalues
@@ -865,10 +961,10 @@ def _mirror_blocks(P, model: FiberModel, setup, one_per_pair: bool = False) -> l
     s = _sigma_v(model, _spin_frame(P, model, coefs), plus_i, minus_i)
     w, sigma, vh = np.linalg.svd(s)
     del s  # not needed after the SVD; freeing it lowers the peak below
-    root = np.sqrt(sigma * sigma + model.params.M**2)
-    blocks = [_block(model, (vh.conj().T * root) @ vh, 1, minus_i)]
+    root = np.sqrt(sigma * sigma + model.params.M**2)[..., None, :]
+    blocks = [_block(model, (_dagger(vh) * root) @ vh, 1, minus_i)]
     if not one_per_pair:
-        blocks.append(_block(model, (w * root) @ w.conj().T, 0, plus_i))
+        blocks.append(_block(model, (w * root) @ _dagger(w), 0, plus_i))
     return blocks
 
 

@@ -126,7 +126,7 @@ def check_theta_commutes(h: np.ndarray) -> float:
     return theta_defect(h, h) / float(np.linalg.norm(h))
 
 
-def block_theta_residuals(blocks, ground: int, lam: float, x, h_norm):
+def block_theta_residuals(blocks, maps, ground: int, lam: float, x, h_norm):
     """The theta checks of H(P), read from its blocks.
 
     ``blocks`` are those of :func:`pffiber.hamiltonian.build_H_blocks`, and
@@ -136,9 +136,10 @@ def block_theta_residuals(blocks, ground: int, lam: float, x, h_norm):
     (pairing residual, |<v, theta v>|) of v = W x, with theta v = W' K conj(x)
     mapped through the same K of :func:`theta_map`.  With one block, W = 1,
     these are :func:`check_theta_commutes` and
-    :func:`theta_pairing_residuals`.
+    :func:`theta_pairing_residuals`.  ``maps`` holds the
+    :func:`theta_map` of each block onto its partner; it depends on the
+    stabilizer only, not on P.
     """
-    maps = [theta_map(b, blocks[b.partner]) for b in blocks]
     defects = [
         theta_defect(blocks[b.partner].h, b.h, maps[b.partner]) for b in blocks
     ]

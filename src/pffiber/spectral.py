@@ -32,6 +32,16 @@ Delta(P), the convergence ladder and the verify checks that need E(P) only:
 it solves one block per theta-pair and counts its eigenvalues twice.  Both
 call LAPACK through ``numpy.linalg`` only, so one BLAS thread pool serves.
 
+Both solve many momenta at once: :func:`solve_batch`, :func:`ground_batch`
+and :func:`delta_gaps` take a stack of momenta, and the single-momentum
+functions are batches of one.  A batch looks each momentum up in the cache,
+solves each distinct missing key once, and builds the misses in the stacks
+of :func:`pffiber.hamiltonian.block_stacks`: momenta that share a
+stabilizer share everything but the diagonal of sigma.v, so each block of
+such a group is one stacked ``eigh`` or ``eigvalsh``.  LAPACK runs the same
+routine on each matrix of a stack, and the residuals and guards stay per
+momentum, so every result equals that of the momentum alone bit for bit.
+
 For R in the grid's point group G, rotations and improper elements alike,
 H(R q) is unitarily equivalent to H(q).  If R also fixes P, the trials k
 and R k give the same value of E(P - k) + omega(k), so :func:`delta_gap`
@@ -50,7 +60,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .fock import hermiticity_defect
-from .hamiltonian import FiberModel, _as_model, build_H_blocks
+from .hamiltonian import FiberModel, HBlock, _as_model, block_stacks, build_H_blocks
 from .modes import ModelParams, dispersion, orbit_representatives, stabilizer
 
 DEFAULT_CLUSTER_TOL = 1e-8
@@ -180,6 +190,11 @@ class EnergyCache:
     def get_solve(self, key):
         return self._lookup(self.solves, key)
 
+    def put_solve(self, key, solve):
+        """Store a :class:`FiberSolve` record and its (E, E1, mult)."""
+        self.put(key, (solve.E, solve.E1, solve.mult))
+        self.solves[key] = solve
+
     def save(self):
         """Write the cache atomically: a temp file beside it, then a rename.
 
@@ -212,13 +227,62 @@ def _ground_triple(vals, cluster_tol: float) -> tuple:
     return float(vals[0]), e1, mult
 
 
+def _batch(P, model, cluster_tol, lookup, one_per_pair, solve_stack) -> list:
+    """The value at each momentum of the (g, 3) stack P, under its cache key
+    at ``cluster_tol``.
+
+    ``lookup`` is None or the (get, put) of the cache.  Each momentum is
+    looked up once, as one call per momentum would: the first lookup of a
+    key may miss, and the later ones find what the first stored.  The
+    distinct misses are built in the stacks of :func:`block_stacks` and
+    ``solve_stack(P, blocks)`` gives the values of each stack.
+    """
+    P = np.asarray(P, dtype=float).reshape(-1, 3)
+    keys = [EnergyCache.key(model.params, p, cluster_tol) for p in P]
+    get, put = lookup or (None, None)
+    first = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    found, missing = {}, []
+    for key, i in first.items():
+        hit = None if get is None else get(key)
+        if hit is None:
+            missing.append(i)
+        else:
+            found[key] = hit
+    todo = P[missing]
+    for index, blocks in block_stacks(todo, model, one_per_pair):
+        values = solve_stack(todo[index], blocks)
+        del blocks  # freed before the next stack is built, not after
+        for at, value in zip(index, values):
+            found[keys[missing[at]]] = value
+            if put is not None:
+                put(keys[missing[at]], value)
+    if get is not None:
+        for i, key in enumerate(keys):
+            if i != first[key]:
+                get(key)
+    return [found[key] for key in keys]
+
+
 def ground_data(
     P,
     params_or_model,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
     cache: EnergyCache | None = None,
 ):
-    """(E, E1, ground multiplicity) of the fiber Hamiltonian at momentum P.
+    """(E, E1, ground multiplicity) of the fiber Hamiltonian at momentum P:
+    :func:`ground_batch` of one momentum."""
+    return ground_batch([P], params_or_model, cluster_tol, cache)[0]
+
+
+def ground_batch(
+    P,
+    params_or_model,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+    cache: EnergyCache | None = None,
+) -> list:
+    """(E, E1, ground multiplicity) at each momentum of the (g, 3) stack P.
 
     E is the smallest eigenvalue; the multiplicity comes from greedy
     clustering at ``cluster_tol``; E1 is the smallest eigenvalue strictly
@@ -226,19 +290,29 @@ def ground_data(
     Eigenvalues only, of one block of :func:`build_H_blocks` per
     theta-pair: the partner has the same spectrum, so the eigenvalues of a
     block that theta maps onto another are counted twice, and those of a
-    block it maps onto itself once.
+    block it maps onto itself once.  Each distinct key is solved once, and
+    the misses are solved together: one stacked ``eigvalsh`` per block of
+    the momenta that share a stabilizer (:func:`block_stacks`), which runs
+    the LAPACK call of a single momentum on each matrix.
     """
     model = _as_model(params_or_model)
-    key = EnergyCache.key(model.params, P, cluster_tol)
-    if cache is not None and (hit := cache.get(key)) is not None:
-        return hit
-    spectra = []
-    for i, block in enumerate(build_H_blocks(P, model, one_per_pair=True)):
-        vals = np.linalg.eigvalsh(block.h)
-        spectra += [vals] if block.partner == i else [vals, vals]
-    out = _ground_triple(np.sort(np.concatenate(spectra)), cluster_tol)
-    if cache is not None:
-        cache.put(key, out)
+    lookup = None if cache is None else (cache.get, cache.put)
+    return _batch(
+        P, model, cluster_tol, lookup, True,
+        lambda _, blocks: _ground_triples(blocks, cluster_tol),
+    )
+
+
+def _ground_triples(blocks, cluster_tol: float) -> list:
+    """The (E, E1, mult) of each momentum of a stack of blocks, one
+    ``eigvalsh`` per block."""
+    spectra = [np.linalg.eigvalsh(block.h) for block in blocks]
+    out = []
+    for at in range(len(spectra[0])):
+        vals = []
+        for j, (block, v) in enumerate(zip(blocks, spectra)):
+            vals += [v[at]] if block.partner == j else [v[at], v[at]]
+        out.append(_ground_triple(np.sort(np.concatenate(vals)), cluster_tol))
     return out
 
 
@@ -277,45 +351,93 @@ def solve_fiber(
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
     cache: EnergyCache | None = None,
 ) -> FiberSolve:
-    """Build the blocks of H(P) once, diagonalize each once, keep a record.
+    """The :class:`FiberSolve` record of H(P): :func:`solve_batch` of one
+    momentum."""
+    return solve_batch([P], params_or_model, cluster_tol, cache)[0]
+
+
+def _eigh(h: np.ndarray, P: np.ndarray):
+    """Stacked ``eigh`` of the blocks of the momenta P."""
+    try:
+        return np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise EigensolverError(
+            f"dense eigensolver failed at one of P = {P.tolist()}: {exc}"
+        ) from exc
+
+
+def solve_batch(
+    P,
+    params_or_model,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+    cache: EnergyCache | None = None,
+) -> list:
+    """Build the blocks of H(P) once, diagonalize each once, keep a record,
+    for each momentum of the (g, 3) stack P.
 
     A record in ``cache`` under the key of (P, cluster_tol) is returned as
-    it is; a new one is stored there with its (E, E1, mult).  The sandwich
-    margins are taken when gamma < 1, from the same blocks when P == |P| u.
-    Raises ``EigensolverError`` when an eigenpair residual exceeds
+    it is; a new one is stored there with its (E, E1, mult).  The misses are
+    solved together, one stacked ``eigh`` per block of the momenta that
+    share a stabilizer (:func:`block_stacks`); the residuals and the guards
+    stay per momentum.  The sandwich margins are taken when gamma < 1, from
+    the same blocks when P == |P| u.  Raises ``EigensolverError``, naming
+    the momentum, when an eigenpair residual exceeds
     ``RESIDUAL_TOL * ||H||``.
     """
+    model = _as_model(params_or_model)
+    lookup = None if cache is None else (cache.get_solve, cache.put_solve)
+    return _batch(
+        P, model, cluster_tol, lookup, False,
+        lambda at_P, blocks: _records(at_P, model, blocks, cluster_tol),
+    )
+
+
+def _records(P, model, blocks, cluster_tol) -> list:
+    """The :class:`FiberSolve` of each momentum of the (g, 3) P from its
+    stack of blocks: one ``eigh`` per block, the rest per momentum."""
+    from . import kramers  # it imports this module
+
+    spectra = []
+    for block in blocks:
+        vals, vecs = _eigh(block.h, P)
+        spectra.append((vals, vecs[..., :N_LOW_VECTORS].copy()))
+        del vecs
+    maps = [kramers.theta_map(b, blocks[b.partner]) for b in blocks]
+    return [
+        _record(
+            p,
+            model,
+            [HBlock(b.h[at], b.partner, b.parts) for b in blocks],
+            [(vals[at], low[at]) for vals, low in spectra],
+            maps,
+            cluster_tol,
+        )
+        for at, p in enumerate(P)
+    ]
+
+
+def _record(P, model, blocks, spectra, maps, cluster_tol) -> FiberSolve:
+    """The :class:`FiberSolve` of one momentum from its blocks, their
+    (eigenvalues, lowest eigenvectors) and the theta maps between them."""
     from . import bounds, kramers  # both modules import this one
 
-    model = _as_model(params_or_model)
-    P = np.asarray(P, dtype=float)
-    key = EnergyCache.key(model.params, P, cluster_tol)
-    if cache is not None and (hit := cache.get_solve(key)) is not None:
-        return hit
-    blocks = build_H_blocks(P, model)
-    spectra, eig_res = [], 0.0
-    for block in blocks:
-        try:
-            vals, vecs = np.linalg.eigh(block.h)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-            raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
+    eig_res = 0.0
+    for block, (vals, low) in zip(blocks, spectra):
         low_vals = vals[:N_LOW_VECTORS]
-        low = vecs[:, :N_LOW_VECTORS].copy()
-        del vecs
         res = np.linalg.norm(block.h @ low - low * low_vals[None, :], axis=0)
         eig_res = max(eig_res, float(np.max(res)))
-        spectra.append((vals, low))
     vals = np.sort(np.concatenate([v for v, _ in spectra]))
     h_norm = float(max(abs(vals[0]), abs(vals[-1])))
     if eig_res > RESIDUAL_TOL * max(h_norm, 1e-300):
         raise EigensolverError(
-            f"eigenpair residual {eig_res:.3e} exceeds {RESIDUAL_TOL:.1e} * ||H||"
+            f"eigenpair residual {eig_res:.3e} exceeds {RESIDUAL_TOL:.1e} * ||H|| "
+            f"at P = {tuple(float(x) for x in P)}"
         )
     triple = _ground_triple(vals, cluster_tol)
     ground = min(range(len(blocks)), key=lambda i: spectra[i][0][0])
     ground_vals, ground_low = spectra[ground]
     theta_res, pairing = kramers.block_theta_residuals(
-        blocks, ground, ground_vals[0], ground_low[:, 0], h_norm
+        blocks, maps, ground, ground_vals[0], ground_low[:, 0], h_norm
     )
     sandwich = None
     if model.params.gamma < 1.0:
@@ -324,7 +446,7 @@ def solve_fiber(
             sandwich = bounds.block_margins(P, model, blocks, h_norm)
         else:
             sandwich = bounds.block_margins(P, model, build_H_blocks(P_u, model))
-    solve = FiberSolve(
+    return FiberSolve(
         P=tuple(float(x) for x in P),
         eigenvalues=vals,
         E=triple[0],
@@ -339,10 +461,6 @@ def solve_fiber(
         ground_pairing=pairing,
         sandwich=sandwich,
     )
-    if cache is not None:
-        cache.put(key, triple)
-        cache.solves[key] = solve
-    return solve
 
 
 def default_trial_set(model: FiberModel):
@@ -358,7 +476,20 @@ def delta_gap(
     cache: EnergyCache | None = None,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> float:
-    """min over trial k of E(P-k) + omega(k) - E(P).
+    """min over trial k of E(P-k) + omega(k) - E(P): :func:`delta_gaps` of
+    one momentum."""
+    return delta_gaps([P], params_or_model, trial_k_set, cache, cluster_tol)[0]
+
+
+def delta_gaps(
+    P,
+    params_or_model,
+    trial_k_set=None,
+    cache: EnergyCache | None = None,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+) -> list:
+    """Delta at each momentum of the (g, 3) stack P, from one
+    :func:`ground_batch` over every P and every trial momentum P - k.
 
     One trial is solved per orbit of the trial set under the stabilizer of P
     in the grid's point group, the first in trial order; the other
@@ -368,16 +499,23 @@ def delta_gap(
     run that solves at its own tolerance reads the energies it already has.
     """
     model = _as_model(params_or_model)
-    P = np.asarray(P, dtype=float)
+    P = np.asarray(P, dtype=float).reshape(-1, 3)
     if trial_k_set is None:
         trial_k_set = default_trial_set(model)
-    trials = orbit_representatives(trial_k_set, stabilizer(model.rotations, P))
-    e_p, _, _ = ground_data(P, model, cluster_tol, cache)
-    best = np.inf
-    for k in trials:
-        e_shift, _, _ = ground_data(P - k, model, cluster_tol, cache)
-        best = min(best, e_shift + float(dispersion(k, model.params.m_ph)) - e_p)
-    return float(best)
+    trials = [
+        orbit_representatives(trial_k_set, stabilizer(model.rotations, p)) for p in P
+    ]
+    momenta = [q for p, ks in zip(P, trials) for q in (p, *(p - k for k in ks))]
+    energies = iter(ground_batch(momenta, model, cluster_tol, cache))
+    out = []
+    for ks in trials:
+        e_p, _, _ = next(energies)
+        best = np.inf
+        for k in ks:
+            e_shift, _, _ = next(energies)
+            best = min(best, e_shift + float(dispersion(k, model.params.m_ph)) - e_p)
+        out.append(float(best))
+    return out
 
 
 def free_delta_gap(P, params: ModelParams, trial_k_set) -> float:

@@ -47,10 +47,11 @@ from .spectral import (
     cluster_degeneracy,
     convergence_study,
     default_trial_set,
-    delta_gap,
+    delta_gaps,
     free_delta_gap,
+    ground_batch,
     ground_data,
-    solve_fiber,
+    solve_batch,
 )
 
 
@@ -85,18 +86,23 @@ class VerifyContext:
     def params_at(self, e: float):
         return self.cfg.params.replace(e=e)
 
-    def solve(self, P, model):
-        """The run's one solve of H(P), clustered at the configured tolerance."""
-        return solve_fiber(P, model, self.cfg.tolerances.cluster_rel, self.cache)
-
-    def energy(self, P, model) -> float:
-        """E(P) through the run's cache, keyed at the configured tolerance."""
-        return ground_data(P, model, self.cfg.tolerances.cluster_rel, self.cache)[0]
-
-    def delta(self, P, model, trial_k_set=None) -> float:
-        """Delta(P) through the run's cache, keyed at the configured tolerance."""
+    def solves(self, model):
+        """The run's one solve of H(P) at each momentum of the sweep, solved
+        as one batch and clustered at the configured tolerance."""
         tol = self.cfg.tolerances.cluster_rel
-        return delta_gap(P, model, trial_k_set, self.cache, tol)
+        return solve_batch(self.momenta(), model, tol, self.cache)
+
+    def energies(self, momenta, model) -> list:
+        """E at each momentum, one batch through the run's cache, keyed at
+        the configured tolerance."""
+        tol = self.cfg.tolerances.cluster_rel
+        return [t[0] for t in ground_batch(momenta, model, tol, self.cache)]
+
+    def deltas(self, momenta, model, trial_k_set=None) -> list:
+        """Delta at each momentum, one batch through the run's cache, keyed
+        at the configured tolerance."""
+        tol = self.cfg.tolerances.cluster_rel
+        return delta_gaps(momenta, model, trial_k_set, self.cache, tol)
 
 
 def _random_P(rng, p_max: float = 2.0):
@@ -123,8 +129,8 @@ def check_free_oracle(ctx: VerifyContext) -> CheckResult:
     tol = ctx.cfg.tolerances.free_oracle
     model = build_model(ctx.params_at(0.0))
     worst = 0.0
-    for P in ctx.momenta():
-        ev = ctx.solve(P, model).eigenvalues
+    for P, solve in zip(ctx.momenta(), ctx.solves(model)):
+        ev = solve.eigenvalues
         rel = P[None, :] - model.pf
         fock_levels = (
             model.params.gamma
@@ -233,8 +239,7 @@ def check_kramers(ctx: VerifyContext) -> CheckResult:
     mult_bad = None
     for e in [v for v in ctx.coupling_ladder() if v > 0.0]:
         model = build_model(ctx.params_at(e))
-        for P in ctx.momenta():
-            solve = ctx.solve(P, model)
+        for P, solve in zip(ctx.momenta(), ctx.solves(model)):
             worst_comm = max(worst_comm, solve.residuals["theta_commutation"])
             clusters = cluster_degeneracy(solve.eigenvalues, cluster_tol)
             if any(c[1] % 2 for c in clusters):
@@ -280,8 +285,8 @@ def check_sandwich(ctx: VerifyContext) -> CheckResult:
     worst = math.inf
     for e in ctx.coupling_ladder():
         model = build_model(ctx.params_at(e))
-        for P in ctx.momenta():
-            lower, upper, scale = ctx.solve(P, model).sandwich
+        for solve in ctx.solves(model):
+            lower, upper, scale = solve.sandwich
             worst = min(worst, lower / scale, upper / scale)
     return CheckResult(
         "operator sandwich",
@@ -298,8 +303,7 @@ def check_counting(ctx: VerifyContext) -> CheckResult:
     for e in ctx.coupling_ladder():
         model = build_model(ctx.params_at(e))
         consts = bnd.bound_constants(model)
-        for P in ctx.momenta():
-            solve = ctx.solve(P, model)
+        for P, solve in zip(ctx.momenta(), ctx.solves(model)):
             sigma = consts.sigma_minus(P)
             cnt = bnd.count_below(solve.eigenvalues, sigma)
             e0, e1 = solve.E, solve.E1
@@ -334,8 +338,7 @@ def check_gap_uniformity(ctx: VerifyContext) -> CheckResult:
         bound = (1.0 - consts.e_c1 - params.gamma) * params.m_ph - consts.e_c2
         gaps = []
         chain = []
-        for P in ctx.momenta():
-            solve = ctx.solve(P, model)
+        for P, solve in zip(ctx.momenta(), ctx.solves(model)):
             gaps.append(math.inf if solve.E1 is None else solve.E1 - solve.E)
             chain.append(consts.sigma_minus(P) - consts.upper_envelope(P))
         min_gap = min(gaps)
@@ -368,8 +371,7 @@ def check_delta_bounds(ctx: VerifyContext) -> CheckResult:
         model = build_model(params)
         consts = bnd.bound_constants(model)
         trial = default_trial_set(model)
-        for P in ctx.momenta():
-            d = ctx.delta(P, model)
+        for P, d in zip(ctx.momenta(), ctx.deltas(ctx.momenta(), model)):
             if d > params.m_ph + 1e-12:
                 fails.append((e, "ceiling", d))
             if e == 0.0:
@@ -404,9 +406,9 @@ def check_envelope(ctx: VerifyContext) -> CheckResult:
     for e in ctx.coupling_ladder():
         model = build_model(ctx.params_at(e))
         consts = bnd.bound_constants(model)
-        for P in ctx.momenta():
+        for P, solve in zip(ctx.momenta(), ctx.solves(model)):
             lower, upper = bnd.corollary_energy_bounds(P, model, consts)
-            e0 = ctx.solve(P, model).E
+            e0 = solve.E
             if not (lower - tol <= e0 <= upper + tol):
                 fails.append((e, float(np.linalg.norm(P)), e0, lower, upper))
     # width of the envelope is O(e): exact zero at e = 0, stable slope after
@@ -588,8 +590,10 @@ def check_parity(ctx: VerifyContext) -> CheckResult:
     worst = 0.0
     for e in ctx.coupling_ladder():
         model = build_model(ctx.params_at(e))
-        for P in ctx.momenta()[1:]:
-            worst = max(worst, abs(ctx.energy(P, model) - ctx.energy(-P, model)))
+        pairs = [Q for P in ctx.momenta()[1:] for Q in (P, -P)]
+        es = ctx.energies(pairs, model)
+        for e_plus, e_minus in zip(es[::2], es[1::2]):
+            worst = max(worst, abs(e_plus - e_minus))
     return CheckResult(
         "parity symmetry E(P) = E(-P)",
         worst <= tol,
@@ -695,8 +699,8 @@ def check_delta_monotone(ctx: VerifyContext) -> CheckResult:
     P = ctx.momenta()[-1]
     full = default_trial_set(model)
     sub = full[: max(2, len(full) // 3)]
-    d_full = ctx.delta(P, model, full)
-    d_sub = ctx.delta(P, model, sub)
+    (d_full,) = ctx.deltas([P], model, full)
+    (d_sub,) = ctx.deltas([P], model, sub)
     ok = d_full <= d_sub + 1e-12
     return CheckResult(
         "gap trial-set monotonicity",
@@ -732,7 +736,7 @@ def report_radial_deviation(ctx: VerifyContext) -> CheckResult:
         np.array([1.0, 1.0, 0.0]) / math.sqrt(2),
         np.array([1.0, 1.0, 1.0]) / math.sqrt(3),
     ]
-    es = [ctx.energy(absp * u, model) for u in dirs]
+    es = ctx.energies([absp * u for u in dirs], model)
     dev = max(es) - min(es)
     return CheckResult(
         "radial deviation (rotation covariance probe)",

@@ -262,15 +262,17 @@ def test_negative_count_flag_is_a_usage_error(tmp_path, capsys, flag):
 @pytest.mark.parametrize("cluster_rel", [1e-8, 1e-6])
 def test_verify_solves_each_coupling_momentum_once(tmp_path, monkeypatch, cluster_rel):
     built = []
-    real = spectral.build_H_blocks
+    real = spectral.block_stacks
 
     def counted(P, model, one_per_pair=False):
         if not one_per_pair:
-            built.append((model.params.e, tuple(np.asarray(P, dtype=float))))
+            for p in np.asarray(P, dtype=float).reshape(-1, 3):
+                built.append((model.params.e, tuple(p)))
         return real(P, model, one_per_pair)
 
-    # within spectral only solve_fiber builds every block of H(P)
-    monkeypatch.setattr(spectral, "build_H_blocks", counted)
+    # within spectral only solve_batch builds every block of H(P), a stack of
+    # momenta at a time; count the momenta, not the calls
+    monkeypatch.setattr(spectral, "block_stacks", counted)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tolerances": {"cluster_rel": cluster_rel}}))
     out = tmp_path / "out"
@@ -380,15 +382,16 @@ def test_sweep_builds_each_orbit_momentum_once(tmp_path, monkeypatch):
     built = []
 
     def counted(real):
-        def build(P, model, **kwargs):
-            built.append(tuple(np.asarray(P, dtype=float)))
-            return real(P, model, **kwargs)
+        def build(P, model, *args, **kwargs):
+            built.extend(map(tuple, np.asarray(P, dtype=float).reshape(-1, 3)))
+            return real(P, model, *args, **kwargs)
 
         return build
 
-    # H(P) is built dense (build_H) or in blocks (build_H_blocks); the
-    # fallback inside build_H_blocks to build_H is not a second build
-    for fn in ("build_H", "build_H_blocks"):
+    # H(P) is built dense (build_H) or in blocks (build_H_blocks, or
+    # block_stacks for many momenta at once), and each counts the momenta it
+    # builds; the fallback inside hamiltonian to build_H is not a second build
+    for fn in ("build_H", "build_H_blocks", "block_stacks"):
         real = getattr(hamiltonian, fn)
         for name, mod in list(sys.modules.items()):
             if (

@@ -23,6 +23,31 @@ def _index(basis):
     return {tuple(s): i for i, s in enumerate(basis.states)}
 
 
+def _recursive_sector(n_modes, total):
+    """Occupation vectors with sum = total in ascending lexicographic order,
+    by recursion over the first mode: the oracle of the enumeration."""
+    if n_modes == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _recursive_sector(n_modes - 1, total - first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize(
+    "n_modes, n_max",
+    [(1, 0), (1, 4), (5, 0), (3, 3), (4, 2), (24, 1), (24, 2), (12, 3), (48, 2)],
+)
+def test_enumeration_matches_the_recursive_oracle(n_modes, n_max):
+    want = np.array(
+        [s for total in range(n_max + 1) for s in _recursive_sector(n_modes, total)],
+        dtype=np.int64,
+    )
+    got = enumerate_basis(n_modes, n_max).states
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
 def test_single_mode_enumeration():
     basis = enumerate_basis(1, 2)
     assert [tuple(s) for s in basis.states] == [(0,), (1,), (2,)]

@@ -113,18 +113,25 @@ def test_a_second_call_at_a_stabilizer_reuses_its_setup(default_params, monkeypa
 
 
 def test_verify_builds_four_grids_and_eight_setups(tmp_path, monkeypatch):
-    """A default verify builds 59 models on 4 grids, and calls
-    build_H_blocks 256 times on 8 stabilizers."""
+    """A default verify builds 59 models on 4 grids, and builds the blocks
+    of H(P) at 256 momenta on 8 stabilizers.  Momenta are built in stacks
+    (block_stacks, which build_H_blocks also calls), so the momenta are
+    counted, not the calls."""
     hamiltonian.build_model.cache_clear()
     hamiltonian._grid.cache_clear()
     hamiltonian._live_models.clear()  # models held elsewhere keep their grids
     counts = collections.Counter()
     for name in ("enumerate_basis", "_symmetry_setup"):
         _counting(monkeypatch, counts, hamiltonian, name)
-    original, wrapper = _counting(monkeypatch, counts, hamiltonian, "build_H_blocks")
+    original = hamiltonian.block_stacks
+
+    def stacks(P, *args, **kwargs):
+        counts["momenta built"] += len(np.asarray(P, dtype=float).reshape(-1, 3))
+        return original(P, *args, **kwargs)
+
     for name, mod in list(sys.modules.items()):
-        if name.startswith("pffiber.") and vars(mod).get("build_H_blocks") is original:
-            monkeypatch.setattr(mod, "build_H_blocks", wrapper)
+        if name.startswith("pffiber.") and vars(mod).get("block_stacks") is original:
+            monkeypatch.setattr(mod, "block_stacks", stacks)
     assert cli.main(["verify", "--seed", "2026", "--out", str(tmp_path)]) == 0
     assert hamiltonian.build_model.cache_info().misses == 59
-    assert counts == {"enumerate_basis": 4, "_symmetry_setup": 8, "build_H_blocks": 256}
+    assert counts == {"enumerate_basis": 4, "_symmetry_setup": 8, "momenta built": 256}

@@ -47,11 +47,11 @@ def _block_sigma_v(P, model, blocks):
     columns for a rotation, between the two blocks for a mirror."""
     setup = model.setups[stabilizer(model.rotations, P).tobytes()]
     mirror, real, coefs, _ = setup
-    frame = _spin_frame(P, model, coefs)
+    frame = _spin_frame(P[None], model, coefs)  # a stack of one momentum
     if mirror:
-        return [_sigma_v(model, frame, blocks[1].parts, blocks[0].parts)]
+        return [_sigma_v(model, frame, blocks[1].parts, blocks[0].parts)[0]]
     out = [_sigma_v(model, frame, b.parts, b.parts) for b in blocks]
-    return [_real_block(s) for s in out] if real else out
+    return [(_real_block(s, P[None]) if real else s)[0] for s in out]
 
 
 @pytest.mark.parametrize(
