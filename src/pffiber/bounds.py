@@ -35,8 +35,8 @@ import numpy as np
 from .hamiltonian import (  # noqa: F401
     FiberModel,
     _as_model,
+    block_stacks,
     build_H,
-    build_H_blocks,
     kinetic_root,
     op_sqrt_eig,
 )
@@ -163,18 +163,49 @@ def sandwich_margins(P, params_or_model, consts: BoundConstants | None = None):
 
     The Hamiltonian is evaluated at |P| u as in the comparison statements;
     rotation covariance of E(P) is probed separately.  The margins and the
-    scale ||H(|P|u)||_2 are taken block by block (:func:`block_margins`).
+    scale ||H(|P|u)||_2 are taken block by block (:func:`stack_margins`).
     """
     model = _as_model(params_or_model)
-    blocks = build_H_blocks(float(np.linalg.norm(P)) * U_DIRECTION, model)
-    return block_margins(P, model, blocks, consts=consts)
+    P = np.asarray(P, dtype=float)
+    ((_, blocks),) = block_stacks(float(np.linalg.norm(P)) * U_DIRECTION, model)
+    return tuple(float(m[0]) for m in stack_margins(P[None], model, blocks, consts))
 
 
-def block_margins(P, model: FiberModel, blocks, scale=None, consts=None):
-    """:func:`sandwich_margins` from the blocks of H(|P|u).
+def stack_margins(P, model: FiberModel, blocks, consts=None):
+    """(lower, upper, scale) of :func:`sandwich_margins` at each momentum of
+    the (g, 3) P, from the stream of block stacks of H(|P|u) that
+    :func:`pffiber.hamiltonian.block_stacks` yields for them: the smallest
+    :func:`block_margins` over the blocks, and the largest block 2-norm as
+    the scale ||H(|P|u)||_2.  Each block is dropped before the next is
+    built."""
+    diagonals = comparison_diagonals(P, model, consts)
+    lower = upper = np.inf
+    scale = 0.0
+    for block in blocks:
+        low, up = block_margins(block.h, block.rows, *diagonals)
+        lower, upper = np.minimum(lower, low), np.minimum(upper, up)
+        scale = np.maximum(scale, np.linalg.norm(block.h, ord=2, axis=(-2, -1)))
+        del block
+    return lower, upper, scale
 
-    ``scale`` is ||H(|P|u)||_2 when the caller has it (the largest
-    |eigenvalue| of the blocks), else the largest block 2-norm.
+
+def comparison_diagonals(P, model: FiberModel, consts=None) -> tuple:
+    """The diagonals of L_-(P) and of L_+(P) on the Fock factor, one row
+    per momentum of the (g, 3) P."""
+    if consts is None:
+        consts = bound_constants(model)
+    return (
+        np.array([build_L_minus(p, model, consts) for p in P]),
+        np.array([build_L_plus(p, model, consts) for p in P]),
+    )
+
+
+def block_margins(h, rows, lm, lp):
+    """The sandwich margins of one block of H(|P|u) at each momentum of a
+    stack: min eig(h - L_-) and min eig(L_+ - h) for each matrix of the
+    (g, n, n) block stack ``h``, one stacked ``eigvalsh`` each.  ``lm`` and
+    ``lp`` are the (g, dim) :func:`comparison_diagonals` of the stack, and
+    ``rows`` the ``HBlock.rows`` of the block.
 
     L_-(P) and L_+(P) are spin-trivial, diagonal in the occupation basis and
     functions of H_f, |P_f|^2 and u.P_f, so they are constant on the
@@ -182,19 +213,12 @@ def block_margins(P, model: FiberModel, blocks, scale=None, consts=None):
     :func:`pffiber.hamiltonian.build_H_blocks` at |P| u they are diagonal,
     read at the orbit representatives ``block.rows``.
     """
-    if scale is None:
-        scale = max(float(np.linalg.norm(b.h, ord=2)) for b in blocks)
-    if consts is None:
-        consts = bound_constants(model)
-    lm = build_L_minus(P, model, consts)
-    lp = build_L_plus(P, model, consts)
-    lower = min(
-        float(np.linalg.eigvalsh(b.h - np.diag(lm[b.rows]))[0]) for b in blocks
-    )
-    upper = min(
-        float(np.linalg.eigvalsh(np.diag(lp[b.rows]) - b.h)[0]) for b in blocks
-    )
-    return lower, upper, scale
+    shifted = h.copy()
+    np.einsum("...ii->...i", shifted)[...] -= lm[:, rows]
+    lower = np.linalg.eigvalsh(shifted)[..., 0]
+    np.negative(h, out=shifted)
+    np.einsum("...ii->...i", shifted)[...] += lp[:, rows]
+    return lower, np.linalg.eigvalsh(shifted)[..., 0]
 
 
 def corollary_energy_bounds(P, params_or_model, consts: BoundConstants | None = None):

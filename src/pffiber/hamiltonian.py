@@ -35,8 +35,10 @@ eigenspace of lambda onto that of conj(lambda): the blocks come in
 theta-pairs with equal spectra, and each :class:`HBlock` names its partner.
 ``build_H`` stays the dense reference.  Momenta that share a stabilizer
 differ only in the diagonal of sigma.v, so ``block_stacks`` builds each of
-their blocks as one stack, bounded by ``STACK_BYTES``; ``build_H_blocks``
-hands out the blocks of each momentum from those stacks.
+their blocks as one stack, bounded by ``STACK_BYTES``, and yields them one
+at a time (a theta-pair's two blocks next to each other), so that a solve
+drops each block before the next is built; ``build_H_blocks`` collects the
+blocks of each momentum from those stacks.
 
 Time reversal has theta^2 = -1, so H(P) has no real form in general.  But
 when the stabilizer of P also holds a mirror sigma that inverts R about an
@@ -326,14 +328,29 @@ def op_sqrt_eig(h: np.ndarray, tol_psd: float = DEFAULT_PSD_TOL) -> np.ndarray:
 def kinetic_root(s: np.ndarray, M: float) -> np.ndarray:
     """f(s) = sqrt(s^2 + M^2) of a Hermitian s, from the eigenpairs of s.
 
-    f(lambda) >= M > 0 on every eigenvalue, so no clamp is needed.  ``s``
-    may be one matrix or a (k, n, n) stack, rooted by one stacked ``eigh``
-    with the Hermiticity guard per matrix.
+    f(lambda) >= M > 0 on every eigenvalue, so no clamp is needed, and the
+    root is :func:`_gram` of the eigenvectors: exactly symmetric for a real
+    s.  ``s`` may be one matrix or a (k, n, n) stack, rooted by one stacked
+    ``eigh`` with the Hermiticity guard per matrix.
     """
     require_hermitian(s, what="kinetic_root input")
     lam, u = np.linalg.eigh(s)
-    root = (u * np.sqrt(lam * lam + M * M)[..., None, :]) @ _dagger(u)
-    return hermitize(root)
+    return _gram(u, np.sqrt(lam * lam + M * M))
+
+
+def _gram(u: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """u diag(f) u^dagger for f > 0, as a a^dagger with a = u f^{1/2}; u
+    is scaled in place.  For a real u numpy forms a a^T by syrk, which
+    returns an exactly symmetric matrix; a complex one is made Hermitian in
+    place, (root + root^dagger) / 2 as :func:`pffiber.fock.hermitize` takes
+    it, with one n x n temporary instead of two.  Matrix by matrix on a
+    stack."""
+    u *= np.sqrt(f)[..., None, :]
+    root = u @ _dagger(u)
+    if np.iscomplexobj(root):
+        root += _dagger(root)  # a conjugate copy: no overlap with root
+        root *= 0.5
+    return root
 
 
 def _dagger(u: np.ndarray) -> np.ndarray:
@@ -397,8 +414,18 @@ def build_H(P, params_or_model) -> np.ndarray:
     """Fiber Hamiltonian gamma f(sigma.v) + H_f on C^2 tensor Fock."""
     model = _as_model(params_or_model)
     p = model.params
-    root = kinetic_root(sigma_dot_v(P, model), p.M)
-    return hermitize(p.gamma * root + hf_spinor(model))
+    h = kinetic_root(sigma_dot_v(P, model), p.M)
+    return _add_field_energy(h, p.gamma, np.tile(model.hf, 2))
+
+
+def _add_field_energy(root: np.ndarray, gamma: float, hf: np.ndarray) -> np.ndarray:
+    """gamma root + diag(hf), in place on the root (one matrix or a
+    stack): scaling and a real diagonal keep an exactly Hermitian root
+    exactly Hermitian."""
+    root *= gamma
+    diagonal = np.einsum("...ii->...i", root)
+    diagonal += hf
+    return root
 
 
 def _rotation_order(r: np.ndarray) -> int:
@@ -725,15 +752,17 @@ class HBlock:
     :func:`build_H_blocks`), a combination of the sums over two orbits that
     sigma swaps, whose first orbit is the column's own.  ``parts`` holds one
     (chi, :class:`Columns`) per spin vector; it is empty when W = 1.
-    ``partner`` is the index, in the full list of :func:`build_H_blocks`,
-    of the block that theta maps this one onto.  In a block of
-    :func:`block_stacks`, ``h`` is a (g, n, n) stack: this block of g
-    momenta that share the stabilizer, and so ``partner`` and ``parts``.
+    ``index`` is the position of the block in the full list of
+    :func:`build_H_blocks`, and ``partner`` that of the block that theta
+    maps this one onto.  In a block of :func:`block_stacks`, ``h`` is a
+    (g, n, n) stack: this block of g momenta that share the stabilizer, and
+    so ``partner``, ``parts`` and ``index``.
     """
 
     h: np.ndarray
     partner: int
     parts: tuple = ()
+    index: int = 0
 
     @property
     def rows(self) -> np.ndarray:
@@ -771,12 +800,12 @@ class HBlock:
         return np.hstack(out)
 
 
-def _block(model: FiberModel, root: np.ndarray, partner: int, parts) -> HBlock:
+def _block(model: FiberModel, root: np.ndarray, partner: int, parts, index) -> HBlock:
     """The block gamma f(s) + H_f, from f(s) on its columns ``parts``, of
-    each momentum of a (g, n, n) stack."""
+    each momentum of a (g, n, n) stack: built in the root's own array."""
     rows = np.concatenate([cols.rep for _, cols in parts])
-    h = model.params.gamma * root + np.diag(model.hf[rows])
-    return HBlock(hermitize(h), partner, parts)
+    h = _add_field_energy(root, model.params.gamma, model.hf[rows])
+    return HBlock(h, partner, parts, index)
 
 
 def _symmetry_setup(P, model: FiberModel):
@@ -821,8 +850,9 @@ def _symmetry_setup(P, model: FiberModel):
 
 # a stack of momenta holds at most this many bytes of block matrices, and of
 # the terms that scatter them, and at least one momentum.  The stacked
-# temporaries (SVD factors, roots, hermitized copies) come to several times
-# this, so it is kept small: at 1 MiB the desk verify peaked 0.6 MB higher.
+# temporaries (scatter terms, SVD factors, eigenvectors) come to several
+# times this, so it is kept small: at 1 MiB the desk verify peaked 0.6 MB
+# higher.
 # At mid scale a 325 x 325 complex mirror block (1.7 MB) is solved alone
 STACK_BYTES = 128 * 1024
 
@@ -863,13 +893,16 @@ def build_H_blocks(P, params_or_model, one_per_pair: bool = False) -> list:
 
     P is one momentum, or a (g, 3) stack: then the result is one list of
     blocks per momentum, built in the stacks of :func:`block_stacks`, and
-    each list equals that of its momentum alone bit for bit.
+    each list equals that of its momentum alone bit for bit.  The list
+    collects the stream of :func:`block_stacks`, so it holds every block at
+    once; the solves read the stream.
     """
     P = np.asarray(P, dtype=float)
     out = [None] * len(P.reshape(-1, 3))
     for index, blocks in block_stacks(P, params_or_model, one_per_pair):
+        blocks = sorted(blocks, key=lambda b: b.index)
         for at, i in enumerate(index):
-            out[i] = [HBlock(b.h[at], b.partner, b.parts) for b in blocks]
+            out[i] = [HBlock(b.h[at], b.partner, b.parts, b.index) for b in blocks]
     return out[0] if P.ndim == 1 else out
 
 
@@ -878,8 +911,12 @@ def block_stacks(P, params_or_model, one_per_pair: bool = False):
 
     Yields (index, blocks) over the momenta of the (g, 3) stack P: ``index``
     holds the positions in P of momenta that share a stabilizer, and so the
-    set-up of :func:`build_H_blocks`, and ``blocks`` their :class:`HBlock` list,
-    each ``h`` a stack along ``index``.  Such momenta differ only in the
+    set-up of :func:`build_H_blocks`, and ``blocks`` an iterator over their
+    :class:`HBlock` s, each ``h`` a stack along ``index``.  Each block is
+    built when it is asked for: the two blocks of a theta-pair follow each
+    other, the lower index first, and with ``one_per_pair`` only the first
+    comes.  A consumer that drops each block (or pair) before it asks for
+    the next holds one at a time.  Momenta of a stack differ only in the
     diagonal of sigma.v, so one :func:`_sigma_v` scatter, one stacked
     :func:`kinetic_root` (or one stacked SVD under a mirror) and one stacked
     :func:`_block` serve them all.  A stack holds as many momenta as
@@ -919,28 +956,35 @@ def _momentum_bytes(model: FiberModel, setup) -> int:
     return most
 
 
-def _stacked_blocks(P, model: FiberModel, setup, one_per_pair: bool) -> list:
-    """The blocks of H(P) for the (g, 3) stack P under one ``setup``."""
+def _stacked_blocks(P, model: FiberModel, setup, one_per_pair: bool):
+    """The blocks of H(P) for the (g, 3) stack P under one ``setup``, one
+    at a time, in the order of :func:`block_stacks`."""
     if setup is None:
         (p,) = P
-        return [HBlock(build_H(p, model)[None], partner=0)]
+        yield HBlock(build_H(p, model)[None], partner=0)
+        return
     mirror, real, coefs, specs = setup
     if mirror:
-        return _mirror_blocks(P, model, setup, one_per_pair)
+        yield from _mirror_blocks(P, model, setup, one_per_pair)
+        return
     frame = _spin_frame(P, model, coefs)
-    blocks = []
-    for i, (partner, parts) in enumerate(specs):
-        if one_per_pair and i > partner:
-            break
-        s = _sigma_v(model, frame, parts, parts)
-        if real:
-            s = _real_block(s, P)
-        root = kinetic_root(s, model.params.M)
-        blocks.append(_block(model, root, partner, parts))
-    return blocks
+    for i, (partner, _) in enumerate(specs):
+        if i <= partner:
+            yield _rotation_block(P, model, frame, real, specs, i)
+            if i < partner and not one_per_pair:
+                yield _rotation_block(P, model, frame, real, specs, partner)
 
 
-def _mirror_blocks(P, model: FiberModel, setup, one_per_pair: bool = False) -> list:
+def _rotation_block(P, model: FiberModel, frame, real: bool, specs, i: int) -> HBlock:
+    """Block i of a rotation set-up, from the ``frame`` of the (g, 3) P."""
+    partner, parts = specs[i]
+    s = _sigma_v(model, frame, parts, parts)
+    if real:
+        s = _real_block(s, P)
+    return _block(model, kinetic_root(s, model.params.M), partner, parts, i)
+
+
+def _mirror_blocks(P, model: FiberModel, setup, one_per_pair: bool = False):
     """The two blocks of H(P) under a mirror M of the grid that fixes P,
     from the :func:`_symmetry_setup` of M, for a (g, 3) stack P.
 
@@ -955,17 +999,23 @@ def _mirror_blocks(P, model: FiberModel, setup, one_per_pair: bool = False) -> l
     f(s) = sqrt(s^2 + M^2), the same function that :func:`kinetic_root`
     applies to the eigenvalues of s, is V f(Sigma) V^dagger on the -i space
     and W f(Sigma) W^dagger on the +i space.  theta maps the -i space onto
-    the +i space; with ``one_per_pair`` only the -i block is built.
+    the +i space; with ``one_per_pair`` only the -i block is built.  The
+    blocks come one at a time, from the one SVD; each factor is freed as
+    soon as its block is built.
     """
     _, _, coefs, ((_, plus_i), (_, minus_i)) = setup
     s = _sigma_v(model, _spin_frame(P, model, coefs), plus_i, minus_i)
     w, sigma, vh = np.linalg.svd(s)
     del s  # not needed after the SVD; freeing it lowers the peak below
-    root = np.sqrt(sigma * sigma + model.params.M**2)[..., None, :]
-    blocks = [_block(model, (_dagger(vh) * root) @ vh, 1, minus_i)]
+    if one_per_pair:
+        del w
+    f = np.sqrt(sigma * sigma + model.params.M**2)
+    # V f V^dagger = conj(conj(V) f V^T), and conj(V) = vh^T: no copy of V
+    root = _gram(vh.swapaxes(-1, -2), f)
+    del vh
+    yield _block(model, np.conj(root, out=root), 1, minus_i, 0)
     if not one_per_pair:
-        blocks.append(_block(model, (w * root) @ _dagger(w), 0, plus_i))
-    return blocks
+        yield _block(model, _gram(w, f), 0, plus_i, 1)
 
 
 def build_H_SL(P, params_or_model) -> np.ndarray:

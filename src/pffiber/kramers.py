@@ -11,8 +11,9 @@ with theta^2 = -1.  Any Hamiltonian commuting with theta has purely even
 eigenvalue multiplicities (Kramers); combined with the min-max count of at
 most two eigenvalues below Sigma_-(P), the ground level is exactly two-fold.
 theta also commutes with the grid symmetries that block H(P), so it maps
-each block onto a partner block; :func:`block_theta_residuals` checks
-theta block by block, through the map K between the two block bases.
+each block onto a partner block; :func:`theta_defect` and
+:func:`theta_pairing` check theta block by block, through the map K
+between the two block bases.
 
 The same argument applies to related models: the nonrelativistic fiber
 operator, and position-space models with an even external potential, where
@@ -21,7 +22,6 @@ the conjugation acquires a parity flip x -> -x.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,18 +101,39 @@ def theta_map(src, dst):
     )
 
 
-def theta_defect(h_src: np.ndarray, h_dst: np.ndarray, k=None) -> float:
-    """||K conj(H_src) K^dagger - H_dst||_F, K of :func:`theta_map`.
+def frobenius(h: np.ndarray):
+    """||H||_F of a matrix, or of each matrix of a (g, n, n) stack, summed
+    in place by ``einsum``: no temporary of the size of h."""
+    parts = (h.real, h.imag) if np.iscomplexobj(h) else (h,)
+    return np.sqrt(sum(np.einsum("...ij,...ij->...", x, x) for x in parts))
+
+
+def theta_defect(h_src: np.ndarray, h_dst: np.ndarray, k=None):
+    """||K conj(H_src) K^dagger - H_dst||_F, K of :func:`theta_map`: a
+    float, or one per matrix for (g, n, n) stacks of both blocks.
 
     The first term is the theta-image of block H_src; with K = None it is
-    (s2 x 1) conj(H) (s2 x 1) = theta H theta^{-1}.
+    (s2 x 1) conj(H) (s2 x 1) = theta H theta^{-1}, which moves the spin
+    quadrants of conj(H) = [[A, B], [C, D]] to [[D, -C], [-B, A]]: the
+    product with s2 computed exactly, as a gather.
     """
     if k is None:
-        s2 = np.kron(SIGMA[1], np.eye(h_src.shape[0] // 2))
-        twisted = s2 @ np.conj(h_src) @ s2
+        half = h_src.shape[-1] // 2
+        up, down = slice(None, half), slice(half, None)
+        conj = np.conj(h_src)
+        twisted = np.block([
+            [conj[..., down, down], -conj[..., down, up]],
+            [-conj[..., up, down], conj[..., up, up]],
+        ])
     else:
-        twisted = k @ np.conj(h_src) @ k.conj().T
-    return float(np.linalg.norm(twisted - h_dst))
+        # (K conj(H)) K^dagger as conj(conj(K conj(H)) K^T), conjugated in
+        # place: no conjugate copy of K
+        twisted = k @ (np.conj(h_src) if np.iscomplexobj(h_src) else h_src)
+        twisted = np.conj(twisted, out=twisted) @ k.T
+        np.conj(twisted, out=twisted)
+    twisted -= h_dst
+    defect = frobenius(twisted)
+    return float(defect) if defect.ndim == 0 else defect
 
 
 def check_theta_commutes(h: np.ndarray) -> float:
@@ -123,34 +144,23 @@ def check_theta_commutes(h: np.ndarray) -> float:
     """
     if h.shape[0] % 2:
         raise ValueError("spinor dimension must be even")
-    return theta_defect(h, h) / float(np.linalg.norm(h))
+    return theta_defect(h, h) / float(frobenius(h))
 
 
-def block_theta_residuals(blocks, maps, ground: int, lam: float, x, h_norm):
-    """The theta checks of H(P), read from its blocks.
+def theta_pairing(block, twin, k, h_twin: np.ndarray, lam: float, x):
+    """The Kramers pairing of an eigenpair (lam, x) of ``block``, one of
+    :func:`pffiber.hamiltonian.build_H_blocks`, whose partner is ``twin``.
 
-    ``blocks`` are those of :func:`pffiber.hamiltonian.build_H_blocks`, and
-    (lam, x) is an eigenpair of block ``ground``.  Returns the relative
-    commutation residual ||theta H theta^{-1} - H||_F / ||H||_F, with every
-    block compared against the theta-image of its partner, and the
-    (pairing residual, |<v, theta v>|) of v = W x, with theta v = W' K conj(x)
-    mapped through the same K of :func:`theta_map`.  With one block, W = 1,
-    these are :func:`check_theta_commutes` and
-    :func:`theta_pairing_residuals`.  ``maps`` holds the
-    :func:`theta_map` of each block onto its partner; it depends on the
-    stabilizer only, not on P.
+    v = W x has theta v = W' K conj(x), mapped through the
+    :func:`theta_map` K of ``block`` onto ``twin`` (None when W = 1).
+    Returns (||H' K conj(x) - lam K conj(x)||, |<v, theta v>|), H' the 2-D
+    ``h_twin`` of ``twin`` at the momentum of x; divided by ||H||, the first
+    is the pairing residual of :func:`theta_pairing_residuals`.
     """
-    defects = [
-        theta_defect(blocks[b.partner].h, b.h, maps[b.partner]) for b in blocks
-    ]
-    norms = [float(np.linalg.norm(b.h)) for b in blocks]
-    comm = math.hypot(*defects) / math.hypot(*norms)
-    j = blocks[ground].partner
-    k = maps[ground]
     tx = apply_theta(x) if k is None else k @ np.conj(x)
-    res = float(np.linalg.norm(blocks[j].h @ tx - lam * tx)) / max(h_norm, 1e-300)
-    v, tv = blocks[ground].expand(x), blocks[j].expand(tx)
-    return comm, (res, abs(complex(np.vdot(v, tv))))
+    res = float(np.linalg.norm(h_twin @ tx - lam * tx))
+    v, tv = block.expand(x), twin.expand(tx)
+    return res, abs(complex(np.vdot(v, tv)))
 
 
 def theta_pairing_residuals(h: np.ndarray, vals, vecs, h_norm=None):

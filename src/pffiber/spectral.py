@@ -52,6 +52,7 @@ the skipped trials differ from the kept one only by rounding.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import tempfile
@@ -60,7 +61,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .fock import hermiticity_defect
-from .hamiltonian import FiberModel, HBlock, _as_model, block_stacks, build_H_blocks
+from .hamiltonian import FiberModel, _as_model, block_stacks
 from .modes import ModelParams, dispersion, orbit_representatives, stabilizer
 
 DEFAULT_CLUSTER_TOL = 1e-8
@@ -304,16 +305,18 @@ def ground_batch(
 
 
 def _ground_triples(blocks, cluster_tol: float) -> list:
-    """The (E, E1, mult) of each momentum of a stack of blocks, one
-    ``eigvalsh`` per block."""
-    spectra = [np.linalg.eigvalsh(block.h) for block in blocks]
-    out = []
-    for at in range(len(spectra[0])):
-        vals = []
-        for j, (block, v) in enumerate(zip(blocks, spectra)):
-            vals += [v[at]] if block.partner == j else [v[at], v[at]]
-        out.append(_ground_triple(np.sort(np.concatenate(vals)), cluster_tol))
-    return out
+    """The (E, E1, mult) of each momentum of a stack from its stream of
+    blocks: one ``eigvalsh`` per block, each block dropped before the next
+    is built."""
+    spectra = []
+    for block in blocks:
+        vals = np.linalg.eigvalsh(block.h)
+        spectra += [vals] if block.partner == block.index else [vals, vals]
+        del block  # before the next one is built
+    return [
+        _ground_triple(np.sort(np.concatenate([v[at] for v in spectra])), cluster_tol)
+        for at in range(len(spectra[0]))
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,62 +395,132 @@ def solve_batch(
     )
 
 
+def _pairs(blocks):
+    """The theta-pairs of a stream of :func:`block_stacks`: (block,) for a
+    block that theta maps onto itself, else (block, partner).  Each pair is
+    built when it is asked for."""
+    blocks = iter(blocks)
+    for block in blocks:
+        if block.partner == block.index:
+            yield (block,)
+        else:
+            yield block, next(blocks)
+        del block  # before the next one is built
+
+
 def _records(P, model, blocks, cluster_tol) -> list:
     """The :class:`FiberSolve` of each momentum of the (g, 3) P from its
-    stack of blocks: one ``eigh`` per block, the rest per momentum."""
-    from . import kramers  # it imports this module
+    stream of blocks, one theta-pair at a time (:func:`_pair_values`).
+    Each pair is dropped before the next is built; what it leaves are
+    per-block values, reduced per momentum by :func:`_record`.  The
+    momenta not along u take their sandwich margins from the stream of
+    H(|P|u)."""
+    from . import bounds  # it imports this module
 
-    spectra = []
-    for block in blocks:
-        vals, vecs = _eigh(block.h, P)
-        spectra.append((vals, vecs[..., :N_LOW_VECTORS].copy()))
-        del vecs
-    maps = [kramers.theta_map(b, blocks[b.partner]) for b in blocks]
+    along = np.array(
+        [np.array_equal(p, np.linalg.norm(p) * bounds.U_DIRECTION) for p in P]
+    )
+    consts = bounds.bound_constants(model) if model.params.gamma < 1.0 else None
+    diagonals = None
+    if consts is not None and along.any():
+        diagonals = bounds.comparison_diagonals(P[along], model, consts)
+    per_block, grounds = {}, [[] for _ in P]
+    for pair in _pairs(blocks):
+        values, lowest = _pair_values(P, pair, along, diagonals)
+        del pair
+        per_block.update(values)
+        for found, candidate in zip(grounds, lowest):
+            found.append(candidate)
+    margins = [None] * len(P)
+    if consts is not None:
+        rest = np.flatnonzero(~along)
+        P_u = [np.linalg.norm(P[at]) * bounds.U_DIRECTION for at in rest]
+        for index, stream in block_stacks(P_u, model):
+            found = bounds.stack_margins(P[rest[index]], model, stream, consts)
+            for j, at in enumerate(rest[index]):
+                margins[at] = tuple(float(m[j]) for m in found)
+    values = [per_block[i] for i in range(len(per_block))]
     return [
-        _record(
-            p,
-            model,
-            [HBlock(b.h[at], b.partner, b.parts) for b in blocks],
-            [(vals[at], low[at]) for vals, low in spectra],
-            maps,
-            cluster_tol,
-        )
-        for at, p in enumerate(P)
+        _record(P, at, values, min(grounds[at]), margins[at], along, cluster_tol)
+        for at in range(len(P))
     ]
 
 
-def _record(P, model, blocks, spectra, maps, cluster_tol) -> FiberSolve:
-    """The :class:`FiberSolve` of one momentum from its blocks, their
-    (eigenvalues, lowest eigenvectors) and the theta maps between them."""
+def _pair_values(P, pair, along, diagonals) -> tuple:
+    """What :func:`_records` keeps of one theta-pair of block stacks of the
+    (g, 3) P: (values, lowest).
+
+    ``values`` maps the index of each block to its per-momentum values:
+    the eigenvalues of one stacked ``eigh``, the worst residual of the
+    ``N_LOW_VECTORS`` lowest eigenpairs, the Hermiticity defect, the
+    Frobenius norm, the theta defect of its partner's image onto it and,
+    with the :func:`pffiber.bounds.comparison_diagonals` of the momenta
+    ``along`` u, their sandwich margins, one stacked ``eigvalsh`` each.
+    ``lowest`` has, per momentum, (E, index, pairing) of the lowest block
+    of the pair, ties to the lower index, with the
+    :func:`pffiber.kramers.theta_pairing` of its ground vector."""
     from . import bounds, kramers  # both modules import this one
 
-    eig_res = 0.0
-    for block, (vals, low) in zip(blocks, spectra):
-        low_vals = vals[:N_LOW_VECTORS]
-        res = np.linalg.norm(block.h @ low - low * low_vals[None, :], axis=0)
-        eig_res = max(eig_res, float(np.max(res)))
-    vals = np.sort(np.concatenate([v for v, _ in spectra]))
+    low, per_block = {}, {}
+    for b in pair:
+        vals, vecs = _eigh(b.h, P)
+        low[b.index] = vecs[..., :N_LOW_VECTORS].copy()
+        del vecs
+        x = low[b.index]
+        res = np.linalg.norm(b.h @ x - x * vals[..., None, :N_LOW_VECTORS], axis=-2)
+        per_block[b.index] = {
+            "vals": vals,
+            "eigenpair": np.max(res, axis=-1),
+            "hermiticity": hermiticity_defect(b.h),
+            "norm": kramers.frobenius(b.h),
+            "margins": None,
+        }
+        if diagonals is not None:
+            h = b.h if along.all() else b.h[along]
+            per_block[b.index]["margins"] = bounds.block_margins(
+                h, b.rows, *diagonals
+            )
+    first = [per_block[b.index]["vals"][:, 0] for b in pair]
+    which = np.argmin(first, axis=0)  # the first block of the pair on ties
+    lowest = [None] * len(P)
+    for i, (b, twin) in enumerate(zip(pair, pair[::-1])):
+        k = kramers.theta_map(b, twin)
+        per_block[twin.index]["theta"] = kramers.theta_defect(b.h, twin.h, k)
+        for at in np.flatnonzero(which == i):
+            lam = first[i][at]
+            lowest[at] = (lam, b.index, kramers.theta_pairing(
+                b, twin, k, twin.h[at], lam, low[b.index][at, :, 0]
+            ))
+        del k  # before the next map is built
+    return per_block, lowest
+
+
+def _record(P, at, values, ground, margins, along, cluster_tol) -> FiberSolve:
+    """The :class:`FiberSolve` of momentum ``at`` of the (g, 3) P from the
+    per-block ``values`` of :func:`_pair_values`, the (E, index, pairing)
+    of its ground block and, for a momentum not along u, its sandwich
+    margins; a momentum along u takes them from ``values``."""
+    p = P[at]
+    eig_res = max(float(b["eigenpair"][at]) for b in values)
+    vals = np.sort(np.concatenate([b["vals"][at] for b in values]))
     h_norm = float(max(abs(vals[0]), abs(vals[-1])))
     if eig_res > RESIDUAL_TOL * max(h_norm, 1e-300):
         raise EigensolverError(
             f"eigenpair residual {eig_res:.3e} exceeds {RESIDUAL_TOL:.1e} * ||H|| "
-            f"at P = {tuple(float(x) for x in P)}"
+            f"at P = {tuple(float(x) for x in p)}"
         )
     triple = _ground_triple(vals, cluster_tol)
-    ground = min(range(len(blocks)), key=lambda i: spectra[i][0][0])
-    ground_vals, ground_low = spectra[ground]
-    theta_res, pairing = kramers.block_theta_residuals(
-        blocks, maps, ground, ground_vals[0], ground_low[:, 0], h_norm
+    theta_res = math.hypot(*(b["theta"][at] for b in values)) / math.hypot(
+        *(b["norm"][at] for b in values)
     )
-    sandwich = None
-    if model.params.gamma < 1.0:
-        P_u = np.linalg.norm(P) * bounds.U_DIRECTION
-        if np.array_equal(P, P_u):
-            sandwich = bounds.block_margins(P, model, blocks, h_norm)
-        else:
-            sandwich = bounds.block_margins(P, model, build_H_blocks(P_u, model))
+    pairing_res, overlap = ground[2]
+    if along[at] and values[0]["margins"] is not None:
+        j = np.count_nonzero(along[:at])
+        margins = tuple(
+            float(min(b["margins"][m][j] for b in values)) for m in (0, 1)
+        ) + (h_norm,)
     return FiberSolve(
-        P=tuple(float(x) for x in P),
+        P=tuple(float(x) for x in p),
         eigenvalues=vals,
         E=triple[0],
         E1=triple[1],
@@ -455,11 +528,11 @@ def _record(P, model, blocks, spectra, maps, cluster_tol) -> FiberSolve:
         h_norm=h_norm,
         residuals={
             "eigenpair": eig_res,
-            "hermiticity": max(hermiticity_defect(b.h) for b in blocks),
+            "hermiticity": max(float(b["hermiticity"][at]) for b in values),
             "theta_commutation": theta_res,
         },
-        ground_pairing=pairing,
-        sandwich=sandwich,
+        ground_pairing=(pairing_res / max(h_norm, 1e-300), overlap),
+        sandwich=margins,
     )
 
 

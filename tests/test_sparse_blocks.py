@@ -119,8 +119,8 @@ def test_A_and_B_on_demand_equal_the_builders(default_params):
 
 def test_model_and_blocks_stay_small(default_params):
     """48 modes at N_max 2, Fock dim 1225: one dense real Fock matrix is
-    12 MB and one dense complex H(P) 96 MB.  Measured on this path: 1.5 MB
-    for the model and a 22 MB peak for the blocks."""
+    12 MB and one dense complex H(P) 96 MB.  Measured on this path: 1.3 MB
+    for the model and a 15 MB peak for the two blocks."""
     params = default_params.replace(n_shells=4, N_max=2, e=0.17)
     hamiltonian.build_model.cache_clear()
     hamiltonian._grid.cache_clear()

@@ -304,7 +304,7 @@ def test_mirror_block_spectra_equal_the_dense_spectrum(
             # keeps the one of the generator that build_H_blocks picks
             with monkeypatch.context() as patch:
                 patch.setattr(hamiltonian, "block_generator", lambda *_: (m, perm, signs))
-                blocks = _mirror_blocks(P[None], model, _symmetry_setup(P, model))
+                blocks = list(_mirror_blocks(P[None], model, _symmetry_setup(P, model)))
             assert [b.h.shape for b in blocks] == [(1, model.dim, model.dim)] * 2
             got = np.sort(np.concatenate([np.linalg.eigvalsh(b.h[0]) for b in blocks]))
             assert np.max(np.abs(got - dense)) <= tol
