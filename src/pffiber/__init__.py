@@ -31,8 +31,6 @@ from .hamiltonian import (
     build_B0,
     build_D,
     build_H,
-    build_H0,
-    build_H_blocks,
     build_H_SL,
     build_T,
     build_T_expanded,

@@ -63,12 +63,34 @@ class BoundConstants:
     e_c1 / e_c2: H_f erosion and constant offset of the lower comparison
     operator (equal by construction).  e_c3 and e2_c4 parametrize the upper
     corollary E(P) <= gamma sqrt((|P| + eC3)^2 + M^2 + e^2 C4).
+
+    e_c_prime = gamma (n_half + (3 pi / M) n_curl) is eC1 with the norm of
+    the whole form factor in place of its u-component, so that the lower
+    bound holds at every momentum q, not only along u:
+
+        H(q) >= gamma sqrt(q^2 + M^2) + (1 - gamma - eC') H_f - eC'.
+
+    The proof along u replays at q = |q| d for any unit vector d.  With
+    v = q - P_f + A(0), sum_j v_j^2 = sum over an orthonormal frame (d, e, e')
+    of (d.v)^2 + (e.v)^2 + (e'.v)^2 >= (d.v)^2, so by operator monotonicity
+    H_SL(q) >= gamma f(|q| - X) + H_f, f(x) = sqrt(x^2 + M^2), with
+    X = d.P_f - d.A(0).  Convexity of f gives f(|q| - X) >= f(|q|) -
+    f'(|q|) X with |f'| <= 1; |d.P_f| <= |P_f| <= H_f as |k| <= omega(k);
+    and d.A(0) = sum_m (d.f_m)(a_m + a_m^dagger) >= -n_d (H_f + 1), where
+    n_d = || omega^{-1/2} |d.f| || is the norm that ``n_half_comp[0]``
+    takes at d = u.  By Cauchy-Schwarz |d.f_m| <= |f_m|, so n_d <= n_half
+    for every d.  The spin difference |H - H_SL| <= gamma (3 pi / M) n_curl
+    (H_f + 1) does not depend on a direction.  Where 1 - gamma - eC' >= 0,
+    dropping the H_f term leaves the direction-free corollary
+    E(q) >= gamma sqrt(q^2 + M^2) - eC' (:meth:`direction_free_envelope`),
+    which :func:`pffiber.spectral.delta_gaps` uses to skip trials.
     """
 
     gamma: float
     M: float
     m_ph: float
     e_c1: float
+    e_c_prime: float
     e_c2: float
     e_c3: float
     e2_c4: float
@@ -86,6 +108,19 @@ class BoundConstants:
         """Corollary lower bound: gamma sqrt(P^2 + M^2) - eC2."""
         p2 = float(np.dot(P, P))
         return self.gamma * math.sqrt(p2 + self.M**2) - self.e_c2
+
+    def direction_free_holds(self) -> bool:
+        """Whether :meth:`direction_free_envelope` bounds E: gamma < 1,
+        m_ph > 0 and 1 - gamma - eC' >= 0."""
+        slack = 1.0 - self.gamma - self.e_c_prime
+        return self.gamma < 1.0 and self.m_ph > 0.0 and slack >= 0.0
+
+    def direction_free_envelope(self, P):
+        """gamma sqrt(P^2 + M^2) - eC', a lower bound on E(P) in every
+        direction of P where :meth:`direction_free_holds`; one value per
+        row of a (n, 3) P."""
+        p2 = np.sum(np.square(P), axis=-1)
+        return self.gamma * np.sqrt(p2 + self.M**2) - self.e_c_prime
 
     def upper_envelope(self, P) -> float:
         """Corollary upper bound: gamma sqrt((|P| + eC3)^2 + M^2 + e^2 C4)."""
@@ -105,6 +140,7 @@ def bound_constants(params_or_model) -> BoundConstants:
         M=p.M,
         m_ph=p.m_ph,
         e_c1=e_c,
+        e_c_prime=p.gamma * (n.n_half + (3.0 * math.pi / p.M) * n.n_curl),
         e_c2=e_c,
         e_c3=n.n_half,
         e2_c4=2.0 * n.n_one**2 + n.n_kin**2,
@@ -210,7 +246,7 @@ def block_margins(h, rows, lm, lp):
     L_-(P) and L_+(P) are spin-trivial, diagonal in the occupation basis and
     functions of H_f, |P_f|^2 and u.P_f, so they are constant on the
     Gamma-orbits of every element of the grid that fixes u: on a block of
-    :func:`pffiber.hamiltonian.build_H_blocks` at |P| u they are diagonal,
+    :func:`pffiber.hamiltonian.block_stacks` at |P| u they are diagonal,
     read at the orbit representatives ``block.rows``.
     """
     shifted = h.copy()

@@ -17,7 +17,7 @@ blocks below never form a dense Fock operator.
 Kronecker convention: spin index slow, Fock index fast, i.e.
 ``np.kron(spin_matrix, fock_matrix)``.
 
-``build_H_blocks`` gives the same spectrum as ``build_H`` from smaller
+``block_stacks`` gives the same spectrum as ``build_H`` from smaller
 matrices. An element R of the grid's point group that fixes P and has a
 mode action commutes with H(P) through U(R) = D(det(R) R) x Gamma(R):
 D turns the spin by the proper part of R (the spin is a pseudovector), and
@@ -37,8 +37,7 @@ theta-pairs with equal spectra, and each :class:`HBlock` names its partner.
 differ only in the diagonal of sigma.v, so ``block_stacks`` builds each of
 their blocks as one stack, bounded by ``STACK_BYTES``, and yields them one
 at a time (a theta-pair's two blocks next to each other), so that a solve
-drops each block before the next is built; ``build_H_blocks`` collects the
-blocks of each momentum from those stacks.
+drops each block before the next is built.
 
 Time reversal has theta^2 = -1, so H(P) has no real form in general.  But
 when the stabilizer of P also holds a mirror sigma that inverts R about an
@@ -131,7 +130,7 @@ class QuadratureNotConverged(RuntimeError):
 class FiberModel:
     """A mode grid and a coupling on it.  The grid is ``modes``, ``basis``,
     ``pf``, ``hf``, ``rotations`` and ``setups``, the store of
-    :func:`build_H_blocks`: models that differ only in e, gamma or M share
+    :func:`block_stacks`: models that differ only in e, gamma or M share
     these objects.  ``table``, ``norms``, ``A`` and ``B`` carry e.
 
     The dense A(0) and B(0) are built on first access and then kept: only
@@ -749,11 +748,11 @@ class HBlock:
 
     Every column of W is chi x f: a spin vector chi times the Fourier sum f
     over one Gamma-orbit of occupation states or, on a real block (see
-    :func:`build_H_blocks`), a combination of the sums over two orbits that
+    :func:`block_stacks`), a combination of the sums over two orbits that
     sigma swaps, whose first orbit is the column's own.  ``parts`` holds one
     (chi, :class:`Columns`) per spin vector; it is empty when W = 1.
-    ``index`` is the position of the block in the full list of
-    :func:`build_H_blocks`, and ``partner`` that of the block that theta
+    ``index`` is the position of the block in the full stream of
+    :func:`block_stacks`, and ``partner`` that of the block that theta
     maps this one onto.  In a block of :func:`block_stacks`, ``h`` is a
     (g, n, n) stack: this block of g momenta that share the stabilizer, and
     so ``partner``, ``parts`` and ``index``.
@@ -787,18 +786,6 @@ class HBlock:
             out = out + np.kron(chi, np.sum(cols.w * part[cols.col], axis=1))
         return out
 
-    def basis(self, dim: int) -> np.ndarray | None:
-        """W as a dense (2 dim, len(h)) matrix; None when W = 1.  For tests
-        and dense oracles."""
-        if not self.parts:
-            return None
-        out = []
-        for chi, cols in self.parts:
-            f = np.zeros((dim, cols.rep.size), dtype=complex)
-            np.add.at(f, (np.arange(dim)[:, None], cols.col), cols.w)
-            out.append(np.kron(chi[:, None], f))
-        return np.hstack(out)
-
 
 def _block(model: FiberModel, root: np.ndarray, partner: int, parts, index) -> HBlock:
     """The block gamma f(s) + H_f, from f(s) on its columns ``parts``, of
@@ -809,7 +796,7 @@ def _block(model: FiberModel, root: np.ndarray, partner: int, parts, index) -> H
 
 
 def _symmetry_setup(P, model: FiberModel):
-    """What :func:`build_H_blocks` needs of P but s(P), a function of the
+    """What :func:`block_stacks` needs of P but s(P), a function of the
     stabilizer of P: None without a :func:`block_generator`, else (mirror,
     real, coefs, blocks).  ``coefs`` are the <chi_+|sigma_k|chi_+-> of
     :func:`_spin_frame`; per nonempty block, ``blocks`` has the partner and
@@ -857,62 +844,24 @@ def _symmetry_setup(P, model: FiberModel):
 STACK_BYTES = 128 * 1024
 
 
-def build_H_blocks(P, params_or_model, one_per_pair: bool = False) -> list:
-    """Hermitian diagonal blocks of H(P) under its grid stabilizer.
-
-    R = :func:`block_generator`, and Gamma(R) is the signed permutation of
-    occupation states induced by its mode action.  H_f is diagonal on every
-    block because omega(R k) = omega(k); it is read at the smallest state of
-    each Gamma-orbit.  Without such an R the one block is build_H, W = 1,
-    and theta maps it onto itself.
-
-    A rotation R of order n: U(R) = D(R) x Gamma(R) commutes with H(P),
-    where D(R) = cos(pi/n) - i sin(pi/n) n.sigma turns the spin.  U^n = -1,
-    and block j is H(P) on the eigenspace exp(i pi (2j + 1) / n) of U,
-    spanned by chi_+ x (Gamma eigenvectors a = j + 1) and chi_- x (Gamma
-    eigenvectors a = j).  Each block is gamma f(s_j) + H_f with s_j =
-    sigma.v projected on the block: s commutes with U, so f(s)_j = f(s_j).
-    Empty eigenspaces give no block.  theta maps block j onto block
-    n - 1 - j, whose eigenvalue is the conjugate; both are empty or neither.
-
-    Real blocks: when a mirror sigma that fixes P inverts R about an axis
-    in its plane (:func:`_real_structure`), each block is taken on the
-    fixed vectors of J = theta U(sigma) (:func:`_real_block`), where s_j,
-    f(s_j) and the block are real symmetric float64 matrices.
-
-    A mirror M: see :func:`_mirror_blocks`; the two blocks have dimension
-    dim each and are each other's partner.
-
-    Each s_j is projected from the sparse sigma.v of :func:`_spin_frame` by
-    :func:`_sigma_v`, with no dense Fock operator; all but s(P) is built
-    once per (grid, stabilizer) by :func:`_symmetry_setup` and kept in
-    ``model.setups``.
-
-    With ``one_per_pair`` only the blocks up to their partner are built: a
-    prefix of the full list, whose ``partner`` indices still refer to it.
-
-    P is one momentum, or a (g, 3) stack: then the result is one list of
-    blocks per momentum, built in the stacks of :func:`block_stacks`, and
-    each list equals that of its momentum alone bit for bit.  The list
-    collects the stream of :func:`block_stacks`, so it holds every block at
-    once; the solves read the stream.
-    """
-    P = np.asarray(P, dtype=float)
-    out = [None] * len(P.reshape(-1, 3))
-    for index, blocks in block_stacks(P, params_or_model, one_per_pair):
-        blocks = sorted(blocks, key=lambda b: b.index)
-        for at, i in enumerate(index):
-            out[i] = [HBlock(b.h[at], b.partner, b.parts, b.index) for b in blocks]
-    return out[0] if P.ndim == 1 else out
-
-
 def block_stacks(P, params_or_model, one_per_pair: bool = False):
-    """Build the blocks of H(P) for many momenta at once, a stack per block.
+    """Build the blocks of H(P) under its grid stabilizer for many momenta
+    at once, a stack per block.
+
+    R = :func:`block_generator`; without one the one block is build_H,
+    W = 1, and theta maps it onto itself.  A rotation R of order n:
+    U(R) = D(R) x Gamma(R), D(R) = cos(pi/n) - i sin(pi/n) n.sigma, and
+    U^n = -1.  Block j is H(P) on the eigenspace exp(i pi (2j + 1) / n) of
+    U, spanned by chi_+ x (Gamma eigenvectors a = j + 1) and chi_- x (Gamma
+    eigenvectors a = j): gamma f(s_j) + H_f, s_j = sigma.v projected on the
+    block, with H_f read at the smallest state of each Gamma-orbit.  Empty
+    eigenspaces give no block; theta maps block j onto block n - 1 - j.
+    Real blocks: :func:`_real_block`; a mirror: :func:`_mirror_blocks`.
 
     Yields (index, blocks) over the momenta of the (g, 3) stack P: ``index``
     holds the positions in P of momenta that share a stabilizer, and so the
-    set-up of :func:`build_H_blocks`, and ``blocks`` an iterator over their
-    :class:`HBlock` s, each ``h`` a stack along ``index``.  Each block is
+    set-up, and ``blocks`` an iterator over their :class:`HBlock` s, each
+    ``h`` a stack along ``index``.  Each block is
     built when it is asked for: the two blocks of a theta-pair follow each
     other, the lower index first, and with ``one_per_pair`` only the first
     comes.  A consumer that drops each block (or pair) before it asks for
@@ -1034,12 +983,6 @@ def h0_diag(P, model: FiberModel) -> np.ndarray:
     rel = P[None, :] - model.pf
     kin = np.sqrt(np.sum(rel * rel, axis=1) + model.params.M**2)
     return model.params.gamma * kin + model.hf
-
-
-def build_H0(P, params_or_model) -> np.ndarray:
-    """Free fiber Hamiltonian gamma sqrt((P - P_f)^2 + M^2) + H_f, diagonal."""
-    model = _as_model(params_or_model)
-    return np.kron(ID2, np.diag(h0_diag(P, model)))
 
 
 def interaction_norm(P, params_or_model) -> float:

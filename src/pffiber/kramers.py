@@ -81,7 +81,7 @@ def theta_map(src, dst):
     """K = W_dst^dagger theta W_src: theta W_src x = W_dst K conj(x).
 
     ``src`` and ``dst`` are a block of
-    :func:`pffiber.hamiltonian.build_H_blocks` and the block theta maps it
+    :func:`pffiber.hamiltonian.block_stacks` and the block theta maps it
     onto.  theta (chi x f) = (sigma_2 conj(chi)) x conj(f), so K is, per
     pair of their parts, the spin overlap times F_dst^dagger conj(F_src),
     taken from the per-state tables of the two column families.  None when
@@ -149,35 +149,18 @@ def check_theta_commutes(h: np.ndarray) -> float:
 
 def theta_pairing(block, twin, k, h_twin: np.ndarray, lam: float, x):
     """The Kramers pairing of an eigenpair (lam, x) of ``block``, one of
-    :func:`pffiber.hamiltonian.build_H_blocks`, whose partner is ``twin``.
+    :func:`pffiber.hamiltonian.block_stacks`, whose partner is ``twin``.
 
     v = W x has theta v = W' K conj(x), mapped through the
     :func:`theta_map` K of ``block`` onto ``twin`` (None when W = 1).
     Returns (||H' K conj(x) - lam K conj(x)||, |<v, theta v>|), H' the 2-D
     ``h_twin`` of ``twin`` at the momentum of x; divided by ||H||, the first
-    is the pairing residual of :func:`theta_pairing_residuals`.
+    is the ``ground_pairing`` residual of a :class:`FiberSolve`.
     """
     tx = apply_theta(x) if k is None else k @ np.conj(x)
     res = float(np.linalg.norm(h_twin @ tx - lam * tx))
     v, tv = block.expand(x), twin.expand(tx)
     return res, abs(complex(np.vdot(v, tv)))
-
-
-def theta_pairing_residuals(h: np.ndarray, vals, vecs, h_norm=None):
-    """For each eigenpair: eigen-residual of theta v and the overlap <v, theta v>.
-
-    Both vanish for a theta-commuting Hamiltonian, forcing even
-    multiplicities.
-    """
-    if h_norm is None:
-        h_norm = float(np.linalg.norm(h, ord=2))
-    out = []
-    for lam, v in zip(vals, vecs.T):
-        tv = apply_theta(v)
-        res = float(np.linalg.norm(h @ tv - lam * tv)) / max(h_norm, 1e-300)
-        overlap = abs(complex(np.vdot(v, tv)))
-        out.append((res, overlap))
-    return out
 
 
 @dataclass

@@ -10,7 +10,7 @@ approximated on a finite trial set that always contains k = 0 (so
 Delta(P) <= omega(0) = m_ph exactly) and the grid wavevectors.
 
 Both solves work on the blocks of H(P) under its grid stabilizer
-(:func:`pffiber.hamiltonian.build_H_blocks`): when an element of the grid's
+(:func:`pffiber.hamiltonian.block_stacks`): when an element of the grid's
 point group fixes P, H(P) splits into the eigenspaces of that element.  A
 momentum with a C4 stabilizer gives four blocks of a quarter of the size;
 one that only a mirror fixes, such as a Delta trial P - k with P along an
@@ -46,7 +46,9 @@ For R in the grid's point group G, rotations and improper elements alike,
 H(R q) is unitarily equivalent to H(q).  If R also fixes P, the trials k
 and R k give the same value of E(P - k) + omega(k), so :func:`delta_gap`
 solves one trial per orbit of the stabilizer of P.  The reduction is exact:
-the skipped trials differ from the kept one only by rounding.
+the skipped trials differ from the kept one only by rounding.  Of those
+orbits, the ones whose value the corollary lower bound on E(P - k) puts
+above the k = 0 value are not solved either (:func:`delta_trials`).
 """
 
 from __future__ import annotations
@@ -68,6 +70,9 @@ DEFAULT_CLUSTER_TOL = 1e-8
 P_QUANTUM = 1e-12
 N_LOW_VECTORS = 4
 RESIDUAL_TOL = 1e-9
+# a Delta trial is skipped only when its lower bound exceeds the k = 0 value
+# by more than this, far above the rounding of either
+PRUNE_MARGIN = 1e-9
 CACHE_FORMAT = 9
 
 
@@ -288,7 +293,7 @@ def ground_batch(
     E is the smallest eigenvalue; the multiplicity comes from greedy
     clustering at ``cluster_tol``; E1 is the smallest eigenvalue strictly
     above the ground cluster (None if the truncation holds no second level).
-    Eigenvalues only, of one block of :func:`build_H_blocks` per
+    Eigenvalues only, of one block of :func:`block_stacks` per
     theta-pair: the partner has the same spectrum, so the eigenvalues of a
     block that theta maps onto another are counted twice, and those of a
     block it maps onto itself once.  Each distinct key is solved once, and
@@ -561,33 +566,60 @@ def delta_gaps(
     cache: EnergyCache | None = None,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> list:
-    """Delta at each momentum of the (g, 3) stack P, from one
-    :func:`ground_batch` over every P and every trial momentum P - k.
+    """Delta at each momentum of the (g, 3) stack P: one :func:`ground_batch`
+    of every P, then one of every trial momentum P - k that
+    :func:`delta_trials` keeps.
 
-    One trial is solved per orbit of the trial set under the stabilizer of P
-    in the grid's point group, the first in trial order; the other
-    members of an orbit give the same value up to rounding.  Monotone under
-    trial-set enlargement; the k = 0 member makes Delta(P) <= m_ph exact.
+    The k = 0 trial reads E(P), so Delta(P) <= m_ph is exact.  Of one
+    trial per stabilizer orbit, a k != 0 is not solved when its lower bound
+    gamma sqrt(|P - k|^2 + M^2) - eC' + omega(k) - E(P) exceeds the k = 0
+    value by more than ``PRUNE_MARGIN``, which needs k = 0 in the trial
+    set, gamma < 1, m_ph > 0 and 1 - gamma - eC' >= 0.  Delta equals the
+    minimum over all orbit trials bit for bit, and is monotone under
+    trial-set enlargement.
     E does not depend on ``cluster_tol``; it selects the cache entries, so a
     run that solves at its own tolerance reads the energies it already has.
     """
     model = _as_model(params_or_model)
     P = np.asarray(P, dtype=float).reshape(-1, 3)
-    if trial_k_set is None:
-        trial_k_set = default_trial_set(model)
-    trials = [
-        orbit_representatives(trial_k_set, stabilizer(model.rotations, p)) for p in P
-    ]
-    momenta = [q for p, ks in zip(P, trials) for q in (p, *(p - k for k in ks))]
-    energies = iter(ground_batch(momenta, model, cluster_tol, cache))
+    e_p = [t[0] for t in ground_batch(P, model, cluster_tol, cache)]
+    trials = delta_trials(P, model, e_p, trial_k_set)
+    shifted = [p - k for p, ks in zip(P, trials) for k in ks if k.any()]
+    energies = iter(ground_batch(shifted, model, cluster_tol, cache))
+    m_ph = model.params.m_ph
     out = []
-    for ks in trials:
-        e_p, _, _ = next(energies)
+    for e, ks in zip(e_p, trials):
         best = np.inf
         for k in ks:
-            e_shift, _, _ = next(energies)
-            best = min(best, e_shift + float(dispersion(k, model.params.m_ph)) - e_p)
+            e_shift = next(energies)[0] if k.any() else e
+            best = min(best, e_shift + float(dispersion(k, m_ph)) - e)
         out.append(float(best))
+    return out
+
+
+def delta_trials(P, model: FiberModel, energies, trial_k_set=None) -> list:
+    """The trial wavevectors that :func:`delta_gaps` solves at each momentum
+    of the (g, 3) P, whose ground energies are ``energies``: the first
+    member of each orbit of the trial set under the stabilizer of P (for R
+    in the grid's point group, H(Rq) is unitarily equivalent to H(q)), less
+    the trials k != 0 that the corollary bound rules out.  eC' is
+    :attr:`pffiber.bounds.BoundConstants.e_c_prime`.
+    """
+    from . import bounds  # it imports this module
+
+    if trial_k_set is None:
+        trial_k_set = default_trial_set(model)
+    m_ph, consts = model.params.m_ph, bounds.bound_constants(model)
+    prune = consts.direction_free_holds() and any(not np.any(k) for k in trial_k_set)
+    out = []
+    for q, e in zip(P, energies):
+        ceiling = e + float(dispersion(np.zeros(3), m_ph)) - e + PRUNE_MARGIN
+        ks = orbit_representatives(trial_k_set, stabilizer(model.rotations, q))
+        k_all = np.reshape(ks, (-1, 3))
+        low = consts.direction_free_envelope(q - k_all) + dispersion(k_all, m_ph) - e
+        out.append(
+            [k for k, b in zip(ks, low) if b <= ceiling or not (prune and k.any())]
+        )
     return out
 
 

@@ -48,6 +48,7 @@ from .spectral import (
     convergence_study,
     default_trial_set,
     delta_gaps,
+    delta_trials,
     free_delta_gap,
     ground_batch,
     ground_data,
@@ -366,12 +367,20 @@ def check_delta_bounds(ctx: VerifyContext) -> CheckResult:
     tol = ctx.cfg.tolerances.sandwich
     fails = []
     worst_free = 0.0
+    worst_bound, n_bound = math.inf, 0
     for e in ctx.coupling_ladder():
         params = ctx.params_at(e)
         model = build_model(params)
         consts = bnd.bound_constants(model)
         trial = default_trial_set(model)
-        for P, d in zip(ctx.momenta(), ctx.deltas(ctx.momenta(), model)):
+        deltas = ctx.deltas(ctx.momenta(), model)
+        if consts.direction_free_holds():
+            margins = _solved_bound_margins(ctx, model, consts)
+            low = min(margins, default=math.inf)
+            worst_bound, n_bound = min(worst_bound, low), n_bound + len(margins)
+            if low < -tol:
+                fails.append((e, "direction-free bound", low))
+        for P, d in zip(ctx.momenta(), deltas):
             if d > params.m_ph + 1e-12:
                 fails.append((e, "ceiling", d))
             if e == 0.0:
@@ -388,10 +397,25 @@ def check_delta_bounds(ctx: VerifyContext) -> CheckResult:
         "gap function bounds",
         not fails,
         f"Delta <= m_ph, free-theory match {worst_free:.2e} "
-        f"(tol {tol_free:.1e}), explicit floor respected"
+        f"(tol {tol_free:.1e}), explicit floor respected; "
+        f"E(q) - (gamma sqrt(q^2 + M^2) - eC') >= {worst_bound:.3e} "
+        f"at the {n_bound} momenta solved for Delta (tol -{tol:.1e})"
         if not fails
         else f"violations {fails[:3]}",
     )
+
+
+def _solved_bound_margins(ctx: VerifyContext, model, consts) -> list:
+    """E(q) - (gamma sqrt(q^2 + M^2) - eC') at every momentum q that Delta
+    solves at the sweep, each P and each kept P - k: the bound that
+    :func:`pffiber.spectral.delta_trials` prunes with.  Read back from the
+    run's cache, which holds every one of them."""
+    momenta = ctx.momenta()
+    e_p = ctx.energies(momenta, model)
+    trials = delta_trials(momenta, model, e_p)
+    shifted = [p - k for p, ks in zip(momenta, trials) for k in ks if k.any()]
+    solved = zip([*momenta, *shifted], e_p + ctx.energies(shifted, model))
+    return [e - consts.direction_free_envelope(q) for q, e in solved]
 
 
 # ----------------------------------------------------------------------

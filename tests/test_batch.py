@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pffiber import hamiltonian, spectral
-from pffiber.hamiltonian import STACK_BYTES, block_stacks, build_H_blocks, build_model
+from pffiber.hamiltonian import STACK_BYTES, block_stacks, build_model
 from pffiber.modes import stabilizer
 from pffiber.spectral import (
     EigensolverError,
@@ -23,6 +23,8 @@ from pffiber.spectral import (
     solve_batch,
     solve_fiber,
 )
+
+from oracles import build_H_blocks
 
 DIRECTION_COUNTS = (2, 6, 8, 12)
 MAGNITUDES = (0.35, 0.7, 1.3, 1.9)

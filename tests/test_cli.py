@@ -21,6 +21,8 @@ from pffiber.config import (
 )
 from pffiber.spectral import EigensolverError
 
+from oracles import build_H_blocks
+
 FAST_VERIFY = {
     "verify": {
         "e_values": [0.0, 0.1],
@@ -388,10 +390,10 @@ def test_sweep_builds_each_orbit_momentum_once(tmp_path, monkeypatch):
 
         return build
 
-    # H(P) is built dense (build_H) or in blocks (build_H_blocks, or
-    # block_stacks for many momenta at once), and each counts the momenta it
-    # builds; the fallback inside hamiltonian to build_H is not a second build
-    for fn in ("build_H", "build_H_blocks", "block_stacks"):
+    # H(P) is built dense (build_H) or in blocks (block_stacks), and each
+    # counts the momenta it builds; the fallback inside hamiltonian to
+    # build_H is not a second build
+    for fn in ("build_H", "block_stacks"):
         real = getattr(hamiltonian, fn)
         for name, mod in list(sys.modules.items()):
             if (
@@ -402,9 +404,15 @@ def test_sweep_builds_each_orbit_momentum_once(tmp_path, monkeypatch):
                 monkeypatch.setattr(mod, fn, counted(real))
     cfg = write_cfg(tmp_path, {"P_max": 2.0, "n_P": 2, "threads": 1})
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    # P = 0: k = 0 and one orbit per radial shell; P = 2 x: k = 0 and three
-    # orbits per shell (+x, -x, transverse) under the stabilizer of x
-    assert len(built) == 3 + 7
+    # Delta solves one trial per orbit of the stabilizer of P, less those
+    # whose corollary bound gamma sqrt(|P - k|^2 + M^2) - eC' + omega(k) - E(P)
+    # exceeds the k = 0 value m_ph = 0.5 (k = 0 reads E(P) and builds
+    # nothing).  P = 0, one orbit per shell: P itself and the inner shell
+    # (bound 0.45), the outer one is out (0.96): 2 momenta.  P = 2 x, three
+    # orbits per shell (+x, -x, transverse): P itself, +x on both shells
+    # (0.34, 0.49) and the inner transverse trial (0.44); -x (0.53, 1.19)
+    # and the outer transverse trial (0.90) are out: 4 momenta
+    assert len(built) == 2 + 4
     assert len(set(built)) == len(built)
 
 
@@ -553,7 +561,7 @@ def test_n_max_3_sweep_and_convergence_match_the_dense_oracle(tmp_path, path):
     })
     cfg = load_config(cfg_path)
     model = hamiltonian.build_model(cfg.params)
-    blocks = hamiltonian.build_H_blocks(P, model)
+    blocks = build_H_blocks(P, model)
     sym = hamiltonian.block_generator(P, model)
     if path == "real":
         assert len(blocks) == 4 and all(b.h.dtype == np.float64 for b in blocks)

@@ -17,7 +17,6 @@ from pffiber.hamiltonian import (
     build_B0,
     build_D,
     build_H,
-    build_H0,
     build_H_SL,
     build_T,
     build_T_expanded,
@@ -33,6 +32,8 @@ from pffiber.hamiltonian import (
     spin_curl_mismatch,
 )
 from pffiber.modes import FormFactorTable, ModelParams
+
+from oracles import build_H0
 
 
 def free_levels(P, model):

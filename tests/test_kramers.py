@@ -12,10 +12,11 @@ from pffiber.kramers import (
     check_theta_commutes_related,
     kramers_certificate,
     position_toy,
-    theta_pairing_residuals,
     theta_squared_sign,
 )
 from pffiber.spectral import cluster_degeneracy, low_spectrum
+
+from oracles import theta_pairing_residuals
 
 
 def random_state(rng, dim):

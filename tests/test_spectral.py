@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 
 from pffiber.bounds import bound_constants, count_below, sandwich_margins
 from pffiber.fock import hermiticity_defect
-from pffiber.hamiltonian import build_H, build_H_blocks, build_model
-from pffiber.kramers import check_theta_commutes, theta_pairing_residuals
+from pffiber.hamiltonian import build_H, build_model
+from pffiber.kramers import check_theta_commutes
 from pffiber.spectral import (
     CACHE_FORMAT,
     EnergyCache,
@@ -24,6 +24,8 @@ from pffiber.spectral import (
     params_fingerprint,
     solve_fiber,
 )
+
+from oracles import build_H_blocks, theta_pairing_residuals
 
 
 def test_low_spectrum_small_diagonal():

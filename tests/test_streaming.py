@@ -12,13 +12,14 @@ from pffiber.fock import hermitize
 from pffiber.hamiltonian import (
     SIGMA,
     build_H,
-    build_H_blocks,
     build_model,
     kinetic_root,
 )
 from pffiber.kramers import frobenius, theta_defect, theta_map
 from pffiber.modes import stabilizer
 from pffiber.spectral import ground_data, solve_batch, solve_fiber
+
+from oracles import build_H_blocks
 
 P_ALONG_X = np.array([0.7, 0.0, 0.0])
 
