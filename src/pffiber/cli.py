@@ -13,8 +13,8 @@ Common flags: --config PATH, --out DIR, --threads N, --seed N, --cache PATH.
 Exit codes: 0 pass, 1 assertion failure, 2 usage, config or path error.
 
 Outputs render floats with 17 significant digits so files round-trip
-losslessly; sweep workers run in parallel but rows are aggregated in ladder
-order, making reruns byte-identical at a fixed configuration.
+losslessly.  Momenta are solved in ladder order in one thread (``--threads``
+selects nothing), so reruns are byte-identical at a fixed configuration.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -50,6 +49,8 @@ SWEEP_EXTRA = (
     "sandwich_lower,sandwich_upper,delta_margin,chain_margin,direct_margin,"
     "envelope_ok"
 )
+# the bound constants that sweep_summary.json and bound_constants.json carry
+CONSTANT_NAMES = ("gamma", "M", "m_ph", "e_c1", "e_c_prime", "e_c2", "e_c3", "e2_c4")
 
 
 def _fmt(x) -> str:
@@ -85,71 +86,58 @@ def _scaled_sandwich(solve) -> tuple:
     return (None, None) if scale is None else (lower / scale, upper / scale)
 
 
-def _pool(cfg: RunConfig):
-    affinity = getattr(os, "sched_getaffinity", None)  # CPUs this process may use
-    workers = cfg.threads or (len(affinity(0)) if affinity else os.cpu_count() or 1)
-    return ThreadPoolExecutor(max_workers=workers)
+def _each_momentum(momenta, work):
+    """Yield work(P) for each momentum in ladder order.  An eigensolver
+    failure yields the record {"P": ..., "error": ...} instead, also on
+    stderr, and the run goes on."""
+    for P in momenta:
+        try:
+            yield work(P)
+        except EigensolverError as exc:
+            failed = {"P": [float(x) for x in P], "error": str(exc)}
+            print(f"eigensolver error: {json.dumps(failed)}", file=sys.stderr)
+            yield failed
 
 
 def run_spectrum(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
     model = build_model(cfg.params)
     consts = bnd.bound_constants(model)
-    momenta = cfg.momenta()
 
     def work(P):
-        try:
-            return compute_report(
-                P, model, consts, cache, cfg.tolerances.cluster_rel
-            )[0]
-        except EigensolverError as exc:
-            return (tuple(float(x) for x in P), str(exc))
-
-    with _pool(cfg) as pool:
-        rows = list(pool.map(work, momenta))
+        return compute_report(P, model, consts, cache, cfg.tolerances.cluster_rel)[0]
 
     csv_path = os.path.join(out_dir, "spectrum.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
-        for i, rep in enumerate(rows):
-            if isinstance(rep, tuple):  # eigensolver failure: record, keep going
-                P, msg = rep
-                with open(
-                    os.path.join(out_dir, f"P_{i:03d}.json"), "w", encoding="utf-8"
-                ) as jf:
-                    json.dump({"P": list(P), "error": msg}, jf, indent=2)
-                continue
-            vals = (
-                *rep.P, rep.E, rep.E1, rep.ground_multiplicity, rep.delta,
-                rep.sigma_minus, rep.eigencount_below_sigma,
-            )
-            fh.write(",".join(_fmt(v) for v in vals) + "\n")
+        for i, rep in enumerate(_each_momentum(cfg.momenta(), work)):
+            if isinstance(rep, dict):  # a failure has its report but no CSV row
+                text = json.dumps(rep, indent=2)
+            else:
+                vals = (
+                    *rep.P, rep.E, rep.E1, rep.ground_multiplicity, rep.delta,
+                    rep.sigma_minus, rep.eigencount_below_sigma,
+                )
+                fh.write(",".join(_fmt(v) for v in vals) + "\n")
+                text = rep.to_json()
             with open(
                 os.path.join(out_dir, f"P_{i:03d}.json"), "w", encoding="utf-8"
             ) as jf:
-                jf.write(rep.to_json())
+                jf.write(text)
     return 0
 
 
 def run_sweep(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
     model = build_model(cfg.params)
     consts = bnd.bound_constants(model)
-    momenta = cfg.momenta()
 
     def work(P):
-        try:
-            rep, solve = compute_report(
-                P, model, consts, cache, cfg.tolerances.cluster_rel
-            )
-            gap = bnd.theorem_gap_report(
-                P, model, consts, cache=cache, solve=solve, delta=rep.delta
-            )
-            return rep, _scaled_sandwich(solve), gap
-        except EigensolverError as exc:
-            return {"P": [float(x) for x in P], "error": str(exc)}
+        rep, solve = compute_report(P, model, consts, cache, cfg.tolerances.cluster_rel)
+        gap = bnd.theorem_gap_report(
+            P, model, consts, cache=cache, solve=solve, delta=rep.delta
+        )
+        return rep, _scaled_sandwich(solve), gap
 
-    with _pool(cfg) as pool:
-        rows = list(pool.map(work, momenta))
-
+    rows = list(_each_momentum(cfg.momenta(), work))
     failures = [r for r in rows if isinstance(r, dict)]
     rows = [r for r in rows if not isinstance(r, dict)]
     csv_path = os.path.join(out_dir, "sweep.csv")
@@ -167,7 +155,7 @@ def run_sweep(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
     gaps = [r[2] for r in rows]
     margins = [r[1] for r in rows if r[1][0] is not None]
     summary = {
-        "constants": asdict(consts),
+        "constants": {k: getattr(consts, k) for k in CONSTANT_NAMES},
         "min_E1_minus_E": min(
             (g.E1 - g.E for g in gaps if g.E1 is not None), default=None
         ),
@@ -191,25 +179,35 @@ def run_sweep(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
 def run_bounds(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
     model = build_model(cfg.params)
     consts = bnd.bound_constants(model)
+    momenta = cfg.momenta()
     with open(
         os.path.join(out_dir, "bound_constants.json"), "w", encoding="utf-8"
     ) as fh:
-        json.dump(asdict(consts), fh, indent=2, sort_keys=True, default=float)
+        constants = {k: getattr(consts, k) for k in CONSTANT_NAMES}
+        json.dump(constants, fh, indent=2, sort_keys=True, default=float)
+
+    def work(P):
+        solve = solve_fiber(P, model, cfg.tolerances.cluster_rel, cache)
+        return (
+            *_scaled_sandwich(solve),
+            bnd.count_below(solve.eigenvalues, consts.sigma_minus(P)),
+        )
+
     path = os.path.join(out_dir, "bounds.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             "P_x,P_y,P_z,sigma_minus,lower_envelope,upper_envelope,"
             "sandwich_lower,sandwich_upper,count_below\n"
         )
-        for P in cfg.momenta():
-            solve = solve_fiber(P, model, cfg.tolerances.cluster_rel, cache)
+        for P, solved in zip(momenta, _each_momentum(momenta, work)):
+            if isinstance(solved, dict):  # a failure: closed-form columns only
+                solved = (None, None, None)
             vals = (
                 *P,
                 consts.sigma_minus(P),
                 consts.lower_envelope(P),
                 consts.upper_envelope(P),
-                *_scaled_sandwich(solve),
-                bnd.count_below(solve.eigenvalues, consts.sigma_minus(P)),
+                *solved,
             )
             fh.write(",".join(_fmt(v) for v in vals) + "\n")
     return 0

@@ -93,7 +93,7 @@ class RunConfig:
     convergence_ladder: tuple = ((0, 2), (1, 2), (2, 2))
     cache_path: str | None = None
     out_dir: str = "out"
-    threads: int = 0  # 0 = use available cores
+    threads: int = 0  # accepted and validated; no longer selects anything
 
     def momenta(self) -> list:
         """The P sweep: explicit list, or a radial ladder along u = (1,0,0)."""

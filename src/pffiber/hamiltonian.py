@@ -61,8 +61,8 @@ t = scale * s / (1 - s), s = sin^2(theta), which maps the integral onto a
 smooth integrand on [0, pi/2] handled by doubled Gauss-Legendre panels.
 
 Every assembly function is pure; matrices are freshly allocated per call,
-and what the grid's store holds is a pure function of its key, so sharing
-across threads is safe.  LAPACK is reached through ``numpy.linalg`` alone.
+and what the grid's store holds is a pure function of its key.  LAPACK is
+reached through ``numpy.linalg`` alone.
 """
 
 from __future__ import annotations
@@ -176,8 +176,6 @@ def _grid(key: ModelParams) -> dict:
     """The fields of a model that no coupling changes, for ``key`` at e = 1:
     g depends on |k| only, so G from this table is the G of every e.  While
     a model on the grid is alive, these are its fields."""
-    # valuerefs() copies the references in one step, so a model registered
-    # by another thread meanwhile cannot break the scan
     for ref in _live_models.valuerefs():
         model = ref()
         if model is not None and ref.key[0] == key:
@@ -879,8 +877,8 @@ def block_stacks(P, params_or_model, one_per_pair: bool = False):
     for i, p in enumerate(P):
         groups.setdefault(stabilizer(model.rotations, p).tobytes(), []).append(i)
     for key, members in groups.items():
-        if key not in model.setups:  # a race between threads only repeats work
-            model.setups.setdefault(key, _symmetry_setup(P[members[0]], model))
+        if key not in model.setups:
+            model.setups[key] = _symmetry_setup(P[members[0]], model)
         setup = model.setups[key]
         size = 1
         if setup is not None:

@@ -205,7 +205,7 @@ class EnergyCache:
         """Write the cache atomically: a temp file beside it, then a rename.
 
         Entries are written in sorted key order, so the file does not depend
-        on the order in which the momentum pool's threads filled them."""
+        on the order in which they were filled."""
         if self.path is None:
             return
         entries = sorted(self._data.items())

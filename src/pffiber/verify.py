@@ -32,6 +32,7 @@ from .hamiltonian import (
     build_model,
     build_T,
     build_T_expanded,
+    h0_diag,
     hf_spinor,
     interaction_norm,
     kinetic_root,
@@ -132,12 +133,7 @@ def check_free_oracle(ctx: VerifyContext) -> CheckResult:
     worst = 0.0
     for P, solve in zip(ctx.momenta(), ctx.solves(model)):
         ev = solve.eigenvalues
-        rel = P[None, :] - model.pf
-        fock_levels = (
-            model.params.gamma
-            * np.sqrt(np.sum(rel * rel, axis=1) + model.params.M**2)
-            + model.hf
-        )
+        fock_levels = h0_diag(P, model)
         closed = np.sort(np.concatenate([fock_levels, fock_levels]))
         worst = max(worst, float(np.max(np.abs(ev - closed))))
     return CheckResult(

@@ -3,12 +3,12 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from pffiber import bounds as bnd
 from pffiber import cli, hamiltonian, spectral
 from pffiber.cli import main
 from pffiber.config import (
@@ -105,13 +105,30 @@ def test_spectrum_rerun_with_cache_identical(tmp_path):
     assert (out1 / "spectrum.csv").read_text() == (out2 / "spectrum.csv").read_text()
 
 
-def test_threaded_spectrum_runs_write_identical_cache_files(tmp_path):
-    cfg = write_cfg(tmp_path, {"n_P": 8})
-    caches = [tmp_path / "c1.json", tmp_path / "c2.json"]
-    for i, cache in enumerate(caches):
-        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / f"o{i}"),
-                     "--threads", "2", "--cache", str(cache)]) == 0
-    assert caches[0].read_bytes() == caches[1].read_bytes()
+# 0.21132565408032172 x is a Delta(P) trial wavevector of the grid, so the
+# trials P - k of the 2nd and 4th momenta include the 1st and 3rd momenta: a
+# trial E(1.5 x) reads either the eigvalsh triple of ground_data or the eigh
+# record of solve_fiber, whichever the run stored first
+TRIAL_IS_LISTED = {
+    "params": {"N_max": 2},
+    "P_list": [[0.5, 0.0, 0.0], [0.71132565408032172, 0.0, 0.0],
+               [1.5, 0.0, 0.0], [1.71132565408032172, 0.0, 0.0]],
+}
+
+
+def test_sweep_outputs_do_not_depend_on_threads(tmp_path):
+    """Momenta run in ladder order in one thread whatever --threads says, so
+    each trial reads the same record and the files repeat byte for byte."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TRIAL_IS_LISTED))
+    files = []
+    for i, flags in enumerate((["--threads", "1"], ["--threads", "2"], [])):
+        out, cache = tmp_path / f"o{i}", tmp_path / f"c{i}.json"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--cache", str(cache), *flags]) == 0
+        names = ("sweep.csv", "sweep_summary.json")
+        files.append([(out / n).read_bytes() for n in names] + [cache.read_bytes()])
+    assert files[0] == files[1] == files[2]
 
 
 def test_sweep_outputs_and_prefix_stability(tmp_path):
@@ -149,6 +166,20 @@ def test_bounds_subcommand(tmp_path):
     assert consts["e_c1"] == consts["e_c2"] > 0
     rows = (out / "bounds.csv").read_text().splitlines()
     assert len(rows) == 4
+
+
+def test_written_constants_are_the_named_eight(tmp_path):
+    """The constants in the output files are named in cli, so a new field of
+    BoundConstants does not change them."""
+    names = {"gamma", "M", "m_ph", "e_c1", "e_c_prime", "e_c2", "e_c3", "e2_c4"}
+    assert set(cli.CONSTANT_NAMES) == names
+    cfg = write_cfg(tmp_path, {"n_P": 1})
+    out = tmp_path / "out"
+    for command in ("sweep", "bounds"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert set(summary["constants"]) == names
+    assert set(json.loads((out / "bound_constants.json").read_text())) == names
 
 
 def test_convergence_subcommand(tmp_path):
@@ -358,7 +389,7 @@ def _fail_at(monkeypatch, px_values):
     monkeypatch.setattr(cli, "solve_fiber", solve)
 
 
-def test_sweep_records_failed_momenta(tmp_path, monkeypatch):
+def test_sweep_records_failed_momenta(tmp_path, monkeypatch, capsys):
     _fail_at(monkeypatch, {0.4})
     cfg = write_cfg(tmp_path, {"P_max": 0.8, "n_P": 3, "threads": 1})
     out = tmp_path / "out"
@@ -367,7 +398,23 @@ def test_sweep_records_failed_momenta(tmp_path, monkeypatch):
     assert header == cli.CSV_HEADER + "," + cli.SWEEP_EXTRA
     assert [float(r.split(",")[0]) for r in rows] == [0.0, 0.8]
     summary = json.loads((out / "sweep_summary.json").read_text())
-    assert summary["failures"] == [{"P": [0.4, 0.0, 0.0], "error": "injected at 0.4"}]
+    failed = {"P": [0.4, 0.0, 0.0], "error": "injected at 0.4"}
+    assert summary["failures"] == [failed]
+    # bounds keeps the failed row: its closed-form columns, nan where a
+    # solve was needed
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
+    header, *rows = (out / "bounds.csv").read_text().splitlines()
+    assert [float(r.split(",")[0]) for r in rows] == [0.0, 0.4, 0.8]
+    got = dict(zip(header.split(","), rows[1].split(",")))
+    consts = bnd.bound_constants(hamiltonian.build_model(load_config(cfg).params))
+    P = np.array([0.4, 0.0, 0.0])
+    assert float(got["sigma_minus"]) == consts.sigma_minus(P)
+    assert float(got["lower_envelope"]) == consts.lower_envelope(P)
+    assert float(got["upper_envelope"]) == consts.upper_envelope(P)
+    assert got["sandwich_lower"] == got["sandwich_upper"] == got["count_below"] == "nan"
+    assert all("nan" not in row for row in (rows[0], rows[2]))
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"eigensolver error: {json.dumps(failed)}"] * 2
 
 
 def test_sweep_all_momenta_failed(tmp_path, monkeypatch):
@@ -444,24 +491,10 @@ def test_corrupt_cache_warns_and_run_completes(tmp_path, capsys):
     assert json.loads(cache.read_text())["entries"]
 
 
-def test_pool_is_sized_by_the_cpus_the_process_may_use(monkeypatch):
-    cfg = default_config()
-    assert cfg.threads == 0
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
-    with cli._pool(cfg) as pool:
-        assert pool._max_workers == 1
-    monkeypatch.delattr(os, "sched_getaffinity")
-    with cli._pool(cfg) as pool:
-        assert pool._max_workers == 8
-    with cli._pool(replace(cfg, threads=3)) as pool:
-        assert pool._max_workers == 3
-
-
 # Runs a sweep whose momenta are generic (one dense block, eigh), on a C4
 # axis and in a mirror plane (the SVD of the mirror blocks); the Delta(P)
-# trials take eigvalsh.  Prints the kernel call counts and the scipy modules
-# the run loaded.
+# trials take eigvalsh.  Prints the kernel call counts and the scipy and
+# concurrent modules the run loaded.
 ONE_LAPACK_SCRIPT = """
 import json, sys
 import numpy as np
@@ -474,15 +507,19 @@ for name in calls:
         return _real(*args, **kwargs)
     setattr(np.linalg, name, counted)
 code = pffiber.cli.main(["sweep", "--config", sys.argv[1], "--out", sys.argv[2]])
-loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
-print(json.dumps({"code": code, "calls": calls, "scipy": loaded}))
+loaded = {
+    pkg: sorted(m for m in sys.modules if m.partition(".")[0] == pkg)
+    for pkg in ("scipy", "concurrent")
+}
+print(json.dumps({"code": code, "calls": calls, **loaded}))
 """
 
 
 def test_the_program_loads_numpy_linalg_only(tmp_path):
     """numpy.linalg is the one LAPACK of the package: scipy's wheel bundles a
     second OpenBLAS with a thread pool of its own, and two busy-waiting
-    pools on the same cores slow every dense solve down."""
+    pools on the same cores slow every dense solve down.  BLAS is the only
+    parallelism: the run starts no thread pool of its own."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "params": {"n_shells": 1, "n_dirs": 6, "N_max": 1},
@@ -498,6 +535,7 @@ def test_the_program_loads_numpy_linalg_only(tmp_path):
     assert result["code"] == 0
     assert all(n > 0 for n in result["calls"].values()), result["calls"]
     assert result["scipy"] == []
+    assert result["concurrent"] == []
 
 
 @pytest.mark.parametrize(

@@ -202,8 +202,8 @@ def test_cache_save_is_atomic(tmp_path, default_model):
 
 
 def test_cache_file_does_not_depend_on_insertion_order(tmp_path, default_model):
-    """The momentum pool fills the cache in the order its threads finish;
-    the saved file must not show it."""
+    """The order in which a run fills the cache depends on which momenta and
+    trials it solves first; the saved file must not show it."""
     params = default_model.params
     items = [
         (EnergyCache.key(params, [x, -0.5 * x, 0.0], tol), (1.0 + x, 2.0 + x, 2))
