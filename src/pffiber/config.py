@@ -26,12 +26,13 @@ class ConfigError(ValueError):
 
 # Peak resident memory of a run over the bytes of one dense complex H(P),
 # 16 (2 dim)^2, rounded up.  Measured at Fock dim 1225 (n = 2450, 96 MB per
-# H, 2-core x86-64 host): 545 MB, 5.7 H, for convergence or one solve at a
-# momentum no symmetry fixes, which builds H(P) densely; 52.6 MB for the
-# benchmark's convergence rung at P along x, whose symmetry blocks hold no
-# dense Fock operator and are built and solved one at a time.  The factor 8
+# H, 2-core x86-64 host): 500 MB, 5.2 H, for one solve at a momentum no
+# symmetry fixes, whose one block is the size of H(P) and is built by the
+# same ladder scatter as every block (546 MB when it was the dense
+# build_H); 52.6 MB for the benchmark's convergence rung at P along x,
+# whose symmetry blocks are built and solved one at a time.  The factor 8
 # dates from a 750 MB spectrum run that also held the dense A(0) and B(0);
-# it stays, since a generic P still takes the dense path.
+# it stays, since a generic P still solves one block of the full size.
 DENSE_COPIES = 8
 
 # Largest momentum list a run accepts (n_P, or the length of P_list).  Every

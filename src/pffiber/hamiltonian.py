@@ -11,8 +11,8 @@ Central objects:
 - H_0(P)   = gamma sqrt((P - P_f)^2 + M^2) + H_f    (free, diagonal)
 
 The functions named after them build them as dense matrices.  These are the
-oracles, and the solve path of a momentum without a symmetry; the symmetry
-blocks below never form a dense Fock operator.
+oracles; the blocks below, the solve path of every momentum, never form a
+dense Fock operator.
 
 Kronecker convention: spin index slow, Fock index fast, i.e.
 ``np.kron(spin_matrix, fock_matrix)``.
@@ -23,7 +23,8 @@ mode action commutes with H(P) through U(R) = D(det(R) R) x Gamma(R):
 D turns the spin by the proper part of R (the spin is a pseudovector), and
 Gamma(R) is the signed permutation of occupation states. A rotation
 commutes with sigma.v; a mirror anticommutes with it, which H tolerates
-because f is even. H(P) is assembled on each eigenspace of U, which is
+because f is even; without one, R = 1.  H(P) is assembled on each
+eigenspace of U, which is
 built once per (grid, stabilizer) from Fourier sums over the Gamma-orbits
 and kept in the grid's store (see :class:`FiberModel`) as a per-state
 table (:class:`Columns`).  Every v_k is a diagonal plus
@@ -32,7 +33,8 @@ over the ladder table of the basis: O(dim + nnz) entries, each spread over
 the at most two columns its Fock state lies in. Time reversal
 theta commutes with U (Gamma is real and D is in SU(2)), so it maps the
 eigenspace of lambda onto that of conj(lambda): the blocks come in
-theta-pairs with equal spectra, and each :class:`HBlock` names its partner.
+theta-pairs with equal spectra, and theta maps the columns of each onto
+those of its partner by a phased permutation that its :class:`HBlock` carries.
 ``build_H`` stays the dense reference.  Momenta that share a stabilizer
 differ only in the diagonal of sigma.v, so ``block_stacks`` builds each of
 their blocks as one stack, bounded by ``STACK_BYTES``, and yields them one
@@ -468,7 +470,10 @@ def block_generator(P, model: FiberModel):
 
 def _spin_eigenvectors(r: np.ndarray, n: int):
     """Eigenvectors (chi_+, chi_-) of u.sigma for the unit axis u about which
-    R turns by 2 pi / n, so D(R) chi_+- = exp(-+ i pi / n) chi_+-."""
+    R turns by 2 pi / n, so D(R) chi_+- = exp(-+ i pi / n) chi_+-.  R = 1
+    turns about no axis: chi_+- = e_up, e_down."""
+    if n == 1:
+        return np.array([1.0, 0.0]), np.array([0.0, 1.0])
     if n == 2:
         outer = r + np.eye(3)  # 2 n n^T for a half turn
         axis = outer[:, np.argmax(np.sum(outer * outer, axis=0))]
@@ -618,17 +623,22 @@ class Columns(NamedTuple):
     w: np.ndarray  # (dim, K)
 
 
-def _columns(pos, coef, dim: int) -> Columns:
-    """The :class:`Columns` table of the (pos, coef) columns."""
-    count = pos.shape[1]
-    # one key per term, state-major; the stable sort keeps the terms of a
-    # (state, column) in t order, so their weights are summed in that order
-    key = (pos * count + np.arange(count)).ravel()
+def _sum_by_key(key, val):
+    """The distinct keys, ascending, and the sum of the values of each, in
+    their order (the sort is stable)."""
     order = np.argsort(key, kind="stable")
     key = key[order]
     first = np.flatnonzero(np.diff(key, prepend=-1))
-    state, col = np.divmod(key[first], count)
-    w = np.add.reduceat(coef.ravel()[order], first)
+    return key[first], np.add.reduceat(val[order], first)
+
+
+def _columns(pos, coef, dim: int) -> Columns:
+    """The :class:`Columns` table of the (pos, coef) columns."""
+    count = pos.shape[1]
+    # one key per term, state-major, so the terms of a (state, column) are
+    # summed in t order
+    key, w = _sum_by_key((pos * count + np.arange(count)).ravel(), coef.ravel())
+    state, col = np.divmod(key, count)
     slot = np.arange(state.size) - np.searchsorted(state, state)
     width = slot.max(initial=-1) + 1
     table_col = np.zeros((dim, width), np.int64)
@@ -672,14 +682,37 @@ def _scatter(parts, shape) -> np.ndarray:
     return out.view(complex).reshape(g, *shape)
 
 
-def _conj_overlap(rows: Columns, cols: Columns) -> np.ndarray:
-    """F_rows^dagger conj(F_cols) of two column families, the Fock part of
-    the time-reversal map between two blocks (:func:`pffiber.kramers.theta_map`):
-    one scatter over the states."""
-    states = np.arange(rows.col.shape[0])
-    conj = cols._replace(w=np.conj(cols.w))
-    part = (rows, conj, states, states, np.ones((1, states.size)), 0)
-    return _scatter([part], (rows.rep.size, cols.rep.size))[0]
+def _theta_map(src, dst, r: np.ndarray) -> tuple:
+    """(perm, phase) of K = W_dst^dagger theta W_src, K[i, perm[i]] =
+    phase[i], for the :class:`HBlock` parts ``src`` of a block and ``dst``
+    of its partner: theta W_src x = W_dst K conj(x).
+
+    theta (chi x f) = (sigma_2 conj(chi)) x conj(f), so K is, per pair of
+    parts, the spin overlap times F_dst^dagger conj(F_src): O(dim K^2)
+    per-state terms, summed by (row, column).  Raises, naming the generator
+    R of the stabilizer, unless each row and column holds one sum of modulus
+    1 +- 1e-12 and every other sum is at most 1e-12."""
+    n = sum(cols.rep.size for _, cols in src)
+    keys, vals, row = [], [], 0
+    for chi_dst, rows in dst:
+        col = 0
+        for chi_src, cols in src:
+            spin = np.vdot(chi_dst, SIGMA[1] @ np.conj(chi_src))
+            at = (row + rows.col[:, :, None]) * n + col + cols.col[:, None, :]
+            keys.append(at.ravel())
+            vals.append(np.conj(rows.w[:, :, None] * cols.w[:, None, :]).ravel() * spin)
+            col += cols.rep.size
+        row += rows.rep.size
+    key, val = _sum_by_key(np.concatenate(keys), np.concatenate(vals))
+    unit = np.abs(np.abs(val) - 1.0) <= 1e-12
+    row, col = np.divmod(key[unit], n)
+    once = [np.all(np.bincount(x, minlength=n) == 1) for x in (row, col)]
+    if not all(once) or np.any(np.abs(val[~unit]) > 1e-12):
+        raise RuntimeError(f"theta is no phased permutation between two "
+                           f"blocks of the stabilizer generated by R = {r.tolist()}")
+    perm, phase = np.empty(n, dtype=np.int64), np.empty(n, dtype=complex)
+    perm[row], phase[row] = col, val[unit]
+    return perm, phase
 
 
 def _spin_frame(P, model: FiberModel, coefs):
@@ -747,19 +780,22 @@ class HBlock:
     Every column of W is chi x f: a spin vector chi times the Fourier sum f
     over one Gamma-orbit of occupation states or, on a real block (see
     :func:`block_stacks`), a combination of the sums over two orbits that
-    sigma swaps, whose first orbit is the column's own.  ``parts`` holds one
-    (chi, :class:`Columns`) per spin vector; it is empty when W = 1.
-    ``index`` is the position of the block in the full stream of
+    sigma swaps, whose first orbit is the column's own; without a symmetry,
+    W = 1: chi is e_up or e_down and f a single occupation state.
+    ``parts`` holds one (chi, :class:`Columns`) per spin vector.  ``index``
+    is the position of the block in the full stream of
     :func:`block_stacks`, and ``partner`` that of the block that theta
-    maps this one onto.  In a block of :func:`block_stacks`, ``h`` is a
+    maps this one onto; ``theta`` is that map, the (perm, phase) of
+    :func:`_theta_map`.  In a block of :func:`block_stacks`, ``h`` is a
     (g, n, n) stack: this block of g momenta that share the stabilizer, and
-    so ``partner``, ``parts`` and ``index``.
+    so ``partner``, ``parts``, ``theta`` and ``index``.
     """
 
     h: np.ndarray
     partner: int
-    parts: tuple = ()
-    index: int = 0
+    parts: tuple
+    theta: tuple
+    index: int
 
     @property
     def rows(self) -> np.ndarray:
@@ -768,15 +804,10 @@ class HBlock:
         A spin-trivial operator 1 x diag(d) with d constant on the
         Gamma-orbits is diag(d[rows]) on the block.
         """
-        if not self.parts:
-            fock = np.arange(self.h.shape[-1] // 2)
-            return np.concatenate([fock, fock])
         return np.concatenate([cols.rep for _, cols in self.parts])
 
     def expand(self, x: np.ndarray) -> np.ndarray:
         """W x on C^2 tensor Fock for a vector x on the block."""
-        if not self.parts:
-            return x
         out, start = 0.0, 0
         for chi, cols in self.parts:
             part = x[start:start + cols.rep.size]
@@ -785,26 +816,27 @@ class HBlock:
         return out
 
 
-def _block(model: FiberModel, root: np.ndarray, partner: int, parts, index) -> HBlock:
+def _block(model: FiberModel, root: np.ndarray, partner: int, parts, theta,
+           index) -> HBlock:
     """The block gamma f(s) + H_f, from f(s) on its columns ``parts``, of
     each momentum of a (g, n, n) stack: built in the root's own array."""
     rows = np.concatenate([cols.rep for _, cols in parts])
     h = _add_field_energy(root, model.params.gamma, model.hf[rows])
-    return HBlock(h, partner, parts, index)
+    return HBlock(h, partner, parts, theta, index)
 
 
 def _symmetry_setup(P, model: FiberModel):
     """What :func:`block_stacks` needs of P but s(P), a function of the
-    stabilizer of P: None without a :func:`block_generator`, else (mirror,
-    real, coefs, blocks).  ``coefs`` are the <chi_+|sigma_k|chi_+-> of
-    :func:`_spin_frame`; per nonempty block, ``blocks`` has the partner and
-    the :class:`HBlock` parts, the :class:`Columns` paired with chi_+ and
-    chi_-.  ``real`` says that these are the J-fixed columns of
+    stabilizer of P: (mirror, real, coefs, blocks) under its
+    :func:`block_generator` R or, without one, under R = 1 with the
+    identity action, whose one block has W = 1.  ``coefs`` are the
+    <chi_+|sigma_k|chi_+-> of :func:`_spin_frame`; per nonempty block,
+    ``blocks`` has the partner, the :class:`HBlock` parts, the
+    :class:`Columns` paired with chi_+ and chi_-, and the :func:`_theta_map`
+    onto the partner.  ``real`` says that these are the J-fixed columns of
     :func:`_j_pairs`.  No dense matrix is kept: the tables are O(dim)."""
-    sym = block_generator(P, model)
-    if sym is None:
-        return None
-    r, perm, signs = sym
+    one = np.eye(3)
+    r, perm, signs = block_generator(P, model) or (one, *mode_action(one, model.modes))
     mirror = bool(np.linalg.det(r) < 0)
     n = 2 if mirror else _rotation_order(r)
     plus, minus = _spin_eigenvectors(-r if mirror else r, n)
@@ -813,7 +845,7 @@ def _symmetry_setup(P, model: FiberModel):
     fourier = _fock_fourier_basis(model.basis, perm, signs, n)
     real = None if mirror else _real_structure(P, model, r, (plus, minus))
     kept = [j for j in range(n) if fourier[(j + 1) % n][0].size + fourier[j][0].size]
-    blocks = []
+    families = []
     for j in kept:
         halves = (fourier[(j + 1) % n], fourier[j])
         if real is not None:
@@ -825,11 +857,15 @@ def _symmetry_setup(P, model: FiberModel):
                 for (pos, coef), phase in zip(halves, phases)
                 for x, y, p in [_j_pairs(pos, coef, step, flip, phase)]
             ]
-        parts = tuple(
+        families.append(tuple(
             (chi, _columns(pos, coef, model.dim))
             for chi, (pos, coef) in zip((plus, minus), halves)
-        )
-        blocks.append((kept.index(n - 1 - j), parts))
+        ))
+    partners = [kept.index(n - 1 - j) for j in kept]
+    blocks = [
+        (p, parts, _theta_map(parts, families[p], r))
+        for p, parts in zip(partners, families)
+    ]
     return mirror, real is not None, coefs, blocks
 
 
@@ -846,8 +882,8 @@ def block_stacks(P, params_or_model, one_per_pair: bool = False):
     """Build the blocks of H(P) under its grid stabilizer for many momenta
     at once, a stack per block.
 
-    R = :func:`block_generator`; without one the one block is build_H,
-    W = 1, and theta maps it onto itself.  A rotation R of order n:
+    R = :func:`block_generator`, or R = 1 without one: one block, W = 1,
+    that theta maps onto itself.  A rotation R of order n:
     U(R) = D(R) x Gamma(R), D(R) = cos(pi/n) - i sin(pi/n) n.sigma, and
     U^n = -1.  Block j is H(P) on the eigenspace exp(i pi (2j + 1) / n) of
     U, spanned by chi_+ x (Gamma eigenvectors a = j + 1) and chi_- x (Gamma
@@ -867,9 +903,8 @@ def block_stacks(P, params_or_model, one_per_pair: bool = False):
     diagonal of sigma.v, so one :func:`_sigma_v` scatter, one stacked
     :func:`kinetic_root` (or one stacked SVD under a mirror) and one stacked
     :func:`_block` serve them all.  A stack holds as many momenta as
-    ``STACK_BYTES`` allows (:func:`_momentum_bytes`), at least one.  A
-    generic momentum is :func:`build_H`, one at a time, so its dense matrix
-    is not copied.  Groups come in the order of their first momentum.
+    ``STACK_BYTES`` allows (:func:`_momentum_bytes`), at least one.  Groups
+    come in the order of their first momentum.
     """
     model = _as_model(params_or_model)
     P = np.asarray(P, dtype=float).reshape(-1, 3)
@@ -880,9 +915,7 @@ def block_stacks(P, params_or_model, one_per_pair: bool = False):
         if key not in model.setups:
             model.setups[key] = _symmetry_setup(P[members[0]], model)
         setup = model.setups[key]
-        size = 1
-        if setup is not None:
-            size = max(1, STACK_BYTES // _momentum_bytes(model, setup))
+        size = max(1, STACK_BYTES // _momentum_bytes(model, setup))
         for start in range(0, len(members), size):
             index = members[start:start + size]
             yield index, _stacked_blocks(P[index], model, setup, one_per_pair)
@@ -896,7 +929,7 @@ def _momentum_bytes(model: FiberModel, setup) -> int:
     _, real, _, specs = setup
     entries = model.dim + 2 * model.basis.ladder[0].size
     most = 0
-    for _, parts in specs:
+    for _, parts, _ in specs:
         n = sum(cols.rep.size for _, cols in parts)
         width = sum(cols.col.shape[1] for _, cols in parts)
         most = max(most, (8 if real else 16) * n * n, 32 * entries * width**2)
@@ -906,16 +939,12 @@ def _momentum_bytes(model: FiberModel, setup) -> int:
 def _stacked_blocks(P, model: FiberModel, setup, one_per_pair: bool):
     """The blocks of H(P) for the (g, 3) stack P under one ``setup``, one
     at a time, in the order of :func:`block_stacks`."""
-    if setup is None:
-        (p,) = P
-        yield HBlock(build_H(p, model)[None], partner=0)
-        return
     mirror, real, coefs, specs = setup
     if mirror:
         yield from _mirror_blocks(P, model, setup, one_per_pair)
         return
     frame = _spin_frame(P, model, coefs)
-    for i, (partner, _) in enumerate(specs):
+    for i, (partner, _, _) in enumerate(specs):
         if i <= partner:
             yield _rotation_block(P, model, frame, real, specs, i)
             if i < partner and not one_per_pair:
@@ -924,11 +953,11 @@ def _stacked_blocks(P, model: FiberModel, setup, one_per_pair: bool):
 
 def _rotation_block(P, model: FiberModel, frame, real: bool, specs, i: int) -> HBlock:
     """Block i of a rotation set-up, from the ``frame`` of the (g, 3) P."""
-    partner, parts = specs[i]
+    partner, parts, theta = specs[i]
     s = _sigma_v(model, frame, parts, parts)
     if real:
         s = _real_block(s, P)
-    return _block(model, kinetic_root(s, model.params.M), partner, parts, i)
+    return _block(model, kinetic_root(s, model.params.M), partner, parts, theta, i)
 
 
 def _mirror_blocks(P, model: FiberModel, setup, one_per_pair: bool = False):
@@ -950,7 +979,7 @@ def _mirror_blocks(P, model: FiberModel, setup, one_per_pair: bool = False):
     blocks come one at a time, from the one SVD; each factor is freed as
     soon as its block is built.
     """
-    _, _, coefs, ((_, plus_i), (_, minus_i)) = setup
+    _, _, coefs, ((_, plus_i, theta_plus), (_, minus_i, theta_minus)) = setup
     s = _sigma_v(model, _spin_frame(P, model, coefs), plus_i, minus_i)
     w, sigma, vh = np.linalg.svd(s)
     del s  # not needed after the SVD; freeing it lowers the peak below
@@ -960,9 +989,9 @@ def _mirror_blocks(P, model: FiberModel, setup, one_per_pair: bool = False):
     # V f V^dagger = conj(conj(V) f V^T), and conj(V) = vh^T: no copy of V
     root = _gram(vh.swapaxes(-1, -2), f)
     del vh
-    yield _block(model, np.conj(root, out=root), 1, minus_i, 0)
+    yield _block(model, np.conj(root, out=root), 1, minus_i, theta_minus, 0)
     if not one_per_pair:
-        yield _block(model, _gram(w, f), 0, plus_i, 1)
+        yield _block(model, _gram(w, f), 0, plus_i, theta_plus, 1)
 
 
 def build_H_SL(P, params_or_model) -> np.ndarray:

@@ -11,9 +11,11 @@ with theta^2 = -1.  Any Hamiltonian commuting with theta has purely even
 eigenvalue multiplicities (Kramers); combined with the min-max count of at
 most two eigenvalues below Sigma_-(P), the ground level is exactly two-fold.
 theta also commutes with the grid symmetries that block H(P), so it maps
-each block onto a partner block; :func:`theta_defect` and
-:func:`theta_pairing` check theta block by block, through the map K
-between the two block bases.
+each block onto a partner block.  Between the two block bases it is
+x -> K conj(x) with K a phased permutation, (perm, phase) with
+K[i, perm[i]] = phase[i], which each block carries (W = 1 without a
+symmetry, where K = sigma_2 tensor 1); :func:`theta_defect` and
+:func:`theta_pairing` check theta block by block as gathers through it.
 
 The same argument applies to related models: the nonrelativistic fiber
 operator, and position-space models with an even external potential, where
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import bound_constants, count_below
-from .hamiltonian import SIGMA, _as_model, _conj_overlap, hf_spinor
+from .hamiltonian import SIGMA, _as_model, hf_spinor
 from .spectral import DEFAULT_CLUSTER_TOL, EnergyCache, solve_fiber
 
 PAIRING_TOL = 1e-8
@@ -77,30 +79,6 @@ def check_reality_relations(params_or_model) -> dict:
     return res
 
 
-def theta_map(src, dst):
-    """K = W_dst^dagger theta W_src: theta W_src x = W_dst K conj(x).
-
-    ``src`` and ``dst`` are a block of
-    :func:`pffiber.hamiltonian.block_stacks` and the block theta maps it
-    onto.  theta (chi x f) = (sigma_2 conj(chi)) x conj(f), so K is, per
-    pair of their parts, the spin overlap times F_dst^dagger conj(F_src),
-    taken from the per-state tables of the two column families.  None when
-    W = 1, where K = sigma_2 tensor 1.
-    """
-    if not src.parts:
-        return None
-    return np.block(
-        [
-            [
-                np.vdot(chi_dst, SIGMA[1] @ np.conj(chi_src))
-                * _conj_overlap(cols_dst, cols_src)
-                for chi_src, cols_src in src.parts
-            ]
-            for chi_dst, cols_dst in dst.parts
-        ]
-    )
-
-
 def frobenius(h: np.ndarray):
     """||H||_F of a matrix, or of each matrix of a (g, n, n) stack, summed
     in place by ``einsum``: no temporary of the size of h."""
@@ -108,29 +86,21 @@ def frobenius(h: np.ndarray):
     return np.sqrt(sum(np.einsum("...ij,...ij->...", x, x) for x in parts))
 
 
-def theta_defect(h_src: np.ndarray, h_dst: np.ndarray, k=None):
-    """||K conj(H_src) K^dagger - H_dst||_F, K of :func:`theta_map`: a
-    float, or one per matrix for (g, n, n) stacks of both blocks.
+def theta_defect(h_src: np.ndarray, h_dst: np.ndarray, theta):
+    """||K conj(H_src) K^dagger - H_dst||_F for the phased permutation
+    ``theta`` = (perm, phase), K[i, perm[i]] = phase[i]: a float, or one per
+    matrix for (g, n, n) stacks of both blocks.
 
-    The first term is the theta-image of block H_src; with K = None it is
-    (s2 x 1) conj(H) (s2 x 1) = theta H theta^{-1}, which moves the spin
-    quadrants of conj(H) = [[A, B], [C, D]] to [[D, -C], [-B, A]]: the
-    product with s2 computed exactly, as a gather.
+    The first term is the theta-image of block H_src, one gather:
+    phase_i conj(phase_j) conj(H_src)[perm_i, perm_j].  Each entry is one
+    product, so with W = 1, where the phases are -+i, it equals the dense
+    (s2 x 1) conj(H) (s2 x 1) bit for bit.
     """
-    if k is None:
-        half = h_src.shape[-1] // 2
-        up, down = slice(None, half), slice(half, None)
-        conj = np.conj(h_src)
-        twisted = np.block([
-            [conj[..., down, down], -conj[..., down, up]],
-            [-conj[..., up, down], conj[..., up, up]],
-        ])
-    else:
-        # (K conj(H)) K^dagger as conj(conj(K conj(H)) K^T), conjugated in
-        # place: no conjugate copy of K
-        twisted = k @ (np.conj(h_src) if np.iscomplexobj(h_src) else h_src)
-        twisted = np.conj(twisted, out=twisted) @ k.T
-        np.conj(twisted, out=twisted)
+    perm, phase = theta
+    twisted = h_src[..., perm[:, None], perm].astype(complex, copy=False)
+    np.conj(twisted, out=twisted)
+    twisted *= phase[:, None]
+    twisted *= np.conj(phase)
     twisted -= h_dst
     defect = frobenius(twisted)
     return float(defect) if defect.ndim == 0 else defect
@@ -144,20 +114,23 @@ def check_theta_commutes(h: np.ndarray) -> float:
     """
     if h.shape[0] % 2:
         raise ValueError("spinor dimension must be even")
-    return theta_defect(h, h) / float(frobenius(h))
+    half = h.shape[0] // 2
+    s2 = np.roll(np.arange(2 * half), half), np.repeat([-1.0j, 1.0j], half)
+    return theta_defect(h, h, s2) / float(frobenius(h))
 
 
-def theta_pairing(block, twin, k, h_twin: np.ndarray, lam: float, x):
+def theta_pairing(block, twin, h_twin: np.ndarray, lam: float, x):
     """The Kramers pairing of an eigenpair (lam, x) of ``block``, one of
     :func:`pffiber.hamiltonian.block_stacks`, whose partner is ``twin``.
 
-    v = W x has theta v = W' K conj(x), mapped through the
-    :func:`theta_map` K of ``block`` onto ``twin`` (None when W = 1).
+    v = W x has theta v = W' K conj(x), K the phased permutation
+    ``block.theta`` onto ``twin``: (K conj(x))_i = phase_i conj(x)[perm_i].
     Returns (||H' K conj(x) - lam K conj(x)||, |<v, theta v>|), H' the 2-D
     ``h_twin`` of ``twin`` at the momentum of x; divided by ||H||, the first
     is the ``ground_pairing`` residual of a :class:`FiberSolve`.
     """
-    tx = apply_theta(x) if k is None else k @ np.conj(x)
+    perm, phase = block.theta
+    tx = phase * np.conj(x)[perm]
     res = float(np.linalg.norm(h_twin @ tx - lam * tx))
     v, tv = block.expand(x), twin.expand(tx)
     return res, abs(complex(np.vdot(v, tv)))

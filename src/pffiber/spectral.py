@@ -15,8 +15,8 @@ point group fixes P, H(P) splits into the eigenspaces of that element.  A
 momentum with a C4 stabilizer gives four blocks of a quarter of the size;
 one that only a mirror fixes, such as a Delta trial P - k with P along an
 axis and k transverse to it, gives two of half the size; a generic momentum
-gives one block, the dense H(P).  Time reversal theta maps each block onto
-a partner with the same spectrum.  Where a mirror of the grid also fixes P
+gives one block of the full size, built the same way.  Time reversal theta
+maps each block onto a partner with the same spectrum.  Where a mirror of the grid also fixes P
 and inverts the rotation, the rotation blocks are real symmetric, so their
 solves run in real arithmetic.
 
@@ -125,12 +125,6 @@ def _quantize_P(P) -> tuple:
     return tuple(int(round(x / P_QUANTUM)) for x in np.asarray(P, dtype=float))
 
 
-def params_fingerprint(params: ModelParams) -> str:
-    """Stable, lossless string key for a parameter set (17 significant
-    digits): :attr:`ModelParams.fingerprint`, built once per instance."""
-    return params.fingerprint
-
-
 class EnergyCache:
     """Map (params fingerprint, cluster_tol, quantized P) -> (E, E1, mult).
 
@@ -177,7 +171,7 @@ class EnergyCache:
     @staticmethod
     def key(params: ModelParams, P, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> tuple:
         return (
-            params_fingerprint(params),
+            params.fingerprint,
             f"{float(cluster_tol):.17g}",
         ) + _quantize_P(P)
 
@@ -489,14 +483,12 @@ def _pair_values(P, pair, along, diagonals) -> tuple:
     which = np.argmin(first, axis=0)  # the first block of the pair on ties
     lowest = [None] * len(P)
     for i, (b, twin) in enumerate(zip(pair, pair[::-1])):
-        k = kramers.theta_map(b, twin)
-        per_block[twin.index]["theta"] = kramers.theta_defect(b.h, twin.h, k)
+        per_block[twin.index]["theta"] = kramers.theta_defect(b.h, twin.h, b.theta)
         for at in np.flatnonzero(which == i):
             lam = first[i][at]
             lowest[at] = (lam, b.index, kramers.theta_pairing(
-                b, twin, k, twin.h[at], lam, low[b.index][at, :, 0]
+                b, twin, twin.h[at], lam, low[b.index][at, :, 0]
             ))
-        del k  # before the next map is built
     return per_block, lowest
 
 

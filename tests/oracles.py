@@ -3,9 +3,11 @@ the stream of :func:`pffiber.hamiltonian.block_stacks` and the dense basis
 of a block, the dense free Hamiltonian, and the Kramers pairing of dense
 eigenpairs."""
 
+import dataclasses
+
 import numpy as np
 
-from pffiber.hamiltonian import ID2, HBlock, _as_model, block_stacks, h0_diag
+from pffiber.hamiltonian import ID2, _as_model, block_stacks, h0_diag
 from pffiber.kramers import apply_theta
 
 
@@ -27,15 +29,12 @@ def build_H_blocks(P, params_or_model, one_per_pair: bool = False) -> list:
     for index, blocks in block_stacks(P, params_or_model, one_per_pair):
         blocks = sorted(blocks, key=lambda b: b.index)
         for at, i in enumerate(index):
-            out[i] = [HBlock(b.h[at], b.partner, b.parts, b.index) for b in blocks]
+            out[i] = [dataclasses.replace(b, h=b.h[at]) for b in blocks]
     return out[0] if P.ndim == 1 else out
 
 
-def block_basis(block, dim: int) -> np.ndarray | None:
-    """W of an :class:`HBlock` as a dense (2 dim, len(h)) matrix; None when
-    W = 1."""
-    if not block.parts:
-        return None
+def block_basis(block, dim: int) -> np.ndarray:
+    """W of an :class:`HBlock` as a dense (2 dim, len(h)) matrix."""
     out = []
     for chi, cols in block.parts:
         f = np.zeros((dim, cols.rep.size), dtype=complex)

@@ -51,10 +51,9 @@ def _momenta(kind):
 
 
 def _kind(model, P):
-    setup = model.setups[stabilizer(model.rotations, P).tobytes()]
-    if setup is None:
+    mirror, real, _, blocks = model.setups[stabilizer(model.rotations, P).tobytes()]
+    if len(blocks) == 1:  # R = 1: every rotation of order n > 1 gives >= 2
         return "generic"
-    mirror, real, _, _ = setup
     return "mirror" if mirror else "real" if real else "complex"
 
 
@@ -63,7 +62,7 @@ def _same_blocks(got, want):
     for a, b in zip(got, want):
         assert a.h.dtype == b.h.dtype and a.h.shape == b.h.shape
         assert a.h.tobytes() == b.h.tobytes()
-        assert a.partner == b.partner and a.parts is b.parts
+        assert a.partner == b.partner and a.parts is b.parts and a.theta is b.theta
 
 
 @pytest.mark.parametrize("kind", FAMILIES)
@@ -93,9 +92,9 @@ def test_a_mixed_stack_keeps_the_order_of_its_momenta(default_params, monkeypatc
     P = np.vstack([P, np.zeros(3), P[4]])  # P = 0 and a repeated momentum
     stacks = list(block_stacks(P, model))
     assert sorted(i for index, _ in stacks for i in index) == list(range(len(P)))
-    # one stack each for the real group, the mirror group and P = 0; a
-    # generic momentum is built alone
-    assert sorted(len(index) for index, _ in stacks) == [1] * 5 + [4, 5]
+    # one stack each for the real group, the mirror group, the generic
+    # group and P = 0
+    assert sorted(len(index) for index, _ in stacks) == [1, 4, 4, 5]
     for p, blocks in zip(P, build_H_blocks(P, model)):
         _same_blocks(blocks, build_H_blocks(p, model))
 

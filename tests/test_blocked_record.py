@@ -12,7 +12,7 @@ import scipy.linalg
 
 from pffiber import bounds, hamiltonian, spectral
 from pffiber.hamiltonian import block_generator, build_H, build_model
-from pffiber.kramers import _theta, check_theta_commutes, theta_map
+from pffiber.kramers import _theta, check_theta_commutes
 from pffiber.spectral import _ground_triple, ground_data, solve_fiber
 
 from oracles import block_basis, build_H_blocks
@@ -89,29 +89,32 @@ def test_blocked_record_matches_the_dense_oracle(default_params, n_dirs, n_max):
 @pytest.mark.parametrize("n_dirs", DIRECTION_COUNTS)
 def test_block_bases_and_theta_partners(default_params, n_dirs):
     """W_j^dagger H W_j is block j, the W_j are orthonormal and mutually
-    orthogonal, K = W_j'^dagger theta W_j is unitary with
-    K conj(H_j) K^dagger = H_j', and H_f is diag(hf[rows]) on block j."""
+    orthogonal, the (perm, phase) of block j is K = W_j'^dagger theta W_j
+    with K conj(H_j) K^dagger = H_j', and H_f is diag(hf[rows]) on block
+    j.  The generic momentum is one block with W = 1 that theta maps onto
+    itself."""
     model = _model(default_params, n_dirs, 1)
     n = 2 * model.dim
     hf = np.diag(np.kron(np.ones(2), model.hf))
-    for P in MOMENTA.values():
+    for name, P in MOMENTA.items():
         blocks = build_H_blocks(P, model)
         h = build_H(P, model)
         tol = 1e-12 * np.linalg.norm(h, 2)
-        if len(blocks) == 1:  # no symmetry: W = 1, theta maps H onto itself
-            assert block_basis(blocks[0], model.dim) is None and blocks[0].partner == 0
-            continue
         bases = [block_basis(b, model.dim) for b in blocks]
+        if name == "generic":
+            assert len(blocks) == 1 and blocks[0].partner == 0
+            assert np.array_equal(bases[0], np.eye(n))
         w = np.hstack(bases)
         assert w.shape == (n, n)
         assert np.max(np.abs(w.conj().T @ w - np.eye(n))) <= 1e-13
         for i, (b, wb) in enumerate(zip(blocks, bases)):
             assert blocks[b.partner].partner == i
             assert np.max(np.abs(wb.conj().T @ h @ wb - b.h)) <= tol
-            k = theta_map(b, blocks[b.partner])
+            perm, phase = b.theta
+            k = np.zeros((len(perm), len(perm)), dtype=complex)
+            k[np.arange(len(perm)), perm] = phase
             dense = bases[b.partner].conj().T @ _theta(wb)
             assert np.max(np.abs(k - dense)) <= 1e-14
-            assert np.max(np.abs(k.conj().T @ k - np.eye(len(k)))) <= 1e-13
             image = k @ np.conj(b.h) @ k.conj().T
             assert np.max(np.abs(image - blocks[b.partner].h)) <= tol
             on_block = wb.conj().T @ hf @ wb
@@ -182,15 +185,16 @@ def test_record_matches_the_scipy_oracle(default_params, name):
     )
 
 
-def test_symmetric_momenta_never_build_the_dense_H(default_model, monkeypatch):
+def test_no_momentum_builds_the_dense_H(default_model, monkeypatch):
+    """Every momentum, the generic one too, is solved in blocks."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a symmetric momentum is solved in blocks")
+        raise AssertionError("every momentum is solved in blocks")
 
     monkeypatch.setattr(hamiltonian, "build_H", refuse)
-    for name, P in MOMENTA.items():
-        if name != "generic":
-            solve = solve_fiber(P, default_model)
-            assert solve.sandwich is not None and solve.mult == 2
+    for P in MOMENTA.values():
+        solve = solve_fiber(P, default_model)
+        assert solve.sandwich is not None and solve.mult == 2
+        assert ground_data(P, default_model)[2] == 2
 
 
 @pytest.mark.parametrize("n_dirs", DIRECTION_COUNTS)

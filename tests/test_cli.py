@@ -437,9 +437,9 @@ def test_sweep_builds_each_orbit_momentum_once(tmp_path, monkeypatch):
 
         return build
 
-    # H(P) is built dense (build_H) or in blocks (block_stacks), and each
-    # counts the momenta it builds; the fallback inside hamiltonian to
-    # build_H is not a second build
+    # every solve builds H(P) in blocks (block_stacks), and the dense build_H
+    # is left to the checks that need the oracle; each counts the momenta it
+    # builds
     for fn in ("build_H", "block_stacks"):
         real = getattr(hamiltonian, fn)
         for name, mod in list(sys.modules.items()):
@@ -491,7 +491,7 @@ def test_corrupt_cache_warns_and_run_completes(tmp_path, capsys):
     assert json.loads(cache.read_text())["entries"]
 
 
-# Runs a sweep whose momenta are generic (one dense block, eigh), on a C4
+# Runs a sweep whose momenta are generic (one block with W = 1, eigh), on a C4
 # axis and in a mirror plane (the SVD of the mirror blocks); the Delta(P)
 # trials take eigvalsh.  Prints the kernel call counts and the scipy and
 # concurrent modules the run loaded.

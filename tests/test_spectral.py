@@ -21,7 +21,6 @@ from pffiber.spectral import (
     free_delta_gap,
     ground_data,
     low_spectrum,
-    params_fingerprint,
     solve_fiber,
 )
 
@@ -320,17 +319,17 @@ def test_cache_counts_lookups_not_stores(default_model):
 
 
 def test_fingerprint_distinguishes_params(default_params):
-    a = params_fingerprint(default_params)
-    b = params_fingerprint(default_params.replace(e=default_params.e + 1e-12))
+    a = default_params.fingerprint
+    b = default_params.replace(e=default_params.e + 1e-12).fingerprint
     assert a != b
 
 
 def test_fingerprint_is_built_once_per_params(default_params):
     params = default_params.replace(e=0.123456789012345678, N_max=2)
     assert "fingerprint" not in vars(params)
-    key = params_fingerprint(params)
+    key = params.fingerprint
     assert vars(params)["fingerprint"] is key
-    assert params_fingerprint(params) is key
+    assert params.fingerprint is key
     assert key == ";".join(
         f"{k}={v:.17g}" if isinstance(v, float) else f"{k}={v}"
         for k, v in sorted(dataclasses.asdict(params).items())

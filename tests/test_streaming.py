@@ -15,7 +15,7 @@ from pffiber.hamiltonian import (
     build_model,
     kinetic_root,
 )
-from pffiber.kramers import frobenius, theta_defect, theta_map
+from pffiber.kramers import frobenius, theta_defect
 from pffiber.modes import stabilizer
 from pffiber.spectral import ground_data, solve_batch, solve_fiber
 
@@ -61,37 +61,62 @@ def test_block_adds_the_field_energy_on_the_diagonal_only(default_model, rng):
     model = default_model
     build_H_blocks(P_ALONG_X, model)
     _, _, _, specs = model.setups[stabilizer(model.rotations, P_ALONG_X).tobytes()]
-    partner, parts = specs[0]
+    partner, parts, theta = specs[0]
     rows = np.concatenate([cols.rep for _, cols in parts])
     root = _hermitian(rng, (2, rows.size, rows.size), real=True)
-    block = hamiltonian._block(model, root.copy(), partner, parts, 0)
+    block = hamiltonian._block(model, root.copy(), partner, parts, theta, 0)
     want = model.params.gamma * root
     off = ~np.eye(rows.size, dtype=bool)
     assert np.array_equal(block.h[:, off], want[:, off])
     diagonal = np.einsum("...ii->...i", block.h)
     assert np.array_equal(diagonal, np.einsum("...ii->...i", want) + model.hf[rows])
     assert block.partner == partner and block.parts is parts and block.index == 0
+    assert block.theta is theta
+
+
+def _dense(theta) -> np.ndarray:
+    """The phased permutation K of theta = (perm, phase) as a matrix."""
+    perm, phase = theta
+    k = np.zeros((perm.size, perm.size), dtype=complex)
+    k[np.arange(perm.size), perm] = phase
+    return k
 
 
 def test_theta_defect_equals_the_dense_products(default_model):
-    """The W = 1 twist (s2 x 1) conj(H) (s2 x 1) is a gather of the spin
-    quadrants, equal to the dense product bit for bit; K conj(H) K^dagger
-    is formed without a conjugate copy of K, equal to the plain product to
-    rounding."""
-    h = build_H([0.31, -0.47, 0.62], default_model)
+    """On the one W = 1 block of a generic momentum the (perm, phase) of
+    theta is that of sigma_2 x 1, and the gather equals the dense
+    (s2 x 1) conj(H) (s2 x 1) bit for bit; on the C4 blocks it equals the
+    dense K conj(H) K^dagger to rounding."""
+    P = [0.31, -0.47, 0.62]
+    h = build_H(P, default_model)
     s2 = np.kron(SIGMA[1], np.eye(default_model.dim))
+    (b,) = build_H_blocks(P, default_model)
+    assert np.array_equal(_dense(b.theta), s2)
     for dst in (h, h + 1e-3 * np.eye(len(h))):
-        assert theta_defect(h, dst) == float(frobenius(s2 @ np.conj(h) @ s2 - dst))
+        want = float(frobenius(s2 @ np.conj(h) @ s2 - dst))
+        assert theta_defect(h, dst, b.theta) == want
     blocks = build_H_blocks(P_ALONG_X, default_model)
     for b in blocks:
         twin = blocks[b.partner]
-        k = theta_map(b, twin)
+        k = _dense(b.theta)
         for dst in (twin.h, twin.h + 1e-3 * np.eye(len(twin.h))):
             want = float(frobenius(k @ np.conj(b.h) @ k.conj().T - dst))
-            assert abs(theta_defect(b.h, dst, k) - want) <= 1e-14 * frobenius(dst)
+            assert abs(theta_defect(b.h, dst, b.theta) - want) <= 1e-14 * frobenius(dst)
     stack = np.stack([b.h for b in blocks[:1]] * 2)
-    k = theta_map(blocks[0], blocks[3])
-    assert theta_defect(stack, stack, k).shape == (2,)
+    assert theta_defect(stack, stack, blocks[0].theta).shape == (2,)
+
+
+def test_a_map_between_blocks_that_are_no_theta_pair_is_refused(default_model):
+    """Blocks 0 and 1 of a C4 momentum are no theta-pair (0 pairs with 3):
+    theta maps the columns of one onto none of the other."""
+    blocks = build_H_blocks(P_ALONG_X, default_model)
+    assert blocks[0].partner == 3
+    r = hamiltonian.block_generator(P_ALONG_X, default_model)[0]
+    with pytest.raises(RuntimeError, match="no phased permutation"):
+        hamiltonian._theta_map(blocks[0].parts, blocks[1].parts, r)
+    # and its own partner passes
+    perm, phase = hamiltonian._theta_map(blocks[0].parts, blocks[3].parts, r)
+    assert np.array_equal(perm, blocks[0].theta[0])
 
 
 def test_blocks_come_one_pair_at_a_time(default_model):
@@ -144,13 +169,24 @@ def test_ground_data_holds_one_block_at_a_time(default_params):
 
 def test_solve_fiber_holds_one_theta_pair_at_a_time(default_params):
     """The mid model (Fock dim 325) at P along x: real C4 blocks of 161 and
-    164.  One theta-pair is its two blocks and their two complex theta
-    maps.  solve_fiber peaks at 1.4 such pairs, where holding every block
-    and map at once took 3.0."""
+    164.  One theta-pair is its two blocks; theta between them is a phased
+    permutation of O(n) bytes.  solve_fiber peaks at 4.05 such pairs (8.1
+    blocks, most of it the terms of the sigma.v scatter), bounded with the
+    headroom 1.43 that the bound had over the peak when each pair also held
+    two complex dense theta maps (8.3 blocks then, against 12)."""
     model = build_model(default_params.replace(N_max=2))
     blocks = build_H_blocks(P_ALONG_X, model)
     assert [b.h.shape[0] for b in blocks] == [161, 164, 164, 161]
-    largest = max(b.h.nbytes for b in blocks)
-    pair = 2 * largest + 2 * 2 * largest  # a complex map per real block
+    pair = 2 * max(b.h.nbytes for b in blocks)
     del blocks
-    assert _traced_peak(lambda: solve_fiber(P_ALONG_X, model)) <= 2 * pair
+    assert _traced_peak(lambda: solve_fiber(P_ALONG_X, model)) <= 5.8 * pair
+
+
+def test_solve_fiber_at_fock_dim_1225_holds_no_dense_theta_map(default_params):
+    """The model of :func:`test_ground_data_holds_one_block_at_a_time`:
+    solve_fiber peaks at 2.53 pairs of the largest block (15.3 MB), where
+    it took 4.03 (24.5 MB) while each pair also held two complex dense
+    theta maps.  Bounded with the same headroom 1.43."""
+    model = build_model(default_params.replace(n_shells=4, N_max=2, e=0.17))
+    pair = 2 * 8 * 616**2
+    assert _traced_peak(lambda: solve_fiber(P_ALONG_X, model)) <= 3.6 * pair
