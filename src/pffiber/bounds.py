@@ -83,7 +83,7 @@ class BoundConstants:
     (H_f + 1) does not depend on a direction.  Where 1 - gamma - eC' >= 0,
     dropping the H_f term leaves the direction-free corollary
     E(q) >= gamma sqrt(q^2 + M^2) - eC' (:meth:`direction_free_envelope`),
-    which :func:`pffiber.spectral.delta_gaps` uses to skip trials.
+    which :func:`pffiber.spectral.delta_trials` uses to skip trials.
     """
 
     gamma: float

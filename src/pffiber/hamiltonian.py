@@ -908,6 +908,118 @@ def block_stacks(P, params_or_model, one_per_pair: bool = False):
     """
     model = _as_model(params_or_model)
     P = np.asarray(P, dtype=float).reshape(-1, 3)
+    for index, setup in _setup_stacks(P, model):
+        yield index, _stacked_blocks(P[index], model, setup, one_per_pair)
+
+
+def certify_above(P, tau, params_or_model) -> np.ndarray:
+    """Whether E(q) > tau is proven for each momentum q of the (g, 3) P and
+    its level tau, without an eigensolve: :func:`certify_block` on one
+    block per theta-pair, with c^2 = |q|^2 + M^2.
+
+    Every block of H(q), one per theta-pair as :func:`block_stacks` builds
+    them with ``one_per_pair``, is h = gamma sqrt(s^dagger s + M^2) + D: s
+    is the block of sigma.v (:func:`_rotation_s`), or the S of
+    :func:`_mirror_blocks` for the -i block of a mirror, and D is the
+    block's H_f diagonal.  c^2 is the s^dagger s + M^2 of the e = 0 vacuum,
+    so the minorant is tight near the ground state: on the trials of the
+    24-mode N_max 2 sweep it certifies every tau up to 4e-6 to 7e-6 below
+    E(q).  The blocks are built from the set-ups of the grid's store, in
+    the stacks of :func:`block_stacks`; a momentum that fails on one block
+    is not tried on the next.
+    """
+    model = _as_model(params_or_model)
+    P = np.asarray(P, dtype=float).reshape(-1, 3)
+    tau = np.asarray(tau, dtype=float).reshape(-1)
+    out = np.zeros(len(P), dtype=bool)
+    for index, setup in _setup_stacks(P, model):
+        out[index] = _certify_stack(P[index], tau[index], model, setup)
+    return out
+
+
+def _certify_stack(P, tau, model: FiberModel, setup) -> np.ndarray:
+    """:func:`certify_above` for the (g, 3) P under one ``setup``."""
+    mirror, real, coefs, specs = setup
+    gamma, M = model.params.gamma, model.params.M
+    c2 = np.sum(P * P, axis=1) + M * M
+    if mirror:
+        pairs = [specs[1][1]]  # block 0, the -i block: sqrt(S^dagger S + M^2)
+    else:
+        pairs = [parts for i, (partner, parts, _) in enumerate(specs) if i <= partner]
+    proven = np.ones(len(P), dtype=bool)
+    for parts in pairs:
+        at = np.flatnonzero(proven)
+        if not at.size:
+            break
+        if mirror:
+            s = _mirror_s(P[at], model, setup)
+        else:
+            s = _rotation_s(P[at], model, _spin_frame(P[at], model, coefs), real, parts)
+        gram = _dagger(s) @ s
+        del s  # before the two copies that the Cholesky makes
+        rows = np.concatenate([cols.rep for _, cols in parts])
+        proven[at] = certify_block(gram, model.hf[rows], tau[at], gamma, M, c2[at])
+    return proven
+
+
+def _root_minorant(gamma: float, c):
+    """(alpha, beta) = (2 gamma c, 2 gamma c^3): for y >= 0,
+    gamma sqrt(y) >= alpha - beta / (y + c^2), with equality at y = c^2,
+    since (sqrt(y) - c)^2 >= 0 is y + c^2 >= 2c sqrt(y)."""
+    return 2.0 * gamma * c, 2.0 * gamma * c**3
+
+
+def certify_block(gram, d, tau, gamma: float, M: float, c2) -> np.ndarray:
+    """Whether h = gamma sqrt(Y) + diag(d) > tau is proven, Y = s^dagger s
+    + M^2, for each of a (g, n, n) stack ``gram`` of the Gram products
+    s^dagger s, (g, n) d and (g,) tau and c^2: one Cholesky each.  The
+    diagonal of ``gram`` is overwritten, so that it becomes Z below.
+
+    With (alpha, beta) of :func:`_root_minorant` at c > 0, the spectral
+    theorem of Y gives gamma sqrt(Y) >= alpha - beta (Y + c^2)^{-1}, so
+
+        h - tau >= A - beta (Y + c^2)^{-1},   A = alpha + diag(d) - tau.
+
+    When the diagonal A is > 0, the matrix [[A, sqrt(beta)], [sqrt(beta),
+    Y + c^2]] has two Schur complements, and the right side is positive
+    definite exactly when Z = Y + c^2 - beta A^{-1} is.  So a Cholesky
+    factor of Z proves h > tau.  No other hypothesis is used: neither
+    gamma < 1 nor a bound on the coupling.  A matrix with some A_i <= 0 is
+    not certified.
+
+    Rounding.  Z is formed in floating point, and Cholesky succeeds only on
+    a matrix within O(n eps ||Y||) of it (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, thm. 10.3).  So the exact Z is >= -eta with
+    eta of that order, and the argument above, run with Y + eta, proves
+    h > tau - gamma eta / (2M), because sqrt(Y + eta) - sqrt(Y) <= eta /
+    (2M).  ||Y|| is 6 to 16 on the 24-mode N_max 2 grid; for n <= 3000 and
+    ||Y|| <= 100, gamma eta / (2M) stays below 1e-10, under the
+    ``PRUNE_MARGIN`` (1e-9) that the Delta trials add to tau.
+    """
+    alpha, beta = _root_minorant(gamma, np.sqrt(c2))
+    a = alpha[:, None] + d - tau[:, None]
+    diagonal = np.einsum("...ii->...i", gram)
+    diagonal += (c2 + M * M)[:, None] - beta[:, None] / np.where(a > 0.0, a, np.inf)
+    return np.all(a > 0.0, axis=1) & _cholesky_succeeds(gram)
+
+
+def _cholesky_succeeds(z: np.ndarray) -> np.ndarray:
+    """Whether numpy's Cholesky factors each matrix of the (g, n, n) stack
+    z: a stacked call, and one call per matrix only when it fails."""
+    try:
+        np.linalg.cholesky(z)
+        return np.ones(len(z), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(z) <= 1:
+            return np.zeros(len(z), dtype=bool)
+        return np.concatenate([_cholesky_succeeds(m[None]) for m in z])
+
+
+def _setup_stacks(P, model: FiberModel):
+    """(index, setup) over the stacks of the (g, 3) P: ``index`` holds the
+    positions in P of momenta that share a stabilizer, at most as many as
+    ``STACK_BYTES`` allows, and ``setup`` is their :func:`_symmetry_setup`
+    from the grid's store, built there on first use."""
     groups = {}
     for i, p in enumerate(P):
         groups.setdefault(stabilizer(model.rotations, p).tobytes(), []).append(i)
@@ -917,8 +1029,7 @@ def block_stacks(P, params_or_model, one_per_pair: bool = False):
         setup = model.setups[key]
         size = max(1, STACK_BYTES // _momentum_bytes(model, setup))
         for start in range(0, len(members), size):
-            index = members[start:start + size]
-            yield index, _stacked_blocks(P[index], model, setup, one_per_pair)
+            yield members[start:start + size], setup
 
 
 def _momentum_bytes(model: FiberModel, setup) -> int:
@@ -954,10 +1065,22 @@ def _stacked_blocks(P, model: FiberModel, setup, one_per_pair: bool):
 def _rotation_block(P, model: FiberModel, frame, real: bool, specs, i: int) -> HBlock:
     """Block i of a rotation set-up, from the ``frame`` of the (g, 3) P."""
     partner, parts, theta = specs[i]
-    s = _sigma_v(model, frame, parts, parts)
-    if real:
-        s = _real_block(s, P)
+    s = _rotation_s(P, model, frame, real, parts)
     return _block(model, kinetic_root(s, model.params.M), partner, parts, theta, i)
+
+
+def _rotation_s(P, model: FiberModel, frame, real: bool, parts) -> np.ndarray:
+    """s = sigma.v on the columns ``parts`` of a rotation block, from the
+    ``frame`` of the (g, 3) P: real on J-fixed columns."""
+    s = _sigma_v(model, frame, parts, parts)
+    return _real_block(s, P) if real else s
+
+
+def _mirror_s(P, model: FiberModel, setup) -> np.ndarray:
+    """The S of :func:`_mirror_blocks` for the (g, 3) P: sigma.v from the
+    -i eigenspace of U onto the +i one."""
+    _, _, coefs, ((_, plus_i, _), (_, minus_i, _)) = setup
+    return _sigma_v(model, _spin_frame(P, model, coefs), plus_i, minus_i)
 
 
 def _mirror_blocks(P, model: FiberModel, setup, one_per_pair: bool = False):
@@ -979,8 +1102,8 @@ def _mirror_blocks(P, model: FiberModel, setup, one_per_pair: bool = False):
     blocks come one at a time, from the one SVD; each factor is freed as
     soon as its block is built.
     """
-    _, _, coefs, ((_, plus_i, theta_plus), (_, minus_i, theta_minus)) = setup
-    s = _sigma_v(model, _spin_frame(P, model, coefs), plus_i, minus_i)
+    _, _, _, ((_, plus_i, theta_plus), (_, minus_i, theta_minus)) = setup
+    s = _mirror_s(P, model, setup)
     w, sigma, vh = np.linalg.svd(s)
     del s  # not needed after the SVD; freeing it lowers the peak below
     if one_per_pair:

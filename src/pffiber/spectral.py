@@ -47,8 +47,11 @@ H(R q) is unitarily equivalent to H(q).  If R also fixes P, the trials k
 and R k give the same value of E(P - k) + omega(k), so :func:`delta_gap`
 solves one trial per orbit of the stabilizer of P.  The reduction is exact:
 the skipped trials differ from the kept one only by rounding.  Of those
-orbits, the ones whose value the corollary lower bound on E(P - k) puts
-above the k = 0 value are not solved either (:func:`delta_trials`).
+orbits, the ones whose value a lower bound on E(P - k) puts above the k = 0
+value are not solved either (:func:`delta_trials`): first the closed-form
+corollary bound, then, on what it keeps, an operator certificate of one
+Gram product and one Cholesky per block
+(:func:`pffiber.hamiltonian.certify_above`) that needs no eigensolve.
 """
 
 from __future__ import annotations
@@ -59,11 +62,12 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 import numpy as np
 
 from .fock import hermiticity_defect
-from .hamiltonian import FiberModel, _as_model, block_stacks
+from .hamiltonian import FiberModel, _as_model, block_stacks, certify_above
 from .modes import ModelParams, dispersion, orbit_representatives, stabilizer
 
 DEFAULT_CLUSTER_TOL = 1e-8
@@ -558,17 +562,29 @@ def delta_gaps(
     cache: EnergyCache | None = None,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> list:
-    """Delta at each momentum of the (g, 3) stack P: one :func:`ground_batch`
-    of every P, then one of every trial momentum P - k that
-    :func:`delta_trials` keeps.
+    """Delta at each momentum of the (g, 3) stack P: the first item of
+    :func:`delta_search`."""
+    return delta_search(P, params_or_model, trial_k_set, cache, cluster_tol)[0]
+
+
+def delta_search(
+    P,
+    params_or_model,
+    trial_k_set=None,
+    cache: EnergyCache | None = None,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+) -> tuple:
+    """(Delta, trials) at each momentum of the (g, 3) stack P: one
+    :func:`ground_batch` of every P, then one of every trial momentum P - k
+    that :func:`delta_trials` keeps; ``trials`` is what it returned.
 
     The k = 0 trial reads E(P), so Delta(P) <= m_ph is exact.  Of one
-    trial per stabilizer orbit, a k != 0 is not solved when its lower bound
-    gamma sqrt(|P - k|^2 + M^2) - eC' + omega(k) - E(P) exceeds the k = 0
-    value by more than ``PRUNE_MARGIN``, which needs k = 0 in the trial
-    set, gamma < 1, m_ph > 0 and 1 - gamma - eC' >= 0.  Delta equals the
-    minimum over all orbit trials bit for bit, and is monotone under
-    trial-set enlargement.
+    trial per stabilizer orbit, a k != 0 is not solved when E(P - k) is
+    proven to put its value above the k = 0 value by more than
+    ``PRUNE_MARGIN``: first by the corollary bound, then by the operator
+    certificate (:func:`delta_trials`).  Both need k = 0 in the trial set.
+    Delta equals the minimum over all orbit trials bit for bit, and is
+    monotone under trial-set enlargement.
     E does not depend on ``cluster_tol``; it selects the cache entries, so a
     run that solves at its own tolerance reads the energies it already has.
     """
@@ -576,42 +592,79 @@ def delta_gaps(
     P = np.asarray(P, dtype=float).reshape(-1, 3)
     e_p = [t[0] for t in ground_batch(P, model, cluster_tol, cache)]
     trials = delta_trials(P, model, e_p, trial_k_set)
-    shifted = [p - k for p, ks in zip(P, trials) for k in ks if k.any()]
+    shifted = [p - k for p, t in zip(P, trials) for k in t.kept if k.any()]
     energies = iter(ground_batch(shifted, model, cluster_tol, cache))
     m_ph = model.params.m_ph
     out = []
-    for e, ks in zip(e_p, trials):
+    for e, t in zip(e_p, trials):
         best = np.inf
-        for k in ks:
+        for k in t.kept:
             e_shift = next(energies)[0] if k.any() else e
             best = min(best, e_shift + float(dispersion(k, m_ph)) - e)
         out.append(float(best))
-    return out
+    return out, trials
+
+
+class Trials(NamedTuple):
+    """The orbit trials of one momentum: those :func:`delta_gaps` solves,
+    and those that :func:`pffiber.hamiltonian.certify_above` ruled out."""
+
+    kept: list
+    certified: list
 
 
 def delta_trials(P, model: FiberModel, energies, trial_k_set=None) -> list:
-    """The trial wavevectors that :func:`delta_gaps` solves at each momentum
-    of the (g, 3) P, whose ground energies are ``energies``: the first
-    member of each orbit of the trial set under the stabilizer of P (for R
-    in the grid's point group, H(Rq) is unitarily equivalent to H(q)), less
-    the trials k != 0 that the corollary bound rules out.  eC' is
-    :attr:`pffiber.bounds.BoundConstants.e_c_prime`.
+    """The :class:`Trials` of each momentum of the (g, 3) P, whose ground
+    energies are ``energies``: of the first member of each orbit of the
+    trial set under the stabilizer of P (for R in the grid's point group,
+    H(Rq) is unitarily equivalent to H(q)), those that two tiers of lower
+    bounds on E(P - k) cannot rule out.
+
+    A trial k != 0 can be ruled out only when k = 0 is in the set, whose
+    value E(P) + omega(0) - E(P) is the ceiling of the minimum; k is ruled
+    out when E(P - k) > tau = E(P) + ceiling - omega(k), with
+    ``PRUNE_MARGIN`` added to the ceiling, far above the rounding of E.
+
+    - The closed-form tier, free: the corollary bound
+      E(q) >= gamma sqrt(q^2 + M^2) - eC', where it holds (gamma < 1,
+      m_ph > 0, 1 - gamma - eC' >= 0).  eC' is
+      :attr:`pffiber.bounds.BoundConstants.e_c_prime`.
+    - The operator tier, on what the first keeps: the certificate
+      E(q) > tau of :func:`pffiber.hamiltonian.certify_above`, one Gram
+      product and one Cholesky per block, which needs no hypothesis.
+      Trials that it rules out are listed in ``certified``.
     """
     from . import bounds  # it imports this module
 
     if trial_k_set is None:
         trial_k_set = default_trial_set(model)
     m_ph, consts = model.params.m_ph, bounds.bound_constants(model)
-    prune = consts.direction_free_holds() and any(not np.any(k) for k in trial_k_set)
-    out = []
+    zero_in = any(not np.any(k) for k in trial_k_set)
+    bounded = zero_in and consts.direction_free_holds()
+    survivors, queries, levels = [], [], []
     for q, e in zip(P, energies):
         ceiling = e + float(dispersion(np.zeros(3), m_ph)) - e + PRUNE_MARGIN
         ks = orbit_representatives(trial_k_set, stabilizer(model.rotations, q))
         k_all = np.reshape(ks, (-1, 3))
-        low = consts.direction_free_envelope(q - k_all) + dispersion(k_all, m_ph) - e
-        out.append(
-            [k for k, b in zip(ks, low) if b <= ceiling or not (prune and k.any())]
-        )
+        omega = dispersion(k_all, m_ph)
+        low = consts.direction_free_envelope(q - k_all) + omega - e
+        kept = [
+            (k, w) for k, w, b in zip(ks, omega, low)
+            if b <= ceiling or not (bounded and k.any())
+        ]
+        survivors.append([k for k, _ in kept])
+        for k, w in kept:
+            if zero_in and k.any():
+                queries.append(q - k)
+                levels.append(e + ceiling - w)
+    proven = iter(certify_above(np.reshape(queries, (-1, 3)), levels, model))
+    out = []
+    for ks in survivors:
+        ruled = [bool(k.any() and zero_in and next(proven)) for k in ks]
+        out.append(Trials(
+            kept=[k for k, r in zip(ks, ruled) if not r],
+            certified=[k for k, r in zip(ks, ruled) if r],
+        ))
     return out
 
 

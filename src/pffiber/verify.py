@@ -48,8 +48,7 @@ from .spectral import (
     cluster_degeneracy,
     convergence_study,
     default_trial_set,
-    delta_gaps,
-    delta_trials,
+    delta_search,
     free_delta_gap,
     ground_batch,
     ground_data,
@@ -78,6 +77,7 @@ class VerifyContext:
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.verify.seed)
         self.cache = cache if cache is not None else EnergyCache()
+        self.trials = {}
 
     def momenta(self):
         return self.cfg.momenta()
@@ -102,9 +102,27 @@ class VerifyContext:
 
     def deltas(self, momenta, model, trial_k_set=None) -> list:
         """Delta at each momentum, one batch through the run's cache, keyed
-        at the configured tolerance."""
+        at the configured tolerance.  At the default trial set, the
+        :func:`pffiber.spectral.delta_trials` of the batch are kept in
+        ``trials`` under (params, momenta)."""
         tol = self.cfg.tolerances.cluster_rel
-        return delta_gaps(momenta, model, trial_k_set, self.cache, tol)
+        deltas, trials = delta_search(momenta, model, trial_k_set, self.cache, tol)
+        if trial_k_set is None:
+            self.trials[_trials_key(momenta, model)] = trials
+        return deltas
+
+    def sweep_trials(self, model) -> list:
+        """The trials that Delta kept and ruled out at the sweep momenta:
+        read back from :meth:`deltas`, which is run first if it has not
+        been."""
+        key = _trials_key(self.momenta(), model)
+        if key not in self.trials:
+            self.deltas(self.momenta(), model)
+        return self.trials[key]
+
+
+def _trials_key(momenta, model) -> tuple:
+    return model.params, np.asarray(momenta, dtype=float).tobytes()
 
 
 def _random_P(rng, p_max: float = 2.0):
@@ -363,13 +381,14 @@ def check_delta_bounds(ctx: VerifyContext) -> CheckResult:
     tol = ctx.cfg.tolerances.sandwich
     fails = []
     worst_free = 0.0
-    worst_bound, n_bound = math.inf, 0
+    worst_bound, n_bound, n_certified = math.inf, 0, 0
     for e in ctx.coupling_ladder():
         params = ctx.params_at(e)
         model = build_model(params)
         consts = bnd.bound_constants(model)
         trial = default_trial_set(model)
         deltas = ctx.deltas(ctx.momenta(), model)
+        n_certified += sum(len(t.certified) for t in ctx.sweep_trials(model))
         if consts.direction_free_holds():
             margins = _solved_bound_margins(ctx, model, consts)
             low = min(margins, default=math.inf)
@@ -395,7 +414,8 @@ def check_delta_bounds(ctx: VerifyContext) -> CheckResult:
         f"Delta <= m_ph, free-theory match {worst_free:.2e} "
         f"(tol {tol_free:.1e}), explicit floor respected; "
         f"E(q) - (gamma sqrt(q^2 + M^2) - eC') >= {worst_bound:.3e} "
-        f"at the {n_bound} momenta solved for Delta (tol -{tol:.1e})"
+        f"at the {n_bound} momenta solved for Delta (tol -{tol:.1e}); "
+        f"{n_certified} trials ruled out by the operator certificate"
         if not fails
         else f"violations {fails[:3]}",
     )
@@ -403,13 +423,15 @@ def check_delta_bounds(ctx: VerifyContext) -> CheckResult:
 
 def _solved_bound_margins(ctx: VerifyContext, model, consts) -> list:
     """E(q) - (gamma sqrt(q^2 + M^2) - eC') at every momentum q that Delta
-    solves at the sweep, each P and each kept P - k: the bound that
-    :func:`pffiber.spectral.delta_trials` prunes with.  Read back from the
-    run's cache, which holds every one of them."""
+    solves at the sweep, each P and each kept P - k: the bound of the
+    closed-form tier of :func:`pffiber.spectral.delta_trials`.  The kept
+    trials are those of :meth:`VerifyContext.sweep_trials`, so no
+    certificate runs again, and the energies are read back from the run's
+    cache, which holds every one of them."""
     momenta = ctx.momenta()
     e_p = ctx.energies(momenta, model)
-    trials = delta_trials(momenta, model, e_p)
-    shifted = [p - k for p, ks in zip(momenta, trials) for k in ks if k.any()]
+    trials = ctx.sweep_trials(model)
+    shifted = [p - k for p, t in zip(momenta, trials) for k in t.kept if k.any()]
     solved = zip([*momenta, *shifted], e_p + ctx.energies(shifted, model))
     return [e - consts.direction_free_envelope(q) for q, e in solved]
 

@@ -454,12 +454,16 @@ def test_sweep_builds_each_orbit_momentum_once(tmp_path, monkeypatch):
     # Delta solves one trial per orbit of the stabilizer of P, less those
     # whose corollary bound gamma sqrt(|P - k|^2 + M^2) - eC' + omega(k) - E(P)
     # exceeds the k = 0 value m_ph = 0.5 (k = 0 reads E(P) and builds
-    # nothing).  P = 0, one orbit per shell: P itself and the inner shell
-    # (bound 0.45), the outer one is out (0.96): 2 momenta.  P = 2 x, three
-    # orbits per shell (+x, -x, transverse): P itself, +x on both shells
-    # (0.34, 0.49) and the inner transverse trial (0.44); -x (0.53, 1.19)
-    # and the outer transverse trial (0.90) are out: 4 momenta
-    assert len(built) == 2 + 4
+    # nothing), and less those of the rest whose E(P - k) the operator
+    # certificate puts above E(P) + 0.5 - omega(k), which builds nothing
+    # either.  P = 0, one orbit per shell: P itself; the outer shell is out
+    # by its bound (0.96), the inner one (bound 0.45, value 0.55) by the
+    # certificate: 1 momentum.  P = 2 x, three orbits per shell (+x, -x,
+    # transverse): P itself and +x on the inner shell (value 0.45); -x
+    # (bounds 0.53, 1.19) and the outer transverse trial (0.90) are out by
+    # their bounds, +x on the outer shell (value 0.60) and the inner
+    # transverse trial (0.55) by the certificate: 2 momenta
+    assert len(built) == 1 + 2
     assert len(set(built)) == len(built)
 
 

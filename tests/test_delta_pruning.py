@@ -1,7 +1,10 @@
-"""Delta(P) skips the trials that the corollary lower bound
-E(q) >= gamma sqrt(q^2 + M^2) - eC' rules out.  The pruned Delta is checked
-bit for bit against a brute-force minimum over every orbit trial, with a
-negative control that lowers eC' until the pruning drops a minimizer."""
+"""Delta(P) skips the trials that two tiers of lower bounds on E(P - k)
+rule out: the corollary bound E(q) >= gamma sqrt(q^2 + M^2) - eC', and the
+operator certificate of :func:`pffiber.hamiltonian.certify_block`.  The
+pruned Delta is checked bit for bit against a brute-force minimum over
+every orbit trial, with negative controls that lower eC' or drop the
+certificate's resolvent term until the pruning drops a minimizer.  The
+certificate itself is checked on random blocks against ``eigvalsh``."""
 
 import dataclasses
 import math
@@ -9,14 +12,16 @@ import math
 import numpy as np
 import pytest
 
-from pffiber import bounds, verify
+from pffiber import bounds, hamiltonian, verify
 from pffiber.config import default_config
-from pffiber.hamiltonian import _as_model, build_model
+from pffiber.hamiltonian import _as_model, build_model, certify_block
 from pffiber.modes import dispersion, orbit_representatives, stabilizer
 from pffiber.spectral import (
+    PRUNE_MARGIN,
     EnergyCache,
     default_trial_set,
     delta_gaps,
+    delta_search,
     delta_trials,
     ground_batch,
 )
@@ -55,12 +60,24 @@ def _case(default_params, n_dirs, n_max, e):
     """(model, momenta, pruned Delta, brute-force Delta) of one case.  The
     pruned Delta is solved first, on its own, and the brute force reads its
     energies and solves the rest."""
-    model = _model(default_params, n_dirs, n_max, e)
-    P = _momenta(n_dirs, n_max)
-    cache = _CACHES.setdefault((n_dirs, n_max, e), EnergyCache())
-    pruned = delta_gaps(P, model, cache=cache)
+    model, P, pruned, _ = _pruned_case(default_params, n_dirs, n_max, e)
+    cache = _CACHES[n_dirs, n_max, e]
     brute = [_brute_delta(p, model, cache) for p in P]
     return model, P, pruned, brute
+
+
+# the (model, momenta, Delta, trials) of each case, once per session
+_PRUNED = {}
+
+
+def _pruned_case(default_params, n_dirs, n_max, e):
+    key = (n_dirs, n_max, e)
+    if key not in _PRUNED:
+        model = _model(default_params, n_dirs, n_max, e)
+        P = _momenta(n_dirs, n_max)
+        cache = _CACHES.setdefault(key, EnergyCache())
+        _PRUNED[key] = (model, P, *delta_search(P, model, cache=cache))
+    return _PRUNED[key]
 
 
 @pytest.mark.parametrize("e", COUPLINGS)
@@ -97,10 +114,102 @@ def test_lowering_e_c_prime_by_0_2_breaks_the_equality(default_params, monkeypat
     assert differ > 0
 
 
-def _kept_counts(params_or_model, P, trial_k_set=None):
+@pytest.mark.parametrize("e", COUPLINGS)
+@pytest.mark.parametrize("n_max", [1, 2])
+@pytest.mark.parametrize("n_dirs", DIRECTION_COUNTS)
+def test_certified_trials_lie_above_their_level(default_params, n_dirs, n_max, e):
+    """Every trial that the certificate rules out has a solved E(P - k)
+    above its level tau, and so a value above the minimum; the energies are
+    those that the brute force above solved for every orbit trial."""
+    model, P, pruned, trials = _pruned_case(default_params, n_dirs, n_max, e)
+    cache = _CACHES[n_dirs, n_max, e]
+    m_ph = model.params.m_ph
+    for p, delta, t in zip(P, pruned, trials):
+        (e_p,) = (x[0] for x in ground_batch([p], model, cache=cache))
+        ceiling = e_p + float(dispersion(np.zeros(3), m_ph)) - e_p + PRUNE_MARGIN
+        for k in t.certified:
+            (e_q,) = (x[0] for x in ground_batch([p - k], model, cache=cache))
+            omega = float(dispersion(k, m_ph))
+            assert e_q > e_p + ceiling - omega
+            assert e_q + omega - e_p > delta  # the minimizer is never ruled out
+
+
+def test_dropping_beta_breaks_the_equality(default_params, monkeypatch):
+    """With beta = 0 the minorant claims gamma sqrt(y) >= 2 gamma c, which
+    is false below y = 4c^2: it rules out trials that hold the minimum, and
+    Delta then differs from the brute force in some case."""
+    monkeypatch.setattr(
+        hamiltonian, "_root_minorant", lambda gamma, c: (2.0 * gamma * c, 0.0 * c)
+    )
+    differ = 0
+    for n_dirs in DIRECTION_COUNTS:
+        for n_max in (1, 2):
+            for e in COUPLINGS:
+                cache = _CACHES.setdefault((n_dirs, n_max, e), EnergyCache())
+                model = _model(default_params, n_dirs, n_max, e)
+                P = _momenta(n_dirs, n_max)
+                brute = [_brute_delta(p, model, cache) for p in P]
+                differ += sum(
+                    a != b for a, b in zip(delta_gaps(P, model, cache=cache), brute)
+                )
+    assert differ > 0
+
+
+def _random_blocks(rng, g, n, form, dtype, strength):
+    """(s, d): g blocks whose Y = s^dagger s + M^2 has its vacuum at c^2 =
+    |q|^2 + M^2 with |q| = 0.7, H_f-like d >= 0 with d = 0 on the vacuum,
+    and a random coupling of the given strength.  ``form`` "mirror" draws a
+    square S; "rotation" a Hermitian s, whose s^dagger s is s^2."""
+    x = np.concatenate([[0.7], rng.uniform(-2.0, 2.0, n - 1)])
+    noise = rng.normal(size=(g, n, n))
+    if dtype is complex:
+        noise = noise + 1j * rng.normal(size=(g, n, n))
+    if form == "rotation":
+        noise = 0.5 * (noise + np.conj(noise.swapaxes(-1, -2)))
+    s = np.diag(x) + strength / math.sqrt(n) * noise
+    d = np.concatenate([[0.0], rng.uniform(0.5, 3.0, n - 1)])
+    return s, np.broadcast_to(d, (g, n))
+
+
+def _gram(s):
+    return np.conj(s.swapaxes(-1, -2)) @ s
+
+
+def _lowest(s, d, gamma, M):
+    """The lowest eigenvalue of gamma sqrt(s^dagger s + M^2) + diag(d)."""
+    y, u = np.linalg.eigh(_gram(s))
+    root = (u * np.sqrt(y + M * M)[..., None, :]) @ np.conj(u.swapaxes(-1, -2))
+    h = gamma * root + d[..., None] * np.eye(d.shape[-1])
+    return np.linalg.eigvalsh(h)[..., 0]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("form", ["mirror", "rotation"])
+def test_the_certificate_is_sound_and_tight(form, dtype):
+    """Never certifies a level at or above the lowest eigenvalue, on weak
+    and on strong couplings and at levels far and near; on the weak draws,
+    whose ground state sits near the vacuum as at e <= 0.3, certifies every
+    level 1e-4 below it."""
+    rng = np.random.default_rng(2026)
+    gamma, M = 0.5, 1.0
+    for strength in (0.02, 0.3, 3.0):
+        s, d = _random_blocks(rng, 16, 40, form, dtype, strength)
+        lam = _lowest(s, d, gamma, M)
+        c2 = np.full(len(s), 0.7**2 + M * M)
+        for shift in (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0):
+            assert not certify_block(_gram(s), d, lam + shift, gamma, M, c2).any()
+        if strength == 0.02:
+            assert certify_block(_gram(s), d, lam - 1e-4, gamma, M, c2).all()
+    # far below the spectrum the certificate holds at any coupling
+    assert certify_block(_gram(s), d, lam - 10.0, gamma, M, c2).all()
+
+
+def _tiers(params_or_model, P, trial_k_set=None):
+    """Per momentum: (trials kept, trials past the closed-form tier, orbit
+    trials)."""
     model = _as_model(params_or_model)
     energies = [t[0] for t in ground_batch(P, model)]
-    kept = delta_trials(P, model, energies, trial_k_set)
+    trials = delta_trials(P, model, energies, trial_k_set)
     every = [
         orbit_representatives(
             default_trial_set(model) if trial_k_set is None else trial_k_set,
@@ -108,15 +217,34 @@ def _kept_counts(params_or_model, P, trial_k_set=None):
         )
         for p in P
     ]
-    return [len(k) for k in kept], [len(a) for a in every]
+    return (
+        [len(t.kept) for t in trials],
+        [len(t.kept) + len(t.certified) for t in trials],
+        [len(a) for a in every],
+    )
+
+
+def _kept_counts(params_or_model, P, trial_k_set=None):
+    kept, _, every = _tiers(params_or_model, P, trial_k_set)
+    return kept, every
+
+
+def _equals_brute_force(params, P):
+    model = build_model(params)
+    cache = EnergyCache()
+    pruned = delta_gaps(P, model, cache=cache)
+    return pruned == [_brute_delta(p, model, cache) for p in P]
 
 
 P_X = np.array([[0.7, 0.0, 0.0]])
 
 
 def test_the_default_grid_prunes_along_x(default_params):
-    """The positive control of the cases below: 3 of 7 orbit trials kept."""
-    assert _kept_counts(default_params, P_X) == ([3], [7])
+    """The positive control of the cases below: of 7 orbit trials, the
+    corollary bound keeps 3 (k = 0, the inner trial toward +x and the inner
+    transverse trial), and the certificate rules out the transverse one,
+    whose E(P - k) lies 0.053 above its level: 2 kept."""
+    assert _tiers(default_params, P_X) == ([2], [3], [7])
 
 
 def test_no_pruning_without_k_zero(default_params):
@@ -126,20 +254,27 @@ def test_no_pruning_without_k_zero(default_params):
 
 
 def test_no_pruning_at_gamma_one(default_params):
-    """At e = 0, 1 - gamma - eC' = 0 at gamma = 1: only gamma < 1 fails."""
-    assert _kept_counts(default_params.replace(e=0.0, gamma=0.99), P_X)[0] != [7]
-    kept, every = _kept_counts(default_params.replace(e=0.0, gamma=1.0), P_X)
-    assert kept == every == [7]
+    """At e = 0, 1 - gamma - eC' = 0 at gamma = 1: only gamma < 1 fails, and
+    the closed-form tier keeps every trial.  The certificate, which needs
+    no gamma < 1, still rules out all but the minimum's, and Delta stays
+    the brute-force minimum."""
+    below = default_params.replace(e=0.0, gamma=0.99)
+    assert _tiers(below, P_X)[1] != [7]
+    params = default_params.replace(e=0.0, gamma=1.0)
+    assert _tiers(params, P_X) == ([2], [7], [7])
+    assert _equals_brute_force(params, P_X)
 
 
 def test_no_pruning_where_the_bound_lacks_its_h_f_term(default_params):
     """1 - gamma - eC' < 0: the H_f term of L_- is negative, and
-    gamma sqrt(q^2 + M^2) - eC' no lower bound."""
+    gamma sqrt(q^2 + M^2) - eC' no lower bound, so the closed-form tier
+    keeps every trial.  The certificate still applies, and Delta stays the
+    brute-force minimum."""
     params = default_params.replace(e=0.6)
     consts = bounds.bound_constants(build_model(params))
     assert 1.0 - params.gamma - consts.e_c_prime < 0.0
-    kept, every = _kept_counts(params, P_X)
-    assert kept == every == [7]
+    assert _tiers(params, P_X) == ([2], [7], [7])
+    assert _equals_brute_force(params, P_X)
 
 
 def test_e_c_prime_is_the_direction_free_e_c(default_model):
@@ -154,7 +289,8 @@ def test_e_c_prime_is_the_direction_free_e_c(default_model):
 
 def test_check_8_reads_the_bound_from_the_cache(monkeypatch):
     """The margins of check 8 cover each P and each kept P - k, with no new
-    solve, and the check fails once eC' no longer bounds E."""
+    solve and no new certificate, and the check fails once eC' no longer
+    bounds E."""
     cfg = default_config()
     ctx = verify.VerifyContext(cfg)
     model = build_model(ctx.params_at(0.1))
@@ -162,15 +298,20 @@ def test_check_8_reads_the_bound_from_the_cache(monkeypatch):
     momenta = ctx.momenta()
     ctx.deltas(momenta, model)
     misses = ctx.cache.misses
+    certified = []
+    monkeypatch.setattr(hamiltonian, "certify_block", lambda *a: certified.append(a))
     margins = verify._solved_bound_margins(ctx, model, consts)
-    assert ctx.cache.misses == misses
-    energies = ctx.energies(momenta, model)
-    kept = delta_trials(momenta, model, energies)
-    assert len(margins) == len(momenta) + sum(len(k) - 1 for k in kept)
+    assert ctx.cache.misses == misses and not certified
+    monkeypatch.undo()
+    kept = ctx.sweep_trials(model)
+    assert len(margins) == len(momenta) + sum(len(t.kept) - 1 for t in kept)
     assert min(margins) > 0.1
-    # 3 couplings x 11 sweep momenta, and 8 + 19 + 25 kept trial momenta
+    # 3 couplings x 11 sweep momenta, and 8 + 8 + 8 kept trial momenta: of
+    # the 8 + 19 + 25 that the corollary bound keeps at e = 0, 0.05 and 0.1,
+    # the certificate rules out 0 + 11 + 17
     result = verify.check_delta_bounds(verify.VerifyContext(cfg))
-    assert result.passed and "at the 85 momenta solved for Delta" in result.detail
+    assert result.passed and "at the 57 momenta solved for Delta" in result.detail
+    assert "28 trials ruled out by the operator certificate" in result.detail
 
     real = bounds.bound_constants
     monkeypatch.setattr(

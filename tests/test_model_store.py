@@ -116,16 +116,17 @@ def test_a_second_call_at_a_stabilizer_reuses_its_setup(default_params, monkeypa
 
 def test_verify_builds_four_grids_and_eight_setups(tmp_path, monkeypatch):
     """A default verify builds 59 models on 4 grids, and builds the blocks
-    of H(P) at 122 momenta on 8 stabilizers.  Momenta are built in stacks
+    of H(P) at 94 momenta on 8 stabilizers.  Momenta are built in stacks
     (block_stacks), so the momenta are counted, not the calls.
 
-    The 122: the 11 sweep momenta at e = 0 (check 1) and at e = 0.05 and
+    The 94: the 11 sweep momenta at e = 0 (check 1) and at e = 0.05 and
     0.1 (check 4, 22); the Delta trials of check 8, whose sweep momenta are
     cache hits: of the 62 distinct P - k per coupling (one per stabilizer
     orbit, k != 0), the corollary bound keeps 8, 19 and 25 at e = 0, 0.05
-    and 0.1, 52 in all where 186 were built unpruned; the 10 momenta -P at
-    each coupling of check 11a (30), and 2, 3 and 2 for soft1, soft2 and
-    inv6."""
+    and 0.1, and the operator certificate rules out 0, 11 and 17 of those
+    without building a block, 24 in all where 186 were built unpruned; the
+    10 momenta -P at each coupling of check 11a (30), and 2, 3 and 2 for
+    soft1, soft2 and inv6."""
     hamiltonian.build_model.cache_clear()
     hamiltonian._grid.cache_clear()
     hamiltonian._live_models.clear()  # models held elsewhere keep their grids
@@ -143,4 +144,4 @@ def test_verify_builds_four_grids_and_eight_setups(tmp_path, monkeypatch):
             monkeypatch.setattr(mod, "block_stacks", stacks)
     assert cli.main(["verify", "--seed", "2026", "--out", str(tmp_path)]) == 0
     assert hamiltonian.build_model.cache_info().misses == 59
-    assert counts == {"enumerate_basis": 4, "_symmetry_setup": 8, "momenta built": 122}
+    assert counts == {"enumerate_basis": 4, "_symmetry_setup": 8, "momenta built": 94}
