@@ -35,7 +35,6 @@ import numpy as np
 from .hamiltonian import (  # noqa: F401
     FiberModel,
     _as_model,
-    block_stacks,
     build_H,
     kinetic_root,
     op_sqrt_eig,
@@ -194,35 +193,17 @@ def count_below(h, threshold: float) -> int:
     return int(np.searchsorted(vals, threshold, side="left"))
 
 
-def sandwich_margins(P, params_or_model, consts: BoundConstants | None = None):
-    """min eig(H(|P|u) - L_-) and min eig(L_+ - H(|P|u)), with the scale.
+def sandwich_margins(P, params_or_model):
+    """min eig(H(|P|u) - L_-) and min eig(L_+ - H(|P|u)), with the scale
+    ||H(|P|u)||_2: the ``sandwich`` of the
+    :func:`pffiber.spectral.solve_fiber` record of |P|u, None at
+    gamma >= 1.
 
     The Hamiltonian is evaluated at |P| u as in the comparison statements;
-    rotation covariance of E(P) is probed separately.  The margins and the
-    scale ||H(|P|u)||_2 are taken block by block (:func:`stack_margins`).
+    rotation covariance of E(P) is probed separately.
     """
-    model = _as_model(params_or_model)
-    P = np.asarray(P, dtype=float)
-    ((_, blocks),) = block_stacks(float(np.linalg.norm(P)) * U_DIRECTION, model)
-    return tuple(float(m[0]) for m in stack_margins(P[None], model, blocks, consts))
-
-
-def stack_margins(P, model: FiberModel, blocks, consts=None):
-    """(lower, upper, scale) of :func:`sandwich_margins` at each momentum of
-    the (g, 3) P, from the stream of block stacks of H(|P|u) that
-    :func:`pffiber.hamiltonian.block_stacks` yields for them: the smallest
-    :func:`block_margins` over the blocks, and the largest block 2-norm as
-    the scale ||H(|P|u)||_2.  Each block is dropped before the next is
-    built."""
-    diagonals = comparison_diagonals(P, model, consts)
-    lower = upper = np.inf
-    scale = 0.0
-    for block in blocks:
-        low, up = block_margins(block.h, block.rows, *diagonals)
-        lower, upper = np.minimum(lower, low), np.minimum(upper, up)
-        scale = np.maximum(scale, np.linalg.norm(block.h, ord=2, axis=(-2, -1)))
-        del block
-    return lower, upper, scale
+    P_u = float(np.linalg.norm(np.asarray(P, dtype=float))) * U_DIRECTION
+    return solve_fiber(P_u, params_or_model).sandwich
 
 
 def comparison_diagonals(P, model: FiberModel, consts=None) -> tuple:

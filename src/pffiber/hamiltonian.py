@@ -51,10 +51,12 @@ columns as a monomial matrix, so a J-fixed column combines at most two of
 them.  A mirror-only stabilizer has no real block (J swaps its two
 blocks), and a generic P none at all.
 
-Every H(P) applies the one kernel ``kinetic_root`` to s(P) or to its
-projection on a symmetry block: f of the eigenvalues of s, so T(P) is never
-formed on the way to H; the mirror blocks take the same f of the singular
-values of the same s.  Two square roots of a PSD matrix stay beside it:
+Every block of H(P) is gamma sqrt(s_i^dagger s_i + M^2) + H_f, where
+s_i = W_t^dagger (sigma.v) W_i maps block i into block t.  Under a rotation
+t = i and s_i is Hermitian: ``kinetic_root`` takes f of its eigenvalues.
+Under a mirror t is the theta-partner of i: ``_svd_root`` takes f of its
+singular values.  So T(P) is never formed on the way to H (``build_H``
+roots s(P) itself).  Two square roots of a PSD matrix stay beside them:
 ``op_sqrt_eig``, the generic spectral reference (spinless H_SL, interaction
 norm, monotonicity suite), and the independent cross-check
 ``op_sqrt_quad``, the resolvent-integral quadrature evaluating
@@ -844,7 +846,10 @@ def _symmetry_setup(P, model: FiberModel):
              [np.vdot(plus, s @ minus) for s in SIGMA])
     fourier = _fock_fourier_basis(model.basis, perm, signs, n)
     real = None if mirror else _real_structure(P, model, r, (plus, minus))
-    kept = [j for j in range(n) if fourier[(j + 1) % n][0].size + fourier[j][0].size]
+    # a mirror's j = 1 is its -i block: listed first, it is the block that
+    # one_per_pair solves and certify_above bounds
+    order = range(n - 1, -1, -1) if mirror else range(n)
+    kept = [j for j in order if fourier[(j + 1) % n][0].size + fourier[j][0].size]
     families = []
     for j in kept:
         halves = (fourier[(j + 1) % n], fourier[j])
@@ -890,7 +895,10 @@ def block_stacks(P, params_or_model, one_per_pair: bool = False):
     eigenvectors a = j): gamma f(s_j) + H_f, s_j = sigma.v projected on the
     block, with H_f read at the smallest state of each Gamma-orbit.  Empty
     eigenspaces give no block; theta maps block j onto block n - 1 - j.
-    Real blocks: :func:`_real_block`; a mirror: :func:`_mirror_blocks`.
+    Real blocks: :func:`_real_block`.  A mirror M: U = D(-M) x Gamma(M)
+    has eigenvalues -i (block 0) and +i (block 1), each of dimension dim,
+    which theta swaps; each block is rooted from the s_i of
+    :func:`_block_s` that maps it onto the other.
 
     Yields (index, blocks) over the momenta of the (g, 3) stack P: ``index``
     holds the positions in P of momenta that share a stabilizer, and so the
@@ -900,9 +908,9 @@ def block_stacks(P, params_or_model, one_per_pair: bool = False):
     other, the lower index first, and with ``one_per_pair`` only the first
     comes.  A consumer that drops each block (or pair) before it asks for
     the next holds one at a time.  Momenta of a stack differ only in the
-    diagonal of sigma.v, so one :func:`_sigma_v` scatter, one stacked
-    :func:`kinetic_root` (or one stacked SVD under a mirror) and one stacked
-    :func:`_block` serve them all.  A stack holds as many momenta as
+    diagonal of sigma.v, so one :func:`_sigma_v` scatter, one stacked root
+    (:func:`kinetic_root`, or :func:`_svd_root` under a mirror) and one
+    stacked :func:`_block` serve them all.  A stack holds as many momenta as
     ``STACK_BYTES`` allows (:func:`_momentum_bytes`), at least one.  Groups
     come in the order of their first momentum.
     """
@@ -919,14 +927,13 @@ def certify_above(P, tau, params_or_model) -> np.ndarray:
 
     Every block of H(q), one per theta-pair as :func:`block_stacks` builds
     them with ``one_per_pair``, is h = gamma sqrt(s^dagger s + M^2) + D: s
-    is the block of sigma.v (:func:`_rotation_s`), or the S of
-    :func:`_mirror_blocks` for the -i block of a mirror, and D is the
-    block's H_f diagonal.  c^2 is the s^dagger s + M^2 of the e = 0 vacuum,
-    so the minorant is tight near the ground state: on the trials of the
-    24-mode N_max 2 sweep it certifies every tau up to 4e-6 to 7e-6 below
-    E(q).  The blocks are built from the set-ups of the grid's store, in
-    the stacks of :func:`block_stacks`; a momentum that fails on one block
-    is not tried on the next.
+    is the s_i of :func:`_block_s` and D is the block's H_f diagonal.
+    c^2 is the s^dagger s + M^2 of the e = 0 vacuum, so the minorant is
+    tight near the ground state: on the trials of the 24-mode N_max 2 sweep
+    it certifies every tau up to 4e-6 to 7e-6 below E(q).  The blocks are
+    built from the set-ups of the grid's store, in the stacks of
+    :func:`block_stacks`; a momentum that fails on one block is not tried
+    on the next.
     """
     model = _as_model(params_or_model)
     P = np.asarray(P, dtype=float).reshape(-1, 3)
@@ -939,25 +946,18 @@ def certify_above(P, tau, params_or_model) -> np.ndarray:
 
 def _certify_stack(P, tau, model: FiberModel, setup) -> np.ndarray:
     """:func:`certify_above` for the (g, 3) P under one ``setup``."""
-    mirror, real, coefs, specs = setup
+    _, _, coefs, specs = setup
     gamma, M = model.params.gamma, model.params.M
     c2 = np.sum(P * P, axis=1) + M * M
-    if mirror:
-        pairs = [specs[1][1]]  # block 0, the -i block: sqrt(S^dagger S + M^2)
-    else:
-        pairs = [parts for i, (partner, parts, _) in enumerate(specs) if i <= partner]
     proven = np.ones(len(P), dtype=bool)
-    for parts in pairs:
+    for i in [i for i, (partner, _, _) in enumerate(specs) if i <= partner]:
         at = np.flatnonzero(proven)
         if not at.size:
             break
-        if mirror:
-            s = _mirror_s(P[at], model, setup)
-        else:
-            s = _rotation_s(P[at], model, _spin_frame(P[at], model, coefs), real, parts)
+        s = _block_s(P[at], model, _spin_frame(P[at], model, coefs), setup, i)
         gram = _dagger(s) @ s
         del s  # before the two copies that the Cholesky makes
-        rows = np.concatenate([cols.rep for _, cols in parts])
+        rows = np.concatenate([cols.rep for _, cols in specs[i][1]])
         proven[at] = certify_block(gram, model.hf[rows], tau[at], gamma, M, c2[at])
     return proven
 
@@ -1050,71 +1050,51 @@ def _momentum_bytes(model: FiberModel, setup) -> int:
 def _stacked_blocks(P, model: FiberModel, setup, one_per_pair: bool):
     """The blocks of H(P) for the (g, 3) stack P under one ``setup``, one
     at a time, in the order of :func:`block_stacks`."""
-    mirror, real, coefs, specs = setup
-    if mirror:
-        yield from _mirror_blocks(P, model, setup, one_per_pair)
-        return
+    _, _, coefs, specs = setup
     frame = _spin_frame(P, model, coefs)
     for i, (partner, _, _) in enumerate(specs):
         if i <= partner:
-            yield _rotation_block(P, model, frame, real, specs, i)
+            yield _one_block(P, model, frame, setup, i)
             if i < partner and not one_per_pair:
-                yield _rotation_block(P, model, frame, real, specs, partner)
+                yield _one_block(P, model, frame, setup, partner)
 
 
-def _rotation_block(P, model: FiberModel, frame, real: bool, specs, i: int) -> HBlock:
-    """Block i of a rotation set-up, from the ``frame`` of the (g, 3) P."""
+def _one_block(P, model: FiberModel, frame, setup, i: int) -> HBlock:
+    """Block i of ``setup``, gamma sqrt(s_i^dagger s_i + M^2) + H_f with
+    the s_i of :func:`_block_s`, from the ``frame`` of the (g, 3) P:
+    rooted by :func:`kinetic_root` under a rotation, where s_i is
+    Hermitian, and by :func:`_svd_root` under a mirror."""
+    mirror, _, _, specs = setup
     partner, parts, theta = specs[i]
-    s = _rotation_s(P, model, frame, real, parts)
-    return _block(model, kinetic_root(s, model.params.M), partner, parts, theta, i)
+    kernel = _svd_root if mirror else kinetic_root
+    root = kernel(_block_s(P, model, frame, setup, i), model.params.M)
+    return _block(model, root, partner, parts, theta, i)
 
 
-def _rotation_s(P, model: FiberModel, frame, real: bool, parts) -> np.ndarray:
-    """s = sigma.v on the columns ``parts`` of a rotation block, from the
-    ``frame`` of the (g, 3) P: real on J-fixed columns."""
-    s = _sigma_v(model, frame, parts, parts)
+def _block_s(P, model: FiberModel, frame, setup, i: int) -> np.ndarray:
+    """s_i = W_t^dagger (sigma.v) W_i for block i of ``setup``, from the
+    ``frame`` of the (g, 3) P.
+
+    A rotation commutes with sigma.v, so t = i: s_i is Hermitian, and real
+    on J-fixed columns.  A mirror anticommutes with it, so sigma.v has no
+    part within an eigenspace of U and t is the theta-partner of i: s_i
+    maps block i onto it, and sqrt(s_i^dagger s_i + M^2) is f(sigma.v) =
+    sqrt((sigma.v)^2 + M^2) on block i."""
+    mirror, real, _, specs = setup
+    partner, parts, _ = specs[i]
+    s = _sigma_v(model, frame, specs[partner][1] if mirror else parts, parts)
     return _real_block(s, P) if real else s
 
 
-def _mirror_s(P, model: FiberModel, setup) -> np.ndarray:
-    """The S of :func:`_mirror_blocks` for the (g, 3) P: sigma.v from the
-    -i eigenspace of U onto the +i one."""
-    _, _, coefs, ((_, plus_i, _), (_, minus_i, _)) = setup
-    return _sigma_v(model, _spin_frame(P, model, coefs), plus_i, minus_i)
-
-
-def _mirror_blocks(P, model: FiberModel, setup, one_per_pair: bool = False):
-    """The two blocks of H(P) under a mirror M of the grid that fixes P,
-    from the :func:`_symmetry_setup` of M, for a (g, 3) stack P.
-
-    -M is the half turn about the mirror normal u, so D(-M) chi_+- =
-    -+ i chi_+- and Gamma(M)^2 = 1: U = D(-M) x Gamma(M) has eigenvalues
-    -i, on chi_+ x (Gamma = +1) and chi_- x (Gamma = -1), and +i, on
-    chi_+ x (Gamma = -1) and chi_- x (Gamma = +1), each of dimension dim.
-    U commutes with H(P) but anticommutes with s = sigma.v, so s has no
-    diagonal part on these eigenspaces (projecting it there gives zero):
-    it maps the -i space onto the +i space by S and back by S^dagger.
-    With the SVD S = W Sigma V^dagger, the eigenvalues of s are +-Sigma, so
-    f(s) = sqrt(s^2 + M^2), the same function that :func:`kinetic_root`
-    applies to the eigenvalues of s, is V f(Sigma) V^dagger on the -i space
-    and W f(Sigma) W^dagger on the +i space.  theta maps the -i space onto
-    the +i space; with ``one_per_pair`` only the -i block is built.  The
-    blocks come one at a time, from the one SVD; each factor is freed as
-    soon as its block is built.
-    """
-    _, _, _, ((_, plus_i, theta_plus), (_, minus_i, theta_minus)) = setup
-    s = _mirror_s(P, model, setup)
-    w, sigma, vh = np.linalg.svd(s)
-    del s  # not needed after the SVD; freeing it lowers the peak below
-    if one_per_pair:
-        del w
-    f = np.sqrt(sigma * sigma + model.params.M**2)
+def _svd_root(s: np.ndarray, M: float) -> np.ndarray:
+    """sqrt(s^dagger s + M^2) = V f(Sigma) V^dagger from the SVD s = W Sigma
+    V^dagger of each matrix of a stack, f = sqrt(Sigma^2 + M^2); s and W
+    are freed before the root is formed."""
+    sigma, vh = np.linalg.svd(s)[1:]
+    del s
     # V f V^dagger = conj(conj(V) f V^T), and conj(V) = vh^T: no copy of V
-    root = _gram(vh.swapaxes(-1, -2), f)
-    del vh
-    yield _block(model, np.conj(root, out=root), 1, minus_i, theta_minus, 0)
-    if not one_per_pair:
-        yield _block(model, _gram(w, f), 0, plus_i, theta_plus, 1)
+    root = _gram(vh.swapaxes(-1, -2), np.sqrt(sigma * sigma + M**2))
+    return np.conj(root, out=root)
 
 
 def build_H_SL(P, params_or_model) -> np.ndarray:

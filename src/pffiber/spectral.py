@@ -33,7 +33,7 @@ it solves one block per theta-pair and counts its eigenvalues twice.  Both
 call LAPACK through ``numpy.linalg`` only, so one BLAS thread pool serves.
 
 Both solve many momenta at once: :func:`solve_batch`, :func:`ground_batch`
-and :func:`delta_gaps` take a stack of momenta, and the single-momentum
+and :func:`delta_search` take a stack of momenta, and the single-momentum
 functions are batches of one.  A batch looks each momentum up in the cache,
 solves each distinct missing key once, and builds the misses in the stacks
 of :func:`pffiber.hamiltonian.block_stacks`: momenta that share a
@@ -336,8 +336,8 @@ class FiberSolve:
     block and the relative theta-commutation residual, each block against
     the theta-image of its partner.  ``ground_pairing`` is the
     (theta-partner residual, |<v, theta v>|) of the ground vector.
-    ``sandwich`` is (lower, upper, scale) of
-    :func:`pffiber.bounds.sandwich_margins`, or None at gamma >= 1.
+    ``sandwich`` is (lower, upper, scale): min eig(H(|P|u) - L_-), min
+    eig(L_+ - H(|P|u)) and ||H(|P|u)||_2, or None at gamma >= 1.
     """
 
     P: tuple
@@ -385,10 +385,10 @@ def solve_batch(
     it is; a new one is stored there with its (E, E1, mult).  The misses are
     solved together, one stacked ``eigh`` per block of the momenta that
     share a stabilizer (:func:`block_stacks`); the residuals and the guards
-    stay per momentum.  The sandwich margins are taken when gamma < 1, from
-    the same blocks when P == |P| u.  Raises ``EigensolverError``, naming
-    the momentum, when an eigenpair residual exceeds
-    ``RESIDUAL_TOL * ||H||``.
+    stay per momentum.  The sandwich margins are taken when gamma < 1: from
+    the same blocks when P == |P| u, else from the record of |P| u.
+    Raises ``EigensolverError``, naming the momentum, when an eigenpair
+    residual exceeds ``RESIDUAL_TOL * ||H||``.
     """
     model = _as_model(params_or_model)
     lookup = None if cache is None else (cache.get_solve, cache.put_solve)
@@ -415,18 +415,19 @@ def _records(P, model, blocks, cluster_tol) -> list:
     """The :class:`FiberSolve` of each momentum of the (g, 3) P from its
     stream of blocks, one theta-pair at a time (:func:`_pair_values`).
     Each pair is dropped before the next is built; what it leaves are
-    per-block values, reduced per momentum by :func:`_record`.  The
-    momenta not along u take their sandwich margins from the stream of
-    H(|P|u)."""
+    per-block values, reduced per momentum by :func:`_record`.  A momentum
+    not along u takes the sandwich margins of the :func:`solve_batch`
+    record of |P|u, solved without a cache: L_-(P) and L_+(P) depend on
+    |P| only."""
     from . import bounds  # it imports this module
 
     along = np.array(
         [np.array_equal(p, np.linalg.norm(p) * bounds.U_DIRECTION) for p in P]
     )
-    consts = bounds.bound_constants(model) if model.params.gamma < 1.0 else None
+    sandwich = model.params.gamma < 1.0
     diagonals = None
-    if consts is not None and along.any():
-        diagonals = bounds.comparison_diagonals(P[along], model, consts)
+    if sandwich and along.any():
+        diagonals = bounds.comparison_diagonals(P[along], model)
     per_block, grounds = {}, [[] for _ in P]
     for pair in _pairs(blocks):
         values, lowest = _pair_values(P, pair, along, diagonals)
@@ -435,13 +436,10 @@ def _records(P, model, blocks, cluster_tol) -> list:
         for found, candidate in zip(grounds, lowest):
             found.append(candidate)
     margins = [None] * len(P)
-    if consts is not None:
-        rest = np.flatnonzero(~along)
-        P_u = [np.linalg.norm(P[at]) * bounds.U_DIRECTION for at in rest]
-        for index, stream in block_stacks(P_u, model):
-            found = bounds.stack_margins(P[rest[index]], model, stream, consts)
-            for j, at in enumerate(rest[index]):
-                margins[at] = tuple(float(m[j]) for m in found)
+    rest = np.flatnonzero(~along) if sandwich else []
+    P_u = [np.linalg.norm(P[at]) * bounds.U_DIRECTION for at in rest]
+    for at, solve in zip(rest, solve_batch(P_u, model, cluster_tol)):
+        margins[at] = solve.sandwich
     values = [per_block[i] for i in range(len(per_block))]
     return [
         _record(P, at, values, min(grounds[at]), margins[at], along, cluster_tol)
@@ -550,21 +548,9 @@ def delta_gap(
     cache: EnergyCache | None = None,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> float:
-    """min over trial k of E(P-k) + omega(k) - E(P): :func:`delta_gaps` of
-    one momentum."""
-    return delta_gaps([P], params_or_model, trial_k_set, cache, cluster_tol)[0]
-
-
-def delta_gaps(
-    P,
-    params_or_model,
-    trial_k_set=None,
-    cache: EnergyCache | None = None,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-) -> list:
-    """Delta at each momentum of the (g, 3) stack P: the first item of
-    :func:`delta_search`."""
-    return delta_search(P, params_or_model, trial_k_set, cache, cluster_tol)[0]
+    """min over trial k of E(P-k) + omega(k) - E(P): the Delta of
+    :func:`delta_search` at one momentum."""
+    return delta_search([P], params_or_model, trial_k_set, cache, cluster_tol)[0][0]
 
 
 def delta_search(
@@ -606,7 +592,7 @@ def delta_search(
 
 
 class Trials(NamedTuple):
-    """The orbit trials of one momentum: those :func:`delta_gaps` solves,
+    """The orbit trials of one momentum: those :func:`delta_search` solves,
     and those that :func:`pffiber.hamiltonian.certify_above` ruled out."""
 
     kept: list

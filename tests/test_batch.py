@@ -1,5 +1,5 @@
 """Momenta that share a stabilizer are built and solved as stacks
-(``block_stacks``, ``ground_batch``, ``solve_batch``, ``delta_gaps``): every
+(``block_stacks``, ``ground_batch``, ``solve_batch``, ``delta_search``): every
 result equals that of the momentum alone, bit for bit, each stack stays
 under ``STACK_BYTES``, a failure names its own momentum, and the cache
 counts one lookup per momentum."""
@@ -17,7 +17,7 @@ from pffiber.spectral import (
     EigensolverError,
     EnergyCache,
     delta_gap,
-    delta_gaps,
+    delta_search,
     ground_batch,
     ground_data,
     solve_batch,
@@ -55,6 +55,11 @@ def _kind(model, P):
     if len(blocks) == 1:  # R = 1: every rotation of order n > 1 gives >= 2
         return "generic"
     return "mirror" if mirror else "real" if real else "complex"
+
+
+def delta_gaps(P, model, cache=None):
+    """Delta at each momentum of the stack P, the batch of delta_gap."""
+    return delta_search(P, model, cache=cache)[0]
 
 
 def _same_blocks(got, want):

@@ -20,7 +20,6 @@ from pffiber.spectral import (
     PRUNE_MARGIN,
     EnergyCache,
     default_trial_set,
-    delta_gaps,
     delta_search,
     delta_trials,
     ground_batch,
@@ -108,9 +107,8 @@ def test_lowering_e_c_prime_by_0_2_breaks_the_equality(default_params, monkeypat
                 model = _model(default_params, n_dirs, n_max, e)
                 P = _momenta(n_dirs, n_max)
                 brute = [_brute_delta(p, model, cache) for p in P]
-                differ += sum(
-                    a != b for a, b in zip(delta_gaps(P, model, cache=cache), brute)
-                )
+                pruned = delta_search(P, model, cache=cache)[0]
+                differ += sum(a != b for a, b in zip(pruned, brute))
     assert differ > 0
 
 
@@ -149,9 +147,8 @@ def test_dropping_beta_breaks_the_equality(default_params, monkeypatch):
                 model = _model(default_params, n_dirs, n_max, e)
                 P = _momenta(n_dirs, n_max)
                 brute = [_brute_delta(p, model, cache) for p in P]
-                differ += sum(
-                    a != b for a, b in zip(delta_gaps(P, model, cache=cache), brute)
-                )
+                pruned = delta_search(P, model, cache=cache)[0]
+                differ += sum(a != b for a, b in zip(pruned, brute))
     assert differ > 0
 
 
@@ -232,7 +229,7 @@ def _kept_counts(params_or_model, P, trial_k_set=None):
 def _equals_brute_force(params, P):
     model = build_model(params)
     cache = EnergyCache()
-    pruned = delta_gaps(P, model, cache=cache)
+    pruned = delta_search(P, model, cache=cache)[0]
     return pruned == [_brute_delta(p, model, cache) for p in P]
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pffiber.bounds import bound_constants, count_below, sandwich_margins
+from pffiber.bounds import bound_constants, build_L_minus, build_L_plus, count_below
 from pffiber.fock import hermiticity_defect
 from pffiber.hamiltonian import build_H, build_model
 from pffiber.kramers import check_theta_commutes
@@ -255,7 +255,7 @@ def test_cache_of_format_2_is_recomputed(tmp_path, capsys, default_model):
     assert cache.hits == 0 and cache.misses == 1
 
 
-@pytest.mark.parametrize("P", [[0.9, 0.0, 0.0], [0.4, -0.3, 0.2]])
+@pytest.mark.parametrize("P", [[0.9, 0.0, 0.0], [0.4, -0.3, 0.2], [0.9, -0.8, 0.0]])
 def test_fiber_solve_matches_separate_computations(default_params, default_model, P):
     P = np.array(P)
     consts = bound_constants(default_model)
@@ -270,8 +270,13 @@ def test_fiber_solve_matches_separate_computations(default_params, default_model
     )
     sigma = consts.sigma_minus(P)
     assert count_below(solve.eigenvalues, sigma) == count_below(h, sigma)
-    assert_allclose(solve.sandwich, sandwich_margins(P, default_model, consts),
-                    rtol=0, atol=1e-12)
+    # the sandwich of H(|P|u), whatever the stabilizer of P itself
+    h_u = build_H(np.linalg.norm(P) * np.array([1.0, 0.0, 0.0]), default_model)
+    lm = np.diag(np.tile(build_L_minus(P, default_model, consts), 2))
+    lp = np.diag(np.tile(build_L_plus(P, default_model, consts), 2))
+    dense = (np.linalg.eigvalsh(h_u - lm)[0], np.linalg.eigvalsh(lp - h_u)[0],
+             np.linalg.norm(h_u, 2))
+    assert_allclose(solve.sandwich, dense, rtol=0, atol=1e-12)
     assert abs(solve.h_norm - np.linalg.norm(h, 2)) <= 1e-12
     vals, vecs = low_spectrum(h, 4)
     assert_allclose(solve.eigenvalues[:4], vals, rtol=0, atol=1e-12)
@@ -283,7 +288,7 @@ def test_fiber_solve_matches_separate_computations(default_params, default_model
         assert np.array_equal(solve.eigenvalues, np.linalg.eigh(h)[0])
         assert solve.residuals["hermiticity"] == hermiticity_defect(h)
         assert solve.residuals["theta_commutation"] == check_theta_commutes(h)
-    else:  # C4 along x: the residuals are taken block by block
+    else:  # C4 along x or the mirror z -> -z: residuals block by block
         assert solve.residuals["hermiticity"] <= 1e-12 * solve.h_norm
         assert hermiticity_defect(h) <= 1e-12 * solve.h_norm
         assert solve.residuals["theta_commutation"] <= 1e-12

@@ -13,7 +13,7 @@ from pffiber import hamiltonian
 from pffiber.hamiltonian import (
     SIGMA,
     _is_mirror,
-    _mirror_blocks,
+    _stacked_blocks,
     _symmetry_setup,
     block_generator,
     build_H,
@@ -305,10 +305,16 @@ def test_mirror_block_spectra_equal_the_dense_spectrum(
             # keeps the one of the generator that build_H_blocks picks
             with monkeypatch.context() as patch:
                 patch.setattr(hamiltonian, "block_generator", lambda *_: (m, perm, signs))
-                blocks = list(_mirror_blocks(P[None], model, _symmetry_setup(P, model)))
+                setup = _symmetry_setup(P, model)
+            blocks = list(_stacked_blocks(P[None], model, setup, False))
             assert [b.h.shape for b in blocks] == [(1, model.dim, model.dim)] * 2
             got = np.sort(np.concatenate([np.linalg.eigvalsh(b.h[0]) for b in blocks]))
             assert np.max(np.abs(got - dense)) <= tol
+            # block 0, the one that one_per_pair solves and certify_above
+            # bounds, spans the -i eigenspace of U = D(-M) x Gamma(M)
+            u = np.kron(_spin_rotation(-m), _state_rotation(model.basis, perm, signs))
+            w = np.column_stack([blocks[0].expand(x) for x in np.eye(model.dim)])
+            assert np.max(np.abs(u @ w + 1j * w)) <= 1e-14
         if P.any():  # no rotation with a mode action fixes these momenta
             assert _is_mirror(block_generator(P, model)[0])
             got = np.sort(np.concatenate(
