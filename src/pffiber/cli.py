@@ -72,7 +72,7 @@ def compute_report(P, model, consts, cache, cluster_tol):
         E=solve.E,
         E1=solve.E1,
         ground_multiplicity=solve.mult,
-        delta=delta_gap(P, model, cache=cache, cluster_tol=cluster_tol),
+        delta=delta_gap(P, model, cache=cache),
         sigma_minus=sigma,
         eigencount_below_sigma=bnd.count_below(solve.eigenvalues, sigma),
         residuals=dict(solve.residuals),

@@ -26,6 +26,7 @@ import functools
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,8 +95,9 @@ class ModelParams:
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
         if self.e < 0.0:
             raise ValueError(f"coupling e must be >= 0, got {self.e}")
-        if self.M <= 0.0:
-            raise ValueError(f"mass M must be > 0, got {self.M}")
+        # M^2 enters every root and bound: it must be a positive normal float
+        if not (self.M > 0.0 and sys.float_info.min <= self.M * self.M < math.inf):
+            raise ValueError(f"mass M must be > 0 with a normal M^2, got {self.M}")
         if self.m_ph < 0.0:
             raise ValueError(f"photon mass must be >= 0, got {self.m_ph}")
         if not (0.0 < self.Lambda < math.inf):

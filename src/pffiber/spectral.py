@@ -1,8 +1,8 @@
 """Low-lying spectra, degeneracy clusters, and the one-photon gap function.
 
 The ground energy E(P) is the bottom of the spectrum of the fiber
-Hamiltonian; E1(P) is the first level strictly above the ground cluster; the
-gap function is
+Hamiltonian; E1(P) is the first level strictly above the ground cluster at
+a clustering tolerance; the gap function is
 
     Delta(P) = min over trial k of  E(P - k) + omega(k) - E(P),
 
@@ -25,12 +25,14 @@ reads (the CLI reports, the gap-bound report, the Kramers certificate, the
 verify checks).  It runs ``eigh`` on every block, so the theta-pairs are
 compared rather than assumed, and keeps a small :class:`FiberSolve` record
 -- eigenvalues, residuals, sandwich margins -- then drops the blocks and the
-eigenvectors.  The record is kept in the :class:`EnergyCache` under its key,
-so one run solves each key once.  :func:`ground_data` is the
-eigenvalues-only path (``eigvalsh``) used for the trial momenta of
-Delta(P), the convergence ladder and the verify checks that need E(P) only:
-it solves one block per theta-pair and counts its eigenvalues twice.  Both
-call LAPACK through ``numpy.linalg`` only, so one BLAS thread pool serves.
+eigenvectors.  The record is kept in the :class:`EnergyCache` under the key
+of (parameters, P), so one run solves each key once, and each caller reads
+E1 and the multiplicity at its own clustering tolerance.
+:func:`ground_data` is the eigenvalues-only path (``eigvalsh``) used for the
+trial momenta of Delta(P), the convergence ladder and the verify checks that
+need E(P) only: it returns E alone, the smallest lowest eigenvalue of one
+block per theta-pair.  Both call LAPACK through ``numpy.linalg`` only, so
+one BLAS thread pool serves.
 
 Both solve many momenta at once: :func:`solve_batch`, :func:`ground_batch`
 and :func:`delta_search` take a stack of momenta, and the single-momentum
@@ -61,7 +63,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -130,29 +132,28 @@ def _quantize_P(P) -> tuple:
 
 
 class EnergyCache:
-    """Map (params fingerprint, cluster_tol, quantized P) -> (E, E1, mult).
+    """Map (params fingerprint, quantized P) -> E(P) or the record of H(P).
 
-    E1 and the multiplicity depend on the clustering tolerance, so it is part
-    of the key.  Entries come from :func:`solve_fiber` (``eigh``) or
-    :func:`ground_data` (``eigvalsh``); the two agree to rounding, and a
-    solve_fiber entry replaces an existing one so that every consumer of
-    that momentum reads the E of its report.  ``solves`` holds the
-    FiberSolve records under the same keys, in memory only; ``hits`` and
-    ``misses`` count lookups of both.  The triples are optionally persisted
-    to a JSON file tagged with ``CACHE_FORMAT``; floats round-trip losslessly
-    (repr serialization), so a cache hit equals recomputation bit for bit at
-    a fixed build.  The file is replaced atomically on save; a corrupt file
-    or one of another format is reported on stderr and ignored.
+    An entry is the float E of :func:`ground_batch` (``eigvalsh``) or the
+    :class:`FiberSolve` record of :func:`solve_batch` (``eigh``); the two
+    agree to rounding.  ``put`` stores either; ``get`` answers with E, a
+    record's own E included, and ``get_solve`` with records only; ``hits``
+    and ``misses`` count lookups of both.  A record replaces a float, so
+    that every consumer of that momentum reads the E of its report.  The
+    key holds no clustering tolerance: :func:`solve_batch` takes E1 and the
+    multiplicity from a record's eigenvalues at its caller's tolerance.
+    The energies are optionally persisted to a JSON file tagged with
+    ``CACHE_FORMAT``; floats round-trip losslessly (repr serialization), so
+    a cache hit equals recomputation bit for bit at a fixed build.  The
+    file is replaced atomically on save; a corrupt file or one of another
+    format is reported on stderr and ignored.
     """
 
     def __init__(self, path=None):
-        self._data = {}
-        self.solves = {}
+        self._data = {} if path is None else self._load(path)
         self.path = path
         self.hits = 0
         self.misses = 0
-        if path is not None:
-            self._data = self._load(path)
 
     @staticmethod
     def _load(path) -> dict:
@@ -164,7 +165,7 @@ class EnergyCache:
                     f"format {raw.get('format')!r}, expected {CACHE_FORMAT}"
                 )
             return {
-                tuple(json.loads(k)): tuple(v) for k, v in raw["entries"].items()
+                tuple(json.loads(k)): float(v) for k, v in raw["entries"].items()
             }
         except FileNotFoundError:
             return {}
@@ -173,43 +174,39 @@ class EnergyCache:
             return {}
 
     @staticmethod
-    def key(params: ModelParams, P, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> tuple:
-        return (
-            params.fingerprint,
-            f"{float(cluster_tol):.17g}",
-        ) + _quantize_P(P)
+    def key(params: ModelParams, P) -> tuple:
+        return (params.fingerprint,) + _quantize_P(P)
 
-    def _lookup(self, store: dict, key):
-        got = store.get(key)
+    def _lookup(self, key, records_only: bool):
+        got = self._data.get(key)
+        if records_only and not isinstance(got, FiberSolve):
+            got = None
         self.hits += got is not None
         self.misses += got is None
         return got
 
     def get(self, key):
-        return self._lookup(self._data, key)
+        got = self._lookup(key, False)
+        return getattr(got, "E", got)
 
     def put(self, key, value):
         self._data[key] = value
 
     def get_solve(self, key):
-        return self._lookup(self.solves, key)
-
-    def put_solve(self, key, solve):
-        """Store a :class:`FiberSolve` record and its (E, E1, mult)."""
-        self.put(key, (solve.E, solve.E1, solve.mult))
-        self.solves[key] = solve
+        return self._lookup(key, True)
 
     def save(self):
-        """Write the cache atomically: a temp file beside it, then a rename.
+        """Write the energies atomically: a temp file beside it, then a
+        rename.
 
         Entries are written in sorted key order, so the file does not depend
         on the order in which they were filled."""
         if self.path is None:
             return
-        entries = sorted(self._data.items())
+        entries = sorted(self._data.items())  # the keys are distinct
         raw = {
             "format": CACHE_FORMAT,
-            "entries": {json.dumps(list(k)): list(v) for k, v in entries},
+            "entries": {json.dumps(list(k)): getattr(v, "E", v) for k, v in entries},
         }
         folder = os.path.dirname(os.path.abspath(self.path))
         fd, tmp = tempfile.mkstemp(
@@ -231,9 +228,8 @@ def _ground_triple(vals, cluster_tol: float) -> tuple:
     return float(vals[0]), e1, mult
 
 
-def _batch(P, model, cluster_tol, lookup, one_per_pair, solve_stack) -> list:
-    """The value at each momentum of the (g, 3) stack P, under its cache key
-    at ``cluster_tol``.
+def _batch(P, model, lookup, one_per_pair, solve_stack) -> list:
+    """The value at each momentum of the (g, 3) stack P, under its cache key.
 
     ``lookup`` is None or the (get, put) of the cache.  Each momentum is
     looked up once, as one call per momentum would: the first lookup of a
@@ -242,7 +238,7 @@ def _batch(P, model, cluster_tol, lookup, one_per_pair, solve_stack) -> list:
     ``solve_stack(P, blocks)`` gives the values of each stack.
     """
     P = np.asarray(P, dtype=float).reshape(-1, 3)
-    keys = [EnergyCache.key(model.params, p, cluster_tol) for p in P]
+    keys = [EnergyCache.key(model.params, p) for p in P]
     get, put = lookup or (None, None)
     first = {}
     for i, key in enumerate(keys):
@@ -269,57 +265,38 @@ def _batch(P, model, cluster_tol, lookup, one_per_pair, solve_stack) -> list:
     return [found[key] for key in keys]
 
 
-def ground_data(
-    P,
-    params_or_model,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    cache: EnergyCache | None = None,
-):
-    """(E, E1, ground multiplicity) of the fiber Hamiltonian at momentum P:
+def ground_data(P, params_or_model, cache: EnergyCache | None = None) -> float:
+    """E(P), the ground energy of the fiber Hamiltonian at momentum P:
     :func:`ground_batch` of one momentum."""
-    return ground_batch([P], params_or_model, cluster_tol, cache)[0]
+    return ground_batch([P], params_or_model, cache)[0]
 
 
-def ground_batch(
-    P,
-    params_or_model,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    cache: EnergyCache | None = None,
-) -> list:
-    """(E, E1, ground multiplicity) at each momentum of the (g, 3) stack P.
+def ground_batch(P, params_or_model, cache: EnergyCache | None = None) -> list:
+    """E, the smallest eigenvalue of H(P), at each momentum of the (g, 3)
+    stack P.
 
-    E is the smallest eigenvalue; the multiplicity comes from greedy
-    clustering at ``cluster_tol``; E1 is the smallest eigenvalue strictly
-    above the ground cluster (None if the truncation holds no second level).
-    Eigenvalues only, of one block of :func:`block_stacks` per
-    theta-pair: the partner has the same spectrum, so the eigenvalues of a
-    block that theta maps onto another are counted twice, and those of a
-    block it maps onto itself once.  Each distinct key is solved once, and
-    the misses are solved together: one stacked ``eigvalsh`` per block of
-    the momenta that share a stabilizer (:func:`block_stacks`), which runs
-    the LAPACK call of a single momentum on each matrix.
+    Eigenvalues only, of one block of :func:`block_stacks` per theta-pair:
+    the partner has the same spectrum, so E is the smallest of the lowest
+    eigenvalues of those blocks, bit for bit the E of all blocks.  Each
+    distinct key is solved once, and the misses are solved together: one
+    stacked ``eigvalsh`` per block of the momenta that share a stabilizer
+    (:func:`block_stacks`), which runs the LAPACK call of a single momentum
+    on each matrix.
     """
     model = _as_model(params_or_model)
     lookup = None if cache is None else (cache.get, cache.put)
-    return _batch(
-        P, model, cluster_tol, lookup, True,
-        lambda _, blocks: _ground_triples(blocks, cluster_tol),
-    )
+    return _batch(P, model, lookup, True, lambda _, blocks: _ground_energies(blocks))
 
 
-def _ground_triples(blocks, cluster_tol: float) -> list:
-    """The (E, E1, mult) of each momentum of a stack from its stream of
-    blocks: one ``eigvalsh`` per block, each block dropped before the next
-    is built."""
-    spectra = []
+def _ground_energies(blocks) -> list:
+    """The E of each momentum of a stack from its stream of blocks: one
+    ``eigvalsh`` per block, each block dropped before the next is built."""
+    lowest = None
     for block in blocks:
-        vals = np.linalg.eigvalsh(block.h)
-        spectra += [vals] if block.partner == block.index else [vals, vals]
+        low = np.linalg.eigvalsh(block.h)[:, 0]
+        lowest = low if lowest is None else np.minimum(lowest, low)
         del block  # before the next one is built
-    return [
-        _ground_triple(np.sort(np.concatenate([v[at] for v in spectra])), cluster_tol)
-        for at in range(len(spectra[0]))
-    ]
+    return lowest.tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,8 +306,11 @@ class FiberSolve:
 
     ``eigenvalues`` are those of all blocks, sorted, so E, E1, ``mult`` and
     the counts below a threshold mean what they mean for the dense H(P);
-    ``h_norm`` is the largest |eigenvalue|.  Holds no eigenvector: the
-    blocks and the eigenvectors are dropped once the residuals are taken.
+    E1 and ``mult`` are clustered at the tolerance of the
+    :func:`solve_batch` that returned the record, and at
+    ``DEFAULT_CLUSTER_TOL`` in the cache.  ``h_norm`` is the largest
+    |eigenvalue|.  Holds no eigenvector: the blocks and the eigenvectors
+    are dropped once the residuals are taken.
     ``residuals`` has the worst eigenpair residual of the ``N_LOW_VECTORS``
     lowest eigenvectors of each block, the largest Hermiticity defect of a
     block and the relative theta-commutation residual, each block against
@@ -381,21 +361,32 @@ def solve_batch(
     """Build the blocks of H(P) once, diagonalize each once, keep a record,
     for each momentum of the (g, 3) stack P.
 
-    A record in ``cache`` under the key of (P, cluster_tol) is returned as
-    it is; a new one is stored there with its (E, E1, mult).  The misses are
-    solved together, one stacked ``eigh`` per block of the momenta that
-    share a stabilizer (:func:`block_stacks`); the residuals and the guards
-    stay per momentum.  The sandwich margins are taken when gamma < 1: from
+    A record in ``cache`` under the key of P is read, and a new one is
+    stored there; either is returned with the E1 and multiplicity of its
+    eigenvalues clustered at ``cluster_tol``.  The misses are solved
+    together, one stacked ``eigh`` per block of the momenta that share a
+    stabilizer (:func:`block_stacks`); the residuals and the guards stay
+    per momentum.  The sandwich margins are taken when gamma < 1: from
     the same blocks when P == |P| u, else from the record of |P| u.
     Raises ``EigensolverError``, naming the momentum, when an eigenpair
     residual exceeds ``RESIDUAL_TOL * ||H||``.
     """
     model = _as_model(params_or_model)
-    lookup = None if cache is None else (cache.get_solve, cache.put_solve)
-    return _batch(
-        P, model, cluster_tol, lookup, False,
-        lambda at_P, blocks: _records(at_P, model, blocks, cluster_tol),
+    lookup = None if cache is None else (cache.get_solve, cache.put)
+    records = _batch(
+        P, model, lookup, False,
+        lambda at_P, blocks: _records(at_P, model, blocks),
     )
+    return [_clustered(solve, cluster_tol) for solve in records]
+
+
+def _clustered(solve: FiberSolve, cluster_tol: float) -> FiberSolve:
+    """``solve`` with the E1 and multiplicity of its eigenvalues clustered
+    at ``cluster_tol``: the record itself when it holds those already."""
+    _, e1, mult = _ground_triple(solve.eigenvalues, cluster_tol)
+    if (e1, mult) == (solve.E1, solve.mult):
+        return solve
+    return replace(solve, E1=e1, mult=mult)
 
 
 def _pairs(blocks):
@@ -411,7 +402,7 @@ def _pairs(blocks):
         del block  # before the next one is built
 
 
-def _records(P, model, blocks, cluster_tol) -> list:
+def _records(P, model, blocks) -> list:
     """The :class:`FiberSolve` of each momentum of the (g, 3) P from its
     stream of blocks, one theta-pair at a time (:func:`_pair_values`).
     Each pair is dropped before the next is built; what it leaves are
@@ -438,11 +429,11 @@ def _records(P, model, blocks, cluster_tol) -> list:
     margins = [None] * len(P)
     rest = np.flatnonzero(~along) if sandwich else []
     P_u = [np.linalg.norm(P[at]) * bounds.U_DIRECTION for at in rest]
-    for at, solve in zip(rest, solve_batch(P_u, model, cluster_tol)):
+    for at, solve in zip(rest, solve_batch(P_u, model)):
         margins[at] = solve.sandwich
     values = [per_block[i] for i in range(len(per_block))]
     return [
-        _record(P, at, values, min(grounds[at]), margins[at], along, cluster_tol)
+        _record(P, at, values, min(grounds[at]), margins[at], along)
         for at in range(len(P))
     ]
 
@@ -494,7 +485,7 @@ def _pair_values(P, pair, along, diagonals) -> tuple:
     return per_block, lowest
 
 
-def _record(P, at, values, ground, margins, along, cluster_tol) -> FiberSolve:
+def _record(P, at, values, ground, margins, along) -> FiberSolve:
     """The :class:`FiberSolve` of momentum ``at`` of the (g, 3) P from the
     per-block ``values`` of :func:`_pair_values`, the (E, index, pairing)
     of its ground block and, for a momentum not along u, its sandwich
@@ -508,7 +499,7 @@ def _record(P, at, values, ground, margins, along, cluster_tol) -> FiberSolve:
             f"eigenpair residual {eig_res:.3e} exceeds {RESIDUAL_TOL:.1e} * ||H|| "
             f"at P = {tuple(float(x) for x in p)}"
         )
-    triple = _ground_triple(vals, cluster_tol)
+    triple = _ground_triple(vals, DEFAULT_CLUSTER_TOL)
     theta_res = math.hypot(*(b["theta"][at] for b in values)) / math.hypot(
         *(b["norm"][at] for b in values)
     )
@@ -542,23 +533,15 @@ def default_trial_set(model: FiberModel):
 
 
 def delta_gap(
-    P,
-    params_or_model,
-    trial_k_set=None,
-    cache: EnergyCache | None = None,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+    P, params_or_model, trial_k_set=None, cache: EnergyCache | None = None
 ) -> float:
     """min over trial k of E(P-k) + omega(k) - E(P): the Delta of
     :func:`delta_search` at one momentum."""
-    return delta_search([P], params_or_model, trial_k_set, cache, cluster_tol)[0][0]
+    return delta_search([P], params_or_model, trial_k_set, cache)[0][0]
 
 
 def delta_search(
-    P,
-    params_or_model,
-    trial_k_set=None,
-    cache: EnergyCache | None = None,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+    P, params_or_model, trial_k_set=None, cache: EnergyCache | None = None
 ) -> tuple:
     """(Delta, trials) at each momentum of the (g, 3) stack P: one
     :func:`ground_batch` of every P, then one of every trial momentum P - k
@@ -570,22 +553,22 @@ def delta_search(
     ``PRUNE_MARGIN``: first by the corollary bound, then by the operator
     certificate (:func:`delta_trials`).  Both need k = 0 in the trial set.
     Delta equals the minimum over all orbit trials bit for bit, and is
-    monotone under trial-set enlargement.
-    E does not depend on ``cluster_tol``; it selects the cache entries, so a
-    run that solves at its own tolerance reads the energies it already has.
+    monotone under trial-set enlargement.  The energies are read through
+    ``cache``, so a momentum that a run has already solved, by either path,
+    is not solved again.
     """
     model = _as_model(params_or_model)
     P = np.asarray(P, dtype=float).reshape(-1, 3)
-    e_p = [t[0] for t in ground_batch(P, model, cluster_tol, cache)]
+    e_p = ground_batch(P, model, cache)
     trials = delta_trials(P, model, e_p, trial_k_set)
     shifted = [p - k for p, t in zip(P, trials) for k in t.kept if k.any()]
-    energies = iter(ground_batch(shifted, model, cluster_tol, cache))
+    energies = iter(ground_batch(shifted, model, cache))
     m_ph = model.params.m_ph
     out = []
     for e, t in zip(e_p, trials):
         best = np.inf
         for k in t.kept:
-            e_shift = next(energies)[0] if k.any() else e
+            e_shift = next(energies) if k.any() else e
             best = min(best, e_shift + float(dispersion(k, m_ph)) - e)
         out.append(float(best))
     return out, trials
@@ -700,7 +683,7 @@ def convergence_study(P, params: ModelParams, ladder):
     for n_max, n_shells in ladder:
         rung = params.replace(N_max=n_max, n_shells=n_shells)
         model = _as_model(rung)
-        e0, _, _ = ground_data(P, model)
+        e0 = ground_data(P, model)
         rows.append(
             {
                 "N_max": n_max,

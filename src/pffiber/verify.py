@@ -26,6 +26,7 @@ from . import kramers as kra
 from .config import RunConfig
 from .fock import dgamma_diag, enumerate_basis
 from .hamiltonian import (
+    QuadratureNotConverged,
     build_D,
     build_H,
     build_H_SL,
@@ -77,7 +78,6 @@ class VerifyContext:
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.verify.seed)
         self.cache = cache if cache is not None else EnergyCache()
-        self.trials = {}
 
     def momenta(self):
         return self.cfg.momenta()
@@ -95,34 +95,12 @@ class VerifyContext:
         return solve_batch(self.momenta(), model, tol, self.cache)
 
     def energies(self, momenta, model) -> list:
-        """E at each momentum, one batch through the run's cache, keyed at
-        the configured tolerance."""
-        tol = self.cfg.tolerances.cluster_rel
-        return [t[0] for t in ground_batch(momenta, model, tol, self.cache)]
+        """E at each momentum, one batch through the run's cache."""
+        return ground_batch(momenta, model, self.cache)
 
     def deltas(self, momenta, model, trial_k_set=None) -> list:
-        """Delta at each momentum, one batch through the run's cache, keyed
-        at the configured tolerance.  At the default trial set, the
-        :func:`pffiber.spectral.delta_trials` of the batch are kept in
-        ``trials`` under (params, momenta)."""
-        tol = self.cfg.tolerances.cluster_rel
-        deltas, trials = delta_search(momenta, model, trial_k_set, self.cache, tol)
-        if trial_k_set is None:
-            self.trials[_trials_key(momenta, model)] = trials
-        return deltas
-
-    def sweep_trials(self, model) -> list:
-        """The trials that Delta kept and ruled out at the sweep momenta:
-        read back from :meth:`deltas`, which is run first if it has not
-        been."""
-        key = _trials_key(self.momenta(), model)
-        if key not in self.trials:
-            self.deltas(self.momenta(), model)
-        return self.trials[key]
-
-
-def _trials_key(momenta, model) -> tuple:
-    return model.params, np.asarray(momenta, dtype=float).tobytes()
+        """Delta at each momentum, one batch through the run's cache."""
+        return delta_search(momenta, model, trial_k_set, self.cache)[0]
 
 
 def _random_P(rng, p_max: float = 2.0):
@@ -220,14 +198,18 @@ def check_pauli_identity(ctx: VerifyContext) -> CheckResult:
 
 def check_sqrt_crossval(ctx: VerifyContext) -> CheckResult:
     tol = ctx.cfg.tolerances.sqrt_crossval
-    worst = 0.0
+    worst, stalled = 0.0, ""
     for _ in range(ctx.cfg.verify.n_sqrt_draws):
         e = ctx.rng.uniform(0.0, ctx.cfg.verify.e_max_random)
         P = _random_P(ctx.rng)
         model = build_model(ctx.params_at(e))
         m2 = model.params.M**2
         h = build_T(P, model) + m2 * np.eye(2 * model.dim)
-        quad = op_sqrt_quad(h, tol=tol, scale=m2)
+        try:
+            quad = op_sqrt_quad(h, tol=tol, scale=m2)
+        except QuadratureNotConverged as exc:  # a failure, not a crash
+            worst, stalled = math.inf, f"; {exc}"
+            continue
         # the quadrature checks the reference root and the root H is built from
         roots = (op_sqrt_eig(h), kinetic_root(sigma_dot_v(P, model), model.params.M))
         worst = max(worst, *(float(np.max(np.abs(quad - r))) for r in roots))
@@ -235,7 +217,7 @@ def check_sqrt_crossval(ctx: VerifyContext) -> CheckResult:
         "square-root cross-validation",
         worst <= tol,
         f"max |quadrature - spectral| on T(P)+M^2, spectral from T(P)+M^2 "
-        f"and from sigma.v: {worst:.3e} (tol {tol:.1e})",
+        f"and from sigma.v: {worst:.3e} (tol {tol:.1e}){stalled}",
     )
 
 
@@ -387,10 +369,10 @@ def check_delta_bounds(ctx: VerifyContext) -> CheckResult:
         model = build_model(params)
         consts = bnd.bound_constants(model)
         trial = default_trial_set(model)
-        deltas = ctx.deltas(ctx.momenta(), model)
-        n_certified += sum(len(t.certified) for t in ctx.sweep_trials(model))
+        deltas, trials = delta_search(ctx.momenta(), model, cache=ctx.cache)
+        n_certified += sum(len(t.certified) for t in trials)
         if consts.direction_free_holds():
-            margins = _solved_bound_margins(ctx, model, consts)
+            margins = _solved_bound_margins(ctx, model, consts, trials)
             low = min(margins, default=math.inf)
             worst_bound, n_bound = min(worst_bound, low), n_bound + len(margins)
             if low < -tol:
@@ -421,16 +403,15 @@ def check_delta_bounds(ctx: VerifyContext) -> CheckResult:
     )
 
 
-def _solved_bound_margins(ctx: VerifyContext, model, consts) -> list:
+def _solved_bound_margins(ctx: VerifyContext, model, consts, trials) -> list:
     """E(q) - (gamma sqrt(q^2 + M^2) - eC') at every momentum q that Delta
     solves at the sweep, each P and each kept P - k: the bound of the
-    closed-form tier of :func:`pffiber.spectral.delta_trials`.  The kept
-    trials are those of :meth:`VerifyContext.sweep_trials`, so no
-    certificate runs again, and the energies are read back from the run's
-    cache, which holds every one of them."""
+    closed-form tier of :func:`pffiber.spectral.delta_trials`.  ``trials``
+    are those of the :func:`pffiber.spectral.delta_search` of the sweep, so
+    no certificate runs again, and the energies are read back from the
+    run's cache, which holds every one of them."""
     momenta = ctx.momenta()
     e_p = ctx.energies(momenta, model)
-    trials = ctx.sweep_trials(model)
     shifted = [p - k for p, t in zip(momenta, trials) for k in t.kept if k.any()]
     solved = zip([*momenta, *shifted], e_p + ctx.energies(shifted, model))
     return [e - consts.direction_free_envelope(q) for q, e in solved]

@@ -118,8 +118,8 @@ def test_batched_solves_equal_the_single_ones(
 ):
     model = _model(default_params, n_dirs, kind, monkeypatch)
     P = _momenta(kind)
-    for p, triple, solve in zip(P, ground_batch(P, model), solve_batch(P, model)):
-        assert triple == ground_data(p, model)
+    for p, e, solve in zip(P, ground_batch(P, model), solve_batch(P, model)):
+        assert e == ground_data(p, model)
         _same_record(solve, solve_fiber(p, model))
     assert delta_gaps(P, model) == [delta_gap(p, model) for p in P]
 
@@ -139,8 +139,8 @@ def test_stacks_stay_under_stack_bytes(default_params, monkeypatch):
     assert sizes == [3] * 6 + [2]
     for p, blocks in zip(P, build_H_blocks(P, model)):
         _same_blocks(blocks, build_H_blocks(p, model))
-    for p, triple in zip(P, ground_batch(P, model)):
-        assert triple == ground_data(p, model)
+    for p, e in zip(P, ground_batch(P, model)):
+        assert e == ground_data(p, model)
 
 
 @pytest.mark.parametrize("N_max", [1, 2])
@@ -187,6 +187,11 @@ def _count(cache):
     return cache.hits, cache.misses
 
 
+def _energies(cache):
+    """What the cache holds: its E and whether a record holds it, by key."""
+    return {k: (getattr(v, "E", v), hasattr(v, "E")) for k, v in cache._data.items()}
+
+
 @pytest.mark.parametrize("batch, single", [
     (ground_batch, ground_data), (solve_batch, solve_fiber), (delta_gaps, delta_gap),
 ])
@@ -203,13 +208,13 @@ def test_the_cache_counts_one_lookup_per_momentum(default_params, batch, single)
     got = batch(P, model, cache=batched)
     want = [single(p, model, cache=looped) for p in P]
     assert _count(batched) == _count(looped)
-    assert batched._data == looped._data
-    assert batched.solves.keys() == looped.solves.keys()
+    assert _energies(batched) == _energies(looped)
     if batch is solve_batch:
         assert _count(batched) == (3, 3)
         assert got[0] is got[2] and got[3] is solve_fiber(P[3], model, cache=batched)
-        for solve in got:  # a record replaces the ground_data triple
+        for solve in got:  # a record, whose E answers the E lookups
             key = EnergyCache.key(model.params, solve.P)
-            assert batched.get(key) == (solve.E, solve.E1, solve.mult)
+            assert batched.get(key) == solve.E
+            assert batched.get_solve(key) is solve
     else:
         assert got == want

@@ -82,8 +82,7 @@ def test_blocked_record_matches_the_dense_oracle(default_params, n_dirs, n_max):
         assert check_theta_commutes(h) <= 1e-12, name
         assert max(solve.ground_pairing) <= 1e-12, name
         assert solve.residuals["eigenpair"] <= 1e-12 * norm, name
-        got = ground_data(P, model)
-        assert got[2] == mult and abs(got[0] - e0) <= tol and abs(got[1] - e1) <= tol
+        assert abs(ground_data(P, model) - e0) <= tol, name
 
 
 @pytest.mark.parametrize("n_dirs", DIRECTION_COUNTS)
@@ -150,7 +149,6 @@ def test_paired_ground_data_solves_one_block_per_pair(
     assert len(blocks) == n_blocks
     assert solved == math.ceil(n_blocks / 2)
     full = np.sort(np.concatenate([np.linalg.eigvalsh(b.h) for b in blocks]))
-    e0, e1, mult = _ground_triple(full, spectral.DEFAULT_CLUSTER_TOL)
     eig = _counting(monkeypatch, np.linalg, "eigvalsh")
     roots = _counting(monkeypatch, hamiltonian, "kinetic_root")
     got = ground_data(P, model)
@@ -158,8 +156,7 @@ def test_paired_ground_data_solves_one_block_per_pair(
     # the partners are not even assembled; a mirror takes one SVD for both
     mirror = np.linalg.det(block_generator(P, model)[0]) < 0
     assert len(roots) == (0 if mirror else solved)
-    tol = 1e-12 * max(abs(full[0]), abs(full[-1]))
-    assert got[2] == mult and abs(got[0] - e0) <= tol and abs(got[1] - e1) <= tol
+    assert abs(got - full[0]) <= 1e-12 * max(abs(full[0]), abs(full[-1]))
 
 
 @pytest.mark.parametrize("name", ["x", "mirror", "generic"])
@@ -174,10 +171,9 @@ def test_record_matches_the_scipy_oracle(default_params, name):
     tol = 1e-12 * norm
     e0, e1, mult = _ground_triple(dense, spectral.DEFAULT_CLUSTER_TOL)
     solve = solve_fiber(P, model)
-    got = ground_data(P, model)
-    assert solve.mult == got[2] == mult
+    assert solve.mult == mult
     assert abs(solve.E - e0) <= tol and abs(solve.E1 - e1) <= tol
-    assert abs(got[0] - e0) <= tol and abs(got[1] - e1) <= tol
+    assert abs(ground_data(P, model) - e0) <= tol
     assert abs(solve.h_norm - norm) <= tol
     sigma = bounds.bound_constants(model).sigma_minus(P)
     assert bounds.count_below(solve.eigenvalues, sigma) == bounds.count_below(
@@ -194,7 +190,7 @@ def test_no_momentum_builds_the_dense_H(default_model, monkeypatch):
     for P in MOMENTA.values():
         solve = solve_fiber(P, default_model)
         assert solve.sandwich is not None and solve.mult == 2
-        assert ground_data(P, default_model)[2] == 2
+        assert abs(ground_data(P, default_model) - solve.E) <= 1e-12 * solve.h_norm
 
 
 @pytest.mark.parametrize("n_dirs", DIRECTION_COUNTS)

@@ -112,7 +112,7 @@ def test_energy_inside_envelope(default_model):
     for px in (0.0, 1.0, 2.0):
         P = np.array([px, 0.0, 0.0])
         lower, upper = corollary_energy_bounds(P, default_model, consts)
-        e0, _, _ = ground_data(P, default_model)
+        e0 = ground_data(P, default_model)
         assert lower - 1e-9 <= e0 <= upper + 1e-9
 
 

@@ -107,7 +107,7 @@ def test_spectrum_rerun_with_cache_identical(tmp_path):
 
 # 0.21132565408032172 x is a Delta(P) trial wavevector of the grid, so the
 # trials P - k of the 2nd and 4th momenta include the 1st and 3rd momenta: a
-# trial E(1.5 x) reads either the eigvalsh triple of ground_data or the eigh
+# trial E(1.5 x) reads either the eigvalsh E of ground_data or the eigh
 # record of solve_fiber, whichever the run stored first
 TRIAL_IS_LISTED = {
     "params": {"N_max": 2},

@@ -50,7 +50,7 @@ def _brute_delta(P, model, cache) -> float:
     trial included, from one ground_batch of P and every P - k."""
     ks = orbit_representatives(default_trial_set(model), stabilizer(model.rotations, P))
     momenta = [P, *(P - k for k in ks)]
-    e_p, *rest = (t[0] for t in ground_batch(momenta, model, cache=cache))
+    e_p, *rest = ground_batch(momenta, model, cache=cache)
     m_ph = model.params.m_ph
     return float(min(e + float(dispersion(k, m_ph)) - e_p for e, k in zip(rest, ks)))
 
@@ -123,10 +123,10 @@ def test_certified_trials_lie_above_their_level(default_params, n_dirs, n_max, e
     cache = _CACHES[n_dirs, n_max, e]
     m_ph = model.params.m_ph
     for p, delta, t in zip(P, pruned, trials):
-        (e_p,) = (x[0] for x in ground_batch([p], model, cache=cache))
+        (e_p,) = ground_batch([p], model, cache=cache)
         ceiling = e_p + float(dispersion(np.zeros(3), m_ph)) - e_p + PRUNE_MARGIN
         for k in t.certified:
-            (e_q,) = (x[0] for x in ground_batch([p - k], model, cache=cache))
+            (e_q,) = ground_batch([p - k], model, cache=cache)
             omega = float(dispersion(k, m_ph))
             assert e_q > e_p + ceiling - omega
             assert e_q + omega - e_p > delta  # the minimizer is never ruled out
@@ -205,7 +205,7 @@ def _tiers(params_or_model, P, trial_k_set=None):
     """Per momentum: (trials kept, trials past the closed-form tier, orbit
     trials)."""
     model = _as_model(params_or_model)
-    energies = [t[0] for t in ground_batch(P, model)]
+    energies = ground_batch(P, model)
     trials = delta_trials(P, model, energies, trial_k_set)
     every = [
         orbit_representatives(
@@ -293,14 +293,13 @@ def test_check_8_reads_the_bound_from_the_cache(monkeypatch):
     model = build_model(ctx.params_at(0.1))
     consts = bounds.bound_constants(model)
     momenta = ctx.momenta()
-    ctx.deltas(momenta, model)
+    _, kept = delta_search(momenta, model, cache=ctx.cache)
     misses = ctx.cache.misses
     certified = []
     monkeypatch.setattr(hamiltonian, "certify_block", lambda *a: certified.append(a))
-    margins = verify._solved_bound_margins(ctx, model, consts)
+    margins = verify._solved_bound_margins(ctx, model, consts, kept)
     assert ctx.cache.misses == misses and not certified
     monkeypatch.undo()
-    kept = ctx.sweep_trials(model)
     assert len(margins) == len(momenta) + sum(len(t.kept) - 1 for t in kept)
     assert min(margins) > 0.1
     # 3 couplings x 11 sweep momenta, and 8 + 8 + 8 kept trial momenta: of

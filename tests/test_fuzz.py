@@ -13,6 +13,7 @@ modes, runs ``sweep`` and ``convergence`` at momenta that take the real,
 mirror and dense paths, checked against the dense spectrum.
 """
 
+import functools
 import json
 import math
 
@@ -20,12 +21,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pffiber import config
+from pffiber import config, hamiltonian, verify
 from pffiber.cli import main
 from pffiber.config import ConfigError, load_config
 from pffiber.fock import truncated_dim
 from pffiber.hamiltonian import _is_mirror, block_generator, build_H, build_model
-from pffiber.spectral import _ground_triple, ground_data
+from pffiber.spectral import _ground_triple, ground_data, solve_fiber
 
 SEED = 20261018
 N_CONFIGS = 12
@@ -191,11 +192,11 @@ def test_mirror_plane_momentum_matches_the_dense_oracle(n_dirs):
     assert _is_mirror(block_generator(P, model)[0])
     h = build_H(P, model)
     e0, e1, mult = _ground_triple(scipy.linalg.eigvalsh(h), 1e-8)
-    got = ground_data(P, model)
+    solve = solve_fiber(P, model)
     tol = 1e-12 * np.linalg.norm(h, 2)
-    assert got[2] == mult and mult % 2 == 0
-    assert abs(got[0] - e0) <= tol
-    assert (got[1] is None and e1 is None) or abs(got[1] - e1) <= tol
+    assert solve.mult == mult and mult % 2 == 0
+    assert abs(ground_data(P, model) - e0) <= tol and abs(solve.E - e0) <= tol
+    assert (solve.E1 is None and e1 is None) or abs(solve.E1 - e1) <= tol
 
 
 def _n3_config():
@@ -248,6 +249,7 @@ INVALID_CONFIGS = {
     "small_params basis too large": {"small_params": {"n_dirs": 12, "N_max": 9}},
     "ladder rung too large": {"convergence_ladder": [[0, 2], [9, 6]]},
     "momentum without 3 components": {"P_list": [[0.1, 0.2]]},
+    "M whose square underflows": {"params": {"M": 1e-300}},
 }
 
 
@@ -298,6 +300,29 @@ def test_verify_without_photons_completes(tmp_path, capsys):
     checks = {c["name"]: c for c in report["checks"]}
     assert checks["10c interaction norm trend"]["passed"]
     assert code == report["exit_code"] and "Traceback" not in capsys.readouterr().err
+
+
+# M^2 far below the spectrum, or a tolerance below the quadrature's rounding
+STALLING_CONFIGS = {
+    "M far below the spectrum": {"params": {"M": 1e-6}},
+    "sqrt_crossval below rounding": {"tolerances": {"sqrt_crossval": 1e-30}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(STALLING_CONFIGS))
+def test_a_stalled_quadrature_fails_check_3(tmp_path, capsys, monkeypatch, case):
+    """A square-root quadrature that cannot reach its tolerance fails check 3
+    and the run writes its report.  Both configs stall at any node budget;
+    a budget of 64 nodes stalls sooner than the default one."""
+    monkeypatch.setattr(
+        verify, "op_sqrt_quad", functools.partial(hamiltonian.op_sqrt_quad, max_nodes=64)
+    )
+    data = {**STALLING_CONFIGS[case], "verify": {**FAST_VERIFY, "n_sqrt_draws": 1}}
+    code, out = _run(tmp_path, "verify", data)
+    assert code == 1 and "Traceback" not in capsys.readouterr().err
+    report = json.loads((out / "verify_report.json").read_text())
+    (check_3,) = [c for c in report["checks"] if c["name"].startswith("3 ")]
+    assert not check_3["passed"] and "quadrature stalled" in check_3["detail"]
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)

@@ -110,27 +110,27 @@ def test_free_spectrum_all_even_multiplicities(default_params):
 def test_ground_data_free_oracle(default_params):
     p = default_params.replace(e=0.0)
     model = build_model(p)
-    e0, e1, mult = ground_data(np.zeros(3), model)
+    e0 = ground_data(np.zeros(3), model)
+    solve = solve_fiber(np.zeros(3), model)
     assert e0 == pytest.approx(p.gamma * p.M, abs=1e-12)
-    assert mult == 2
+    assert solve.mult == 2
     # cheapest one-photon level, enumerated independently
     expected_e1 = min(
         p.gamma * math.sqrt(k @ k + p.M**2) + om
         for k, om in zip(model.table.k, model.table.omega)
     )
-    assert e1 == pytest.approx(expected_e1, abs=1e-10)
+    assert solve.E1 == pytest.approx(expected_e1, abs=1e-10)
 
 
 def test_ground_multiplicity_exactly_two_with_coupling(default_model):
     for px in (0.0, 1.0, 2.0):
-        _, _, mult = ground_data(np.array([px, 0.0, 0.0]), default_model)
-        assert mult == 2
+        assert solve_fiber(np.array([px, 0.0, 0.0]), default_model).mult == 2
 
 
 def test_parity_of_ground_energy(default_model):
     P = np.array([1.2, 0.0, 0.0])
-    ep, _, _ = ground_data(P, default_model)
-    em, _, _ = ground_data(-P, default_model)
+    ep = ground_data(P, default_model)
+    em = ground_data(-P, default_model)
     assert abs(ep - em) <= 1e-10
 
 
@@ -179,15 +179,20 @@ def test_cache_roundtrip(tmp_path, default_model):
     assert reloaded.get(EnergyCache.key(default_model.params, P)) == value
 
 
-def test_cache_key_includes_cluster_tol(default_model):
+def test_a_cached_record_is_clustered_at_each_callers_tolerance(default_model):
+    """The cache key holds no clustering tolerance: a record solved at one
+    tolerance answers a caller at another, with the E1 and multiplicity of
+    its eigenvalues clustered at the caller's."""
     P = np.array([0.3, 0.0, 0.0])
     cache = EnergyCache()
-    tight = ground_data(P, default_model, cluster_tol=1e-8, cache=cache)
-    assert tight[2] == 2 and tight[1] is not None
-    loose = ground_data(P, default_model, cluster_tol=0.6, cache=cache)
-    fresh = ground_data(P, default_model, cluster_tol=0.6)
-    assert loose == fresh
-    assert loose[1] is None and loose[2] == 50
+    tight = solve_fiber(P, default_model, 1e-8, cache)
+    assert tight.mult == 2 and tight.E1 is not None
+    loose = solve_fiber(P, default_model, 0.6, cache)
+    assert cache.misses == 1 and cache.hits == 1
+    assert loose.mult == 50 and loose.E1 is None
+    fresh = solve_fiber(P, default_model, 0.6)
+    assert (loose.E, loose.E1, loose.mult) == (fresh.E, fresh.E1, fresh.mult)
+    assert solve_fiber(P, default_model, 1e-8, cache) is tight
 
 
 def test_cache_save_is_atomic(tmp_path, default_model):
@@ -205,9 +210,9 @@ def test_cache_file_does_not_depend_on_insertion_order(tmp_path, default_model):
     trials it solves first; the saved file must not show it."""
     params = default_model.params
     items = [
-        (EnergyCache.key(params, [x, -0.5 * x, 0.0], tol), (1.0 + x, 2.0 + x, 2))
+        (EnergyCache.key(params, [x, -0.5 * x, y]), 1.0 + x + y)
         for x in (0.3, -0.1, 1.2, 0.0, 0.7)
-        for tol in (1e-8, 1e-6)
+        for y in (0.0, 0.25)
     ]
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path, order in zip(paths, (items, items[::-1])):
@@ -262,12 +267,11 @@ def test_fiber_solve_matches_separate_computations(default_params, default_model
     cache = EnergyCache()
     solve = solve_fiber(P, default_model, cache=cache)
     h = build_H(P, default_model)
-    e0, e1, mult = ground_data(P, default_model)
-    assert abs(solve.E - e0) <= 1e-12 and abs(solve.E1 - e1) <= 1e-12
-    assert solve.mult == mult
-    assert cache.get(EnergyCache.key(default_model.params, P)) == (
-        solve.E, solve.E1, solve.mult
-    )
+    assert abs(solve.E - ground_data(P, default_model)) <= 1e-12
+    dense = np.linalg.eigvalsh(h)
+    mult = cluster_degeneracy(dense)[0][1]
+    assert solve.mult == mult and abs(solve.E1 - dense[mult]) <= 1e-12
+    assert cache.get(EnergyCache.key(default_model.params, P)) == solve.E
     sigma = consts.sigma_minus(P)
     assert count_below(solve.eigenvalues, sigma) == count_below(h, sigma)
     # the sandwich of H(|P|u), whatever the stabilizer of P itself
@@ -305,10 +309,9 @@ def test_solve_fiber_record_is_stored(default_model):
     solve = solve_fiber(P, default_model, cache=cache)
     assert solve_fiber(P, default_model, cache=cache) is solve
     assert solve_fiber(P.copy(), default_model, 1e-8, cache) is solve
-    loose = solve_fiber(P, default_model, 1e-6, cache)
-    assert loose is not solve
-    assert solve_fiber(P, default_model, 1e-6, cache) is loose
-    assert_allclose(loose.eigenvalues, solve.eigenvalues, rtol=0, atol=0)
+    loose = solve_fiber(P, default_model, 0.6, cache)
+    assert loose is not solve and cache.misses == 1
+    assert loose.eigenvalues is solve.eigenvalues
 
 
 def test_cache_counts_lookups_not_stores(default_model):
@@ -316,9 +319,7 @@ def test_cache_counts_lookups_not_stores(default_model):
     cache = EnergyCache()
     solve = solve_fiber(P, default_model, cache=cache)
     assert (cache.hits, cache.misses) == (0, 1)
-    assert ground_data(P, default_model, cache=cache) == (
-        solve.E, solve.E1, solve.mult
-    )
+    assert ground_data(P, default_model, cache=cache) == solve.E
     assert solve_fiber(P, default_model, cache=cache) is solve
     assert cache.misses == 1 and cache.hits == 2
 

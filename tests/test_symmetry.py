@@ -34,6 +34,7 @@ from pffiber.spectral import (
     default_trial_set,
     delta_gap,
     ground_data,
+    solve_fiber,
     stabilizer,
 )
 
@@ -81,9 +82,9 @@ def test_ground_energy_invariant_under_the_group(default_model):
     rng = np.random.default_rng(2026)
     for _ in range(3):
         P = rng.uniform(-1.0, 1.0, size=3)
-        e_p = ground_data(P, default_model)[0]
+        e_p = ground_data(P, default_model)
         for r in default_model.rotations:
-            assert abs(ground_data(r @ P, default_model)[0] - e_p) <= 1e-12
+            assert abs(ground_data(r @ P, default_model) - e_p) <= 1e-12
 
 
 def test_stabilizers(default_model):
@@ -101,9 +102,9 @@ def test_ground_energy_invariant_under_improper_elements(default_params, n_dirs)
     improper = [g for g in model.rotations if np.linalg.det(g) < 0]
     assert len(improper) == len(model.rotations) // 2
     P = np.random.default_rng(7).uniform(-1.0, 1.0, size=3)
-    e_p = ground_data(P, model)[0]
+    e_p = ground_data(P, model)
     for m in improper:
-        assert abs(ground_data(m @ P, model)[0] - e_p) <= 1e-12
+        assert abs(ground_data(m @ P, model) - e_p) <= 1e-12
 
 
 def test_orbit_representatives_along_x(default_model):
@@ -146,9 +147,9 @@ def test_orbit_representatives_equal_the_per_element_loop(default_params, n_dirs
 
 
 def _delta_all_trials(P, model):
-    e_p = ground_data(P, model)[0]
+    e_p = ground_data(P, model)
     return min(
-        ground_data(P - k, model)[0] + float(dispersion(k, model.params.m_ph)) - e_p
+        ground_data(P - k, model) + float(dispersion(k, model.params.m_ph)) - e_p
         for k in default_trial_set(model)
     )
 
@@ -241,18 +242,22 @@ def test_generic_momentum_is_one_dense_block(default_params):
         assert len(blocks) == 1
         assert np.array_equal(blocks[0].h, build_H(P_GENERIC, model))
         dense = _ground_triple(scipy.linalg.eigvalsh(build_H(P_GENERIC, model)), 1e-8)
-        assert ground_data(P_GENERIC, model) == dense
+        solve = solve_fiber(P_GENERIC, model)
+        assert ground_data(P_GENERIC, model) == dense[0]
+        assert solve.mult == dense[2]
+        assert np.allclose((solve.E, solve.E1), dense[:2], rtol=0, atol=1e-12)
 
 
 def test_mid_model_ground_level_along_x(default_params):
     model = build_model(default_params.replace(N_max=2))
     h = build_H(P_ALONG_X, model)
     e0, e1, mult = _ground_triple(scipy.linalg.eigvalsh(h), 1e-8)
-    got = ground_data(P_ALONG_X, model)
+    solve = solve_fiber(P_ALONG_X, model)
     assert len(build_H_blocks(P_ALONG_X, model)) == 4
-    assert got[2] == mult == 2
+    assert solve.mult == mult == 2
     scale = 1e-12 * np.linalg.norm(h, 2)
-    assert abs(got[0] - e0) <= scale and abs(got[1] - e1) <= scale
+    assert abs(ground_data(P_ALONG_X, model) - e0) <= scale
+    assert abs(solve.E - e0) <= scale and abs(solve.E1 - e1) <= scale
 
 
 def test_rotation_without_mode_action_gives_one_block(default_params):
@@ -349,10 +354,11 @@ def test_mid_model_mirror_trial(default_params):
     e0, e1, mult = _ground_triple(scipy.linalg.eigvalsh(h), 1e-8)
     blocks = build_H_blocks(P_MIRROR_Z, model)
     assert [b.h.shape[0] for b in blocks] == [325, 325]
-    got = ground_data(P_MIRROR_Z, model)
-    assert got[2] == mult == 2
+    solve = solve_fiber(P_MIRROR_Z, model)
+    assert solve.mult == mult == 2
     scale = 1e-12 * np.linalg.norm(h, 2)
-    assert abs(got[0] - e0) <= scale and abs(got[1] - e1) <= scale
+    assert abs(ground_data(P_MIRROR_Z, model) - e0) <= scale
+    assert abs(solve.E - e0) <= scale and abs(solve.E1 - e1) <= scale
 
 
 # ----------------------------------------------------------------------
