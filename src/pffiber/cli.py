@@ -9,7 +9,7 @@ convergence  E(P) along the truncation refinement ladder
 verify       full check suite; exit code 0 iff all hard checks pass
 print-config dump the effective configuration (defaults merged with --config)
 
-Common flags: --config PATH, --out DIR, --threads N, --seed N, --cache PATH.
+Common flags: --config PATH, --out DIR, --threads N, --seed N.
 Exit codes: 0 pass, 1 assertion failure, 2 usage, config or path error.
 
 Outputs render floats with 17 significant digits so files round-trip
@@ -274,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", metavar="DIR", default=None)
         sp.add_argument("--threads", metavar="N", type=_count, default=None)
         sp.add_argument("--seed", metavar="N", type=_count, default=None)
-        sp.add_argument("--cache", metavar="PATH", default=None)
     return ap
 
 
@@ -295,38 +294,26 @@ def main(argv=None) -> int:
     if args.seed is not None:
         cfg = replace(cfg, verify=replace(cfg.verify, seed=args.seed))
     out_dir = args.out or cfg.out_dir
-    cache_path = args.cache or cfg.cache_path
     if args.command == "print-config":
         print(dump_config(cfg))
         return 0
-    try:  # a path that cannot be written stops the run before any solve
+    try:  # an output folder that cannot be made stops the run before any solve
         os.makedirs(out_dir, exist_ok=True)
-        if cache_path and not os.path.isdir(os.path.dirname(cache_path) or "."):
-            raise NotADirectoryError(f"no directory to hold cache {cache_path}")
     except OSError as exc:
         print(f"path error: {exc}", file=sys.stderr)
         return 2
-    cache = EnergyCache(path=cache_path)
-    try:
-        if args.command == "spectrum":
-            code = run_spectrum(cfg, out_dir, cache)
-        elif args.command == "sweep":
-            code = run_sweep(cfg, out_dir, cache)
-        elif args.command == "bounds":
-            code = run_bounds(cfg, out_dir, cache)
-        elif args.command == "convergence":
-            code = run_convergence(cfg, out_dir)
-        elif args.command == "verify":
-            code = run_verify_cmd(cfg, out_dir, cache)
-        else:  # pragma: no cover - argparse guards
-            return 2
-    finally:
-        try:
-            cache.save()
-        except OSError as exc:
-            print(f"path error: cannot write cache: {exc}", file=sys.stderr)
-            code = 2
-    return code
+    cache = EnergyCache()  # one run's energies and records, never saved
+    if args.command == "spectrum":
+        return run_spectrum(cfg, out_dir, cache)
+    if args.command == "sweep":
+        return run_sweep(cfg, out_dir, cache)
+    if args.command == "bounds":
+        return run_bounds(cfg, out_dir, cache)
+    if args.command == "convergence":
+        return run_convergence(cfg, out_dir)
+    if args.command == "verify":
+        return run_verify_cmd(cfg, out_dir, cache)
+    return 2  # pragma: no cover - argparse guards
 
 
 if __name__ == "__main__":

@@ -92,7 +92,6 @@ class RunConfig:
     tolerances: Tolerances = field(default_factory=Tolerances)
     verify: VerifySettings = field(default_factory=VerifySettings)
     convergence_ladder: tuple = ((0, 2), (1, 2), (2, 2))
-    cache_path: str | None = None
     out_dir: str = "out"
     threads: int = 0  # accepted and validated; no longer selects anything
 
@@ -238,10 +237,8 @@ def config_from_dict(data: dict) -> RunConfig:
             f"P_list holds {len(merged['P_list'])} momenta, more than the "
             f"limit {MAX_MOMENTA}"
         )
-    if not isinstance(merged["out_dir"], str) or not isinstance(
-        merged["cache_path"], (str, type(None))
-    ):
-        raise ConfigError("out_dir must be a path, cache_path a path or null")
+    if not isinstance(merged["out_dir"], str):
+        raise ConfigError("out_dir must be a path")
     _check_model(params, "params")
     _check_model(small, "small_params")
     for spec, rung in rungs:
@@ -262,7 +259,6 @@ def config_from_dict(data: dict) -> RunConfig:
         ),
         verify=_verify_settings(merged["verify"]),
         convergence_ladder=tuple(spec for spec, _ in rungs),
-        cache_path=merged["cache_path"],
         out_dir=merged["out_dir"],
         threads=_integer(merged["threads"], "threads", 0),
     )

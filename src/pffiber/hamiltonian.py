@@ -359,14 +359,23 @@ def _dagger(u: np.ndarray) -> np.ndarray:
     return u.conj().swapaxes(-1, -2)
 
 
-def _sqrt_quad_nodes(h: np.ndarray, scale: float, n: int) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _legendre_nodes(n: int) -> tuple:
+    """The n-point Gauss-Legendre rule mapped onto theta in (0, pi/2), as
+    (tan^2 theta, w / cos^2 theta) pairs: an immutable tuple, since
+    ``leggauss`` takes the eigenvalues of a dense n x n matrix."""
     x, wts = np.polynomial.legendre.leggauss(n)
     theta = 0.25 * math.pi * (x + 1.0)
+    return tuple(
+        (math.tan(th) ** 2, wt / math.cos(th) ** 2) for th, wt in zip(theta, wts)
+    )
+
+
+def _sqrt_quad_nodes(h: np.ndarray, scale: float, n: int) -> np.ndarray:
     out = np.zeros_like(h)
     eye = np.eye(h.shape[0])
-    for th, wt in zip(theta, wts):
-        t = scale * math.tan(th) ** 2
-        out += wt / math.cos(th) ** 2 * np.linalg.solve(t * eye + h, h)
+    for tan2, wt in _legendre_nodes(n):
+        out += wt * np.linalg.solve(scale * tan2 * eye + h, h)
     return (2.0 * math.sqrt(scale) / math.pi) * (0.25 * math.pi) * out
 
 
@@ -380,14 +389,15 @@ def op_sqrt_quad(
 
     ``scale`` sets the substitution t = scale * s/(1-s); it should sit inside
     the spectrum (the strictly positive floor M^2 in all uses here).  Node
-    counts double until successive estimates differ by less than ``tol``.
+    counts double until successive estimates differ by less than ``tol``;
+    no count above ``max_nodes`` is evaluated.
     """
     require_hermitian(h, what="op_sqrt_quad input")
     if scale is None:
         scale = max(float(np.trace(h).real) / h.shape[0], 1e-30)
-    n = 16
+    n, err = min(16, max_nodes), math.inf
     prev = _sqrt_quad_nodes(h, scale, n)
-    while n <= max_nodes:
+    while 2 * n <= max_nodes:
         n *= 2
         cur = _sqrt_quad_nodes(h, scale, n)
         err = float(np.max(np.abs(cur - prev)))

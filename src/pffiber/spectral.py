@@ -25,9 +25,10 @@ reads (the CLI reports, the gap-bound report, the Kramers certificate, the
 verify checks).  It runs ``eigh`` on every block, so the theta-pairs are
 compared rather than assumed, and keeps a small :class:`FiberSolve` record
 -- eigenvalues, residuals, sandwich margins -- then drops the blocks and the
-eigenvectors.  The record is kept in the :class:`EnergyCache` under the key
-of (parameters, P), so one run solves each key once, and each caller reads
-E1 and the multiplicity at its own clustering tolerance.
+eigenvectors.  The record is kept in the run's :class:`EnergyCache`, held
+in memory for that run only, under the key of (parameters, P), so one run
+solves each key once, and each caller reads E1 and the multiplicity at its
+own clustering tolerance.
 :func:`ground_data` is the eigenvalues-only path (``eigvalsh``) used for the
 trial momenta of Delta(P), the convergence ladder and the verify checks that
 need E(P) only: it returns E alone, the smallest lowest eigenvalue of one
@@ -60,9 +61,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import sys
-import tempfile
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
@@ -79,7 +77,6 @@ RESIDUAL_TOL = 1e-9
 # a Delta trial is skipped only when its lower bound exceeds the k = 0 value
 # by more than this, far above the rounding of either
 PRUNE_MARGIN = 1e-9
-CACHE_FORMAT = 9
 
 
 class EigensolverError(RuntimeError):
@@ -132,7 +129,8 @@ def _quantize_P(P) -> tuple:
 
 
 class EnergyCache:
-    """Map (params fingerprint, quantized P) -> E(P) or the record of H(P).
+    """Map (params fingerprint, quantized P) -> E(P) or the record of H(P),
+    for the length of one run.
 
     An entry is the float E of :func:`ground_batch` (``eigvalsh``) or the
     :class:`FiberSolve` record of :func:`solve_batch` (``eigh``); the two
@@ -142,36 +140,15 @@ class EnergyCache:
     that every consumer of that momentum reads the E of its report.  The
     key holds no clustering tolerance: :func:`solve_batch` takes E1 and the
     multiplicity from a record's eigenvalues at its caller's tolerance.
-    The energies are optionally persisted to a JSON file tagged with
-    ``CACHE_FORMAT``; floats round-trip losslessly (repr serialization), so
-    a cache hit equals recomputation bit for bit at a fixed build.  The
-    file is replaced atomically on save; a corrupt file or one of another
-    format is reported on stderr and ignored.
+    The cache lives in memory only: every value in it was computed by the
+    run that reads it, under that run's BLAS settings, so a hit equals
+    recomputation bit for bit.
     """
 
-    def __init__(self, path=None):
-        self._data = {} if path is None else self._load(path)
-        self.path = path
+    def __init__(self):
+        self._data = {}
         self.hits = 0
         self.misses = 0
-
-    @staticmethod
-    def _load(path) -> dict:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-            if raw.get("format") != CACHE_FORMAT:
-                raise ValueError(
-                    f"format {raw.get('format')!r}, expected {CACHE_FORMAT}"
-                )
-            return {
-                tuple(json.loads(k)): float(v) for k, v in raw["entries"].items()
-            }
-        except FileNotFoundError:
-            return {}
-        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-            print(f"warning: ignoring cache {path}: {exc}", file=sys.stderr)
-            return {}
 
     @staticmethod
     def key(params: ModelParams, P) -> tuple:
@@ -195,31 +172,6 @@ class EnergyCache:
     def get_solve(self, key):
         return self._lookup(key, True)
 
-    def save(self):
-        """Write the energies atomically: a temp file beside it, then a
-        rename.
-
-        Entries are written in sorted key order, so the file does not depend
-        on the order in which they were filled."""
-        if self.path is None:
-            return
-        entries = sorted(self._data.items())  # the keys are distinct
-        raw = {
-            "format": CACHE_FORMAT,
-            "entries": {json.dumps(list(k)): getattr(v, "E", v) for k, v in entries},
-        }
-        folder = os.path.dirname(os.path.abspath(self.path))
-        fd, tmp = tempfile.mkstemp(
-            dir=folder, prefix=os.path.basename(self.path) + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(raw, fh)
-            os.replace(tmp, self.path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-
 
 def _ground_triple(vals, cluster_tol: float) -> tuple:
     """(E, E1, ground multiplicity) from ascending eigenvalues."""
@@ -231,21 +183,22 @@ def _ground_triple(vals, cluster_tol: float) -> tuple:
 def _batch(P, model, lookup, one_per_pair, solve_stack) -> list:
     """The value at each momentum of the (g, 3) stack P, under its cache key.
 
-    ``lookup`` is None or the (get, put) of the cache.  Each momentum is
-    looked up once, as one call per momentum would: the first lookup of a
-    key may miss, and the later ones find what the first stored.  The
-    distinct misses are built in the stacks of :func:`block_stacks` and
-    ``solve_stack(P, blocks)`` gives the values of each stack.
+    ``lookup`` is the (get, put) of the cache, or of :func:`_own_lookup`.
+    Each momentum is looked up once, as one call per momentum would: the
+    first lookup of a key may miss, and the later ones find what the first
+    stored.  The distinct misses are built in the stacks of
+    :func:`block_stacks` and ``solve_stack(P, blocks)`` gives the values of
+    each stack.
     """
     P = np.asarray(P, dtype=float).reshape(-1, 3)
     keys = [EnergyCache.key(model.params, p) for p in P]
-    get, put = lookup or (None, None)
+    get, put = lookup
     first = {}
     for i, key in enumerate(keys):
         first.setdefault(key, i)
     found, missing = {}, []
     for key, i in first.items():
-        hit = None if get is None else get(key)
+        hit = get(key)
         if hit is None:
             missing.append(i)
         else:
@@ -256,13 +209,18 @@ def _batch(P, model, lookup, one_per_pair, solve_stack) -> list:
         del blocks  # freed before the next stack is built, not after
         for at, value in zip(index, values):
             found[keys[missing[at]]] = value
-            if put is not None:
-                put(keys[missing[at]], value)
-    if get is not None:
-        for i, key in enumerate(keys):
-            if i != first[key]:
-                get(key)
+            put(keys[missing[at]], value)
+    for i, key in enumerate(keys):
+        if i != first[key]:
+            get(key)
     return [found[key] for key in keys]
+
+
+def _own_lookup() -> tuple:
+    """The (get, put) of a dict for a caller without a cache: its batch
+    still solves each key once, and counts no lookup."""
+    kept = {}
+    return kept.get, kept.__setitem__
 
 
 def ground_data(P, params_or_model, cache: EnergyCache | None = None) -> float:
@@ -284,7 +242,7 @@ def ground_batch(P, params_or_model, cache: EnergyCache | None = None) -> list:
     on each matrix.
     """
     model = _as_model(params_or_model)
-    lookup = None if cache is None else (cache.get, cache.put)
+    lookup = _own_lookup() if cache is None else (cache.get, cache.put)
     return _batch(P, model, lookup, True, lambda _, blocks: _ground_energies(blocks))
 
 
@@ -367,17 +325,37 @@ def solve_batch(
     together, one stacked ``eigh`` per block of the momenta that share a
     stabilizer (:func:`block_stacks`); the residuals and the guards stay
     per momentum.  The sandwich margins are taken when gamma < 1: from
-    the same blocks when P == |P| u, else from the record of |P| u.
+    the same blocks when P == |P| u, else from the record of |P| u, which
+    is looked up, or solved, before the batch and through the same cache,
+    so a |P| u in the batch is solved once.
     Raises ``EigensolverError``, naming the momentum, when an eigenpair
     residual exceeds ``RESIDUAL_TOL * ||H||``.
     """
+    from . import bounds  # it imports this module
+
     model = _as_model(params_or_model)
-    lookup = None if cache is None else (cache.get_solve, cache.put)
-    records = _batch(
-        P, model, lookup, False,
-        lambda at_P, blocks: _records(at_P, model, blocks),
-    )
+    P = np.asarray(P, dtype=float).reshape(-1, 3)
+    lookup = _own_lookup() if cache is None else (cache.get_solve, cache.put)
+    margins = {}
+
+    def solve_stack(at_P, blocks):
+        return _records(at_P, model, blocks, margins)
+
+    off = [p for p in P if not _along_u(p)] if model.params.gamma < 1.0 else []
+    if off:
+        P_u = [np.linalg.norm(p) * bounds.U_DIRECTION for p in off]
+        for p, solve in zip(off, _batch(P_u, model, lookup, False, solve_stack)):
+            margins[_quantize_P(p)] = solve.sandwich
+    records = _batch(P, model, lookup, False, solve_stack)
     return [_clustered(solve, cluster_tol) for solve in records]
+
+
+def _along_u(p) -> bool:
+    """Whether P == |P| u exactly, so that H(P) is the H(|P| u) of the
+    sandwich statements."""
+    from . import bounds  # it imports this module
+
+    return np.array_equal(p, np.linalg.norm(p) * bounds.U_DIRECTION)
 
 
 def _clustered(solve: FiberSolve, cluster_tol: float) -> FiberSolve:
@@ -402,22 +380,19 @@ def _pairs(blocks):
         del block  # before the next one is built
 
 
-def _records(P, model, blocks) -> list:
+def _records(P, model, blocks, margins) -> list:
     """The :class:`FiberSolve` of each momentum of the (g, 3) P from its
     stream of blocks, one theta-pair at a time (:func:`_pair_values`).
     Each pair is dropped before the next is built; what it leaves are
     per-block values, reduced per momentum by :func:`_record`.  A momentum
-    not along u takes the sandwich margins of the :func:`solve_batch`
-    record of |P|u, solved without a cache: L_-(P) and L_+(P) depend on
-    |P| only."""
+    not along u takes the sandwich margins of the record of |P|u from
+    ``margins``, under its quantized P, where :func:`solve_batch` put
+    them: L_-(P) and L_+(P) depend on |P| only."""
     from . import bounds  # it imports this module
 
-    along = np.array(
-        [np.array_equal(p, np.linalg.norm(p) * bounds.U_DIRECTION) for p in P]
-    )
-    sandwich = model.params.gamma < 1.0
+    along = np.array([_along_u(p) for p in P])
     diagonals = None
-    if sandwich and along.any():
+    if model.params.gamma < 1.0 and along.any():
         diagonals = bounds.comparison_diagonals(P[along], model)
     per_block, grounds = {}, [[] for _ in P]
     for pair in _pairs(blocks):
@@ -426,15 +401,10 @@ def _records(P, model, blocks) -> list:
         per_block.update(values)
         for found, candidate in zip(grounds, lowest):
             found.append(candidate)
-    margins = [None] * len(P)
-    rest = np.flatnonzero(~along) if sandwich else []
-    P_u = [np.linalg.norm(P[at]) * bounds.U_DIRECTION for at in rest]
-    for at, solve in zip(rest, solve_batch(P_u, model)):
-        margins[at] = solve.sandwich
     values = [per_block[i] for i in range(len(per_block))]
     return [
-        _record(P, at, values, min(grounds[at]), margins[at], along)
-        for at in range(len(P))
+        _record(P, at, values, min(grounds[at]), margins.get(_quantize_P(p)), along)
+        for at, p in enumerate(P)
     ]
 
 

@@ -94,15 +94,17 @@ def test_spectrum_free_ladder_closed_form(tmp_path):
 
 
 def test_spectrum_rerun_with_cache_identical(tmp_path):
+    """Each run fills its own energy cache from empty, and a rerun repeats
+    every file byte for byte."""
     cfg = write_cfg(tmp_path)
-    cache = tmp_path / "cache.json"
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    assert main(["spectrum", "--config", cfg, "--out", str(out1),
-                 "--cache", str(cache)]) == 0
-    assert cache.exists()
-    assert main(["spectrum", "--config", cfg, "--out", str(out2),
-                 "--cache", str(cache)]) == 0
-    assert (out1 / "spectrum.csv").read_text() == (out2 / "spectrum.csv").read_text()
+    for out in (out1, out2):
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    assert [(out1 / n).read_bytes() for n in names] == [
+        (out2 / n).read_bytes() for n in names
+    ]
 
 
 # 0.21132565408032172 x is a Delta(P) trial wavevector of the grid, so the
@@ -123,11 +125,10 @@ def test_sweep_outputs_do_not_depend_on_threads(tmp_path):
     cfg.write_text(json.dumps(TRIAL_IS_LISTED))
     files = []
     for i, flags in enumerate((["--threads", "1"], ["--threads", "2"], [])):
-        out, cache = tmp_path / f"o{i}", tmp_path / f"c{i}.json"
-        assert main(["sweep", "--config", str(cfg), "--out", str(out),
-                     "--cache", str(cache), *flags]) == 0
+        out = tmp_path / f"o{i}"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), *flags]) == 0
         names = ("sweep.csv", "sweep_summary.json")
-        files.append([(out / n).read_bytes() for n in names] + [cache.read_bytes()])
+        files.append([(out / n).read_bytes() for n in names])
     assert files[0] == files[1] == files[2]
 
 
@@ -250,8 +251,8 @@ def test_verify_failed_check_exits_1(tmp_path):
         {"params": {"N_max": 1.5}},
         {"convergence_ladder": [[1.5, 2]]},
         {"P_list": 5},
-        {"cache_path": 5},
         # removed settings
+        {"cache_path": "c.json"},
         {"tasks": ["spectrum"]},
         {"tolerances": {"pairing": 1e-8}},
     ],
@@ -484,17 +485,6 @@ def test_sweep_computes_delta_once_per_momentum(tmp_path, monkeypatch):
     assert calls == [(0.0, 0.0, 0.0), (2.0, 0.0, 0.0)]
 
 
-def test_corrupt_cache_warns_and_run_completes(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {"n_P": 2})
-    cache = tmp_path / "cache.json"
-    cache.write_text("{truncated")
-    out = tmp_path / "out"
-    assert main(["spectrum", "--config", cfg, "--out", str(out),
-                 "--cache", str(cache)]) == 0
-    assert "warning: ignoring cache" in capsys.readouterr().err
-    assert json.loads(cache.read_text())["entries"]
-
-
 # Runs a sweep whose momenta are generic (one block with W = 1, eigh), on a C4
 # axis and in a mirror plane (the SVD of the mirror blocks); the Delta(P)
 # trials take eigvalsh.  Prints the kernel call counts and the scipy and
@@ -542,45 +532,47 @@ def test_the_program_loads_numpy_linalg_only(tmp_path):
     assert result["concurrent"] == []
 
 
-@pytest.mark.parametrize(
-    "case", ["out is a file", "cache folder missing", "cache folder is a file"]
-)
+@pytest.mark.parametrize("case", ["out is a file"])
 def test_unusable_output_path_exits_2_before_any_solve(
     tmp_path, capsys, monkeypatch, case
 ):
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    out, cache = tmp_path / "out", None
-    if case == "out is a file":
-        out = blocker
-    elif case == "cache folder missing":
-        cache = tmp_path / "missing" / "c.json"
-    else:
-        cache = blocker / "c.json"
+    out = tmp_path / "file"
+    out.write_text("")
 
     def refuse(*args, **kwargs):
         raise AssertionError("an unusable path must stop the run before a solve")
 
     monkeypatch.setattr(cli, "run_bounds", refuse)
     argv = ["bounds", "--config", write_cfg(tmp_path), "--out", str(out)]
-    assert main(argv + (["--cache", str(cache)] if cache else [])) == 2
+    assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("path error:")
 
 
-def test_a_cache_that_cannot_be_saved_exits_2(tmp_path, capsys):
-    """A directory in place of the cache file: the run writes its outputs,
-    then the save fails and the exit code is 2."""
-    cache = tmp_path / "cache"
-    cache.mkdir()
+def test_the_cache_flag_is_a_usage_error(tmp_path, capsys):
+    """The energy cache lives for one run; there is no file to name."""
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--cache", str(tmp_path / "c.json"),
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --cache" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_run_writes_only_under_out(tmp_path, monkeypatch):
+    """Every subcommand, run from tmp_path, leaves no file outside its
+    output folder."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, {
+        "n_P": 2, "verify": {"n_random_draws": 1, "n_sqrt_draws": 1},
+    })
+    before = set(tmp_path.rglob("*"))
+    for command in ("spectrum", "sweep", "bounds", "convergence", "verify"):
+        assert main([command, "--config", cfg, "--out", "out"]) == 0
     out = tmp_path / "out"
-    cfg = write_cfg(tmp_path, {"n_P": 2})
-    argv = ["bounds", "--config", cfg, "--out", str(out), "--cache", str(cache)]
-    assert main(argv) == 2
-    assert len((out / "bounds.csv").read_text().splitlines()) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert err[-1].startswith("path error: cannot write cache")
-    assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
+    made = set(tmp_path.rglob("*")) - before
+    assert out in made and all(p == out or out in p.parents for p in made)
 
 
 # the three paths of H(P) at N_max 3 on 8 modes (Fock dim 165): real

@@ -246,6 +246,22 @@ def test_sqrt_quad_reports_stall():
         op_sqrt_quad(h, tol=1e-12, scale=1.0, max_nodes=32)
 
 
+def test_sqrt_quad_evaluates_no_count_above_max_nodes(monkeypatch):
+    """A stalled quadrature stops at its budget: the node counts double up
+    to ``max_nodes`` and no further before it raises."""
+    counts = []
+    real = hamiltonian._sqrt_quad_nodes
+
+    def counted(h, scale, n):
+        counts.append(n)
+        return real(h, scale, n)
+
+    monkeypatch.setattr(hamiltonian, "_sqrt_quad_nodes", counted)
+    with pytest.raises(QuadratureNotConverged, match="with 64 nodes"):
+        op_sqrt_quad(np.diag([1e-12, 1.0]), tol=1e-12, scale=1.0, max_nodes=64)
+    assert counts == [16, 32, 64]
+
+
 def test_H_ground_at_rest(default_params):
     p = default_params.replace(e=0.0)
     model = build_model(p)

@@ -9,9 +9,9 @@ from numpy.testing import assert_allclose
 from pffiber.bounds import bound_constants, build_L_minus, build_L_plus, count_below
 from pffiber.fock import hermiticity_defect
 from pffiber.hamiltonian import build_H, build_model
+from pffiber import spectral
 from pffiber.kramers import check_theta_commutes
 from pffiber.spectral import (
-    CACHE_FORMAT,
     EnergyCache,
     SpectrumReport,
     cluster_degeneracy,
@@ -21,6 +21,7 @@ from pffiber.spectral import (
     free_delta_gap,
     ground_data,
     low_spectrum,
+    solve_batch,
     solve_fiber,
 )
 
@@ -169,16 +170,6 @@ def test_cache_hit_equals_recompute(default_model):
     assert cache.hits == 1 and cache.misses == 1
 
 
-def test_cache_roundtrip(tmp_path, default_model):
-    path = tmp_path / "cache.json"
-    cache = EnergyCache(path=str(path))
-    P = np.array([0.5, 0.0, 0.0])
-    value = ground_data(P, default_model, cache=cache)
-    cache.save()
-    reloaded = EnergyCache(path=str(path))
-    assert reloaded.get(EnergyCache.key(default_model.params, P)) == value
-
-
 def test_a_cached_record_is_clustered_at_each_callers_tolerance(default_model):
     """The cache key holds no clustering tolerance: a record solved at one
     tolerance answers a caller at another, with the E1 and multiplicity of
@@ -195,69 +186,34 @@ def test_a_cached_record_is_clustered_at_each_callers_tolerance(default_model):
     assert solve_fiber(P, default_model, 1e-8, cache) is tight
 
 
-def test_cache_save_is_atomic(tmp_path, default_model):
-    path = tmp_path / "cache.json"
-    cache = EnergyCache(path=str(path))
-    ground_data(np.array([0.5, 0.0, 0.0]), default_model, cache=cache)
-    cache.save()
-    cache.save()
-    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
-    assert json.loads(path.read_text())["format"] == CACHE_FORMAT
+OFF_AXIS = np.array([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]])
 
 
-def test_cache_file_does_not_depend_on_insertion_order(tmp_path, default_model):
-    """The order in which a run fills the cache depends on which momenta and
-    trials it solves first; the saved file must not show it."""
-    params = default_model.params
-    items = [
-        (EnergyCache.key(params, [x, -0.5 * x, y]), 1.0 + x + y)
-        for x in (0.3, -0.1, 1.2, 0.0, 0.7)
-        for y in (0.0, 0.25)
-    ]
-    paths = [tmp_path / "a.json", tmp_path / "b.json"]
-    for path, order in zip(paths, (items, items[::-1])):
-        cache = EnergyCache(path=str(path))
-        for key, value in order:
-            cache.put(key, value)
-        cache.save()
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-    assert len(json.loads(paths[0].read_text())["entries"]) == len(items)
+def test_off_axis_margins_read_the_record_of_P_u_once(default_model, monkeypatch):
+    """An off-axis momentum takes its sandwich margins from the record of
+    |P|u, looked up in the run's cache, so that record is solved once:
+    0.5y and 0.5z read the record of 0.5x, whether one at a time or in one
+    batch, with a cache or without.  The margins are those of 0.5x solved
+    alone, bit for bit."""
+    solved = []
+    real = spectral._records
 
+    def counted(P, *args):
+        solved.extend(tuple(p) for p in P)
+        return real(P, *args)
 
-@pytest.mark.parametrize(
-    "content",
-    [
-        "{not json",
-        "[1, 2]",
-        json.dumps({"format": 2, "entries": {}}),
-        json.dumps({"format": 5, "entries": {}}),
-        json.dumps({"format": 6, "entries": {}}),
-        json.dumps({"format": 7, "entries": {}}),
-        json.dumps({"format": CACHE_FORMAT - 1, "entries": {}}),
-    ],
-)
-def test_cache_unusable_file_warns(tmp_path, capsys, default_model, content):
-    path = tmp_path / "cache.json"
-    path.write_text(content)
-    cache = EnergyCache(path=str(path))
-    err = capsys.readouterr().err
-    assert err.startswith("warning: ignoring cache") and err.count("\n") == 1
-    ground_data(np.zeros(3), default_model, cache=cache)
-    assert cache.hits == 0 and cache.misses == 1
-
-
-def test_cache_of_format_2_is_recomputed(tmp_path, capsys, default_model):
-    """Format 2 held dense values; blocked solves differ in the last bits."""
-    P = np.array([0.5, 0.0, 0.0])
-    key = EnergyCache.key(default_model.params, P)
-    path = tmp_path / "cache.json"
-    path.write_text(json.dumps(
-        {"format": 2, "entries": {json.dumps(list(key)): [9.0, 10.0, 2]}}
-    ))
-    cache = EnergyCache(path=str(path))
-    assert "warning: ignoring cache" in capsys.readouterr().err
-    assert ground_data(P, default_model, cache=cache) == ground_data(P, default_model)
-    assert cache.hits == 0 and cache.misses == 1
+    monkeypatch.setattr(spectral, "_records", counted)
+    cache = EnergyCache()
+    singles = [solve_fiber(p, default_model, cache=cache) for p in OFF_AXIS]
+    counts = [len(solved)]
+    for P, cache in ((OFF_AXIS, EnergyCache()), (OFF_AXIS[[1, 0]], EnergyCache()),
+                     (OFF_AXIS, None)):
+        solved.clear()
+        batched = solve_batch(P, default_model, cache=cache)
+        counts.append(len(solved))
+    assert counts == [3, 3, 2, 3]
+    alone = solve_fiber(OFF_AXIS[0], default_model).sandwich
+    assert [s.sandwich for s in singles + batched] == [alone] * 6
 
 
 @pytest.mark.parametrize("P", [[0.9, 0.0, 0.0], [0.4, -0.3, 0.2], [0.9, -0.8, 0.0]])
