@@ -70,7 +70,7 @@ from .kramers import (
     check_theta_commutes_related,
     kramers_certificate,
 )
-from .config import RunConfig, Tolerances, default_config, load_config
+from .config import RunConfig, default_config, load_config
 from .verify import run_verify
 
 __version__ = "0.1.0"

@@ -47,6 +47,9 @@ from .spectral import (  # noqa: F401
     solve_fiber,
 )
 
+# the one tolerance of the sandwich and envelope inequalities, relative to
+# ||H|| for a sandwich margin: verify's checks 5, 7, 8, 9 and inv2, the
+# Kramers certificate's sandwich_ok and theorem_gap_report's envelope_ok
 SANDWICH_TOL = 1e-9
 # trials per stacked draw of sqrt_monotone_test.  The chunk sets the check's
 # peak memory: at dim 12, 0.5 MB of traced numpy memory at 16, 2.1 MB at 64

@@ -10,7 +10,8 @@ verify       full check suite; exit code 0 iff all hard checks pass
 print-config dump the effective configuration (defaults merged with --config)
 
 Common flags: --config PATH, --out DIR, --threads N, --seed N.
-Exit codes: 0 pass, 1 assertion failure, 2 usage, config or path error.
+Exit codes: 0 pass, 1 assertion failure (or an eigensolver failure that
+stops convergence or verify), 2 usage, config or path error.
 
 Outputs render floats with 17 significant digits so files round-trip
 losslessly.  Momenta are solved in ladder order in one thread (``--threads``
@@ -63,9 +64,9 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def compute_report(P, model, consts, cache, cluster_tol):
+def compute_report(P, model, consts, cache):
     """(report, solve): the per-momentum summary from one solve of H(P)."""
-    solve = solve_fiber(P, model, cluster_tol, cache)
+    solve = solve_fiber(P, model, cache)
     sigma = consts.sigma_minus(P)
     report = SpectrumReport(
         P=solve.P,
@@ -104,7 +105,7 @@ def run_spectrum(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
     consts = bnd.bound_constants(model)
 
     def work(P):
-        return compute_report(P, model, consts, cache, cfg.tolerances.cluster_rel)[0]
+        return compute_report(P, model, consts, cache)[0]
 
     csv_path = os.path.join(out_dir, "spectrum.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
@@ -131,7 +132,7 @@ def run_sweep(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
     consts = bnd.bound_constants(model)
 
     def work(P):
-        rep, solve = compute_report(P, model, consts, cache, cfg.tolerances.cluster_rel)
+        rep, solve = compute_report(P, model, consts, cache)
         gap = bnd.theorem_gap_report(
             P, model, consts, cache=cache, solve=solve, delta=rep.delta
         )
@@ -187,7 +188,7 @@ def run_bounds(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
         json.dump(constants, fh, indent=2, sort_keys=True, default=float)
 
     def work(P):
-        solve = solve_fiber(P, model, cfg.tolerances.cluster_rel, cache)
+        solve = solve_fiber(P, model, cache)
         return (
             *_scaled_sandwich(solve),
             bnd.count_below(solve.eigenvalues, consts.sigma_minus(P)),
@@ -240,10 +241,7 @@ def run_verify_cmd(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
     }
     model = build_model(cfg.params)
     for P in cfg.momenta():
-        cert = kramers_certificate(
-            P, model, e_star=cfg.verify.e_star,
-            cluster_tol=cfg.tolerances.cluster_rel, cache=cache,
-        )
+        cert = kramers_certificate(P, model, e_star=cfg.verify.e_star, cache=cache)
         report["kramers_certificates"].append(asdict(cert))
     with open(
         os.path.join(out_dir, "verify_report.json"), "w", encoding="utf-8"
@@ -303,16 +301,22 @@ def main(argv=None) -> int:
         print(f"path error: {exc}", file=sys.stderr)
         return 2
     cache = EnergyCache()  # one run's energies and records, never saved
-    if args.command == "spectrum":
-        return run_spectrum(cfg, out_dir, cache)
-    if args.command == "sweep":
-        return run_sweep(cfg, out_dir, cache)
-    if args.command == "bounds":
-        return run_bounds(cfg, out_dir, cache)
-    if args.command == "convergence":
-        return run_convergence(cfg, out_dir)
-    if args.command == "verify":
-        return run_verify_cmd(cfg, out_dir, cache)
+    try:
+        if args.command == "spectrum":
+            return run_spectrum(cfg, out_dir, cache)
+        if args.command == "sweep":
+            return run_sweep(cfg, out_dir, cache)
+        if args.command == "bounds":
+            return run_bounds(cfg, out_dir, cache)
+        if args.command == "convergence":
+            return run_convergence(cfg, out_dir)
+        if args.command == "verify":
+            return run_verify_cmd(cfg, out_dir, cache)
+    except (EigensolverError, np.linalg.LinAlgError) as exc:
+        # a failure outside the per-momentum records of spectrum, sweep and
+        # bounds: convergence and verify stop at the first
+        print(f"eigensolver error: {exc}", file=sys.stderr)
+        return 1
     return 2  # pragma: no cover - argparse guards
 
 

@@ -52,22 +52,6 @@ def physical_memory() -> int:
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    """Pinned numerical tolerances of the verification suite."""
-
-    free_oracle: float = 1e-10
-    clifford: float = 1e-10
-    pauli_identity_rel: float = 1e-12
-    sqrt_crossval: float = 1e-8
-    theta_comm: float = 1e-12
-    sandwich: float = 1e-9
-    cluster_rel: float = 1e-8
-    parity: float = 1e-10
-    property_suite: float = 1e-10
-    delta_free: float = 1e-10
-
-
-@dataclass(frozen=True)
 class VerifySettings:
     """Coupling ladder and randomized-draw settings of the verify suite."""
 
@@ -89,7 +73,6 @@ class RunConfig:
     P_max: float = 2.0
     n_P: int = 11
     P_list: tuple | None = None  # explicit momenta override the radial ladder
-    tolerances: Tolerances = field(default_factory=Tolerances)
     verify: VerifySettings = field(default_factory=VerifySettings)
     convergence_ladder: tuple = ((0, 2), (1, 2), (2, 2))
     out_dir: str = "out"
@@ -149,6 +132,13 @@ def _check_model(params: ModelParams, what: str) -> None:
         )
 
 
+def _check_square(P: tuple, what: str) -> None:
+    """Reject a momentum whose P^2 overflows: |P| and the cache key of P
+    are read from it."""
+    if not math.isfinite(sum(x * x for x in P)):
+        raise ConfigError(f"{what}: |P|^2 overflows for {list(P)}")
+
+
 def _parse_momentum(p) -> tuple:
     try:
         P = tuple(float(x) for x in p)
@@ -156,20 +146,19 @@ def _parse_momentum(p) -> tuple:
         raise ConfigError(f"P_list: invalid momentum {p!r}") from exc
     if len(P) != 3 or not all(np.isfinite(P)):
         raise ConfigError(f"P_list: a momentum has 3 finite components, got {p!r}")
+    _check_square(P, "P_list")
     return P
 
 
-def _number(value, what: str, positive: bool = False) -> float:
-    """A finite real >= 0, or > 0 when ``positive``."""
+def _number(value, what: str) -> float:
+    """A finite real >= 0."""
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, float))
         or not math.isfinite(value)
         or value < 0
-        or (positive and value == 0)
     ):
-        bound = "> 0" if positive else ">= 0"
-        raise ConfigError(f"{what} must be a finite number {bound}, got {value!r}")
+        raise ConfigError(f"{what} must be a finite number >= 0, got {value!r}")
     return float(value)
 
 
@@ -211,7 +200,7 @@ def config_from_dict(data: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     merged = {**base, **data}
-    for key in ("params", "small_params", "tolerances", "verify"):
+    for key in ("params", "small_params", "verify"):
         if key in data:
             if not isinstance(data[key], dict):
                 raise ConfigError(f"'{key}' must be an object")
@@ -243,20 +232,16 @@ def config_from_dict(data: dict) -> RunConfig:
     _check_model(small, "small_params")
     for spec, rung in rungs:
         _check_model(rung, f"convergence_ladder rung {list(spec)}")
+    P_max = _number(merged["P_max"], "P_max")
+    _check_square((P_max, 0.0, 0.0), "P_max")
     return RunConfig(
         params=params,
         small_params=small,
-        P_max=_number(merged["P_max"], "P_max"),
+        P_max=P_max,
         n_P=_integer(merged["n_P"], "n_P", 0, MAX_MOMENTA),
         P_list=None
         if merged["P_list"] is None
         else tuple(_parse_momentum(p) for p in merged["P_list"]),
-        tolerances=Tolerances(
-            **{
-                k: _number(v, f"tolerances.{k}", positive=True)
-                for k, v in merged["tolerances"].items()
-            }
-        ),
         verify=_verify_settings(merged["verify"]),
         convergence_ladder=tuple(spec for spec, _ in rungs),
         out_dir=merged["out_dir"],

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import bound_constants, count_below
+from .bounds import SANDWICH_TOL, bound_constants, count_below
 from .hamiltonian import SIGMA, _as_model, hf_spinor
-from .spectral import DEFAULT_CLUSTER_TOL, EnergyCache, solve_fiber
+from .spectral import EnergyCache, solve_fiber
 
 PAIRING_TOL = 1e-8
 
@@ -155,7 +155,6 @@ def kramers_certificate(
     P,
     params_or_model,
     e_star: float = 0.3,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
     cache: EnergyCache | None = None,
 ) -> KramersCertificate:
     """Certify that the ground level of H(P) is exactly two-fold degenerate.
@@ -167,6 +166,9 @@ def kramers_certificate(
     result is marked inconclusive if the sandwich check fails; the guard
     hypotheses (gamma < 1, m_ph > 0, e <= e_star) are reported, not enforced.
     Sigma_-(P) and the sandwich both use the model's own bound constants.
+    The ground cluster is the record's, at ``spectral.CLUSTER_TOL``, and the
+    lower sandwich margin passes down to ``-SANDWICH_TOL * ||H||``, the
+    tolerance of verify's check 5.
     """
     model = _as_model(params_or_model)
     p = model.params
@@ -174,11 +176,11 @@ def kramers_certificate(
     if not (p.gap_hypotheses_met() and p.e <= e_star):
         return KramersCertificate(P=tuple(P), hypotheses_met=False)
     consts = bound_constants(model)
-    solve = solve_fiber(P, model, cluster_tol, cache)
+    solve = solve_fiber(P, model, cache)
     mult = solve.mult
     pairing, overlap = solve.ground_pairing
     lower, _, scale = solve.sandwich
-    sandwich_ok = lower >= -1e-9 * scale
+    sandwich_ok = lower >= -SANDWICH_TOL * scale
     cnt = count_below(solve.eigenvalues, consts.sigma_minus(P))
     if not sandwich_ok:
         conclusion = "inconclusive (sandwich failed)"

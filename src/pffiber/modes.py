@@ -396,8 +396,8 @@ class CouplingNorms:
     n_kin   = || |k|^{1/2} |f| ||
     n_curl  = || (1 + omega^{-1/2}) |k| |f| ||
 
-    The ``*_comp`` arrays hold the same norms computed from a single
-    Cartesian component of f (index 0 is the component along u = (1,0,0)).
+    ``n_half_comp`` holds n_half computed from each single Cartesian
+    component of f (index 0 is the component along u = (1,0,0)).
     """
 
     n_half: float
@@ -405,8 +405,6 @@ class CouplingNorms:
     n_kin: float
     n_curl: float
     n_half_comp: np.ndarray
-    n_one_comp: np.ndarray
-    n_kin_comp: np.ndarray
 
 
 def coupling_norms(table: FormFactorTable) -> CouplingNorms:
@@ -422,8 +420,6 @@ def coupling_norms(table: FormFactorTable) -> CouplingNorms:
         n_kin=math.sqrt(float(np.sum(absk * f2))),
         n_curl=math.sqrt(float(np.sum(one_fac * absk**2 * f2))),
         n_half_comp=np.sqrt(np.sum(fc2 / om[:, None], axis=0)),
-        n_one_comp=np.sqrt(np.sum(one_fac[:, None] * fc2, axis=0)),
-        n_kin_comp=np.sqrt(np.sum(absk[:, None] * fc2, axis=0)),
     )
 
 

@@ -27,8 +27,8 @@ compared rather than assumed, and keeps a small :class:`FiberSolve` record
 -- eigenvalues, residuals, sandwich margins -- then drops the blocks and the
 eigenvectors.  The record is kept in the run's :class:`EnergyCache`, held
 in memory for that run only, under the key of (parameters, P), so one run
-solves each key once, and each caller reads E1 and the multiplicity at its
-own clustering tolerance.
+solves each key once; its E1 and multiplicity are clustered once, at
+``CLUSTER_TOL``, when it is built.
 :func:`ground_data` is the eigenvalues-only path (``eigvalsh``) used for the
 trial momenta of Delta(P), the convergence ladder and the verify checks that
 need E(P) only: it returns E alone, the smallest lowest eigenvalue of one
@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -70,7 +70,7 @@ from .fock import hermiticity_defect
 from .hamiltonian import FiberModel, _as_model, block_stacks, certify_above
 from .modes import ModelParams, dispersion, orbit_representatives, stabilizer
 
-DEFAULT_CLUSTER_TOL = 1e-8
+CLUSTER_TOL = 1e-8
 P_QUANTUM = 1e-12
 N_LOW_VECTORS = 4
 RESIDUAL_TOL = 1e-9
@@ -105,7 +105,7 @@ def low_spectrum(h: np.ndarray, m: int, residual_tol: float = RESIDUAL_TOL):
     return vals, vecs
 
 
-def cluster_degeneracy(eigenvalues, scale_tol: float = DEFAULT_CLUSTER_TOL):
+def cluster_degeneracy(eigenvalues, scale_tol: float = CLUSTER_TOL):
     """Greedy clustering of an ascending eigenvalue list.
 
     Consecutive values within ``scale_tol * max(1, |value|)`` join a cluster;
@@ -137,9 +137,7 @@ class EnergyCache:
     agree to rounding.  ``put`` stores either; ``get`` answers with E, a
     record's own E included, and ``get_solve`` with records only; ``hits``
     and ``misses`` count lookups of both.  A record replaces a float, so
-    that every consumer of that momentum reads the E of its report.  The
-    key holds no clustering tolerance: :func:`solve_batch` takes E1 and the
-    multiplicity from a record's eigenvalues at its caller's tolerance.
+    that every consumer of that momentum reads the E of its report.
     The cache lives in memory only: every value in it was computed by the
     run that reads it, under that run's BLAS settings, so a hit equals
     recomputation bit for bit.
@@ -188,7 +186,8 @@ def _batch(P, model, lookup, one_per_pair, solve_stack) -> list:
     first lookup of a key may miss, and the later ones find what the first
     stored.  The distinct misses are built in the stacks of
     :func:`block_stacks` and ``solve_stack(P, blocks)`` gives the values of
-    each stack.
+    each stack.  A LAPACK failure in building or solving a stack raises
+    ``EigensolverError``, naming that stack's momenta.
     """
     P = np.asarray(P, dtype=float).reshape(-1, 3)
     keys = [EnergyCache.key(model.params, p) for p in P]
@@ -205,7 +204,12 @@ def _batch(P, model, lookup, one_per_pair, solve_stack) -> list:
             found[key] = hit
     todo = P[missing]
     for index, blocks in block_stacks(todo, model, one_per_pair):
-        values = solve_stack(todo[index], blocks)
+        try:
+            values = solve_stack(todo[index], blocks)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(
+                f"eigensolver failed at one of P = {todo[index].tolist()}: {exc}"
+            ) from exc
         del blocks  # freed before the next stack is built, not after
         for at, value in zip(index, values):
             found[keys[missing[at]]] = value
@@ -264,11 +268,9 @@ class FiberSolve:
 
     ``eigenvalues`` are those of all blocks, sorted, so E, E1, ``mult`` and
     the counts below a threshold mean what they mean for the dense H(P);
-    E1 and ``mult`` are clustered at the tolerance of the
-    :func:`solve_batch` that returned the record, and at
-    ``DEFAULT_CLUSTER_TOL`` in the cache.  ``h_norm`` is the largest
-    |eigenvalue|.  Holds no eigenvector: the blocks and the eigenvectors
-    are dropped once the residuals are taken.
+    E1 and ``mult`` are clustered at ``CLUSTER_TOL``.  ``h_norm`` is the
+    largest |eigenvalue|.  Holds no eigenvector: the blocks and the
+    eigenvectors are dropped once the residuals are taken.
     ``residuals`` has the worst eigenpair residual of the ``N_LOW_VECTORS``
     lowest eigenvectors of each block, the largest Hermiticity defect of a
     block and the relative theta-commutation residual, each block against
@@ -290,38 +292,25 @@ class FiberSolve:
 
 
 def solve_fiber(
-    P,
-    params_or_model,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    cache: EnergyCache | None = None,
+    P, params_or_model, cache: EnergyCache | None = None
 ) -> FiberSolve:
     """The :class:`FiberSolve` record of H(P): :func:`solve_batch` of one
     momentum."""
-    return solve_batch([P], params_or_model, cluster_tol, cache)[0]
+    return solve_batch([P], params_or_model, cache)[0]
 
 
-def _eigh(h: np.ndarray, P: np.ndarray):
-    """Stacked ``eigh`` of the blocks of the momenta P."""
-    try:
-        return np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise EigensolverError(
-            f"dense eigensolver failed at one of P = {P.tolist()}: {exc}"
-        ) from exc
+def _eigh(h: np.ndarray):
+    """Stacked ``eigh`` of the blocks of a stack of momenta."""
+    return np.linalg.eigh(h)
 
 
-def solve_batch(
-    P,
-    params_or_model,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    cache: EnergyCache | None = None,
-) -> list:
+def solve_batch(P, params_or_model, cache: EnergyCache | None = None) -> list:
     """Build the blocks of H(P) once, diagonalize each once, keep a record,
     for each momentum of the (g, 3) stack P.
 
     A record in ``cache`` under the key of P is read, and a new one is
-    stored there; either is returned with the E1 and multiplicity of its
-    eigenvalues clustered at ``cluster_tol``.  The misses are solved
+    stored there; E1 and the multiplicity of either are those clustered at
+    ``CLUSTER_TOL`` when it was built.  The misses are solved
     together, one stacked ``eigh`` per block of the momenta that share a
     stabilizer (:func:`block_stacks`); the residuals and the guards stay
     per momentum.  The sandwich margins are taken when gamma < 1: from
@@ -329,7 +318,8 @@ def solve_batch(
     is looked up, or solved, before the batch and through the same cache,
     so a |P| u in the batch is solved once.
     Raises ``EigensolverError``, naming the momentum, when an eigenpair
-    residual exceeds ``RESIDUAL_TOL * ||H||``.
+    residual exceeds ``RESIDUAL_TOL * ||H||``, and naming the momenta of
+    its stack when LAPACK fails.
     """
     from . import bounds  # it imports this module
 
@@ -346,8 +336,7 @@ def solve_batch(
         P_u = [np.linalg.norm(p) * bounds.U_DIRECTION for p in off]
         for p, solve in zip(off, _batch(P_u, model, lookup, False, solve_stack)):
             margins[_quantize_P(p)] = solve.sandwich
-    records = _batch(P, model, lookup, False, solve_stack)
-    return [_clustered(solve, cluster_tol) for solve in records]
+    return _batch(P, model, lookup, False, solve_stack)
 
 
 def _along_u(p) -> bool:
@@ -356,15 +345,6 @@ def _along_u(p) -> bool:
     from . import bounds  # it imports this module
 
     return np.array_equal(p, np.linalg.norm(p) * bounds.U_DIRECTION)
-
-
-def _clustered(solve: FiberSolve, cluster_tol: float) -> FiberSolve:
-    """``solve`` with the E1 and multiplicity of its eigenvalues clustered
-    at ``cluster_tol``: the record itself when it holds those already."""
-    _, e1, mult = _ground_triple(solve.eigenvalues, cluster_tol)
-    if (e1, mult) == (solve.E1, solve.mult):
-        return solve
-    return replace(solve, E1=e1, mult=mult)
 
 
 def _pairs(blocks):
@@ -425,7 +405,7 @@ def _pair_values(P, pair, along, diagonals) -> tuple:
 
     low, per_block = {}, {}
     for b in pair:
-        vals, vecs = _eigh(b.h, P)
+        vals, vecs = _eigh(b.h)
         low[b.index] = vecs[..., :N_LOW_VECTORS].copy()
         del vecs
         x = low[b.index]
@@ -469,7 +449,7 @@ def _record(P, at, values, ground, margins, along) -> FiberSolve:
             f"eigenpair residual {eig_res:.3e} exceeds {RESIDUAL_TOL:.1e} * ||H|| "
             f"at P = {tuple(float(x) for x in p)}"
         )
-    triple = _ground_triple(vals, DEFAULT_CLUSTER_TOL)
+    triple = _ground_triple(vals, CLUSTER_TOL)
     theta_res = math.hypot(*(b["theta"][at] for b in values)) / math.hypot(
         *(b["norm"][at] for b in values)
     )

@@ -45,6 +45,7 @@ from .hamiltonian import (
 )
 from .modes import ball_volume, build_mode_set, form_factors
 from .spectral import (
+    CLUSTER_TOL,
     EnergyCache,
     cluster_degeneracy,
     convergence_study,
@@ -55,6 +56,23 @@ from .spectral import (
     ground_data,
     solve_batch,
 )
+
+# The tolerances of the checks, fixed in code so that no configuration can
+# loosen them.  The sandwich and envelope checks (5, 7, 8, 9, inv2) read
+# ``bounds.SANDWICH_TOL``, and check 4 clusters at ``spectral.CLUSTER_TOL``.
+FREE_ORACLE_TOL = 1e-10  # check 1
+CLIFFORD_TOL = 1e-10  # check 2a
+PAULI_IDENTITY_TOL = 1e-12  # check 2b, relative
+SQRT_CROSSVAL_TOL = 1e-8  # check 3
+THETA_COMM_TOL = 1e-12  # check 4
+PROPERTY_SUITE_TOL = 1e-10  # check 10a
+PARITY_TOL = 1e-10  # check 11a
+DELTA_FREE_TOL = 1e-10  # check 8, the e = 0 Delta against its closed form
+
+# check 10a runs as many rounds at a time as fill about this many bytes with
+# their eight complex vectors each (phi, psi and their six images under a(f),
+# a(g) and the transposes), 128 bytes per basis state and round
+COUPLING_CHUNK_BYTES = 64 * 1024
 
 
 @dataclass
@@ -90,9 +108,8 @@ class VerifyContext:
 
     def solves(self, model):
         """The run's one solve of H(P) at each momentum of the sweep, solved
-        as one batch and clustered at the configured tolerance."""
-        tol = self.cfg.tolerances.cluster_rel
-        return solve_batch(self.momenta(), model, tol, self.cache)
+        as one batch."""
+        return solve_batch(self.momenta(), model, self.cache)
 
     def energies(self, momenta, model) -> list:
         """E at each momentum, one batch through the run's cache."""
@@ -124,7 +141,7 @@ def _hypotheses_guard(ctx: VerifyContext, name: str) -> CheckResult | None:
 # ----------------------------------------------------------------------
 
 def check_free_oracle(ctx: VerifyContext) -> CheckResult:
-    tol = ctx.cfg.tolerances.free_oracle
+    tol = FREE_ORACLE_TOL
     model = build_model(ctx.params_at(0.0))
     worst = 0.0
     for P, solve in zip(ctx.momenta(), ctx.solves(model)):
@@ -145,7 +162,7 @@ def check_free_oracle(ctx: VerifyContext) -> CheckResult:
 # ----------------------------------------------------------------------
 
 def check_clifford_square(ctx: VerifyContext) -> CheckResult:
-    tol = ctx.cfg.tolerances.clifford
+    tol = CLIFFORD_TOL
     worst = 0.0
     for _ in range(ctx.cfg.verify.n_random_draws):
         e = ctx.rng.uniform(0.0, ctx.cfg.verify.e_max_random)
@@ -169,7 +186,7 @@ def check_clifford_square(ctx: VerifyContext) -> CheckResult:
 
 
 def check_pauli_identity(ctx: VerifyContext) -> CheckResult:
-    tol = ctx.cfg.tolerances.pauli_identity_rel
+    tol = PAULI_IDENTITY_TOL
     worst = 0.0
     sub_worst = 0.0
     for _ in range(ctx.cfg.verify.n_random_draws):
@@ -197,7 +214,7 @@ def check_pauli_identity(ctx: VerifyContext) -> CheckResult:
 # ----------------------------------------------------------------------
 
 def check_sqrt_crossval(ctx: VerifyContext) -> CheckResult:
-    tol = ctx.cfg.tolerances.sqrt_crossval
+    tol = SQRT_CROSSVAL_TOL
     worst, stalled = 0.0, ""
     for _ in range(ctx.cfg.verify.n_sqrt_draws):
         e = ctx.rng.uniform(0.0, ctx.cfg.verify.e_max_random)
@@ -226,8 +243,7 @@ def check_sqrt_crossval(ctx: VerifyContext) -> CheckResult:
 # ----------------------------------------------------------------------
 
 def check_kramers(ctx: VerifyContext) -> CheckResult:
-    tol = ctx.cfg.tolerances.theta_comm
-    cluster_tol = ctx.cfg.tolerances.cluster_rel
+    tol = THETA_COMM_TOL
     certify = ctx.cfg.params.gap_hypotheses_met()
     model0 = build_model(ctx.cfg.params)
     sign_defect = kra.theta_squared_sign(model0.dim)
@@ -238,14 +254,13 @@ def check_kramers(ctx: VerifyContext) -> CheckResult:
         model = build_model(ctx.params_at(e))
         for P, solve in zip(ctx.momenta(), ctx.solves(model)):
             worst_comm = max(worst_comm, solve.residuals["theta_commutation"])
-            clusters = cluster_degeneracy(solve.eigenvalues, cluster_tol)
+            clusters = cluster_degeneracy(solve.eigenvalues, CLUSTER_TOL)
             if any(c[1] % 2 for c in clusters):
                 odd_found = (e, tuple(P))
             if not certify:
                 continue
             cert = kra.kramers_certificate(
-                P, model, e_star=ctx.cfg.verify.e_star,
-                cluster_tol=cluster_tol, cache=ctx.cache,
+                P, model, e_star=ctx.cfg.verify.e_star, cache=ctx.cache
             )
             if cert.conclusion != "exactly two-fold":
                 mult_bad = (e, tuple(P), cert.conclusion)
@@ -278,7 +293,7 @@ def check_kramers(ctx: VerifyContext) -> CheckResult:
 def check_sandwich(ctx: VerifyContext) -> CheckResult:
     if (guard := _hypotheses_guard(ctx, "operator sandwich")) is not None:
         return guard
-    tol = ctx.cfg.tolerances.sandwich
+    tol = bnd.SANDWICH_TOL
     worst = math.inf
     for e in ctx.coupling_ladder():
         model = build_model(ctx.params_at(e))
@@ -325,7 +340,7 @@ def check_counting(ctx: VerifyContext) -> CheckResult:
 def check_gap_uniformity(ctx: VerifyContext) -> CheckResult:
     if (guard := _hypotheses_guard(ctx, "gap uniformity")) is not None:
         return guard
-    tol = ctx.cfg.tolerances.sandwich
+    tol = bnd.SANDWICH_TOL
     fails = []
     detail = []
     for e in ctx.coupling_ladder():
@@ -359,8 +374,8 @@ def check_gap_uniformity(ctx: VerifyContext) -> CheckResult:
 def check_delta_bounds(ctx: VerifyContext) -> CheckResult:
     if (guard := _hypotheses_guard(ctx, "gap function bounds")) is not None:
         return guard
-    tol_free = ctx.cfg.tolerances.delta_free
-    tol = ctx.cfg.tolerances.sandwich
+    tol_free = DELTA_FREE_TOL
+    tol = bnd.SANDWICH_TOL
     fails = []
     worst_free = 0.0
     worst_bound, n_bound, n_certified = math.inf, 0, 0
@@ -424,7 +439,7 @@ def _solved_bound_margins(ctx: VerifyContext, model, consts, trials) -> list:
 def check_envelope(ctx: VerifyContext) -> CheckResult:
     if (guard := _hypotheses_guard(ctx, "corollary envelope")) is not None:
         return guard
-    tol = ctx.cfg.tolerances.sandwich
+    tol = bnd.SANDWICH_TOL
     fails = []
     for e in ctx.coupling_ladder():
         model = build_model(ctx.params_at(e))
@@ -459,12 +474,6 @@ def check_envelope(ctx: VerifyContext) -> CheckResult:
 # ----------------------------------------------------------------------
 # criterion 10: property suites
 # ----------------------------------------------------------------------
-
-# check 10a runs as many rounds at a time as fill about this many bytes with
-# their eight complex vectors each (phi, psi and their six images under a(f),
-# a(g) and the transposes), 128 bytes per basis state and round
-COUPLING_CHUNK_BYTES = 64 * 1024
-
 
 def _property_basis(ctx: VerifyContext):
     params = ctx.cfg.small_params.replace(
@@ -557,7 +566,7 @@ def coupling_estimate_suite(basis, table, rng, n_rounds: int, tol: float):
 
 def check_coupling_estimates(ctx: VerifyContext) -> CheckResult:
     """Lemma-style annihilation/creation bounds as matrix inequalities."""
-    tol = ctx.cfg.tolerances.property_suite
+    tol = PROPERTY_SUITE_TOL
     _, table, basis = _property_basis(ctx)
     n_rounds = ctx.cfg.verify.n_property_vectors
     violations, worst = coupling_estimate_suite(basis, table, ctx.rng, n_rounds, tol)
@@ -609,7 +618,7 @@ def check_interaction_trend(ctx: VerifyContext) -> CheckResult:
 # ----------------------------------------------------------------------
 
 def check_parity(ctx: VerifyContext) -> CheckResult:
-    tol = ctx.cfg.tolerances.parity
+    tol = PARITY_TOL
     worst = 0.0
     for e in ctx.coupling_ladder():
         model = build_model(ctx.params_at(e))
@@ -670,7 +679,7 @@ def check_reality_structure(ctx: VerifyContext) -> CheckResult:
 
 def check_spin_difference_bounds(ctx: VerifyContext) -> CheckResult:
     """Spinless lower bound and spin-difference bound as matrix facts."""
-    tol = ctx.cfg.tolerances.sandwich
+    tol = bnd.SANDWICH_TOL
     worst = math.inf
     for e in ctx.coupling_ladder():
         model = build_model(ctx.params_at(e))

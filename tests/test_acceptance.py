@@ -3,8 +3,9 @@
 Runs the desk-scale default configuration (24 modes at N_max = 1 for the
 sweep checks, 4 modes at N_max = 3 for the property suites, couplings
 e in {0, 0.05, 0.1} at gamma = 0.5, m_ph = 0.5, M = 1, Lambda = 1 across an
-11-point momentum ladder).  Every tolerance is pinned in the default
-configuration; the same check implementations back ``pffiber verify``.
+11-point momentum ladder).  Every tolerance is a constant in code
+(``verify``, ``bounds.SANDWICH_TOL``, ``spectral.CLUSTER_TOL``), which no
+configuration sets; the same check implementations back ``pffiber verify``.
 """
 
 import sys

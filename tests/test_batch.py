@@ -171,8 +171,8 @@ def test_a_mid_scale_mirror_block_is_solved_alone(default_params):
 def test_a_residual_failure_names_its_own_momentum(default_model, monkeypatch):
     real = spectral._eigh
 
-    def spoiled(h, P):
-        vals, vecs = real(h, P)
+    def spoiled(h):
+        vals, vecs = real(h)
         vecs = vecs.copy()
         vecs[1] = vecs[1][:, ::-1]  # the second momentum's vectors only
         return vals, vecs

@@ -65,7 +65,7 @@ def test_blocked_record_matches_the_dense_oracle(default_params, n_dirs, n_max):
         dense = np.linalg.eigvalsh(h)
         norm = max(abs(dense[0]), abs(dense[-1]))
         tol = 1e-12 * norm
-        e0, e1, mult = _ground_triple(dense, spectral.DEFAULT_CLUSTER_TOL)
+        e0, e1, mult = _ground_triple(dense, spectral.CLUSTER_TOL)
         assert solve.mult == mult, name
         assert abs(solve.E - e0) <= tol and abs(solve.E1 - e1) <= tol, name
         assert np.max(np.abs(solve.eigenvalues - dense)) <= tol, name
@@ -169,7 +169,7 @@ def test_record_matches_the_scipy_oracle(default_params, name):
     dense = scipy.linalg.eigvalsh(build_H(P, model))
     norm = max(abs(dense[0]), abs(dense[-1]))
     tol = 1e-12 * norm
-    e0, e1, mult = _ground_triple(dense, spectral.DEFAULT_CLUSTER_TOL)
+    e0, e1, mult = _ground_triple(dense, spectral.CLUSTER_TOL)
     solve = solve_fiber(P, model)
     assert solve.mult == mult
     assert abs(solve.E - e0) <= tol and abs(solve.E1 - e1) <= tol

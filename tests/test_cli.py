@@ -246,8 +246,6 @@ def test_verify_failed_check_exits_1(tmp_path):
         {"verify": {"monotone_dim": 33}},
         {"verify": {"seed": "x"}},
         {"verify": 5},
-        {"tolerances": {"sandwich": "x"}},
-        {"tolerances": {"parity": 0.0}},
         {"params": {"N_max": 1.5}},
         {"convergence_ladder": [[1.5, 2]]},
         {"P_list": 5},
@@ -255,6 +253,10 @@ def test_verify_failed_check_exits_1(tmp_path):
         {"cache_path": "c.json"},
         {"tasks": ["spectrum"]},
         {"tolerances": {"pairing": 1e-8}},
+        {"tolerances": {"sandwich": "x"}},
+        {"tolerances": {"parity": 0.0}},
+        {"tolerances": {"cluster_rel": 1e-6}},
+        {"tolerances": {"theta_comm": 1e9}},
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, data):
@@ -293,8 +295,7 @@ def test_negative_count_flag_is_a_usage_error(tmp_path, capsys, flag):
     assert "expected an integer >= 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cluster_rel", [1e-8, 1e-6])
-def test_verify_solves_each_coupling_momentum_once(tmp_path, monkeypatch, cluster_rel):
+def test_verify_solves_each_coupling_momentum_once(tmp_path, monkeypatch):
     built = []
     real = spectral.block_stacks
 
@@ -307,38 +308,12 @@ def test_verify_solves_each_coupling_momentum_once(tmp_path, monkeypatch, cluste
     # within spectral only solve_batch builds every block of H(P), a stack of
     # momenta at a time; count the momenta, not the calls
     monkeypatch.setattr(spectral, "block_stacks", counted)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tolerances": {"cluster_rel": cluster_rel}}))
     out = tmp_path / "out"
-    assert main(["verify", "--config", str(cfg), "--out", str(out),
-                 "--threads", "1"]) == 0
+    assert main(["verify", "--out", str(out), "--threads", "1"]) == 0
     # 3 couplings x 11 momenta, each solved once for checks 1, 4, 5, 6 and
     # the certificates
     assert len(built) == 33
     assert len(set(built)) == 33
-
-
-def test_verify_energy_misses_do_not_depend_on_cluster_rel(tmp_path, monkeypatch):
-    # E(P) does not depend on the clustering tolerance: checks that read only
-    # energies use the run's cluster_rel, so they find the run's own entries
-    real = spectral.EnergyCache.get
-    misses = {}
-    for cluster_rel in (1e-8, 1e-6):
-        count = [0]
-
-        def get(self, key, count=count):
-            got = real(self, key)
-            count[0] += got is None
-            return got
-
-        monkeypatch.setattr(spectral.EnergyCache, "get", get)
-        cfg = tmp_path / f"cfg{cluster_rel}.json"
-        cfg.write_text(json.dumps({"tolerances": {"cluster_rel": cluster_rel}}))
-        out = tmp_path / f"out{cluster_rel}"
-        assert main(["verify", "--config", str(cfg), "--out", str(out),
-                     "--threads", "1"]) == 0
-        misses[cluster_rel] = count[0]
-    assert misses[1e-6] == misses[1e-8]
 
 
 @pytest.mark.parametrize("command,table", [("sweep", "sweep.csv"),
@@ -605,7 +580,7 @@ def test_n_max_3_sweep_and_convergence_match_the_dense_oracle(tmp_path, path):
         assert sym is None and len(blocks) == 1
     h = hamiltonian.build_H(P, model)
     e0, e1, mult = spectral._ground_triple(
-        scipy.linalg.eigvalsh(h), cfg.tolerances.cluster_rel
+        scipy.linalg.eigvalsh(h), spectral.CLUSTER_TOL
     )
     tol = 1e-12 * np.linalg.norm(h, 2)
     files = []

@@ -250,6 +250,8 @@ INVALID_CONFIGS = {
     "ladder rung too large": {"convergence_ladder": [[0, 2], [9, 6]]},
     "momentum without 3 components": {"P_list": [[0.1, 0.2]]},
     "M whose square underflows": {"params": {"M": 1e-300}},
+    "momentum whose square overflows": {"P_list": [[1e200, 0, 0]]},
+    "P_max whose square overflows": {"P_max": 1e308, "n_P": 2},
 }
 
 
@@ -302,10 +304,11 @@ def test_verify_without_photons_completes(tmp_path, capsys):
     assert code == report["exit_code"] and "Traceback" not in capsys.readouterr().err
 
 
-# M^2 far below the spectrum, or a tolerance below the quadrature's rounding
+# M^2 far below the spectrum, or check 3's tolerance below the quadrature's
+# rounding: (config, tolerance of check 3)
 STALLING_CONFIGS = {
-    "M far below the spectrum": {"params": {"M": 1e-6}},
-    "sqrt_crossval below rounding": {"tolerances": {"sqrt_crossval": 1e-30}},
+    "M far below the spectrum": ({"params": {"M": 1e-6}}, verify.SQRT_CROSSVAL_TOL),
+    "sqrt_crossval below rounding": ({}, 1e-30),
 }
 
 
@@ -317,12 +320,42 @@ def test_a_stalled_quadrature_fails_check_3(tmp_path, capsys, monkeypatch, case)
     monkeypatch.setattr(
         verify, "op_sqrt_quad", functools.partial(hamiltonian.op_sqrt_quad, max_nodes=64)
     )
-    data = {**STALLING_CONFIGS[case], "verify": {**FAST_VERIFY, "n_sqrt_draws": 1}}
+    stalling, tol = STALLING_CONFIGS[case]
+    monkeypatch.setattr(verify, "SQRT_CROSSVAL_TOL", tol)
+    data = {**stalling, "verify": {**FAST_VERIFY, "n_sqrt_draws": 1}}
     code, out = _run(tmp_path, "verify", data)
     assert code == 1 and "Traceback" not in capsys.readouterr().err
     report = json.loads((out / "verify_report.json").read_text())
     (check_3,) = [c for c in report["checks"] if c["name"].startswith("3 ")]
     assert not check_3["passed"] and "quadrature stalled" in check_3["detail"]
+
+
+# models on which LAPACK fails to converge: in kinetic_root at e = 1e300, in
+# the sandwich margins at Lambda = 1e100; the exit code of each subcommand
+FAILING_MODELS = {
+    "e 1e300": ({"e": 1e300}, {"convergence": 1, "verify": 1}),
+    "Lambda 1e100": ({"Lambda": 1e100}, {"convergence": 0, "verify": 1}),
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS[:-1])
+@pytest.mark.parametrize("case", sorted(FAILING_MODELS))
+def test_a_failed_eigensolve_ends_without_a_traceback(tmp_path, capsys, monkeypatch,
+                                                      case, command):
+    """spectrum, sweep and bounds record each failed momentum and exit 0;
+    convergence and verify stop at a failure with one ``eigensolver
+    error:`` line and exit 1."""
+    monkeypatch.setattr(  # check 3 stalls on both models; stall sooner
+        verify, "op_sqrt_quad", functools.partial(hamiltonian.op_sqrt_quad, max_nodes=64)
+    )
+    params, codes = FAILING_MODELS[case]
+    data = {"params": params, "small_params": params, "n_P": 2,
+            "verify": {**FAST_VERIFY, "n_sqrt_draws": 1}}
+    code, _ = _run(tmp_path, command, data)
+    err = capsys.readouterr().err
+    assert code == codes.get(command, 0) and "Traceback" not in err
+    failures = 2 if command in ("spectrum", "sweep", "bounds") else code
+    assert err.count("eigensolver error:") == failures
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)

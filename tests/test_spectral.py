@@ -170,22 +170,6 @@ def test_cache_hit_equals_recompute(default_model):
     assert cache.hits == 1 and cache.misses == 1
 
 
-def test_a_cached_record_is_clustered_at_each_callers_tolerance(default_model):
-    """The cache key holds no clustering tolerance: a record solved at one
-    tolerance answers a caller at another, with the E1 and multiplicity of
-    its eigenvalues clustered at the caller's."""
-    P = np.array([0.3, 0.0, 0.0])
-    cache = EnergyCache()
-    tight = solve_fiber(P, default_model, 1e-8, cache)
-    assert tight.mult == 2 and tight.E1 is not None
-    loose = solve_fiber(P, default_model, 0.6, cache)
-    assert cache.misses == 1 and cache.hits == 1
-    assert loose.mult == 50 and loose.E1 is None
-    fresh = solve_fiber(P, default_model, 0.6)
-    assert (loose.E, loose.E1, loose.mult) == (fresh.E, fresh.E1, fresh.mult)
-    assert solve_fiber(P, default_model, 1e-8, cache) is tight
-
-
 OFF_AXIS = np.array([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]])
 
 
@@ -264,10 +248,7 @@ def test_solve_fiber_record_is_stored(default_model):
     cache = EnergyCache()
     solve = solve_fiber(P, default_model, cache=cache)
     assert solve_fiber(P, default_model, cache=cache) is solve
-    assert solve_fiber(P.copy(), default_model, 1e-8, cache) is solve
-    loose = solve_fiber(P, default_model, 0.6, cache)
-    assert loose is not solve and cache.misses == 1
-    assert loose.eigenvalues is solve.eigenvalues
+    assert solve_fiber(P.copy(), default_model, cache) is solve
 
 
 def test_cache_counts_lookups_not_stores(default_model):
