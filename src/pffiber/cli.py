@@ -43,7 +43,7 @@ from .spectral import (  # noqa: F401
     ground_data,
     solve_fiber,
 )
-from .verify import run_verify
+from .verify import VerifyStopped, run_verify
 
 CSV_HEADER = "P_x,P_y,P_z,E,E1,mult,delta,sigma_minus,count_below"
 SWEEP_EXTRA = (
@@ -233,22 +233,35 @@ def run_convergence(cfg: RunConfig, out_dir: str) -> int:
 
 
 def run_verify_cmd(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
-    code, results = run_verify(cfg, cache=cache, printer=print)
+    """Run the suite and the Kramers certificates, and write
+    ``verify_report.json``.  A check that an eigensolver failure stops is
+    written as a failed hard entry after the checks already run, no
+    certificate is attempted, and the failure is raised on to ``main``."""
+    try:
+        code, results = run_verify(cfg, cache=cache, printer=print)
+    except VerifyStopped as stop:
+        _write_verify_report(out_dir, 1, stop.results, [])
+        raise
+    model = build_model(cfg.params)
+    certificates = [
+        asdict(kramers_certificate(P, model, e_star=cfg.verify.e_star, cache=cache))
+        for P in cfg.momenta()
+    ]
+    _write_verify_report(out_dir, code, results, certificates)
+    print(f"verify: exit code {code}")
+    return code
+
+
+def _write_verify_report(out_dir: str, code: int, results, certificates) -> None:
     report = {
         "exit_code": code,
         "checks": [asdict(r) for r in results],
-        "kramers_certificates": [],
+        "kramers_certificates": certificates,
     }
-    model = build_model(cfg.params)
-    for P in cfg.momenta():
-        cert = kramers_certificate(P, model, e_star=cfg.verify.e_star, cache=cache)
-        report["kramers_certificates"].append(asdict(cert))
     with open(
         os.path.join(out_dir, "verify_report.json"), "w", encoding="utf-8"
     ) as fh:
         json.dump(report, fh, indent=2, sort_keys=True, default=float)
-    print(f"verify: exit code {code}")
-    return code
 
 
 def _count(text: str) -> int:

@@ -31,9 +31,13 @@ solves each key once; its E1 and multiplicity are clustered once, at
 ``CLUSTER_TOL``, when it is built.
 :func:`ground_data` is the eigenvalues-only path (``eigvalsh``) used for the
 trial momenta of Delta(P), the convergence ladder and the verify checks that
-need E(P) only: it returns E alone, the smallest lowest eigenvalue of one
-block per theta-pair.  Both call LAPACK through ``numpy.linalg`` only, so
-one BLAS thread pool serves.
+need E(P) only: it returns E alone, the smallest lowest eigenvalue of the
+blocks.  It solves the first block of the first theta-pair, and of every
+later pair only the first block, and that only where the operator
+certificate cannot put it above the lowest eigenvalue so far
+(:func:`_ground_energies`); with a photon mass the ground level is one
+Kramers pair below a gap, so on the grids here one block is solved.  Both
+call LAPACK through ``numpy.linalg`` only, so one BLAS thread pool serves.
 
 Both solve many momenta at once: :func:`solve_batch`, :func:`ground_batch`
 and :func:`delta_search` take a stack of momenta, and the single-momentum
@@ -52,9 +56,11 @@ solves one trial per orbit of the stabilizer of P.  The reduction is exact:
 the skipped trials differ from the kept one only by rounding.  Of those
 orbits, the ones whose value a lower bound on E(P - k) puts above the k = 0
 value are not solved either (:func:`delta_trials`): first the closed-form
-corollary bound, then, on what it keeps, an operator certificate of one
-Gram product and one Cholesky per block
-(:func:`pffiber.hamiltonian.certify_above`) that needs no eigensolve.
+corollary bound, then, on what it keeps, an operator certificate
+(:func:`pffiber.hamiltonian.certify_above`) that needs no eigensolve: a
+test of the block's diagonal, then one Gram product and one Cholesky per
+block where that test fails.  The ground path above uses the same
+certificate.
 """
 
 from __future__ import annotations
@@ -67,7 +73,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import hermiticity_defect
-from .hamiltonian import FiberModel, _as_model, block_stacks, certify_above
+from .hamiltonian import (
+    FiberModel,
+    _as_model,
+    _stack_block,
+    block_stacks,
+    certify_above,
+    certify_stack_block,
+    pair_heads,
+    setup_stacks,
+)
 from .modes import ModelParams, dispersion, orbit_representatives, stabilizer
 
 CLUSTER_TOL = 1e-8
@@ -178,16 +193,17 @@ def _ground_triple(vals, cluster_tol: float) -> tuple:
     return float(vals[0]), e1, mult
 
 
-def _batch(P, model, lookup, one_per_pair, solve_stack) -> list:
+def _batch(P, model, lookup, stacks, solve_stack) -> list:
     """The value at each momentum of the (g, 3) stack P, under its cache key.
 
     ``lookup`` is the (get, put) of the cache, or of :func:`_own_lookup`.
     Each momentum is looked up once, as one call per momentum would: the
     first lookup of a key may miss, and the later ones find what the first
-    stored.  The distinct misses are built in the stacks of
-    :func:`block_stacks` and ``solve_stack(P, blocks)`` gives the values of
-    each stack.  A LAPACK failure in building or solving a stack raises
-    ``EigensolverError``, naming that stack's momenta.
+    stored.  The distinct misses are taken in the stacks of
+    ``stacks(P, model)``, :func:`block_stacks` or :func:`setup_stacks`, and
+    ``solve_stack(P, stack)`` gives the values of each stack.  A LAPACK
+    failure in building or solving a stack raises ``EigensolverError``,
+    naming that stack's momenta.
     """
     P = np.asarray(P, dtype=float).reshape(-1, 3)
     keys = [EnergyCache.key(model.params, p) for p in P]
@@ -203,14 +219,14 @@ def _batch(P, model, lookup, one_per_pair, solve_stack) -> list:
         else:
             found[key] = hit
     todo = P[missing]
-    for index, blocks in block_stacks(todo, model, one_per_pair):
+    for index, stack in stacks(todo, model):
         try:
-            values = solve_stack(todo[index], blocks)
+            values = solve_stack(todo[index], stack)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(
                 f"eigensolver failed at one of P = {todo[index].tolist()}: {exc}"
             ) from exc
-        del blocks  # freed before the next stack is built, not after
+        del stack  # freed before the next stack is built, not after
         for at, value in zip(index, values):
             found[keys[missing[at]]] = value
             put(keys[missing[at]], value)
@@ -237,27 +253,41 @@ def ground_batch(P, params_or_model, cache: EnergyCache | None = None) -> list:
     """E, the smallest eigenvalue of H(P), at each momentum of the (g, 3)
     stack P.
 
-    Eigenvalues only, of one block of :func:`block_stacks` per theta-pair:
-    the partner has the same spectrum, so E is the smallest of the lowest
-    eigenvalues of those blocks, bit for bit the E of all blocks.  Each
+    Eigenvalues only, of the first block of each theta-pair (the partner
+    has the same spectrum), and of no block that the certificate puts
+    above the lowest eigenvalue found so far (:func:`_ground_energies`): E
+    is bit for bit the smallest lowest eigenvalue of all blocks.  Each
     distinct key is solved once, and the misses are solved together: one
     stacked ``eigvalsh`` per block of the momenta that share a stabilizer
-    (:func:`block_stacks`), which runs the LAPACK call of a single momentum
+    (:func:`setup_stacks`), which runs the LAPACK call of a single momentum
     on each matrix.
     """
     model = _as_model(params_or_model)
     lookup = _own_lookup() if cache is None else (cache.get, cache.put)
-    return _batch(P, model, lookup, True, lambda _, blocks: _ground_energies(blocks))
+    return _batch(P, model, lookup, setup_stacks,
+                  lambda at_P, setup: _ground_energies(at_P, model, setup))
 
 
-def _ground_energies(blocks) -> list:
-    """The E of each momentum of a stack from its stream of blocks: one
-    ``eigvalsh`` per block, each block dropped before the next is built."""
-    lowest = None
-    for block in blocks:
-        low = np.linalg.eigvalsh(block.h)[:, 0]
-        lowest = low if lowest is None else np.minimum(lowest, low)
-        del block  # before the next one is built
+def _ground_energies(P, model: FiberModel, setup) -> list:
+    """The E of each momentum of the (g, 3) P under one ``setup``.
+
+    The first blocks of the theta-pairs come in stream order
+    (:func:`pair_heads`).  The first is built and solved at every momentum,
+    one stacked ``eigvalsh``.  Each later one is proven above tau = the
+    lowest eigenvalue so far + ``PRUNE_MARGIN`` where
+    :func:`certify_stack_block` can, and is built and solved at the momenta
+    where it cannot.  A block is so skipped only when its lowest eigenvalue
+    lies above the running minimum, and E is the minimum over all of them
+    bit for bit.  Each block is dropped before the next is built."""
+    first, *later = pair_heads(setup)
+    # a copy, not a view that would keep every eigenvalue of the stack
+    lowest = np.linalg.eigvalsh(_stack_block(P, model, setup, first).h)[:, 0].copy()
+    for i in later:
+        left = np.flatnonzero(~certify_stack_block(P, lowest + PRUNE_MARGIN, model, setup, i))
+        if left.size:
+            block = _stack_block(P[left], model, setup, i)
+            lowest[left] = np.minimum(lowest[left], np.linalg.eigvalsh(block.h)[:, 0])
+            del block  # before the next one is built
     return lowest.tolist()
 
 
@@ -334,9 +364,10 @@ def solve_batch(P, params_or_model, cache: EnergyCache | None = None) -> list:
     off = [p for p in P if not _along_u(p)] if model.params.gamma < 1.0 else []
     if off:
         P_u = [np.linalg.norm(p) * bounds.U_DIRECTION for p in off]
-        for p, solve in zip(off, _batch(P_u, model, lookup, False, solve_stack)):
+        solves = _batch(P_u, model, lookup, block_stacks, solve_stack)
+        for p, solve in zip(off, solves):
             margins[_quantize_P(p)] = solve.sandwich
-    return _batch(P, model, lookup, False, solve_stack)
+    return _batch(P, model, lookup, block_stacks, solve_stack)
 
 
 def _along_u(p) -> bool:
@@ -549,8 +580,9 @@ def delta_trials(P, model: FiberModel, energies, trial_k_set=None) -> list:
       m_ph > 0, 1 - gamma - eC' >= 0).  eC' is
       :attr:`pffiber.bounds.BoundConstants.e_c_prime`.
     - The operator tier, on what the first keeps: the certificate
-      E(q) > tau of :func:`pffiber.hamiltonian.certify_above`, one Gram
-      product and one Cholesky per block, which needs no hypothesis.
+      E(q) > tau of :func:`pffiber.hamiltonian.certify_above`, a diagonal
+      test and, where it fails, one Gram product and one Cholesky per
+      block, which needs no hypothesis.
       Trials that it rules out are listed in ``certified``.
     """
     from . import bounds  # it imports this module

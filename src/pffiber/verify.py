@@ -46,6 +46,7 @@ from .hamiltonian import (
 from .modes import ball_volume, build_mode_set, form_factors
 from .spectral import (
     CLUSTER_TOL,
+    EigensolverError,
     EnergyCache,
     cluster_degeneracy,
     convergence_study,
@@ -835,15 +836,31 @@ ALL_CHECKS = [
 ]
 
 
+class VerifyStopped(EigensolverError):
+    """An eigensolver failure that stopped :func:`run_verify`: ``results``
+    holds the checks run before it and, last, a failed hard entry for the
+    check it stopped, which names the momenta of the failure."""
+
+    def __init__(self, exc: Exception, results: list):
+        super().__init__(str(exc))
+        self.results = results
+
+
 def run_verify(cfg: RunConfig, cache: EnergyCache | None = None, printer=None):
     """Run the full suite; returns (exit_code, results).
 
-    Exit code 0 iff every hard check passes; soft reports never gate.
+    Exit code 0 iff every hard check passes; soft reports never gate.  An
+    eigensolver failure stops the suite with :class:`VerifyStopped`.
     """
     ctx = VerifyContext(cfg, cache=cache)
     results = []
     for tag, fn in ALL_CHECKS:
-        res = fn(ctx)
+        try:
+            res = fn(ctx)
+        except (EigensolverError, np.linalg.LinAlgError) as exc:
+            results.append(CheckResult(f"{tag} {fn.__name__}", False,
+                                       f"eigensolver error: {exc}"))
+            raise VerifyStopped(exc, results) from exc
         res.name = f"{tag} {res.name}"
         results.append(res)
         if printer is not None:

@@ -15,8 +15,9 @@ def build_H_blocks(P, params_or_model, one_per_pair: bool = False) -> list:
     """The blocks of :func:`pffiber.hamiltonian.block_stacks` at P, one
     list of every block of H(P), sorted by index.
 
-    With ``one_per_pair`` only the blocks up to their partner are built: a
-    prefix of the full list, whose ``partner`` indices still refer to it.
+    With ``one_per_pair`` only the first block of each theta-pair is kept,
+    the blocks whose index is at most their partner's: a prefix of the full
+    list, whose ``partner`` indices still refer to it.
 
     P is one momentum, or a (g, 3) stack: then the result is one list of
     blocks per momentum, built in the stacks of :func:`block_stacks`, and
@@ -26,8 +27,11 @@ def build_H_blocks(P, params_or_model, one_per_pair: bool = False) -> list:
     """
     P = np.asarray(P, dtype=float)
     out = [None] * len(P.reshape(-1, 3))
-    for index, blocks in block_stacks(P, params_or_model, one_per_pair):
-        blocks = sorted(blocks, key=lambda b: b.index)
+    for index, blocks in block_stacks(P, params_or_model):
+        blocks = sorted(
+            (b for b in blocks if b.index <= b.partner or not one_per_pair),
+            key=lambda b: b.index,
+        )
         for at, i in enumerate(index):
             out[i] = [dataclasses.replace(b, h=b.h[at]) for b in blocks]
     return out[0] if P.ndim == 1 else out

@@ -157,12 +157,12 @@ def test_a_mid_scale_mirror_block_is_solved_alone(default_params):
     model = build_model(default_params.replace(N_max=2))
     assert model.dim == 325
     P = _momenta("mirror")[:3]
-    groups = list(block_stacks(P, model, one_per_pair=True))
+    groups = list(block_stacks(P, model))
     assert [list(index) for index, _ in groups] == [[0], [1], [2]]
-    for _, blocks in groups:  # each a stream: one block, built when asked
-        (block,) = blocks
-        assert block.h.shape == (1, 325, 325)
-        assert block.h.nbytes > STACK_BYTES
+    for _, blocks in groups:  # each a stream: one theta-pair, built when asked
+        for block in blocks:
+            assert block.h.shape == (1, 325, 325)
+            assert block.h.nbytes > STACK_BYTES
     # at desk scale the whole group is one stack
     desk = build_model(default_params)
     assert [len(index) for index, _ in block_stacks(P, desk)] == [3]

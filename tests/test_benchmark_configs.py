@@ -2,15 +2,19 @@
 CLI arguments for each seed; a change that drops a config key or a flag they
 use stops the benchmark before it runs.  This test loads the workloads module
 as the tracer test loads the tracer, and passes every workload's config
-through ``config_from_dict`` and its arguments through the CLI's parser."""
+through ``config_from_dict`` and its arguments through the CLI's parser.
+It also pins the solves of the ``large-rung`` rung."""
 
 import importlib.util
 import pathlib
 
+import numpy as np
 import pytest
 
-from pffiber import cli
+from pffiber import cli, hamiltonian
 from pffiber.config import config_from_dict
+from pffiber.hamiltonian import build_model
+from pffiber.spectral import ground_data
 
 WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -34,3 +38,25 @@ def test_a_workload_config_and_arguments_load(tmp_path, workload, seed):
                               str(tmp_path / "out"))
     parsed = cli.build_parser().parse_args(args)
     assert parsed.command == workloads.COMMANDS[workload]
+
+
+@pytest.mark.parametrize("seed", [2026, 7])
+def test_the_large_rung_roots_and_solves_one_block(monkeypatch, seed):
+    """The ``large-rung`` rung (48 modes, N_max 2; P = 0.358x at seed 2026,
+    1.25x at seed 7): real C4 blocks in the theta-pairs 0-3 and 1-2.
+    ground_data roots and solves block 0, and the certificate proves block
+    1 above it without building it: one kinetic_root and one eigvalsh."""
+    cfg = config_from_dict(workloads.make_config("large-rung", seed))
+    ((n_max, n_shells),) = cfg.convergence_ladder
+    model = build_model(cfg.small_params.replace(N_max=n_max, n_shells=n_shells))
+    (P,) = cfg.momenta()
+    assert model.dim == 1225 and P[1:].tolist() == [0.0, 0.0]
+    calls = {"kinetic_root": 0, "eigvalsh": 0}
+    for owner, name in ((hamiltonian, "kinetic_root"), (np.linalg, "eigvalsh")):
+        def counted(*args, real=getattr(owner, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    ground_data(P, model)
+    assert calls == {"kinetic_root": 1, "eigvalsh": 1}

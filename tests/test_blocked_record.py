@@ -133,7 +133,7 @@ def _counting(monkeypatch, owner, name):
 
 
 @pytest.mark.parametrize(
-    "P, n_blocks, solved",
+    "P, n_blocks, pairs",
     [
         (MOMENTA["x"], 4, 2),  # C4: pairs 0-3 and 1-2
         (MOMENTA["111"], 3, 2),  # C3: pair 0-2, block 1 is its own partner
@@ -142,21 +142,36 @@ def _counting(monkeypatch, owner, name):
     ],
 )
 def test_paired_ground_data_solves_one_block_per_pair(
-    default_params, monkeypatch, P, n_blocks, solved
+    default_params, monkeypatch, P, n_blocks, pairs
 ):
+    """ground_data solves the first block of the first theta-pair; the
+    first block of every later pair is proven above it by the diagonal
+    tier of the certificate here, so one block is solved.  With a
+    certificate that refuses, it solves one block per pair, and E is the
+    same bit for bit."""
     model = build_model(default_params)
     blocks = build_H_blocks(P, model)
     assert len(blocks) == n_blocks
-    assert solved == math.ceil(n_blocks / 2)
+    assert pairs == math.ceil(n_blocks / 2)
     full = np.sort(np.concatenate([np.linalg.eigvalsh(b.h) for b in blocks]))
-    eig = _counting(monkeypatch, np.linalg, "eigvalsh")
-    roots = _counting(monkeypatch, hamiltonian, "kinetic_root")
-    got = ground_data(P, model)
-    assert len(eig) == solved
-    # the partners are not even assembled; a mirror takes one SVD for both
     mirror = np.linalg.det(block_generator(P, model)[0]) < 0
-    assert len(roots) == (0 if mirror else solved)
-    assert abs(got - full[0]) <= 1e-12 * max(abs(full[0]), abs(full[-1]))
+    got = {}
+    for refuse in (False, True):
+        with monkeypatch.context() as patch:
+            if refuse:  # A > 0 fails on every row: neither tier proves a block
+                diagonal = hamiltonian._z_diagonal
+                patch.setattr(hamiltonian, "_z_diagonal", lambda *a: (
+                    np.zeros_like(diagonal(*a)[0]), diagonal(*a)[1]))
+            eig = _counting(patch, np.linalg, "eigvalsh")
+            roots = _counting(patch, hamiltonian, "kinetic_root")
+            grams = _counting(patch, hamiltonian, "certify_block")
+            got[refuse] = ground_data(P, model)
+        solved = pairs if refuse else 1
+        assert len(eig) == solved and not grams
+        # the partners are not even assembled; a mirror takes one SVD for both
+        assert len(roots) == (0 if mirror else solved)
+    assert got[False] == got[True]
+    assert abs(got[False] - full[0]) <= 1e-12 * max(abs(full[0]), abs(full[-1]))
 
 
 @pytest.mark.parametrize("name", ["x", "mirror", "generic"])

@@ -299,14 +299,14 @@ def test_verify_solves_each_coupling_momentum_once(tmp_path, monkeypatch):
     built = []
     real = spectral.block_stacks
 
-    def counted(P, model, one_per_pair=False):
-        if not one_per_pair:
-            for p in np.asarray(P, dtype=float).reshape(-1, 3):
-                built.append((model.params.e, tuple(p)))
-        return real(P, model, one_per_pair)
+    def counted(P, model):
+        for p in np.asarray(P, dtype=float).reshape(-1, 3):
+            built.append((model.params.e, tuple(p)))
+        return real(P, model)
 
     # within spectral only solve_batch builds every block of H(P), a stack of
-    # momenta at a time; count the momenta, not the calls
+    # momenta at a time (the ground path takes setup_stacks); count the
+    # momenta, not the calls
     monkeypatch.setattr(spectral, "block_stacks", counted)
     out = tmp_path / "out"
     assert main(["verify", "--out", str(out), "--threads", "1"]) == 0
@@ -413,10 +413,11 @@ def test_sweep_builds_each_orbit_momentum_once(tmp_path, monkeypatch):
 
         return build
 
-    # every solve builds H(P) in blocks (block_stacks), and the dense build_H
-    # is left to the checks that need the oracle; each counts the momenta it
-    # builds
-    for fn in ("build_H", "block_stacks"):
+    # every solve builds H(P) in blocks, the records in block_stacks and the
+    # ground energies in setup_stacks, at least the first block of each
+    # momentum; the dense build_H is left to the checks that need the
+    # oracle; each counts the momenta it builds
+    for fn in ("build_H", "block_stacks", "setup_stacks"):
         real = getattr(hamiltonian, fn)
         for name, mod in list(sys.modules.items()):
             if (

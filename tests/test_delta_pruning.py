@@ -201,6 +201,26 @@ def test_the_certificate_is_sound_and_tight(form, dtype):
     assert certify_block(_gram(s), d, lam - 10.0, gamma, M, c2).all()
 
 
+@pytest.mark.parametrize("entry", ["nan off the diagonal", "inf on the diagonal"])
+def test_the_certificate_refuses_a_gram_matrix_that_is_not_finite(entry):
+    """numpy's Cholesky returns a factor of NaN or inf without raising for
+    such a matrix; the certificate does not take it as a proof.  At d = 0,
+    tau = 0, gamma = 0.5, M = 1 and c^2 = 1 the finite Gram matrix 0 is
+    proven."""
+    gram = np.zeros((1, 2, 2))
+    args = (np.zeros(2), np.zeros(1), 0.5, 1.0, np.ones(1))
+    assert certify_block(gram.copy(), *args).all()
+    if entry.startswith("nan"):
+        gram[0, 0, 1] = gram[0, 1, 0] = np.nan
+    else:
+        gram[0, 0, 0] = np.inf
+    assert not certify_block(gram.copy(), *args).any()
+    # one bad matrix in a stack refuses that one only
+    stack = np.concatenate([np.zeros((1, 2, 2)), gram])
+    assert certify_block(stack, np.zeros(2), np.zeros(2), 0.5, 1.0,
+                         np.ones(2)).tolist() == [True, False]
+
+
 def _tiers(params_or_model, P, trial_k_set=None):
     """Per momentum: (trials kept, trials past the closed-form tier, orbit
     trials)."""

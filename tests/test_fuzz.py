@@ -344,18 +344,28 @@ def test_a_failed_eigensolve_ends_without_a_traceback(tmp_path, capsys, monkeypa
                                                       case, command):
     """spectrum, sweep and bounds record each failed momentum and exit 0;
     convergence and verify stop at a failure with one ``eigensolver
-    error:`` line and exit 1."""
+    error:`` line and exit 1.  verify still writes its report: the checks
+    run before the failure, then a failed hard entry for the check that it
+    stopped, and no Kramers certificate."""
     monkeypatch.setattr(  # check 3 stalls on both models; stall sooner
         verify, "op_sqrt_quad", functools.partial(hamiltonian.op_sqrt_quad, max_nodes=64)
     )
     params, codes = FAILING_MODELS[case]
     data = {"params": params, "small_params": params, "n_P": 2,
             "verify": {**FAST_VERIFY, "n_sqrt_draws": 1}}
-    code, _ = _run(tmp_path, command, data)
+    code, out = _run(tmp_path, command, data)
     err = capsys.readouterr().err
     assert code == codes.get(command, 0) and "Traceback" not in err
     failures = 2 if command in ("spectrum", "sweep", "bounds") else code
     assert err.count("eigensolver error:") == failures
+    if command == "verify":
+        report = json.loads((out / "verify_report.json").read_text())
+        *run, stopped = report["checks"]
+        assert report["exit_code"] == 1 and report["kramers_certificates"] == []
+        assert run and all(c["detail"].count("eigensolver error:") == 0 for c in run)
+        assert stopped["hard"] and not stopped["passed"]
+        assert stopped["detail"].startswith("eigensolver error: ")
+        assert "P = " in stopped["detail"]
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)

@@ -116,8 +116,12 @@ def test_a_second_call_at_a_stabilizer_reuses_its_setup(default_params, monkeypa
 
 def test_verify_builds_four_grids_and_eight_setups(tmp_path, monkeypatch):
     """A default verify builds 59 models on 4 grids, and builds the blocks
-    of H(P) at 94 momenta on 8 stabilizers.  Momenta are built in stacks
-    (block_stacks), so the momenta are counted, not the calls.
+    of H(P) at 94 momenta on 8 stabilizers.  Momenta are built in stacks,
+    those of the records by block_stacks and those of the ground energies
+    by setup_stacks (which builds the first block of every momentum, and a
+    later one only where the certificate fails), so the momenta are
+    counted, not the calls; certify_above takes setup_stacks inside
+    hamiltonian and builds no block that it proves.
 
     The 94: the 11 sweep momenta at e = 0 (check 1) and at e = 0.05 and
     0.1 (check 4, 22); the Delta trials of check 8, whose sweep momenta are
@@ -126,22 +130,44 @@ def test_verify_builds_four_grids_and_eight_setups(tmp_path, monkeypatch):
     and 0.1, and the operator certificate rules out 0, 11 and 17 of those
     without building a block, 24 in all where 186 were built unpruned; the
     10 momenta -P at each coupling of check 11a (30), and 2, 3 and 2 for
-    soft1, soft2 and inv6."""
+    soft1, soft2 and inv6.
+
+    The blocks rooted, one per momentum of a stacked root: the records root
+    every block of their momenta; the ground path roots the first block of
+    its 61 momenta, and the diagonal tier of the certificate proves each of
+    the 57 later theta-pair blocks that it meets above the running minimum,
+    so none of those is rooted: 193 blocks, where 250 were when the first
+    block of every pair was solved."""
     hamiltonian.build_model.cache_clear()
     hamiltonian._grid.cache_clear()
     hamiltonian._live_models.clear()  # models held elsewhere keep their grids
     counts = collections.Counter()
     for name in ("enumerate_basis", "_symmetry_setup"):
         _counting(monkeypatch, counts, hamiltonian, name)
-    original = hamiltonian.block_stacks
+    def stacks(original):
+        def counted(P, *args, **kwargs):
+            counts["momenta built"] += len(np.asarray(P, dtype=float).reshape(-1, 3))
+            return original(P, *args, **kwargs)
 
-    def stacks(P, *args, **kwargs):
-        counts["momenta built"] += len(np.asarray(P, dtype=float).reshape(-1, 3))
-        return original(P, *args, **kwargs)
+        return counted
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("pffiber.") and vars(mod).get("block_stacks") is original:
-            monkeypatch.setattr(mod, "block_stacks", stacks)
+    def roots(original):
+        def counted(s, M):
+            if s.ndim == 3:  # a stack of blocks, not a dense oracle's s(P)
+                counts["blocks rooted"] += len(s)
+            return original(s, M)
+
+        return counted
+
+    for fn in ("kinetic_root", "_svd_root"):
+        monkeypatch.setattr(hamiltonian, fn, roots(getattr(hamiltonian, fn)))
+    for fn in ("block_stacks", "setup_stacks"):
+        original = getattr(hamiltonian, fn)
+        for name, mod in list(sys.modules.items()):
+            if (name.startswith("pffiber.") and name != "pffiber.hamiltonian"
+                    and vars(mod).get(fn) is original):
+                monkeypatch.setattr(mod, fn, stacks(original))
     assert cli.main(["verify", "--seed", "2026", "--out", str(tmp_path)]) == 0
     assert hamiltonian.build_model.cache_info().misses == 59
-    assert counts == {"enumerate_basis": 4, "_symmetry_setup": 8, "momenta built": 94}
+    assert counts == {"enumerate_basis": 4, "_symmetry_setup": 8, "momenta built": 94,
+                      "blocks rooted": 193}

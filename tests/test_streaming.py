@@ -121,7 +121,7 @@ def test_a_map_between_blocks_that_are_no_theta_pair_is_refused(default_model):
 
 def test_blocks_come_one_pair_at_a_time(default_model):
     """The stream yields each theta-pair's blocks next to each other, the
-    lower index first, and with one_per_pair the first of each pair."""
+    lower index first; pair_heads lists the first of each pair."""
     for P in (P_ALONG_X, [0.5, 0.5, 0.5], [0.7, -0.8, 0.0], [0.31, -0.47, 0.62]):
         ((_, stream),) = hamiltonian.block_stacks(P, default_model)
         order = [(b.index, b.partner) for b in stream]
@@ -129,8 +129,8 @@ def test_blocks_come_one_pair_at_a_time(default_model):
         assert [x for i, j in pairs for x in ((i, j) if i < j else (i,))] == [
             i for i, _ in order
         ]
-        ((_, stream),) = hamiltonian.block_stacks(P, default_model, True)
-        assert [b.index for b in stream] == [i for i, _ in pairs]
+        ((_, setup),) = hamiltonian.setup_stacks(np.reshape(P, (1, 3)), default_model)
+        assert hamiltonian.pair_heads(setup) == [i for i, _ in pairs]
 
 
 def test_records_along_and_against_u_equal_each_momentum_alone(default_model):
@@ -155,16 +155,52 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_ground_data_holds_one_block_at_a_time(default_params):
+def test_ground_data_holds_one_block_at_a_time(default_params, monkeypatch):
     """48 modes at N_max 2 (Fock dim 1225), P along x: real C4 blocks of
-    609 and 616.  ground_data builds and solves one block per pair and
-    drops it before the next: measured at 3.4 times the bytes of the
-    largest block, where building both blocks before solving them took
-    6.3."""
+    609 and 616.  ground_data solves block 0 and drops it before the second
+    theta-pair, whose block the diagonal tier proves: measured at 3.3 times
+    the bytes of the largest block, where building both blocks before
+    solving them took 6.3."""
+    _ground_peak(default_params, monkeypatch, "diagonal")
+
+
+@pytest.mark.parametrize("tier", ["Gram", "none"])
+def test_ground_data_holds_one_block_where_the_diagonal_tier_fails(
+    default_params, monkeypatch, tier
+):
+    """The case of :func:`test_ground_data_holds_one_block_at_a_time`.  With
+    z made <= 0, the Gram tier tries the second pair's block (s_i, its Gram
+    product and the copies of the Cholesky) and fails, and the block is
+    built and solved; with A made <= 0, it is built and solved at once.
+    Both peak at 3.4 times the largest block."""
+    _ground_peak(default_params, monkeypatch, tier)
+
+
+def _ground_peak(default_params, monkeypatch, tier):
+    """ground_data of :func:`test_ground_data_holds_one_block_at_a_time`
+    with the diagonal tier as ``tier`` says, bounded at 4.5 times the
+    largest block; checks which tiers ran and how many blocks were
+    rooted."""
     model = build_model(default_params.replace(n_shells=4, N_max=2, e=0.17))
     largest = max(b.h.nbytes for b in build_H_blocks(P_ALONG_X, model))
     assert largest == 8 * 616**2
+    real = hamiltonian._z_diagonal
+
+    def diagonal(*args):
+        positive, z = real(*args)
+        if tier == "Gram":
+            z[:] = -1.0
+        return (np.zeros_like(positive) if tier == "none" else positive), z
+
+    monkeypatch.setattr(hamiltonian, "_z_diagonal", diagonal)
+    grams, roots = [], []
+    real_block, real_root = hamiltonian.certify_block, hamiltonian.kinetic_root
+    monkeypatch.setattr(hamiltonian, "certify_block",
+                        lambda gram, *args: grams.append(1) or real_block(gram, *args))
+    monkeypatch.setattr(hamiltonian, "kinetic_root",
+                        lambda s, M: roots.append(1) or real_root(s, M))
     assert _traced_peak(lambda: ground_data(P_ALONG_X, model)) <= 4.5 * largest
+    assert (len(grams), len(roots)) == {"diagonal": (0, 1), "Gram": (1, 2), "none": (0, 2)}[tier]
 
 
 def test_solve_fiber_holds_one_theta_pair_at_a_time(default_params):

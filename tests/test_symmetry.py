@@ -311,11 +311,11 @@ def test_mirror_block_spectra_equal_the_dense_spectrum(
             with monkeypatch.context() as patch:
                 patch.setattr(hamiltonian, "block_generator", lambda *_: (m, perm, signs))
                 setup = _symmetry_setup(P, model)
-            blocks = list(_stacked_blocks(P[None], model, setup, False))
+            blocks = list(_stacked_blocks(P[None], model, setup))
             assert [b.h.shape for b in blocks] == [(1, model.dim, model.dim)] * 2
             got = np.sort(np.concatenate([np.linalg.eigvalsh(b.h[0]) for b in blocks]))
             assert np.max(np.abs(got - dense)) <= tol
-            # block 0, the one that one_per_pair solves and certify_above
+            # block 0, the one that ground_data solves first and certify_above
             # bounds, spans the -i eigenspace of U = D(-M) x Gamma(M)
             u = np.kron(_spin_rotation(-m), _state_rotation(model.basis, perm, signs))
             w = np.column_stack([blocks[0].expand(x) for x in np.eye(model.dim)])
