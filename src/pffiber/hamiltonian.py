@@ -95,6 +95,7 @@ from .modes import (
     build_mode_set,
     coupling_norms,
     form_factors,
+    gauss_legendre,
     grid_rotations,
     mode_action,
     stabilizer,
@@ -363,8 +364,8 @@ def _dagger(u: np.ndarray) -> np.ndarray:
 def _legendre_nodes(n: int) -> tuple:
     """The n-point Gauss-Legendre rule mapped onto theta in (0, pi/2), as
     (tan^2 theta, w / cos^2 theta) pairs: an immutable tuple, since
-    ``leggauss`` takes the eigenvalues of a dense n x n matrix."""
-    x, wts = np.polynomial.legendre.leggauss(n)
+    :func:`pffiber.modes.gauss_legendre` takes O(n^2) work."""
+    x, wts = gauss_legendre(n)
     theta = 0.25 * math.pi * (x + 1.0)
     return tuple(
         (math.tan(th) ** 2, wt / math.cos(th) ** 2) for th, wt in zip(theta, wts)
@@ -891,7 +892,6 @@ def _symmetry_setup(P, model: FiberModel):
 # higher.
 # At mid scale a 325 x 325 complex mirror block (1.7 MB) is solved alone
 STACK_BYTES = 128 * 1024
-EPS = np.finfo(float).eps
 
 
 def block_stacks(P, params_or_model):
@@ -932,164 +932,6 @@ def pair_heads(setup) -> list:
     """The first block of each theta-pair of ``setup``, in stream order:
     the blocks whose index is at most their partner's."""
     return [i for i, (partner, _, _) in enumerate(setup[3]) if i <= partner]
-
-
-def certify_above(P, tau, params_or_model) -> np.ndarray:
-    """Whether E(q) > tau is proven for each momentum q of the (g, 3) P and
-    its level tau, without an eigensolve: :func:`certify_stack_block` on
-    the first block of each theta-pair, with c^2 = |q|^2 + M^2.
-
-    Every block of H(q), one per theta-pair (:func:`pair_heads`), is
-    h = gamma sqrt(s^dagger s + M^2) + D: s is the s_i of :func:`_block_s`
-    and D is the block's H_f diagonal; the partner has the same spectrum.
-    c^2 is the s^dagger s + M^2 of the e = 0 vacuum, so the minorant is
-    tight near the ground state: on the trials of the 24-mode N_max 2 sweep
-    it certifies every tau up to 4e-6 to 7e-6 below E(q).  The momenta are
-    taken in the stacks of :func:`setup_stacks`; a momentum that fails on
-    one block is not tried on the next.
-    """
-    model = _as_model(params_or_model)
-    P = np.asarray(P, dtype=float).reshape(-1, 3)
-    tau = np.asarray(tau, dtype=float).reshape(-1)
-    out = np.zeros(len(P), dtype=bool)
-    for index, setup in setup_stacks(P, model):
-        out[index] = _certify_stack(P[index], tau[index], model, setup)
-    return out
-
-
-def _certify_stack(P, tau, model: FiberModel, setup) -> np.ndarray:
-    """:func:`certify_above` for the (g, 3) P under one ``setup``."""
-    proven = np.ones(len(P), dtype=bool)
-    for i in pair_heads(setup):
-        at = np.flatnonzero(proven)
-        if not at.size:
-            break
-        proven[at] = certify_stack_block(P[at], tau[at], model, setup, i)
-    return proven
-
-
-def certify_stack_block(P, tau, model: FiberModel, setup, i: int) -> np.ndarray:
-    """Whether block i of ``setup`` is proven > tau at each momentum of the
-    (g, 3) P and its (g,) level tau.
-
-    The certificate of :func:`certify_block`, c^2 = |q|^2 + M^2, in two
-    tiers: the diagonal one (:func:`_z_diagonal`) builds no s_i; on the
-    momenta it leaves with A > 0, s_i is built (:func:`_block_s`) and its
-    Gram product factored.
-    """
-    _, _, coefs, specs = setup
-    gamma, M = model.params.gamma, model.params.M
-    c2 = np.sum(P * P, axis=1) + M * M
-    d = model.hf[np.concatenate([cols.rep for _, cols in specs[i][1]])]
-    positive, z = _z_diagonal(d, tau, gamma, M, c2)
-    proven = positive & np.all(z > 0.0, axis=1)
-    at = np.flatnonzero(positive & ~proven)
-    if at.size:
-        s = _block_s(P[at], model, _spin_frame(P[at], model, coefs), setup, i)
-        gram = _dagger(s) @ s
-        del s  # before the two copies that the Cholesky makes
-        proven[at] = certify_block(gram, d, tau[at], gamma, M, c2[at])
-    return proven
-
-
-def _root_minorant(gamma: float, c):
-    """(alpha, beta) = (2 gamma c, 2 gamma c^3): for y >= 0,
-    gamma sqrt(y) >= alpha - beta / (y + c^2), with equality at y = c^2,
-    since (sqrt(y) - c)^2 >= 0 is y + c^2 >= 2c sqrt(y)."""
-    return 2.0 * gamma * c, 2.0 * gamma * c**3
-
-
-def _z_diagonal(d, tau, gamma: float, M: float, c2) -> tuple:
-    """(positive, z) of :func:`certify_block` for the (g, n) or (n,) H_f
-    diagonal d and the (g,) tau and c^2, at tau raised by the rounding of
-    z (see there): ``positive`` says whether A > 0 on every row, and z =
-    M^2 + c^2 - beta / A is the (g, n) diagonal of Z - s^dagger s, with
-    beta / A read as 0 where A <= 0."""
-    alpha, beta = _root_minorant(gamma, np.sqrt(c2))
-    y = c2 + M * M
-    a = alpha[:, None] + d - tau[:, None]
-    size = alpha + np.max(np.abs(d), axis=-1) + np.abs(tau)
-    low = np.min(a, axis=1)  # where it is <= 0, nothing is proven
-    ratio, spread = (
-        np.divide(x, low, out=np.zeros_like(low), where=low > 0.0) for x in (beta, size)
-    )
-    eta = 8.0 * EPS * (y + ratio * (1.0 + spread))
-    a -= (8.0 * EPS * size + gamma * eta / (2.0 * M))[:, None]
-    z = y[:, None] - beta[:, None] / np.where(a > 0.0, a, np.inf)
-    return np.all(a > 0.0, axis=1), z
-
-
-def certify_block(gram, d, tau, gamma: float, M: float, c2) -> np.ndarray:
-    """Whether h = gamma sqrt(Y) + diag(d) > tau is proven, Y = s^dagger s
-    + M^2, for each of a (g, n, n) stack ``gram`` of the Gram products
-    s^dagger s, (g, n) d and (g,) tau and c^2: one Cholesky each.  The
-    diagonal of ``gram`` is overwritten, so that it becomes Z below.
-
-    With (alpha, beta) of :func:`_root_minorant` at c > 0, the spectral
-    theorem of Y gives gamma sqrt(Y) >= alpha - beta (Y + c^2)^{-1}, so
-
-        h - tau >= A - beta (Y + c^2)^{-1},   A = alpha + diag(d) - tau.
-
-    When the diagonal A is > 0, the matrix [[A, sqrt(beta)], [sqrt(beta),
-    Y + c^2]] has two Schur complements, and the right side is positive
-    definite exactly when Z = Y + c^2 - beta A^{-1} is.  So a Cholesky
-    factor of Z proves h > tau.  No other hypothesis is used: neither
-    gamma < 1 nor a bound on the coupling.  A matrix with some A_i <= 0 is
-    not certified, and neither is a Z with an entry that is not finite.
-
-    Z = s^dagger s + diag(z), z = M^2 + c^2 - beta / A (:func:`_z_diagonal`).
-    Since s^dagger s >= 0, z > 0 on every row proves Z > 0 without s: that
-    is the diagonal tier of :func:`certify_stack_block`, which leaves this
-    one the momenta where some z_i <= 0.
-
-    Rounding.  Z is formed in floating point.  If the exact Z is >= -eta,
-    the argument above, run with Y + eta, proves h > tau - gamma eta /
-    (2M), because sqrt(Y + eta) - sqrt(Y) <= eta / (2M).  So tau is
-    raised by gamma eta / (2M), which grows as M shrinks, with eta bounded
-    to first order in eps; the diagonal tier pays the first term below,
-    the Gram tier both:
-
-    - z: A_i errs by eps S, S = alpha + max |d| + |tau|, and the division
-      and subtraction by eps (M^2 + c^2 + beta / A_i), so the exact z_i
-      lies within eta' = 8 eps (M^2 + c^2 + beta / A (1 + S / A)) of the
-      computed one, A the smallest A_i; tau is also raised by 8 eps S for
-      the rounding of alpha and beta themselves.
-    - The Gram product and its Cholesky: a factor R of the computed Z has
-      R^dagger R = Z + E with |E_ij| <= (n + 1) eps sqrt(Z_ii Z_jj) to
-      first order (Higham, *Accuracy and Stability of Numerical
-      Algorithms*, thm. 10.3), and the matrix sqrt(Z_ii Z_jj) has norm
-      trace Z, so ||E|| <= (n + 1) eps trace Z; the product s^dagger s
-      errs by n eps trace(s^dagger s) in the same way.  eta = 3 (n + 1)
-      eps (trace(s^dagger s) + n (M^2 + c^2)).
-
-    On the 24-mode N_max 2 grid at M = 1 the two raise tau by at most
-    3e-14 (z) and 5e-11 (the Gram tier); at M = 1e-6 by 1e-8 and 4e-5, so
-    a block is proven only that much further above tau, and at M = 1e-150
-    by more than any gap, so nothing is.  ``PRUNE_MARGIN`` (1e-9), which
-    the Delta trials and the ground energy add to tau, is left for the
-    rounding of the eigensolve that found tau.
-    """
-    n = gram.shape[-1]
-    diagonal = np.einsum("...ii->...i", gram)
-    eta = 3.0 * (n + 1) * EPS * (np.sum(diagonal.real, axis=1) + n * (c2 + M * M))
-    positive, z = _z_diagonal(d, tau + gamma * eta / (2.0 * M), gamma, M, c2)
-    diagonal += z
-    return positive & _cholesky_succeeds(gram)
-
-
-def _cholesky_succeeds(z: np.ndarray) -> np.ndarray:
-    """Whether numpy's Cholesky factors each matrix of the (g, n, n) stack
-    z, whose entries must all be finite: numpy returns a factor of NaN or
-    inf, without raising, for a matrix that holds one.  A stacked call, and
-    one call per matrix only when it fails."""
-    finite = np.all(np.isfinite(z), axis=(-2, -1))
-    try:
-        np.linalg.cholesky(z)
-        return finite
-    except np.linalg.LinAlgError:
-        if len(z) <= 1:
-            return np.zeros(len(z), dtype=bool)
-        return np.concatenate([_cholesky_succeeds(m[None]) for m in z])
 
 
 def setup_stacks(P, model: FiberModel):

@@ -228,9 +228,44 @@ def direction_set(n_dirs: int):
     return np.array(dirs), weights
 
 
+def gauss_legendre(n: int) -> tuple:
+    """The n-point Gauss-Legendre rule on [-1, 1], n >= 1: (nodes
+    ascending, weights).
+
+    Newton's method on P_n at the roots in [0, 1] at once, from cos(pi (k -
+    1/4) / (n + 1/2)) for the k-th largest, until no root moves by more
+    than 4 eps; the rule is symmetric, so they are mirrored.  P_n' = n
+    (P_{n-1} - x P_n) / (1 - x^2) and w = 2 / ((1 - x^2) P_n'^2), with 1 -
+    x^2 taken as (1 - x)(1 + x), exact near x = 1.  O(n) memory and O(n^2)
+    work per step, where a companion matrix takes O(n^2) memory."""
+    x = np.cos(math.pi * (np.arange(1, (n + 1) // 2 + 1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        below, p = _legendre_pair(n, x)
+        step = p * (1.0 - x) * (1.0 + x) / (n * (below - x * p))
+        x = x - step
+        if np.max(np.abs(step)) <= 4.0 * sys.float_info.epsilon:
+            break
+    below, p = _legendre_pair(n, x)
+    w = 2.0 * (1.0 - x) * (1.0 + x) / (n * (below - x * p)) ** 2
+    if n % 2:
+        x[-1] = 0.0
+    half = n // 2
+    nodes = np.concatenate([-x[:half], x[::-1]])
+    return nodes, np.concatenate([w[:half], w[::-1]])
+
+
+def _legendre_pair(n: int, x) -> tuple:
+    """(P_{n-1}(x), P_n(x)) by the three-term recurrence (j + 1) P_{j+1} =
+    (2j + 1) x P_j - j P_{j-1}."""
+    below, p = np.ones_like(x), x
+    for j in range(1, n):
+        below, p = p, ((2 * j + 1) * x * p - j * below) / (j + 1)
+    return below, p
+
+
 def radial_rule(n_shells: int, k_min: float, Lambda: float):
     """Gauss-Legendre nodes/weights on [k_min, Lambda]."""
-    x, w = np.polynomial.legendre.leggauss(n_shells)
+    x, w = gauss_legendre(n_shells)
     half = 0.5 * (Lambda - k_min)
     mid = 0.5 * (Lambda + k_min)
     return mid + half * x, half * w

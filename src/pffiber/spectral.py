@@ -57,9 +57,10 @@ the skipped trials differ from the kept one only by rounding.  Of those
 orbits, the ones whose value a lower bound on E(P - k) puts above the k = 0
 value are not solved either (:func:`delta_trials`): first the closed-form
 corollary bound, then, on what it keeps, an operator certificate
-(:func:`pffiber.hamiltonian.certify_above`) that needs no eigensolve: a
-test of the block's diagonal, then one Gram product and one Cholesky per
-block where that test fails.  The ground path above uses the same
+(:func:`pffiber.certificate.certify_above`) that needs no eigensolve: a
+test of the block's diagonal, then, where that test fails, a Schur
+complement on the states it fails on, by conjugate gradients with s
+applied through sparse tables.  The ground path above uses the same
 certificate.
 """
 
@@ -72,14 +73,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .certificate import certify_above, certify_stack_block
 from .fock import hermiticity_defect
 from .hamiltonian import (
     FiberModel,
     _as_model,
     _stack_block,
     block_stacks,
-    certify_above,
-    certify_stack_block,
     pair_heads,
     setup_stacks,
 )
@@ -557,7 +557,7 @@ def delta_search(
 
 class Trials(NamedTuple):
     """The orbit trials of one momentum: those :func:`delta_search` solves,
-    and those that :func:`pffiber.hamiltonian.certify_above` ruled out."""
+    and those that :func:`pffiber.certificate.certify_above` ruled out."""
 
     kept: list
     certified: list
@@ -580,9 +580,9 @@ def delta_trials(P, model: FiberModel, energies, trial_k_set=None) -> list:
       m_ph > 0, 1 - gamma - eC' >= 0).  eC' is
       :attr:`pffiber.bounds.BoundConstants.e_c_prime`.
     - The operator tier, on what the first keeps: the certificate
-      E(q) > tau of :func:`pffiber.hamiltonian.certify_above`, a diagonal
-      test and, where it fails, one Gram product and one Cholesky per
-      block, which needs no hypothesis.
+      E(q) > tau of :func:`pffiber.certificate.certify_above`, a diagonal
+      test and, where it fails, a Schur complement on the states where it
+      fails, which needs no hypothesis.
       Trials that it rules out are listed in ``certified``.
     """
     from . import bounds  # it imports this module

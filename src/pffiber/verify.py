@@ -162,6 +162,12 @@ def check_free_oracle(ctx: VerifyContext) -> CheckResult:
 # criterion 2: Clifford / Pauli algebra identities
 # ----------------------------------------------------------------------
 
+def _worst(worst: float, defect) -> float:
+    """The larger of two defects, NaN if either is: Python's max(worst,
+    nan) keeps worst, and a NaN defect would then pass its check."""
+    return float(np.maximum(worst, defect))
+
+
 def check_clifford_square(ctx: VerifyContext) -> CheckResult:
     tol = CLIFFORD_TOL
     worst = 0.0
@@ -175,9 +181,7 @@ def check_clifford_square(ctx: VerifyContext) -> CheckResult:
             np.eye(2), t + model.params.M**2 * np.eye(t.shape[0])
         )
         d2 = d @ d
-        worst = max(
-            worst, float(np.linalg.norm(d2 - block) / np.linalg.norm(d2))
-        )
+        worst = _worst(worst, np.linalg.norm(d2 - block) / np.linalg.norm(d2))
     return CheckResult(
         "Clifford square identity",
         worst <= tol,
@@ -196,11 +200,9 @@ def check_pauli_identity(ctx: VerifyContext) -> CheckResult:
         model = build_model(ctx.params_at(e))
         td = build_T(P, model)
         te = build_T_expanded(P, model)
-        worst = max(
-            worst, float(np.linalg.norm(td - te) / np.linalg.norm(td))
-        )
+        worst = _worst(worst, np.linalg.norm(td - te) / np.linalg.norm(td))
         sub, _ = spin_curl_mismatch(P, model)
-        sub_worst = max(sub_worst, sub)
+        sub_worst = _worst(sub_worst, sub)
     ok = worst <= tol and sub_worst <= 1e-12
     return CheckResult(
         "Pauli expansion identity",

@@ -1,13 +1,25 @@
 """Oracles that only the tests call: the block lists of H(P) collected from
 the stream of :func:`pffiber.hamiltonian.block_stacks` and the dense basis
-of a block, the dense free Hamiltonian, and the Kramers pairing of dense
-eigenpairs."""
+of a block, the dense free Hamiltonian, the Kramers pairing of dense
+eigenpairs, and the operator certificate h > tau by the Gram product s^dagger
+s and a Cholesky of Z, against which the Schur complement of
+:func:`pffiber.certificate.certify_block` is checked."""
 
 import dataclasses
 
 import numpy as np
 
-from pffiber.hamiltonian import ID2, _as_model, block_stacks, h0_diag
+from pffiber import certificate, spectral
+from pffiber.certificate import EPS, Gram, _z_diagonal
+from pffiber.hamiltonian import (
+    ID2,
+    _as_model,
+    _block_s,
+    _dagger,
+    _spin_frame,
+    block_stacks,
+    h0_diag,
+)
 from pffiber.kramers import apply_theta
 
 
@@ -68,3 +80,91 @@ def theta_pairing_residuals(h: np.ndarray, vals, vecs, h_norm=None):
         overlap = abs(complex(np.vdot(v, tv)))
         out.append((res, overlap))
     return out
+
+
+def cholesky_stack_block(P, tau, model, setup, i: int) -> np.ndarray:
+    """:func:`pffiber.certificate.certify_stack_block` by the Cholesky
+    certificate: the diagonal tier, then s_i built (:func:`_block_s`) and
+    its Gram product factored by :func:`cholesky_certificate`."""
+    _, _, coefs, specs = setup
+    gamma, M = model.params.gamma, model.params.M
+    c2 = np.sum(P * P, axis=1) + M * M
+    d = model.hf[np.concatenate([cols.rep for _, cols in specs[i][1]])]
+    positive, z = _z_diagonal(d, tau, gamma, M, c2)
+    proven = positive & np.all(z > 0.0, axis=1)
+    at = np.flatnonzero(positive & ~proven)
+    if at.size:
+        s = _block_s(P[at], model, _spin_frame(P[at], model, coefs), setup, i)
+        gram = _dagger(s) @ s
+        del s  # before the two copies that the Cholesky makes
+        proven[at] = cholesky_certificate(gram, d, tau[at], gamma, M, c2[at])
+    return proven
+
+
+def cholesky_certificate(gram, d, tau, gamma: float, M: float, c2) -> np.ndarray:
+    """Whether h = gamma sqrt(Y) + diag(d) > tau is proven, Y = s^dagger s
+    + M^2, for each of a (g, n, n) stack ``gram`` of the Gram products
+    s^dagger s, (g, n) d and (g,) tau and c^2: one Cholesky of Z =
+    s^dagger s + diag(z) each (see :func:`pffiber.certificate.certify_block`
+    for z).  The diagonal of ``gram`` is overwritten, so that it becomes Z.
+
+    Rounding: a factor R of the computed Z has R^dagger R = Z + E with
+    |E_ij| <= (n + 1) eps sqrt(Z_ii Z_jj) to first order (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, thm. 10.3), so ||E|| <= (n + 1)
+    eps trace Z; the product s^dagger s errs by n eps trace(s^dagger s) in
+    the same way.  tau is raised by gamma eta / (2M), eta = 3 (n + 1) eps
+    (trace(s^dagger s) + n (M^2 + c^2)), on top of the rounding of z."""
+    n = gram.shape[-1]
+    diagonal = np.einsum("...ii->...i", gram)
+    eta = 3.0 * (n + 1) * EPS * (np.sum(diagonal.real, axis=1) + n * (c2 + M * M))
+    positive, z = _z_diagonal(d, tau + gamma * eta / (2.0 * M), gamma, M, c2)
+    diagonal += z
+    return positive & cholesky_succeeds(gram)
+
+
+def cholesky_succeeds(z: np.ndarray) -> np.ndarray:
+    """Whether numpy's Cholesky factors each matrix of the (g, n, n) stack
+    z, whose entries must all be finite: numpy returns a factor of NaN or
+    inf, without raising, for a matrix that holds one.  A stacked call, and
+    one call per matrix only when it fails."""
+    finite = np.all(np.isfinite(z), axis=(-2, -1))
+    try:
+        np.linalg.cholesky(z)
+        return finite
+    except np.linalg.LinAlgError:
+        if len(z) <= 1:
+            return np.zeros(len(z), dtype=bool)
+        return np.concatenate([cholesky_succeeds(m[None]) for m in z])
+
+
+def dense_gram(s) -> Gram:
+    """The :class:`pffiber.hamiltonian.Gram` of a (g, n, n) stack of dense
+    matrices s: two products, each sum of n terms."""
+    s = np.asarray(s)
+
+    def apply(x, at, absolute=False):
+        m = np.abs(s[at]) if absolute else s[at]
+        # rows of x are vectors: s x is x s^T, and s^dagger y is y conj(s)
+        return (x @ m.swapaxes(-1, -2)) @ np.conj(m)
+
+    return Gram(apply, 2 * s.shape[-1] + 8, np.isrealobj(s))
+
+
+def compare_certificates(patch) -> list:
+    """Make every call of the certificate of a block, from the Delta trials
+    (:func:`pffiber.certificate.certify_above`) and from the ground path
+    (:func:`pffiber.spectral._ground_energies`), also run
+    :func:`cholesky_stack_block`; returns the list that collects the
+    (Schur, Cholesky) verdicts of each call.  ``patch`` is a pytest
+    monkeypatch."""
+    log = []
+    real = certificate.certify_stack_block
+
+    def both(P, tau, model, setup, i):
+        proven = real(P, tau, model, setup, i)
+        log.append((proven.copy(), cholesky_stack_block(P, tau, model, setup, i)))
+        return proven
+
+    patch.setattr(certificate, "certify_stack_block", both)
+    patch.setattr(spectral, "certify_stack_block", both)
+    return log

@@ -3,10 +3,15 @@ CLI arguments for each seed; a change that drops a config key or a flag they
 use stops the benchmark before it runs.  This test loads the workloads module
 as the tracer test loads the tracer, and passes every workload's config
 through ``config_from_dict`` and its arguments through the CLI's parser.
-It also pins the solves of the ``large-rung`` rung."""
+It also pins the solves of the ``large-rung`` rung and the memory of the
+``mid-sweep`` certificate."""
 
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -60,3 +65,46 @@ def test_the_large_rung_roots_and_solves_one_block(monkeypatch, seed):
         monkeypatch.setattr(owner, name, counted)
     ground_data(P, model)
     assert calls == {"kinetic_root": 1, "eigvalsh": 1}
+
+
+# certify_above on the Delta trial stacks of a config, replayed under
+# tracemalloc once the search has built every set-up; prints the number of
+# stacks, the peak bytes and whether numpy.polynomial was ever imported
+CERTIFY_PEAK_SCRIPT = r"""
+import json, sys, tracemalloc
+import numpy as np
+import pffiber.cli
+from pffiber import spectral
+from pffiber.config import config_from_dict
+from pffiber.hamiltonian import build_model
+
+cfg = config_from_dict(json.loads(sys.argv[1]))
+model = build_model(cfg.params)
+stacks, real = [], spectral.certify_above
+spectral.certify_above = lambda P, tau, m: stacks.append((P, tau)) or real(P, tau, m)
+spectral.delta_search(np.array(cfg.momenta()), model)
+peak = 0
+for P, tau in stacks:
+    tracemalloc.start()
+    real(P, tau, model)
+    peak = max(peak, tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+print(json.dumps({"stacks": len(stacks), "peak": peak,
+                  "polynomial": "numpy.polynomial" in sys.modules}))
+"""
+
+
+def test_the_mid_sweep_certificate_forms_no_block_matrix():
+    """In a fresh process that imports the CLI, builds the ``mid-sweep``
+    model (seed 2026) and searches its Delta trials: certify_above on the
+    trial stacks peaks below 0.5 MB of traced memory, where the Gram
+    product and its Cholesky took 5.1 MB, and numpy.polynomial is never
+    imported."""
+    config = json.dumps(workloads.make_config("mid-sweep", 2026))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", CERTIFY_PEAK_SCRIPT, config],
+                         capture_output=True, text=True, env=env, timeout=300, check=True)
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["stacks"] > 0 and not result["polynomial"]
+    assert result["peak"] < 0.5e6

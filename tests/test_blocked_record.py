@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pffiber import bounds, hamiltonian, spectral
+from pffiber import bounds, certificate, hamiltonian, spectral
 from pffiber.hamiltonian import block_generator, build_H, build_model
 from pffiber.kramers import _theta, check_theta_commutes
 from pffiber.spectral import _ground_triple, ground_data, solve_fiber
@@ -159,12 +159,12 @@ def test_paired_ground_data_solves_one_block_per_pair(
     for refuse in (False, True):
         with monkeypatch.context() as patch:
             if refuse:  # A > 0 fails on every row: neither tier proves a block
-                diagonal = hamiltonian._z_diagonal
-                patch.setattr(hamiltonian, "_z_diagonal", lambda *a: (
+                diagonal = certificate._z_diagonal
+                patch.setattr(certificate, "_z_diagonal", lambda *a: (
                     np.zeros_like(diagonal(*a)[0]), diagonal(*a)[1]))
             eig = _counting(patch, np.linalg, "eigvalsh")
             roots = _counting(patch, hamiltonian, "kinetic_root")
-            grams = _counting(patch, hamiltonian, "certify_block")
+            grams = _counting(patch, certificate, "certify_block")
             got[refuse] = ground_data(P, model)
         solved = pairs if refuse else 1
         assert len(eig) == solved and not grams

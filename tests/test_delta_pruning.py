@@ -1,10 +1,12 @@
 """Delta(P) skips the trials that two tiers of lower bounds on E(P - k)
 rule out: the corollary bound E(q) >= gamma sqrt(q^2 + M^2) - eC', and the
-operator certificate of :func:`pffiber.hamiltonian.certify_block`.  The
+operator certificate of :func:`pffiber.certificate.certify_block`.  The
 pruned Delta is checked bit for bit against a brute-force minimum over
 every orbit trial, with negative controls that lower eC' or drop the
 certificate's resolvent term until the pruning drops a minimizer.  The
-certificate itself is checked on random blocks against ``eigvalsh``."""
+certificate itself is checked on random blocks against ``eigvalsh``, and
+on every query of each case against the Cholesky certificate of
+:mod:`oracles`."""
 
 import dataclasses
 import math
@@ -12,9 +14,10 @@ import math
 import numpy as np
 import pytest
 
-from pffiber import bounds, hamiltonian, verify
+from pffiber import bounds, certificate, verify
 from pffiber.config import default_config
-from pffiber.hamiltonian import _as_model, build_model, certify_block
+from pffiber.certificate import _z_diagonal, certify_block
+from pffiber.hamiltonian import _as_model, build_model
 from pffiber.modes import dispersion, orbit_representatives, stabilizer
 from pffiber.spectral import (
     PRUNE_MARGIN,
@@ -24,6 +27,8 @@ from pffiber.spectral import (
     delta_trials,
     ground_batch,
 )
+
+from oracles import cholesky_succeeds, compare_certificates, dense_gram
 
 DIRECTION_COUNTS = (2, 6, 8, 12)
 COUPLINGS = (0.0, 0.1, 0.3)
@@ -65,8 +70,11 @@ def _case(default_params, n_dirs, n_max, e):
     return model, P, pruned, brute
 
 
-# the (model, momenta, Delta, trials) of each case, once per session
+# the (model, momenta, Delta, trials) of each case, once per session, and
+# the (certify_block, Cholesky oracle) verdicts of each certificate query
+# that its search made
 _PRUNED = {}
+_VERDICTS = {}
 
 
 def _pruned_case(default_params, n_dirs, n_max, e):
@@ -75,7 +83,9 @@ def _pruned_case(default_params, n_dirs, n_max, e):
         model = _model(default_params, n_dirs, n_max, e)
         P = _momenta(n_dirs, n_max)
         cache = _CACHES.setdefault(key, EnergyCache())
-        _PRUNED[key] = (model, P, *delta_search(P, model, cache=cache))
+        with pytest.MonkeyPatch.context() as patch:
+            _VERDICTS[key] = compare_certificates(patch)
+            _PRUNED[key] = (model, P, *delta_search(P, model, cache=cache))
     return _PRUNED[key]
 
 
@@ -87,6 +97,20 @@ def test_pruned_delta_equals_the_brute_force_minimum(default_params, n_dirs, n_m
     assert pruned == brute
     kept, every = _kept_counts(model, P)
     assert sum(kept) < sum(every)  # the equality holds with trials skipped
+
+
+@pytest.mark.parametrize("e", COUPLINGS)
+@pytest.mark.parametrize("n_max", [1, 2])
+@pytest.mark.parametrize("n_dirs", DIRECTION_COUNTS)
+def test_the_certificate_equals_the_cholesky_oracle_on_every_query(
+    default_params, n_dirs, n_max, e
+):
+    """Every block that the search of a case asked the certificate about,
+    from the Delta trials and from the ground path, gets the verdict of
+    the Gram product and Cholesky of :mod:`oracles`."""
+    _pruned_case(default_params, n_dirs, n_max, e)
+    for schur, cholesky in _VERDICTS[n_dirs, n_max, e]:
+        assert schur.tolist() == cholesky.tolist()
 
 
 def test_lowering_e_c_prime_by_0_2_breaks_the_equality(default_params, monkeypatch):
@@ -137,7 +161,7 @@ def test_dropping_beta_breaks_the_equality(default_params, monkeypatch):
     is false below y = 4c^2: it rules out trials that hold the minimum, and
     Delta then differs from the brute force in some case."""
     monkeypatch.setattr(
-        hamiltonian, "_root_minorant", lambda gamma, c: (2.0 * gamma * c, 0.0 * c)
+        certificate, "_root_minorant", lambda gamma, c: (2.0 * gamma * c, 0.0 * c)
     )
     differ = 0
     for n_dirs in DIRECTION_COUNTS:
@@ -172,6 +196,14 @@ def _gram(s):
     return np.conj(s.swapaxes(-1, -2)) @ s
 
 
+def _certify(s, d, tau, gamma, M, c2):
+    """The two tiers of :func:`pffiber.certificate.certify_stack_block` on
+    the dense (g, n, n) s: A > 0, then Z > 0 by :func:`certify_block`,
+    which takes the momenta where z > 0 on every row at once."""
+    positive, z = _z_diagonal(d, tau, gamma, M, c2)
+    return positive & certify_block(dense_gram(s), z)
+
+
 def _lowest(s, d, gamma, M):
     """The lowest eigenvalue of gamma sqrt(s^dagger s + M^2) + diag(d)."""
     y, u = np.linalg.eigh(_gram(s))
@@ -194,31 +226,79 @@ def test_the_certificate_is_sound_and_tight(form, dtype):
         lam = _lowest(s, d, gamma, M)
         c2 = np.full(len(s), 0.7**2 + M * M)
         for shift in (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0):
-            assert not certify_block(_gram(s), d, lam + shift, gamma, M, c2).any()
+            assert not _certify(s, d, lam + shift, gamma, M, c2).any()
         if strength == 0.02:
-            assert certify_block(_gram(s), d, lam - 1e-4, gamma, M, c2).all()
+            assert _certify(s, d, lam - 1e-4, gamma, M, c2).all()
     # far below the spectrum the certificate holds at any coupling
-    assert certify_block(_gram(s), d, lam - 10.0, gamma, M, c2).all()
+    assert _certify(s, d, lam - 10.0, gamma, M, c2).all()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_the_schur_complement_equals_the_cholesky_for_every_size_of_S(dtype):
+    """Random Hermitian s with n = 24, z > 0 off a random set S of each
+    size from 1 to n, and z < 0 on S at depths around the threshold:
+    certify_block proves Z = s^dagger s + diag(z) > 0 exactly where the
+    Cholesky of the dense Z runs through, wherever the lowest eigenvalue
+    of Z is at least 1e-6 of its norm from 0, and never where it is <= 0.
+    Both verdicts occur at every size."""
+    rng = np.random.default_rng(26)
+    g, n = 12, 24
+    for size in range(1, n + 1):
+        s = rng.normal(size=(g, n, n))
+        if dtype is complex:
+            s = s + 1j * rng.normal(size=(g, n, n))
+        # eigenvalues of s in about [0.4, 1.6], so that a Z with z < 0 on
+        # every state can still be positive definite
+        s = 0.15 * (s + np.conj(s.swapaxes(-1, -2))) / math.sqrt(n) + np.eye(n)
+        z = rng.uniform(0.2, 2.0, size=(g, n))
+        for a, depth in enumerate(np.geomspace(0.01, 3.0, g)):
+            states = rng.choice(n, size, replace=False)
+            z[a, states] = -depth * rng.uniform(0.5, 1.0, size)
+        Z = _gram(s) + z[:, :, None] * np.eye(n)
+        lowest = np.linalg.eigvalsh(Z)[:, 0]
+        clear = np.abs(lowest) >= 1e-6 * np.abs(np.linalg.eigvalsh(Z)).max(axis=1)
+        got = certify_block(dense_gram(s), z)
+        assert got[clear].tolist() == cholesky_succeeds(Z)[clear].tolist()
+        assert not got[lowest <= 0.0].any()
+        assert set(got[clear].tolist()) == {True, False}
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("form", ["mirror", "rotation"])
+def test_one_cg_step_proves_no_level_above_the_minimum(monkeypatch, form, dtype):
+    """Negative control: with CG cut to one step the residual term is
+    large, and a level at or above the lowest eigenvalue is still never
+    proven; far below it, one step proves the weak draws."""
+    monkeypatch.setattr(certificate, "CG_STEPS", 1)
+    rng = np.random.default_rng(7)
+    gamma, M = 0.5, 1.0
+    for strength in (0.02, 0.3, 3.0):
+        s, d = _random_blocks(rng, 16, 40, form, dtype, strength)
+        lam = _lowest(s, d, gamma, M)
+        c2 = np.full(len(s), 0.7**2 + M * M)
+        for shift in (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0):
+            assert not _certify(s, d, lam + shift, gamma, M, c2).any()
+        if strength == 0.02:
+            assert _certify(s, d, lam - 0.1, gamma, M, c2).all()
 
 
 @pytest.mark.parametrize("entry", ["nan off the diagonal", "inf on the diagonal"])
 def test_the_certificate_refuses_a_gram_matrix_that_is_not_finite(entry):
-    """numpy's Cholesky returns a factor of NaN or inf without raising for
-    such a matrix; the certificate does not take it as a proof.  At d = 0,
-    tau = 0, gamma = 0.5, M = 1 and c^2 = 1 the finite Gram matrix 0 is
-    proven."""
-    gram = np.zeros((1, 2, 2))
-    args = (np.zeros(2), np.zeros(1), 0.5, 1.0, np.ones(1))
-    assert certify_block(gram.copy(), *args).all()
+    """s = diag(0, 1) and z = (1, -0.5): Z = diag(1, 0.5) is proven by the
+    Schur complement on S = {1}.  A NaN off the diagonal of s, or an inf
+    on it, makes s^dagger s not finite, and Z is not proven; in a stack,
+    only that matrix is refused."""
+    good = np.diag([0.0, 1.0])[None]
+    z = np.array([[1.0, -0.5]])
+    assert certify_block(dense_gram(good), z).all()
+    bad = good.copy()
     if entry.startswith("nan"):
-        gram[0, 0, 1] = gram[0, 1, 0] = np.nan
+        bad[0, 0, 1] = bad[0, 1, 0] = np.nan
     else:
-        gram[0, 0, 0] = np.inf
-    assert not certify_block(gram.copy(), *args).any()
-    # one bad matrix in a stack refuses that one only
-    stack = np.concatenate([np.zeros((1, 2, 2)), gram])
-    assert certify_block(stack, np.zeros(2), np.zeros(2), 0.5, 1.0,
-                         np.ones(2)).tolist() == [True, False]
+        bad[0, 0, 0] = np.inf
+    assert not certify_block(dense_gram(bad), z).any()
+    stack = np.concatenate([good, bad])
+    assert certify_block(dense_gram(stack), np.repeat(z, 2, axis=0)).tolist() == [True, False]
 
 
 def _tiers(params_or_model, P, trial_k_set=None):
@@ -316,7 +396,7 @@ def test_check_8_reads_the_bound_from_the_cache(monkeypatch):
     _, kept = delta_search(momenta, model, cache=ctx.cache)
     misses = ctx.cache.misses
     certified = []
-    monkeypatch.setattr(hamiltonian, "certify_block", lambda *a: certified.append(a))
+    monkeypatch.setattr(certificate, "certify_block", lambda *a: certified.append(a))
     margins = verify._solved_bound_margins(ctx, model, consts, kept)
     assert ctx.cache.misses == misses and not certified
     monkeypatch.undo()

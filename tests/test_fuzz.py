@@ -368,6 +368,24 @@ def test_a_failed_eigensolve_ends_without_a_traceback(tmp_path, capsys, monkeypa
         assert "P = " in stopped["detail"]
 
 
+def test_checks_2a_and_2b_fail_on_a_defect_that_is_not_finite(tmp_path, capsys,
+                                                            monkeypatch):
+    """At Lambda = 1e100 the Frobenius norms of checks 2a and 2b overflow,
+    and their defects are inf / inf = NaN: both checks fail, where the
+    running maximum used to drop the NaN and pass them with 0.000e+00.
+    verify exits 1 without a traceback."""
+    monkeypatch.setattr(  # check 3 stalls on this model; stall sooner
+        verify, "op_sqrt_quad", functools.partial(hamiltonian.op_sqrt_quad, max_nodes=64)
+    )
+    data = {"params": {"Lambda": 1e100}, "small_params": {"Lambda": 1e100}}
+    code, out = _run(tmp_path, "verify", data)
+    assert code == 1 and "Traceback" not in capsys.readouterr().err
+    checks = {c["name"].split()[0]: c for c in
+              json.loads((out / "verify_report.json").read_text())["checks"]}
+    for name in ("2a", "2b"):
+        assert not checks[name]["passed"] and "nan" in checks[name]["detail"]
+
+
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_truncation_beyond_physical_memory_exits_2(tmp_path, capsys, monkeypatch,
                                                   command):

@@ -1,19 +1,21 @@
 """E(P) solves the first block of the first theta-pair and proves the first
 block of every later pair above the running minimum where it can
 (:func:`pffiber.spectral._ground_energies`), with the two tiers of
-:func:`pffiber.hamiltonian.certify_stack_block`.  E is checked bit for bit
+:func:`pffiber.certificate.certify_stack_block`.  E is checked bit for bit
 against the minimum over the blocks of :func:`oracles.build_H_blocks`, each
-skipped block against its oracle lowest eigenvalue, and the pruned path
-against a certificate that refuses or fails on chosen momenta."""
+skipped block against its oracle lowest eigenvalue, each verdict of the
+certificate against the Cholesky certificate of :mod:`oracles`, and the
+pruned path against a certificate that refuses or fails on chosen
+momenta."""
 
 import numpy as np
 import pytest
 
-from pffiber import hamiltonian, spectral
+from pffiber import certificate, hamiltonian, spectral
 from pffiber.hamiltonian import build_model
 from pffiber.spectral import PRUNE_MARGIN, ground_batch
 
-from oracles import build_H_blocks
+from oracles import build_H_blocks, cholesky_certificate, compare_certificates
 
 DIRECTION_COUNTS = (2, 6, 8, 12)
 MOMENTA = np.array([
@@ -41,7 +43,7 @@ def _queries(monkeypatch):
     """The (P, block index, proven) of each call of the ground path's
     certificate."""
     log = []
-    real = hamiltonian.certify_stack_block
+    real = certificate.certify_stack_block
 
     def logged(P, tau, model, setup, i):
         proven = real(P, tau, model, setup, i)
@@ -69,10 +71,10 @@ def test_ground_energy_is_the_minimum_over_the_oracle_blocks(
 def test_a_small_M_charges_the_rounding_of_the_certificate(
     default_params, monkeypatch, M, every, n_max
 ):
-    """The rounding of the certificate grows as 1/M (``certify_block``).  At
-    M = 1e-6 it raises tau by at most about 4e-5, and every later pair is
-    still proven; at M = 1e-150 it exceeds any gap, so no block is proven
-    and each pair is solved.  E is the oracle minimum at both."""
+    """The rounding of z in the certificate grows as 1/M (``certify_block``).
+    At M = 1e-6 it raises tau by at most about 1e-8, and every later pair
+    is still proven; at M = 1e-150 it exceeds any gap, so no block is
+    proven and each pair is solved.  E is the oracle minimum at both."""
     model = build_model(default_params.replace(M=M, N_max=n_max))
     skipped, later = _oracle_check(model, monkeypatch)
     assert later > 0 and skipped == (later if every else 0)
@@ -81,9 +83,11 @@ def test_a_small_M_charges_the_rounding_of_the_certificate(
 def _oracle_check(model, monkeypatch) -> tuple:
     """(skipped, later): :func:`ground_batch` of ``MOMENTA`` checked against
     the oracle blocks as in
-    :func:`test_ground_energy_is_the_minimum_over_the_oracle_blocks`; how
-    many first blocks of later theta-pairs it skipped, and how many there
+    :func:`test_ground_energy_is_the_minimum_over_the_oracle_blocks`, and
+    every verdict of the certificate against the Cholesky oracle; how many
+    first blocks of later theta-pairs it skipped, and how many there
     are."""
+    verdicts = compare_certificates(monkeypatch)
     log = _queries(monkeypatch)
     got = ground_batch(MOMENTA, model)
     oracle = build_H_blocks(MOMENTA, model)
@@ -101,6 +105,8 @@ def _oracle_check(model, monkeypatch) -> tuple:
             (lam,) = _lowest([b for b in oracle[at] if b.index == i])
             assert lam > got[at] + PRUNE_MARGIN - 1e-10
             skipped += 1
+    for schur, cholesky in verdicts:
+        assert schur.tolist() == cholesky.tolist()
     pairs = sum(b.index <= b.partner for blocks in oracle for b in blocks)
     return skipped, pairs - len(MOMENTA)
 
@@ -109,35 +115,38 @@ def test_a_mixed_stack_proves_by_each_tier(default_params, monkeypatch):
     """48 modes at N_max 1: 0.3x and 1.9x share one stack.  The first block
     of the second theta-pair has A > 0 on every row at both; its diagonal
     of Z - s^dagger s is positive at 0.3x and <= 0 on 12 states at 1.9x,
-    where the Cholesky of the Gram tier proves it.  No second block is
-    rooted, and E is that of each momentum alone."""
+    where the Schur complement on those 12 states proves it, as the
+    Cholesky oracle does.  No second block is rooted, and E is that of each
+    momentum alone."""
     model = build_model(default_params.replace(n_shells=4, N_max=1))
     P = np.array([[0.3, 0.0, 0.0], [1.9, 0.0, 0.0]])
     diagonals, grams = [], []
-    real_diagonal, real_block = hamiltonian._z_diagonal, hamiltonian.certify_block
+    real_diagonal, real_block = certificate._z_diagonal, certificate.certify_block
 
     def diagonal(*args):
         diagonals.append(real_diagonal(*args))
         return diagonals[-1]
 
-    def block(gram, *args):
-        grams.append(len(gram))
-        return real_block(gram, *args)
+    def block(gram, z):
+        grams.append(len(z))
+        return real_block(gram, z)
 
-    monkeypatch.setattr(hamiltonian, "_z_diagonal", diagonal)
-    monkeypatch.setattr(hamiltonian, "certify_block", block)
+    verdicts = compare_certificates(monkeypatch)
+    monkeypatch.setattr(certificate, "_z_diagonal", diagonal)
+    monkeypatch.setattr(certificate, "certify_block", block)
     roots = []
     real_root = hamiltonian.kinetic_root
     monkeypatch.setattr(hamiltonian, "kinetic_root",
                         lambda s, M: roots.append(len(s)) or real_root(s, M))
     got = ground_batch(P, model)
-    # the diagonal tier of block 1, then the diagonal of the Gram tier at
-    # 1.9x alone; block 0 is solved without a certificate
-    assert [len(pos) for pos, _ in diagonals] == [2, 1]
+    # the diagonal tier of block 1, once for both tiers; block 0 is solved
+    # without a certificate
+    assert [len(pos) for pos, _ in diagonals] == [2]
     positive, z = diagonals[0]
     assert positive.all()
     assert np.count_nonzero(z[0] <= 0) == 0 and np.count_nonzero(z[1] <= 0) == 12
     assert grams == [1] and roots == [2]
+    assert [(s.tolist(), c.tolist()) for s, c in verdicts] == [([True, True], [True, True])]
     monkeypatch.undo()
     assert got == [spectral.ground_data(p, model) for p in P]
     for e, blocks in zip(got, build_H_blocks(P, model)):
@@ -152,21 +161,21 @@ def test_a_refused_certificate_solves_the_block_with_the_same_E(
     block per theta-pair, and one that refuses at chosen momenta solves the
     later block at those alone, as a sub-stack; E is the same bit for bit.
 
-    ``some``: the diagonal tier is made to fail at the even momenta of the
-    stack, so the Gram tier tries them, and the Gram tier is made to fail at
-    the first of them: that momentum alone is rooted and solved, the others
-    are proven."""
+    ``some``: z is made -1e-3 on one state at the even momenta of the
+    stack, so that the diagonal tier fails there and the Schur complement
+    tries them, and it is made to fail at the first of them: that momentum
+    alone is rooted and solved, the others are proven."""
     model = build_model(default_params.replace(n_shells=4, N_max=1))
     P = np.array([[t, 0.0, 0.0] for t in (0.3, 1.0, 1.9, 3.0)])
     want = ground_batch(P, model)
-    real_diagonal, real_block = hamiltonian._z_diagonal, hamiltonian.certify_block
+    real_diagonal, real_block = certificate._z_diagonal, certificate.certify_block
 
     def diagonal(d, tau, *args):
         positive, z = real_diagonal(d, tau, *args)
         if refuse == "both":
             return np.zeros_like(positive), z
-        if np.isfinite(tau).all() and len(tau) == len(P):
-            z[::2] = -1.0
+        if len(tau) == len(P):
+            z[::2, 0] = -1e-3
         return positive, z
 
     def block(gram, *args):
@@ -174,8 +183,8 @@ def test_a_refused_certificate_solves_the_block_with_the_same_E(
         proven[0] = False
         return proven
 
-    monkeypatch.setattr(hamiltonian, "_z_diagonal", diagonal)
-    monkeypatch.setattr(hamiltonian, "certify_block", block)
+    monkeypatch.setattr(certificate, "_z_diagonal", diagonal)
+    monkeypatch.setattr(certificate, "certify_block", block)
     solved = []
     real_eig = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh",
@@ -191,8 +200,8 @@ def test_a_refused_certificate_solves_the_block_with_the_same_E(
 def test_the_diagonal_tier_proves_only_what_the_cholesky_proves(dtype):
     """On random blocks near and far from their lowest eigenvalue: where A
     > 0 and the diagonal of Z - s^dagger s is positive on every row, the
-    Cholesky of the Gram tier proves the block too, and the level lies
-    below the lowest eigenvalue."""
+    Cholesky certificate of :mod:`oracles` proves the block too, and the
+    level lies below the lowest eigenvalue."""
     rng = np.random.default_rng(7)
     gamma, M = 0.5, 1.0
     proven = 0
@@ -209,9 +218,9 @@ def test_the_diagonal_tier_proves_only_what_the_cholesky_proves(dtype):
         c2 = np.full(16, 0.7**2 + M * M)
         for shift in (-1.0, -0.1, -1e-3, -1e-6, 0.0, 1e-3):
             tau = lam + shift
-            positive, z = hamiltonian._z_diagonal(d, tau, gamma, M, c2)
+            positive, z = certificate._z_diagonal(d, tau, gamma, M, c2)
             diagonal = positive & np.all(z > 0.0, axis=1)
-            cholesky = hamiltonian.certify_block(gram.copy(), d, tau, gamma, M, c2)
+            cholesky = cholesky_certificate(gram.copy(), d, tau, gamma, M, c2)
             assert not (diagonal & ~cholesky).any()
             assert (lam[diagonal] > tau[diagonal]).all()
             proven += np.count_nonzero(diagonal)

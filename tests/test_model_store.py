@@ -121,7 +121,7 @@ def test_verify_builds_four_grids_and_eight_setups(tmp_path, monkeypatch):
     by setup_stacks (which builds the first block of every momentum, and a
     later one only where the certificate fails), so the momenta are
     counted, not the calls; certify_above takes setup_stacks inside
-    hamiltonian and builds no block that it proves.
+    pffiber.certificate and builds no block that it proves.
 
     The 94: the 11 sweep momenta at e = 0 (check 1) and at e = 0.05 and
     0.1 (check 4, 22); the Delta trials of check 8, whose sweep momenta are
@@ -164,7 +164,8 @@ def test_verify_builds_four_grids_and_eight_setups(tmp_path, monkeypatch):
     for fn in ("block_stacks", "setup_stacks"):
         original = getattr(hamiltonian, fn)
         for name, mod in list(sys.modules.items()):
-            if (name.startswith("pffiber.") and name != "pffiber.hamiltonian"
+            if (name.startswith("pffiber.")
+                    and name not in ("pffiber.hamiltonian", "pffiber.certificate")
                     and vars(mod).get(fn) is original):
                 monkeypatch.setattr(mod, fn, stacks(original))
     assert cli.main(["verify", "--seed", "2026", "--out", str(tmp_path)]) == 0

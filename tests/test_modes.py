@@ -16,6 +16,7 @@ from pffiber.modes import (
     dispersion,
     dreibein,
     form_factors,
+    gauss_legendre,
     grid_rotations,
     stabilizer,
 )
@@ -229,3 +230,32 @@ def test_stabilizer_matches_the_elementwise_test(default_params, n_dirs):
         want = np.array([r for r in rotations if np.array_equal(r @ P, P)])
         got = stabilizer(rotations, P)
         assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_gauss_legendre_agrees_with_leggauss():
+    """Nodes within 1e-15 of numpy's ``leggauss`` for n <= 32, weights
+    within 5e-13 relative: against a 40-digit reference, ``leggauss``'s own
+    weights err by up to 3e-13 (n = 30) and these by up to 3e-14."""
+    for n in range(1, 33):
+        x, w = gauss_legendre(n)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(x - ref_x)) <= 1e-15
+        assert np.max(np.abs(w / ref_w - 1.0)) <= 5e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 32, 4096])
+def test_gauss_legendre_integrates_degree_2n_minus_1_exactly(n):
+    """sum_i w_i P_k(x_i) = int P_k = 2 delta_k0 for every k < 2n, to
+    1e-14, and not for P_{2n}, whose integral the rule misses; the nodes
+    ascend and the rule is symmetric."""
+    x, w = gauss_legendre(n)
+    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
+    assert np.array_equal(w, w[::-1])
+    below, p = np.zeros_like(x), np.ones_like(x)
+    worst = abs(w.sum() - 2.0)
+    for k in range(1, 2 * n):
+        below, p = p, ((2 * k - 1) * x * p - (k - 1) * below) / k
+        worst = max(worst, abs(np.dot(w, p)))
+    assert worst <= 1e-14
+    p = ((4 * n - 1) * x * p - (2 * n - 1) * below) / (2 * n)
+    assert abs(np.dot(w, p)) > 1e-3

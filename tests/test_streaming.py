@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pffiber import hamiltonian
+from pffiber import certificate, hamiltonian
 from pffiber.fock import hermitize
 from pffiber.hamiltonian import (
     SIGMA,
@@ -169,10 +169,10 @@ def test_ground_data_holds_one_block_where_the_diagonal_tier_fails(
     default_params, monkeypatch, tier
 ):
     """The case of :func:`test_ground_data_holds_one_block_at_a_time`.  With
-    z made <= 0, the Gram tier tries the second pair's block (s_i, its Gram
-    product and the copies of the Cholesky) and fails, and the block is
-    built and solved; with A made <= 0, it is built and solved at once.
-    Both peak at 3.4 times the largest block."""
+    z made <= 0 on every state, more than ``SCHUR_STATES``, the Schur
+    complement refuses the second pair's block without a CG step, and the
+    block is built and solved; with A made <= 0, it is built and solved at
+    once.  Both peak at 3.4 times the largest block."""
     _ground_peak(default_params, monkeypatch, tier)
 
 
@@ -184,7 +184,7 @@ def _ground_peak(default_params, monkeypatch, tier):
     model = build_model(default_params.replace(n_shells=4, N_max=2, e=0.17))
     largest = max(b.h.nbytes for b in build_H_blocks(P_ALONG_X, model))
     assert largest == 8 * 616**2
-    real = hamiltonian._z_diagonal
+    real = certificate._z_diagonal
 
     def diagonal(*args):
         positive, z = real(*args)
@@ -192,10 +192,10 @@ def _ground_peak(default_params, monkeypatch, tier):
             z[:] = -1.0
         return (np.zeros_like(positive) if tier == "none" else positive), z
 
-    monkeypatch.setattr(hamiltonian, "_z_diagonal", diagonal)
+    monkeypatch.setattr(certificate, "_z_diagonal", diagonal)
     grams, roots = [], []
-    real_block, real_root = hamiltonian.certify_block, hamiltonian.kinetic_root
-    monkeypatch.setattr(hamiltonian, "certify_block",
+    real_block, real_root = certificate.certify_block, hamiltonian.kinetic_root
+    monkeypatch.setattr(certificate, "certify_block",
                         lambda gram, *args: grams.append(1) or real_block(gram, *args))
     monkeypatch.setattr(hamiltonian, "kinetic_root",
                         lambda s, M: roots.append(1) or real_root(s, M))
