@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import threads
+
 # build_H and ground_data are unused here but stay bound: the tests of
 # perfbench/tracer.py check that tracing patches this module's copies
 from .hamiltonian import (  # noqa: F401
@@ -235,10 +237,11 @@ def block_margins(h, rows, lm, lp):
     """
     shifted = h.copy()
     np.einsum("...ii->...i", shifted)[...] -= lm[:, rows]
-    lower = np.linalg.eigvalsh(shifted)[..., 0]
-    np.negative(h, out=shifted)
-    np.einsum("...ii->...i", shifted)[...] += lp[:, rows]
-    return lower, np.linalg.eigvalsh(shifted)[..., 0]
+    with threads(h):
+        lower = np.linalg.eigvalsh(shifted)[..., 0]
+        np.negative(h, out=shifted)
+        np.einsum("...ii->...i", shifted)[...] += lp[:, rows]
+        return lower, np.linalg.eigvalsh(shifted)[..., 0]
 
 
 def corollary_energy_bounds(P, params_or_model, consts: BoundConstants | None = None):

@@ -15,6 +15,7 @@ exact arithmetic.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -305,10 +306,7 @@ class _Rows(NamedTuple):
     col: np.ndarray
     val: np.ndarray
     size: int  # the length of the image
-
-    @property
-    def longest(self) -> int:
-        return int(np.diff(self.start, append=self.col.size).max(initial=0))
+    longest: int  # the most terms in one run
 
     def apply(self, x, absolute: bool = False) -> np.ndarray:
         """The map of x along its last axis, or that of the moduli: the
@@ -330,7 +328,8 @@ def _rows(i, j, val, size: int) -> _Rows:
     order = np.argsort(i, kind="stable")
     i = i[order]
     start = np.flatnonzero(np.diff(i, prepend=-1))
-    return _Rows(i[start], start, j[order], val[order], size)
+    longest = int(np.diff(start, append=i.size).max(initial=0))
+    return _Rows(i[start], start, j[order], val[order], size, longest)
 
 
 def _frame_columns(parts, dim: int) -> tuple:
@@ -348,6 +347,40 @@ def _frame_columns(parts, dim: int) -> tuple:
     return _rows(i, j, w, 2 * dim), _rows(j, i, np.conj(w), offset)
 
 
+# the sparse maps of _block_gram, each built once: the W maps of each block
+# of a set-up per grid, under the grid's ModeSet, which every coupling on it
+# shares, and the ladder map of a set-up per model.  An entry holds the
+# set-up's block list, so that the id in its key is not reused while it lives
+_W_MAPS = weakref.WeakKeyDictionary()
+_LADDERS = weakref.WeakKeyDictionary()
+
+
+def _kept(store, owner, specs, key, build):
+    """The value of ``build()`` under (owner, specs, key) in ``store``,
+    built on first use."""
+    entries = store.setdefault(owner, {})
+    key = (id(specs), key)
+    if key not in entries:
+        entries[key] = specs, build()
+    return entries[key][1]
+
+
+def _ladder_rows(model: FiberModel, g_ax, g_fl) -> _Rows:
+    """The entries of sigma.v on the ladder table in the spin frame, from
+    the per-mode coefficients (g_ax, g_fl) of :func:`_spin_frame`: the
+    quadrants [[axial, flip], [conj(flip), -axial]] on 2 dim coordinates."""
+    dim = model.dim
+    lowered, raised, modes, amps = model.basis.ladder
+    ax, fl = g_ax[modes] * amps, g_fl[modes] * amps
+    quadrants = [(0, 0, ax), (0, dim, fl), (dim, 0, np.conj(fl)), (dim, dim, -ax)]
+    return _rows(
+        np.concatenate([a + k for a, _, _ in quadrants for k in (lowered, raised)]),
+        np.concatenate([b + k for _, b, _ in quadrants for k in (raised, lowered)]),
+        np.concatenate([v for *_, v in quadrants for _ in range(2)]),
+        2 * dim,
+    )
+
+
 def _block_gram(P, model: FiberModel, setup, i: int) -> Gram:
     """s_i^dagger s_i of block i of ``setup`` for the (g, 3) P, as a
     :class:`Gram`: s_i = W_t^dagger (sigma.v) W_i of :func:`pffiber.hamiltonian._block_s`,
@@ -360,22 +393,19 @@ def _block_gram(P, model: FiberModel, setup, i: int) -> Gram:
     real part of the chain, so each of its products keeps the real part.
     The bound s_+ is the chain of the moduli of the three maps, and every
     sum in a map has at most ``longest`` terms (plus 2 for the diagonal of
-    sigma.v, and 2 more per map for complex products)."""
+    sigma.v, and 2 more per map for complex products).  The W maps and the
+    ladder map depend on the set-up and the coupling, not on P, and are
+    built once (:func:`_kept`)."""
     mirror, real, coefs, specs = setup
-    partner, parts, _ = specs[i]
     dim = model.dim
-    w_i, w_i_dag = _frame_columns(parts, dim)
-    w_t, w_t_dag = _frame_columns(specs[partner][1], dim) if mirror else (w_i, w_i_dag)
+
+    def w_maps(j):
+        return _kept(_W_MAPS, model.modes, specs, j, lambda: _frame_columns(specs[j][1], dim))
+
+    w_i, w_i_dag = w_maps(i)
+    w_t, w_t_dag = w_maps(specs[i][0]) if mirror else (w_i, w_i_dag)
     (d_ax, g_ax), (d_fl, g_fl) = _spin_frame(P, model, coefs)
-    lowered, raised, modes, amps = model.basis.ladder
-    ax, fl = g_ax[modes] * amps, g_fl[modes] * amps
-    quadrants = [(0, 0, ax), (0, dim, fl), (dim, 0, np.conj(fl)), (dim, dim, -ax)]
-    ladder = _rows(
-        np.concatenate([a + k for a, _, _ in quadrants for k in (lowered, raised)]),
-        np.concatenate([b + k for _, b, _ in quadrants for k in (raised, lowered)]),
-        np.concatenate([v for *_, v in quadrants for _ in range(2)]),
-        2 * dim,
-    )
+    ladder = _kept(_LADDERS, model, specs, None, lambda: _ladder_rows(model, g_ax, g_fl))
 
     def sigma_v(u, at, absolute):
         a, f = d_ax[at][:, None, :], d_fl[at][:, None, :]

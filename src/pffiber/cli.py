@@ -16,6 +16,10 @@ stops convergence or verify), 2 usage, config or path error.
 Outputs render floats with 17 significant digits so files round-trip
 losslessly.  Momenta are solved in ladder order in one thread (``--threads``
 selects nothing), so reruns are byte-identical at a fixed configuration.
+Each command runs on one BLAS thread, and only kernels of at least the
+work of a real matrix of dimension ``pffiber.blas.LIFT_N`` get back the
+count the process started with (:mod:`pffiber.blas`); a run whose kernels
+are all smaller writes the same bytes at any ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import bounds as bnd
+from .blas import one_thread
 from .config import ConfigError, RunConfig, default_config, dump_config, load_config
 # build_H and ground_data are unused here but stay bound: the tests of
 # perfbench/tracer.py check that tracing patches this module's copies
@@ -288,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@one_thread()
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:

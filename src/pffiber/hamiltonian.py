@@ -79,6 +79,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .blas import threads
 from .fock import (
     FockBasis,
     dgamma_diag,
@@ -258,7 +259,8 @@ def build_T(P, model: FiberModel) -> np.ndarray:
     """(sigma . v)^2 on C^2 tensor Fock, the square of the assembled spinor
     operator."""
     s = sigma_dot_v(P, model)
-    return s @ s
+    with threads(s):
+        return s @ s
 
 
 def build_T_expanded(P, model: FiberModel) -> np.ndarray:
@@ -270,8 +272,9 @@ def build_T_expanded(P, model: FiberModel) -> np.ndarray:
     :func:`spin_curl_mismatch`).
     """
     v = build_v(P, model)
-    v2 = sum(vj @ vj for vj in v)
-    w = spin_curl(v)
+    with threads(v[0]):
+        v2 = sum(vj @ vj for vj in v)
+        w = spin_curl(v)
     return np.kron(ID2, v2) + sum(np.kron(SIGMA[j], w[j]) for j in range(3))
 
 
@@ -312,19 +315,20 @@ def op_sqrt_eig(h: np.ndarray, tol_psd: float = DEFAULT_PSD_TOL) -> np.ndarray:
     and the scale max|eigenvalue| of the clamp are then per matrix.
     """
     require_hermitian(h, what="op_sqrt_eig input")
-    w, u = np.linalg.eigh(h)
-    lowest = np.ravel(w[..., 0])
-    scale = np.ravel(np.maximum(np.max(np.abs(w), axis=-1), 1e-300))
-    bad = np.flatnonzero(lowest < -tol_psd * scale)
-    if bad.size:
-        i = bad[0]
-        where = f" in matrix {i} of the stack" if w.ndim > 1 else ""
-        raise NotPositiveSemidefiniteError(
-            f"minimum eigenvalue {lowest[i]:.3e} below "
-            f"-{tol_psd:.1e} * {scale[i]:.3e}{where}"
-        )
-    root = u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
-    return hermitize(root @ u.conj().swapaxes(-1, -2))
+    with threads(h):
+        w, u = np.linalg.eigh(h)
+        lowest = np.ravel(w[..., 0])
+        scale = np.ravel(np.maximum(np.max(np.abs(w), axis=-1), 1e-300))
+        bad = np.flatnonzero(lowest < -tol_psd * scale)
+        if bad.size:
+            i = bad[0]
+            where = f" in matrix {i} of the stack" if w.ndim > 1 else ""
+            raise NotPositiveSemidefiniteError(
+                f"minimum eigenvalue {lowest[i]:.3e} below "
+                f"-{tol_psd:.1e} * {scale[i]:.3e}{where}"
+            )
+        root = u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+        return hermitize(root @ u.conj().swapaxes(-1, -2))
 
 
 def kinetic_root(s: np.ndarray, M: float) -> np.ndarray:
@@ -336,8 +340,9 @@ def kinetic_root(s: np.ndarray, M: float) -> np.ndarray:
     ``eigh`` with the Hermiticity guard per matrix.
     """
     require_hermitian(s, what="kinetic_root input")
-    lam, u = np.linalg.eigh(s)
-    return _gram(u, np.sqrt(lam * lam + M * M))
+    with threads(s):
+        lam, u = np.linalg.eigh(s)
+        return _gram(u, np.sqrt(lam * lam + M * M))
 
 
 def _gram(u: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -375,8 +380,9 @@ def _legendre_nodes(n: int) -> tuple:
 def _sqrt_quad_nodes(h: np.ndarray, scale: float, n: int) -> np.ndarray:
     out = np.zeros_like(h)
     eye = np.eye(h.shape[0])
-    for tan2, wt in _legendre_nodes(n):
-        out += wt * np.linalg.solve(scale * tan2 * eye + h, h)
+    with threads(h):
+        for tan2, wt in _legendre_nodes(n):
+            out += wt * np.linalg.solve(scale * tan2 * eye + h, h)
     return (2.0 * math.sqrt(scale) / math.pi) * (0.25 * math.pi) * out
 
 
@@ -1009,10 +1015,11 @@ def _svd_root(s: np.ndarray, M: float) -> np.ndarray:
     """sqrt(s^dagger s + M^2) = V f(Sigma) V^dagger from the SVD s = W Sigma
     V^dagger of each matrix of a stack, f = sqrt(Sigma^2 + M^2); s and W
     are freed before the root is formed."""
-    sigma, vh = np.linalg.svd(s)[1:]
-    del s
-    # V f V^dagger = conj(conj(V) f V^T), and conj(V) = vh^T: no copy of V
-    root = _gram(vh.swapaxes(-1, -2), np.sqrt(sigma * sigma + M**2))
+    with threads(s):
+        sigma, vh = np.linalg.svd(s)[1:]
+        del s
+        # V f V^dagger = conj(conj(V) f V^T), and conj(V) = vh^T: no copy of V
+        root = _gram(vh.swapaxes(-1, -2), np.sqrt(sigma * sigma + M**2))
     return np.conj(root, out=root)
 
 
@@ -1050,7 +1057,8 @@ def interaction_norm(P, params_or_model) -> float:
     absd0 = np.sqrt(np.sum(rel * rel, axis=1) + p.M**2)
     h0 = np.kron(np.ones(2), p.gamma * absd0 + model.hf)
     hi = absd - np.kron(ID2, np.diag(absd0))
-    return float(np.linalg.norm(hi / (h0[None, :] + 1.0), ord=2))
+    with threads(hi):
+        return float(np.linalg.norm(hi / (h0[None, :] + 1.0), ord=2))
 
 
 def lipschitz_ratio(P, k, params_or_model) -> float:
@@ -1062,7 +1070,8 @@ def lipschitz_ratio(P, k, params_or_model) -> float:
     root = kinetic_root(sigma_dot_v(P, model), p.M)
     h = p.gamma * root + hf_spinor(model)
     diff = kinetic_root(sigma_dot_v(P - k, model), p.M) - root
-    resolvent = np.linalg.inv(h + np.eye(2 * model.dim))
-    return float(np.linalg.norm(diff @ resolvent, ord=2)) / float(
-        np.linalg.norm(k)
-    )
+    with threads(h):
+        resolvent = np.linalg.inv(h + np.eye(2 * model.dim))
+        return float(np.linalg.norm(diff @ resolvent, ord=2)) / float(
+            np.linalg.norm(k)
+        )

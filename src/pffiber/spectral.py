@@ -37,7 +37,8 @@ later pair only the first block, and that only where the operator
 certificate cannot put it above the lowest eigenvalue so far
 (:func:`_ground_energies`); with a photon mass the ground level is one
 Kramers pair below a gap, so on the grids here one block is solved.  Both
-call LAPACK through ``numpy.linalg`` only, so one BLAS thread pool serves.
+call LAPACK through ``numpy.linalg`` only, on the BLAS threads that
+:func:`pffiber.blas.threads` gives a block of their size.
 
 Both solve many momenta at once: :func:`solve_batch`, :func:`ground_batch`
 and :func:`delta_search` take a stack of momenta, and the single-momentum
@@ -73,6 +74,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .blas import threads
 from .certificate import certify_above, certify_stack_block
 from .fock import hermiticity_defect
 from .hamiltonian import (
@@ -281,14 +283,20 @@ def _ground_energies(P, model: FiberModel, setup) -> list:
     bit for bit.  Each block is dropped before the next is built."""
     first, *later = pair_heads(setup)
     # a copy, not a view that would keep every eigenvalue of the stack
-    lowest = np.linalg.eigvalsh(_stack_block(P, model, setup, first).h)[:, 0].copy()
+    lowest = _eigvalsh(_stack_block(P, model, setup, first).h)[:, 0].copy()
     for i in later:
         left = np.flatnonzero(~certify_stack_block(P, lowest + PRUNE_MARGIN, model, setup, i))
         if left.size:
             block = _stack_block(P[left], model, setup, i)
-            lowest[left] = np.minimum(lowest[left], np.linalg.eigvalsh(block.h)[:, 0])
+            lowest[left] = np.minimum(lowest[left], _eigvalsh(block.h)[:, 0])
             del block  # before the next one is built
     return lowest.tolist()
+
+
+def _eigvalsh(h: np.ndarray) -> np.ndarray:
+    """Stacked ``eigvalsh`` of the blocks of a stack of momenta."""
+    with threads(h):
+        return np.linalg.eigvalsh(h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,7 +339,8 @@ def solve_fiber(
 
 def _eigh(h: np.ndarray):
     """Stacked ``eigh`` of the blocks of a stack of momenta."""
-    return np.linalg.eigh(h)
+    with threads(h):
+        return np.linalg.eigh(h)
 
 
 def solve_batch(P, params_or_model, cache: EnergyCache | None = None) -> list:

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import bounds as bnd
 from . import kramers as kra
+from .blas import threads
 from .config import RunConfig
 from .fock import dgamma_diag, enumerate_basis
 from .hamiltonian import (
@@ -137,6 +138,17 @@ def _hypotheses_guard(ctx: VerifyContext, name: str) -> CheckResult | None:
     )
 
 
+def _worst(worst: float, defect) -> float:
+    """The larger of two defects, NaN if either is: Python's max(worst,
+    nan) keeps worst, and a NaN defect would then pass its check."""
+    return float(np.maximum(worst, defect))
+
+
+def _least(least: float, margin) -> float:
+    """The smaller of two margins, NaN if either is, as :func:`_worst`."""
+    return float(np.minimum(least, margin))
+
+
 # ----------------------------------------------------------------------
 # criterion 1: free-theory enumeration oracle
 # ----------------------------------------------------------------------
@@ -149,7 +161,7 @@ def check_free_oracle(ctx: VerifyContext) -> CheckResult:
         ev = solve.eigenvalues
         fock_levels = h0_diag(P, model)
         closed = np.sort(np.concatenate([fock_levels, fock_levels]))
-        worst = max(worst, float(np.max(np.abs(ev - closed))))
+        worst = _worst(worst, np.max(np.abs(ev - closed)))
     return CheckResult(
         "free-theory oracle",
         worst <= tol,
@@ -161,12 +173,6 @@ def check_free_oracle(ctx: VerifyContext) -> CheckResult:
 # ----------------------------------------------------------------------
 # criterion 2: Clifford / Pauli algebra identities
 # ----------------------------------------------------------------------
-
-def _worst(worst: float, defect) -> float:
-    """The larger of two defects, NaN if either is: Python's max(worst,
-    nan) keeps worst, and a NaN defect would then pass its check."""
-    return float(np.maximum(worst, defect))
-
 
 def check_clifford_square(ctx: VerifyContext) -> CheckResult:
     tol = CLIFFORD_TOL
@@ -180,7 +186,8 @@ def check_clifford_square(ctx: VerifyContext) -> CheckResult:
         block = np.kron(
             np.eye(2), t + model.params.M**2 * np.eye(t.shape[0])
         )
-        d2 = d @ d
+        with threads(d):
+            d2 = d @ d
         worst = _worst(worst, np.linalg.norm(d2 - block) / np.linalg.norm(d2))
     return CheckResult(
         "Clifford square identity",
@@ -232,7 +239,8 @@ def check_sqrt_crossval(ctx: VerifyContext) -> CheckResult:
             continue
         # the quadrature checks the reference root and the root H is built from
         roots = (op_sqrt_eig(h), kinetic_root(sigma_dot_v(P, model), model.params.M))
-        worst = max(worst, *(float(np.max(np.abs(quad - r))) for r in roots))
+        for r in roots:
+            worst = _worst(worst, np.max(np.abs(quad - r)))
     return CheckResult(
         "square-root cross-validation",
         worst <= tol,
@@ -256,7 +264,7 @@ def check_kramers(ctx: VerifyContext) -> CheckResult:
     for e in [v for v in ctx.coupling_ladder() if v > 0.0]:
         model = build_model(ctx.params_at(e))
         for P, solve in zip(ctx.momenta(), ctx.solves(model)):
-            worst_comm = max(worst_comm, solve.residuals["theta_commutation"])
+            worst_comm = _worst(worst_comm, solve.residuals["theta_commutation"])
             clusters = cluster_degeneracy(solve.eigenvalues, CLUSTER_TOL)
             if any(c[1] % 2 for c in clusters):
                 odd_found = (e, tuple(P))
@@ -302,7 +310,7 @@ def check_sandwich(ctx: VerifyContext) -> CheckResult:
         model = build_model(ctx.params_at(e))
         for solve in ctx.solves(model):
             lower, upper, scale = solve.sandwich
-            worst = min(worst, lower / scale, upper / scale)
+            worst = _least(_least(worst, lower / scale), upper / scale)
     return CheckResult(
         "operator sandwich",
         worst >= -tol,
@@ -323,7 +331,9 @@ def check_counting(ctx: VerifyContext) -> CheckResult:
             cnt = bnd.count_below(solve.eigenvalues, sigma)
             e0, e1 = solve.E, solve.E1
             ordered = e0 < sigma and (e1 is None or sigma <= e1)
-            worst_margin = min(worst_margin, sigma - e0, (e1 or math.inf) - sigma)
+            worst_margin = _least(
+                _least(worst_margin, sigma - e0), (e1 or math.inf) - sigma
+            )
             if cnt != 2 or not ordered:
                 bad.append((e, float(np.linalg.norm(P)), cnt, ordered))
     return CheckResult(
@@ -356,11 +366,11 @@ def check_gap_uniformity(ctx: VerifyContext) -> CheckResult:
         for P, solve in zip(ctx.momenta(), ctx.solves(model)):
             gaps.append(math.inf if solve.E1 is None else solve.E1 - solve.E)
             chain.append(consts.sigma_minus(P) - consts.upper_envelope(P))
-        min_gap = min(gaps)
-        if min_gap < bound - tol:
+        min_gap = float(np.min(gaps))  # NaN if any gap is
+        if not min_gap >= bound - tol:
             fails.append((e, min_gap, bound))
-        spread = (max(chain) - min(chain)) / max(abs(max(chain)), 1e-300)
-        if e > 0 and spread > 0.10:
+        spread = (np.max(chain) - np.min(chain)) / max(abs(np.max(chain)), 1e-300)
+        if e > 0 and not spread <= 0.10:
             fails.append((e, "uniformity spread", spread))
         detail.append(f"e={e}: min(E1-E)={min_gap:.4f} >= {bound:.4f}")
     return CheckResult(
@@ -391,22 +401,22 @@ def check_delta_bounds(ctx: VerifyContext) -> CheckResult:
         n_certified += sum(len(t.certified) for t in trials)
         if consts.direction_free_holds():
             margins = _solved_bound_margins(ctx, model, consts, trials)
-            low = min(margins, default=math.inf)
-            worst_bound, n_bound = min(worst_bound, low), n_bound + len(margins)
-            if low < -tol:
+            low = float(np.min(margins, initial=math.inf))
+            worst_bound, n_bound = _least(worst_bound, low), n_bound + len(margins)
+            if not low >= -tol:
                 fails.append((e, "direction-free bound", low))
         for P, d in zip(ctx.momenta(), deltas):
-            if d > params.m_ph + 1e-12:
+            if not d <= params.m_ph + 1e-12:
                 fails.append((e, "ceiling", d))
             if e == 0.0:
-                worst_free = max(
+                worst_free = _worst(
                     worst_free, abs(d - free_delta_gap(P, params, trial))
                 )
             free = params.gamma * math.sqrt(float(P @ P) + params.M**2)
             measured_margin = consts.e_c2 + consts.upper_envelope(P) - free
-            if d < (1.0 - params.gamma) * params.m_ph - measured_margin - tol:
+            if not d >= (1.0 - params.gamma) * params.m_ph - measured_margin - tol:
                 fails.append((e, "floor", d))
-    if worst_free > tol_free:
+    if not worst_free <= tol_free:
         fails.append((0.0, "free oracle", worst_free))
     return CheckResult(
         "gap function bounds",
@@ -562,8 +572,8 @@ def coupling_estimate_suite(basis, table, rng, n_rounds: int, tol: float):
             np.linalg.norm(both, axis=1) - 2 * cf_one * hf1_phi,
             mixed - (cf_one * cg_one * hf1_psi)[:, None],
         ])
-        worst = max(worst, float(np.max(checks)))
-        violations += int(np.count_nonzero(checks > tol))
+        worst = _worst(worst, np.max(checks))
+        violations += int(np.count_nonzero(~(checks <= tol)))
     return violations, worst
 
 
@@ -603,7 +613,8 @@ def check_interaction_trend(ctx: VerifyContext) -> CheckResult:
     ]
     intercept = vals[0]
     ratios = [v / e for v, e in zip(vals[1:], ladder[1:])]
-    drift = (max(ratios) - min(ratios)) / max(ratios) if max(ratios) else 0.0
+    top = float(np.max(ratios))  # NaN if any ratio is
+    drift = (top - float(np.min(ratios))) / top if top else 0.0
     below_star = interaction_norm(
         p_mid, ctx.params_at(ctx.cfg.verify.e_star)
     )
@@ -628,7 +639,7 @@ def check_parity(ctx: VerifyContext) -> CheckResult:
         pairs = [Q for P in ctx.momenta()[1:] for Q in (P, -P)]
         es = ctx.energies(pairs, model)
         for e_plus, e_minus in zip(es[::2], es[1::2]):
-            worst = max(worst, abs(e_plus - e_minus))
+            worst = _worst(worst, abs(e_plus - e_minus))
     return CheckResult(
         "parity symmetry E(P) = E(-P)",
         worst <= tol,
@@ -666,7 +677,7 @@ def check_reality_structure(ctx: VerifyContext) -> CheckResult:
     worst = 0.0
     for e in ctx.coupling_ladder():
         res = kra.check_reality_relations(ctx.params_at(e))
-        worst = max(worst, max(res.values()))
+        worst = _worst(worst, np.max(list(res.values())))
     nr = kra.check_theta_commutes_related(
         "nonrelativistic", ctx.cfg.params, P=ctx.momenta()[-1]
     )
@@ -695,19 +706,20 @@ def check_spin_difference_bounds(ctx: VerifyContext) -> CheckResult:
             envelope = (3 * math.pi / p.M) * n.n_curl * (
                 hf_spinor(model) + np.eye(2 * model.dim)
             )
-            scale = float(np.linalg.norm(h, ord=2))
-            for sign in (1.0, -1.0):
-                margin = float(
-                    np.linalg.eigvalsh(envelope - sign * (hsl2 - h))[0]
-                )
-                worst = min(worst, margin / scale)
+            with threads(h):
+                scale = float(np.linalg.norm(h, ord=2))
+                for sign in (1.0, -1.0):
+                    margin = float(
+                        np.linalg.eigvalsh(envelope - sign * (hsl2 - h))[0]
+                    )
+                    worst = _least(worst, margin / scale)
             free = p.gamma * math.sqrt(absp**2 + p.M**2)
             ec = p.gamma * n.n_half_comp[0]
             lower = free + (1 - p.gamma - ec) * model.hf - ec
             margin = float(np.linalg.eigvalsh(hsl - np.diag(lower))[0])
-            worst = min(worst, margin / scale)
+            worst = _least(worst, margin / scale)
             tay = bnd.taylor_remainder_min_eig(P, model) / scale
-            worst = min(worst, tay)
+            worst = _least(worst, tay)
     return CheckResult(
         "spinless chain bounds",
         worst >= -tol,
@@ -753,7 +765,7 @@ def check_lipschitz(ctx: VerifyContext) -> CheckResult:
         for kmag in (1e-3, 1e-2, 0.1, 1.0):
             k = kmag * np.array([0.6, 0.0, 0.8])
             ratios.append(lipschitz_ratio(P, k, model))
-    worst = max(ratios)
+    worst = float(np.max(ratios))  # NaN if any ratio is
     ok = worst <= 50.0 and worst <= 20.0 * min(r for r in ratios if r > 0)
     return CheckResult(
         "momentum Lipschitz property",

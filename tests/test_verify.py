@@ -140,3 +140,86 @@ def test_coupling_suite_equals_the_per_round_loop(tol):
         assert abs(got[1] - want[1]) <= 64 * np.finfo(float).eps * max(1.0, abs(want[1]))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert want[0] > 0 if tol < 0 else want[0] == 0
+
+
+def _fast_context():
+    """The desk config with fewer quadrature and property draws."""
+    cfg = default_config()
+    return vf.VerifyContext(dataclasses.replace(
+        cfg, verify=dataclasses.replace(cfg.verify, n_sqrt_draws=2, n_property_vectors=25)
+    ))
+
+
+def _spoil(owner, name, transform):
+    """A spoiler: it monkeypatches owner.<name> to return transform(result,
+    call) of each result, call counting from 1."""
+    def spoiler(monkeypatch):
+        real, calls = getattr(owner, name), []
+
+        def spoiled(*args, **kwargs):
+            calls.append(None)
+            return transform(real(*args, **kwargs), len(calls))
+
+        monkeypatch.setattr(owner, name, spoiled)
+    return spoiler
+
+
+def _nan_first(x, call):
+    out = np.array(x, copy=True)
+    out.flat[0] = math.nan
+    return out
+
+
+def _first_record(change):
+    """A transform of solve records: ``change(record)`` on the first."""
+    return lambda solves, call: [
+        dataclasses.replace(solves[0], **change(solves[0])), *solves[1:]
+    ]
+
+
+def _solves(change):
+    return _spoil(vf.VerifyContext, "solves", _first_record(change))
+
+
+# one NaN defect per running extreme of a hard check: the check, its
+# spoiler, and whether the check's detail prints the NaN
+NAN_DEFECTS = {
+    "1": (vf.check_free_oracle, _spoil(vf, "h0_diag", _nan_first), True),
+    "3": (vf.check_sqrt_crossval, _spoil(vf, "op_sqrt_eig", _nan_first), True),
+    "4": (vf.check_kramers, _solves(lambda s: {
+        "residuals": {**s.residuals, "theta_commutation": math.nan}}), True),
+    "5": (vf.check_sandwich, _solves(lambda s: {"sandwich": (math.nan, *s.sandwich[1:])}),
+          True),
+    "6": (vf.check_counting, _solves(lambda s: {"E": math.nan}), False),
+    "7": (vf.check_gap_uniformity, _solves(lambda s: {"E1": math.nan}), True),
+    "8-delta": (vf.check_delta_bounds, _spoil(
+        vf, "delta_search", lambda got, call: ([math.nan, *got[0][1:]], got[1])), True),
+    "8-bound": (vf.check_delta_bounds, _spoil(
+        vf, "_solved_bound_margins", lambda margins, call: [*margins, math.nan]), True),
+    "10a": (vf.check_coupling_estimates, _spoil(vf, "dgamma_diag", _nan_first), True),
+    "10c": (vf.check_interaction_trend, _spoil(
+        vf, "interaction_norm", lambda x, call: math.nan if call == 3 else x), True),
+    "11a": (vf.check_parity, _spoil(
+        vf.VerifyContext, "energies", lambda es, call: [math.nan, *es[1:]]), True),
+    "inv1": (vf.check_reality_structure, _spoil(
+        vf.kra, "check_reality_relations", lambda res, call: {**res, next(iter(res)): math.nan}),
+        True),
+    "inv2": (vf.check_spin_difference_bounds, _spoil(
+        vf.bnd, "taylor_remainder_min_eig", lambda x, call: math.nan), True),
+    "inv5": (vf.check_lipschitz, _spoil(
+        vf, "lipschitz_ratio", lambda x, call: math.nan if call == 2 else x), True),
+}
+
+
+@pytest.mark.parametrize("site", NAN_DEFECTS)
+def test_a_nan_defect_fails_its_check(monkeypatch, site):
+    """Python's max and min drop a NaN that is not their first argument, so
+    a running extreme taken with them passed a NaN defect; each check now
+    fails on one."""
+    check, spoil, printed = NAN_DEFECTS[site]
+    ctx = _fast_context()
+    assert check(ctx).passed
+    spoil(monkeypatch)
+    result = check(_fast_context())
+    assert not result.passed
+    assert "nan" in result.detail or not printed
