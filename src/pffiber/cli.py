@@ -266,7 +266,20 @@ def _write_verify_report(out_dir: str, code: int, results, certificates) -> None
     with open(
         os.path.join(out_dir, "verify_report.json"), "w", encoding="utf-8"
     ) as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=float)
+        json.dump(_strict(report), fh, indent=2, sort_keys=True, default=float,
+                  allow_nan=False)
+
+
+def _strict(x):
+    """``x`` with each float that is not finite as the string "nan", "inf"
+    or "-inf": strict JSON (RFC 8259) has no NaN or Infinity."""
+    if isinstance(x, dict):
+        return {k: _strict(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict(v) for v in x]
+    if isinstance(x, (float, np.floating)) and not np.isfinite(x):
+        return str(float(x))
+    return x
 
 
 def _count(text: str) -> int:

@@ -3,11 +3,12 @@ CLI arguments for each seed; a change that drops a config key or a flag they
 use stops the benchmark before it runs.  This test loads the workloads module
 as the tracer test loads the tracer, and passes every workload's config
 through ``config_from_dict`` and its arguments through the CLI's parser.
-It also pins the solves of the ``large-rung`` rung and the memory of the
-``mid-sweep`` certificate."""
+It runs ``desk-verify`` through the benchmark's gate, and pins the solves of
+the ``large-rung`` rung and the memory of the ``mid-sweep`` certificate."""
 
 import importlib.util
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -43,6 +44,29 @@ def test_a_workload_config_and_arguments_load(tmp_path, workload, seed):
                               str(tmp_path / "out"))
     parsed = cli.build_parser().parse_args(args)
     assert parsed.command == workloads.COMMANDS[workload]
+
+
+@pytest.mark.parametrize("seed", [2026, 7])
+def test_desk_verify_passes_the_benchmark_gate(tmp_path, capsys, seed):
+    """``desk-verify`` run through ``cli.main`` at the benchmark's seeds and
+    read back by its ``read_ops``: no operation fails the gate against the
+    stored reference, so a renamed check or a changed ``passed`` key shows
+    here before it shows as a failed benchmark run.  Every hard check's
+    comparisons are finite."""
+    config_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    config_path.write_text(json.dumps(workloads.make_config("desk-verify", seed)))
+    code = cli.main(workloads.cli_args("desk-verify", seed, str(config_path), str(out)))
+    assert code in workloads.ALLOWED_EXIT["desk-verify"]
+    assert "Traceback" not in capsys.readouterr().err
+    ops = workloads.read_ops("desk-verify", str(out))
+    reference = workloads.load_reference("desk-verify", seed)
+    assert reference is not None
+    assert workloads.gate("desk-verify", ops, reference, []) == {op: [] for op in ops}
+    report = json.loads((out / "verify_report.json").read_text())
+    hard = [c for c in report["checks"] if c["hard"]]
+    assert len(hard) == 21
+    values = [c["value"] for check in hard for c in check["comparisons"]]
+    assert all(isinstance(v, (int, float)) and math.isfinite(v) for v in values)
 
 
 @pytest.mark.parametrize("seed", [2026, 7])

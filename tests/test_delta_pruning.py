@@ -384,6 +384,11 @@ def test_e_c_prime_is_the_direction_free_e_c(default_model):
     assert round(consts.e_c_prime, 4) == 0.1062 and round(consts.e_c1, 4) == 0.1031
 
 
+def _direction_free_comparison(result):
+    (bound,) = [c for c in result.comparisons if c["label"].startswith("direction-free")]
+    return bound
+
+
 def test_check_8_reads_the_bound_from_the_cache(monkeypatch):
     """The margins of check 8 cover each P and each kept P - k, with no new
     solve and no new certificate, and the check fails once eC' no longer
@@ -406,8 +411,9 @@ def test_check_8_reads_the_bound_from_the_cache(monkeypatch):
     # the 8 + 19 + 25 that the corollary bound keeps at e = 0, 0.05 and 0.1,
     # the certificate rules out 0 + 11 + 17
     result = verify.check_delta_bounds(verify.VerifyContext(cfg))
-    assert result.passed and "at the 57 momenta solved for Delta" in result.detail
-    assert "28 trials ruled out by the operator certificate" in result.detail
+    bound = _direction_free_comparison(result)
+    assert result.passed and "at the 57 momenta solved for Delta" in bound["label"]
+    assert result.detail.endswith("; 28 trials ruled out by the operator certificate")
 
     real = bounds.bound_constants
     monkeypatch.setattr(
@@ -415,4 +421,6 @@ def test_check_8_reads_the_bound_from_the_cache(monkeypatch):
         lambda m: dataclasses.replace(real(m), e_c_prime=real(m).e_c_prime - 0.2),
     )
     result = verify.check_delta_bounds(verify.VerifyContext(cfg))
-    assert not result.passed and "direction-free bound" in result.detail
+    bound = _direction_free_comparison(result)
+    assert not result.passed and bound["value"] > bound["tol"]
+    assert "direction-free bound" in result.detail

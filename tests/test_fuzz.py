@@ -304,6 +304,14 @@ def test_verify_without_photons_completes(tmp_path, capsys):
     assert code == report["exit_code"] and "Traceback" not in capsys.readouterr().err
 
 
+def _strict_report(out):
+    """``verify_report.json`` read as strict JSON, which fails on a NaN or
+    Infinity token: a value that is not finite is written as a string."""
+    def reject(token):
+        raise ValueError(f"{token} is not strict JSON")
+    return json.loads((out / "verify_report.json").read_text(), parse_constant=reject)
+
+
 # M^2 far below the spectrum, or check 3's tolerance below the quadrature's
 # rounding: (config, tolerance of check 3)
 STALLING_CONFIGS = {
@@ -325,9 +333,10 @@ def test_a_stalled_quadrature_fails_check_3(tmp_path, capsys, monkeypatch, case)
     data = {**stalling, "verify": {**FAST_VERIFY, "n_sqrt_draws": 1}}
     code, out = _run(tmp_path, "verify", data)
     assert code == 1 and "Traceback" not in capsys.readouterr().err
-    report = json.loads((out / "verify_report.json").read_text())
+    report = _strict_report(out)
     (check_3,) = [c for c in report["checks"] if c["name"].startswith("3 ")]
     assert not check_3["passed"] and "quadrature stalled" in check_3["detail"]
+    assert [c["value"] for c in check_3["comparisons"]] == ["inf"]
 
 
 # models on which LAPACK fails to converge: in kinetic_root at e = 1e300, in
@@ -359,12 +368,14 @@ def test_a_failed_eigensolve_ends_without_a_traceback(tmp_path, capsys, monkeypa
     failures = 2 if command in ("spectrum", "sweep", "bounds") else code
     assert err.count("eigensolver error:") == failures
     if command == "verify":
-        report = json.loads((out / "verify_report.json").read_text())
+        report = _strict_report(out)
         *run, stopped = report["checks"]
         assert report["exit_code"] == 1 and report["kramers_certificates"] == []
         assert run and all(c["detail"].count("eigensolver error:") == 0 for c in run)
         assert stopped["hard"] and not stopped["passed"]
-        assert stopped["detail"].startswith("eigensolver error: ")
+        (error,) = stopped["comparisons"]
+        assert error["label"] == "eigensolver error" and error["value"] == "nan"
+        assert stopped["detail"].startswith("eigensolver error: nan NOT <= 0.0e+00; ")
         assert "P = " in stopped["detail"]
 
 
@@ -380,10 +391,10 @@ def test_checks_2a_and_2b_fail_on_a_defect_that_is_not_finite(tmp_path, capsys,
     data = {"params": {"Lambda": 1e100}, "small_params": {"Lambda": 1e100}}
     code, out = _run(tmp_path, "verify", data)
     assert code == 1 and "Traceback" not in capsys.readouterr().err
-    checks = {c["name"].split()[0]: c for c in
-              json.loads((out / "verify_report.json").read_text())["checks"]}
+    checks = {c["name"].split()[0]: c for c in _strict_report(out)["checks"]}
     for name in ("2a", "2b"):
         assert not checks[name]["passed"] and "nan" in checks[name]["detail"]
+        assert checks[name]["comparisons"][0]["value"] == "nan"
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)

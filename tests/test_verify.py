@@ -15,10 +15,11 @@ from pffiber.fock import dgamma_diag
 def test_coupling_estimates_detail_at_the_default_config():
     result = vf.check_coupling_estimates(vf.VerifyContext(default_config()))
     assert result.passed
-    assert result.detail == (
-        "1000 draws x 8 inequalities, 0 violations beyond 1.0e-10 "
-        "(worst excess -1.813e-01)"
-    )
+    ((label, value, tol, at),) = (c.values() for c in result.comparisons)
+    assert label == "worst excess over 1000 draws x 8 inequalities"
+    assert f"{value:.3e}" == "-1.813e-01" and tol == vf.PROPERTY_SUITE_TOL == 1e-10
+    assert at is None
+    assert result.detail == f"{label}: -1.813e-01 <= 1.0e-10"
 
 
 def test_coupling_estimates_hold_two_dense_operators():
@@ -45,9 +46,14 @@ def test_coupling_estimates_hold_two_dense_operators():
 
 
 def test_monotonicity_detail_at_the_default_config():
+    """The worst scaled margin enters as its deficit, -margin."""
     result = vf.check_monotonicity(vf.VerifyContext(default_config()))
     assert result.passed
-    assert result.detail == "1000 trials at dim 12; worst scaled margin 2.226e-03"
+    ((label, value, tol, at),) = (c.values() for c in result.comparisons)
+    assert "over 1000 trials at dim 12" in label
+    assert f"{-value:.3e}" == "2.226e-03" and tol == vf.MONOTONE_TOL == 1e-10
+    assert at is None
+    assert result.detail == f"{label}: -2.226e-03 <= 1.0e-10"
 
 
 @pytest.mark.parametrize(
@@ -125,8 +131,9 @@ def _coupling_suite_per_round(basis, table, rng, n_rounds, tol):
 
 @pytest.mark.parametrize("tol", [1e-10, -0.5])
 def test_coupling_suite_equals_the_per_round_loop(tol):
-    """Same violations and the same stream consumed, for round counts on
-    either side of a chunk.  The worst excess agrees to a few ulps, not bit
+    """The same stream consumed, for round counts on either side of a
+    chunk, and the worst excess passes its tolerance iff the loop counts no
+    violation beyond it.  The worst excess agrees to a few ulps, not bit
     for bit: the loop's norms and products go through BLAS dot and gemv
     kernels, whose summation order a stacked scatter does not repeat."""
     _, table, basis = vf._property_basis(vf.VerifyContext(default_config()))
@@ -134,12 +141,12 @@ def test_coupling_suite_equals_the_per_round_loop(tol):
     assert chunk > 2
     for n_rounds in (1, chunk - 1, chunk, chunk + 1, 1000):
         rng, ref_rng = np.random.default_rng(n_rounds), np.random.default_rng(n_rounds)
-        got = vf.coupling_estimate_suite(basis, table, rng, n_rounds, tol)
-        want = _coupling_suite_per_round(basis, table, ref_rng, n_rounds, tol)
-        assert got[0] == want[0]
-        assert abs(got[1] - want[1]) <= 64 * np.finfo(float).eps * max(1.0, abs(want[1]))
+        got = vf.coupling_estimate_suite(basis, table, rng, n_rounds)
+        violations, want = _coupling_suite_per_round(basis, table, ref_rng, n_rounds, tol)
+        assert abs(got - want) <= 64 * np.finfo(float).eps * max(1.0, abs(want))
+        assert vf.CheckResult("10a", [("worst excess", got, tol)]).passed == (violations == 0)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert want[0] > 0 if tol < 0 else want[0] == 0
+    assert violations > 0 if tol < 0 else violations == 0
 
 
 def _fast_context():
@@ -151,29 +158,35 @@ def _fast_context():
 
 
 def _spoil(owner, name, transform):
-    """A spoiler: it monkeypatches owner.<name> to return transform(result,
-    call) of each result, call counting from 1."""
-    def spoiler(monkeypatch):
+    """A spoiler: called with a monkeypatch and a bad value, it patches
+    owner.<name> to return transform(result, call, bad) of each result,
+    call counting from 1."""
+    def spoiler(monkeypatch, bad):
         real, calls = getattr(owner, name), []
 
         def spoiled(*args, **kwargs):
             calls.append(None)
-            return transform(real(*args, **kwargs), len(calls))
+            return transform(real(*args, **kwargs), len(calls), bad)
 
         monkeypatch.setattr(owner, name, spoiled)
     return spoiler
 
 
-def _nan_first(x, call):
+def _bad_first(x, call, bad):
     out = np.array(x, copy=True)
-    out.flat[0] = math.nan
+    out.flat[0] = bad
     return out
 
 
+def _at_call(n):
+    """A transform that replaces the result of call n with the bad value."""
+    return lambda x, call, bad: bad if call == n else x
+
+
 def _first_record(change):
-    """A transform of solve records: ``change(record)`` on the first."""
-    return lambda solves, call: [
-        dataclasses.replace(solves[0], **change(solves[0])), *solves[1:]
+    """A transform of solve records: ``change(record, bad)`` on the first."""
+    return lambda solves, call, bad: [
+        dataclasses.replace(solves[0], **change(solves[0], bad)), *solves[1:]
     ]
 
 
@@ -181,45 +194,118 @@ def _solves(change):
     return _spoil(vf.VerifyContext, "solves", _first_record(change))
 
 
-# one NaN defect per running extreme of a hard check: the check, its
-# spoiler, and whether the check's detail prints the NaN
+# check 9 takes the envelope at each of the sweep's couplings and momenta,
+# then the width at p_mid for each coupling, e = 0 first
+_FAST = default_config()
+_ENVELOPE_WIDTH_CALL = len(_FAST.verify.e_values) * len(_FAST.momenta()) + 1
+
+# what a check's detail prints for a NaN defect and for an infinite one:
+# the NaN and the infinity, NaN for both where the check's arithmetic turns
+# the infinity into a NaN (inf / inf, inf * 0), or neither
+PRINTED = ("nan", "inf")
+PRINTED_AS_NAN = ("nan", "nan")
+NOT_PRINTED = (None, None)
+
+# one defect per running extreme or comparison of a hard check: the check,
+# its spoiler, and what its detail prints.  A margin, where a larger number
+# is better, is spoiled with -bad, so that its deficit is bad.
 NAN_DEFECTS = {
-    "1": (vf.check_free_oracle, _spoil(vf, "h0_diag", _nan_first), True),
-    "3": (vf.check_sqrt_crossval, _spoil(vf, "op_sqrt_eig", _nan_first), True),
-    "4": (vf.check_kramers, _solves(lambda s: {
-        "residuals": {**s.residuals, "theta_commutation": math.nan}}), True),
-    "5": (vf.check_sandwich, _solves(lambda s: {"sandwich": (math.nan, *s.sandwich[1:])}),
-          True),
-    "6": (vf.check_counting, _solves(lambda s: {"E": math.nan}), False),
-    "7": (vf.check_gap_uniformity, _solves(lambda s: {"E1": math.nan}), True),
+    "1": (vf.check_free_oracle, _spoil(vf, "h0_diag", _bad_first), PRINTED),
+    "2a": (vf.check_clifford_square, _spoil(vf, "build_T", _bad_first),
+           PRINTED_AS_NAN),
+    "2b": (vf.check_pauli_identity, _spoil(
+        vf, "spin_curl_mismatch", lambda res, call, bad: (bad, *res[1:])), PRINTED),
+    "3": (vf.check_sqrt_crossval, _spoil(vf, "op_sqrt_eig", _bad_first), PRINTED),
+    "4": (vf.check_kramers, _solves(lambda s, bad: {
+        "residuals": {**s.residuals, "theta_commutation": bad}}), PRINTED),
+    "5": (vf.check_sandwich, _solves(lambda s, bad: {"sandwich": (-bad, *s.sandwich[1:])}),
+          PRINTED),
+    "6": (vf.check_counting, _solves(lambda s, bad: {"E": bad}), NOT_PRINTED),
+    "7": (vf.check_gap_uniformity, _solves(lambda s, bad: {"E1": -bad}), PRINTED),
     "8-delta": (vf.check_delta_bounds, _spoil(
-        vf, "delta_search", lambda got, call: ([math.nan, *got[0][1:]], got[1])), True),
+        vf, "delta_search", lambda got, call, bad: ([bad, *got[0][1:]], got[1])), PRINTED),
     "8-bound": (vf.check_delta_bounds, _spoil(
-        vf, "_solved_bound_margins", lambda margins, call: [*margins, math.nan]), True),
-    "10a": (vf.check_coupling_estimates, _spoil(vf, "dgamma_diag", _nan_first), True),
-    "10c": (vf.check_interaction_trend, _spoil(
-        vf, "interaction_norm", lambda x, call: math.nan if call == 3 else x), True),
+        vf, "_solved_bound_margins", lambda margins, call, bad: [*margins, -bad]), PRINTED),
+    "9-width": (vf.check_envelope, _spoil(
+        vf.bnd, "corollary_energy_bounds",
+        lambda res, call, bad: (res[0], bad) if call == _ENVELOPE_WIDTH_CALL else res),
+        PRINTED),
+    "9-slope": (vf.check_envelope, _spoil(
+        vf.bnd, "corollary_energy_bounds",
+        lambda res, call, bad: (res[0], bad) if call == _ENVELOPE_WIDTH_CALL + 1 else res),
+        PRINTED_AS_NAN),
+    "10a": (vf.check_coupling_estimates, _spoil(vf, "dgamma_diag", _bad_first), PRINTED),
+    "10b": (vf.check_monotonicity, _spoil(
+        np.linalg, "eigvalsh", lambda x, call, bad: _bad_first(x, call, -bad)), PRINTED),
+    "10c": (vf.check_interaction_trend, _spoil(vf, "interaction_norm", _at_call(3)),
+            PRINTED_AS_NAN),
     "11a": (vf.check_parity, _spoil(
-        vf.VerifyContext, "energies", lambda es, call: [math.nan, *es[1:]]), True),
+        vf.VerifyContext, "energies", lambda es, call, bad: [bad, *es[1:]]), PRINTED),
+    "11b": (vf.check_negative_controls, _spoil(vf.kra, "check_theta_commutes", _at_call(1)),
+            PRINTED),
     "inv1": (vf.check_reality_structure, _spoil(
-        vf.kra, "check_reality_relations", lambda res, call: {**res, next(iter(res)): math.nan}),
-        True),
+        vf.kra, "check_reality_relations",
+        lambda res, call, bad: {**res, next(iter(res)): bad}), PRINTED),
     "inv2": (vf.check_spin_difference_bounds, _spoil(
-        vf.bnd, "taylor_remainder_min_eig", lambda x, call: math.nan), True),
-    "inv5": (vf.check_lipschitz, _spoil(
-        vf, "lipschitz_ratio", lambda x, call: math.nan if call == 2 else x), True),
+        vf.bnd, "taylor_remainder_min_eig", lambda x, call, bad: -bad), PRINTED),
+    "inv3": (vf.check_quadrature_consistency, _spoil(vf, "ball_volume", _at_call(1)),
+             PRINTED_AS_NAN),
+    "inv4": (vf.check_delta_monotone, _spoil(
+        vf.VerifyContext, "deltas", lambda ds, call, bad: [bad] if call == 1 else ds), PRINTED),
+    "inv5": (vf.check_lipschitz, _spoil(vf, "lipschitz_ratio", _at_call(2)), PRINTED),
+    "inv6": (vf.report_cache_identity, _spoil(vf, "ground_data", _at_call(1)), PRINTED),
 }
+
+
+def _defect_fails_its_check(monkeypatch, site, bad):
+    """The check passes, then fails once spoiled with ``bad``, and its
+    detail prints the token that its case names for ``bad``, if any."""
+    check, spoil, (nan_token, inf_token) = NAN_DEFECTS[site]
+    assert check(_fast_context()).passed
+    spoil(monkeypatch, bad)
+    result = check(_fast_context())
+    assert not result.passed
+    token = inf_token if math.isinf(bad) else nan_token
+    assert token is None or token in result.detail
 
 
 @pytest.mark.parametrize("site", NAN_DEFECTS)
 def test_a_nan_defect_fails_its_check(monkeypatch, site):
-    """Python's max and min drop a NaN that is not their first argument, so
-    a running extreme taken with them passed a NaN defect; each check now
-    fails on one."""
-    check, spoil, printed = NAN_DEFECTS[site]
-    ctx = _fast_context()
-    assert check(ctx).passed
-    spoil(monkeypatch)
-    result = check(_fast_context())
+    """Python's max and min drop a NaN that is not their first argument,
+    and ``x > tol`` is false for a NaN x, so a check that took its verdict
+    from either passed a NaN defect; the one rule of CheckResult fails it."""
+    _defect_fails_its_check(monkeypatch, site, math.nan)
+
+
+@pytest.mark.parametrize("site", NAN_DEFECTS)
+def test_an_infinite_defect_fails_its_check(monkeypatch, site):
+    """An infinite defect fails its check too, also where it drives a
+    deficit to -inf (check 10a's excesses, check 11b's residuals)."""
+    _defect_fails_its_check(monkeypatch, site, math.inf)
+
+
+def test_a_failed_comparison_names_its_location(monkeypatch):
+    """A failed comparison prints where it failed; a held one does not."""
+    result = vf.CheckResult("c", [("a", 1.0, 0.0, "e=0.1, |P|=0.5"), ("b", 0.0, 0.0, "x")])
     assert not result.passed
-    assert "nan" in result.detail or not printed
+    assert result.detail == "a: 1.000e+00 NOT <= 0.0e+00 at e=0.1, |P|=0.5; b: 0.000e+00 <= 0.0e+00"
+    assert [c["at"] for c in result.comparisons] == ["e=0.1, |P|=0.5", "x"]
+    NAN_DEFECTS["6"][1](monkeypatch, math.nan)
+    result = vf.check_counting(_fast_context())
+    assert "NOT <= 0 at e=0.0, |P|=0.0000: count 2, ordered False" in result.detail
+
+
+def test_a_zero_ratio_has_no_drift():
+    """Checks 9 and 10c share one drift: 0 for all-zero ratios, where
+    (max - min) / max is 0 / 0, and NaN if any ratio is."""
+    assert vf._drift([0.0, 0.0]) == 0.0
+    assert vf._drift([1.0, 0.98]) == pytest.approx(0.02)
+    assert math.isnan(vf._drift([1.0, math.nan]))
+
+
+def test_every_hard_check_has_a_defect_case():
+    """A new hard check cannot join ALL_CHECKS without its case above."""
+    _, results = vf.run_verify(_fast_context().cfg)
+    hard = {r.name.split()[0] for r in results if r.hard}
+    assert {site.split("-")[0] for site in NAN_DEFECTS} == hard
+    assert len(hard) == 21
