@@ -11,6 +11,7 @@ eigenvalue counting, the one-photon gap function, and exact two-fold Kramers
 degeneracy of the ground level.
 """
 
+from . import blas  # noqa: F401  (first: it imports numpy on one BLAS thread)
 from .modes import (
     CouplingNorms,
     FormFactorTable,

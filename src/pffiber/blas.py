@@ -17,8 +17,13 @@ on one thread, and below ``LIFT_N`` a result does not depend on the count.
 
 The count is read and set through the OpenBLAS that numpy loaded, found in
 the process's memory map and called by ``ctypes``.  Where there is no such
-library or symbol (another BLAS, another system), both are no-ops.  Nothing
-here is a setting: no flag, config key or environment variable is read.
+library or symbol (another BLAS, another system), both are no-ops.
+
+Where this module is the first to import numpy, it does so with
+``OPENBLAS_NUM_THREADS=1`` and then puts the environment back, so no idle
+worker spins through the import (about 0.1 s of CPU).  It reads OpenBLAS's
+three count variables only to learn the count the process asked for.
+Nothing here is a setting: no flag, config key or variable of its own.
 """
 
 from __future__ import annotations
@@ -27,11 +32,38 @@ import contextlib
 import ctypes
 import functools
 import os
+import sys
 
-import numpy as np
+
+def _start() -> int:
+    """Import numpy on one OpenBLAS thread and return the count the process
+    asked for: the first positive one of OpenBLAS's variables, else, and at
+    most, the cores it may run on."""
+    cores = len(os.sched_getaffinity(0))
+    counts = [os.environ.get(v, "").strip()
+              for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")]
+    asked = next((int(c) for c in counts if c.isdecimal() and int(c) > 0), cores)
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        if saved is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
+    return min(asked, cores)
+
+
+# the count one_thread found, while it runs, else 0; or for good, where this
+# module loads numpy and /proc lets it set the count later, the count the
+# process asked for.  Module state, as the thread count is the process's
+_ceiling = 0 if "numpy" in sys.modules or not os.path.exists("/proc/self/maps") else _start()
+
+import numpy as np  # noqa: E402
 
 # a real kernel of this dimension or more, or a complex one of as much work,
-# runs on every thread the process started with (README, "Dense kernels")
+# runs on every thread the process asked for (README, "Dense kernels")
 LIFT_N = 1000
 
 # (get, set) of the thread count, as the OpenBLAS builds name them: numpy's
@@ -42,10 +74,6 @@ _SYMBOLS = (
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
-
-# the count that one_thread found, while it runs; 0 outside it.  Module
-# state, as the thread count it stands for is the process's
-_ceiling = 0
 
 
 @functools.cache
@@ -80,7 +108,7 @@ def one_thread():
     back to that one within it."""
     global _ceiling
     api = _openblas()
-    if api is None or _ceiling:  # no OpenBLAS, or inside another
+    if api is None or _ceiling:  # no OpenBLAS, inside another, or started on one
         yield
         return
     get, put = api
@@ -95,12 +123,13 @@ def one_thread():
 
 def threads(a: np.ndarray):
     """A context in which a kernel on the n x n matrix ``a``, or on each of
-    a stack, runs on the count that :func:`one_thread` found, where its work
+    a stack, runs on the count that :func:`one_thread` found (or that the
+    process asked for, where it started on one thread), where its work
     is that of a real matrix with n = ``LIFT_N`` or more: a complex entry
     costs about four real ones, so complex matrices lift from n = 630.
     Elsewhere it changes nothing."""
     work = a.shape[-1] ** 3 * (4 if np.iscomplexobj(a) else 1)
-    if work < LIFT_N**3 or _ceiling <= 1:
+    if work < LIFT_N**3 or _ceiling <= 1 or _openblas() is None:
         return contextlib.nullcontext()
     return _lifted()
 

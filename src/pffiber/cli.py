@@ -18,7 +18,7 @@ losslessly.  Momenta are solved in ladder order in one thread (``--threads``
 selects nothing), so reruns are byte-identical at a fixed configuration.
 Each command runs on one BLAS thread, and only kernels of at least the
 work of a real matrix of dimension ``pffiber.blas.LIFT_N`` get back the
-count the process started with (:mod:`pffiber.blas`); a run whose kernels
+count the process asked for (:mod:`pffiber.blas`); a run whose kernels
 are all smaller writes the same bytes at any ``OPENBLAS_NUM_THREADS``.
 """
 

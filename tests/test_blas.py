@@ -180,6 +180,12 @@ def test_lipschitz_ratio_lifts_at_twice_the_fock_dimension(two_threads, monkeypa
     assert seen == [2]
 
 
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+# the CLI in a process that imports numpy before pffiber, as pytest or a
+# program that embeds pffiber does: its OpenBLAS starts on every thread
+NUMPY_FIRST = "import numpy, runpy; runpy.run_module('pffiber.cli', run_name='__main__')"
+
+
 @pytest.mark.parametrize("config", [
     {},  # the desk config: blocks of n <= 50
     # a mid momentum, blocks of n = 161-164 and 325: at two BLAS threads
@@ -188,18 +194,114 @@ def test_lipschitz_ratio_lifts_at_twice_the_fock_dimension(two_threads, monkeypa
 ], ids=["desk", "mid"])
 def test_the_sweep_does_not_depend_on_the_blas_thread_count(tmp_path, config):
     """Every kernel of these sweeps is below the constant, so the CLI runs
-    it on one thread whatever the process started with."""
+    it on one thread whatever the process started with: pffiber started
+    OpenBLAS on one thread, or numpy started it on two and
+    :func:`blas.one_thread` holds it to one."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
-    src = os.path.dirname(os.path.dirname(cli.__file__))
     out = {}
-    for count in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": count}
+    for name, count, start in (("1", "1", ["-m", "pffiber.cli"]),
+                               ("2", "2", ["-m", "pffiber.cli"]),
+                               ("2 numpy first", "2", ["-c", NUMPY_FIRST])):
+        env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": count}
         subprocess.run(
-            [sys.executable, "-m", "pffiber.cli", "sweep", "--config", str(path),
-             "--out", str(tmp_path / count)],
+            [sys.executable, *start, "sweep", "--config", str(path),
+             "--out", str(tmp_path / name)],
             env=env, capture_output=True, timeout=300, check=True,
         )
-        out[count] = (tmp_path / count / "sweep.csv").read_bytes()
-    assert out["1"] == out["2"]
+        out[name] = (tmp_path / name / "sweep.csv").read_bytes()
+    assert out["1"] == out["2"] == out["2 numpy first"]
     assert len(out["1"].splitlines()) > 1
+
+
+COUNT_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh(code, **counts):
+    """Run ``code`` in a new process whose OpenBLAS variables are ``counts``
+    alone, and return what it prints, read as JSON."""
+    env = {k: v for k, v in os.environ.items() if k not in COUNT_VARS}
+    env.update(counts, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return json.loads(done.stdout)
+
+
+def test_a_pffiber_process_starts_on_one_thread_and_keeps_its_environment():
+    """Loaded by pffiber, numpy's OpenBLAS creates no worker thread, and the
+    environment is the one the process started with."""
+    code = """if True:
+        import json, os
+        before = dict(os.environ)
+        import pffiber.cli
+        from pffiber import blas
+        print(json.dumps([len(os.listdir("/proc/self/task")), blas._openblas()[0](),
+                          dict(os.environ) == before]))"""
+    assert _fresh(code, OPENBLAS_NUM_THREADS="2") == [1, 1, True]
+    assert _fresh(code) == [1, 1, True]
+
+
+CORES = len(os.sched_getaffinity(0))
+
+
+def test_without_proc_pffiber_leaves_the_start_to_numpy():
+    """Where the count could not be set later (no ``/proc/self/maps``),
+    OpenBLAS starts on the count it reads itself, and nothing lifts."""
+    code = """if True:
+        import json, os
+        exists = os.path.exists
+        os.path.exists = lambda path: path != "/proc/self/maps" and exists(path)
+        import pffiber
+        os.path.exists = exists
+        print(json.dumps([len(os.listdir("/proc/self/task")), pffiber.blas._ceiling]))"""
+    assert _fresh(code, OPENBLAS_NUM_THREADS="2") == [min(2, CORES), 0]
+
+
+@pytest.mark.parametrize("counts", [
+    {}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"},
+    {"OPENBLAS_NUM_THREADS": "3"}, {"OMP_NUM_THREADS": "1"}, {"GOTO_NUM_THREADS": "1"},
+    {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "0"},
+], ids=lambda counts: " ".join(f"{k}={v}" for k, v in counts.items()) or "unset")
+def test_the_ceiling_is_the_count_numpy_would_start_with(counts):
+    if any(int(v) > CORES + 1 for v in counts.values()):
+        pytest.skip("more threads than the host has cores, and one")
+    ceiling = _fresh("import json, pffiber; print(json.dumps(pffiber.blas._ceiling))",
+                     **counts)
+    started = _fresh("import json, numpy; from pffiber import blas; "
+                     "print(json.dumps(blas._openblas()[0]()))", **counts)
+    assert ceiling == started
+
+
+@pytest.mark.skipif(CORES < 2, reason="one core: nothing lifts")
+def test_a_kernel_lifts_to_the_ceiling_from_a_one_thread_start():
+    """A process started on one thread lifts a kernel at the constant to the
+    count it asked for, within a command and in a direct library call, and
+    goes back to one thread after each; with no OpenBLAS found, nothing
+    lifts."""
+    code = """if True:
+        import json, tempfile
+        import pffiber.cli as cli
+        import numpy as np
+        from pffiber import blas, spectral
+        get = blas._openblas()[0]
+        blas.LIFT_N = 8
+        seen, eigh = [], np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            seen.append(get())
+            return eigh(*args, **kwargs)
+
+        def sweep(cfg, out_dir, cache):
+            spectral._eigh(np.eye(8))
+            return 0
+
+        np.linalg.eigh, cli.run_sweep = counted, sweep
+        spectral._eigh(np.eye(8))
+        with tempfile.TemporaryDirectory() as out:
+            exit_code = cli.main(["sweep", "--out", out])
+        spectral._eigh(np.eye(7))
+        blas._SYMBOLS = ()
+        blas._openblas.cache_clear()
+        spectral._eigh(np.eye(8))
+        print(json.dumps([seen, get(), exit_code]))"""
+    assert _fresh(code, OPENBLAS_NUM_THREADS="2") == [[2, 2, 1, 1], 1, 0]
