@@ -186,6 +186,13 @@ def hermiticity_defect(mat: np.ndarray):
     return float(defect) if mat.ndim == 2 else defect
 
 
+def frobenius(h: np.ndarray):
+    """||H||_F of a matrix, or of each matrix of a (g, n, n) stack, summed
+    in place by ``einsum``: no temporary of the size of h."""
+    parts = (h.real, h.imag) if np.iscomplexobj(h) else (h,)
+    return np.sqrt(sum(np.einsum("...ij,...ij->...", x, x) for x in parts))
+
+
 def require_hermitian(mat: np.ndarray, rtol: float = 1e-12, what: str = "matrix") -> None:
     """Assert Hermiticity up to rtol * max|M|.  On a (k, n, n) stack each
     matrix is held to its own max|M|, so a large matrix cannot hide the skew

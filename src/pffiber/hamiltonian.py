@@ -35,6 +35,8 @@ theta commutes with U (Gamma is real and D is in SU(2)), so it maps the
 eigenspace of lambda onto that of conj(lambda): the blocks come in
 theta-pairs with equal spectra, and theta maps the columns of each onto
 those of its partner by a phased permutation that its :class:`HBlock` carries.
+Only the first block of a pair, its head, is rooted; the partner is its
+theta-image, and theta is checked on sigma.v (:func:`_stacked_blocks`).
 ``build_H`` stays the dense reference.  Momenta that share a stabilizer
 differ only in the diagonal of sigma.v, so ``block_stacks`` builds each of
 their blocks as one stack, bounded by ``STACK_BYTES``, and yields them one
@@ -85,6 +87,7 @@ from .fock import (
     dgamma_diag,
     enumerate_basis,
     field_sum,
+    frobenius,
     hermitize,
     require_hermitian,
 )
@@ -306,13 +309,17 @@ def build_D(P, model: FiberModel) -> np.ndarray:
     return d
 
 
-def op_sqrt_eig(h: np.ndarray, tol_psd: float = DEFAULT_PSD_TOL) -> np.ndarray:
+def op_sqrt_eig(h: np.ndarray, tol_psd: float = DEFAULT_PSD_TOL,
+                with_norm: bool = False):
     """Hermitian PSD square root via spectral decomposition (reference path).
 
     Eigenvalues in [-tol_psd * scale, 0) are clamped to zero; anything below
     raises ``NotPositiveSemidefiniteError``.  ``h`` may be one matrix or a
     (k, n, n) stack, rooted by one stacked ``eigh``; the Hermiticity guard
-    and the scale max|eigenvalue| of the clamp are then per matrix.
+    and the scale max|eigenvalue| of the clamp are then per matrix.  With
+    ``with_norm`` it returns (root, ||root||_2): the square root of the
+    largest clamped eigenvalue, which the ``eigh`` has already given, one
+    per matrix of a stack.
     """
     require_hermitian(h, what="op_sqrt_eig input")
     with threads(h):
@@ -327,8 +334,9 @@ def op_sqrt_eig(h: np.ndarray, tol_psd: float = DEFAULT_PSD_TOL) -> np.ndarray:
                 f"minimum eigenvalue {lowest[i]:.3e} below "
                 f"-{tol_psd:.1e} * {scale[i]:.3e}{where}"
             )
-        root = u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
-        return hermitize(root @ u.conj().swapaxes(-1, -2))
+        f = np.sqrt(np.clip(w, 0.0, None))
+        root = hermitize((u * f[..., None, :]) @ u.conj().swapaxes(-1, -2))
+    return (root, f[..., -1]) if with_norm else root
 
 
 def kinetic_root(s: np.ndarray, M: float) -> np.ndarray:
@@ -734,6 +742,30 @@ def _theta_map(src, dst, r: np.ndarray) -> tuple:
     return perm, phase
 
 
+def _signs(phase: np.ndarray, unit) -> np.ndarray:
+    """phase / unit as exact signs; raises where one is not +-1 within 1e-12."""
+    z = phase * np.conj(unit)
+    sign = np.where(z.real < 0.0, -1.0, 1.0)
+    if np.max(np.abs(z - sign)) > 1e-12:
+        raise RuntimeError("the phases of theta are not one unit up to signs")
+    return sign
+
+
+def theta_image(x: np.ndarray, rows, cols) -> np.ndarray:
+    """K_rows conj(x) K_cols^dagger for the phased permutations (perm,
+    phase) ``rows`` and ``cols``, K[i, perm[i]] = phase[i], of a matrix or
+    of each matrix of a stack.  One gather in the dtype of x, so a real
+    block stays real: theta's phases between two blocks are +-c for one
+    unit c, so each product phase_a conj(phase_b) is an exact sign."""
+    out = x[..., rows[0][:, None], cols[0]]
+    if np.iscomplexobj(out):
+        np.conj(out, out=out)
+    unit = cols[1][0]
+    out *= _signs(rows[1], unit)[:, None]
+    out *= _signs(cols[1], unit)
+    return out
+
+
 def _spin_frame(P, model: FiberModel, coefs):
     """sigma.v(P) in the spin frame (chi_+, chi_-) of u.sigma, as two sparse
     Fock operators, for each momentum of the (g, 3) stack P.
@@ -807,14 +839,28 @@ class HBlock:
     maps this one onto; ``theta`` is that map, the (perm, phase) of
     :func:`_theta_map`.  In a block of :func:`block_stacks`, ``h`` is a
     (g, n, n) stack: this block of g momenta that share the stabilizer, and
-    so ``partner``, ``parts``, ``theta`` and ``index``.
+    so ``partner``, ``parts``, ``theta`` and ``index``.  ``theta_check``
+    is the per-momentum bound gamma ||theta s theta^-1 + s||_F of
+    :func:`_stacked_blocks`, or None.  A partner of :func:`_stacked_blocks`
+    has no ``matrix`` of its own but its ``head``: ``h`` is formed from it
+    when first read.
     """
 
-    h: np.ndarray
+    matrix: np.ndarray | None
     partner: int
     parts: tuple
     theta: tuple
     index: int
+    theta_check: np.ndarray | None = None
+    head: HBlock | None = None
+
+    @functools.cached_property
+    def h(self) -> np.ndarray:
+        """The block's matrix; a partner's is its head's theta-image
+        K conj(h_i) K^dagger, K the head's ``theta``."""
+        if self.matrix is not None:
+            return self.matrix
+        return theta_image(self.head.h, self.head.theta, self.head.theta)
 
     @property
     def rows(self) -> np.ndarray:
@@ -823,7 +869,7 @@ class HBlock:
         A spin-trivial operator 1 x diag(d) with d constant on the
         Gamma-orbits is diag(d[rows]) on the block.
         """
-        return np.concatenate([cols.rep for _, cols in self.parts])
+        return _reps(self.parts)
 
     def expand(self, x: np.ndarray) -> np.ndarray:
         """W x on C^2 tensor Fock for a vector x on the block."""
@@ -835,13 +881,17 @@ class HBlock:
         return out
 
 
+def _reps(parts) -> np.ndarray:
+    """The ``rows`` of the :class:`HBlock` ``parts``."""
+    return np.concatenate([cols.rep for _, cols in parts])
+
+
 def _block(model: FiberModel, root: np.ndarray, partner: int, parts, theta,
-           index) -> HBlock:
+           index, theta_check=None) -> HBlock:
     """The block gamma f(s) + H_f, from f(s) on its columns ``parts``, of
     each momentum of a (g, n, n) stack: built in the root's own array."""
-    rows = np.concatenate([cols.rep for _, cols in parts])
-    h = _add_field_energy(root, model.params.gamma, model.hf[rows])
-    return HBlock(h, partner, parts, theta, index)
+    h = _add_field_energy(root, model.params.gamma, model.hf[_reps(parts)])
+    return HBlock(h, partner, parts, theta, index, theta_check)
 
 
 def _symmetry_setup(P, model: FiberModel):
@@ -888,6 +938,11 @@ def _symmetry_setup(P, model: FiberModel):
         (p, parts, _theta_map(parts, families[p], r))
         for p, parts in zip(partners, families)
     ]
+    # a partner is its head's theta-image, and K diag(d) K^dagger = diag(d[perm])
+    for p, parts, (perm, _) in blocks:
+        if not np.array_equal(model.hf[_reps(families[p])], model.hf[_reps(parts)][perm]):
+            raise RuntimeError(f"H_f is not theta-invariant between two blocks of "
+                               f"the stabilizer generated by R = {r.tolist()}")
     return mirror, real is not None, coefs, blocks
 
 
@@ -922,11 +977,12 @@ def block_stacks(P, params_or_model):
     and so the set-up, and ``blocks`` an iterator over their
     :class:`HBlock` s, each ``h`` a stack along ``index``.  Each block is
     built when it is asked for: the two blocks of a theta-pair follow each
-    other, the lower index first.  A consumer that drops each block (or
-    pair) before it asks for the next holds one at a time.  Momenta of a
-    stack differ only in the diagonal of sigma.v, so one :func:`_sigma_v`
-    scatter, one stacked root and one stacked :func:`_block` serve them all
-    (:func:`_stack_block`).
+    other, the lower index, the head, first, and the partner is the head's
+    theta-image (:func:`_stacked_blocks`).  A consumer that drops each
+    block (or pair) before it asks for the next holds one at a time.
+    Momenta of a stack differ only in the diagonal of sigma.v, so one
+    :func:`_sigma_v` scatter, one stacked root and one stacked
+    :func:`_block` serve them all.
     """
     model = _as_model(params_or_model)
     P = np.asarray(P, dtype=float).reshape(-1, 3)
@@ -976,24 +1032,47 @@ def _momentum_bytes(model: FiberModel, setup) -> int:
 
 def _stacked_blocks(P, model: FiberModel, setup):
     """The blocks of H(P) for the (g, 3) stack P under one ``setup``, one
-    at a time, in the order of :func:`block_stacks`."""
-    partners = [partner for partner, _, _ in setup[3]]
+    at a time, in the order of :func:`block_stacks`.
+
+    Of each theta-pair only the head i is rooted; the partner t is its
+    theta-image, formed only if its ``h`` is read.  Each block carries as
+    ``theta_check`` gamma ||theta s_i theta^-1 + s_t||_F of its pair, s =
+    sigma.v, one per momentum: theta s_i theta^-1 is K_i conj(s_i)
+    K_i^dagger, or K_t conj(s_i) K_i^dagger for a mirror pair, whose s_i
+    maps block i onto t and whose s_t is s_i^dagger.  Why that bounds how
+    far a partner is from its block of H(P) is in :mod:`pffiber.spectral`."""
+    mirror, _, coefs, specs = setup
+    frame = _spin_frame(P, model, coefs)
     for i in pair_heads(setup):
-        yield _stack_block(P, model, setup, i)
-        if i < partners[i]:
-            yield _stack_block(P, model, setup, partners[i])
+        t, _, theta = specs[i]
+        s = _block_s(P, model, frame, setup, i)
+        s_t = _dagger(s) if mirror else s if t == i else _block_s(P, model, frame, setup, t)
+        image = theta_image(s, specs[t if mirror else i][2], theta)
+        image += s_t
+        check = model.params.gamma * frobenius(image)
+        del image, s_t
+        head = _stack_block(P, model, setup, i, s, check)
+        del s  # before the head is solved
+        yield head
+        if t != i:
+            _, parts_t, theta_t = specs[t]
+            yield HBlock(None, i, parts_t, theta_t, t, check, head)
+        del head  # before the next pair is built
 
 
-def _stack_block(P, model: FiberModel, setup, i: int) -> HBlock:
+def _stack_block(P, model: FiberModel, setup, i: int, s=None,
+                 theta_check=None) -> HBlock:
     """Block i of ``setup`` for the (g, 3) P, gamma sqrt(s_i^dagger s_i +
-    M^2) + H_f with the stacked s_i of :func:`_block_s`: rooted by
-    :func:`kinetic_root` under a rotation, where s_i is Hermitian, and by
-    :func:`_svd_root` under a mirror."""
+    M^2) + H_f with the stacked s_i of :func:`_block_s`, unless given:
+    rooted by :func:`kinetic_root` under a rotation, where s_i is
+    Hermitian, and by :func:`_svd_root` under a mirror."""
     mirror, _, coefs, specs = setup
     partner, parts, theta = specs[i]
     kernel = _svd_root if mirror else kinetic_root
-    root = kernel(_block_s(P, model, _spin_frame(P, model, coefs), setup, i), model.params.M)
-    return _block(model, root, partner, parts, theta, i)
+    # a new s is held by no name here, so the kernel frees it before rooting
+    root = kernel(_block_s(P, model, _spin_frame(P, model, coefs), setup, i)
+                  if s is None else s, model.params.M)
+    return _block(model, root, partner, parts, theta, i, theta_check)
 
 
 def _block_s(P, model: FiberModel, frame, setup, i: int) -> np.ndarray:

@@ -14,8 +14,9 @@ theta also commutes with the grid symmetries that block H(P), so it maps
 each block onto a partner block.  Between the two block bases it is
 x -> K conj(x) with K a phased permutation, (perm, phase) with
 K[i, perm[i]] = phase[i], which each block carries (W = 1 without a
-symmetry, where K = sigma_2 tensor 1); :func:`theta_defect` and
-:func:`theta_pairing` check theta block by block as gathers through it.
+symmetry, where K = sigma_2 tensor 1).  The solves form the partner of a
+block as its theta-image through it and check theta on sigma.v;
+:func:`theta_defect` and :func:`theta_pairing` are gathers through it.
 
 The same argument applies to related models: the nonrelativistic fiber
 operator, and position-space models with an even external potential, where
@@ -29,10 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import SANDWICH_TOL, bound_constants, count_below
-from .hamiltonian import SIGMA, _as_model, hf_spinor
+from .fock import frobenius
+from .hamiltonian import SIGMA, _as_model, hf_spinor, theta_image
 from .spectral import EnergyCache, solve_fiber
 
-PAIRING_TOL = 1e-8
+# the bound gamma ||theta s theta^-1 + s||_F / ||H|| on the theta defect of
+# H(P) (:mod:`pffiber.spectral`): verify's check 4 and the certificate's (a)
+THETA_COMM_TOL = 1e-12
 
 
 def _theta(x: np.ndarray) -> np.ndarray:
@@ -79,30 +83,16 @@ def check_reality_relations(params_or_model) -> dict:
     return res
 
 
-def frobenius(h: np.ndarray):
-    """||H||_F of a matrix, or of each matrix of a (g, n, n) stack, summed
-    in place by ``einsum``: no temporary of the size of h."""
-    parts = (h.real, h.imag) if np.iscomplexobj(h) else (h,)
-    return np.sqrt(sum(np.einsum("...ij,...ij->...", x, x) for x in parts))
-
-
 def theta_defect(h_src: np.ndarray, h_dst: np.ndarray, theta):
     """||K conj(H_src) K^dagger - H_dst||_F for the phased permutation
     ``theta`` = (perm, phase), K[i, perm[i]] = phase[i]: a float, or one per
     matrix for (g, n, n) stacks of both blocks.
 
-    The first term is the theta-image of block H_src, one gather:
-    phase_i conj(phase_j) conj(H_src)[perm_i, perm_j].  Each entry is one
-    product, so with W = 1, where the phases are -+i, it equals the dense
-    (s2 x 1) conj(H) (s2 x 1) bit for bit.
+    The first term is the theta-image of block H_src, one gather
+    (:func:`pffiber.hamiltonian.theta_image`) with exact signs, so with
+    W = 1 it equals the dense (s2 x 1) conj(H) (s2 x 1) bit for bit.
     """
-    perm, phase = theta
-    twisted = h_src[..., perm[:, None], perm].astype(complex, copy=False)
-    np.conj(twisted, out=twisted)
-    twisted *= phase[:, None]
-    twisted *= np.conj(phase)
-    twisted -= h_dst
-    defect = frobenius(twisted)
+    defect = frobenius(theta_image(h_src, theta, theta) - h_dst)
     return float(defect) if defect.ndim == 0 else defect
 
 
@@ -119,21 +109,17 @@ def check_theta_commutes(h: np.ndarray) -> float:
     return theta_defect(h, h, s2) / float(frobenius(h))
 
 
-def theta_pairing(block, twin, h_twin: np.ndarray, lam: float, x):
-    """The Kramers pairing of an eigenpair (lam, x) of ``block``, one of
-    :func:`pffiber.hamiltonian.block_stacks`, whose partner is ``twin``.
-
+def theta_pairing(block, twin, x) -> float:
+    """|<v, theta v>| for the vector x of ``block``, one of
+    :func:`pffiber.hamiltonian.block_stacks`, whose partner is ``twin``:
     v = W x has theta v = W' K conj(x), K the phased permutation
-    ``block.theta`` onto ``twin``: (K conj(x))_i = phase_i conj(x)[perm_i].
-    Returns (||H' K conj(x) - lam K conj(x)||, |<v, theta v>|), H' the 2-D
-    ``h_twin`` of ``twin`` at the momentum of x; divided by ||H||, the first
-    is the ``ground_pairing`` residual of a :class:`FiberSolve`.
+    ``block.theta``, (K conj(x))_i = phase_i conj(x)[perm_i].  theta^2 = -1
+    makes it 0.  For the ground vector it is the second number of the
+    ``ground_pairing`` of a :class:`FiberSolve`.
     """
     perm, phase = block.theta
-    tx = phase * np.conj(x)[perm]
-    res = float(np.linalg.norm(h_twin @ tx - lam * tx))
-    v, tv = block.expand(x), twin.expand(tx)
-    return res, abs(complex(np.vdot(v, tv)))
+    v, tv = block.expand(x), twin.expand(phase * np.conj(x)[perm])
+    return abs(complex(np.vdot(v, tv)))
 
 
 @dataclass
@@ -159,12 +145,14 @@ def kramers_certificate(
 ) -> KramersCertificate:
     """Certify that the ground level of H(P) is exactly two-fold degenerate.
 
-    Checks (a) theta commutes with H(P); (b) the ground cluster has
-    multiplicity >= 2 with theta mapping the ground vector to an orthogonal
-    ground vector; (c) at most two eigenvalues lie below Sigma_-(P), given
-    the verified lower sandwich.  (a) + (b) + (c) give exactly two.  The
-    result is marked inconclusive if the sandwich check fails; the guard
-    hypotheses (gamma < 1, m_ph > 0, e <= e_star) are reported, not enforced.
+    Checks (a) theta commutes with H(P), the record's bound on
+    ||theta H theta^-1 - H||_F / ||H|| being within ``THETA_COMM_TOL``;
+    (b) the ground cluster has multiplicity >= 2 with theta mapping the
+    ground vector to an orthogonal ground vector; (c) at most two
+    eigenvalues lie below Sigma_-(P), given the verified lower sandwich.
+    (a) + (b) + (c) give exactly two.  The result is marked inconclusive
+    if the sandwich check fails; the guard hypotheses (gamma < 1, m_ph > 0,
+    e <= e_star) are reported, not enforced.
     Sigma_-(P) and the sandwich both use the model's own bound constants.
     The ground cluster is the record's, at ``spectral.CLUSTER_TOL``, and the
     lower sandwich margin passes down to ``-SANDWICH_TOL * ||H||``, the
@@ -179,12 +167,13 @@ def kramers_certificate(
     solve = solve_fiber(P, model, cache)
     mult = solve.mult
     pairing, overlap = solve.ground_pairing
+    theta = solve.residuals["theta_commutation"]
     lower, _, scale = solve.sandwich
     sandwich_ok = lower >= -SANDWICH_TOL * scale
     cnt = count_below(solve.eigenvalues, consts.sigma_minus(P))
     if not sandwich_ok:
         conclusion = "inconclusive (sandwich failed)"
-    elif mult == 2 and cnt <= 2 and pairing <= PAIRING_TOL:
+    elif mult == 2 and cnt <= 2 and theta <= THETA_COMM_TOL:
         conclusion = "exactly two-fold"
     elif mult >= 2:
         conclusion = "at least two-fold"
@@ -193,7 +182,7 @@ def kramers_certificate(
     return KramersCertificate(
         P=tuple(P),
         hypotheses_met=True,
-        theta_comm_residual=solve.residuals["theta_commutation"],
+        theta_comm_residual=theta,
         ground_multiplicity=mult,
         pairing_residual=pairing,
         ground_overlap=overlap,

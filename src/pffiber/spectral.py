@@ -22,13 +22,27 @@ solves run in real arithmetic.
 
 :func:`solve_fiber` is the one solve per momentum that every per-P consumer
 reads (the CLI reports, the gap-bound report, the Kramers certificate, the
-verify checks).  It runs ``eigh`` on every block, so the theta-pairs are
-compared rather than assumed, and keeps a small :class:`FiberSolve` record
--- eigenvalues, residuals, sandwich margins -- then drops the blocks and the
-eigenvectors.  The record is kept in the run's :class:`EnergyCache`, held
-in memory for that run only, under the key of (parameters, P), so one run
-solves each key once; its E1 and multiplicity are clustered once, at
-``CLUSTER_TOL``, when it is built.
+verify checks).  It runs ``eigh`` on the head of every theta-pair of
+blocks, reads the partner from it, and keeps a small :class:`FiberSolve`
+record -- eigenvalues, residuals, sandwich margins -- then drops the blocks
+and the eigenvectors.
+
+Why the partner need not be solved: it is formed as the head's
+theta-image, the block of theta H theta^-1, with the head's spectrum.
+H(P) = gamma f(s) + H_f, s = sigma.v Hermitian, f(x) = sqrt(x^2 + M^2)
+even and 1-Lipschitz; H_f is theta-invariant (asserted once per set-up),
+so theta H theta^-1 - H = gamma (f(-s + E) - f(-s)), E = theta s
+theta^-1 + s, whose Frobenius norm is taken block by block at every
+momentum.  f is 1-Lipschitz in the Frobenius norm too: in the eigenbases
+u_a of A and w_b of B, ||f(A) - f(B)||_F^2 = sum |f(a) - f(b)|^2
+|<u_a, w_b>|^2 <= ||A - B||_F^2.  The solved H differs from H(P) only on
+the partners, where it is theta H theta^-1, so by Weyl (Bhatia, *Matrix
+Analysis*, ch. III) each of its eigenvalues and eigenpair residuals is
+within gamma ||E||_F of H(P)'s, at every M.  The record's theta residual
+is that bound over ||H||.  The record is kept in the run's
+:class:`EnergyCache`, held in memory for that run only, under the key of
+(parameters, P), so one run solves each key once; its E1 and multiplicity
+are clustered once, at ``CLUSTER_TOL``, when it is built.
 :func:`ground_data` is the eigenvalues-only path (``eigvalsh``) used for the
 trial momenta of Delta(P), the convergence ladder and the verify checks that
 need E(P) only: it returns E alone, the smallest lowest eigenvalue of the
@@ -310,12 +324,16 @@ class FiberSolve:
     largest |eigenvalue|.  Holds no eigenvector: the blocks and the
     eigenvectors are dropped once the residuals are taken.
     ``residuals`` has the worst eigenpair residual of the ``N_LOW_VECTORS``
-    lowest eigenvectors of each block, the largest Hermiticity defect of a
-    block and the relative theta-commutation residual, each block against
-    the theta-image of its partner.  ``ground_pairing`` is the
-    (theta-partner residual, |<v, theta v>|) of the ground vector.
-    ``sandwich`` is (lower, upper, scale): min eig(H(|P|u) - L_-), min
-    eig(L_+ - H(|P|u)) and ||H(|P|u)||_2, or None at gamma >= 1.
+    lowest eigenvectors of each head block (a partner's are its head's),
+    the largest Hermiticity defect of a block and the theta residual:
+    gamma ||theta s theta^-1 + s||_F / ||H||, s = sigma.v, which bounds
+    ||theta H theta^-1 - H||_F / ||H|| and so how far the partners, taken
+    as their heads' theta-images, are from the blocks of H(P).
+    ``ground_pairing`` is (a bound on ||H theta v - E theta v|| / ||H||,
+    |<v, theta v>|) for the ground vector v: its residual plus the theta
+    residual.  ``sandwich`` is (lower, upper, scale): min
+    eig(H(|P|u) - L_-), min eig(L_+ - H(|P|u)) and ||H(|P|u)||_2, or None
+    at gamma >= 1.
     """
 
     P: tuple
@@ -344,15 +362,15 @@ def _eigh(h: np.ndarray):
 
 
 def solve_batch(P, params_or_model, cache: EnergyCache | None = None) -> list:
-    """Build the blocks of H(P) once, diagonalize each once, keep a record,
-    for each momentum of the (g, 3) stack P.
+    """Build the blocks of H(P) once, diagonalize the head of each
+    theta-pair once, keep a record, for each momentum of the (g, 3) stack P.
 
     A record in ``cache`` under the key of P is read, and a new one is
     stored there; E1 and the multiplicity of either are those clustered at
     ``CLUSTER_TOL`` when it was built.  The misses are solved
-    together, one stacked ``eigh`` per block of the momenta that share a
-    stabilizer (:func:`block_stacks`); the residuals and the guards stay
-    per momentum.  The sandwich margins are taken when gamma < 1: from
+    together, one stacked ``eigh`` per theta-pair of the momenta that
+    share a stabilizer (:func:`block_stacks`); the residuals and the
+    guards stay per momentum.  The sandwich margins are taken when gamma < 1: from
     the same blocks when P == |P| u, else from the record of |P| u, which
     is looked up, or solved, before the batch and through the same cache,
     so a |P| u in the batch is solved once.
@@ -433,46 +451,39 @@ def _pair_values(P, pair, along, diagonals) -> tuple:
     (g, 3) P: (values, lowest).
 
     ``values`` maps the index of each block to its per-momentum values:
-    the eigenvalues of one stacked ``eigh``, the worst residual of the
-    ``N_LOW_VECTORS`` lowest eigenpairs, the Hermiticity defect, the
-    Frobenius norm, the theta defect of its partner's image onto it and,
-    with the :func:`pffiber.bounds.comparison_diagonals` of the momenta
-    ``along`` u, their sandwich margins, one stacked ``eigvalsh`` each.
-    ``lowest`` has, per momentum, (E, index, pairing) of the lowest block
-    of the pair, ties to the lower index, with the
-    :func:`pffiber.kramers.theta_pairing` of its ground vector."""
+    the eigenvalues, the worst residual of the ``N_LOW_VECTORS`` lowest
+    eigenpairs, the Hermiticity defect, its ``theta_check`` and, with the
+    :func:`pffiber.bounds.comparison_diagonals` of the momenta ``along`` u,
+    the sandwich margins.  Only the head is solved: one stacked ``eigh``
+    and one stacked ``eigvalsh`` per margin.  The partner, the head's
+    theta-image, has all of these of the head (L_-+ are theta-invariant
+    too), and its matrix is never formed.  ``lowest`` has, per momentum,
+    (E, index, pairing) of the head: the residual of its ground vector and
+    the :func:`pffiber.kramers.theta_pairing` overlap."""
     from . import bounds, kramers  # both modules import this one
 
-    low, per_block = {}, {}
-    for b in pair:
-        vals, vecs = _eigh(b.h)
-        low[b.index] = vecs[..., :N_LOW_VECTORS].copy()
-        del vecs
-        x = low[b.index]
-        res = np.linalg.norm(b.h @ x - x * vals[..., None, :N_LOW_VECTORS], axis=-2)
-        per_block[b.index] = {
-            "vals": vals,
-            "eigenpair": np.max(res, axis=-1),
-            "hermiticity": hermiticity_defect(b.h),
-            "norm": kramers.frobenius(b.h),
-            "margins": None,
-        }
-        if diagonals is not None:
-            h = b.h if along.all() else b.h[along]
-            per_block[b.index]["margins"] = bounds.block_margins(
-                h, b.rows, *diagonals
-            )
-    first = [per_block[b.index]["vals"][:, 0] for b in pair]
-    which = np.argmin(first, axis=0)  # the first block of the pair on ties
-    lowest = [None] * len(P)
-    for i, (b, twin) in enumerate(zip(pair, pair[::-1])):
-        per_block[twin.index]["theta"] = kramers.theta_defect(b.h, twin.h, b.theta)
-        for at in np.flatnonzero(which == i):
-            lam = first[i][at]
-            lowest[at] = (lam, b.index, kramers.theta_pairing(
-                b, twin, twin.h[at], lam, low[b.index][at, :, 0]
-            ))
-    return per_block, lowest
+    head, twin = pair[0], pair[-1]
+    vals, vecs = _eigh(head.h)
+    x = vecs[..., :N_LOW_VECTORS].copy()
+    del vecs
+    res = np.linalg.norm(head.h @ x - x * vals[..., None, :N_LOW_VECTORS], axis=-2)
+    margins = None
+    if diagonals is not None:
+        h = head.h if along.all() else head.h[along]
+        margins = bounds.block_margins(h, head.rows, *diagonals)
+    values = {
+        "vals": vals,
+        "eigenpair": np.max(res, axis=-1),
+        "hermiticity": hermiticity_defect(head.h),
+        "theta": head.theta_check,
+        "margins": margins,
+    }
+    lowest = [
+        (vals[at, 0], head.index,
+         (float(res[at, 0]), kramers.theta_pairing(head, twin, x[at, :, 0])))
+        for at in range(len(P))
+    ]
+    return {b.index: values for b in pair}, lowest
 
 
 def _record(P, at, values, ground, margins, along) -> FiberSolve:
@@ -490,9 +501,8 @@ def _record(P, at, values, ground, margins, along) -> FiberSolve:
             f"at P = {tuple(float(x) for x in p)}"
         )
     triple = _ground_triple(vals, CLUSTER_TOL)
-    theta_res = math.hypot(*(b["theta"][at] for b in values)) / math.hypot(
-        *(b["norm"][at] for b in values)
-    )
+    # the bound on ||theta H theta^-1 - H||_F, relative
+    theta_res = math.hypot(*(b["theta"][at] for b in values)) / max(h_norm, 1e-300)
     pairing_res, overlap = ground[2]
     if along[at] and values[0]["margins"] is not None:
         j = np.count_nonzero(along[:at])
@@ -511,7 +521,7 @@ def _record(P, at, values, ground, margins, along) -> FiberSolve:
             "hermiticity": max(float(b["hermiticity"][at]) for b in values),
             "theta_commutation": theta_res,
         },
-        ground_pairing=(pairing_res / max(h_norm, 1e-300), overlap),
+        ground_pairing=(pairing_res / max(h_norm, 1e-300) + theta_res, overlap),
         sandwich=margins,
     )
 

@@ -70,12 +70,12 @@ from .spectral import (
 # The tolerances of the checks, fixed in code so that no configuration can
 # loosen them.  The sandwich and envelope comparisons (5, 7, 8, 9, inv2) read
 # ``bounds.SANDWICH_TOL``, and check 4 clusters at ``spectral.CLUSTER_TOL``.
-FREE_ORACLE_TOL = 1e-10  # check 1
+FREE_ORACLE_TOL = 1e-10  # check 1, relative to the largest |eigenvalue|
 CLIFFORD_TOL = 1e-10  # check 2a
 PAULI_IDENTITY_TOL = 1e-12  # check 2b, relative
 SPIN_CURL_TOL = 1e-12  # check 2b, i(v^v) against the field curl
 SQRT_CROSSVAL_TOL = 1e-8  # check 3
-THETA_COMM_TOL = 1e-12  # check 4
+THETA_COMM_TOL = kra.THETA_COMM_TOL  # check 4, as the Kramers certificate
 GAP_SPREAD_TOL = 0.10  # check 7, relative spread of Sigma_- - upper envelope
 DELTA_FREE_TOL = 1e-10  # check 8, the e = 0 Delta against its closed form
 DELTA_CEILING_TOL = 1e-12  # check 8, Delta - m_ph
@@ -226,10 +226,12 @@ def check_free_oracle(ctx: VerifyContext) -> CheckResult:
     for P, solve in zip(ctx.momenta(), ctx.solves(model)):
         fock_levels = h0_diag(P, model)
         closed = np.sort(np.concatenate([fock_levels, fock_levels]))
-        defects.append(np.max(np.abs(solve.eigenvalues - closed)))
+        # on the scale of the spectrum, as the sandwich and theta checks are
+        defects.append(np.max(np.abs(solve.eigenvalues - closed))
+                       / max(solve.h_norm, 1e-300))
     return CheckResult(
         "free-theory oracle",
-        _worst("max |eig - closed form|", defects, FREE_ORACLE_TOL),
+        _worst("max |eig - closed form| / max |eig|", defects, FREE_ORACLE_TOL),
         "two-fold spin degeneracy enforced by the duplicated enumeration",
     )
 

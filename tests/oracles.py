@@ -1,7 +1,8 @@
 """Oracles that only the tests call: the block lists of H(P) collected from
 the stream of :func:`pffiber.hamiltonian.block_stacks` and the dense basis
-of a block, the dense free Hamiltonian, the Kramers pairing of dense
-eigenpairs, and the operator certificate h > tau by the Gram product s^dagger
+of a block, a block rooted and solved on its own, the dense free
+Hamiltonian, the Kramers pairing of dense eigenpairs, and the operator
+certificate h > tau by the Gram product s^dagger
 s and a Cholesky of Z, against which the Schur complement of
 :func:`pffiber.certificate.certify_block` is checked."""
 
@@ -17,6 +18,7 @@ from pffiber.hamiltonian import (
     _block_s,
     _dagger,
     _spin_frame,
+    _stack_block,
     block_stacks,
     h0_diag,
 )
@@ -45,7 +47,7 @@ def build_H_blocks(P, params_or_model, one_per_pair: bool = False) -> list:
             key=lambda b: b.index,
         )
         for at, i in enumerate(index):
-            out[i] = [dataclasses.replace(b, h=b.h[at]) for b in blocks]
+            out[i] = [dataclasses.replace(b, matrix=b.h[at], head=None) for b in blocks]
     return out[0] if P.ndim == 1 else out
 
 
@@ -168,3 +170,26 @@ def compare_certificates(patch) -> list:
     patch.setattr(certificate, "certify_stack_block", both)
     patch.setattr(spectral, "certify_stack_block", both)
     return log
+
+
+def solve_block(P, model, setup, i: int, diagonals=None) -> dict:
+    """Block i of ``setup`` at the (g, 3) P solved on its own: s_i
+    assembled and rooted (:func:`pffiber.hamiltonian._stack_block`, the
+    ground path's builder), then one ``eigh`` per momentum.  Returns the
+    eigenvalues, the worst residual of the ``spectral.N_LOW_VECTORS``
+    lowest eigenpairs and, with the (g, dim) (L_-, L_+) ``diagonals``,
+    the sandwich margins min eig(h - L_-) and min eig(L_+ - h), each one
+    row per momentum."""
+    block = _stack_block(P, model, setup, i)
+    k = spectral.N_LOW_VECTORS
+    out = {"vals": [], "eigenpair": [], "margins": []}
+    for at, h in enumerate(block.h):
+        vals, vecs = np.linalg.eigh(h)
+        x = vecs[:, :k]
+        out["vals"].append(vals)
+        out["eigenpair"].append(np.max(np.linalg.norm(h @ x - x * vals[:k], axis=0)))
+        if diagonals is not None:
+            lm, lp = (np.diag(d[at, block.rows]) for d in diagonals)
+            out["margins"].append((np.linalg.eigvalsh(h - lm)[0],
+                                   np.linalg.eigvalsh(lp - h)[0]))
+    return {key: np.array(v) for key, v in out.items()}

@@ -193,9 +193,9 @@ def _sqrt_monotone_per_trial(dim, trials, rng_seed):
         t = s + w.conj().T @ w
         rt = op_sqrt_eig(t)
         diff = rt - op_sqrt_eig(s)
-        margin = float(np.linalg.eigvalsh(diff)[0]) / float(
-            np.linalg.norm(rt, ord=2)
-        )
+        # ||sqrt(T)||_2 from the eigenvalues of T, as the suite reads it
+        norm = math.sqrt(max(float(np.linalg.eigh(t)[0][-1]), 0.0))
+        margin = float(np.linalg.eigvalsh(diff)[0]) / norm
         worst = min(worst, margin)
     return worst
 
@@ -211,6 +211,17 @@ def test_monotone_suite_equals_the_per_trial_loop(dim, trials):
     assert sqrt_monotone_test(dim, trials, rng_seed=trials) == (
         _sqrt_monotone_per_trial(dim, trials, rng_seed=trials)
     )
+
+
+def test_the_root_norm_is_read_from_the_eigenvalues(rng):
+    """||sqrt(T)||_2 of a PSD T is the square root of its largest
+    eigenvalue: op_sqrt_eig gives it beside the same root, and it is the
+    2-norm of that root to rounding."""
+    g = rng.standard_normal((5, 12, 12)) + 1j * rng.standard_normal((5, 12, 12))
+    t = g.conj().swapaxes(-1, -2) @ g
+    root, norm = op_sqrt_eig(t, with_norm=True)
+    assert np.array_equal(root, op_sqrt_eig(t))
+    assert_allclose(norm, np.linalg.norm(root, ord=2, axis=(-2, -1)), rtol=1e-14)
 
 
 def test_monotone_commuting_diagonals():

@@ -133,11 +133,14 @@ def test_verify_builds_four_grids_and_eight_setups(tmp_path, monkeypatch):
     soft1, soft2 and inv6.
 
     The blocks rooted, one per momentum of a stacked root: the records root
-    every block of their momenta; the ground path roots the first block of
-    its 61 momenta, and the diagonal tier of the certificate proves each of
-    the 57 later theta-pair blocks that it meets above the running minimum,
-    so none of those is rooted: 193 blocks, where 250 were when the first
-    block of every pair was solved."""
+    the head of each theta-pair of their momenta, 2 of the 4 C4 blocks of
+    each of the 33 sweep records (66), and take its partner as its
+    theta-image; the ground path roots the first block of its 61 momenta,
+    and the diagonal tier of the certificate proves each of the 57 later
+    theta-pair blocks that it meets above the running minimum, so none of
+    those is rooted: 127 blocks, where 193 were when the records rooted
+    every block, and 250 when the ground path solved the first block of
+    every pair."""
     hamiltonian.build_model.cache_clear()
     hamiltonian._grid.cache_clear()
     hamiltonian._live_models.clear()  # models held elsewhere keep their grids
@@ -171,4 +174,4 @@ def test_verify_builds_four_grids_and_eight_setups(tmp_path, monkeypatch):
     assert cli.main(["verify", "--seed", "2026", "--out", str(tmp_path)]) == 0
     assert hamiltonian.build_model.cache_info().misses == 59
     assert counts == {"enumerate_basis": 4, "_symmetry_setup": 8, "momenta built": 94,
-                      "blocks rooted": 193}
+                      "blocks rooted": 127}

@@ -7,10 +7,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pffiber.bounds import bound_constants, build_L_minus, build_L_plus, count_below
-from pffiber.fock import hermiticity_defect
-from pffiber.hamiltonian import build_H, build_model
+from pffiber.fock import frobenius, hermiticity_defect
+from pffiber.hamiltonian import build_H, build_model, sigma_dot_v
 from pffiber import spectral
-from pffiber.kramers import check_theta_commutes
+from pffiber.kramers import check_theta_commutes, theta_defect
 from pffiber.spectral import (
     EnergyCache,
     SpectrumReport,
@@ -228,10 +228,14 @@ def test_fiber_solve_matches_separate_computations(default_params, default_model
     assert abs(solve.residuals["eigenpair"] - eig_res) <= 1e-12
     pairing = theta_pairing_residuals(h, vals[:1], vecs[:, :1])[0]
     assert_allclose(solve.ground_pairing, pairing, rtol=0, atol=1e-12)
-    if len(build_H_blocks(P, default_model)) == 1:  # the generic momentum
+    blocks = build_H_blocks(P, default_model)
+    if len(blocks) == 1:  # the generic momentum: W = 1, K = sigma_2 x 1
         assert np.array_equal(solve.eigenvalues, np.linalg.eigh(h)[0])
         assert solve.residuals["hermiticity"] == hermiticity_defect(h)
-        assert solve.residuals["theta_commutation"] == check_theta_commutes(h)
+        # theta is checked on sigma.v: gamma ||theta s theta^-1 + s||_F / ||H||
+        s = sigma_dot_v(P, default_model)
+        defect = default_params.gamma * theta_defect(s, -s, blocks[0].theta)
+        assert solve.residuals["theta_commutation"] == defect / solve.h_norm
     else:  # C4 along x or the mirror z -> -z: residuals block by block
         assert solve.residuals["hermiticity"] <= 1e-12 * solve.h_norm
         assert hermiticity_defect(h) <= 1e-12 * solve.h_norm

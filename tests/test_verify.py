@@ -295,6 +295,34 @@ def test_a_failed_comparison_names_its_location(monkeypatch):
     assert "NOT <= 0 at e=0.0, |P|=0.0000: count 2, ordered False" in result.detail
 
 
+def test_a_nan_root_norm_fails_check_10b(monkeypatch):
+    """Check 10b reads ||sqrt(T)||_2 from the eigenvalues of T that rooting
+    T gave; a NaN there is a NaN margin, and fails the check."""
+    _spoil(vf.bnd, "op_sqrt_eig", lambda res, call, bad: (
+        (res[0], _bad_first(res[1], call, bad)) if isinstance(res, tuple) else res
+    ))(monkeypatch, math.nan)
+    result = vf.check_monotonicity(_fast_context())
+    assert not result.passed and "nan" in result.detail
+
+
+def test_check_1_is_relative_to_the_spectrum():
+    """At Lambda = 1e6 the free levels reach about 1e6, so the rounding of
+    the solve puts the absolute defect above ``FREE_ORACLE_TOL``; relative
+    to the largest |eigenvalue| it is of order 1e-15, and check 1 passes."""
+    cfg = default_config()
+    ctx = vf.VerifyContext(dataclasses.replace(cfg, params=cfg.params.replace(Lambda=1e6)))
+    result = vf.check_free_oracle(ctx)
+    model = vf.build_model(ctx.params_at(0.0))
+    absolute = [
+        np.max(np.abs(solve.eigenvalues - np.sort(np.tile(vf.h0_diag(P, model), 2))))
+        for P, solve in zip(ctx.momenta(), ctx.solves(model))
+    ]
+    assert max(absolute) > 10 * vf.FREE_ORACLE_TOL
+    ((label, value, tol, _),) = (c.values() for c in result.comparisons)
+    assert result.passed and label == "max |eig - closed form| / max |eig|"
+    assert value <= 1e-14 and tol == vf.FREE_ORACLE_TOL
+
+
 def test_a_zero_ratio_has_no_drift():
     """Checks 9 and 10c share one drift: 0 for all-zero ratios, where
     (max - min) / max is 0 / 0, and NaN if any ratio is."""
