@@ -231,9 +231,10 @@ def block_margins(h, rows, lm, lp):
 
     L_-(P) and L_+(P) are spin-trivial, diagonal in the occupation basis and
     functions of H_f, |P_f|^2 and u.P_f, so they are constant on the
-    Gamma-orbits of every element of the grid that fixes u: on a block of
-    :func:`pffiber.hamiltonian.block_stacks` at |P| u they are diagonal,
-    read at the orbit representatives ``block.rows``.
+    Gamma-orbits of every element of the grid that fixes u: on a block
+    (:class:`pffiber.hamiltonian.HBlock`) at |P| u they are diagonal, read
+    at the orbit representatives ``rows``.  A theta-partner takes its
+    head's margins (:func:`pffiber.spectral._pair_values`).
     """
     shifted = h.copy()
     np.einsum("...ii->...i", shifted)[...] -= lm[:, rows]

@@ -17,31 +17,30 @@ dense Fock operator.
 Kronecker convention: spin index slow, Fock index fast, i.e.
 ``np.kron(spin_matrix, fock_matrix)``.
 
-``block_stacks`` gives the same spectrum as ``build_H`` from smaller
-matrices. An element R of the grid's point group that fixes P and has a
-mode action commutes with H(P) through U(R) = D(det(R) R) x Gamma(R):
-D turns the spin by the proper part of R (the spin is a pseudovector), and
-Gamma(R) is the signed permutation of occupation states. A rotation
-commutes with sigma.v; a mirror anticommutes with it, which H tolerates
-because f is even; without one, R = 1.  H(P) is assembled on each
-eigenspace of U, which is
-built once per (grid, stabilizer) from Fourier sums over the Gamma-orbits
-and kept in the grid's store (see :class:`FiberModel`) as a per-state
-table (:class:`Columns`).  Every v_k is a diagonal plus
-sum_m f_{m,k} (a_m + a_m^dagger), so sigma.v on a block is one scatter
-over the ladder table of the basis: O(dim + nnz) entries, each spread over
-the at most two columns its Fock state lies in. Time reversal
-theta commutes with U (Gamma is real and D is in SU(2)), so it maps the
-eigenspace of lambda onto that of conj(lambda): the blocks come in
-theta-pairs with equal spectra, and theta maps the columns of each onto
-those of its partner by a phased permutation that its :class:`HBlock` carries.
-Only the first block of a pair, its head, is rooted; the partner is its
-theta-image, and theta is checked on sigma.v (:func:`_stacked_blocks`).
+The blocks of :func:`setup_stacks` give the same spectrum as ``build_H``
+from smaller matrices. An element R of the grid's point group that fixes P
+and has a mode action commutes with H(P) through U(R) = D(det(R) R) x
+Gamma(R): D turns the spin by the proper part of R (the spin is a
+pseudovector), and Gamma(R) is the signed permutation of occupation
+states. A rotation commutes with sigma.v; a mirror anticommutes with it,
+which H tolerates because f is even; without one, R = 1.  H(P) is
+assembled on each eigenspace of U, which is built once per (grid,
+stabilizer) from Fourier sums over the Gamma-orbits and kept in the grid's
+store (see :class:`FiberModel`) as a per-state table (:class:`Columns`).
+Every v_k is a diagonal plus sum_m f_{m,k} (a_m + a_m^dagger), so sigma.v
+on a block is one scatter over the ladder table of the basis: O(dim + nnz)
+entries, each spread over the at most two columns its Fock state lies in.
+Time reversal theta commutes with U (Gamma is real and D is in SU(2)), so
+it maps the eigenspace of lambda onto that of conj(lambda): the blocks
+come in theta-pairs with equal spectra, and theta maps the columns of each
+onto those of its partner by a phased permutation that its :class:`HBlock`
+carries.  Only the first block of a pair, its head (:func:`pair_heads`),
+is built; :func:`theta_pair` builds it and checks theta on sigma.v.
 ``build_H`` stays the dense reference.  Momenta that share a stabilizer
-differ only in the diagonal of sigma.v, so ``block_stacks`` builds each of
-their blocks as one stack, bounded by ``STACK_BYTES``, and yields them one
-at a time (a theta-pair's two blocks next to each other), so that a solve
-drops each block before the next is built.
+differ only in the diagonal of sigma.v, so ``setup_stacks`` groups them in
+stacks, bounded by ``STACK_BYTES``, and each block of a stack is built as
+one, a block at a time, so that a solve drops each block before the next
+is built.
 
 Time reversal has theta^2 = -1, so H(P) has no real form in general.  But
 when the stabilizer of P also holds a mirror sigma that inverts R about an
@@ -139,7 +138,7 @@ class QuadratureNotConverged(RuntimeError):
 class FiberModel:
     """A mode grid and a coupling on it.  The grid is ``modes``, ``basis``,
     ``pf``, ``hf``, ``rotations`` and ``setups``, the store of
-    :func:`block_stacks`: models that differ only in e, gamma or M share
+    :func:`setup_stacks`: models that differ only in e, gamma or M share
     these objects.  ``table``, ``norms``, ``A`` and ``B`` carry e.
 
     The dense A(0) and B(0) are built on first access and then kept: only
@@ -826,41 +825,25 @@ def _sigma_v(model: FiberModel, frame, rows, cols) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HBlock:
-    """One diagonal block h = W^dagger H(P) W of H(P) under its stabilizer.
+    """One diagonal block h = W^dagger H(P) W of H(P) under its stabilizer,
+    for a stack of g momenta that share it: ``h`` is (g, n, n).
 
     Every column of W is chi x f: a spin vector chi times the Fourier sum f
     over one Gamma-orbit of occupation states or, on a real block (see
-    :func:`block_stacks`), a combination of the sums over two orbits that
-    sigma swaps, whose first orbit is the column's own; without a symmetry,
-    W = 1: chi is e_up or e_down and f a single occupation state.
+    :func:`_symmetry_setup`), a combination of the sums over two orbits
+    that sigma swaps, whose first orbit is the column's own; without a
+    symmetry, W = 1: chi is e_up or e_down and f a single occupation state.
     ``parts`` holds one (chi, :class:`Columns`) per spin vector.  ``index``
-    is the position of the block in the full stream of
-    :func:`block_stacks`, and ``partner`` that of the block that theta
-    maps this one onto; ``theta`` is that map, the (perm, phase) of
-    :func:`_theta_map`.  In a block of :func:`block_stacks`, ``h`` is a
-    (g, n, n) stack: this block of g momenta that share the stabilizer, and
-    so ``partner``, ``parts``, ``theta`` and ``index``.  ``theta_check``
-    is the per-momentum bound gamma ||theta s theta^-1 + s||_F of
-    :func:`_stacked_blocks`, or None.  A partner of :func:`_stacked_blocks`
-    has no ``matrix`` of its own but its ``head``: ``h`` is formed from it
-    when first read.
+    is the position of the block in its set-up, and ``partner`` that of the
+    block that theta maps this one onto; ``theta`` is that map, the (perm,
+    phase) of :func:`_theta_map`.
     """
 
-    matrix: np.ndarray | None
+    h: np.ndarray
     partner: int
     parts: tuple
     theta: tuple
     index: int
-    theta_check: np.ndarray | None = None
-    head: HBlock | None = None
-
-    @functools.cached_property
-    def h(self) -> np.ndarray:
-        """The block's matrix; a partner's is its head's theta-image
-        K conj(h_i) K^dagger, K the head's ``theta``."""
-        if self.matrix is not None:
-            return self.matrix
-        return theta_image(self.head.h, self.head.theta, self.head.theta)
 
     @property
     def rows(self) -> np.ndarray:
@@ -871,14 +854,16 @@ class HBlock:
         """
         return _reps(self.parts)
 
-    def expand(self, x: np.ndarray) -> np.ndarray:
-        """W x on C^2 tensor Fock for a vector x on the block."""
-        out, start = 0.0, 0
-        for chi, cols in self.parts:
-            part = x[start:start + cols.rep.size]
-            start += cols.rep.size
-            out = out + np.kron(chi, np.sum(cols.w * part[cols.col], axis=1))
-        return out
+
+def expand(parts, x: np.ndarray) -> np.ndarray:
+    """W x on C^2 tensor Fock for a vector x on the block of the
+    :class:`HBlock` ``parts``."""
+    out, start = 0.0, 0
+    for chi, cols in parts:
+        part = x[start:start + cols.rep.size]
+        start += cols.rep.size
+        out = out + np.kron(chi, np.sum(cols.w * part[cols.col], axis=1))
+    return out
 
 
 def _reps(parts) -> np.ndarray:
@@ -886,19 +871,20 @@ def _reps(parts) -> np.ndarray:
     return np.concatenate([cols.rep for _, cols in parts])
 
 
-def _block(model: FiberModel, root: np.ndarray, partner: int, parts, theta,
-           index, theta_check=None) -> HBlock:
-    """The block gamma f(s) + H_f, from f(s) on its columns ``parts``, of
-    each momentum of a (g, n, n) stack: built in the root's own array."""
-    h = _add_field_energy(root, model.params.gamma, model.hf[_reps(parts)])
-    return HBlock(h, partner, parts, theta, index, theta_check)
-
-
 def _symmetry_setup(P, model: FiberModel):
-    """What :func:`block_stacks` needs of P but s(P), a function of the
-    stabilizer of P: (mirror, real, coefs, blocks) under its
-    :func:`block_generator` R or, without one, under R = 1 with the
-    identity action, whose one block has W = 1.  ``coefs`` are the
+    """What the blocks of H(P) under its stabilizer need of P but s(P), a
+    function of the stabilizer of P: (mirror, real, coefs, blocks) under
+    its :func:`block_generator` R or, without one, under R = 1 with the
+    identity action, whose one block has W = 1 and is its own partner.
+
+    A rotation R of order n: U(R) = D(R) x Gamma(R), D(R) = cos(pi/n) -
+    i sin(pi/n) n.sigma, and U^n = -1.  Block j is H(P) on the eigenspace
+    exp(i pi (2j + 1) / n) of U, spanned by chi_+ x (Gamma eigenvectors
+    a = j + 1) and chi_- x (Gamma eigenvectors a = j), with H_f read at
+    the smallest state of each Gamma-orbit.  Empty eigenspaces give no
+    block; theta maps block j onto block n - 1 - j.  A mirror M: U = D(-M)
+    x Gamma(M) has eigenvalues -i (block 0) and +i (block 1), each of
+    dimension dim, which theta swaps.  ``coefs`` are the
     <chi_+|sigma_k|chi_+-> of :func:`_spin_frame`; per nonempty block,
     ``blocks`` has the partner, the :class:`HBlock` parts, the
     :class:`Columns` paired with chi_+ and chi_-, and the :func:`_theta_map`
@@ -955,44 +941,9 @@ def _symmetry_setup(P, model: FiberModel):
 STACK_BYTES = 128 * 1024
 
 
-def block_stacks(P, params_or_model):
-    """Build the blocks of H(P) under its grid stabilizer for many momenta
-    at once, a stack per block.
-
-    R = :func:`block_generator`, or R = 1 without one: one block, W = 1,
-    that theta maps onto itself.  A rotation R of order n:
-    U(R) = D(R) x Gamma(R), D(R) = cos(pi/n) - i sin(pi/n) n.sigma, and
-    U^n = -1.  Block j is H(P) on the eigenspace exp(i pi (2j + 1) / n) of
-    U, spanned by chi_+ x (Gamma eigenvectors a = j + 1) and chi_- x (Gamma
-    eigenvectors a = j): gamma f(s_j) + H_f, s_j = sigma.v projected on the
-    block, with H_f read at the smallest state of each Gamma-orbit.  Empty
-    eigenspaces give no block; theta maps block j onto block n - 1 - j.
-    Real blocks: :func:`_real_block`.  A mirror M: U = D(-M) x Gamma(M)
-    has eigenvalues -i (block 0) and +i (block 1), each of dimension dim,
-    which theta swaps; each block is rooted from the s_i of
-    :func:`_block_s` that maps it onto the other.
-
-    Yields (index, blocks) over the stacks of :func:`setup_stacks`:
-    ``index`` holds the positions in P of momenta that share a stabilizer,
-    and so the set-up, and ``blocks`` an iterator over their
-    :class:`HBlock` s, each ``h`` a stack along ``index``.  Each block is
-    built when it is asked for: the two blocks of a theta-pair follow each
-    other, the lower index, the head, first, and the partner is the head's
-    theta-image (:func:`_stacked_blocks`).  A consumer that drops each
-    block (or pair) before it asks for the next holds one at a time.
-    Momenta of a stack differ only in the diagonal of sigma.v, so one
-    :func:`_sigma_v` scatter, one stacked root and one stacked
-    :func:`_block` serve them all.
-    """
-    model = _as_model(params_or_model)
-    P = np.asarray(P, dtype=float).reshape(-1, 3)
-    for index, setup in setup_stacks(P, model):
-        yield index, _stacked_blocks(P[index], model, setup)
-
-
 def pair_heads(setup) -> list:
-    """The first block of each theta-pair of ``setup``, in stream order:
-    the blocks whose index is at most their partner's."""
+    """The first block of each theta-pair of ``setup``, in order: the
+    blocks whose index is at most their partner's."""
     return [i for i, (partner, _, _) in enumerate(setup[3]) if i <= partner]
 
 
@@ -1030,49 +981,41 @@ def _momentum_bytes(model: FiberModel, setup) -> int:
     return most
 
 
-def _stacked_blocks(P, model: FiberModel, setup):
-    """The blocks of H(P) for the (g, 3) stack P under one ``setup``, one
-    at a time, in the order of :func:`block_stacks`.
-
-    Of each theta-pair only the head i is rooted; the partner t is its
-    theta-image, formed only if its ``h`` is read.  Each block carries as
-    ``theta_check`` gamma ||theta s_i theta^-1 + s_t||_F of its pair, s =
-    sigma.v, one per momentum: theta s_i theta^-1 is K_i conj(s_i)
-    K_i^dagger, or K_t conj(s_i) K_i^dagger for a mirror pair, whose s_i
-    maps block i onto t and whose s_t is s_i^dagger.  Why that bounds how
-    far a partner is from its block of H(P) is in :mod:`pffiber.spectral`."""
+def theta_pair(P, model: FiberModel, setup, i: int) -> tuple:
+    """(head, bound) of the theta-pair of head i of ``setup`` for the
+    (g, 3) stack P: block i, by :func:`_stack_block`, and the pair's theta
+    bound gamma ||theta s_i theta^-1 + s_t||_F, s = sigma.v, one per
+    momentum.  theta s_i theta^-1 is K_i conj(s_i) K_i^dagger, or
+    K_t conj(s_i) K_i^dagger for a mirror pair, whose s_i maps block i onto
+    t and whose s_t is s_i^dagger.  The partner t has the head's spectrum
+    up to this bound, and is not built; why the bound holds is in
+    :mod:`pffiber.spectral`."""
     mirror, _, coefs, specs = setup
+    t, _, theta = specs[i]
     frame = _spin_frame(P, model, coefs)
-    for i in pair_heads(setup):
-        t, _, theta = specs[i]
-        s = _block_s(P, model, frame, setup, i)
-        s_t = _dagger(s) if mirror else s if t == i else _block_s(P, model, frame, setup, t)
-        image = theta_image(s, specs[t if mirror else i][2], theta)
-        image += s_t
-        check = model.params.gamma * frobenius(image)
-        del image, s_t
-        head = _stack_block(P, model, setup, i, s, check)
-        del s  # before the head is solved
-        yield head
-        if t != i:
-            _, parts_t, theta_t = specs[t]
-            yield HBlock(None, i, parts_t, theta_t, t, check, head)
-        del head  # before the next pair is built
+    s = _block_s(P, model, frame, setup, i)
+    s_t = _dagger(s) if mirror else s if t == i else _block_s(P, model, frame, setup, t)
+    image = theta_image(s, specs[t if mirror else i][2], theta)
+    image += s_t
+    bound = model.params.gamma * frobenius(image)
+    del image, s_t
+    return _stack_block(P, model, setup, i, s), bound
 
 
-def _stack_block(P, model: FiberModel, setup, i: int, s=None,
-                 theta_check=None) -> HBlock:
+def _stack_block(P, model: FiberModel, setup, i: int, s=None) -> HBlock:
     """Block i of ``setup`` for the (g, 3) P, gamma sqrt(s_i^dagger s_i +
     M^2) + H_f with the stacked s_i of :func:`_block_s`, unless given:
     rooted by :func:`kinetic_root` under a rotation, where s_i is
-    Hermitian, and by :func:`_svd_root` under a mirror."""
+    Hermitian, and by :func:`_svd_root` under a mirror; H_f is added in
+    the root's own array."""
     mirror, _, coefs, specs = setup
     partner, parts, theta = specs[i]
     kernel = _svd_root if mirror else kinetic_root
     # a new s is held by no name here, so the kernel frees it before rooting
     root = kernel(_block_s(P, model, _spin_frame(P, model, coefs), setup, i)
                   if s is None else s, model.params.M)
-    return _block(model, root, partner, parts, theta, i, theta_check)
+    h = _add_field_energy(root, model.params.gamma, model.hf[_reps(parts)])
+    return HBlock(h, partner, parts, theta, i)
 
 
 def _block_s(P, model: FiberModel, frame, setup, i: int) -> np.ndarray:

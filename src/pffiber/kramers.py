@@ -14,9 +14,10 @@ theta also commutes with the grid symmetries that block H(P), so it maps
 each block onto a partner block.  Between the two block bases it is
 x -> K conj(x) with K a phased permutation, (perm, phase) with
 K[i, perm[i]] = phase[i], which each block carries (W = 1 without a
-symmetry, where K = sigma_2 tensor 1).  The solves form the partner of a
-block as its theta-image through it and check theta on sigma.v;
-:func:`theta_defect` and :func:`theta_pairing` are gathers through it.
+symmetry, where K = sigma_2 tensor 1).  The solves build only the first
+block of each pair and check theta on sigma.v
+(:func:`pffiber.hamiltonian.theta_pair`); :func:`theta_defect` and
+:func:`theta_pairing` are gathers through K.
 
 The same argument applies to related models: the nonrelativistic fiber
 operator, and position-space models with an even external potential, where
@@ -31,7 +32,7 @@ import numpy as np
 
 from .bounds import SANDWICH_TOL, bound_constants, count_below
 from .fock import frobenius
-from .hamiltonian import SIGMA, _as_model, hf_spinor, theta_image
+from .hamiltonian import SIGMA, _as_model, expand, hf_spinor, theta_image
 from .spectral import EnergyCache, solve_fiber
 
 # the bound gamma ||theta s theta^-1 + s||_F / ||H|| on the theta defect of
@@ -58,12 +59,10 @@ def apply_theta(psi: np.ndarray) -> np.ndarray:
 
 
 def theta_squared_sign(dim_fock: int) -> float:
-    """Certificate that theta^2 = -1: max |theta(theta(e_i)) + e_i| over a basis."""
-    worst = 0.0
+    """Certificate that theta^2 = -1: max |theta(theta(e_i)) + e_i| over a
+    basis, the columns of the identity taken at once."""
     eye = np.eye(2 * dim_fock)
-    for col in eye.T:
-        worst = max(worst, float(np.max(np.abs(apply_theta(apply_theta(col)) + col))))
-    return worst
+    return float(np.max(np.abs(_theta(_theta(eye)) + eye)))
 
 
 def check_reality_relations(params_or_model) -> dict:
@@ -110,15 +109,15 @@ def check_theta_commutes(h: np.ndarray) -> float:
 
 
 def theta_pairing(block, twin, x) -> float:
-    """|<v, theta v>| for the vector x of ``block``, one of
-    :func:`pffiber.hamiltonian.block_stacks`, whose partner is ``twin``:
-    v = W x has theta v = W' K conj(x), K the phased permutation
-    ``block.theta``, (K conj(x))_i = phase_i conj(x)[perm_i].  theta^2 = -1
-    makes it 0.  For the ground vector it is the second number of the
-    ``ground_pairing`` of a :class:`FiberSolve`.
+    """|<v, theta v>| for the vector x of the
+    :class:`pffiber.hamiltonian.HBlock` ``block``, whose partner has the
+    columns ``twin`` (its ``parts``): v = W x has theta v = W' K conj(x),
+    K the phased permutation ``block.theta``, (K conj(x))_i = phase_i
+    conj(x)[perm_i].  theta^2 = -1 makes it 0.  For the ground vector it is
+    the second number of the ``ground_pairing`` of a :class:`FiberSolve`.
     """
     perm, phase = block.theta
-    v, tv = block.expand(x), twin.expand(phase * np.conj(x)[perm])
+    v, tv = expand(block.parts, x), expand(twin, phase * np.conj(x)[perm])
     return abs(complex(np.vdot(v, tv)))
 
 

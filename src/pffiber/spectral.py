@@ -10,7 +10,7 @@ approximated on a finite trial set that always contains k = 0 (so
 Delta(P) <= omega(0) = m_ph exactly) and the grid wavevectors.
 
 Both solves work on the blocks of H(P) under its grid stabilizer
-(:func:`pffiber.hamiltonian.block_stacks`): when an element of the grid's
+(:func:`pffiber.hamiltonian.setup_stacks`): when an element of the grid's
 point group fixes P, H(P) splits into the eigenspaces of that element.  A
 momentum with a C4 stabilizer gives four blocks of a quarter of the size;
 one that only a mirror fixes, such as a Delta trial P - k with P along an
@@ -22,13 +22,14 @@ solves run in real arithmetic.
 
 :func:`solve_fiber` is the one solve per momentum that every per-P consumer
 reads (the CLI reports, the gap-bound report, the Kramers certificate, the
-verify checks).  It runs ``eigh`` on the head of every theta-pair of
-blocks, reads the partner from it, and keeps a small :class:`FiberSolve`
-record -- eigenvalues, residuals, sandwich margins -- then drops the blocks
-and the eigenvectors.
+verify checks).  It builds and runs ``eigh`` on the head of every
+theta-pair of blocks (:func:`pffiber.hamiltonian.theta_pair`), reads the
+partner from it, and keeps a small :class:`FiberSolve` record --
+eigenvalues, residuals, sandwich margins -- then drops the blocks and the
+eigenvectors.
 
-Why the partner need not be solved: it is formed as the head's
-theta-image, the block of theta H theta^-1, with the head's spectrum.
+Why the partner need not be built: the head's theta-image, the block of
+theta H theta^-1, has the head's spectrum.
 H(P) = gamma f(s) + H_f, s = sigma.v Hermitian, f(x) = sqrt(x^2 + M^2)
 even and 1-Lipschitz; H_f is theta-invariant (asserted once per set-up),
 so theta H theta^-1 - H = gamma (f(-s + E) - f(-s)), E = theta s
@@ -58,7 +59,7 @@ Both solve many momenta at once: :func:`solve_batch`, :func:`ground_batch`
 and :func:`delta_search` take a stack of momenta, and the single-momentum
 functions are batches of one.  A batch looks each momentum up in the cache,
 solves each distinct missing key once, and builds the misses in the stacks
-of :func:`pffiber.hamiltonian.block_stacks`: momenta that share a
+of :func:`pffiber.hamiltonian.setup_stacks`: momenta that share a
 stabilizer share everything but the diagonal of sigma.v, so each block of
 such a group is one stacked ``eigh`` or ``eigvalsh``.  LAPACK runs the same
 routine on each matrix of a stack, and the residuals and guards stay per
@@ -95,9 +96,9 @@ from .hamiltonian import (
     FiberModel,
     _as_model,
     _stack_block,
-    block_stacks,
     pair_heads,
     setup_stacks,
+    theta_pair,
 )
 from .modes import ModelParams, dispersion, orbit_representatives, stabilizer
 
@@ -209,15 +210,14 @@ def _ground_triple(vals, cluster_tol: float) -> tuple:
     return float(vals[0]), e1, mult
 
 
-def _batch(P, model, lookup, stacks, solve_stack) -> list:
+def _batch(P, model, lookup, solve_stack) -> list:
     """The value at each momentum of the (g, 3) stack P, under its cache key.
 
-    ``lookup`` is the (get, put) of the cache, or of :func:`_own_lookup`.
-    Each momentum is looked up once, as one call per momentum would: the
-    first lookup of a key may miss, and the later ones find what the first
-    stored.  The distinct misses are taken in the stacks of
-    ``stacks(P, model)``, :func:`block_stacks` or :func:`setup_stacks`, and
-    ``solve_stack(P, stack)`` gives the values of each stack.  A LAPACK
+    ``lookup`` is the (get, put) of a cache.  Each momentum is looked up
+    once, as one call per momentum would: the first lookup of a key may
+    miss, and the later ones find what the first stored.  The distinct
+    misses are taken in the stacks of :func:`setup_stacks`, and
+    ``solve_stack(P, setup)`` gives the values of each stack.  A LAPACK
     failure in building or solving a stack raises ``EigensolverError``,
     naming that stack's momenta.
     """
@@ -235,14 +235,13 @@ def _batch(P, model, lookup, stacks, solve_stack) -> list:
         else:
             found[key] = hit
     todo = P[missing]
-    for index, stack in stacks(todo, model):
+    for index, setup in setup_stacks(todo, model):
         try:
-            values = solve_stack(todo[index], stack)
+            values = solve_stack(todo[index], setup)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(
                 f"eigensolver failed at one of P = {todo[index].tolist()}: {exc}"
             ) from exc
-        del stack  # freed before the next stack is built, not after
         for at, value in zip(index, values):
             found[keys[missing[at]]] = value
             put(keys[missing[at]], value)
@@ -250,13 +249,6 @@ def _batch(P, model, lookup, stacks, solve_stack) -> list:
         if i != first[key]:
             get(key)
     return [found[key] for key in keys]
-
-
-def _own_lookup() -> tuple:
-    """The (get, put) of a dict for a caller without a cache: its batch
-    still solves each key once, and counts no lookup."""
-    kept = {}
-    return kept.get, kept.__setitem__
 
 
 def ground_data(P, params_or_model, cache: EnergyCache | None = None) -> float:
@@ -276,11 +268,11 @@ def ground_batch(P, params_or_model, cache: EnergyCache | None = None) -> list:
     distinct key is solved once, and the misses are solved together: one
     stacked ``eigvalsh`` per block of the momenta that share a stabilizer
     (:func:`setup_stacks`), which runs the LAPACK call of a single momentum
-    on each matrix.
+    on each matrix.  Without a ``cache``, one of the call's own.
     """
     model = _as_model(params_or_model)
-    lookup = _own_lookup() if cache is None else (cache.get, cache.put)
-    return _batch(P, model, lookup, setup_stacks,
+    cache = EnergyCache() if cache is None else cache
+    return _batch(P, model, (cache.get, cache.put),
                   lambda at_P, setup: _ground_energies(at_P, model, setup))
 
 
@@ -367,13 +359,14 @@ def solve_batch(P, params_or_model, cache: EnergyCache | None = None) -> list:
 
     A record in ``cache`` under the key of P is read, and a new one is
     stored there; E1 and the multiplicity of either are those clustered at
-    ``CLUSTER_TOL`` when it was built.  The misses are solved
-    together, one stacked ``eigh`` per theta-pair of the momenta that
-    share a stabilizer (:func:`block_stacks`); the residuals and the
-    guards stay per momentum.  The sandwich margins are taken when gamma < 1: from
-    the same blocks when P == |P| u, else from the record of |P| u, which
-    is looked up, or solved, before the batch and through the same cache,
-    so a |P| u in the batch is solved once.
+    ``CLUSTER_TOL`` when it was built; without a ``cache``, in one of the
+    call's own.  The misses are solved together, one stacked ``eigh`` per
+    theta-pair of the momenta that share a stabilizer (:func:`setup_stacks`,
+    :func:`_records`); the residuals and the guards stay per momentum.
+    The sandwich margins are taken when gamma < 1: from the same blocks
+    when P == |P| u, else from the record of |P| u, which is looked up, or
+    solved, before the batch and through the same cache, so a |P| u in the
+    batch is solved once.
     Raises ``EigensolverError``, naming the momentum, when an eigenpair
     residual exceeds ``RESIDUAL_TOL * ||H||``, and naming the momenta of
     its stack when LAPACK fails.
@@ -382,19 +375,20 @@ def solve_batch(P, params_or_model, cache: EnergyCache | None = None) -> list:
 
     model = _as_model(params_or_model)
     P = np.asarray(P, dtype=float).reshape(-1, 3)
-    lookup = _own_lookup() if cache is None else (cache.get_solve, cache.put)
+    cache = EnergyCache() if cache is None else cache
+    lookup = cache.get_solve, cache.put
     margins = {}
 
-    def solve_stack(at_P, blocks):
-        return _records(at_P, model, blocks, margins)
+    def solve_stack(at_P, setup):
+        return _records(at_P, model, setup, margins)
 
     off = [p for p in P if not _along_u(p)] if model.params.gamma < 1.0 else []
     if off:
         P_u = [np.linalg.norm(p) * bounds.U_DIRECTION for p in off]
-        solves = _batch(P_u, model, lookup, block_stacks, solve_stack)
+        solves = _batch(P_u, model, lookup, solve_stack)
         for p, solve in zip(off, solves):
             margins[_quantize_P(p)] = solve.sandwich
-    return _batch(P, model, lookup, block_stacks, solve_stack)
+    return _batch(P, model, lookup, solve_stack)
 
 
 def _along_u(p) -> bool:
@@ -405,27 +399,14 @@ def _along_u(p) -> bool:
     return np.array_equal(p, np.linalg.norm(p) * bounds.U_DIRECTION)
 
 
-def _pairs(blocks):
-    """The theta-pairs of a stream of :func:`block_stacks`: (block,) for a
-    block that theta maps onto itself, else (block, partner).  Each pair is
-    built when it is asked for."""
-    blocks = iter(blocks)
-    for block in blocks:
-        if block.partner == block.index:
-            yield (block,)
-        else:
-            yield block, next(blocks)
-        del block  # before the next one is built
-
-
-def _records(P, model, blocks, margins) -> list:
-    """The :class:`FiberSolve` of each momentum of the (g, 3) P from its
-    stream of blocks, one theta-pair at a time (:func:`_pair_values`).
-    Each pair is dropped before the next is built; what it leaves are
-    per-block values, reduced per momentum by :func:`_record`.  A momentum
-    not along u takes the sandwich margins of the record of |P|u from
-    ``margins``, under its quantized P, where :func:`solve_batch` put
-    them: L_-(P) and L_+(P) depend on |P| only."""
+def _records(P, model, setup, margins) -> list:
+    """The :class:`FiberSolve` of each momentum of the (g, 3) P under one
+    ``setup``, one theta-pair at a time (:func:`pair_heads`,
+    :func:`_pair_values`).  Each head is dropped before the next is built;
+    what it leaves are per-block values, reduced per momentum by
+    :func:`_record`.  A momentum not along u takes the sandwich margins of
+    the record of |P|u from ``margins``, under its quantized P, where
+    :func:`solve_batch` put them: L_-(P) and L_+(P) depend on |P| only."""
     from . import bounds  # it imports this module
 
     along = np.array([_along_u(p) for p in P])
@@ -433,9 +414,8 @@ def _records(P, model, blocks, margins) -> list:
     if model.params.gamma < 1.0 and along.any():
         diagonals = bounds.comparison_diagonals(P[along], model)
     per_block, grounds = {}, [[] for _ in P]
-    for pair in _pairs(blocks):
-        values, lowest = _pair_values(P, pair, along, diagonals)
-        del pair
+    for i in pair_heads(setup):
+        values, lowest = _pair_values(P, model, setup, i, along, diagonals)
         per_block.update(values)
         for found, candidate in zip(grounds, lowest):
             found.append(candidate)
@@ -446,23 +426,25 @@ def _records(P, model, blocks, margins) -> list:
     ]
 
 
-def _pair_values(P, pair, along, diagonals) -> tuple:
-    """What :func:`_records` keeps of one theta-pair of block stacks of the
-    (g, 3) P: (values, lowest).
+def _pair_values(P, model, setup, i: int, along, diagonals) -> tuple:
+    """What :func:`_records` keeps of the theta-pair of head i of
+    ``setup`` for the (g, 3) P: (values, lowest).
 
-    ``values`` maps the index of each block to its per-momentum values:
-    the eigenvalues, the worst residual of the ``N_LOW_VECTORS`` lowest
-    eigenpairs, the Hermiticity defect, its ``theta_check`` and, with the
+    ``values`` maps the index of each block of the pair to its
+    per-momentum values: the eigenvalues, the worst residual of the
+    ``N_LOW_VECTORS`` lowest eigenpairs, the Hermiticity defect, the pair's
+    theta bound of :func:`theta_pair` and, with the
     :func:`pffiber.bounds.comparison_diagonals` of the momenta ``along`` u,
-    the sandwich margins.  Only the head is solved: one stacked ``eigh``
-    and one stacked ``eigvalsh`` per margin.  The partner, the head's
-    theta-image, has all of these of the head (L_-+ are theta-invariant
-    too), and its matrix is never formed.  ``lowest`` has, per momentum,
+    the sandwich margins.  Only the head is built and solved: one stacked
+    ``eigh`` and one stacked ``eigvalsh`` per margin.  The partner, whose
+    block is the head's theta-image up to that bound, has all of these of
+    the head (L_-+ are theta-invariant too).  ``lowest`` has, per momentum,
     (E, index, pairing) of the head: the residual of its ground vector and
-    the :func:`pffiber.kramers.theta_pairing` overlap."""
+    the :func:`pffiber.kramers.theta_pairing` overlap, which takes the
+    partner's columns."""
     from . import bounds, kramers  # both modules import this one
 
-    head, twin = pair[0], pair[-1]
+    head, theta = theta_pair(P, model, setup, i)
     vals, vecs = _eigh(head.h)
     x = vecs[..., :N_LOW_VECTORS].copy()
     del vecs
@@ -475,15 +457,16 @@ def _pair_values(P, pair, along, diagonals) -> tuple:
         "vals": vals,
         "eigenpair": np.max(res, axis=-1),
         "hermiticity": hermiticity_defect(head.h),
-        "theta": head.theta_check,
+        "theta": theta,
         "margins": margins,
     }
+    twin = setup[3][head.partner][1]
     lowest = [
-        (vals[at, 0], head.index,
+        (vals[at, 0], i,
          (float(res[at, 0]), kramers.theta_pairing(head, twin, x[at, :, 0])))
         for at in range(len(P))
     ]
-    return {b.index: values for b in pair}, lowest
+    return {i: values, head.partner: values}, lowest
 
 
 def _record(P, at, values, ground, margins, along) -> FiberSolve:

@@ -1,10 +1,10 @@
-"""Oracles that only the tests call: the block lists of H(P) collected from
-the stream of :func:`pffiber.hamiltonian.block_stacks` and the dense basis
-of a block, a block rooted and solved on its own, the dense free
-Hamiltonian, the Kramers pairing of dense eigenpairs, and the operator
-certificate h > tau by the Gram product s^dagger
-s and a Cholesky of Z, against which the Schur complement of
-:func:`pffiber.certificate.certify_block` is checked."""
+"""Oracles that only the tests call: every block of H(P), partners
+included, each rooted from its own s (:func:`block_stacks`), the block
+lists collected from them and the dense basis of a block, a block rooted
+and solved on its own, the dense free Hamiltonian, the Kramers pairing
+of dense eigenpairs, and the operator certificate h > tau by the Gram
+product s^dagger s and a Cholesky of Z, against which the Schur
+complement of :func:`pffiber.certificate.certify_block` is checked."""
 
 import dataclasses
 
@@ -19,15 +19,35 @@ from pffiber.hamiltonian import (
     _dagger,
     _spin_frame,
     _stack_block,
-    block_stacks,
     h0_diag,
+    setup_stacks,
 )
 from pffiber.kramers import apply_theta
 
 
+def block_stacks(P, params_or_model):
+    """(index, blocks) over the stacks of
+    :func:`pffiber.hamiltonian.setup_stacks` of the (g, 3) P: ``blocks``
+    lists every block of the set-up, in index order, each a stack along
+    ``index`` built by :func:`pffiber.hamiltonian._stack_block` from its
+    own s_i.  The solves build only the head of each theta-pair; here a
+    partner is assembled and rooted too, so that the tests can hold the
+    head's values against it."""
+    model = _as_model(params_or_model)
+    P = np.asarray(P, dtype=float).reshape(-1, 3)
+    for index, setup in setup_stacks(P, model):
+        yield index, setup_blocks(P[index], model, setup)
+
+
+def setup_blocks(P, model, setup) -> list:
+    """Every block of ``setup`` for the (g, 3) P, in index order, each
+    rooted from its own s_i by :func:`pffiber.hamiltonian._stack_block`."""
+    return [_stack_block(P, model, setup, i) for i in range(len(setup[3]))]
+
+
 def build_H_blocks(P, params_or_model, one_per_pair: bool = False) -> list:
-    """The blocks of :func:`pffiber.hamiltonian.block_stacks` at P, one
-    list of every block of H(P), sorted by index.
+    """The blocks of :func:`block_stacks` at P, one list of every block of
+    H(P), sorted by index.
 
     With ``one_per_pair`` only the first block of each theta-pair is kept,
     the blocks whose index is at most their partner's: a prefix of the full
@@ -35,19 +55,14 @@ def build_H_blocks(P, params_or_model, one_per_pair: bool = False) -> list:
 
     P is one momentum, or a (g, 3) stack: then the result is one list of
     blocks per momentum, built in the stacks of :func:`block_stacks`, and
-    each list equals that of its momentum alone bit for bit.  The list
-    collects the stream of :func:`block_stacks`, so it holds every block at
-    once; the solves read the stream.
+    each list equals that of its momentum alone bit for bit.
     """
     P = np.asarray(P, dtype=float)
     out = [None] * len(P.reshape(-1, 3))
     for index, blocks in block_stacks(P, params_or_model):
-        blocks = sorted(
-            (b for b in blocks if b.index <= b.partner or not one_per_pair),
-            key=lambda b: b.index,
-        )
+        blocks = [b for b in blocks if b.index <= b.partner or not one_per_pair]
         for at, i in enumerate(index):
-            out[i] = [dataclasses.replace(b, matrix=b.h[at], head=None) for b in blocks]
+            out[i] = [dataclasses.replace(b, h=b.h[at]) for b in blocks]
     return out[0] if P.ndim == 1 else out
 
 

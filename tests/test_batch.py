@@ -1,5 +1,5 @@
 """Momenta that share a stabilizer are built and solved as stacks
-(``block_stacks``, ``ground_batch``, ``solve_batch``, ``delta_search``): every
+(``setup_stacks``, ``ground_batch``, ``solve_batch``, ``delta_search``): every
 result equals that of the momentum alone, bit for bit, each stack stays
 under ``STACK_BYTES``, a failure names its own momentum, and the cache
 counts one lookup per momentum."""
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pffiber import hamiltonian, spectral
-from pffiber.hamiltonian import STACK_BYTES, block_stacks, build_model
+from pffiber.hamiltonian import STACK_BYTES, build_model
 from pffiber.modes import stabilizer
 from pffiber.spectral import (
     EigensolverError,
@@ -24,7 +24,7 @@ from pffiber.spectral import (
     solve_fiber,
 )
 
-from oracles import build_H_blocks
+from oracles import block_stacks, build_H_blocks
 
 DIRECTION_COUNTS = (2, 6, 8, 12)
 MAGNITUDES = (0.35, 0.7, 1.3, 1.9)
@@ -159,7 +159,7 @@ def test_a_mid_scale_mirror_block_is_solved_alone(default_params):
     P = _momenta("mirror")[:3]
     groups = list(block_stacks(P, model))
     assert [list(index) for index, _ in groups] == [[0], [1], [2]]
-    for _, blocks in groups:  # each a stream: one theta-pair, built when asked
+    for _, blocks in groups:  # each one theta-pair
         for block in blocks:
             assert block.h.shape == (1, 325, 325)
             assert block.h.nbytes > STACK_BYTES

@@ -297,17 +297,17 @@ def test_negative_count_flag_is_a_usage_error(tmp_path, capsys, flag):
 
 def test_verify_solves_each_coupling_momentum_once(tmp_path, monkeypatch):
     built = []
-    real = spectral.block_stacks
+    real = spectral._records
 
-    def counted(P, model):
-        for p in np.asarray(P, dtype=float).reshape(-1, 3):
+    def counted(P, model, *args):
+        for p in P:
             built.append((model.params.e, tuple(p)))
-        return real(P, model)
+        return real(P, model, *args)
 
-    # within spectral only solve_batch builds every block of H(P), a stack of
-    # momenta at a time (the ground path takes setup_stacks); count the
-    # momenta, not the calls
-    monkeypatch.setattr(spectral, "block_stacks", counted)
+    # every record of H(P) is built by _records, a stack of momenta at a
+    # time (the ground path takes _ground_energies); count the momenta, not
+    # the calls
+    monkeypatch.setattr(spectral, "_records", counted)
     out = tmp_path / "out"
     assert main(["verify", "--out", str(out), "--threads", "1"]) == 0
     # 3 couplings x 11 momenta, each solved once for checks 1, 4, 5, 6 and
@@ -413,12 +413,12 @@ def test_sweep_builds_each_orbit_momentum_once(tmp_path, monkeypatch):
 
         return build
 
-    # every solve builds H(P) in blocks, the records in block_stacks and the
-    # ground energies in setup_stacks, at least the first block of each
+    # every solve builds H(P) in blocks, the records and the ground energies
+    # in the stacks of setup_stacks, at least the first block of each
     # momentum; the dense build_H is left to the checks that need the
     # oracle; each counts the momenta it builds.  The certificate takes the
     # set-ups of setup_stacks and builds no block that it proves
-    for fn in ("build_H", "block_stacks", "setup_stacks"):
+    for fn in ("build_H", "setup_stacks"):
         real = getattr(hamiltonian, fn)
         for name, mod in list(sys.modules.items()):
             if (

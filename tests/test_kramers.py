@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pffiber import kramers
 from pffiber.hamiltonian import build_H, build_model
 from pffiber.kramers import (
     apply_theta,
@@ -29,6 +30,21 @@ def test_theta_squares_to_minus_one(rng):
         psi = random_state(rng, 12)
         assert_allclose(apply_theta(apply_theta(psi)), -psi, atol=1e-14)
     assert theta_squared_sign(5) == 0.0
+
+
+def test_a_theta_that_squares_to_plus_one_fails_the_sign_check(monkeypatch):
+    """With both sigma_2 phases +i, theta^2 = +1: theta(theta(e)) + e = 2 e
+    on every basis vector, so the certificate reads 2, not 0."""
+
+    def plus(x):
+        half = x.shape[0] // 2
+        out = np.empty(x.shape, dtype=complex)
+        out[:half] = 1.0j * np.conj(x[half:])
+        out[half:] = 1.0j * np.conj(x[:half])
+        return out
+
+    monkeypatch.setattr(kramers, "_theta", plus)
+    assert theta_squared_sign(5) == 2.0
 
 
 def test_theta_is_isometric(rng):

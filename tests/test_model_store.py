@@ -116,12 +116,12 @@ def test_a_second_call_at_a_stabilizer_reuses_its_setup(default_params, monkeypa
 
 def test_verify_builds_four_grids_and_eight_setups(tmp_path, monkeypatch):
     """A default verify builds 59 models on 4 grids, and builds the blocks
-    of H(P) at 94 momenta on 8 stabilizers.  Momenta are built in stacks,
-    those of the records by block_stacks and those of the ground energies
-    by setup_stacks (which builds the first block of every momentum, and a
-    later one only where the certificate fails), so the momenta are
-    counted, not the calls; certify_above takes setup_stacks inside
-    pffiber.certificate and builds no block that it proves.
+    of H(P) at 94 momenta on 8 stabilizers.  Momenta are built in the
+    stacks of setup_stacks, those of the records and those of the ground
+    energies (which builds the first block of every momentum, and a later
+    one only where the certificate fails), so the momenta are counted, not
+    the calls; certify_above takes setup_stacks inside pffiber.certificate
+    and builds no block that it proves.
 
     The 94: the 11 sweep momenta at e = 0 (check 1) and at e = 0.05 and
     0.1 (check 4, 22); the Delta trials of check 8, whose sweep momenta are
@@ -134,9 +134,8 @@ def test_verify_builds_four_grids_and_eight_setups(tmp_path, monkeypatch):
 
     The blocks rooted, one per momentum of a stacked root: the records root
     the head of each theta-pair of their momenta, 2 of the 4 C4 blocks of
-    each of the 33 sweep records (66), and take its partner as its
-    theta-image; the ground path roots the first block of its 61 momenta,
-    and the diagonal tier of the certificate proves each of the 57 later
+    each of the 33 sweep records (66), and build no partner; the ground
+    path roots the first block of its 61 momenta, and the diagonal tier of the certificate proves each of the 57 later
     theta-pair blocks that it meets above the running minimum, so none of
     those is rooted: 127 blocks, where 193 were when the records rooted
     every block, and 250 when the ground path solved the first block of
@@ -164,13 +163,12 @@ def test_verify_builds_four_grids_and_eight_setups(tmp_path, monkeypatch):
 
     for fn in ("kinetic_root", "_svd_root"):
         monkeypatch.setattr(hamiltonian, fn, roots(getattr(hamiltonian, fn)))
-    for fn in ("block_stacks", "setup_stacks"):
-        original = getattr(hamiltonian, fn)
-        for name, mod in list(sys.modules.items()):
-            if (name.startswith("pffiber.")
-                    and name not in ("pffiber.hamiltonian", "pffiber.certificate")
-                    and vars(mod).get(fn) is original):
-                monkeypatch.setattr(mod, fn, stacks(original))
+    original = hamiltonian.setup_stacks
+    for name, mod in list(sys.modules.items()):
+        if (name.startswith("pffiber.")
+                and name not in ("pffiber.hamiltonian", "pffiber.certificate")
+                and vars(mod).get("setup_stacks") is original):
+            monkeypatch.setattr(mod, "setup_stacks", stacks(original))
     assert cli.main(["verify", "--seed", "2026", "--out", str(tmp_path)]) == 0
     assert hamiltonian.build_model.cache_info().misses == 59
     assert counts == {"enumerate_basis": 4, "_symmetry_setup": 8, "momenta built": 94,

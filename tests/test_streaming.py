@@ -57,14 +57,16 @@ def test_kinetic_root_agrees_with_the_scaled_product(rng, real, M):
     assert np.max(np.abs(kinetic_root(s, M) - old)) <= 1e-14 * np.max(f)
 
 
-def test_block_adds_the_field_energy_on_the_diagonal_only(default_model, rng):
+def test_block_adds_the_field_energy_on_the_diagonal_only(default_model, rng, monkeypatch):
     model = default_model
     build_H_blocks(P_ALONG_X, model)
-    _, _, _, specs = model.setups[stabilizer(model.rotations, P_ALONG_X).tobytes()]
-    partner, parts, theta = specs[0]
+    setup = model.setups[stabilizer(model.rotations, P_ALONG_X).tobytes()]
+    partner, parts, theta = setup[3][0]
     rows = np.concatenate([cols.rep for _, cols in parts])
     root = _hermitian(rng, (2, rows.size, rows.size), real=True)
-    block = hamiltonian._block(model, root.copy(), partner, parts, theta, 0)
+    # the C4 blocks are rooted by kinetic_root: it returns this root instead
+    monkeypatch.setattr(hamiltonian, "kinetic_root", lambda s, M: root.copy())
+    block = hamiltonian._stack_block(np.stack([P_ALONG_X] * 2), model, setup, 0)
     want = model.params.gamma * root
     off = ~np.eye(rows.size, dtype=bool)
     assert np.array_equal(block.h[:, off], want[:, off])
@@ -119,18 +121,19 @@ def test_a_map_between_blocks_that_are_no_theta_pair_is_refused(default_model):
     assert np.array_equal(perm, blocks[0].theta[0])
 
 
-def test_blocks_come_one_pair_at_a_time(default_model):
-    """The stream yields each theta-pair's blocks next to each other, the
-    lower index first; pair_heads lists the first of each pair."""
+def test_pair_heads_list_the_first_block_of_each_theta_pair(default_model):
+    """pair_heads lists the lower index of each theta-pair, in order:
+    every block is one head or the partner of one head, and theta maps
+    that partner back onto its head."""
     for P in (P_ALONG_X, [0.5, 0.5, 0.5], [0.7, -0.8, 0.0], [0.31, -0.47, 0.62]):
-        ((_, stream),) = hamiltonian.block_stacks(P, default_model)
-        order = [(b.index, b.partner) for b in stream]
-        pairs = [(i, j) for i, j in order if i <= j]
-        assert [x for i, j in pairs for x in ((i, j) if i < j else (i,))] == [
-            i for i, _ in order
-        ]
         ((_, setup),) = hamiltonian.setup_stacks(np.reshape(P, (1, 3)), default_model)
-        assert hamiltonian.pair_heads(setup) == [i for i, _ in pairs]
+        specs = setup[3]
+        heads = hamiltonian.pair_heads(setup)
+        partners = [specs[i][0] for i in heads]
+        assert heads == sorted(heads)
+        assert all(i <= t and specs[t][0] == i for i, t in zip(heads, partners))
+        covered = heads + [t for i, t in zip(heads, partners) if t != i]
+        assert sorted(covered) == list(range(len(specs)))
 
 
 def test_records_along_and_against_u_equal_each_momentum_alone(default_model):

@@ -13,12 +13,12 @@ from pffiber import hamiltonian
 from pffiber.hamiltonian import (
     SIGMA,
     _is_mirror,
-    _stacked_blocks,
     _symmetry_setup,
     block_generator,
     build_H,
     build_model,
     build_v,
+    expand,
 )
 from pffiber.modes import (
     build_mode_set,
@@ -38,7 +38,7 @@ from pffiber.spectral import (
     stabilizer,
 )
 
-from oracles import block_basis, build_H_blocks
+from oracles import block_basis, build_H_blocks, setup_blocks
 
 P_ALONG_X = np.array([0.9345368022869702, 0.0, 0.0])
 P_GENERIC = np.array([0.31, -0.47, 0.62])
@@ -311,14 +311,14 @@ def test_mirror_block_spectra_equal_the_dense_spectrum(
             with monkeypatch.context() as patch:
                 patch.setattr(hamiltonian, "block_generator", lambda *_: (m, perm, signs))
                 setup = _symmetry_setup(P, model)
-            blocks = list(_stacked_blocks(P[None], model, setup))
+            blocks = setup_blocks(P[None], model, setup)
             assert [b.h.shape for b in blocks] == [(1, model.dim, model.dim)] * 2
             got = np.sort(np.concatenate([np.linalg.eigvalsh(b.h[0]) for b in blocks]))
             assert np.max(np.abs(got - dense)) <= tol
             # block 0, the one that ground_data solves first and certify_above
             # bounds, spans the -i eigenspace of U = D(-M) x Gamma(M)
             u = np.kron(_spin_rotation(-m), _state_rotation(model.basis, perm, signs))
-            w = np.column_stack([blocks[0].expand(x) for x in np.eye(model.dim)])
+            w = np.column_stack([expand(blocks[0].parts, x) for x in np.eye(model.dim)])
             assert np.max(np.abs(u @ w + 1j * w)) <= 1e-14
         if P.any():  # no rotation with a mode action fixes these momenta
             assert _is_mirror(block_generator(P, model)[0])

@@ -1,7 +1,7 @@
 """The theta-partner of every block pair is the theta-image of its head:
-the record solves the head alone and reads the partner's eigenvalues,
-eigenvector residuals and sandwich margins from it, and checks theta on
-sigma.v.  Checked against the partner block assembled, rooted and solved
+the record builds and solves the head alone and reads the partner's
+eigenvalues, eigenvector residuals and sandwich margins from it, and
+checks theta on sigma.v.  Checked against the partner block assembled, rooted and solved
 on its own, by counting the solves, and with a sigma.v that theta does
 not anticommute with, where the theta residual must fail and bound the
 error of the partners."""
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pffiber import bounds, hamiltonian, spectral
-from pffiber.hamiltonian import block_stacks, build_model, pair_heads, setup_stacks
+from pffiber.hamiltonian import build_model, pair_heads, setup_stacks
 from pffiber.kramers import THETA_COMM_TOL, kramers_certificate
 from pffiber.spectral import EnergyCache, solve_batch, solve_fiber
 
@@ -39,13 +39,11 @@ def test_partner_entries_equal_an_independent_solve(default_params, config, name
     along = np.array([spectral._along_u(P[0])])
     diagonals = bounds.comparison_diagonals(P, model) if along[0] else None
     ((_, setup),) = setup_stacks(P, model)
-    ((_, blocks),) = block_stacks(P, model)
     partners = 0
-    for pair in spectral._pairs(blocks):
-        values, _ = spectral._pair_values(P, pair, along, diagonals)
-        for b in pair:
-            want = solve_block(P, model, setup, b.index, diagonals)
-            got = values[b.index]
+    for i in pair_heads(setup):
+        values, _ = spectral._pair_values(P, model, setup, i, along, diagonals)
+        for b, got in values.items():
+            want = solve_block(P, model, setup, b, diagonals)
             tol = 1e-12 * np.max(np.abs(want["vals"]))
             assert np.max(np.abs(got["vals"] - want["vals"])) <= tol
             assert got["eigenpair"][0] <= tol and want["eigenpair"][0] <= tol
@@ -53,7 +51,7 @@ def test_partner_entries_equal_an_independent_solve(default_params, config, name
                 scale = max(tol, 1e-12 * np.max(np.abs(want["margins"])))
                 assert np.max(np.abs(np.ravel(got["margins"]) - want["margins"][0])) <= scale
             assert got["theta"][0] <= tol
-        partners += len(pair) - 1
+        partners += len(values) - 1
     assert partners == {"C4": 2, "C3": 1, "C2": 1, "mirror": 1, "generic": 0}[name]
 
 
