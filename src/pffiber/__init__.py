@@ -27,7 +27,6 @@ from .modes import (
 from .fock import FockBasis, annihilator, enumerate_basis, field_sum
 from .hamiltonian import (
     FiberModel,
-    HBlock,
     build_A0,
     build_B0,
     build_D,

@@ -164,7 +164,7 @@ def build_L_minus(P, params_or_model, consts: BoundConstants | None = None):
     return base + (1.0 - p.gamma - consts.e_c1) * model.hf - consts.e_c2
 
 
-def build_L_plus(P, params_or_model, consts: BoundConstants | None = None):
+def build_L_plus(P, params_or_model):
     """Diagonal of L_+(P) on the Fock factor.
 
     All constituents are functions of the occupation diagonals, so they
@@ -211,14 +211,13 @@ def sandwich_margins(P, params_or_model):
     return solve_fiber(P_u, params_or_model).sandwich
 
 
-def comparison_diagonals(P, model: FiberModel, consts=None) -> tuple:
+def comparison_diagonals(P, model: FiberModel) -> tuple:
     """The diagonals of L_-(P) and of L_+(P) on the Fock factor, one row
     per momentum of the (g, 3) P."""
-    if consts is None:
-        consts = bound_constants(model)
+    consts = bound_constants(model)
     return (
         np.array([build_L_minus(p, model, consts) for p in P]),
-        np.array([build_L_plus(p, model, consts) for p in P]),
+        np.array([build_L_plus(p, model) for p in P]),
     )
 
 
@@ -227,14 +226,15 @@ def block_margins(h, rows, lm, lp):
     stack: min eig(h - L_-) and min eig(L_+ - h) for each matrix of the
     (g, n, n) block stack ``h``, one stacked ``eigvalsh`` each.  ``lm`` and
     ``lp`` are the (g, dim) :func:`comparison_diagonals` of the stack, and
-    ``rows`` the ``HBlock.rows`` of the block.
+    ``rows`` the orbit representatives of the block's columns, the
+    :func:`pffiber.hamiltonian._reps` of its set-up entry.
 
     L_-(P) and L_+(P) are spin-trivial, diagonal in the occupation basis and
     functions of H_f, |P_f|^2 and u.P_f, so they are constant on the
-    Gamma-orbits of every element of the grid that fixes u: on a block
-    (:class:`pffiber.hamiltonian.HBlock`) at |P| u they are diagonal, read
-    at the orbit representatives ``rows``.  A theta-partner takes its
-    head's margins (:func:`pffiber.spectral._pair_values`).
+    Gamma-orbits of every element of the grid that fixes u: on a block of
+    H(|P| u) (:func:`pffiber.hamiltonian._symmetry_setup`) they are
+    diagonal, read at ``rows``.  A theta-partner takes its head's margins
+    (:func:`pffiber.spectral._pair_values`).
     """
     shifted = h.copy()
     np.einsum("...ii->...i", shifted)[...] -= lm[:, rows]

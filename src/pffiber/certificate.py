@@ -15,7 +15,6 @@ exact arithmetic.
 
 from __future__ import annotations
 
-import weakref
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -25,6 +24,7 @@ from .hamiltonian import (
     FiberModel,
     _as_model,
     _dagger,
+    _reps,
     _spin_frame,
     pair_heads,
     setup_stacks,
@@ -81,7 +81,7 @@ def certify_stack_block(P, tau, model: FiberModel, setup, i: int) -> np.ndarray:
     _, _, _, specs = setup
     gamma, M = model.params.gamma, model.params.M
     c2 = np.sum(P * P, axis=1) + M * M
-    d = model.hf[np.concatenate([cols.rep for _, cols in specs[i][1]])]
+    d = model.hf[_reps(specs[i][1])]
     positive, z = _z_diagonal(d, tau, gamma, M, c2)
     proven = positive & np.all(z > 0.0, axis=1)
     at = np.flatnonzero(positive & ~proven)
@@ -347,24 +347,6 @@ def _frame_columns(parts, dim: int) -> tuple:
     return _rows(i, j, w, 2 * dim), _rows(j, i, np.conj(w), offset)
 
 
-# the sparse maps of _block_gram, each built once: the W maps of each block
-# of a set-up per grid, under the grid's ModeSet, which every coupling on it
-# shares, and the ladder map of a set-up per model.  An entry holds the
-# set-up's block list, so that the id in its key is not reused while it lives
-_W_MAPS = weakref.WeakKeyDictionary()
-_LADDERS = weakref.WeakKeyDictionary()
-
-
-def _kept(store, owner, specs, key, build):
-    """The value of ``build()`` under (owner, specs, key) in ``store``,
-    built on first use."""
-    entries = store.setdefault(owner, {})
-    key = (id(specs), key)
-    if key not in entries:
-        entries[key] = specs, build()
-    return entries[key][1]
-
-
 def _ladder_rows(model: FiberModel, g_ax, g_fl) -> _Rows:
     """The entries of sigma.v on the ladder table in the spin frame, from
     the per-mode coefficients (g_ax, g_fl) of :func:`_spin_frame`: the
@@ -393,19 +375,17 @@ def _block_gram(P, model: FiberModel, setup, i: int) -> Gram:
     real part of the chain, so each of its products keeps the real part.
     The bound s_+ is the chain of the moduli of the three maps, and every
     sum in a map has at most ``longest`` terms (plus 2 for the diagonal of
-    sigma.v, and 2 more per map for complex products).  The W maps and the
-    ladder map depend on the set-up and the coupling, not on P, and are
-    built once (:func:`_kept`)."""
+    sigma.v, and 2 more per map for complex products).  The W maps, from
+    the columns of blocks i and t, and the ladder map do not depend on P;
+    they are built per call, which costs less than one application to 16
+    vectors."""
     mirror, real, coefs, specs = setup
     dim = model.dim
-
-    def w_maps(j):
-        return _kept(_W_MAPS, model.modes, specs, j, lambda: _frame_columns(specs[j][1], dim))
-
-    w_i, w_i_dag = w_maps(i)
-    w_t, w_t_dag = w_maps(specs[i][0]) if mirror else (w_i, w_i_dag)
+    partner, parts, _ = specs[i]
+    w_i, w_i_dag = _frame_columns(parts, dim)
+    w_t, w_t_dag = _frame_columns(specs[partner][1], dim) if mirror else (w_i, w_i_dag)
     (d_ax, g_ax), (d_fl, g_fl) = _spin_frame(P, model, coefs)
-    ladder = _kept(_LADDERS, model, specs, None, lambda: _ladder_rows(model, g_ax, g_fl))
+    ladder = _ladder_rows(model, g_ax, g_fl)
 
     def sigma_v(u, at, absolute):
         a, f = d_ax[at][:, None, :], d_fl[at][:, None, :]

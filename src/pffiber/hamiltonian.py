@@ -33,9 +33,10 @@ entries, each spread over the at most two columns its Fock state lies in.
 Time reversal theta commutes with U (Gamma is real and D is in SU(2)), so
 it maps the eigenspace of lambda onto that of conj(lambda): the blocks
 come in theta-pairs with equal spectra, and theta maps the columns of each
-onto those of its partner by a phased permutation that its :class:`HBlock`
-carries.  Only the first block of a pair, its head (:func:`pair_heads`),
-is built; :func:`theta_pair` builds it and checks theta on sigma.v.
+onto those of its partner by a phased permutation that the set-up lists
+beside the block's partner and columns.  Only the first block of a pair,
+its head (:func:`pair_heads`), is built; :func:`theta_pair` builds it and
+checks theta on sigma.v, and :func:`theta_pairing` checks it on a vector.
 ``build_H`` stays the dense reference.  Momenta that share a stabilizer
 differ only in the diagonal of sigma.v, so ``setup_stacks`` groups them in
 stacks, bounded by ``STACK_BYTES``, and each block of a stack is built as
@@ -308,13 +309,12 @@ def build_D(P, model: FiberModel) -> np.ndarray:
     return d
 
 
-def op_sqrt_eig(h: np.ndarray, tol_psd: float = DEFAULT_PSD_TOL,
-                with_norm: bool = False):
+def op_sqrt_eig(h: np.ndarray, with_norm: bool = False):
     """Hermitian PSD square root via spectral decomposition (reference path).
 
-    Eigenvalues in [-tol_psd * scale, 0) are clamped to zero; anything below
-    raises ``NotPositiveSemidefiniteError``.  ``h`` may be one matrix or a
-    (k, n, n) stack, rooted by one stacked ``eigh``; the Hermiticity guard
+    Eigenvalues in [-DEFAULT_PSD_TOL * scale, 0) are clamped to zero;
+    anything below raises ``NotPositiveSemidefiniteError``.  ``h`` may be
+    one matrix or a (k, n, n) stack, rooted by one stacked ``eigh``; the Hermiticity guard
     and the scale max|eigenvalue| of the clamp are then per matrix.  With
     ``with_norm`` it returns (root, ||root||_2): the square root of the
     largest clamped eigenvalue, which the ``eigh`` has already given, one
@@ -325,13 +325,13 @@ def op_sqrt_eig(h: np.ndarray, tol_psd: float = DEFAULT_PSD_TOL,
         w, u = np.linalg.eigh(h)
         lowest = np.ravel(w[..., 0])
         scale = np.ravel(np.maximum(np.max(np.abs(w), axis=-1), 1e-300))
-        bad = np.flatnonzero(lowest < -tol_psd * scale)
+        bad = np.flatnonzero(lowest < -DEFAULT_PSD_TOL * scale)
         if bad.size:
             i = bad[0]
             where = f" in matrix {i} of the stack" if w.ndim > 1 else ""
             raise NotPositiveSemidefiniteError(
                 f"minimum eigenvalue {lowest[i]:.3e} below "
-                f"-{tol_psd:.1e} * {scale[i]:.3e}{where}"
+                f"-{DEFAULT_PSD_TOL:.1e} * {scale[i]:.3e}{where}"
             )
         f = np.sqrt(np.clip(w, 0.0, None))
         root = hermitize((u * f[..., None, :]) @ u.conj().swapaxes(-1, -2))
@@ -430,9 +430,9 @@ def _as_model(params_or_model) -> FiberModel:
     return build_model(params_or_model)
 
 
-def hf_spinor(model: FiberModel, spin_dim: int = 2) -> np.ndarray:
+def hf_spinor(model: FiberModel) -> np.ndarray:
     """Field energy tensored with the spin identity."""
-    return np.kron(np.eye(spin_dim), np.diag(model.hf))
+    return np.kron(ID2, np.diag(model.hf))
 
 
 def build_H(P, params_or_model) -> np.ndarray:
@@ -710,8 +710,8 @@ def _scatter(parts, shape) -> np.ndarray:
 
 def _theta_map(src, dst, r: np.ndarray) -> tuple:
     """(perm, phase) of K = W_dst^dagger theta W_src, K[i, perm[i]] =
-    phase[i], for the :class:`HBlock` parts ``src`` of a block and ``dst``
-    of its partner: theta W_src x = W_dst K conj(x).
+    phase[i], for the columns ``src`` of a block and ``dst`` of its
+    partner: theta W_src x = W_dst K conj(x).
 
     theta (chi x f) = (sigma_2 conj(chi)) x conj(f), so K is, per pair of
     parts, the spin overlap times F_dst^dagger conj(F_src): O(dim K^2)
@@ -782,10 +782,10 @@ def _spin_frame(P, model: FiberModel, coefs):
 
 
 def _sigma_v(model: FiberModel, frame, rows, cols) -> np.ndarray:
-    """W_rows^dagger (sigma.v) W_cols for the :class:`HBlock` parts
-    ((chi_+, F), (chi_-, G)) of ``rows`` and of ``cols``, from the sparse
-    ``frame`` = (axial, flip) of :func:`_spin_frame`: a (g, rows, cols)
-    stack, one block per momentum of the frame.
+    """W_rows^dagger (sigma.v) W_cols for the columns ((chi_+, F), (chi_-,
+    G)) ``rows`` and ``cols`` of two blocks, from the sparse ``frame`` =
+    (axial, flip) of :func:`_spin_frame`: a (g, rows, cols) stack, one
+    block per momentum of the frame.
 
     The four quadrants F^dagger (chi^dagger sigma.v chi') G' are one
     bincount into the stack: each sparse operator x = (d, g) contributes its
@@ -823,41 +823,9 @@ def _sigma_v(model: FiberModel, frame, rows, cols) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class HBlock:
-    """One diagonal block h = W^dagger H(P) W of H(P) under its stabilizer,
-    for a stack of g momenta that share it: ``h`` is (g, n, n).
-
-    Every column of W is chi x f: a spin vector chi times the Fourier sum f
-    over one Gamma-orbit of occupation states or, on a real block (see
-    :func:`_symmetry_setup`), a combination of the sums over two orbits
-    that sigma swaps, whose first orbit is the column's own; without a
-    symmetry, W = 1: chi is e_up or e_down and f a single occupation state.
-    ``parts`` holds one (chi, :class:`Columns`) per spin vector.  ``index``
-    is the position of the block in its set-up, and ``partner`` that of the
-    block that theta maps this one onto; ``theta`` is that map, the (perm,
-    phase) of :func:`_theta_map`.
-    """
-
-    h: np.ndarray
-    partner: int
-    parts: tuple
-    theta: tuple
-    index: int
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The Fock index of each column's orbit representative.
-
-        A spin-trivial operator 1 x diag(d) with d constant on the
-        Gamma-orbits is diag(d[rows]) on the block.
-        """
-        return _reps(self.parts)
-
-
 def expand(parts, x: np.ndarray) -> np.ndarray:
-    """W x on C^2 tensor Fock for a vector x on the block of the
-    :class:`HBlock` ``parts``."""
+    """W x on C^2 tensor Fock for a vector x on the block of the columns
+    ``parts``."""
     out, start = 0.0, 0
     for chi, cols in parts:
         part = x[start:start + cols.rep.size]
@@ -866,8 +834,19 @@ def expand(parts, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def theta_pairing(theta, parts, twin, x) -> float:
+    """|<v, theta v>| for v = W x, x a vector on the block of the columns
+    ``parts``: theta v = W' K conj(x), W' the partner's columns ``twin``
+    and K the map ``theta`` = (perm, phase), (K conj(x))_i = phase_i
+    conj(x)[perm_i].  theta^2 = -1 makes it 0."""
+    perm, phase = theta
+    v, tv = expand(parts, x), expand(twin, phase * np.conj(x)[perm])
+    return abs(complex(np.vdot(v, tv)))
+
+
 def _reps(parts) -> np.ndarray:
-    """The ``rows`` of the :class:`HBlock` ``parts``."""
+    """The orbit representative of each column of ``parts``: 1 x diag(d),
+    d constant on the Gamma-orbits, is diag(d[_reps(parts)]) on the block."""
     return np.concatenate([cols.rep for _, cols in parts])
 
 
@@ -885,11 +864,16 @@ def _symmetry_setup(P, model: FiberModel):
     block; theta maps block j onto block n - 1 - j.  A mirror M: U = D(-M)
     x Gamma(M) has eigenvalues -i (block 0) and +i (block 1), each of
     dimension dim, which theta swaps.  ``coefs`` are the
-    <chi_+|sigma_k|chi_+-> of :func:`_spin_frame`; per nonempty block,
-    ``blocks`` has the partner, the :class:`HBlock` parts, the
-    :class:`Columns` paired with chi_+ and chi_-, and the :func:`_theta_map`
-    onto the partner.  ``real`` says that these are the J-fixed columns of
-    :func:`_j_pairs`.  No dense matrix is kept: the tables are O(dim)."""
+    <chi_+|sigma_k|chi_+-> of :func:`_spin_frame`.  Per nonempty block i,
+    ``blocks`` has the one description of it: (partner, parts, theta), the
+    block that theta maps it onto, its columns W_i, one (chi,
+    :class:`Columns`) per spin vector, and the :func:`_theta_map` onto the
+    partner.  Every column is chi x f: f is the Fourier sum over one
+    Gamma-orbit of occupation states or, when ``real``, a J-fixed
+    combination of the sums over two orbits that sigma swaps, whose first
+    orbit is the column's own (:func:`_j_pairs`); without a symmetry,
+    W = 1: chi is e_up or e_down and f a single occupation state.  No dense
+    matrix is kept: the tables are O(dim)."""
     one = np.eye(3)
     r, perm, signs = block_generator(P, model) or (one, *mode_action(one, model.modes))
     mirror = bool(np.linalg.det(r) < 0)
@@ -982,10 +966,10 @@ def _momentum_bytes(model: FiberModel, setup) -> int:
 
 
 def theta_pair(P, model: FiberModel, setup, i: int) -> tuple:
-    """(head, bound) of the theta-pair of head i of ``setup`` for the
-    (g, 3) stack P: block i, by :func:`_stack_block`, and the pair's theta
-    bound gamma ||theta s_i theta^-1 + s_t||_F, s = sigma.v, one per
-    momentum.  theta s_i theta^-1 is K_i conj(s_i) K_i^dagger, or
+    """(h, bound) of the theta-pair of head i of ``setup`` for the (g, 3)
+    stack P: the (g, n, n) stack of block i, by :func:`_stack_block`, and
+    the pair's theta bound gamma ||theta s_i theta^-1 + s_t||_F, s =
+    sigma.v, one per momentum.  theta s_i theta^-1 is K_i conj(s_i) K_i^dagger, or
     K_t conj(s_i) K_i^dagger for a mirror pair, whose s_i maps block i onto
     t and whose s_t is s_i^dagger.  The partner t has the head's spectrum
     up to this bound, and is not built; why the bound holds is in
@@ -1002,20 +986,19 @@ def theta_pair(P, model: FiberModel, setup, i: int) -> tuple:
     return _stack_block(P, model, setup, i, s), bound
 
 
-def _stack_block(P, model: FiberModel, setup, i: int, s=None) -> HBlock:
-    """Block i of ``setup`` for the (g, 3) P, gamma sqrt(s_i^dagger s_i +
-    M^2) + H_f with the stacked s_i of :func:`_block_s`, unless given:
-    rooted by :func:`kinetic_root` under a rotation, where s_i is
-    Hermitian, and by :func:`_svd_root` under a mirror; H_f is added in
-    the root's own array."""
+def _stack_block(P, model: FiberModel, setup, i: int, s=None) -> np.ndarray:
+    """The (g, n, n) stack of block i of ``setup`` for the (g, 3) P,
+    gamma sqrt(s_i^dagger s_i + M^2) + H_f with the stacked s_i of
+    :func:`_block_s`, unless given: rooted by :func:`kinetic_root` under a
+    rotation, where s_i is Hermitian, and by :func:`_svd_root` under a
+    mirror; H_f is added in the root's own array.  Its partner, columns
+    and theta map are ``setup[3][i]``."""
     mirror, _, coefs, specs = setup
-    partner, parts, theta = specs[i]
     kernel = _svd_root if mirror else kinetic_root
     # a new s is held by no name here, so the kernel frees it before rooting
     root = kernel(_block_s(P, model, _spin_frame(P, model, coefs), setup, i)
                   if s is None else s, model.params.M)
-    h = _add_field_energy(root, model.params.gamma, model.hf[_reps(parts)])
-    return HBlock(h, partner, parts, theta, i)
+    return _add_field_energy(root, model.params.gamma, model.hf[_reps(specs[i][1])])
 
 
 def _block_s(P, model: FiberModel, frame, setup, i: int) -> np.ndarray:

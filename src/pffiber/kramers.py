@@ -13,11 +13,14 @@ most two eigenvalues below Sigma_-(P), the ground level is exactly two-fold.
 theta also commutes with the grid symmetries that block H(P), so it maps
 each block onto a partner block.  Between the two block bases it is
 x -> K conj(x) with K a phased permutation, (perm, phase) with
-K[i, perm[i]] = phase[i], which each block carries (W = 1 without a
-symmetry, where K = sigma_2 tensor 1).  The solves build only the first
-block of each pair and check theta on sigma.v
-(:func:`pffiber.hamiltonian.theta_pair`); :func:`theta_defect` and
-:func:`theta_pairing` are gathers through K.
+K[i, perm[i]] = phase[i], which the block's set-up entry lists
+(:func:`pffiber.hamiltonian._symmetry_setup`; W = 1 without a symmetry,
+where K = sigma_2 tensor 1).  The solves build only the first block of
+each pair, check theta on sigma.v
+(:func:`pffiber.hamiltonian.theta_pair`) and take the overlap
+<v, theta v> of the ground vector
+(:func:`pffiber.hamiltonian.theta_pairing`); :func:`theta_defect` is a
+gather through K.
 
 The same argument applies to related models: the nonrelativistic fiber
 operator, and position-space models with an even external potential, where
@@ -32,7 +35,7 @@ import numpy as np
 
 from .bounds import SANDWICH_TOL, bound_constants, count_below
 from .fock import frobenius
-from .hamiltonian import SIGMA, _as_model, expand, hf_spinor, theta_image
+from .hamiltonian import SIGMA, _as_model, hf_spinor, theta_image
 from .spectral import EnergyCache, solve_fiber
 
 # the bound gamma ||theta s theta^-1 + s||_F / ||H|| on the theta defect of
@@ -106,19 +109,6 @@ def check_theta_commutes(h: np.ndarray) -> float:
     half = h.shape[0] // 2
     s2 = np.roll(np.arange(2 * half), half), np.repeat([-1.0j, 1.0j], half)
     return theta_defect(h, h, s2) / float(frobenius(h))
-
-
-def theta_pairing(block, twin, x) -> float:
-    """|<v, theta v>| for the vector x of the
-    :class:`pffiber.hamiltonian.HBlock` ``block``, whose partner has the
-    columns ``twin`` (its ``parts``): v = W x has theta v = W' K conj(x),
-    K the phased permutation ``block.theta``, (K conj(x))_i = phase_i
-    conj(x)[perm_i].  theta^2 = -1 makes it 0.  For the ground vector it is
-    the second number of the ``ground_pairing`` of a :class:`FiberSolve`.
-    """
-    perm, phase = block.theta
-    v, tv = expand(block.parts, x), expand(twin, phase * np.conj(x)[perm])
-    return abs(complex(np.vdot(v, tv)))
 
 
 @dataclass
@@ -209,9 +199,7 @@ def build_H_NR(P, params_or_model) -> np.ndarray:
     return h
 
 
-def position_toy(n_sites: int = 8, box: float = 4.0, mass: float = 1.0,
-                 v_strength: float = 0.6, spin_orbit: float = 0.3,
-                 odd_potential: bool = False):
+def position_toy(odd_potential: bool = False):
     """Minimal spin-1/2 particle on a symmetric position grid.
 
     H = p^2/2m + V(x) + lambda sigma_1 (x p + p x)/2 with a grid-antisymmetric
@@ -221,8 +209,8 @@ def position_toy(n_sites: int = 8, box: float = 4.0, mass: float = 1.0,
 
     Returns (H, parity permutation matrix).
     """
-    if n_sites % 2:
-        raise ValueError("use an even site count so the grid is parity symmetric")
+    # an even site count, so that the grid is parity symmetric
+    n_sites, box, mass, v_strength, spin_orbit = 8, 4.0, 1.0, 0.6, 0.3
     x = np.linspace(-box, box, n_sites)
     dx = x[1] - x[0]
     # 4th-order antisymmetric stencil; mixing 1- and 2-site shifts avoids the

@@ -95,10 +95,12 @@ from .fock import hermiticity_defect
 from .hamiltonian import (
     FiberModel,
     _as_model,
+    _reps,
     _stack_block,
     pair_heads,
     setup_stacks,
     theta_pair,
+    theta_pairing,
 )
 from .modes import ModelParams, dispersion, orbit_representatives, stabilizer
 
@@ -289,12 +291,12 @@ def _ground_energies(P, model: FiberModel, setup) -> list:
     bit for bit.  Each block is dropped before the next is built."""
     first, *later = pair_heads(setup)
     # a copy, not a view that would keep every eigenvalue of the stack
-    lowest = _eigvalsh(_stack_block(P, model, setup, first).h)[:, 0].copy()
+    lowest = _eigvalsh(_stack_block(P, model, setup, first))[:, 0].copy()
     for i in later:
         left = np.flatnonzero(~certify_stack_block(P, lowest + PRUNE_MARGIN, model, setup, i))
         if left.size:
             block = _stack_block(P[left], model, setup, i)
-            lowest[left] = np.minimum(lowest[left], _eigvalsh(block.h)[:, 0])
+            lowest[left] = np.minimum(lowest[left], _eigvalsh(block)[:, 0])
             del block  # before the next one is built
     return lowest.tolist()
 
@@ -436,37 +438,38 @@ def _pair_values(P, model, setup, i: int, along, diagonals) -> tuple:
     theta bound of :func:`theta_pair` and, with the
     :func:`pffiber.bounds.comparison_diagonals` of the momenta ``along`` u,
     the sandwich margins.  Only the head is built and solved: one stacked
-    ``eigh`` and one stacked ``eigvalsh`` per margin.  The partner, whose
-    block is the head's theta-image up to that bound, has all of these of
-    the head (L_-+ are theta-invariant too).  ``lowest`` has, per momentum,
-    (E, index, pairing) of the head: the residual of its ground vector and
-    the :func:`pffiber.kramers.theta_pairing` overlap, which takes the
-    partner's columns."""
-    from . import bounds, kramers  # both modules import this one
+    ``eigh`` and one stacked ``eigvalsh`` per margin.  The partner named by
+    ``setup[3][i]``, whose block is the head's theta-image up to that
+    bound, has all of these of the head (L_-+ are theta-invariant too).
+    ``lowest`` has, per momentum, (E, index, pairing) of the head: the
+    residual of its ground vector and the
+    :func:`pffiber.hamiltonian.theta_pairing` overlap."""
+    from . import bounds  # it imports this module
 
-    head, theta = theta_pair(P, model, setup, i)
-    vals, vecs = _eigh(head.h)
+    partner, parts, theta = setup[3][i]
+    h, bound = theta_pair(P, model, setup, i)
+    vals, vecs = _eigh(h)
     x = vecs[..., :N_LOW_VECTORS].copy()
     del vecs
-    res = np.linalg.norm(head.h @ x - x * vals[..., None, :N_LOW_VECTORS], axis=-2)
+    res = np.linalg.norm(h @ x - x * vals[..., None, :N_LOW_VECTORS], axis=-2)
     margins = None
     if diagonals is not None:
-        h = head.h if along.all() else head.h[along]
-        margins = bounds.block_margins(h, head.rows, *diagonals)
+        margins = bounds.block_margins(h if along.all() else h[along], _reps(parts),
+                                       *diagonals)
     values = {
         "vals": vals,
         "eigenpair": np.max(res, axis=-1),
-        "hermiticity": hermiticity_defect(head.h),
-        "theta": theta,
+        "hermiticity": hermiticity_defect(h),
+        "theta": bound,
         "margins": margins,
     }
-    twin = setup[3][head.partner][1]
+    twin = setup[3][partner][1]  # the partner's columns
     lowest = [
         (vals[at, 0], i,
-         (float(res[at, 0]), kramers.theta_pairing(head, twin, x[at, :, 0])))
+         (float(res[at, 0]), theta_pairing(theta, parts, twin, x[at, :, 0])))
         for at in range(len(P))
     ]
-    return {i: values, head.partner: values}, lowest
+    return {i: values, partner: values}, lowest
 
 
 def _record(P, at, values, ground, margins, along) -> FiberSolve:

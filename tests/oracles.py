@@ -1,12 +1,12 @@
 """Oracles that only the tests call: every block of H(P), partners
-included, each rooted from its own s (:func:`block_stacks`), the block
-lists collected from them and the dense basis of a block, a block rooted
-and solved on its own, the dense free Hamiltonian, the Kramers pairing
-of dense eigenpairs, and the operator certificate h > tau by the Gram
+included, each rooted from its own s (:func:`block_stacks`) and kept with
+its set-up entry (:class:`Block`), the block lists collected from them and
+the dense basis of a block, a block rooted and solved on its own, the
+dense free Hamiltonian, the Kramers pairing of dense eigenpairs, and the operator certificate h > tau by the Gram
 product s^dagger s and a Cholesky of Z, against which the Schur
 complement of :func:`pffiber.certificate.certify_block` is checked."""
 
-import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from pffiber.hamiltonian import (
     _as_model,
     _block_s,
     _dagger,
+    _reps,
     _spin_frame,
     _stack_block,
     h0_diag,
@@ -25,14 +26,33 @@ from pffiber.hamiltonian import (
 from pffiber.kramers import apply_theta
 
 
+class Block(NamedTuple):
+    """A block stack ``h`` of :func:`pffiber.hamiltonian._stack_block` with
+    its set-up entry (partner, parts, theta), its index in the set-up and
+    the orbit representatives ``rows`` of its columns."""
+
+    h: np.ndarray
+    partner: int
+    parts: tuple
+    theta: tuple
+    index: int
+    rows: np.ndarray
+
+
+def _block(P, model, setup, i: int) -> Block:
+    """Block i of ``setup`` for the (g, 3) P as a :class:`Block`."""
+    partner, parts, theta = setup[3][i]
+    return Block(_stack_block(P, model, setup, i), partner, parts, theta, i, _reps(parts))
+
+
 def block_stacks(P, params_or_model):
     """(index, blocks) over the stacks of
     :func:`pffiber.hamiltonian.setup_stacks` of the (g, 3) P: ``blocks``
     lists every block of the set-up, in index order, each a stack along
     ``index`` built by :func:`pffiber.hamiltonian._stack_block` from its
-    own s_i.  The solves build only the head of each theta-pair; here a
-    partner is assembled and rooted too, so that the tests can hold the
-    head's values against it."""
+    own s_i, as a :class:`Block`.  The solves build only the head of each
+    theta-pair; here a partner is assembled and rooted too, so that the
+    tests can hold the head's values against it."""
     model = _as_model(params_or_model)
     P = np.asarray(P, dtype=float).reshape(-1, 3)
     for index, setup in setup_stacks(P, model):
@@ -42,7 +62,7 @@ def block_stacks(P, params_or_model):
 def setup_blocks(P, model, setup) -> list:
     """Every block of ``setup`` for the (g, 3) P, in index order, each
     rooted from its own s_i by :func:`pffiber.hamiltonian._stack_block`."""
-    return [_stack_block(P, model, setup, i) for i in range(len(setup[3]))]
+    return [_block(P, model, setup, i) for i in range(len(setup[3]))]
 
 
 def build_H_blocks(P, params_or_model, one_per_pair: bool = False) -> list:
@@ -62,12 +82,12 @@ def build_H_blocks(P, params_or_model, one_per_pair: bool = False) -> list:
     for index, blocks in block_stacks(P, params_or_model):
         blocks = [b for b in blocks if b.index <= b.partner or not one_per_pair]
         for at, i in enumerate(index):
-            out[i] = [dataclasses.replace(b, h=b.h[at]) for b in blocks]
+            out[i] = [b._replace(h=b.h[at]) for b in blocks]
     return out[0] if P.ndim == 1 else out
 
 
 def block_basis(block, dim: int) -> np.ndarray:
-    """W of an :class:`HBlock` as a dense (2 dim, len(h)) matrix."""
+    """W of a :class:`Block` as a dense (2 dim, len(h)) matrix."""
     out = []
     for chi, cols in block.parts:
         f = np.zeros((dim, cols.rep.size), dtype=complex)
@@ -195,7 +215,7 @@ def solve_block(P, model, setup, i: int, diagonals=None) -> dict:
     lowest eigenpairs and, with the (g, dim) (L_-, L_+) ``diagonals``,
     the sandwich margins min eig(h - L_-) and min eig(L_+ - h), each one
     row per momentum."""
-    block = _stack_block(P, model, setup, i)
+    block = _block(P, model, setup, i)
     k = spectral.N_LOW_VECTORS
     out = {"vals": [], "eigenpair": [], "margins": []}
     for at, h in enumerate(block.h):

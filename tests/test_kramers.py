@@ -3,7 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pffiber import kramers
-from pffiber.hamiltonian import build_H, build_model
+from pffiber.hamiltonian import (
+    build_H,
+    build_model,
+    setup_stacks,
+    theta_pair,
+    theta_pairing,
+)
 from pffiber.kramers import (
     apply_theta,
     build_H_NR,
@@ -92,6 +98,24 @@ def test_eigenpair_theta_partners(default_model):
         assert overlap <= 1e-8
     clusters = cluster_degeneracy(np.linalg.eigvalsh(h), 1e-8)
     assert all(c[1] % 2 == 0 for c in clusters)
+
+
+def test_a_wrong_theta_map_raises_the_ground_overlap(default_model):
+    """|<v, theta v>| of the ground vector of C3 block 1 at P = (0.5, 0.5,
+    0.5), a block that is its own theta-partner: rounding with the set-up's
+    theta map, far from 0 with the phase of the vector's largest component
+    flipped.  A generic P would not do (W = 1, and the same flip leaves the
+    overlap at rounding), nor two distinct blocks (0 by construction)."""
+    P = np.array([[0.5, 0.5, 0.5]])
+    ((_, setup),) = setup_stacks(P, default_model)
+    partner, parts, (perm, phase) = setup[3][1]
+    assert len(setup[3]) == 3 and partner == 1
+    h, _ = theta_pair(P, default_model, setup, 1)
+    x = np.linalg.eigh(h[0])[1][:, 0]
+    assert theta_pairing((perm, phase), parts, parts, x) <= 1e-15
+    wrong = phase.copy()
+    wrong[np.argmax(np.abs(x))] *= -1
+    assert theta_pairing((perm, wrong), parts, parts, x) >= 0.05
 
 
 def test_certificate_free_theory(default_params):
