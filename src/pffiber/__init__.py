@@ -24,7 +24,7 @@ from .modes import (
     form_factors,
     grid_rotations,
 )
-from .fock import FockBasis, annihilator, enumerate_basis, field_sum
+from .fock import FockBasis, enumerate_basis, field_sum
 from .hamiltonian import (
     FiberModel,
     build_A0,
@@ -58,13 +58,11 @@ from .bounds import (
     bound_constants,
     build_L_minus,
     build_L_plus,
-    corollary_energy_bounds,
     count_below,
     sqrt_monotone_test,
     theorem_gap_report,
 )
 from .kramers import (
-    apply_theta,
     check_reality_relations,
     check_theta_commutes,
     check_theta_commutes_related,

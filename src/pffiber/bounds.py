@@ -18,9 +18,10 @@ coupling estimates, keeping the kinetic prefactor gamma on every step:
     eC1 = eC2 = gamma * ( n_half_along_u  +  (3 pi / M) * n_curl ).
 
 Both parts erode H_f and shift the bottom; they vanish linearly in e.  The
-sandwich itself is re-verified by eigensolves; the constants feed the
-min-max counting (at most two eigenvalues below Sigma_-(P)) and the
-closed-form corollary envelope for E(P).
+sandwich itself is re-verified by eigensolves.  Each closed form is one
+:class:`BoundConstants` method: ``l_minus``, L_- at H_f = h, gives Sigma_-(P)
+(h = m_ph; at most two eigenvalues below it) and the lower envelope of E(P)
+(h = 0); ``upper_envelope``, ``gap_floor`` (E1 - E) and ``delta_floor``.
 """
 
 from __future__ import annotations
@@ -41,13 +42,7 @@ from .hamiltonian import (  # noqa: F401
     kinetic_root,
     op_sqrt_eig,
 )
-from .spectral import (  # noqa: F401
-    EnergyCache,
-    FiberSolve,
-    delta_gap,
-    ground_data,
-    solve_fiber,
-)
+from .spectral import FiberSolve, ground_data, solve_fiber  # noqa: F401
 
 # the one tolerance of the sandwich and envelope inequalities, relative to
 # ||H|| for a sandwich margin: verify's checks 5, 7, 8, 9 and inv2, the
@@ -99,19 +94,24 @@ class BoundConstants:
     e_c3: float
     e2_c4: float
 
-    def sigma_minus(self, P) -> float:
-        """Bottom of the continuous part of spec(L_-(P))."""
+    def l_minus(self, P, h=None):
+        """L_-(P) where H_f takes the value h (a float or the diagonal of
+        H_f): gamma sqrt(P^2 + M^2) + (1 - gamma - eC1) h - eC2.  h = None
+        is the vacuum, H_f = 0, with no H_f term: (1 - gamma - eC1) * 0.0
+        would be a NaN where an overflowing coupling makes eC1 infinite."""
         p2 = float(np.dot(P, P))
-        return (
-            self.gamma * math.sqrt(p2 + self.M**2)
-            + (1.0 - self.gamma - self.e_c1) * self.m_ph
-            - self.e_c2
-        )
+        out = self.gamma * math.sqrt(p2 + self.M**2)
+        if h is not None:
+            out = out + (1.0 - self.gamma - self.e_c1) * h
+        return out - self.e_c2
+
+    def sigma_minus(self, P) -> float:
+        """Bottom of the continuous part of spec(L_-(P)): L_- at H_f = m_ph."""
+        return self.l_minus(P, self.m_ph)
 
     def lower_envelope(self, P) -> float:
-        """Corollary lower bound: gamma sqrt(P^2 + M^2) - eC2."""
-        p2 = float(np.dot(P, P))
-        return self.gamma * math.sqrt(p2 + self.M**2) - self.e_c2
+        """Corollary lower bound gamma sqrt(P^2 + M^2) - eC2: L_- at H_f = 0."""
+        return self.l_minus(P)
 
     def direction_free_holds(self) -> bool:
         """Whether :meth:`direction_free_envelope` bounds E: gamma < 1,
@@ -133,6 +133,18 @@ class BoundConstants:
             (absp + self.e_c3) ** 2 + self.M**2 + self.e2_c4
         )
 
+    def gap_floor(self) -> float:
+        """The explicit floor E1 - E >= (1 - eC1 - gamma) m_ph - eC2."""
+        return (1.0 - self.e_c1 - self.gamma) * self.m_ph - self.e_c2
+
+    def delta_floor(self, P) -> float:
+        """The explicit floor Delta(P) >= (1 - gamma) m_ph - [eC2 + (upper
+        envelope - gamma sqrt(P^2 + M^2))]."""
+        free = self.gamma * math.sqrt(float(np.dot(P, P)) + self.M**2)
+        return (1.0 - self.gamma) * self.m_ph - (
+            self.e_c2 + self.upper_envelope(P) - free
+        )
+
 
 def bound_constants(params_or_model) -> BoundConstants:
     """Assemble the explicit constants from the discrete coupling norms."""
@@ -151,17 +163,12 @@ def bound_constants(params_or_model) -> BoundConstants:
     )
 
 
-def build_L_minus(P, params_or_model, consts: BoundConstants | None = None):
+def build_L_minus(P, params_or_model):
     """Diagonal of L_-(P) on the Fock factor (spin-trivial)."""
     model = _as_model(params_or_model)
-    if consts is None:
-        consts = bound_constants(model)
-    p = model.params
-    if p.gamma >= 1.0:
+    if model.params.gamma >= 1.0:
         raise ValueError("the lower comparison operator requires gamma < 1")
-    p2 = float(np.dot(P, P))
-    base = p.gamma * math.sqrt(p2 + p.M**2)
-    return base + (1.0 - p.gamma - consts.e_c1) * model.hf - consts.e_c2
+    return bound_constants(model).l_minus(P, model.hf)
 
 
 def build_L_plus(P, params_or_model):
@@ -214,9 +221,8 @@ def sandwich_margins(P, params_or_model):
 def comparison_diagonals(P, model: FiberModel) -> tuple:
     """The diagonals of L_-(P) and of L_+(P) on the Fock factor, one row
     per momentum of the (g, 3) P."""
-    consts = bound_constants(model)
     return (
-        np.array([build_L_minus(p, model, consts) for p in P]),
+        np.array([build_L_minus(p, model) for p in P]),
         np.array([build_L_plus(p, model) for p in P]),
     )
 
@@ -245,75 +251,33 @@ def block_margins(h, rows, lm, lp):
         return lower, np.linalg.eigvalsh(shifted)[..., 0]
 
 
-def corollary_energy_bounds(P, params_or_model, consts: BoundConstants | None = None):
-    """Closed-form envelope (lower, upper) for E(P)."""
-    model = _as_model(params_or_model)
-    if consts is None:
-        consts = bound_constants(model)
-    return consts.lower_envelope(P), consts.upper_envelope(P)
-
-
 @dataclass
 class GapReport:
-    """Margins of the uniform-gap inequalities at one momentum."""
+    """Margins of the uniform-gap inequalities at one momentum, each the
+    measured side minus its closed form: Delta(P) - delta_floor(P), E1 - E -
+    (Sigma_-(P) - upper envelope) (the min-max chain) and E1 - E -
+    gap_floor(); and whether E lies in the envelope within SANDWICH_TOL."""
 
-    P: tuple
-    E: float
-    E1: float | None
-    delta: float
-    sigma_minus: float
-    upper_envelope: float
-    count_below_sigma: int
-    # Delta(P) >= (1 - gamma) m_ph - [eC2 + (upper envelope - gamma sqrt(P^2+M^2))]
     delta_margin: float
-    # E1 - E >= Sigma_-(P) - upper envelope (the min-max chain)
     chain_margin: float
-    # E1 - E >= (1 - eC1 - gamma) m_ph - eC2 (explicit-constant form)
     direct_margin: float
     envelope_ok: bool
 
 
 def theorem_gap_report(
-    P,
-    params_or_model,
-    consts: BoundConstants | None = None,
-    cache: EnergyCache | None = None,
-    solve: FiberSolve | None = None,
-    delta: float | None = None,
+    P, consts: BoundConstants, solve: FiberSolve, delta: float
 ) -> GapReport:
-    """Evaluate the gap inequalities with measured constants at one P.
-
-    E, E1 and the count below Sigma_-(P) are read from ``solve``, the
+    """Evaluate the gap inequalities with the constants ``consts`` at one
+    P: E and E1 are read from ``solve``, the
     :func:`pffiber.spectral.solve_fiber` record of H(P), and Delta(P) is
-    ``delta``; each is computed here when not passed.
-    """
-    model = _as_model(params_or_model)
-    p = model.params
-    if consts is None:
-        consts = bound_constants(model)
-    P = np.asarray(P, dtype=float)
-    if solve is None:
-        solve = solve_fiber(P, model, cache=cache)
+    ``delta``.  E1 - E is infinite where the record has no E1."""
     e0, e1 = solve.E, solve.E1
-    if delta is None:
-        delta = delta_gap(P, model, cache=cache)
-    sigma = consts.sigma_minus(P)
-    upper = consts.upper_envelope(P)
-    lower = consts.lower_envelope(P)
-    free = p.gamma * math.sqrt(float(P @ P) + p.M**2)
-    cnt = count_below(solve.eigenvalues, sigma)
+    lower, upper = consts.lower_envelope(P), consts.upper_envelope(P)
     gap = math.inf if e1 is None else e1 - e0
     return GapReport(
-        P=tuple(P),
-        E=e0,
-        E1=e1,
-        delta=delta,
-        sigma_minus=sigma,
-        upper_envelope=upper,
-        count_below_sigma=cnt,
-        delta_margin=delta - ((1.0 - p.gamma) * p.m_ph - (consts.e_c2 + upper - free)),
-        chain_margin=gap - (sigma - upper),
-        direct_margin=gap - ((1.0 - consts.e_c1 - p.gamma) * p.m_ph - consts.e_c2),
+        delta_margin=delta - consts.delta_floor(P),
+        chain_margin=gap - (consts.sigma_minus(P) - upper),
+        direct_margin=gap - consts.gap_floor(),
         envelope_ok=lower - SANDWICH_TOL <= e0 <= upper + SANDWICH_TOL,
     )
 

@@ -138,9 +138,7 @@ def run_sweep(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
 
     def work(P):
         rep, solve = compute_report(P, model, consts, cache)
-        gap = bnd.theorem_gap_report(
-            P, model, consts, cache=cache, solve=solve, delta=rep.delta
-        )
+        gap = bnd.theorem_gap_report(P, consts, solve, rep.delta)
         return rep, _scaled_sandwich(solve), gap
 
     rows = list(_each_momentum(cfg.momenta(), work))
@@ -158,21 +156,22 @@ def run_sweep(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
             )
             fh.write(",".join(_fmt(v) for v in vals) + "\n")
 
+    reps = [r[0] for r in rows]
     gaps = [r[2] for r in rows]
     margins = [r[1] for r in rows if r[1][0] is not None]
     summary = {
         "constants": {k: getattr(consts, k) for k in CONSTANT_NAMES},
         "min_E1_minus_E": min(
-            (g.E1 - g.E for g in gaps if g.E1 is not None), default=None
+            (r.E1 - r.E for r in reps if r.E1 is not None), default=None
         ),
-        "min_delta": min((g.delta for g in gaps), default=None),
+        "min_delta": min((r.delta for r in reps), default=None),
         "min_sandwich_lower": min((m[0] for m in margins), default=None),
         "min_sandwich_upper": min((m[1] for m in margins), default=None),
         "min_delta_margin": min((g.delta_margin for g in gaps), default=None),
         "min_chain_margin": min((g.chain_margin for g in gaps), default=None),
         "min_direct_margin": min((g.direct_margin for g in gaps), default=None),
         "all_envelope_ok": all(g.envelope_ok for g in gaps),
-        "all_count_two": all(g.count_below_sigma == 2 for g in gaps),
+        "all_count_two": all(r.eigencount_below_sigma == 2 for r in reps),
         "failures": failures,
     }
     with open(

@@ -18,7 +18,7 @@ state with one photon fewer in mode m and the amplitude sqrt(n_m(j)), so
 a_m e_j = sqrt(n_m(j)) e_i.  The lowered states are located all at once by
 a binary search over the basis rows.  Every field operator is one scatter
 from this table: ``field_sum`` writes its (i, j) and (j, i) entries directly,
-with no per-mode matrix, and ``annihilator`` is the scatter of one mode.
+with no per-mode matrix.
 """
 
 from __future__ import annotations
@@ -131,17 +131,6 @@ def enumerate_basis(
     return FockBasis(
         n_modes=n_modes, n_max=n_max, states=arr, ladder=_ladder_table(arr)
     )
-
-
-def annihilator(basis: FockBasis, m: int) -> np.ndarray:
-    """Dense matrix of a_m: lowers n_m by one with amplitude sqrt(n_m)."""
-    if not 0 <= m < basis.n_modes:
-        raise IndexError(f"mode index {m} out of range for {basis.n_modes} modes")
-    rows, cols, modes, amps = basis.ladder
-    sel = modes == m
-    a = np.zeros((basis.dim, basis.dim))
-    a[rows[sel], cols[sel]] = amps[sel]
-    return a
 
 
 def dgamma_diag(basis: FockBasis, c) -> np.ndarray:

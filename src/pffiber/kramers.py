@@ -43,29 +43,21 @@ from .spectral import EnergyCache, solve_fiber
 THETA_COMM_TOL = 1e-12
 
 
-def _theta(x: np.ndarray) -> np.ndarray:
-    """(sigma_2 tensor 1) conj(x), column by column."""
-    half = x.shape[0] // 2
-    out = np.empty(x.shape, dtype=complex)
-    conj = np.conj(x)
-    out[:half] = -1.0j * conj[half:]
-    out[half:] = 1.0j * conj[:half]
-    return out
-
-
-def apply_theta(psi: np.ndarray) -> np.ndarray:
-    """theta psi = (sigma_2 tensor 1) conj(psi); antiunitary and isometric."""
-    psi = np.asarray(psi)
-    if psi.ndim != 1 or psi.shape[0] % 2:
-        raise ValueError("state must be a vector on C^2 tensor Fock")
-    return _theta(psi)
+def _sigma2(dim_fock: int) -> tuple:
+    """theta = (sigma_2 tensor 1) J as the (perm, phase) of :func:`theta_defect`."""
+    return np.roll(np.arange(2 * dim_fock), dim_fock), np.repeat([-1j, 1j], dim_fock)
 
 
 def theta_squared_sign(dim_fock: int) -> float:
     """Certificate that theta^2 = -1: max |theta(theta(e_i)) + e_i| over a
-    basis, the columns of the identity taken at once."""
-    eye = np.eye(2 * dim_fock)
-    return float(np.max(np.abs(_theta(_theta(eye)) + eye)))
+    basis.  theta^2 is the phased permutation (perm[perm], phase
+    conj(phase[perm])), so theta^2 e_i + e_i is (phase' + 1) e_i where
+    perm[perm] fixes i, and two entries of moduli |phase'| and 1 elsewhere."""
+    perm, phase = _sigma2(dim_fock)
+    square = phase * np.conj(phase[perm])
+    fixed = perm[perm] == np.arange(perm.size)
+    defect = np.where(fixed, np.abs(square + 1.0), np.maximum(np.abs(square), 1.0))
+    return float(np.max(defect))
 
 
 def check_reality_relations(params_or_model) -> dict:
@@ -106,9 +98,7 @@ def check_theta_commutes(h: np.ndarray) -> float:
     """
     if h.shape[0] % 2:
         raise ValueError("spinor dimension must be even")
-    half = h.shape[0] // 2
-    s2 = np.roll(np.arange(2 * half), half), np.repeat([-1.0j, 1.0j], half)
-    return theta_defect(h, h, s2) / float(frobenius(h))
+    return theta_defect(h, h, _sigma2(h.shape[0] // 2)) / float(frobenius(h))
 
 
 @dataclass

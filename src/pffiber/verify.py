@@ -388,10 +388,9 @@ def check_gap_uniformity(ctx: VerifyContext) -> CheckResult:
         return guard
     comparisons = []
     for e in ctx.coupling_ladder():
-        params = ctx.params_at(e)
-        model = build_model(params)
+        model = build_model(ctx.params_at(e))
         consts = bnd.bound_constants(model)
-        bound = (1.0 - consts.e_c1 - params.gamma) * params.m_ph - consts.e_c2
+        bound = consts.gap_floor()
         deficits = [bound - (s.E1 - s.E) for s in ctx.solves(model) if s.E1 is not None]
         comparisons += _worst(f"e={e}: bound - min(E1-E)", deficits, bnd.SANDWICH_TOL)
         if e > 0:
@@ -429,11 +428,7 @@ def check_delta_bounds(ctx: VerifyContext) -> CheckResult:
             where.append(_at(e, P))
             if e == 0.0:
                 free_defects.append(abs(d - free_delta_gap(P, params, trial)))
-            free = params.gamma * math.sqrt(float(P @ P) + params.M**2)
-            measured_margin = consts.e_c2 + consts.upper_envelope(P) - free
-            below_floor.append(
-                (1.0 - params.gamma) * params.m_ph - measured_margin - d
-            )
+            below_floor.append(consts.delta_floor(P) - d)
     tol = bnd.SANDWICH_TOL
     return CheckResult(
         "gap function bounds",
@@ -473,14 +468,15 @@ def check_envelope(ctx: VerifyContext) -> CheckResult:
         model = build_model(ctx.params_at(e))
         consts = bnd.bound_constants(model)
         for P, solve in zip(ctx.momenta(), ctx.solves(model)):
-            lower, upper = bnd.corollary_energy_bounds(P, model, consts)
+            lower, upper = consts.lower_envelope(P), consts.upper_envelope(P)
             outside.append(np.maximum(lower - solve.E, solve.E - upper))
             where.append(_at(e, P))
     # width of the envelope is O(e): exact zero at e = 0, stable slope after
     p_mid = ctx.momenta()[len(ctx.momenta()) // 2]
     widths, ratios = [], []
     for e in ctx.coupling_ladder():
-        lo, up = bnd.corollary_energy_bounds(p_mid, build_model(ctx.params_at(e)))
+        consts = bnd.bound_constants(build_model(ctx.params_at(e)))
+        lo, up = consts.lower_envelope(p_mid), consts.upper_envelope(p_mid)
         if e == 0.0:
             widths.append(up - lo)
         else:

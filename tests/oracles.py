@@ -2,7 +2,8 @@
 included, each rooted from its own s (:func:`block_stacks`) and kept with
 its set-up entry (:class:`Block`), the block lists collected from them and
 the dense basis of a block, a block rooted and solved on its own, the
-dense free Hamiltonian, the Kramers pairing of dense eigenpairs, and the operator certificate h > tau by the Gram
+dense free Hamiltonian, the dense annihilator of one mode, theta applied
+column by column, the Kramers pairing of dense eigenpairs, and the operator certificate h > tau by the Gram
 product s^dagger s and a Cholesky of Z, against which the Schur
 complement of :func:`pffiber.certificate.certify_block` is checked."""
 
@@ -23,7 +24,6 @@ from pffiber.hamiltonian import (
     h0_diag,
     setup_stacks,
 )
-from pffiber.kramers import apply_theta
 
 
 class Block(NamedTuple):
@@ -100,6 +100,35 @@ def build_H0(P, params_or_model) -> np.ndarray:
     """Free fiber Hamiltonian gamma sqrt((P - P_f)^2 + M^2) + H_f, diagonal."""
     model = _as_model(params_or_model)
     return np.kron(ID2, np.diag(h0_diag(P, model)))
+
+
+def annihilator(basis, m: int) -> np.ndarray:
+    """Dense matrix of a_m: lowers n_m by one with amplitude sqrt(n_m)."""
+    if not 0 <= m < basis.n_modes:
+        raise IndexError(f"mode index {m} out of range for {basis.n_modes} modes")
+    rows, cols, modes, amps = basis.ladder
+    sel = modes == m
+    a = np.zeros((basis.dim, basis.dim))
+    a[rows[sel], cols[sel]] = amps[sel]
+    return a
+
+
+def _theta(x: np.ndarray) -> np.ndarray:
+    """(sigma_2 tensor 1) conj(x), column by column."""
+    half = x.shape[0] // 2
+    out = np.empty(x.shape, dtype=complex)
+    conj = np.conj(x)
+    out[:half] = -1.0j * conj[half:]
+    out[half:] = 1.0j * conj[:half]
+    return out
+
+
+def apply_theta(psi: np.ndarray) -> np.ndarray:
+    """theta psi = (sigma_2 tensor 1) conj(psi); antiunitary and isometric."""
+    psi = np.asarray(psi)
+    if psi.ndim != 1 or psi.shape[0] % 2:
+        raise ValueError("state must be a vector on C^2 tensor Fock")
+    return _theta(psi)
 
 
 def theta_pairing_residuals(h: np.ndarray, vals, vecs, h_norm=None):

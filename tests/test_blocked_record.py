@@ -12,10 +12,10 @@ import scipy.linalg
 
 from pffiber import bounds, certificate, hamiltonian, spectral
 from pffiber.hamiltonian import block_generator, build_H, build_model
-from pffiber.kramers import _theta, check_theta_commutes
+from pffiber.kramers import check_theta_commutes
 from pffiber.spectral import _ground_triple, ground_data, solve_fiber
 
-from oracles import block_basis, build_H_blocks
+from oracles import _theta, block_basis, build_H_blocks
 
 DIRECTION_COUNTS = (2, 6, 8, 12)
 

@@ -6,10 +6,10 @@ from numpy.testing import assert_allclose
 
 from pffiber.bounds import (
     SQRT_MONOTONE_CHUNK,
+    BoundConstants,
     bound_constants,
     build_L_minus,
     build_L_plus,
-    corollary_energy_bounds,
     count_below,
     sandwich_margins,
     sqrt_monotone_test,
@@ -17,7 +17,7 @@ from pffiber.bounds import (
     theorem_gap_report,
 )
 from pffiber.hamiltonian import build_H, build_model, op_sqrt_eig
-from pffiber.spectral import EnergyCache, ground_data
+from pffiber.spectral import EnergyCache, delta_gap, ground_data, solve_fiber
 
 
 def test_constants_vanish_linearly_in_coupling(default_params):
@@ -43,7 +43,7 @@ def test_L_minus_free_form(default_params):
 def test_L_minus_vacuum_entry(default_model):
     P = np.array([1.0, 0.0, 0.0])
     consts = bound_constants(default_model)
-    lm = build_L_minus(P, default_model, consts)
+    lm = build_L_minus(P, default_model)
     expected = default_model.params.gamma * math.sqrt(2.0) - consts.e_c2
     assert lm[0] == pytest.approx(expected)
 
@@ -90,7 +90,7 @@ def test_count_below_examples():
 def test_count_below_matches_diagonal_enumeration(default_model):
     consts = bound_constants(default_model)
     P = np.array([0.7, 0.0, 0.0])
-    lm = np.kron(np.ones(2), build_L_minus(P, default_model, consts))
+    lm = np.kron(np.ones(2), build_L_minus(P, default_model))
     sigma = consts.sigma_minus(P)
     # two spin copies of the vacuum entry sit below Sigma_-
     assert count_below(lm, sigma) == 2
@@ -98,10 +98,42 @@ def test_count_below_matches_diagonal_enumeration(default_model):
     assert count_below(h, sigma) <= count_below(lm, sigma)
 
 
+@pytest.mark.parametrize("e", [0.0, 0.05, 0.1])
+def test_each_closed_form_is_its_old_inline_form(default_params, e):
+    """Sigma_-, the lower envelope and the diagonal of L_- are l_minus at
+    H_f = m_ph, 0 and H_f, and the two gap floors are the forms that the
+    gap report and verify's checks 7 and 8 wrote out: equal bit for bit."""
+    model = build_model(default_params.replace(e=e))
+    c, p = bound_constants(model), model.params
+    for P in ([0.0, 0.0, 0.0], [0.7, 0.0, 0.0], [0.3, -0.2, 0.5], [2.0, 0.0, 0.0]):
+        P = np.array(P)
+        base = p.gamma * math.sqrt(float(np.dot(P, P)) + p.M**2)
+        assert c.sigma_minus(P) == base + (1.0 - p.gamma - c.e_c1) * p.m_ph - c.e_c2
+        assert c.lower_envelope(P) == base - c.e_c2
+        lm = base + (1.0 - p.gamma - c.e_c1) * model.hf - c.e_c2
+        assert np.array_equal(build_L_minus(P, model), lm)
+        assert np.array_equal(c.l_minus(P, model.hf), lm)
+        free = p.gamma * math.sqrt(float(P @ P) + p.M**2)
+        upper = c.upper_envelope(P)
+        assert c.delta_floor(P) == (1.0 - p.gamma) * p.m_ph - (c.e_c2 + upper - free)
+    assert c.gap_floor() == (1.0 - c.e_c1 - p.gamma) * p.m_ph - c.e_c2
+
+
+def test_the_vacuum_value_of_L_minus_has_no_H_f_term():
+    """Where an overflowing coupling makes eC1 = eC2 = inf, the lower
+    envelope reads gamma sqrt(P^2 + M^2) - eC2 = -inf, not the NaN of
+    (1 - gamma - eC1) * 0.0 that an H_f term at h = 0 would add."""
+    inf = math.inf
+    c = BoundConstants(gamma=0.5, M=1.0, m_ph=0.5, e_c1=inf, e_c_prime=inf,
+                       e_c2=inf, e_c3=inf, e2_c4=inf)
+    assert c.lower_envelope(np.zeros(3)) == c.l_minus(np.zeros(3)) == -inf
+    assert math.isnan(c.l_minus(np.zeros(3), 0.0))
+
+
 def test_corollary_bounds_free_collapse(default_params):
-    model = build_model(default_params.replace(e=0.0))
+    consts = bound_constants(build_model(default_params.replace(e=0.0)))
     P = np.array([0.5, 0.0, 0.0])
-    lower, upper = corollary_energy_bounds(P, model)
+    lower, upper = consts.lower_envelope(P), consts.upper_envelope(P)
     free = 0.5 * math.sqrt(0.25 + 1.0)
     assert lower == pytest.approx(free)
     assert upper == pytest.approx(free)
@@ -111,7 +143,7 @@ def test_energy_inside_envelope(default_model):
     consts = bound_constants(default_model)
     for px in (0.0, 1.0, 2.0):
         P = np.array([px, 0.0, 0.0])
-        lower, upper = corollary_energy_bounds(P, default_model, consts)
+        lower, upper = consts.lower_envelope(P), consts.upper_envelope(P)
         e0 = ground_data(P, default_model)
         assert lower - 1e-9 <= e0 <= upper + 1e-9
 
@@ -120,7 +152,8 @@ def test_envelope_width_order_e(default_params):
     P = np.array([1.0, 0.0, 0.0])
     widths = {}
     for e in (0.0, 0.05, 0.1):
-        lo, up = corollary_energy_bounds(P, build_model(default_params.replace(e=e)))
+        consts = bound_constants(build_model(default_params.replace(e=e)))
+        lo, up = consts.lower_envelope(P), consts.upper_envelope(P)
         widths[e] = up - lo
     assert widths[0.0] == pytest.approx(0.0, abs=1e-14)
     ratio1 = widths[0.05] / 0.05
@@ -131,23 +164,31 @@ def test_envelope_width_order_e(default_params):
 def test_gap_report_free_theory(default_params):
     p = default_params.replace(e=0.0)
     model = build_model(p)
-    cache = EnergyCache()
-    rep = theorem_gap_report(np.array([1.0, 0, 0]), model, cache=cache)
+    consts, cache = bound_constants(model), EnergyCache()
+    P = np.array([1.0, 0, 0])
+    solve = solve_fiber(P, model, cache)
+    delta = delta_gap(P, model, cache=cache)
+    rep = theorem_gap_report(P, consts, solve, delta)
     # at e = 0 the gap bound is (1 - gamma) m_ph exactly and margins are clean
-    assert rep.delta >= (1 - p.gamma) * p.m_ph - 1e-12
+    assert delta >= (1 - p.gamma) * p.m_ph - 1e-12
     assert rep.delta_margin >= -1e-12
     assert rep.chain_margin >= 0.0
     assert rep.direct_margin >= 0.0
-    assert rep.count_below_sigma == 2
+    assert count_below(solve.eigenvalues, consts.sigma_minus(P)) == 2
     assert rep.envelope_ok
 
 
 def test_gap_report_with_coupling(default_model):
-    cache = EnergyCache()
+    consts, cache = bound_constants(default_model), EnergyCache()
     for px in (0.0, 2.0):
-        rep = theorem_gap_report(np.array([px, 0, 0]), default_model, cache=cache)
-        assert rep.E < rep.sigma_minus <= rep.E1
-        assert rep.count_below_sigma == 2
+        P = np.array([px, 0, 0])
+        solve = solve_fiber(P, default_model, cache)
+        rep = theorem_gap_report(
+            P, consts, solve, delta_gap(P, default_model, cache=cache)
+        )
+        sigma = consts.sigma_minus(P)
+        assert solve.E < sigma <= solve.E1
+        assert count_below(solve.eigenvalues, sigma) == 2
         assert rep.delta_margin >= -1e-9
         assert rep.chain_margin >= -1e-9
         assert rep.envelope_ok

@@ -446,8 +446,6 @@ def test_sweep_builds_each_orbit_momentum_once(tmp_path, monkeypatch):
 
 
 def test_sweep_computes_delta_once_per_momentum(tmp_path, monkeypatch):
-    from pffiber import bounds
-
     real = cli.delta_gap
     calls = []
 
@@ -455,8 +453,7 @@ def test_sweep_computes_delta_once_per_momentum(tmp_path, monkeypatch):
         calls.append(tuple(P))
         return real(P, *args, **kwargs)
 
-    for mod in (cli, bounds):
-        monkeypatch.setattr(mod, "delta_gap", counted)
+    monkeypatch.setattr(cli, "delta_gap", counted)
     cfg = write_cfg(tmp_path, {"P_max": 2.0, "n_P": 2, "threads": 1})
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert calls == [(0.0, 0.0, 0.0), (2.0, 0.0, 0.0)]

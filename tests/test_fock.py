@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from pffiber.fock import (
     BasisTooLargeError,
-    annihilator,
     dgamma_diag,
     enumerate_basis,
     field_sum,
@@ -16,6 +15,8 @@ from pffiber.fock import (
     truncated_dim,
 )
 from pffiber.hamiltonian import build_model
+
+from oracles import annihilator
 
 
 def _index(basis):

@@ -11,7 +11,6 @@ from pffiber.hamiltonian import (
     theta_pairing,
 )
 from pffiber.kramers import (
-    apply_theta,
     build_H_NR,
     check_reality_relations,
     check_theta_commutes,
@@ -23,7 +22,7 @@ from pffiber.kramers import (
 )
 from pffiber.spectral import cluster_degeneracy, low_spectrum
 
-from oracles import theta_pairing_residuals
+from oracles import _theta, apply_theta, theta_pairing_residuals
 
 
 def random_state(rng, dim):
@@ -35,21 +34,21 @@ def test_theta_squares_to_minus_one(rng):
     for _ in range(10):
         psi = random_state(rng, 12)
         assert_allclose(apply_theta(apply_theta(psi)), -psi, atol=1e-14)
-    assert theta_squared_sign(5) == 0.0
+    # the certificate from theta's phased permutation equals the dense one
+    eye = np.eye(10)
+    assert theta_squared_sign(5) == np.max(np.abs(_theta(_theta(eye)) + eye)) == 0.0
 
 
 def test_a_theta_that_squares_to_plus_one_fails_the_sign_check(monkeypatch):
     """With both sigma_2 phases +i, theta^2 = +1: theta(theta(e)) + e = 2 e
     on every basis vector, so the certificate reads 2, not 0."""
 
-    def plus(x):
-        half = x.shape[0] // 2
-        out = np.empty(x.shape, dtype=complex)
-        out[:half] = 1.0j * np.conj(x[half:])
-        out[half:] = 1.0j * np.conj(x[:half])
-        return out
+    def plus(dim_fock):
+        perm, phase = real(dim_fock)
+        return perm, np.full(phase.shape, 1.0j)
 
-    monkeypatch.setattr(kramers, "_theta", plus)
+    real = kramers._sigma2
+    monkeypatch.setattr(kramers, "_sigma2", plus)
     assert theta_squared_sign(5) == 2.0
 
 

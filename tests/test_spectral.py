@@ -216,7 +216,7 @@ def test_fiber_solve_matches_separate_computations(default_params, default_model
     assert count_below(solve.eigenvalues, sigma) == count_below(h, sigma)
     # the sandwich of H(|P|u), whatever the stabilizer of P itself
     h_u = build_H(np.linalg.norm(P) * np.array([1.0, 0.0, 0.0]), default_model)
-    lm = np.diag(np.tile(build_L_minus(P, default_model, consts), 2))
+    lm = np.diag(np.tile(build_L_minus(P, default_model), 2))
     lp = np.diag(np.tile(build_L_plus(P, default_model), 2))
     dense = (np.linalg.eigvalsh(h_u - lm)[0], np.linalg.eigvalsh(lp - h_u)[0],
              np.linalg.norm(h_u, 2))

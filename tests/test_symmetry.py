@@ -28,7 +28,6 @@ from pffiber.modes import (
     mode_action,
     orbit_representatives,
 )
-from pffiber.kramers import apply_theta
 from pffiber.spectral import (
     _ground_triple,
     default_trial_set,
@@ -38,7 +37,7 @@ from pffiber.spectral import (
     stabilizer,
 )
 
-from oracles import block_basis, build_H_blocks, setup_blocks
+from oracles import apply_theta, block_basis, build_H_blocks, setup_blocks
 
 P_ALONG_X = np.array([0.9345368022869702, 0.0, 0.0])
 P_GENERIC = np.array([0.31, -0.47, 0.62])

@@ -227,12 +227,12 @@ NAN_DEFECTS = {
     "8-bound": (vf.check_delta_bounds, _spoil(
         vf, "_solved_bound_margins", lambda margins, call, bad: [*margins, -bad]), PRINTED),
     "9-width": (vf.check_envelope, _spoil(
-        vf.bnd, "corollary_energy_bounds",
-        lambda res, call, bad: (res[0], bad) if call == _ENVELOPE_WIDTH_CALL else res),
+        vf.bnd.BoundConstants, "upper_envelope",
+        lambda res, call, bad: bad if call == _ENVELOPE_WIDTH_CALL else res),
         PRINTED),
     "9-slope": (vf.check_envelope, _spoil(
-        vf.bnd, "corollary_energy_bounds",
-        lambda res, call, bad: (res[0], bad) if call == _ENVELOPE_WIDTH_CALL + 1 else res),
+        vf.bnd.BoundConstants, "upper_envelope",
+        lambda res, call, bad: bad if call == _ENVELOPE_WIDTH_CALL + 1 else res),
         PRINTED_AS_NAN),
     "10a": (vf.check_coupling_estimates, _spoil(vf, "dgamma_diag", _bad_first), PRINTED),
     "10b": (vf.check_monotonicity, _spoil(
@@ -293,6 +293,33 @@ def test_a_failed_comparison_names_its_location(monkeypatch):
     NAN_DEFECTS["6"][1](monkeypatch, math.nan)
     result = vf.check_counting(_fast_context())
     assert "NOT <= 0 at e=0.0, |P|=0.0000: count 2, ordered False" in result.detail
+
+
+def test_checks_7_and_8_are_the_margins_of_the_gap_report(monkeypatch):
+    """Checks 7 and 8 read their floors from the bound constants, as the
+    sweep's gap report does: at the desk config each deficit of check 7 is
+    -direct_margin and each of check 8's explicit floor is -delta_margin,
+    at every coupling and momentum, bit for bit."""
+    seen, real = {}, vf._worst
+
+    def spy(label, defects, *args):
+        seen[label] = list(defects)
+        return real(label, defects, *args)
+
+    monkeypatch.setattr(vf, "_worst", spy)
+    ctx = _fast_context()
+    assert vf.check_gap_uniformity(ctx).passed and vf.check_delta_bounds(ctx).passed
+    floor_deficits = iter(seen["explicit floor - Delta"])
+    for e in ctx.coupling_ladder():
+        model = vf.build_model(ctx.params_at(e))
+        consts, momenta = vf.bnd.bound_constants(model), ctx.momenta()
+        solves = ctx.solves(model)
+        reports = [vf.bnd.theorem_gap_report(P, consts, s, d)
+                   for P, s, d in zip(momenta, solves, ctx.deltas(momenta, model))]
+        direct = [-r.direct_margin for r, s in zip(reports, solves) if s.E1 is not None]
+        assert seen[f"e={e}: bound - min(E1-E)"] == direct
+        assert [next(floor_deficits) for _ in reports] == [-r.delta_margin for r in reports]
+    assert next(floor_deficits, None) is None
 
 
 def test_a_nan_root_norm_fails_check_10b(monkeypatch):
