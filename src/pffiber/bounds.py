@@ -42,7 +42,7 @@ from .hamiltonian import (  # noqa: F401
     kinetic_root,
     op_sqrt_eig,
 )
-from .spectral import FiberSolve, ground_data, solve_fiber  # noqa: F401
+from .spectral import EnergyCache, FiberSolve, ground_data, solve_fiber  # noqa: F401
 
 # the one tolerance of the sandwich and envelope inequalities, relative to
 # ||H|| for a sandwich margin: verify's checks 5, 7, 8, 9 and inv2, the
@@ -198,24 +198,23 @@ def build_L_plus(P, params_or_model):
     return p.gamma * np.sqrt(radicand) + hf
 
 
-def count_below(h, threshold: float) -> int:
-    """Number of eigenvalues strictly below the threshold."""
-    h = np.asarray(h)
-    vals = np.linalg.eigvalsh(h) if h.ndim == 2 else np.sort(h)
-    return int(np.searchsorted(vals, threshold, side="left"))
+def count_below(vals, threshold: float) -> int:
+    """Number of the eigenvalues ``vals`` strictly below the threshold."""
+    return int(np.searchsorted(np.sort(vals), threshold, side="left"))
 
 
-def sandwich_margins(P, params_or_model):
+def sandwich_margins(P, params_or_model, cache: EnergyCache | None = None):
     """min eig(H(|P|u) - L_-) and min eig(L_+ - H(|P|u)), with the scale
-    ||H(|P|u)||_2: the ``sandwich`` of the
-    :func:`pffiber.spectral.solve_fiber` record of |P|u, None at
-    gamma >= 1.
+    ||H(|P|u)||_2, None at gamma >= 1: the ``sandwich`` of the
+    :func:`pffiber.spectral.solve_fiber` record of |P|u, read or solved
+    through ``cache``.  This is the one reader of that field; the record of
+    a P not along u has none.
 
     The Hamiltonian is evaluated at |P| u as in the comparison statements;
     rotation covariance of E(P) is probed separately.
     """
     P_u = float(np.linalg.norm(np.asarray(P, dtype=float))) * U_DIRECTION
-    return solve_fiber(P_u, params_or_model).sandwich
+    return solve_fiber(P_u, params_or_model, cache).sandwich
 
 
 def comparison_diagonals(P, model: FiberModel) -> tuple:

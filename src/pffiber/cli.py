@@ -86,9 +86,9 @@ def compute_report(P, model, consts, cache):
     return report, solve
 
 
-def _scaled_sandwich(solve) -> tuple:
-    """(lower, upper) sandwich margins over their scale; None at gamma >= 1."""
-    lower, upper, scale = solve.sandwich or (None, None, None)
+def _scaled_sandwich(P, model, cache) -> tuple:
+    """(lower, upper) sandwich margins of P over their scale; None at gamma >= 1."""
+    lower, upper, scale = bnd.sandwich_margins(P, model, cache) or (None, None, None)
     return (None, None) if scale is None else (lower / scale, upper / scale)
 
 
@@ -139,7 +139,7 @@ def run_sweep(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
     def work(P):
         rep, solve = compute_report(P, model, consts, cache)
         gap = bnd.theorem_gap_report(P, consts, solve, rep.delta)
-        return rep, _scaled_sandwich(solve), gap
+        return rep, _scaled_sandwich(P, model, cache), gap
 
     rows = list(_each_momentum(cfg.momenta(), work))
     failures = [r for r in rows if isinstance(r, dict)]
@@ -194,7 +194,7 @@ def run_bounds(cfg: RunConfig, out_dir: str, cache: EnergyCache) -> int:
     def work(P):
         solve = solve_fiber(P, model, cache)
         return (
-            *_scaled_sandwich(solve),
+            *_scaled_sandwich(P, model, cache),
             bnd.count_below(solve.eigenvalues, consts.sigma_minus(P)),
         )
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import SANDWICH_TOL, bound_constants, count_below
+from .bounds import SANDWICH_TOL, bound_constants, count_below, sandwich_margins
 from .fock import frobenius
 from .hamiltonian import SIGMA, _as_model, hf_spinor, theta_image
 from .spectral import EnergyCache, solve_fiber
@@ -134,8 +134,10 @@ def kramers_certificate(
     e <= e_star) are reported, not enforced.
     Sigma_-(P) and the sandwich both use the model's own bound constants.
     The ground cluster is the record's, at ``spectral.CLUSTER_TOL``, and the
-    lower sandwich margin passes down to ``-SANDWICH_TOL * ||H||``, the
-    tolerance of verify's check 5.
+    lower sandwich margin, :func:`pffiber.bounds.sandwich_margins`, passes
+    down to ``-SANDWICH_TOL * ||H||``, the tolerance of verify's check 5.
+    Both are read through ``cache``, without one through one of the call's
+    own, so a P along u is solved once.
     """
     model = _as_model(params_or_model)
     p = model.params
@@ -143,11 +145,12 @@ def kramers_certificate(
     if not (p.gap_hypotheses_met() and p.e <= e_star):
         return KramersCertificate(P=tuple(P), hypotheses_met=False)
     consts = bound_constants(model)
+    cache = EnergyCache() if cache is None else cache
     solve = solve_fiber(P, model, cache)
     mult = solve.mult
     pairing, overlap = solve.ground_pairing
     theta = solve.residuals["theta_commutation"]
-    lower, _, scale = solve.sandwich
+    lower, _, scale = sandwich_margins(P, model, cache)
     sandwich_ok = lower >= -SANDWICH_TOL * scale
     cnt = count_below(solve.eigenvalues, consts.sigma_minus(P))
     if not sandwich_ok:

@@ -60,7 +60,8 @@ class ModelParams:
     m_ph : float
         Photon mass (infrared regulator), >= 0.
     Lambda : float
-        Ultraviolet cutoff on |k|, finite and > 0.
+        Ultraviolet cutoff on |k|, finite and > 0; sharp, realized by grid
+        membership.
     n_shells : int
         Number of Gauss-Legendre radial nodes on [k_min, Lambda].
     n_dirs : int
@@ -70,9 +71,6 @@ class ModelParams:
     k_min : float
         Inner radius of the radial quadrature, > 0 (keeps k = 0 out of the
         grid, where the dreibein is undefined).
-    envelope_width : float
-        Optional smooth cutoff taper as a fraction of Lambda; 0 disables it
-        and leaves the sharp cutoff realized by grid membership.
     """
 
     e: float
@@ -84,7 +82,6 @@ class ModelParams:
     n_dirs: int = 6
     N_max: int = 1
     k_min: float = 1e-6
-    envelope_width: float = 0.0
 
     def __post_init__(self):
         for name in ("n_shells", "n_dirs", "N_max"):
@@ -110,8 +107,6 @@ class ModelParams:
             raise ValueError(f"N_max must be >= 0, got {self.N_max}")
         if not 0.0 < self.k_min < self.Lambda:
             raise ValueError("k_min must lie strictly between 0 and Lambda")
-        if not 0.0 <= self.envelope_width < 1.0:
-            raise ValueError("envelope_width must lie in [0, 1)")
 
     @functools.cached_property
     def fingerprint(self) -> str:
@@ -289,24 +284,14 @@ def build_mode_set(params: ModelParams) -> ModeSet:
     return ModeSet(np.array(k), lam, np.array(eps), np.array(weight))
 
 
-def _envelope(r: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Smooth cutoff taper on [((1-w)Lambda, Lambda]; identically 1 if w = 0."""
-    if params.envelope_width == 0.0:
-        return np.ones_like(r)
-    r0 = (1.0 - params.envelope_width) * params.Lambda
-    span = params.envelope_width * params.Lambda
-    t = np.clip((r - r0) / span, 0.0, 1.0)
-    return np.cos(0.5 * math.pi * t) ** 2
-
-
 @dataclass(frozen=True, eq=False)
 class FormFactorTable:
     """Per-mode coupling coefficients of the discrete vector potential.
 
     ``f[m]`` is the real 3-vector coefficient of the annihilator of mode m,
     ``f[m] = g[m] * eps[m]`` with scalar prefactor
-    ``g[m] = e sqrt(w_m) / sqrt(2 (2 pi)^3 omega_m)`` (times the optional
-    smooth envelope).  All entries scale linearly in e.
+    ``g[m] = e sqrt(w_m) / sqrt(2 (2 pi)^3 omega_m)``.  All entries scale
+    linearly in e.
     """
 
     f: np.ndarray
@@ -322,9 +307,7 @@ class FormFactorTable:
 def form_factors(modes: ModeSet, params: ModelParams) -> FormFactorTable:
     """Evaluate the mode couplings f_m and dispersions omega_m."""
     omega = dispersion(modes.k, params.m_ph)
-    r = np.linalg.norm(modes.k, axis=1)
     g = params.e * np.sqrt(modes.weight) / np.sqrt(2.0 * TWO_PI_CUBED * omega)
-    g = g * _envelope(r, params)
     f = g[:, None] * modes.eps
     return FormFactorTable(f=f, g=g, omega=omega, k=modes.k.copy())
 

@@ -24,9 +24,9 @@ solves run in real arithmetic.
 reads (the CLI reports, the gap-bound report, the Kramers certificate, the
 verify checks).  It builds and runs ``eigh`` on the head of every
 theta-pair of blocks (:func:`pffiber.hamiltonian.theta_pair`), reads the
-partner from it, and keeps a small :class:`FiberSolve` record --
-eigenvalues, residuals, sandwich margins -- then drops the blocks and the
-eigenvectors.
+partner from it, and keeps a small :class:`FiberSolve` record of H(P) --
+eigenvalues, residuals and, along u, the sandwich margins -- then drops
+the blocks and the eigenvectors.
 
 Why the partner need not be built: the head's theta-image, the block of
 theta H theta^-1, has the head's spectrum.
@@ -325,9 +325,9 @@ class FiberSolve:
     as their heads' theta-images, are from the blocks of H(P).
     ``ground_pairing`` is (a bound on ||H theta v - E theta v|| / ||H||,
     |<v, theta v>|) for the ground vector v: its residual plus the theta
-    residual.  ``sandwich`` is (lower, upper, scale): min
-    eig(H(|P|u) - L_-), min eig(L_+ - H(|P|u)) and ||H(|P|u)||_2, or None
-    at gamma >= 1.
+    residual.  ``sandwich``, which :func:`pffiber.bounds.sandwich_margins`
+    reads, is (min eig(H(P) - L_-), min eig(L_+ - H(P)), ||H(P)||_2) at
+    gamma < 1 and P along u (:func:`_along_u`), else None.
     """
 
     P: tuple
@@ -365,50 +365,34 @@ def solve_batch(P, params_or_model, cache: EnergyCache | None = None) -> list:
     call's own.  The misses are solved together, one stacked ``eigh`` per
     theta-pair of the momenta that share a stabilizer (:func:`setup_stacks`,
     :func:`_records`); the residuals and the guards stay per momentum.
-    The sandwich margins are taken when gamma < 1: from the same blocks
-    when P == |P| u, else from the record of |P| u, which is looked up, or
-    solved, before the batch and through the same cache, so a |P| u in the
-    batch is solved once.
+    The sandwich margins are taken from the same blocks when gamma < 1 and
+    P is along u (:func:`_along_u`); a record of any other P has none, and
+    :func:`pffiber.bounds.sandwich_margins` reads them from the record of
+    |P| u.
     Raises ``EigensolverError``, naming the momentum, when an eigenpair
     residual exceeds ``RESIDUAL_TOL * ||H||``, and naming the momenta of
     its stack when LAPACK fails.
     """
-    from . import bounds  # it imports this module
-
     model = _as_model(params_or_model)
-    P = np.asarray(P, dtype=float).reshape(-1, 3)
     cache = EnergyCache() if cache is None else cache
-    lookup = cache.get_solve, cache.put
-    margins = {}
-
-    def solve_stack(at_P, setup):
-        return _records(at_P, model, setup, margins)
-
-    off = [p for p in P if not _along_u(p)] if model.params.gamma < 1.0 else []
-    if off:
-        P_u = [np.linalg.norm(p) * bounds.U_DIRECTION for p in off]
-        solves = _batch(P_u, model, lookup, solve_stack)
-        for p, solve in zip(off, solves):
-            margins[_quantize_P(p)] = solve.sandwich
-    return _batch(P, model, lookup, solve_stack)
+    return _batch(P, model, (cache.get_solve, cache.put),
+                  lambda at_P, setup: _records(at_P, model, setup))
 
 
 def _along_u(p) -> bool:
-    """Whether P == |P| u exactly, so that H(P) is the H(|P| u) of the
-    sandwich statements."""
+    """Whether P and |P| u share a cache key, so that the record of P is
+    the record of the H(|P| u) of the sandwich statements."""
     from . import bounds  # it imports this module
 
-    return np.array_equal(p, np.linalg.norm(p) * bounds.U_DIRECTION)
+    return _quantize_P(p) == _quantize_P(np.linalg.norm(p) * bounds.U_DIRECTION)
 
 
-def _records(P, model, setup, margins) -> list:
+def _records(P, model, setup) -> list:
     """The :class:`FiberSolve` of each momentum of the (g, 3) P under one
     ``setup``, one theta-pair at a time (:func:`pair_heads`,
     :func:`_pair_values`).  Each head is dropped before the next is built;
     what it leaves are per-block values, reduced per momentum by
-    :func:`_record`.  A momentum not along u takes the sandwich margins of
-    the record of |P|u from ``margins``, under its quantized P, where
-    :func:`solve_batch` put them: L_-(P) and L_+(P) depend on |P| only."""
+    :func:`_record`."""
     from . import bounds  # it imports this module
 
     along = np.array([_along_u(p) for p in P])
@@ -422,10 +406,7 @@ def _records(P, model, setup, margins) -> list:
         for found, candidate in zip(grounds, lowest):
             found.append(candidate)
     values = [per_block[i] for i in range(len(per_block))]
-    return [
-        _record(P, at, values, min(grounds[at]), margins.get(_quantize_P(p)), along)
-        for at, p in enumerate(P)
-    ]
+    return [_record(P, at, values, min(grounds[at]), along) for at in range(len(P))]
 
 
 def _pair_values(P, model, setup, i: int, along, diagonals) -> tuple:
@@ -472,11 +453,11 @@ def _pair_values(P, model, setup, i: int, along, diagonals) -> tuple:
     return {i: values, partner: values}, lowest
 
 
-def _record(P, at, values, ground, margins, along) -> FiberSolve:
+def _record(P, at, values, ground, along) -> FiberSolve:
     """The :class:`FiberSolve` of momentum ``at`` of the (g, 3) P from the
-    per-block ``values`` of :func:`_pair_values`, the (E, index, pairing)
-    of its ground block and, for a momentum not along u, its sandwich
-    margins; a momentum along u takes them from ``values``."""
+    per-block ``values`` of :func:`_pair_values` and the (E, index,
+    pairing) of its ground block; a momentum ``along`` u takes its sandwich
+    margins from ``values``, any other has none."""
     p = P[at]
     eig_res = max(float(b["eigenpair"][at]) for b in values)
     vals = np.sort(np.concatenate([b["vals"][at] for b in values]))
@@ -490,6 +471,7 @@ def _record(P, at, values, ground, margins, along) -> FiberSolve:
     # the bound on ||theta H theta^-1 - H||_F, relative
     theta_res = math.hypot(*(b["theta"][at] for b in values)) / max(h_norm, 1e-300)
     pairing_res, overlap = ground[2]
+    margins = None
     if along[at] and values[0]["margins"] is not None:
         j = np.count_nonzero(along[:at])
         margins = tuple(

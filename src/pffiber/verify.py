@@ -350,8 +350,8 @@ def check_sandwich(ctx: VerifyContext) -> CheckResult:
     deficits = []
     for e in ctx.coupling_ladder():
         model = build_model(ctx.params_at(e))
-        for solve in ctx.solves(model):
-            lower, upper, scale = solve.sandwich
+        for P in ctx.momenta():
+            lower, upper, scale = bnd.sandwich_margins(P, model, ctx.cache)
             deficits += [-lower / scale, -upper / scale]
     return CheckResult(
         "operator sandwich",

@@ -210,9 +210,9 @@ def test_the_cache_counts_one_lookup_per_momentum(default_params, batch, single)
     assert _count(batched) == _count(looped)
     assert _energies(batched) == _energies(looped)
     if batch is solve_batch:
-        # the sandwich margins of (0.6, -0.5, 0) read the record of its |P|u
-        # through the cache: one more miss, and one more hit for its repeat
-        assert _count(batched) == (4, 4)
+        # no record looks up another momentum: (0.6, -0.5, 0), not along u,
+        # has no sandwich margins of its own and solves no |P|u
+        assert _count(batched) == (3, 3) and got[1].sandwich is None
         assert got[0] is got[2] and got[3] is solve_fiber(P[3], model, cache=batched)
         for solve in got:  # a record, whose E answers the E lookups
             key = EnergyCache.key(model.params, solve.P)

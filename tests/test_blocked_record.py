@@ -58,9 +58,9 @@ def _dense_sandwich(P, model, h_u, norm):
 def test_blocked_record_matches_the_dense_oracle(default_params, n_dirs, n_max):
     model = _model(default_params, n_dirs, n_max)
     consts = bounds.bound_constants(model)
-    sandwich = {}
+    sandwich, cache = {}, spectral.EnergyCache()
     for name, P in MOMENTA.items():
-        solve = solve_fiber(P, model)
+        solve = solve_fiber(P, model, cache)
         h = build_H(P, model)
         dense = np.linalg.eigvalsh(h)
         norm = max(abs(dense[0]), abs(dense[-1]))
@@ -77,7 +77,9 @@ def test_blocked_record_matches_the_dense_oracle(default_params, n_dirs, n_max):
         if name in ("zero", "x"):  # P = |P| u, and x has the |P| of the rest
             sandwich[name] = _dense_sandwich(P, model, h, norm)
         want = sandwich["zero" if name == "zero" else "x"]
-        assert np.max(np.abs(np.subtract(solve.sandwich, want))) <= tol, name
+        got = bounds.sandwich_margins(P, model, cache)
+        assert np.max(np.abs(np.subtract(got, want))) <= tol, name
+        assert (solve.sandwich is None) == (name not in ("zero", "x")), name
         assert solve.residuals["theta_commutation"] <= 1e-12, name
         assert check_theta_commutes(h) <= 1e-12, name
         assert max(solve.ground_pairing) <= 1e-12, name
@@ -202,9 +204,11 @@ def test_no_momentum_builds_the_dense_H(default_model, monkeypatch):
         raise AssertionError("every momentum is solved in blocks")
 
     monkeypatch.setattr(hamiltonian, "build_H", refuse)
+    cache = spectral.EnergyCache()
     for P in MOMENTA.values():
-        solve = solve_fiber(P, default_model)
-        assert solve.sandwich is not None and solve.mult == 2
+        solve = solve_fiber(P, default_model, cache)
+        assert solve.mult == 2
+        assert bounds.sandwich_margins(P, default_model, cache) is not None
         assert abs(ground_data(P, default_model) - solve.E) <= 1e-12 * solve.h_norm
 
 

@@ -445,6 +445,27 @@ def test_sweep_builds_each_orbit_momentum_once(tmp_path, monkeypatch):
     assert len(set(built)) == len(built)
 
 
+def test_spectrum_builds_records_at_its_own_momenta_only(tmp_path, monkeypatch):
+    """An off-axis P_list: spectrum reads no sandwich, so no record of |P|u
+    is built, and the near-axis momentum (0.7, 4e-17, 0), whose cache key
+    is that of 0.7x, writes the row of its own record, P_y included."""
+    momenta = [[0.3, -0.2, 0.5], [0.9, -0.8, 0.0], [0.7, 4e-17, 0.0]]
+    built = []
+    real = spectral._records
+
+    def counted(P, *args):
+        built.extend(map(tuple, P))
+        return real(P, *args)
+
+    monkeypatch.setattr(spectral, "_records", counted)
+    cfg = write_cfg(tmp_path, {"P_list": momenta})
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(built) == sorted(map(tuple, momenta))
+    header, *rows = (out / "spectrum.csv").read_text().splitlines()
+    assert [[float(x) for x in row.split(",")[:3]] for row in rows] == momenta
+
+
 def test_sweep_computes_delta_once_per_momentum(tmp_path, monkeypatch):
     real = cli.delta_gap
     calls = []

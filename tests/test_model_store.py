@@ -47,7 +47,7 @@ def test_a_cached_model_keeps_its_grid_past_the_grid_cache(small_params):
 @pytest.mark.parametrize(
     "name, value",
     [("n_shells", 2), ("n_dirs", 6), ("N_max", 1), ("Lambda", 1.5),
-     ("k_min", 1e-3), ("m_ph", 0.4), ("envelope_width", 0.2)],
+     ("k_min", 1e-3), ("m_ph", 0.4)],
 )
 def test_each_grid_field_has_its_own_grid(small_params, name, value):
     assert getattr(small_params, name) != value
@@ -61,16 +61,13 @@ def test_the_point_group_does_not_depend_on_the_coupling(default_params, n_dirs)
     """The grid takes G from the table at e = 1; it is the same array, in
     the same order, at every coupling."""
     for n_shells in (1, 2, 3):
-        for width in (0.0, 0.3):
-            p = default_params.replace(
-                n_dirs=n_dirs, n_shells=n_shells, envelope_width=width, N_max=0
-            )
-            modes = build_mode_set(p)
-            unit = grid_rotations(form_factors(modes, p.replace(e=1.0)))
-            assert np.array_equal(build_model(p).rotations, unit)
-            for e in (0.0, 0.05, 0.3, 2.0):
-                got = grid_rotations(form_factors(modes, p.replace(e=e)))
-                assert np.array_equal(got, unit)
+        p = default_params.replace(n_dirs=n_dirs, n_shells=n_shells, N_max=0)
+        modes = build_mode_set(p)
+        unit = grid_rotations(form_factors(modes, p.replace(e=1.0)))
+        assert np.array_equal(build_model(p).rotations, unit)
+        for e in (0.0, 0.05, 0.3, 2.0):
+            got = grid_rotations(form_factors(modes, p.replace(e=e)))
+            assert np.array_equal(got, unit)
 
 
 def _counting(monkeypatch, counts, module, name):

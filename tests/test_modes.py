@@ -199,17 +199,6 @@ def test_norms_monotone_in_cutoff_and_coupling(default_params):
         assert getattr(boosted, attr) > getattr(base, attr)
 
 
-def test_smooth_envelope_tapers_cutoff(default_params):
-    p = default_params.replace(envelope_width=0.4)
-    modes = build_mode_set(p)
-    sharp = form_factors(modes, default_params)
-    smooth = form_factors(modes, p)
-    r = np.linalg.norm(modes.k, axis=1)
-    outer = r > (1 - 0.4) * p.Lambda
-    assert np.all(smooth.g[outer] < sharp.g[outer])
-    assert_allclose(smooth.g[~outer], sharp.g[~outer])
-
-
 @pytest.mark.parametrize("n_dirs", DIRECTION_COUNTS)
 def test_stabilizer_matches_the_elementwise_test(default_params, n_dirs):
     """Same elements in the same order as testing R P == P one R at a

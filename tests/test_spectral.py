@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pffiber.bounds import bound_constants, build_L_minus, build_L_plus, count_below
+from pffiber.bounds import (
+    bound_constants,
+    build_L_minus,
+    build_L_plus,
+    count_below,
+    sandwich_margins,
+)
 from pffiber.fock import frobenius, hermiticity_defect
 from pffiber.hamiltonian import build_H, build_model, sigma_dot_v
 from pffiber import spectral
@@ -174,11 +180,11 @@ OFF_AXIS = np.array([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]])
 
 
 def test_off_axis_margins_read_the_record_of_P_u_once(default_model, monkeypatch):
-    """An off-axis momentum takes its sandwich margins from the record of
-    |P|u, looked up in the run's cache, so that record is solved once:
-    0.5y and 0.5z read the record of 0.5x, whether one at a time or in one
-    batch, with a cache or without.  The margins are those of 0.5x solved
-    alone, bit for bit."""
+    """A record is solved at its own momentum only, and only a record along
+    u holds sandwich margins.  :func:`sandwich_margins` reads those of 0.5y
+    and 0.5z from the record of |P|u = 0.5x through the run's cache, so
+    0.5x is solved once: in the batch, or by the first read.  The margins
+    are those of 0.5x solved alone, bit for bit."""
     solved = []
     real = spectral._records
 
@@ -187,17 +193,20 @@ def test_off_axis_margins_read_the_record_of_P_u_once(default_model, monkeypatch
         return real(P, *args)
 
     monkeypatch.setattr(spectral, "_records", counted)
-    cache = EnergyCache()
-    singles = [solve_fiber(p, default_model, cache=cache) for p in OFF_AXIS]
-    counts = [len(solved)]
-    for P, cache in ((OFF_AXIS, EnergyCache()), (OFF_AXIS[[1, 0]], EnergyCache()),
-                     (OFF_AXIS, None)):
-        solved.clear()
-        batched = solve_batch(P, default_model, cache=cache)
-        counts.append(len(solved))
-    assert counts == [3, 3, 2, 3]
     alone = solve_fiber(OFF_AXIS[0], default_model).sandwich
-    assert [s.sandwich for s in singles + batched] == [alone] * 6
+    assert alone is not None
+    for P, batched in ((OFF_AXIS, True), (OFF_AXIS[1:], True), (OFF_AXIS[1:], False)):
+        cache = EnergyCache()
+        solved.clear()
+        if batched:
+            records = solve_batch(P, default_model, cache=cache)
+        else:
+            records = [solve_fiber(p, default_model, cache=cache) for p in P]
+        assert sorted(solved) == sorted(map(tuple, P))
+        assert [s.sandwich is None for s in records] == [not p[0] for p in P]
+        margins = [sandwich_margins(p, default_model, cache) for p in OFF_AXIS]
+        assert margins == [alone] * 3
+        assert sorted(solved) == sorted(map(tuple, OFF_AXIS))
 
 
 @pytest.mark.parametrize("P", [[0.9, 0.0, 0.0], [0.4, -0.3, 0.2], [0.9, -0.8, 0.0]])
@@ -213,14 +222,15 @@ def test_fiber_solve_matches_separate_computations(default_params, default_model
     assert solve.mult == mult and abs(solve.E1 - dense[mult]) <= 1e-12
     assert cache.get(EnergyCache.key(default_model.params, P)) == solve.E
     sigma = consts.sigma_minus(P)
-    assert count_below(solve.eigenvalues, sigma) == count_below(h, sigma)
+    assert count_below(solve.eigenvalues, sigma) == count_below(dense, sigma)
     # the sandwich of H(|P|u), whatever the stabilizer of P itself
     h_u = build_H(np.linalg.norm(P) * np.array([1.0, 0.0, 0.0]), default_model)
     lm = np.diag(np.tile(build_L_minus(P, default_model), 2))
     lp = np.diag(np.tile(build_L_plus(P, default_model), 2))
     dense = (np.linalg.eigvalsh(h_u - lm)[0], np.linalg.eigvalsh(lp - h_u)[0],
              np.linalg.norm(h_u, 2))
-    assert_allclose(solve.sandwich, dense, rtol=0, atol=1e-12)
+    assert_allclose(sandwich_margins(P, default_model, cache), dense, rtol=0, atol=1e-12)
+    assert (solve.sandwich is None) == bool(P[1:].any())  # its own, along u only
     assert abs(solve.h_norm - np.linalg.norm(h, 2)) <= 1e-12
     vals, vecs = low_spectrum(h, 4)
     assert_allclose(solve.eigenvalues[:4], vals, rtol=0, atol=1e-12)
@@ -244,7 +254,27 @@ def test_fiber_solve_matches_separate_computations(default_params, default_model
     # no eigenvector survives the solve
     assert all(np.ndim(v) < 2 for v in vars(solve).values())
     # no lower comparison operator at gamma = 1, so no sandwich margins
-    assert solve_fiber(P, default_params.replace(gamma=1.0)).sandwich is None
+    assert sandwich_margins(P, default_params.replace(gamma=1.0)) is None
+
+
+@pytest.mark.parametrize("first", ["near axis", "axis"])
+def test_a_near_axis_momentum_reads_margins_in_either_order(default_model, first):
+    """P = (0.7, 4e-17, 0) shares its cache key with 0.7x, so it counts as
+    along u (:func:`spectral._along_u`) and its own record holds the
+    margins of its own blocks.  Through one cache, in either order, the
+    first solve is a record of its own momentum, and the margins of both
+    are never None and agree with those of 0.7x solved alone to 1e-12."""
+    axis, near = np.array([0.7, 0.0, 0.0]), np.array([0.7, 4e-17, 0.0])
+    assert spectral._along_u(near)
+    alone = solve_fiber(axis, default_model).sandwich
+    order = (near, axis) if first == "near axis" else (axis, near)
+    cache = EnergyCache()
+    assert solve_fiber(order[0], default_model, cache).P == tuple(order[0])
+    for P in order:
+        solve_fiber(P, default_model, cache)
+        got = sandwich_margins(P, default_model, cache)
+        assert got is not None
+        assert_allclose(got, alone, rtol=0, atol=1e-12)
 
 
 def test_solve_fiber_record_is_stored(default_model):

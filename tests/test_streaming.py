@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pffiber import certificate, hamiltonian
+from pffiber.bounds import sandwich_margins
 from pffiber.fock import hermitize
 from pffiber.hamiltonian import (
     SIGMA,
@@ -17,7 +18,7 @@ from pffiber.hamiltonian import (
 )
 from pffiber.kramers import frobenius, theta_defect
 from pffiber.modes import stabilizer
-from pffiber.spectral import ground_data, solve_batch, solve_fiber
+from pffiber.spectral import EnergyCache, ground_data, solve_batch, solve_fiber
 
 from oracles import build_H_blocks
 
@@ -135,16 +136,22 @@ def test_pair_heads_list_the_first_block_of_each_theta_pair(default_model):
 
 
 def test_records_along_and_against_u_equal_each_momentum_alone(default_model):
-    """A stack of momenta along +x and -x: the sandwich margins come from
-    the stack's own blocks for the first and from H(|P| u) for the second,
-    and every record equals that of its momentum alone bit for bit."""
+    """A stack of momenta along +x and -x: every record equals that of its
+    momentum alone bit for bit.  Those along +x hold the sandwich margins of
+    their own blocks, those along -x none, and
+    :func:`pffiber.bounds.sandwich_margins` reads theirs from the record of
+    |P| u."""
     P = np.array([[0.7, 0, 0], [-0.7, 0, 0], [1.3, 0, 0], [-0.35, 0, 0]], dtype=float)
-    for p, got in zip(P, solve_batch(P, default_model)):
+    cache = EnergyCache()
+    for p, got in zip(P, solve_batch(P, default_model, cache)):
         want = solve_fiber(p, default_model)
         assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
         assert got.residuals == want.residuals
         assert got.ground_pairing == want.ground_pairing
-        assert got.sandwich == want.sandwich and got.sandwich is not None
+        assert got.sandwich == want.sandwich and (got.sandwich is None) == (p[0] < 0)
+        margins = sandwich_margins(p, default_model, cache)
+        assert margins == solve_fiber(np.abs(p), default_model).sandwich
+        assert margins is not None
 
 
 def _traced_peak(fn):

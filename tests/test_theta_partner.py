@@ -12,7 +12,7 @@ import pytest
 from pffiber import bounds, hamiltonian, spectral
 from pffiber.hamiltonian import build_model, pair_heads, setup_stacks
 from pffiber.kramers import THETA_COMM_TOL, kramers_certificate
-from pffiber.spectral import EnergyCache, solve_batch, solve_fiber
+from pffiber.spectral import solve_batch, solve_fiber
 
 from oracles import solve_block
 
@@ -77,15 +77,12 @@ def test_the_record_solves_one_block_per_theta_pair(default_model, monkeypatch, 
     ((_, setup),) = setup_stacks(P, model)
     pairs = len(pair_heads(setup))
     mirror = setup[0]
-    cache = EnergyCache()
     along = spectral._along_u(P[0])
-    if not along:  # the sandwich margins of |P| u, solved before counting
-        solve_batch(np.linalg.norm(P, axis=1)[:, None] * bounds.U_DIRECTION, model, cache)
     roots = _counting(monkeypatch, hamiltonian, "kinetic_root")
     svds = _counting(monkeypatch, np.linalg, "svd")
     eighs = _counting(monkeypatch, spectral, "_eigh")
     eigvals = _counting(monkeypatch, np.linalg, "eigvalsh")
-    solves = solve_batch(P, model, cache)
+    solves = solve_batch(P, model)
     assert eighs == [2] * pairs
     assert (svds, roots) == (([2] * pairs, []) if mirror else ([], [2] * pairs))
     assert eigvals == ([2] * 2 * pairs if along else [])

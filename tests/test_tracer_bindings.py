@@ -5,6 +5,7 @@ the current package, runs a model build and a ground-state solve through it,
 and checks that uninstalling leaves every binding as it was."""
 
 import importlib.util
+import json
 import pathlib
 import sys
 
@@ -61,3 +62,19 @@ def test_the_modules_bind_the_functions_the_benchmark_tests_pin():
     in every module; they are not tier-1, so the identities are held here."""
     assert cli.build_H is bounds.build_H is hamiltonian.build_H
     assert cli.ground_data is bounds.ground_data is spectral.ground_data
+
+
+def test_a_traced_sweep_reads_the_sandwich_once_per_momentum(tmp_path):
+    """``bounds.sandwich_margins`` is the one reader of the sandwich
+    margins, so the benchmark's ``bounds.sandwich_margins.calls`` counts
+    one call per momentum of a sweep."""
+    momenta = [[0.0, 0.0, 0.0], [0.4, -0.3, 0.0], [0.6, 0.0, 0.0]]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"n_shells": 1, "n_dirs": 2}, "P_list": momenta}))
+    tracer = _load_tracer().Tracer("tier-1")
+    tracer.install()
+    try:
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.metrics()["bounds.sandwich_margins.calls"] == len(momenta)

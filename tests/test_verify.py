@@ -218,8 +218,9 @@ NAN_DEFECTS = {
     "3": (vf.check_sqrt_crossval, _spoil(vf, "op_sqrt_eig", _bad_first), PRINTED),
     "4": (vf.check_kramers, _solves(lambda s, bad: {
         "residuals": {**s.residuals, "theta_commutation": bad}}), PRINTED),
-    "5": (vf.check_sandwich, _solves(lambda s, bad: {"sandwich": (-bad, *s.sandwich[1:])}),
-          PRINTED),
+    "5": (vf.check_sandwich, _spoil(
+        vf.bnd, "sandwich_margins",
+        lambda res, call, bad: (-bad, *res[1:]) if call == 1 else res), PRINTED),
     "6": (vf.check_counting, _solves(lambda s, bad: {"E": bad}), NOT_PRINTED),
     "7": (vf.check_gap_uniformity, _solves(lambda s, bad: {"E1": -bad}), PRINTED),
     "8-delta": (vf.check_delta_bounds, _spoil(
